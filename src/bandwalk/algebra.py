@@ -22,7 +22,8 @@ from .errors import (
     SizeGuardError,
 )
 from .guards import DEFAULT_GUARDS
-from .posets import longest_chain_length
+from .posets import rank_function
+from .spectral import flat_eigenvalues
 
 
 # ------------------------------------------------- algebra primitives
@@ -80,39 +81,6 @@ def alg_equal(a, b):
 def weight_element(w):
     """The element sum of w_x x for a WeightVector."""
     return dict(w.items())
-
-
-# --------------------------------------------------- kL and its basis
-
-
-def lattice_idempotents(structure):
-    """Primitive idempotents of the lattice algebra, one per flat.
-
-    In kL the product of flats is their join; Moebius inversion of the
-    partial-order indicators yields e_X = sum over Y >= X of mu(X,Y) Y.
-    """
-    f = structure.n_flats
-    leq = structure.leq
-    fam = []
-    for x in range(f):
-        e = {y: Fraction(structure.moebius(x, y))
-             for y in range(f) if leq[x][y] and structure.moebius(x, y)}
-        fam.append(e)
-    return fam
-
-
-def lattice_multiply(structure, a, b):
-    join = structure.join
-    out = {}
-    for x, va in a.items():
-        for y, vb in b.items():
-            z = join[x][y]
-            s = out.get(z, Fraction(0)) + va * vb
-            if s:
-                out[z] = s
-            else:
-                out.pop(z, None)
-    return out
 
 
 # ------------------------------------------------------ reduced words
@@ -194,7 +162,7 @@ def power_formula(structure, w, m, guards=DEFAULT_GUARDS):
     if m < 0:
         raise MalformedInputError("negative power")
     sg = structure.semigroup
-    lam = _flat_eigenvalues(structure, w)
+    lam = flat_eigenvalues(structure, w)
     out = {}
 
     def visit(word, chain, elem, wprod):
@@ -211,18 +179,6 @@ def power_formula(structure, w, m, guards=DEFAULT_GUARDS):
 
     _reduced_word_walk(sg, structure, w, visit, guards)
     return out
-
-
-def _flat_eigenvalues(structure, w):
-    leq = structure.leq
-    supp = structure.supp
-    lam = [Fraction(0)] * structure.n_flats
-    for y, wy in w.items():
-        sy = supp[y]
-        for x in range(structure.n_flats):
-            if leq[sy][x]:
-                lam[x] += wy
-    return lam
 
 
 # ------------------------------------------------ walk idempotents
@@ -242,7 +198,7 @@ class IdempotentFamily:
 
 
 def primitive_idempotents(structure, w, restrict=False,
-                          guards=DEFAULT_GUARDS, verify=True):
+                          guards=DEFAULT_GUARDS):
     """The orthogonal idempotent family of the walk algebra.
 
     e_X sums, over reduced words whose support chain passes through X,
@@ -265,7 +221,7 @@ def primitive_idempotents(structure, w, restrict=False,
             f"{sg.label}: weighted elements generate only "
             f"{len(feas)}/{structure.n_flats} flats; pass restrict=True "
             "to analyze the walk on the generated sub-band")
-    lam = _flat_eigenvalues(structure, w)
+    lam = flat_eigenvalues(structure, w)
     members = {x: {} for x in feas}
 
     def visit(word, chain, elem, wprod):
@@ -305,8 +261,7 @@ def primitive_idempotents(structure, w, restrict=False,
         feas, {x: lam[x] for x in feas}, members, grouped,
         lattice_covered=covered,
         is_generic=len(by_lam) == len(feas))
-    if verify:
-        _certify_family(sg, structure, w, fam)
+    _certify_family(sg, structure, w, fam)
     return fam
 
 
@@ -420,8 +375,7 @@ def uniform_tsetlin_idempotents(structure):
 
 
 def _flat_ranks(structure):
-    from . import posets
-    r = posets.rank_function(structure.leq, structure.bottom)
+    r = rank_function(structure.leq, structure.bottom)
     if r is None:
         raise PreconditionError("support lattice is not graded")
     return r
@@ -496,61 +450,3 @@ def nu_reconstruction(structure, nu, X):
         if a == X:
             out = alg_add(out, measure)
     return out
-
-
-# ------------------------------------------------ radical certificate
-
-
-@dataclass
-class RadicalCertificate:
-    nilpotency_exponent: int
-    dims: list             # dim of J^1, J^2, ... until zero
-    ok: bool
-
-
-def verify_radical_nilpotent(structure, guards=DEFAULT_GUARDS):
-    """Certify that the support kernel is nilpotent of the right order.
-
-    J is spanned by differences of same-support elements; k is one more
-    than the longest chain in the support lattice.  Computes J, J^2,
-    ... as integer row spaces and checks that J^k vanishes.
-    """
-    sg = structure.semigroup
-    n = sg.size
-    if n > guards.radical_cap:
-        raise SizeGuardError(
-            f"radical certificate works in dimension |S|={n}; "
-            f"cap is {guards.radical_cap}")
-    from . import linalg
-    prod = sg.product
-
-    gens = []
-    for members in structure.members:
-        rep = members[0]
-        for other in members[1:]:
-            gens.append((rep, other))
-
-    k = longest_chain_length(structure.leq) + 1
-    rows = []
-    for a, b in gens:
-        row = [0] * n
-        row[a] += 1
-        row[b] -= 1
-        rows.append(row)
-    dims = []
-    for power in range(1, k + 1):
-        ech = linalg.echelon_int_rows(rows)
-        dims.append(len(ech))
-        if dims[-1] == 0 or power == k:
-            break
-        rows = []
-        for _, row in ech:
-            items = [(i, c) for i, c in enumerate(row) if c]
-            for a, b in gens:
-                out = [0] * n
-                for i, c in items:
-                    out[prod(i, a)] += c
-                    out[prod(i, b)] -= c
-                if any(out):
-                    rows.append(out)
-    return RadicalCertificate(k, dims, ok=dims[-1] == 0 if dims else True)

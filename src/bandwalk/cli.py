@@ -20,10 +20,8 @@ from .guards import Guards, load_guards
 
 @dataclass
 class RunConfig:
-    command: str
     out: str
     fmt: str
-    threads: int
     verbose: bool
 
 
@@ -32,10 +30,6 @@ def _add_common(p):
                    help="write artifacts under DIR instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    dest="fmt", help="matrix artifact format")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for parallel sections; all current "
-                        "sections run serially, default 1 keeps runs "
-                        "reproducible")
     p.add_argument("--guard", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="override a size cap (also via LRB_GUARD_NAME)")
@@ -171,9 +165,8 @@ def _guard_overrides(args):
 
 
 def _config(args):
-    return RunConfig(args.command, getattr(args, "out", None),
+    return RunConfig(getattr(args, "out", None),
                      getattr(args, "fmt", "json"),
-                     getattr(args, "threads", 1),
                      getattr(args, "verbose", False))
 
 

@@ -128,17 +128,6 @@ def _refines(fine, coarse):
     return True
 
 
-def _all_set_partitions(items):
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in _all_set_partitions(rest):
-        yield ((first,),) + part
-        for i, blk in enumerate(part):
-            yield part[:i] + ((first,) + blk,) + part[i + 1:]
-
-
 def ordered_partitions(n, guards=DEFAULT_GUARDS):
     """All ordered set partitions of {1..n}.  The product intersects the
     right factor's blocks into the left factor's blocks in lexicographic
@@ -150,14 +139,14 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
             f"ordered_partitions needs 1 <= n <= {guards.partitions_n_cap}")
     universe = tuple(range(1, n + 1))
     elements = []
-    for part in _all_set_partitions(universe):
+    for part in posets.set_partitions(universe):
         blocks = [tuple(sorted(b)) for b in part]
         for order in itertools.permutations(blocks):
             elements.append(tuple(order))
     elements = sorted(set(elements))
 
     partition_labels = sorted(
-        {_partition_label(p) for p in _all_set_partitions(universe)})
+        {_partition_label(p) for p in posets.set_partitions(universe)})
     expected = ExpectedLattice(
         labels=tuple(partition_labels),
         label_of=_partition_label,
@@ -272,7 +261,7 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
         def key_of(tup):
             return ",".join("".join(map(str, v)) for v in tup) if tup else "e"
 
-        spaces = _all_subspaces(fld, n)
+        spaces = fields.all_subspaces(fld, n)
         expected = ExpectedLattice(
             labels=tuple(_space_key(s) for s in spaces),
             label_of=lambda tup: _space_key(fields.rref(fld, tup)),
@@ -285,7 +274,7 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
             family="q_free_lrb", meta={"n": n, "q": q}, guards=guards)
 
     # reduced: subspace chains
-    spaces = _all_subspaces(fld, n)
+    spaces = fields.all_subspaces(fld, n)
     by_dim = {}
     for s in spaces:
         by_dim.setdefault(len(s), []).append(s)
@@ -298,7 +287,7 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
             return
         elements.append(tuple(chain) + (full,))
         for s in by_dim.get(dim + 1, ()):
-            if s != full and _space_contains(fld, s, chain[-1]):
+            if s != full and fields.space_contains(fld, s, chain[-1]):
                 extend(chain + [s], dim + 1)
 
     extend([()], 0)
@@ -332,35 +321,13 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
         family="q_free_lrb_bar", meta={"n": n, "q": q}, guards=guards)
 
 
-def _all_subspaces(fld, n):
-    zero = ()
-    seen = {zero}
-    frontier = [zero]
-    vectors = [v for v in fields.all_vectors(fld, n) if any(v)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in vectors:
-                if not fields.in_span(fld, s, v):
-                    t = fields.rref(fld, s + (v,))
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    return sorted(seen, key=lambda s: (len(s), s))
-
-
-def _space_contains(fld, big, small):
-    return all(fields.in_span(fld, big, v) for v in small)
-
-
 def _space_leq(fld, n, label_a, label_b):
     def rows(label):
         if label == "0":
             return ()
         return tuple(tuple(int(c) for c in part)
                      for part in label.split("+"))
-    return _space_contains(fld, rows(label_b), rows(label_a))
+    return fields.space_contains(fld, rows(label_b), rows(label_a))
 
 
 # ------------------------------------------------------------ matroids

@@ -16,9 +16,8 @@ keys.  Products come either from a dense Cayley table or from a
 memoized rule.
 """
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import posets
 from .errors import (
@@ -87,12 +86,6 @@ class Semigroup:
             got = self._rule(i, j)
             self._memo[key] = got
         return got
-
-    def product_many(self, ids):
-        acc = self.identity
-        for i in ids:
-            acc = self.product(acc, i)
-        return acc
 
     def tabulate(self, guards=DEFAULT_GUARDS):
         """Materialize the dense Cayley table (subject to the guard)."""
@@ -288,9 +281,6 @@ class SupportStructure:
                 if not any(self.leq[x][y] and self.leq[y][t]
                            and y != x and y != t for y in cands)]
 
-    def flats_leq(self, a, b):
-        return self.leq[a][b]
-
     def to_json_dict(self):
         return {
             "flats": list(self.labels),
@@ -417,28 +407,3 @@ def check_expected_lattice(structure):
                     f"order at ({flat_label[a]!r}, {flat_label[b]!r})",
                     witness=(a, b))
     return flat_label
-
-
-def sub_semigroup(sg, x, guards=DEFAULT_GUARDS):
-    """The sub-LRB S_{>= x} = { y : xy = y }, with identity x.
-
-    Returned as a fresh Semigroup over the same element keys; products
-    are inherited, which is safe because the subset is closed.
-    """
-    n = sg.size
-    prod = sg.product
-    ids = [y for y in range(n) if prod(x, y) == y]
-    pos = {y: i for i, y in enumerate(ids)}
-    keys = [sg.keys[y] for y in ids]
-
-    def rule(i, j):
-        out = prod(ids[i], ids[j])
-        got = pos.get(out)
-        if got is None:
-            raise AxiomViolationError(
-                "S_{>=x} is not closed", witness=(ids[i], ids[j]))
-        return got
-
-    sub = Semigroup(f"{sg.label}|>={sg.keys[x]}", keys, pos[x], rule=rule)
-    sub.parent_ids = ids
-    return sub

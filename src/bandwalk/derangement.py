@@ -29,6 +29,7 @@ from itertools import combinations, permutations, product
 from . import fields, posets
 from .errors import (FalsificationError, MalformedInputError,
                      PreconditionError, SizeGuardError)
+from .guards import DEFAULT_GUARDS
 
 
 # ---------------------------------------------------------------- poset type
@@ -122,40 +123,12 @@ def subspace_lattice(n, q):
     if n < 0:
         raise MalformedInputError("subspace_lattice needs n >= 0")
     fld = fields.field(q)
-    seen = {()}
-    frontier = [()]
-    vectors = [v for v in fields.all_vectors(fld, n) if any(v)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in vectors:
-                if not fields.in_span(fld, s, v):
-                    t = fields.rref(fld, s + (v,))
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    spaces = sorted(seen, key=lambda s: (len(s), s))
-
-    def contains(big, small):
-        return all(fields.in_span(fld, big, r) for r in small)
-
+    spaces = fields.all_subspaces(fld, n)
     labels = ["0" if not s else "+".join("".join(map(str, r)) for r in s)
               for s in spaces]
-    leq = [[contains(b, a) for b in spaces] for a in spaces]
+    leq = [[fields.space_contains(fld, b, a) for b in spaces]
+           for a in spaces]
     return graded_poset(f"subspace({n},{q})", labels, leq)
-
-
-def _set_partitions(items):
-    """All partitions of a list, each a tuple of tuples."""
-    if not items:
-        yield ()
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield ((head,),) + part
-        for i, block in enumerate(part):
-            yield part[:i] + ((head,) + block,) + part[i + 1:]
 
 
 def _partition_label(part):
@@ -174,23 +147,21 @@ def _refines(finer, coarser):
     return True
 
 
-def partition_lattice(n, guards=None):
+def partition_lattice(n, guards=DEFAULT_GUARDS):
     """Partitions of {1..n} ordered by refinement, singletons at bottom."""
-    from .guards import DEFAULT_GUARDS
-    guards = guards or DEFAULT_GUARDS
     if n < 1:
         raise MalformedInputError("partition_lattice needs n >= 1")
     if n > guards.partitions_n_cap:
         raise SizeGuardError(f"partition_lattice({n}) over the cap")
     parts = [tuple(sorted(tuple(sorted(b)) for b in p))
-             for p in _set_partitions(list(range(1, n + 1)))]
+             for p in posets.set_partitions(list(range(1, n + 1)))]
     parts = sorted(set(parts), key=lambda p: (-len(p), p))
     labels = [_partition_label(p) for p in parts]
     leq = [[_refines(a, b) for b in parts] for a in parts]
     return graded_poset(f"partitions({n})", labels, leq)
 
 
-def contraction_lattice(edges, vertices=None, guards=None):
+def contraction_lattice(edges, vertices=None, guards=DEFAULT_GUARDS):
     """Partitions of the vertex set whose blocks induce connected
     subgraphs, ordered by refinement.
 
@@ -198,8 +169,6 @@ def contraction_lattice(edges, vertices=None, guards=None):
     disconnected graph is fine; a discrete graph gives the one-element
     poset.
     """
-    from .guards import DEFAULT_GUARDS
-    guards = guards or DEFAULT_GUARDS
     adj = {}
     for v in vertices or ():
         adj.setdefault(str(v), set())
@@ -231,7 +200,7 @@ def contraction_lattice(edges, vertices=None, guards=None):
         return seen == block
 
     parts = []
-    for p in _set_partitions(verts):
+    for p in posets.set_partitions(verts):
         canon = tuple(sorted(tuple(sorted(b)) for b in p))
         if all(connected(b) for b in canon):
             parts.append(canon)
@@ -396,6 +365,16 @@ def _subsets(pool):
         yield from combinations(pool, r)
 
 
+def flag_h_vector(f):
+    """h_J = sum over K inside J of (-1)^{|J - K|} f_K, for every J in f.
+
+    f must be keyed by sorted tuples and closed under taking subsets.
+    """
+    return {j_set: sum((-1) ** (len(j_set) - len(k)) * f[k]
+                       for k in _subsets(j_set))
+            for j_set in f}
+
+
 def flag_vectors(p):
     """Count rank-selected flags and invert to the flag h-vector.
 
@@ -421,10 +400,7 @@ def flag_vectors(p):
                    for y in by_rank.get(j, ())}
         f[j_set] = sum(acc.values())
 
-    h = {}
-    for j_set in f:
-        h[j_set] = sum((-1) ** (len(j_set) - len(k)) * f[k]
-                       for k in _subsets(j_set))
+    h = flag_h_vector(f)
     for j_set in f:
         if f[j_set] != sum(h[k] for k in _subsets(j_set)):
             raise FalsificationError(

@@ -23,12 +23,13 @@ u * v maps i to u(v(i)).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, factorial
 
 import numpy
 
 from . import constructions
+from .derangement import _subsets, flag_h_vector
 from .errors import (FalsificationError, MalformedInputError,
                      PreconditionError, SizeGuardError)
 from .guards import DEFAULT_GUARDS
@@ -197,19 +198,12 @@ def beta_and_h(n, cx=None, guards=DEFAULT_GUARDS):
     for w in permutations(range(1, n + 1)):
         beta[descent_set(w)] = beta.get(descent_set(w), 0) + 1
     f = {t: len(cls) for t, cls in cx.type_classes.items()}
+    h = flag_h_vector(f)
     rows = []
     for j_set in _subsets(range(1, n)):
-        h = sum((-1) ** (len(j_set) - len(k)) * f[k]
-                for k in _subsets(j_set))
         b = beta.get(j_set, 0)
-        rows.append(BetaRow(j_set, b, f[j_set], h, b == h))
+        rows.append(BetaRow(j_set, b, f[j_set], h[j_set], b == h[j_set]))
     return rows
-
-
-def _subsets(pool):
-    pool = tuple(pool)
-    for r in range(len(pool) + 1):
-        yield from combinations(pool, r)
 
 
 # ------------------------------------------------------ invariant algebra

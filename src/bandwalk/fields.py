@@ -156,21 +156,32 @@ def in_span(fld, rref_rows, v):
     return not any(v)
 
 
-def span_vectors(fld, rref_rows, n):
-    """All q^k vectors of the row span (k = number of basis rows)."""
-    vecs = [tuple([0] * n)]
-    for row in rref_rows:
-        new = []
-        for c in range(1, fld.q):
-            scaled = tuple(fld.mul(c, x) for x in row)
-            for v in vecs:
-                new.append(tuple(fld.add(a, b) for a, b in zip(v, scaled)))
-        vecs.extend(new)
-    return vecs
-
-
 def all_vectors(fld, n):
     stack = [()]
     for _ in range(n):
         stack = [v + (c,) for v in stack for c in range(fld.q)]
     return stack
+
+
+def all_subspaces(fld, n):
+    """Every subspace of GF(q)^n as its rref basis, by dimension and
+    then basis."""
+    seen = {()}
+    frontier = [()]
+    vectors = [v for v in all_vectors(fld, n) if any(v)]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for v in vectors:
+                if not in_span(fld, s, v):
+                    t = rref(fld, s + (v,))
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+        frontier = nxt
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
+def space_contains(fld, big, small):
+    """Whether the span of rref basis `small` lies inside that of `big`."""
+    return all(in_span(fld, big, v) for v in small)

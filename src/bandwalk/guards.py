@@ -26,8 +26,6 @@ class Guards:
     word_cap: int = 2_000_000
     # per-sample draw cap before declaring stagnation
     sample_step_cap: int = 100_000
-    # radical nilpotency certificate works in dimension |S|
-    radical_cap: int = 128
 
 
 DEFAULT_GUARDS = Guards()

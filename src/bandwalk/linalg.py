@@ -11,10 +11,6 @@ exact; nothing in this module touches floats.
 from fractions import Fraction
 from math import gcd
 
-from .errors import MalformedInputError, SizeGuardError
-
-CHARPOLY_CAP = 120
-
 
 # ------------------------------------------------------- conversions
 
@@ -51,41 +47,8 @@ def _squeeze(row):
 # ------------------------------------------------------- elimination
 
 
-def rank_int_rows(rows):
-    """Rank of an integer matrix given as a list of rows (destructive)."""
-    rows = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        best = -1
-        for idx, r in enumerate(rows):
-            v = r[col]
-            if v and (best < 0 or abs(v) < abs(rows[best][col])):
-                best = idx
-        if best < 0:
-            continue
-        prow = rows.pop(best)
-        piv = prow[col]
-        nxt = []
-        for r in rows:
-            f = r[col]
-            if f:
-                g = gcd(piv, f)
-                a, b = piv // g, f // g
-                nr = _squeeze([a * x - b * y for x, y in zip(r, prow)])
-                if any(nr):
-                    nxt.append(nr)
-            else:
-                nxt.append(r)
-        rows = nxt
-        rank += 1
-        if not rows:
-            break
-    return rank
-
-
 def rank(matrix):
-    return rank_int_rows(int_rows(matrix))
+    return len(echelon_int_rows(int_rows(matrix)))
 
 
 def nullity(matrix):
@@ -161,28 +124,11 @@ def kernel_basis(matrix):
 # --------------------------------------------------- matrix utilities
 
 
-def identity_matrix(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def mat_sub_scaled_identity(matrix, lam):
     lam = Fraction(lam)
     return [[Fraction(v) - (lam if i == j else 0)
              for j, v in enumerate(row)]
             for i, row in enumerate(matrix)]
-
-
-def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    return [[sum(ar[i] * bc[i] for i in range(k) if ar[i] and bc[i])
-             for bc in bt] for ar in a]
-
-
-def mat_vec(a, v):
-    return [sum(r[i] * v[i] for i in range(len(v)) if r[i] and v[i])
-            for r in a]
 
 
 def vec_mat(v, a):
@@ -195,97 +141,3 @@ def vec_mat(v, a):
                 if row[j]:
                     out[j] += vi * row[j]
     return out
-
-
-# ------------------------------------------ characteristic polynomial
-
-
-def _to_hessenberg(matrix):
-    """Similarity-reduce to upper Hessenberg form over Fraction."""
-    h = [[Fraction(v) for v in row] for row in matrix]
-    n = len(h)
-    for col in range(n - 2):
-        piv_row = -1
-        for r in range(col + 1, n):
-            if h[r][col]:
-                piv_row = r
-                break
-        if piv_row < 0:
-            continue
-        if piv_row != col + 1:
-            h[piv_row], h[col + 1] = h[col + 1], h[piv_row]
-            for r in range(n):
-                h[r][piv_row], h[r][col + 1] = h[r][col + 1], h[r][piv_row]
-        piv = h[col + 1][col]
-        for r in range(col + 2, n):
-            f = h[r][col]
-            if not f:
-                continue
-            t = f / piv
-            h[r] = [x - t * y for x, y in zip(h[r], h[col + 1])]
-            for k in range(n):
-                h[k][col + 1] += t * h[k][r]
-    return h
-
-
-def charpoly(matrix):
-    """Coefficients of det(x I - M), ascending, exact.
-
-    Hessenberg reduction followed by the leading-minor recurrence; the
-    result is monic of degree n.  Guarded: this is an oracle for small
-    certificates, not a bulk path.
-    """
-    n = len(matrix)
-    if n > CHARPOLY_CAP:
-        raise SizeGuardError(
-            f"charpoly oracle capped at {CHARPOLY_CAP}x{CHARPOLY_CAP}; "
-            f"got {n}")
-    if any(len(row) != n for row in matrix):
-        raise MalformedInputError("charpoly needs a square matrix")
-    if n == 0:
-        return [Fraction(1)]
-    h = _to_hessenberg(matrix)
-    polys = [[Fraction(1)]]
-    for i in range(1, n + 1):
-        # p_i = (x - h[i-1][i-1]) p_{i-1} - sum over trailing products
-        prev = polys[i - 1]
-        cur = [Fraction(0)] + prev
-        for k, c in enumerate(prev):
-            cur[k] -= h[i - 1][i - 1] * c
-        run = Fraction(1)
-        for j in range(1, i):
-            run *= h[i - j][i - j - 1]
-            if not run:
-                break
-            coef = h[i - j - 1][i - 1] * run
-            if coef:
-                low = polys[i - j - 1]
-                for k, c in enumerate(low):
-                    cur[k] -= coef * c
-        polys.append(cur)
-    return polys[n]
-
-
-def poly_eval(coeffs, x):
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def root_multiplicity(coeffs, r):
-    """Multiplicity of r as a root, by repeated synthetic division."""
-    r = Fraction(r)
-    coeffs = [Fraction(c) for c in coeffs]
-    mult = 0
-    while len(coeffs) > 1 and poly_eval(coeffs, r) == 0:
-        out = []
-        acc = Fraction(0)
-        for c in reversed(coeffs[1:]):
-            acc = acc * r + c
-            out.append(acc)
-        # check: remainder acc*r + coeffs[0] must be 0
-        coeffs = list(reversed(out))
-        mult += 1
-    return mult

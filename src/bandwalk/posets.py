@@ -1,6 +1,6 @@
 """Order-theoretic helpers shared by the support structure, the graded
-poset type and the lattice algebra: cover relations, Moebius functions,
-join/meet tables and validity checks.
+poset type and the constructions: cover relations, Moebius functions,
+join/meet tables, validity checks and set-partition enumeration.
 
 Posets are handled as a boolean ``leq`` matrix over element ids
 ``0..n-1`` with ``leq[a][b]`` meaning ``a <= b``.
@@ -127,21 +127,6 @@ def rank_function(leq, bottom):
     return rank
 
 
-def longest_chain_length(leq):
-    """Length (number of steps) of the longest chain in the poset."""
-    n = len(leq)
-    order = linear_extension(leq)
-    height = [0] * n
-    covers = covers_of(leq)
-    best = 0
-    for a in order:
-        for b in covers[a]:
-            if height[a] + 1 > height[b]:
-                height[b] = height[a] + 1
-        best = max(best, height[a])
-    return best
-
-
 def count_saturated_chains(leq, lo, hi):
     """Number of maximal chains of the interval [lo, hi]."""
     if lo == hi:
@@ -159,3 +144,15 @@ def count_saturated_chains(leq, lo, hi):
         for b in covers[a]:
             counts[b] += counts[a]
     return counts[sub[hi]]
+
+
+def set_partitions(items):
+    """All partitions of a sequence, each a tuple of tuple blocks."""
+    if not items:
+        yield ()
+        return
+    head, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield ((head,),) + part
+        for i, block in enumerate(part):
+            yield part[:i] + ((head,) + block,) + part[i + 1:]

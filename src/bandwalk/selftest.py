@@ -10,7 +10,7 @@ capture so a falsification is reported, never swallowed.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import sqrt
 
 from . import (algebra, constructions, core, derangement, descent, linalg,

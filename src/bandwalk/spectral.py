@@ -9,6 +9,7 @@ statement into a falsifiable certificate by computing exact nullities
 of P - lambda I per distinct eigenvalue.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,16 +83,16 @@ def uniform_on_generators(sg):
     return uniform_on(sg, sg.generators)
 
 
-def seeded_generator_weights(sg, seed, max_numerator=9):
-    """Reproducible random positive rational probability on generators.
+# Small integer numerators keep downstream exact elimination fast.
+SEEDED_MAX_NUMERATOR = 9
 
-    Small integer numerators keep downstream exact elimination fast.
-    """
-    import random
+
+def seeded_generator_weights(sg, seed):
+    """Reproducible random positive rational probability on generators."""
     if not sg.generators:
         raise PreconditionError(f"{sg.label} declares no generators")
     rng = random.Random(seed)
-    nums = [rng.randint(1, max_numerator) for _ in sg.generators]
+    nums = [rng.randint(1, SEEDED_MAX_NUMERATOR) for _ in sg.generators]
     den = sum(nums)
     return WeightVector(
         sg, {g: Fraction(v, den) for g, v in zip(sg.generators, nums)})
@@ -164,6 +165,24 @@ class Spectrum:
         return {l: m for l, m in self.grouped.items() if m}
 
 
+def flat_eigenvalues(structure, w):
+    """lambda_X = sum of w_y over supp y <= X, one entry per flat X.
+
+    This is the character of the support lattice at X evaluated on w,
+    and the eigenvalue that the chamber walk attaches to X.
+    """
+    leq = structure.leq
+    supp = structure.supp
+    flats = range(structure.n_flats)
+    lam = [Fraction(0)] * structure.n_flats
+    for y, wy in w.items():
+        sy = supp[y]
+        for x in flats:
+            if leq[sy][x]:
+                lam[x] += wy
+    return lam
+
+
 def spectrum(structure, w):
     """Eigenvalue data of the chamber walk, with its own consistency proofs.
 
@@ -174,18 +193,12 @@ def spectrum(structure, w):
     partial sums, and negatives are rejected.
     """
     sg = structure.semigroup
-    supp = structure.supp
     leq = structure.leq
     f = structure.n_flats
     prod = sg.product
     chambers = structure.chambers
 
-    lam = [Fraction(0)] * f
-    for y, wy in w.items():
-        sy = supp[y]
-        for x in range(f):
-            if leq[sy][x]:
-                lam[x] += wy
+    lam = flat_eigenvalues(structure, w)
 
     c_count = [None] * f
     for x in range(f):
@@ -259,14 +272,6 @@ def verify_diagonalizable(P, spec, strict=True):
             f"diagonalizability certificate failed: {bad or 'total'} "
             f"(observed total {total_obs}, chambers {spec.n_chambers})")
     return cert
-
-
-def character(structure, flat, coeffs):
-    """chi_X(a) = sum of a_y over supp y <= X; multiplicative on S."""
-    supp = structure.supp
-    leq = structure.leq
-    return sum((v for y, v in coeffs.items() if leq[supp[y]][flat]),
-               Fraction(0))
 
 
 # ----------------------------------------------------------- helpers

@@ -5,8 +5,9 @@ multiplies each new draw on the LEFT of the current chamber (c goes to
 xc).  The stationary distribution is realized by the a.s. limit of the
 infinite product x1 x2 x3 ..., which grows by multiplying new draws on
 the RIGHT of the accumulator; the accumulator becomes a chamber at the
-first time T its support hits the top flat.  Both directions are
-implemented separately below.
+first time T its support hits the top flat.  `simulate` runs the
+walk; the stationary and stopping-time samplers share one
+draw-until-top loop.
 
 Exact paths (power distributions, stationary solve, total variation,
 the coatom bound) stay in Fractions; empirical paths use the seeded
@@ -14,6 +15,7 @@ standard generator and report floats.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from .errors import (
     StagnationError,
 )
 from .guards import DEFAULT_GUARDS
+from .spectral import flat_eigenvalues, transition_matrix
 
 
 # --------------------------------------------------------- trajectory
@@ -42,19 +45,19 @@ class WalkTrajectory:
 
 
 def _sampler(w, rng):
+    """Draws from w by inverse CDF, one rng.random() per draw."""
     ids = w.support_ids()
+    if any(w[i] < 0 for i in ids):
+        raise PreconditionError("cannot sample from negative weights")
     cum = []
     acc = 0.0
     for i in ids:
         acc += float(w[i])
         cum.append(acc)
 
+    # rng.random() < 1, so the scaled point never passes cum[-1] == acc
     def draw():
-        u = rng.random() * acc
-        for i, c in zip(ids, cum):
-            if u <= c:
-                return i
-        return ids[-1]
+        return ids[bisect_left(cum, rng.random() * acc)]
 
     return draw
 
@@ -64,6 +67,8 @@ def simulate(structure, w, c0, steps, seed):
     sg = structure.semigroup
     if c0 not in structure.chambers:
         raise MalformedInputError(f"start {c0} is not a chamber")
+    if steps < 0:
+        raise MalformedInputError(f"negative step count {steps}")
     rng = random.Random(seed)
     draw = _sampler(w, rng)
     prod = sg.product
@@ -97,17 +102,6 @@ def total_variation(p, q):
     return diff / 2
 
 
-def exact_power_distribution(P, start_index, m):
-    """Row `start_index` of P^m as exact rationals."""
-    if m < 0:
-        raise MalformedInputError("negative power")
-    row = [Fraction(0)] * P.size
-    row[start_index] = Fraction(1)
-    for _ in range(m):
-        row = linalg.vec_mat(row, P.rows)
-    return DistributionOnChambers(list(P.chamber_keys), row, "exact-power")
-
-
 def stationary_exact(P):
     """The unique solution of pi P = pi, sum pi = 1, exact.
 
@@ -133,68 +127,68 @@ def stationary_exact(P):
                                   "stationary-exact")
 
 
-def sample_stationary(structure, w, seed, samples,
-                      guards=DEFAULT_GUARDS, want_times=True):
+def _sample_until_top(structure, w, seed, samples, guards):
+    """Draw from w until the joined support of the draws reaches the top
+    flat, `samples` times over.
+
+    Returns (stopping time T -> count, landing chamber -> count), where
+    a sample lands on the product x1 .. xT of its draws.  A draw whose
+    support lies below the running join is absorbed (xy = x when
+    supp y <= supp x), so only the draws that raise the support are
+    multiplied in.
+    """
+    if samples < 1:
+        raise MalformedInputError(f"need at least one sample, got {samples}")
+    sg = structure.semigroup
+    prod = sg.product
+    supp = structure.supp
+    join = structure.join
+    bottom = structure.bottom
+    top = structure.top
+    draw = _sampler(w, random.Random(seed))
+    cap = guards.sample_step_cap
+    times = {}
+    landed = {}
+    for _ in range(samples):
+        acc = sg.identity
+        flat = bottom
+        t = 0
+        while flat != top:
+            x = draw()
+            t += 1
+            if t > cap:
+                raise StagnationError(
+                    f"support never reached the top flat within {cap} draws; "
+                    "the weights likely cannot reach a chamber")
+            up = join[flat][supp[x]]
+            if up != flat:
+                acc = prod(acc, x)
+                flat = up
+        times[t] = times.get(t, 0) + 1
+        landed[acc] = landed.get(acc, 0) + 1
+    return dict(sorted(times.items())), landed
+
+
+def sample_stationary(structure, w, seed, samples, guards=DEFAULT_GUARDS):
     """Empirical pi via Theorem-0 right-accumulation.
 
     Each sample draws from w until the accumulated product x1 x2 ...
     carries top support, then records the chamber it landed on and the
     stopping time T.  Returns (distribution, stopping time counts).
     """
-    sg = structure.semigroup
-    prod = sg.product
-    supp = structure.supp
-    join = structure.join
-    top = structure.top
-    rng = random.Random(seed)
-    draw = _sampler(w, rng)
-    pos = {c: i for i, c in enumerate(structure.chambers)}
-    counts = [0] * len(structure.chambers)
-    times = {}
-    cap = guards.sample_step_cap
-    for _ in range(samples):
-        acc = sg.identity
-        flat = structure.bottom
-        t = 0
-        while flat != top:
-            x = draw()
-            acc = prod(acc, x)
-            flat = join[flat][supp[x]]
-            t += 1
-            if t > cap:
-                raise StagnationError(
-                    f"support never reached the top flat within {cap} draws; "
-                    "the weights likely cannot reach a chamber")
-        counts[pos[acc]] += 1
-        if want_times:
-            times[t] = times.get(t, 0) + 1
-    probs = [c / samples for c in counts]
-    dist = DistributionOnChambers(list(sg.keys[c] for c in structure.chambers),
-                                  probs, "stationary-sampled")
-    return dist, dict(sorted(times.items()))
+    times, landed = _sample_until_top(structure, w, seed, samples, guards)
+    chambers = structure.chambers
+    probs = [landed.get(c, 0) / samples for c in chambers]
+    keys = structure.semigroup.keys
+    dist = DistributionOnChambers([keys[c] for c in chambers], probs,
+                                  "stationary-sampled")
+    return dist, times
 
 
 def sample_stopping_times(structure, w, seed, samples,
                           guards=DEFAULT_GUARDS):
-    """Stopping-time counts only: tracks support joins, never products."""
-    supp = structure.supp
-    join = structure.join
-    top = structure.top
-    rng = random.Random(seed)
-    draw = _sampler(w, rng)
-    times = {}
-    cap = guards.sample_step_cap
-    for _ in range(samples):
-        flat = structure.bottom
-        t = 0
-        while flat != top:
-            flat = join[flat][supp[draw()]]
-            t += 1
-            if t > cap:
-                raise StagnationError(
-                    f"support never reached the top flat within {cap} draws")
-        times[t] = times.get(t, 0) + 1
-    return dict(sorted(times.items()))
+    """Stopping-time counts only."""
+    return _sample_until_top(structure, w, seed, samples, guards)[0]
 
 
 # --------------------------------------------------------- convergence
@@ -239,17 +233,6 @@ class ConvergenceReport:
     bound_holds: bool
 
 
-def coatom_eigenvalues(structure, w):
-    """lambda_H over the coatoms H of the support lattice."""
-    supp = structure.supp
-    leq = structure.leq
-    out = []
-    for h in structure.coatoms():
-        out.append(sum((v for y, v in w.items() if leq[supp[y]][h]),
-                       Fraction(0)))
-    return out
-
-
 def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
                        guards=DEFAULT_GUARDS):
     """Exact TV distance vs the Theorem-0 coatom bound, per step.
@@ -262,20 +245,18 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     """
     if not w.is_probability:
         raise PreconditionError("convergence analysis needs a probability")
-    from .spectral import transition_matrix
+    if m_max < 0:
+        raise MalformedInputError(f"negative step bound {m_max}")
     P = transition_matrix(structure, w)
     start = structure.chambers.index(c0) if c0 in structure.chambers else -1
     if start < 0:
         raise MalformedInputError("start must be a chamber")
     pi = stationary_exact(P)
-    lams = coatom_eigenvalues(structure, w)
+    lam = flat_eigenvalues(structure, w)
+    lams = [lam[h] for h in structure.coatoms()]
 
-    tail_counts = None
-    total = 0
-    if samples:
-        times = sample_stopping_times(structure, w, seed, samples, guards)
-        total = samples
-        tail_counts = times
+    times = (sample_stopping_times(structure, w, seed, samples, guards)
+             if samples else None)
 
     rows = []
     ok = True
@@ -289,9 +270,8 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
         tv = total_variation(row, pi.probs)
         bound = sum(powers, Fraction(0))
         emp = None
-        if tail_counts is not None:
-            above = sum(c for t, c in tail_counts.items() if t > m)
-            emp = above / total
+        if times is not None:
+            emp = sum(c for t, c in times.items() if t > m) / samples
         if tv > bound:
             ok = False
         rows.append(ConvergenceRow(m, tv, bound, emp))

@@ -164,6 +164,15 @@ def test_malformed_inputs_exit_2(tmp_path):
     unknown = _spec(tmp_path, {"type": "nope"})
     assert cli.main(["build", "--spec", unknown]) == 2
     assert cli.main(["build", "--spec", str(tmp_path / "ghost.json")]) == 2
+    # counts that are zero or negative
+    walk = ["--spec", _f3(tmp_path), "--uniform-on", "generators"]
+    for samples in ("0", "-5"):
+        assert cli.main(["stationary", *walk, "--method", "sample",
+                         "--samples", samples]) == 2
+    assert cli.main(["converge", *walk, "--mmax", "-1"]) == 2
+    assert cli.main(["converge", *walk, "--samples", "-5"]) == 2
+    assert cli.main(["simulate", *walk, "--start", "1,2,3",
+                     "--steps", "-1"]) == 2
 
 
 def test_axiom_violation_exits_3(tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bandwalk import algebra, constructions, core
+from bandwalk import constructions, core
 from bandwalk.errors import MalformedInputError, SizeGuardError
 
 
@@ -119,32 +119,9 @@ def test_coatoms_of_the_free_band_lattice():
         assert st.leq[h][st.top] and h != st.top
 
 
-def test_sub_semigroup_is_again_a_band():
-    sg = constructions.free_lrb(3)
-    sub = core.sub_semigroup(sg, sg.generators[0])
-    assert sub.size == 5
-    assert core.verify_lrb(sub).ok
-
-
 def test_element_cap_guard_fires():
     from dataclasses import replace
     from bandwalk.guards import DEFAULT_GUARDS
     small = replace(DEFAULT_GUARDS, elements_cap=5)
     with pytest.raises(SizeGuardError):
         constructions.free_lrb(3, guards=small)
-
-
-def test_lattice_idempotents_are_orthogonal_and_resolve_the_identity():
-    sg = constructions.free_lrb(3)
-    st = core.derive_support(sg)
-    li = algebra.lattice_idempotents(st)
-    assert len(li) == st.n_flats
-    acc = {}
-    for e in li:
-        acc = algebra.alg_add(acc, e)
-    assert acc == {st.bottom: 1}
-    for a in range(st.n_flats):
-        for b in range(st.n_flats):
-            want = li[a] if a == b else {}
-            got = algebra.lattice_multiply(st, li[a], li[b])
-            assert algebra.alg_equal(got, want)

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from bandwalk import descent, spectral
+from bandwalk import derangement, descent, spectral
 from bandwalk.errors import MalformedInputError, PreconditionError
 
 
@@ -130,7 +130,7 @@ def test_phi_certification():
 def test_z_elements_partition_the_group_by_descent_set():
     n = 4
     seen = {}
-    for j_set in descent._subsets(range(1, n)):
+    for j_set in derangement._subsets(range(1, n)):
         z = descent.z_element(n, j_set)
         for w, coeff in z.items():
             assert coeff
@@ -142,10 +142,10 @@ def test_z_elements_partition_the_group_by_descent_set():
 
 def test_u_elements_sum_z_over_subsets():
     n = 4
-    for j_set in descent._subsets(range(1, n)):
+    for j_set in derangement._subsets(range(1, n)):
         u = descent.u_element(n, j_set)
         total = {}
-        for k_set in descent._subsets(j_set):
+        for k_set in derangement._subsets(j_set):
             for w, c in descent.z_element(n, k_set).items():
                 total[w] = total.get(w, 0) + c
         assert u == total

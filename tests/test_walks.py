@@ -7,7 +7,7 @@ import pytest
 
 from bandwalk import constructions, core, spectral, walks
 from bandwalk.errors import (MalformedInputError, NonUniqueStationaryError,
-                             StagnationError)
+                             PreconditionError, StagnationError)
 from bandwalk.guards import DEFAULT_GUARDS
 
 
@@ -61,15 +61,10 @@ def test_uniform_walk_has_uniform_stationary_distribution():
 
 def test_exact_power_distribution_converges_monotonically():
     sg, st = _f3()
-    P = spectral.transition_matrix(st, spectral.uniform_on_generators(sg))
-    pi = walks.stationary_exact(P)
-    last = None
-    for m in range(8):
-        row = walks.exact_power_distribution(P, 0, m)
-        tv = walks.total_variation(row.probs, pi.probs)
-        if last is not None:
-            assert tv <= last
-        last = tv
+    w = spectral.uniform_on_generators(sg)
+    rep = walks.convergence_report(st, w, st.chambers[0], 7)
+    tvs = [rep.rows[m].exact_tv for m in range(8)]
+    assert tvs == sorted(tvs, reverse=True)
 
 
 def test_identity_weights_make_the_stationary_solve_fail():
@@ -97,6 +92,17 @@ def test_sampled_stationary_agrees_with_exact():
     assert sum(times.values()) == 20000
     tv = walks.total_variation(dist.probs, pi.probs)
     assert float(tv) < 0.02
+
+
+def test_sampling_rejects_negative_weights():
+    sg, st = _f3()
+    a, b, c = sg.generators
+    w = spectral.WeightVector(sg, {a: F(1), b: F(1), c: F(-1)},
+                              require_probability=False)
+    with pytest.raises(PreconditionError):
+        walks.simulate(st, w, st.chambers[0], 5, seed=0)
+    with pytest.raises(PreconditionError):
+        walks.sample_stationary(st, w, seed=0, samples=5)
 
 
 def test_sampling_stalls_out_when_weights_cannot_reach_a_chamber():
