@@ -13,8 +13,8 @@ never returned.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
+from . import linalg
 from .errors import (
     FalsificationError,
     MalformedInputError,
@@ -265,13 +265,6 @@ def primitive_idempotents(structure, w, restrict=False,
     return fam
 
 
-def _int_scaled(coeffs):
-    den = 1
-    for v in coeffs.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    return den, [(x, int(v * den)) for x, v in coeffs.items()]
-
-
 def _certify_family(sg, structure, w, fam):
     """Exact orthogonality, idempotence, completeness, decomposition.
 
@@ -282,7 +275,10 @@ def _certify_family(sg, structure, w, fam):
     """
     n = sg.size
     table = sg.table or sg.tabulate()
-    scaled = {x: _int_scaled(e) for x, e in fam.members.items()}
+    scaled = {}
+    for x, e in fam.members.items():
+        den, (nums,) = linalg.scaled([e.values()])
+        scaled[x] = den, list(zip(e, nums))
 
     total = {}
     for x in fam.flat_ids:

@@ -239,14 +239,10 @@ def _print_rows(rows):
 
 def _cmd_build(args, guards, config):
     sg, st, labels = _built(args, guards)
-    report = core.verify_lrb(sg, guards)
-    if not report.ok:
-        raise AxiomViolationError(
-            f"{sg.label}: {report.message}", witness=report.witness)
     _emit(config, "semigroup.json", serialize.dump_json(sg.to_json_dict()))
     _emit(config, "support.json", serialize.dump_json(st.to_json_dict()))
     print(f"{sg.label}: {sg.size} elements, {st.n_flats} flats, "
-          f"{len(st.chambers)} chambers; axioms {report.assoc_mode} ok"
+          f"{len(st.chambers)} chambers; axioms {st.axioms.assoc_mode} ok"
           + ("; expected lattice matched" if labels else ""))
     return 0
 

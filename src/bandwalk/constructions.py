@@ -41,12 +41,19 @@ def _tuple_key(t):
     return ",".join(map(str, t)) if t else "e"
 
 
+def check_n(label, n, cap):
+    """n below 1 is malformed input; n above the guard cap is refused."""
+    if n < 1:
+        raise MalformedInputError(f"{label} needs n >= 1")
+    if n > cap:
+        raise SizeGuardError(f"{label} needs n <= {cap}")
+
+
 def free_lrb(n, guards=DEFAULT_GUARDS):
     """Injective tuples over {1..n} under concatenation with repeats
     dropped.  Chambers are the n! full-length tuples; the support
     lattice is the boolean lattice of subsets."""
-    if not 1 <= n <= guards.free_n_cap:
-        raise SizeGuardError(f"free_lrb needs 1 <= n <= {guards.free_n_cap}")
+    check_n("free_lrb", n, guards.free_n_cap)
     universe = range(1, n + 1)
     elements = [tuple(t) for r in range(n + 1)
                 for t in itertools.permutations(universe, r)]
@@ -134,9 +141,7 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
     order and drops empties.  Chambers are the n! all-singleton
     partitions; the support lattice is the lattice of unordered
     partitions ordered by 'is refined by'."""
-    if not 1 <= n <= guards.partitions_n_cap:
-        raise SizeGuardError(
-            f"ordered_partitions needs 1 <= n <= {guards.partitions_n_cap}")
+    check_n("ordered_partitions", n, guards.partitions_n_cap)
     universe = tuple(range(1, n + 1))
     elements = []
     for part in posets.set_partitions(universe):
@@ -169,9 +174,7 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
     the order inside the final block; each (n-1)-tuple is identified
     with its unique full extension.  Support lattice: subsets of size
     different from n-1."""
-    if not 1 <= n <= guards.free_n_cap:
-        raise SizeGuardError(
-            f"free_lrb_bar needs 1 <= n <= {guards.free_n_cap}")
+    check_n("free_lrb_bar", n, guards.free_n_cap)
     universe = tuple(range(1, n + 1))
     elements = []
     for r in range(n - 1):

@@ -102,7 +102,7 @@ class Semigroup:
     @classmethod
     def from_objects(cls, label, objects, mult, key_of, identity_obj, *,
                      generators=(), expected=None, family=None, meta=None,
-                     guards=DEFAULT_GUARDS, tabulate=None):
+                     guards=DEFAULT_GUARDS):
         """Wrap explicit element objects and an object-level product.
 
         The object product must be closed over `objects`; a product that
@@ -132,9 +132,7 @@ class Semigroup:
                  generators=gen_ids, expected=expected, family=family,
                  meta=meta)
         sg.objects = objs
-        if tabulate is None:
-            tabulate = len(objects) <= guards.assoc_exhaustive_cap
-        if tabulate:
+        if len(objects) <= guards.assoc_exhaustive_cap:
             sg.tabulate(guards)
         return sg
 
@@ -250,11 +248,13 @@ class SupportStructure:
     flats are labeled X0, X1, ... ordered by the minimum element id of
     their fibre.  Exposes the order matrix, join table, supp map,
     chamber set (fibre of the top flat, sorted by element key) and the
-    Moebius function of the lattice.
+    Moebius function of the lattice.  `axioms` is the AxiomReport that
+    derive_support checked, or None when it was told not to verify.
     """
 
-    def __init__(self, sg, leq, supp, members):
+    def __init__(self, sg, leq, supp, members, axioms=None):
         self.semigroup = sg
+        self.axioms = axioms
         self.leq = leq
         self.supp = supp
         self.members = members
@@ -307,6 +307,7 @@ def derive_support(sg, guards=DEFAULT_GUARDS, verify=True):
         raise SizeGuardError(
             f"support derivation scans |S|^2 pairs; |S|={n} exceeds "
             f"cap {guards.derive_cap}")
+    report = None
     if verify:
         report = verify_lrb(sg, guards)
         if not report.ok:
@@ -350,7 +351,7 @@ def derive_support(sg, guards=DEFAULT_GUARDS, verify=True):
                     "xy = x does not match supp(y) <= supp(x)",
                     witness=(x, y))
 
-    structure = SupportStructure(sg, leq, supp, members)
+    structure = SupportStructure(sg, leq, supp, members, report)
 
     # join law on every pair of elements
     join = structure.join

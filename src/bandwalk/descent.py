@@ -453,10 +453,8 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
     distribution are all certified exactly over the integers before
     returning.
     """
-    if not 1 <= n <= guards.partitions_n_cap:
-        raise SizeGuardError(
-            f"top_to_random_idempotents needs 1 <= n <= "
-            f"{guards.partitions_n_cap}")
+    constructions.check_n("top_to_random_idempotents", n,
+                          guards.partitions_n_cap)
     vs = []
     for l in range(n + 1):
         cap = set(range(1, min(l, n - 1) + 1))

@@ -7,6 +7,8 @@ Every cap can be overridden per call, via a CLI flag, or through an
 import os
 from dataclasses import dataclass, fields, replace
 
+from .errors import MalformedInputError
+
 
 @dataclass(frozen=True)
 class Guards:
@@ -34,12 +36,29 @@ _ENV_PREFIX = "LRB_GUARD_"
 
 
 def load_guards(env=None, **overrides):
-    """Guards from the environment, with keyword overrides on top."""
+    """Guards from the environment, with keyword overrides on top.
+
+    Every value must be a non-negative integer; anything else is
+    malformed input, reported with the variable or guard it came from.
+    """
     env = os.environ if env is None else env
     values = {}
     for f in fields(Guards):
-        raw = env.get(_ENV_PREFIX + f.name.upper())
-        if raw is not None:
-            values[f.name] = int(raw)
-    values.update({k: v for k, v in overrides.items() if v is not None})
+        var = _ENV_PREFIX + f.name.upper()
+        if var in env:
+            values[f.name] = _count(var, env[var])
+    for name, v in overrides.items():
+        if v is not None:
+            values[name] = _count(f"guard {name}", v)
     return replace(DEFAULT_GUARDS, **values)
+
+
+def _count(name, raw):
+    try:
+        value = int(raw)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise MalformedInputError(
+        f"{name}={raw!r} is not a non-negative integer")

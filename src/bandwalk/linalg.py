@@ -1,35 +1,34 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer matrices.
 
-Everything here is fraction-free where it counts: matrices come in as
-Fractions, rows are scaled to integers once, and elimination proceeds
-with the two-term integer cross-multiplication update plus a gcd
-squeeze per produced row.  Pivots are chosen smallest-in-magnitude to
-keep the integers from blowing up.  Ranks, nullities and kernels are
-exact; nothing in this module touches floats.
+Every function here takes integer rows.  Rational data comes in through
+`scaled`, the one place a rational is turned into an integer: it
+multiplies the whole matrix by the least common denominator of its
+entries.  Elimination proceeds with the two-term integer
+cross-multiplication update plus a gcd squeeze per produced row, and
+pivots are chosen smallest-in-magnitude to keep the integers from
+blowing up.  Nullities and kernels are exact; nothing in this module
+touches floats.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # ------------------------------------------------------- conversions
 
 
-def int_rows(matrix):
-    """Scale each row by the lcm of its denominators.
+def scaled(rows):
+    """(D, integer rows): D is the least common denominator of every
+    entry, and the integer rows are D times the input.
 
-    Row scaling by a nonzero rational preserves rank and kernel, so the
-    integer matrix returned here is interchangeable with the input for
-    everything this module computes.
+    Entries may be ints or Fractions.  Scaling by a nonzero rational
+    preserves nullity and kernel, so the integer matrix stands in for
+    the rational one everywhere in this module.
     """
-    out = []
-    for row in matrix:
-        den = 1
-        for v in row:
-            f = Fraction(v)
-            den = den * f.denominator // gcd(den, f.denominator)
-        out.append([int(Fraction(v) * den) for v in row])
-    return out
+    rows = [list(r) for r in rows]
+    den = lcm(*{v.denominator for r in rows for v in r})
+    return den, [[v.numerator * (den // v.denominator) for v in r]
+                 for r in rows]
 
 
 def _squeeze(row):
@@ -47,15 +46,11 @@ def _squeeze(row):
 # ------------------------------------------------------- elimination
 
 
-def rank(matrix):
-    return len(echelon_int_rows(int_rows(matrix)))
-
-
-def nullity(matrix):
-    matrix = list(matrix)
-    if not matrix:
+def nullity(rows):
+    rows = list(rows)
+    if not rows:
         return 0
-    return len(matrix[0]) - rank(matrix)
+    return len(rows[0]) - len(echelon_int_rows(rows))
 
 
 def echelon_int_rows(rows):
@@ -95,18 +90,18 @@ def echelon_int_rows(rows):
     return ech
 
 
-def kernel_basis(matrix):
-    """Exact right-kernel basis of a Fraction matrix.
+def kernel_basis(rows):
+    """Exact right-kernel basis of an integer matrix, as Fraction vectors.
 
     One basis vector per free column: the free variable is set to 1,
     the other free variables to 0, and the pivot variables are found by
     back-substitution through the echelon rows.
     """
-    matrix = list(matrix)
-    if not matrix:
+    rows = list(rows)
+    if not rows:
         return []
-    ncols = len(matrix[0])
-    ech = echelon_int_rows(int_rows(matrix))
+    ncols = len(rows[0])
+    ech = echelon_int_rows(rows)
     pivots = [c for c, _ in ech]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -119,25 +114,3 @@ def kernel_basis(matrix):
             x[col] = -s / row[col]
         basis.append(x)
     return basis
-
-
-# --------------------------------------------------- matrix utilities
-
-
-def mat_sub_scaled_identity(matrix, lam):
-    lam = Fraction(lam)
-    return [[Fraction(v) - (lam if i == j else 0)
-             for j, v in enumerate(row)]
-            for i, row in enumerate(matrix)]
-
-
-def vec_mat(v, a):
-    n = len(a[0])
-    out = [Fraction(0)] * n
-    for i, vi in enumerate(v):
-        if vi:
-            row = a[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] += vi * row[j]
-    return out

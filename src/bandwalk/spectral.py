@@ -238,6 +238,22 @@ def spectrum(structure, w):
 # -------------------------------------------------------- certificate
 
 
+def eigenspace_dimensions(P, lams):
+    """Exact dim ker(P - lambda I) for each lambda in `lams`, in order.
+
+    P and the lambdas are scaled to integers together, once; each shift
+    then subtracts the integer D lambda on the diagonal of a row copy.
+    """
+    _, rows = linalg.scaled(P.rows + [list(lams)])
+    dims = []
+    for dlam in rows.pop():
+        shifted = [list(r) for r in rows]
+        for i, r in enumerate(shifted):
+            r[i] -= dlam
+        dims.append(linalg.nullity(shifted))
+    return dims
+
+
 @dataclass
 class DiagonalizabilityCertificate:
     entries: list          # (lambda, expected multiplicity, observed nullity)
@@ -255,12 +271,9 @@ def verify_diagonalizable(P, spec, strict=True):
     total, so equality certifies a full eigenbasis.
     """
     n = P.size
-    entries = []
-    for lam_value in sorted(spec.grouped, reverse=True):
-        expected = spec.grouped[lam_value]
-        shifted = linalg.mat_sub_scaled_identity(P.rows, lam_value)
-        observed = linalg.nullity(shifted)
-        entries.append((lam_value, expected, observed))
+    lams = sorted(spec.grouped, reverse=True)
+    entries = [(l, spec.grouped[l], o)
+               for l, o in zip(lams, eigenspace_dimensions(P, lams))]
     total_obs = sum(o for _, _, o in entries)
     cert = DiagonalizabilityCertificate(
         entries, spec.n_chambers, total_obs,

@@ -9,8 +9,9 @@ first time T its support hits the top flat.  `simulate` runs the
 walk; the stationary and stopping-time samplers share one
 draw-until-top loop.
 
-Exact paths (power distributions, stationary solve, total variation,
-the coatom bound) stay in Fractions; empirical paths use the seeded
+Exact paths (stationary solve, matrix powers, total variation, the
+coatom bound) do their matrix work on integer rows, scaled once by
+`linalg.scaled`, and return Fractions; empirical paths use the seeded
 standard generator and report floats.
 """
 
@@ -18,6 +19,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -105,13 +107,14 @@ def total_variation(p, q):
 def stationary_exact(P):
     """The unique solution of pi P = pi, sum pi = 1, exact.
 
-    Solved as the kernel of (P transposed minus I); a kernel of
-    dimension other than one is reported, which is the symptom of a
-    walk whose weights do not reach every chamber.
+    Solved as the kernel of D P^T - D I, with D the common denominator
+    of P; a kernel of dimension other than one is reported, which is
+    the symptom of a walk whose weights do not reach every chamber.
     """
-    n = P.size
-    tr = [[P.rows[j][i] - (1 if i == j else 0) for j in range(n)]
-          for i in range(n)]
+    den, rows = linalg.scaled(P.rows)
+    tr = [list(col) for col in zip(*rows)]
+    for i, r in enumerate(tr):
+        r[i] -= den
     basis = linalg.kernel_basis(tr)
     if len(basis) != 1:
         raise NonUniqueStationaryError(
@@ -258,16 +261,23 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     times = (sample_stopping_times(structure, w, seed, samples, guards)
              if samples else None)
 
+    # row c0 of P^m is r / den^m with r integer; pi is pi_num / q
+    den, ints = linalg.scaled(P.rows)
+    cols = list(zip(*ints))
+    q, (pi_num,) = linalg.scaled([pi.probs])
+    r = [0] * P.size
+    r[start] = 1
+    dm = 1
     rows = []
     ok = True
-    row = [Fraction(0)] * P.size
-    row[start] = Fraction(1)
     powers = [Fraction(1)] * len(lams)
     for m in range(m_max + 1):
         if m:
-            row = linalg.vec_mat(row, P.rows)
+            r = [sum(map(mul, r, col)) for col in cols]
+            dm *= den
             powers = [p * l for p, l in zip(powers, lams)]
-        tv = total_variation(row, pi.probs)
+        tv = Fraction(sum(abs(a * q - dm * b) for a, b in zip(r, pi_num)),
+                      2 * dm * q)
         bound = sum(powers, Fraction(0))
         emp = None
         if times is not None:

@@ -173,6 +173,11 @@ def test_malformed_inputs_exit_2(tmp_path):
     assert cli.main(["converge", *walk, "--samples", "-5"]) == 2
     assert cli.main(["simulate", *walk, "--start", "1,2,3",
                      "--steps", "-1"]) == 2
+    # sizes below one
+    for n in (0, -2):
+        assert cli.main(["build", "--spec", _spec(
+            tmp_path, {"type": "free_lrb", "n": n})]) == 2
+    assert cli.main(["descent", "--n", "0"]) == 2
 
 
 def test_axiom_violation_exits_3(tmp_path):
@@ -195,6 +200,16 @@ def test_bad_guard_name_exits_2(tmp_path):
     spec = _f3(tmp_path)
     assert cli.main(["build", "--spec", spec,
                      "--guard", "mystery=1"]) == 2
+
+
+def test_bad_guard_values_exit_2(tmp_path, monkeypatch, capsys):
+    spec = _f3(tmp_path)
+    assert cli.main(["build", "--spec", spec,
+                     "--guard", "table_cap=-5"]) == 2
+    for raw in ("abc", "-1"):
+        monkeypatch.setenv("LRB_GUARD_TABLE_CAP", raw)
+        assert cli.main(["build", "--spec", spec]) == 2
+        assert "LRB_GUARD_TABLE_CAP" in capsys.readouterr().err
 
 
 def test_missing_required_flags_exit_2(tmp_path):

@@ -3,7 +3,7 @@ closed forms, plus malformed-spec and guard behaviour."""
 
 import pytest
 
-from bandwalk import constructions, core, matroid
+from bandwalk import constructions, core, descent, matroid
 from bandwalk.errors import MalformedInputError, SizeGuardError
 
 
@@ -139,6 +139,16 @@ def test_size_guards_fire():
         constructions.free_lrb(9)
     with pytest.raises(SizeGuardError):
         constructions.ordered_partitions(8)
+
+
+@pytest.mark.parametrize("build", [
+    constructions.free_lrb, constructions.free_lrb_bar,
+    constructions.ordered_partitions, descent.coxeter_complex,
+    descent.top_to_random_idempotents])
+@pytest.mark.parametrize("n", [0, -1])
+def test_nonpositive_n_is_malformed_not_oversized(build, n):
+    with pytest.raises(MalformedInputError):
+        build(n)
 
 
 def test_matroid_interface():

@@ -67,6 +67,20 @@ def test_exact_power_distribution_converges_monotonically():
     assert tvs == sorted(tvs, reverse=True)
 
 
+def test_convergence_tv_matches_fraction_matrix_powers():
+    sg, st = _f3()
+    w = spectral.seeded_generator_weights(sg, 9)
+    P = spectral.transition_matrix(st, w)
+    pi = walks.stationary_exact(P)
+    rep = walks.convergence_report(st, w, st.chambers[1], 5)
+    row = [F(0)] * P.size
+    row[1] = F(1)
+    for m in range(6):
+        assert rep.rows[m].exact_tv == walks.total_variation(row, pi.probs)
+        row = [sum(row[i] * P.rows[i][j] for i in range(P.size))
+               for j in range(P.size)]
+
+
 def test_identity_weights_make_the_stationary_solve_fail():
     sg, st = _f3()
     w = spectral.WeightVector(sg, {sg.identity: F(1)})
