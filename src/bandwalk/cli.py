@@ -209,7 +209,7 @@ def _uniform_selector(sg, selector):
         if not hasattr(sg, "objects"):
             raise MalformedInputError(
                 f"{sg.label} has no length structure for {selector!r}")
-        k = int(rest)
+        k = _selector_int(selector, rest)
         ids = [i for i, obj in enumerate(sg.objects) if len(obj) == k]
         if not ids:
             raise MalformedInputError(f"no elements of length {k}")
@@ -218,7 +218,8 @@ def _uniform_selector(sg, selector):
         if sg.family != "ordered_partitions":
             raise MalformedInputError(
                 "type selectors apply to the ordered-partition band")
-        want = tuple(sorted(int(x) for x in rest.split(",") if x.strip()))
+        want = tuple(sorted(_selector_int(selector, x)
+                            for x in rest.split(",") if x.strip()))
         ids = [i for i, obj in enumerate(sg.objects)
                if descent.type_of_partition(obj) == want]
         if not ids:
@@ -227,6 +228,15 @@ def _uniform_selector(sg, selector):
     raise MalformedInputError(
         f"unknown selector {selector!r}; use 'generators', 'length:k' "
         "or 'type:i,j,...'")
+
+
+def _selector_int(selector, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInputError(
+            f"selector {selector!r}: {text.strip()!r} is not an integer"
+        ) from None
 
 
 def _print_rows(rows):

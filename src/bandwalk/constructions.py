@@ -23,9 +23,24 @@ distributive_chain_lrb   chains from bottom to top of a finite
 Every constructor attaches the generating set it is usually driven by
 and an ExpectedLattice describing what the derived support lattice must
 be isomorphic to.
+
+The first three are bands of faces of the braid arrangement, and
+while |S| <= table_cap their dense table comes from one integer kernel,
+`braid_table`, in place of the object rule.  A face on {1..n} becomes
+its block-index vector v, v[x-1] = index of the block holding x; a
+free-LRB word becomes its position vector, v[x-1] = position of x in
+the word, with absent letters in a trailing sentinel block v[x-1] = n.
+The product of u and v is then the lexicographic rank of the pairs
+(u[x], v[x]) among the pairs present, except that a letter absent
+from both factors stays in the sentinel block.  A vector is stored as
+its base-(n+1) integer code, and product codes are looked up among the
+sorted element codes.  Above table_cap the object rule serves
+product() one pair at a time.
 """
 
 import itertools
+
+import numpy
 
 from . import fields, posets
 from .core import ExpectedLattice, Semigroup
@@ -47,6 +62,88 @@ def check_n(label, n, cap):
         raise MalformedInputError(f"{label} needs n >= 1")
     if n > cap:
         raise SizeGuardError(f"{label} needs n <= {cap}")
+
+
+# ------------------------------------------------------- braid kernel
+
+
+# elements per numpy temporary while tabulating: small enough that the
+# temporaries add little to peak memory, large enough to amortize calls
+BRAID_CHUNK = 2 ** 16
+
+
+def _face_vector(blocks, n):
+    """Block-index vector of an ordered partition of {1..n}."""
+    v = [0] * n
+    for b, block in enumerate(blocks):
+        for x in block:
+            v[x - 1] = b
+    return v
+
+
+def _word_vector(word, n):
+    """Position vector of an injective word; absent letters get n."""
+    v = [n] * n
+    for pos, x in enumerate(word):
+        v[x - 1] = pos
+    return v
+
+
+def braid_product(u, v):
+    """Vectors of the products u v, broadcast over leading axes.
+
+    Each output entry is the dense lexicographic rank of the pair
+    (u[x], v[x]) within its row; the pair (n, n) of a letter absent
+    from both words stays n.
+    """
+    n = u.shape[-1]
+    pairs = u * (n + 1) + v
+    order = numpy.argsort(pairs, axis=-1, kind="stable")
+    ranked = numpy.take_along_axis(pairs, order, axis=-1)
+    fresh = numpy.zeros(ranked.shape, dtype=numpy.int64)
+    fresh[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    rank = numpy.empty_like(fresh)
+    numpy.put_along_axis(rank, order, numpy.cumsum(fresh, axis=-1), axis=-1)
+    return numpy.where(pairs == n * (n + 1) + n, n, rank)
+
+
+def braid_table(vectors, keys):
+    """Dense Cayley table of a band of braid faces or words.
+
+    vectors: one block-index or position vector per element, in id
+    order.  Products are computed in chunks of about BRAID_CHUNK array
+    elements and mapped to ids through the sorted element codes; a
+    product outside the list is malformed input.
+    """
+    vecs = numpy.asarray(vectors, dtype=numpy.int64)
+    size, n = vecs.shape
+    powers = (n + 1) ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
+    codes = vecs @ powers
+    by_code = numpy.argsort(codes)
+    sorted_codes = codes[by_code]
+    ids = list(range(size))         # one int object per id, shared by rows
+    table = []
+    rows = max(1, BRAID_CHUNK // (size * n))
+    for i0 in range(0, size, rows):
+        got = braid_product(vecs[i0:i0 + rows, None, :],
+                            vecs[None, :, :]) @ powers
+        at = numpy.minimum(numpy.searchsorted(sorted_codes, got), size - 1)
+        missing = numpy.argwhere(sorted_codes[at] != got)
+        if len(missing):
+            i, j = missing[0]
+            raise MalformedInputError(
+                "product leaves the element list: "
+                f"{keys[i0 + i]} * {keys[j]}")
+        table += [list(map(ids.__getitem__, row))
+                  for row in by_code[at].tolist()]
+    return table
+
+
+def _braid_band(sg, encode, n, guards):
+    """Give a braid band its kernel-built table when it fits the cap."""
+    if sg.size <= guards.table_cap:
+        sg.table = braid_table([encode(o, n) for o in sg.objects], sg.keys)
+    return sg
 
 
 def free_lrb(n, guards=DEFAULT_GUARDS):
@@ -77,11 +174,12 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
         label_of=lambda t: set_label(t),
         leq=lambda a, b: _set_of(a) <= _set_of(b),
     )
-    return Semigroup.from_objects(
+    sg = Semigroup.from_objects(
         f"free_lrb({n})", elements, mult, _tuple_key, (),
         generators=[(x,) for x in universe],
         expected=_wrap_expected(expected, elements),
         family="free_lrb", meta={"n": n}, guards=guards)
+    return _braid_band(sg, _word_vector, n, guards)
 
 
 def _set_of(label):
@@ -161,11 +259,12 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
                    tuple(sorted(set(universe) - set(c))))
                   for r in range(1, n)
                   for c in itertools.combinations(universe, r)]
-    return Semigroup.from_objects(
+    sg = Semigroup.from_objects(
         f"ordered_partitions({n})", elements, _op_mult, _op_key,
         (universe,), generators=generators,
         expected=_wrap_expected(expected, elements),
         family="ordered_partitions", meta={"n": n}, guards=guards)
+    return _braid_band(sg, _face_vector, n, guards)
 
 
 def free_lrb_bar(n, guards=DEFAULT_GUARDS):
@@ -202,11 +301,12 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
                   for x in universe]
     if n == 1:
         generators = []
-    return Semigroup.from_objects(
+    sg = Semigroup.from_objects(
         f"free_lrb_bar({n})", elements, _op_mult, _op_key,
         (universe,), generators=generators,
         expected=_wrap_expected(expected, elements),
         family="free_lrb_bar", meta={"n": n}, guards=guards)
+    return _braid_band(sg, _face_vector, n, guards)
 
 
 # ------------------------------------------------------- vector spaces

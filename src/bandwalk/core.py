@@ -12,8 +12,12 @@ the mutual-absorption relation and verifies the two displayed laws on
 all pairs, so a handle that is not an LRB is rejected with a witness.
 
 Elements are addressed by integer ids into a list of canonical string
-keys.  Products come either from a dense Cayley table or from a
-memoized rule.
+keys.  Products come from a dense Cayley table of ids when one exists
+and from a memoized per-pair rule otherwise.  The braid-arrangement
+constructions fill their table with an integer kernel at build time
+(see `constructions`); every other table is filled pair by pair from
+the rule, by `tabulate`, which `verify_lrb` calls whenever it will
+sweep associativity exhaustively.
 """
 
 import random
@@ -132,8 +136,6 @@ class Semigroup:
                  generators=gen_ids, expected=expected, family=family,
                  meta=meta)
         sg.objects = objs
-        if len(objects) <= guards.assoc_exhaustive_cap:
-            sg.tabulate(guards)
         return sg
 
     def to_json_dict(self, guards=DEFAULT_GUARDS):
@@ -179,12 +181,16 @@ class AxiomReport:
 
 def verify_lrb(sg, guards=DEFAULT_GUARDS, seed=0):
     """Check identity, idempotence, deletion (xyx = xy) and
-    associativity.  Associativity is exhaustive up to the guard cap and
-    sampled (seeded) beyond it.  Returns a report; never raises on a
-    mere axiom failure.
+    associativity.  Associativity is exhaustive while the |S|^3 triples
+    fit assoc_triples_cap, on the dense table, which is then built
+    first so that every law reads it; beyond the cap it is sampled
+    (seeded).  Returns a report; never raises on a mere axiom failure.
     """
     n = sg.size
     e = sg.identity
+    exhaustive = n ** 3 <= guards.assoc_triples_cap
+    if exhaustive:
+        sg.tabulate(guards)
     prod = sg.product
 
     for x in range(n):
@@ -203,9 +209,8 @@ def verify_lrb(sg, guards=DEFAULT_GUARDS, seed=0):
                                    witness=(x, y),
                                    message="deletion law xyx = xy fails")
 
-    if n <= guards.assoc_exhaustive_cap:
-        table = sg.table or sg.tabulate(guards)
-        bad = _assoc_exhaustive(table)
+    if exhaustive:
+        bad = _assoc_exhaustive(sg.table)
         if bad is not None:
             return AxiomReport(False, True, True, True, False, "exhaustive",
                                n ** 3, witness=bad,
@@ -226,19 +231,18 @@ def verify_lrb(sg, guards=DEFAULT_GUARDS, seed=0):
 
 
 def _assoc_exhaustive(table):
-    """Return a witness triple or None.  numpy slab sweep."""
+    """Return a witness triple or None.  numpy sweep, one row x at a
+    time: the rows t[xy] against the row t[x] read at every t[y, z]."""
     import numpy as np
 
-    n = len(table)
     t = np.asarray(table, dtype=np.int32)
-    slab = max(1, (2 ** 22) // max(n * n, 1))
-    for k0 in range(0, n, slab):
-        k1 = min(n, k0 + slab)
-        left = t[:, k0:k1][t, :]          # left[i,j,k] = t[t[i,j], k]
-        right = t[:, t[:, k0:k1]]         # right[i,j,k] = t[i, t[j, k]]
-        if not np.array_equal(left, right):
-            i, j, k = np.argwhere(left != right)[0]
-            return (int(i), int(j), int(k + k0))
+    for i, row in enumerate(t):
+        left = np.take(t, row, axis=0)      # left[j, k] = t[t[i, j], k]
+        right = np.take(row, t)             # right[j, k] = t[i, t[j, k]]
+        bad = left != right
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            return (i, int(j), int(k))
     return None
 
 

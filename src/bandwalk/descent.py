@@ -270,17 +270,6 @@ def invariant_from_coeffs(cx, coeffs):
     return InvariantElement(cx.n, sigma)
 
 
-def invariant_product(cx, a, b):
-    """Product in the semigroup algebra, folded back to the basis."""
-    prod = cx.semigroup.product
-    out = {}
-    for i, u in to_chamber_element(cx, a).items():
-        for j, v in to_chamber_element(cx, b).items():
-            k = prod(i, j)
-            out[k] = out.get(k, Fraction(0)) + u * v
-    return invariant_from_coeffs(cx, out)
-
-
 # --------------------------------------------------------------- phi map
 
 
@@ -302,40 +291,17 @@ def phi(cx, a):
     return {w: v for w, v in out.items() if v}
 
 
-def u_element(n, j_set):
-    """Sum of the permutations with descent set inside J."""
-    jj = set(j_set)
-    return {w: Fraction(1) for w in permutations(range(1, n + 1))
-            if set(descent_set(w)) <= jj}
+def type_mask(j_set):
+    """The subset J of {1..n-1} as the bit mask sum of 2^(i-1)."""
+    return sum(1 << (i - 1) for i in j_set)
 
 
-def z_element(n, j_set):
-    """Sum of the permutations with descent set exactly J."""
-    j_set = tuple(sorted(j_set))
-    return {w: Fraction(1) for w in permutations(range(1, n + 1))
-            if descent_set(w) == j_set}
-
-
-def ga_multiply(a, b):
-    """Group-algebra convolution with functional composition."""
-    out = {}
-    for u, x in a.items():
-        for v, y in b.items():
-            w = compose(u, v)
-            out[w] = out.get(w, Fraction(0)) + x * y
-    return {w: v for w, v in out.items() if v}
-
-
-def constant_on_descent_classes(n, elem):
-    """Whether a group-algebra element lies in the span of the z_J."""
-    seen = {}
-    for w in permutations(range(1, n + 1)):
-        d = descent_set(w)
-        v = elem.get(w, Fraction(0))
-        if d in seen and seen[d] != v:
-            return False
-        seen[d] = v
-    return True
+def class_values(vec, classes):
+    """Per-class values of an integer vector, or None if it is not
+    constant on every class; classes[i] is the class of entry i."""
+    values = numpy.zeros(int(classes.max()) + 1, dtype=numpy.int64)
+    values[classes] = vec
+    return values if numpy.array_equal(values[classes], vec) else None
 
 
 def certify_phi(cx):
@@ -344,25 +310,63 @@ def certify_phi(cx):
     Checks sigma_J -> u_J and tau_J -> z_J on every basis element, the
     reversal phi(ab) = phi(b) phi(a) on every sigma pair, and that each
     image stays inside the descent span (constant on descent classes).
+    Everything is exact int64 counting over the dense face table, with
+    types and descent sets as bit masks: sigma_a sigma_b is the
+    bincount of table[class a][:, class b], which must be constant on
+    every type class (PreconditionError otherwise); phi(sigma_K) counts
+    the permutations of the chambers F C, F of type K, through the
+    column of the fundamental chamber C; group products use the
+    composition table of S_n.
     Returns {"basis_images_ok", "anti_homomorphism_ok", "closure_ok"}.
     """
     n = cx.n
-    subsets = [tuple(j) for j in _subsets(range(1, n))]
-    basis_ok = all(
-        phi(cx, sigma_element(n, j)) == u_element(n, j)
-        and phi(cx, tau_element(n, j)) == z_element(n, j)
-        for j in subsets)
+    sg = cx.semigroup
+    table = numpy.asarray(sg.table or sg.tabulate(), dtype=numpy.int64)
+    group = _SymmetricGroupTable(n)
+    masks = numpy.arange(1 << (n - 1))
+    face_type = numpy.array([type_mask(t) for t in cx.types])
+    members = [numpy.flatnonzero(face_type == k) for k in masks]
+    type_of = {type_mask(t): t for t in cx.type_classes}
+
+    perm_of = numpy.full(sg.size, -1)
+    for c, w in cx.perm_at.items():
+        perm_of[c] = group.index[w]
+    image_of = perm_of[table[:, cx.fundamental]]
+    if image_of.min() < 0:
+        f = int(numpy.argmin(image_of))
+        raise FalsificationError(
+            f"S_{n}: {sg.keys[f]} times the fundamental chamber is not a "
+            "chamber", witness=f)
+    m = len(group.perms)
+    images = numpy.array([numpy.bincount(image_of[cls], minlength=m)
+                          for cls in members])
+
+    # the Moebius matrix of the Boolean lattice carries the sigma images
+    # to the tau images
+    below = (masks[None, :] & ~masks[:, None]) == 0
+    parity = numpy.array([bin(k).count("1") for k in masks]) % 2
+    sign = 1 - 2 * (parity[:, None] ^ parity[None, :])
+    u, z = group.descent_rows()
+    basis_ok = (numpy.array_equal(images, u)
+                and numpy.array_equal((below * sign) @ images, z))
+
     anti_ok = True
     closure_ok = True
-    images = {j: phi(cx, sigma_element(n, j)) for j in subsets}
-    for a_j in subsets:
-        a = sigma_element(n, a_j)
-        for b_j in subsets:
-            b = sigma_element(n, b_j)
-            image = phi(cx, invariant_product(cx, a, b))
-            if image != ga_multiply(images[b_j], images[a_j]):
+    for a in masks:
+        rows = table[members[a]]
+        for b in masks:
+            counts = numpy.bincount(rows[:, members[b]].ravel(),
+                                    minlength=sg.size)
+            sigma = class_values(counts, face_type)
+            if sigma is None:
+                raise PreconditionError(
+                    f"S_{n}: sigma_{type_of[a]} sigma_{type_of[b]} is not "
+                    "constant on the type classes")
+            image = sigma @ images
+            if not numpy.array_equal(
+                    image, group.convolve(images[b], images[a])):
                 anti_ok = False
-            if not constant_on_descent_classes(n, image):
+            if class_values(image, group.descents) is None:
                 closure_ok = False
     return {"basis_images_ok": basis_ok,
             "anti_homomorphism_ok": anti_ok,
@@ -410,18 +414,30 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
 
 
 class _SymmetricGroupTable:
-    """Dense composition table over S_n for integer certification."""
+    """Dense composition table over S_n for integer certification,
+    with the descent set of each permutation as a type mask."""
 
     def __init__(self, n):
         self.n = n
         self.perms = sorted(permutations(range(1, n + 1)))
         self.index = {w: i for i, w in enumerate(self.perms)}
+        self.descents = numpy.array(
+            [type_mask(descent_set(w)) for w in self.perms])
         m = len(self.perms)
         self.comp = numpy.empty((m, m), dtype=numpy.int32)
         for i, u in enumerate(self.perms):
             row = self.comp[i]
             for j, v in enumerate(self.perms):
                 row[j] = self.index[compose(u, v)]
+
+    def descent_rows(self):
+        """(u, z), integer matrices with one row per type mask J: row J
+        of u marks the permutations with descent set inside J, row J of
+        z those with descent set exactly J."""
+        masks = numpy.arange(1 << (self.n - 1))[:, None]
+        u = (self.descents[None, :] & ~masks) == 0
+        z = self.descents[None, :] == masks
+        return u.astype(numpy.int64), z.astype(numpy.int64)
 
     def vector(self, elem):
         out = numpy.zeros(len(self.perms), dtype=numpy.int64)

@@ -14,8 +14,9 @@ from .errors import MalformedInputError
 class Guards:
     # largest |S| for which a dense Cayley table may be materialized
     table_cap: int = 2048
-    # exhaustive associativity check up to this |S|, sampled beyond
-    assoc_exhaustive_cap: int = 300
+    # exhaustive associativity check while |S|^3 is at most this many
+    # triples (|S| <= 584), sampled beyond
+    assoc_triples_cap: int = 200_000_000
     assoc_samples: int = 100_000
     # hard ceiling on element counts of any construction
     elements_cap: int = 50_000

@@ -1,6 +1,10 @@
 """Exit codes and artifact layout of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,12 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert cli.main(["build", "--spec", _spec(
             tmp_path, {"type": "free_lrb", "n": n})]) == 2
     assert cli.main(["descent", "--n", "0"]) == 2
+    # selectors whose counts are not integers
+    assert cli.main(["spectrum", "--spec", _f3(tmp_path), "--uniform-on",
+                     "length:abc"]) == 2
+    op3 = _spec(tmp_path, {"type": "ordered_partitions", "n": 3})
+    assert cli.main(["spectrum", "--spec", op3, "--uniform-on",
+                     "type:1,x"]) == 2
 
 
 def test_axiom_violation_exits_3(tmp_path):
@@ -226,3 +236,15 @@ def test_selftest_subset(capsys):
     assert cli.main(["selftest", "--only", "8"]) == 0
     out = capsys.readouterr().out
     assert "criterion 8: PASS" in out
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "bandwalk", "build", "--spec", _f3(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "axioms exhaustive ok" in done.stdout

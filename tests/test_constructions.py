@@ -1,10 +1,28 @@
 """Element, flat, and chamber counts of every construction against
 closed forms, plus malformed-spec and guard behaviour."""
 
+from dataclasses import replace
+
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bandwalk import constructions, core, descent, matroid
 from bandwalk.errors import MalformedInputError, SizeGuardError
+from bandwalk.guards import DEFAULT_GUARDS
+
+# the braid families with the vector encoding of their elements
+BRAID = {
+    "free_lrb": (constructions.free_lrb, constructions._word_vector),
+    "free_lrb_bar": (constructions.free_lrb_bar,
+                     constructions._face_vector),
+    "ordered_partitions": (constructions.ordered_partitions,
+                           constructions._face_vector),
+}
+
+# no dense table: every product goes through the object rule
+RULE_ONLY = replace(DEFAULT_GUARDS, table_cap=0)
 
 
 def _shape(sg):
@@ -181,3 +199,52 @@ def test_matroid_spec_rejects_garbage():
         matroid.build_matroid({"kind": "uniform", "k": 2})
     with pytest.raises(MalformedInputError):
         constructions.matroid_lrb(matroid.Matroid.uniform(2, 3), "sideways")
+
+
+@pytest.mark.parametrize("family", sorted(BRAID))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_braid_kernel_table_matches_the_object_rule(family, n):
+    build, _ = BRAID[family]
+    sg = build(n)
+    ref = build(n, RULE_ONLY)
+    assert sg.table is not None and ref.table is None
+    assert sg.keys == ref.keys
+    size = sg.size
+    assert sg.table == [[ref.product(i, j) for j in range(size)]
+                        for i in range(size)]
+
+
+_rule_bands = {}
+
+
+def _rule_band(family, n):
+    if (family, n) not in _rule_bands:
+        _rule_bands[family, n] = BRAID[family][0](n, RULE_ONLY)
+    return _rule_bands[family, n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.sampled_from(sorted(BRAID)), hs.sampled_from([5, 6]), hs.data())
+def test_braid_kernel_product_matches_the_object_rule(family, n, data):
+    sg = _rule_band(family, n)
+    encode = BRAID[family][1]
+    i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
+    u, v = (numpy.array(encode(sg.objects[k], n)) for k in (i, j))
+    got = constructions.braid_product(u, v)
+    assert got.tolist() == encode(sg.objects[sg.product(i, j)], n)
+
+
+def test_braid_table_is_independent_of_the_chunk_size(monkeypatch):
+    sg = constructions.ordered_partitions(3)
+    vectors = [constructions._face_vector(p, 3) for p in sg.objects]
+    monkeypatch.setattr(constructions, "BRAID_CHUNK", 7)
+    assert constructions.braid_table(vectors, sg.keys) == sg.table
+
+
+def test_braid_table_rejects_products_outside_the_list():
+    # the free band on two letters without its chamber 2,1
+    sg = constructions.free_lrb(2)
+    keep = [i for i, k in enumerate(sg.keys) if k != "2,1"]
+    vectors = [constructions._word_vector(sg.objects[i], 2) for i in keep]
+    with pytest.raises(MalformedInputError, match="leaves the element"):
+        constructions.braid_table(vectors, [sg.keys[i] for i in keep])

@@ -1,6 +1,8 @@
 """Axiom checking, support derivation, and chamber identification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bandwalk import constructions, core
 from bandwalk.errors import MalformedInputError, SizeGuardError
@@ -13,6 +15,34 @@ def test_free_band_passes_every_axiom():
     assert rep.identity_ok and rep.idempotent_ok and rep.deletion_ok
     assert rep.associative_ok and rep.assoc_mode == "exhaustive"
     assert rep.witness is None
+
+
+@pytest.mark.parametrize("build", [constructions.free_lrb,
+                                   constructions.ordered_partitions])
+def test_every_default_table_band_is_swept_exhaustively(build):
+    # 326 and 541 elements: the triple cap, not |S|, decides
+    sg = build(5)
+    rep = core.verify_lrb(sg)
+    assert rep.ok and rep.assoc_mode == "exhaustive"
+    assert rep.checked_triples == sg.size ** 3
+
+
+def _assoc_witnesses(t):
+    n = len(t)
+    return {(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+            if t[t[x][y]][z] != t[x][t[y][z]]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.integers(0, 15), hs.integers(0, 15), hs.integers(0, 15))
+def test_associativity_sweep_finds_a_real_witness(x, y, value):
+    # one entry of the free_lrb(3) table overwritten
+    t = [list(row) for row in constructions.free_lrb(3).table]
+    t[x][y] = value
+    bad = _assoc_witnesses(t)
+    got = core._assoc_exhaustive(t)
+    assert (got is None) == (not bad)
+    assert got is None or got in bad
 
 
 def test_idempotence_violation_is_reported_with_witness():

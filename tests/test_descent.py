@@ -3,10 +3,14 @@
 from fractions import Fraction
 from itertools import permutations
 
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bandwalk import derangement, descent, spectral
-from bandwalk.errors import MalformedInputError, PreconditionError
+from bandwalk.errors import (FalsificationError, MalformedInputError,
+                             PreconditionError)
 
 
 F = Fraction
@@ -109,14 +113,24 @@ def test_invariant_elements_and_products():
 
 
 def test_invariant_product_of_sigmas_stays_invariant():
+    # sigma_(1) sigma_(2) counted over the face table is constant on
+    # type classes, carries |class 1| * |class 2| terms, and folds to
+    # the sigma coordinates the Fraction path reads off
     n = 3
     cx = descent.coxeter_complex(n)
-    a = descent.sigma_element(n, (1,))
-    b = descent.sigma_element(n, (2,))
-    prod = descent.invariant_product(cx, a, b)
-    assert isinstance(prod, descent.InvariantElement)
-    total = sum(descent.to_chamber_element(cx, prod).values())
-    assert total == len(cx.type_classes[(1,)]) * len(cx.type_classes[(2,)])
+    table = numpy.asarray(cx.semigroup.table)
+    face_type = numpy.array([descent.type_mask(t) for t in cx.types])
+    a, b = cx.type_classes[(1,)], cx.type_classes[(2,)]
+    counts = numpy.bincount(table[a][:, b].ravel(),
+                            minlength=cx.semigroup.size)
+    sigma = descent.class_values(counts, face_type)
+    assert sigma is not None
+    assert counts.sum() == len(a) * len(b)
+    folded = descent.invariant_from_coeffs(
+        cx, {i: F(int(c)) for i, c in enumerate(counts)})
+    assert folded.sigma == {t: F(int(sigma[descent.type_mask(t)]))
+                            for t in cx.type_classes
+                            if sigma[descent.type_mask(t)]}
 
 
 def test_phi_certification():
@@ -127,37 +141,67 @@ def test_phi_certification():
         assert report["closure_ok"]
 
 
+_S4 = descent.coxeter_complex(4)
+_S4_CHAMBER_ENTRIES = [(i, j) for i in range(_S4.semigroup.size)
+                       for j in range(_S4.semigroup.size)
+                       if _S4.semigroup.table[i][j] in _S4.perm_at]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from(_S4_CHAMBER_ENTRIES),
+       hs.sampled_from(sorted(_S4.perm_at)))
+def test_corrupted_complex_table_fails_phi_certification(entry, chamber):
+    # one chamber-valued product of the S_4 face table replaced by
+    # another chamber: certify_phi must report a failure or raise
+    i, j = entry
+    table = _S4.semigroup.table
+    kept = table[i][j]
+    if chamber == kept:
+        chamber = min(c for c in _S4.perm_at if c != kept)
+    table[i][j] = chamber
+    try:
+        report = descent.certify_phi(_S4)
+        assert not all(report.values())
+    except (PreconditionError, FalsificationError):
+        pass
+    finally:
+        table[i][j] = kept
+    assert all(descent.certify_phi(_S4).values())
+
+
 def test_z_elements_partition_the_group_by_descent_set():
     n = 4
-    seen = {}
+    group = descent._SymmetricGroupTable(n)
+    _, z = group.descent_rows()
+    # every permutation lies in exactly one z_J, the one of its descents
+    assert (z.sum(axis=0) == 1).all()
     for j_set in derangement._subsets(range(1, n)):
-        z = descent.z_element(n, j_set)
-        for w, coeff in z.items():
-            assert coeff
-            assert descent.descent_set(w) == j_set
-            assert w not in seen
-            seen[w] = j_set
-    assert len(seen) == 24
+        row = z[descent.type_mask(j_set)]
+        assert {w for w, c in zip(group.perms, row) if c} == {
+            w for w in permutations(range(1, n + 1))
+            if descent.descent_set(w) == j_set}
+    assert z.sum() == 24
 
 
 def test_u_elements_sum_z_over_subsets():
     n = 4
+    u, z = descent._SymmetricGroupTable(n).descent_rows()
     for j_set in derangement._subsets(range(1, n)):
-        u = descent.u_element(n, j_set)
-        total = {}
-        for k_set in derangement._subsets(j_set):
-            for w, c in descent.z_element(n, k_set).items():
-                total[w] = total.get(w, 0) + c
-        assert u == total
+        total = sum(z[descent.type_mask(k_set)]
+                    for k_set in derangement._subsets(j_set))
+        assert numpy.array_equal(u[descent.type_mask(j_set)], total)
 
 
 def test_descent_class_constancy_detection():
     n = 3
-    z = descent.z_element(n, (1,))
-    assert descent.constant_on_descent_classes(n, z)
-    broken = dict(z)
-    broken[(2, 1, 3)] = broken[(2, 1, 3)] + 1
-    assert not descent.constant_on_descent_classes(n, broken)
+    group = descent._SymmetricGroupTable(n)
+    z = group.descent_rows()[1][descent.type_mask((1,))]
+    values = descent.class_values(z, group.descents)
+    assert values is not None
+    assert values[descent.type_mask((1,))] == 1 and values.sum() == 1
+    broken = z.copy()
+    broken[group.index[(2, 1, 3)]] += 1
+    assert descent.class_values(broken, group.descents) is None
 
 
 def test_descent_walk_on_uniform_chambers():
@@ -196,9 +240,10 @@ def test_top_to_random_idempotent_family():
             assert len(w) == 4
 
 
-def test_ga_multiply_convolves():
-    a = {(2, 1, 3): 1}
-    b = {(1, 3, 2): 1}
+def test_group_convolution_composes_as_functions():
+    group = descent._SymmetricGroupTable(3)
+    a = group.vector({(2, 1, 3): 1})
+    b = group.vector({(1, 3, 2): 1})
     # product places u after v: (u o v)(i) = u(v(i))
-    assert descent.ga_multiply(a, b) == {descent.compose((2, 1, 3),
-                                                         (1, 3, 2)): 1}
+    want = group.vector({descent.compose((2, 1, 3), (1, 3, 2)): 1})
+    assert numpy.array_equal(group.convolve(a, b), want)
