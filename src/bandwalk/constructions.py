@@ -24,21 +24,36 @@ Every constructor attaches the generating set it is usually driven by
 and an ExpectedLattice describing what the derived support lattice must
 be isomorphic to.
 
-The first three are bands of faces of the braid arrangement, and
-while |S| <= table_cap their dense table comes from one integer kernel,
-`braid_table`, in place of the object rule.  A face on {1..n} becomes
-its block-index vector v, v[x-1] = index of the block holding x; a
-free-LRB word becomes its position vector, v[x-1] = position of x in
-the word, with absent letters in a trailing sentinel block v[x-1] = n.
-The product of u and v is then the lexicographic rank of the pairs
-(u[x], v[x]) among the pairs present, except that a letter absent
-from both factors stays in the sentinel block.  A vector is stored as
-its base-(n+1) integer code, and product codes are looked up among the
-sorted element codes.  Above table_cap the object rule serves
-product() one pair at a time.
+While |S| <= table_cap, every band but the distributive chains gets
+its dense table at build time from an integer kernel in place of the
+object rule.  Elements become integer vectors, stored as mixed-radix
+integer codes; products are computed over numpy arrays of pairs, one
+block of rows at a time, and their codes are looked up among the
+sorted element codes by `coded_products`, which also rejects a product
+outside the list.  Above table_cap the object rule serves product()
+one pair at a time, and it stays the reference the tests compare
+against.
+
+`braid_table` serves the first three, bands of faces of the braid
+arrangement.  A face on {1..n} becomes its block-index vector v,
+v[x-1] = index of the block holding x; a free-LRB word becomes its
+position vector, v[x-1] = position of x in the word, with absent
+letters in a trailing sentinel block v[x-1] = n.  The product of u and
+v is then the lexicographic rank of the pairs (u[x], v[x]) among the
+pairs present, except that a letter absent from both factors stays in
+the sentinel block.
+
+`closure_table` serves the q-analogues and the matroid bands, whose
+products are driven by a closure operator on a finite ground set (the
+nonzero vectors of GF(q)^n, or the matroid's elements).  The flats are
+numbered once per band, with small integer tables for the join of a
+flat with a point and with another flat; a tuple becomes its letters
+and a chain its flat ids, and each product runs a fixed number of
+table lookups.
 """
 
 import itertools
+from math import factorial
 
 import numpy
 
@@ -56,6 +71,15 @@ def _tuple_key(t):
     return ",".join(map(str, t)) if t else "e"
 
 
+def _check_count(label, count, guards):
+    """Refuse a band whose element count, known before it is
+    enumerated, exceeds the elements cap."""
+    if count > guards.elements_cap:
+        raise SizeGuardError(
+            f"{label} has {count} elements, above the cap "
+            f"{guards.elements_cap}")
+
+
 def check_n(label, n, cap):
     """n below 1 is malformed input; n above the guard cap is refused."""
     if n < 1:
@@ -64,12 +88,53 @@ def check_n(label, n, cap):
         raise SizeGuardError(f"{label} needs n <= {cap}")
 
 
-# ------------------------------------------------------- braid kernel
+# ------------------------------------------------------ table kernels
 
 
-# elements per numpy temporary while tabulating: small enough that the
-# temporaries add little to peak memory, large enough to amortize calls
-BRAID_CHUNK = 2 ** 16
+# array elements per numpy temporary while tabulating: small enough that
+# the temporaries add little to peak memory, large enough to amortize
+# calls
+TABLE_CHUNK = 2 ** 15
+
+
+def coded_products(codes, keys, width, product_codes):
+    """Ids of every product, yielded one block of rows at a time.
+
+    codes: integer code of each element, in id order.
+    product_codes(lo, hi) gives the codes of the products of elements
+    lo..hi-1 with every element, shape (hi - lo, size); a pair costs
+    about `width` array elements, and a block holds about TABLE_CHUNK of
+    them.  Codes are mapped to ids through the sorted element codes; a
+    product outside the list is malformed input naming the pair.
+    """
+    size = len(codes)
+    by_code = numpy.argsort(codes)
+    sorted_codes = codes[by_code]
+    rows = max(1, TABLE_CHUNK // (size * width))
+    for lo in range(0, size, rows):
+        got = product_codes(lo, lo + rows)
+        at = numpy.minimum(numpy.searchsorted(sorted_codes, got), size - 1)
+        missing = numpy.argwhere(sorted_codes[at] != got)
+        if len(missing):
+            i, j = missing[0]
+            raise MalformedInputError(
+                "product leaves the element list: "
+                f"{keys[lo + i]} * {keys[j]}")
+        yield by_code[at]
+
+
+def _id_rows(blocks, size):
+    """A Cayley table as lists, from the id blocks of coded_products."""
+    ids = list(range(size))         # one int object per id, shared by rows
+    return [list(map(ids.__getitem__, row))
+            for block in blocks for row in block.tolist()]
+
+
+def _tabulated(sg, guards, build_table):
+    """Give a band its kernel-built table when it fits the cap."""
+    if sg.size <= guards.table_cap:
+        sg.table = build_table()
+    return sg
 
 
 def _face_vector(blocks, n):
@@ -111,39 +176,98 @@ def braid_table(vectors, keys):
     """Dense Cayley table of a band of braid faces or words.
 
     vectors: one block-index or position vector per element, in id
-    order.  Products are computed in chunks of about BRAID_CHUNK array
-    elements and mapped to ids through the sorted element codes; a
-    product outside the list is malformed input.
+    order, stored as base-(n+1) codes.
     """
     vecs = numpy.asarray(vectors, dtype=numpy.int64)
     size, n = vecs.shape
     powers = (n + 1) ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
-    codes = vecs @ powers
-    by_code = numpy.argsort(codes)
-    sorted_codes = codes[by_code]
-    ids = list(range(size))         # one int object per id, shared by rows
-    table = []
-    rows = max(1, BRAID_CHUNK // (size * n))
-    for i0 in range(0, size, rows):
-        got = braid_product(vecs[i0:i0 + rows, None, :],
-                            vecs[None, :, :]) @ powers
-        at = numpy.minimum(numpy.searchsorted(sorted_codes, got), size - 1)
-        missing = numpy.argwhere(sorted_codes[at] != got)
-        if len(missing):
-            i, j = missing[0]
-            raise MalformedInputError(
-                "product leaves the element list: "
-                f"{keys[i0 + i]} * {keys[j]}")
-        table += [list(map(ids.__getitem__, row))
-                  for row in by_code[at].tolist()]
-    return table
+
+    def product_codes(lo, hi):
+        return braid_product(vecs[lo:hi, None, :], vecs[None, :, :]) @ powers
+
+    return _id_rows(coded_products(vecs @ powers, keys, n, product_codes),
+                    size)
 
 
-def _braid_band(sg, encode, n, guards):
-    """Give a braid band its kernel-built table when it fits the cap."""
-    if sg.size <= guards.table_cap:
-        sg.table = braid_table([encode(o, n) for o in sg.objects], sg.keys)
-    return sg
+def closure_table(elements, keys, join, chains):
+    """Dense Cayley table of a band driven by a closure operator.
+
+    Flats are numbered 0..F-1 with the bottom flat 0, and `join` is an
+    integer array with F rows: join[f, x] is the flat spanned by f and
+    x.  Each element, a sequence of ints, is padded to the longest with
+    the value P = join.shape[1], a step that joins to nothing new, and
+    stored as its base-(P+1) code.
+
+    chains=False: elements are tuples of letters, join is the point
+    join F x N (P = N), and a b appends each letter x of b with
+    join[f, x] != f, where f is the flat spanned so far, starting from
+    the flat of a.
+
+    chains=True: elements are chains of flat ids from bottom to top,
+    join is the flat join F x F (P = F), and a b keeps a minus its last
+    step, then appends the join of a's penultimate flat with each later
+    member of b, dropping repeats.  Since b increases, that join equals
+    the join of the previous one with the member, so both shapes run
+    the same loop: one step per position of b, over every pair of a
+    block of rows at once.  A product longer than every element is
+    outside the list.
+    """
+    flats, pad = join.shape
+    width = max(map(len, elements))
+    if (pad + 1) ** width >= 2 ** 63:
+        raise SizeGuardError(
+            f"{width} digits in base {pad + 1} overflow an int64 code")
+    vecs = numpy.array([list(e) + [pad] * (width - len(e)) for e in elements],
+                       dtype=numpy.int64)
+    size = len(vecs)
+    join = numpy.hstack([join, numpy.arange(flats)[:, None]])
+    length = (vecs != pad).sum(axis=1)
+    if chains:
+        keep = numpy.maximum(length - 1, 1)
+        start = vecs[numpy.arange(size), keep - 1]
+        steps = vecs[:, 1:]
+    else:
+        # the flat of a tuple: its letters joined into the bottom flat
+        keep = length
+        start = numpy.zeros(size, dtype=numpy.int64)
+        for x in vecs.T:
+            start = join[start, x]
+        steps = vecs
+    # one spare slot takes the writes past the longest element
+    prefix = numpy.full((size, width + 1), pad, dtype=numpy.int64)
+    prefix[:, :width] = numpy.where(
+        numpy.arange(width) < keep[:, None], vecs, pad)
+    powers = (pad + 1) ** numpy.arange(width - 1, -1, -1, dtype=numpy.int64)
+
+    def product_codes(lo, hi):
+        out = numpy.repeat(prefix[lo:hi, None, :], size, axis=1)
+        count = numpy.repeat(keep[lo:hi, None], size, axis=1)
+        flat = numpy.repeat(start[lo:hi, None], size, axis=1)
+        for x in steps.T:
+            joined = join[flat, x]
+            new = joined != flat
+            put = numpy.where(new, joined if chains else x, pad)
+            numpy.put_along_axis(out, numpy.minimum(count, width)[..., None],
+                                 put[..., None], axis=-1)
+            count += new
+            flat = joined
+        codes = out[..., :width] @ powers
+        return numpy.where(count > width, -1, codes)
+
+    return _id_rows(coded_products(vecs @ powers, keys, width + 1,
+                                   product_codes), size)
+
+
+def _flat_join(point_join, members):
+    """Flat join from the point join: join[f, g] folds the points
+    members[g] of flat g into flat f, for every f at once."""
+    out = numpy.empty((len(point_join), len(members)), dtype=numpy.int64)
+    for g, points in enumerate(members):
+        f = numpy.arange(len(point_join))
+        for x in points:
+            f = point_join[f, x]
+        out[:, g] = f
+    return out
 
 
 def free_lrb(n, guards=DEFAULT_GUARDS):
@@ -179,7 +303,8 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
         generators=[(x,) for x in universe],
         expected=_wrap_expected(expected, elements),
         family="free_lrb", meta={"n": n}, guards=guards)
-    return _braid_band(sg, _word_vector, n, guards)
+    return _tabulated(sg, guards, lambda: braid_table(
+        [_word_vector(o, n) for o in sg.objects], sg.keys))
 
 
 def _set_of(label):
@@ -264,7 +389,8 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
         (universe,), generators=generators,
         expected=_wrap_expected(expected, elements),
         family="ordered_partitions", meta={"n": n}, guards=guards)
-    return _braid_band(sg, _face_vector, n, guards)
+    return _tabulated(sg, guards, lambda: braid_table(
+        [_face_vector(o, n) for o in sg.objects], sg.keys))
 
 
 def free_lrb_bar(n, guards=DEFAULT_GUARDS):
@@ -306,7 +432,8 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
         (universe,), generators=generators,
         expected=_wrap_expected(expected, elements),
         family="free_lrb_bar", meta={"n": n}, guards=guards)
-    return _braid_band(sg, _face_vector, n, guards)
+    return _tabulated(sg, guards, lambda: braid_table(
+        [_face_vector(o, n) for o in sg.objects], sg.keys))
 
 
 # ------------------------------------------------------- vector spaces
@@ -337,6 +464,13 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
     if n < 1:
         raise MalformedInputError("q_free_lrb needs n >= 1")
     fld = fields.field(q)
+    if not reduced:
+        # the k-tuples number (q^n - 1)(q^n - q)...(q^n - q^(k-1))
+        count = tuples = 1
+        for i in range(n):
+            tuples *= q ** n - q ** i
+            count += tuples
+        _check_count(f"q_free_lrb({n},{q})", count, guards)
     nonzero = [v for v in fields.all_vectors(fld, n) if any(v)]
 
     if not reduced:
@@ -348,8 +482,6 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
             for v in nonzero:
                 if not fields.in_span(fld, basis, v):
                     stack.append((tup + (v,), fields.rref(fld, basis + (v,))))
-        if len(elements) > guards.elements_cap:
-            raise SizeGuardError("q_free_lrb too large")
         elements = sorted(elements)
 
         def mult(a, b):
@@ -370,11 +502,19 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
             label_of=lambda tup: _space_key(fields.rref(fld, tup)),
             leq=lambda a, b: _space_leq(fld, n, a, b),
         )
-        return Semigroup.from_objects(
+        sg = Semigroup.from_objects(
             f"q_free_lrb({n},{q})", elements, mult, key_of, (),
             generators=[(v,) for v in nonzero],
             expected=_wrap_expected(expected, elements),
             family="q_free_lrb", meta={"n": n, "q": q}, guards=guards)
+
+        def table():
+            letter = {v: x for x, v in enumerate(nonzero)}
+            return closure_table(
+                [[letter[v] for v in tup] for tup in elements], sg.keys,
+                _space_join(fld, spaces, nonzero), chains=False)
+
+        return _tabulated(sg, guards, table)
 
     # reduced: subspace chains
     spaces = fields.all_subspaces(fld, n)
@@ -416,12 +556,37 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
     gens = [((), ln, full) for ln in lines if ln != full]
     if n == 1:
         gens = []
-    return Semigroup.from_objects(
+    sg = Semigroup.from_objects(
         f"q_free_lrb_bar({n},{q})", elements, mult, _chain_key,
         ((), full) if n >= 1 else ((),),
         generators=gens,
         expected=_wrap_expected(expected, elements),
         family="q_free_lrb_bar", meta={"n": n, "q": q}, guards=guards)
+
+    def table():
+        space_id = {s: i for i, s in enumerate(spaces)}
+        letter = {v: x for x, v in enumerate(nonzero)}
+        join = _flat_join(_space_join(fld, spaces, nonzero),
+                          [[letter[v] for v in s] for s in spaces])
+        return closure_table(
+            [[space_id[s] for s in chain] for chain in elements], sg.keys,
+            join, chains=True)
+
+    return _tabulated(sg, guards, table)
+
+
+def _space_join(fld, spaces, points):
+    """Point join over subspaces listed by dimension: join[f, x] is the
+    id of the span of spaces[f] and the vector points[x]."""
+    space_id = {s: i for i, s in enumerate(spaces)}
+
+    def join(f, v):
+        s = spaces[f]
+        return f if fields.in_span(fld, s, v) else \
+            space_id[fields.rref(fld, s + (v,))]
+
+    return numpy.array([[join(f, v) for v in points]
+                        for f in range(len(spaces))], dtype=numpy.int64)
 
 
 def _space_leq(fld, n, label_a, label_b):
@@ -459,6 +624,12 @@ def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
 
 
 def _matroid_tuples(m, guards):
+    # each independent set I gives |I|! tuples
+    _check_count(f"matroid_lrb({m.kind},ordered-bases)",
+                 sum(factorial(r)
+                     for r in range(m.full_rank + 1)
+                     for s in itertools.combinations(range(m.n), r)
+                     if m.is_independent(s)), guards)
     elements = []
     stack = [()]
     while stack:
@@ -468,8 +639,6 @@ def _matroid_tuples(m, guards):
         for x in range(m.n):
             if x not in cl:
                 stack.append(tup + (x,))
-    if len(elements) > guards.elements_cap:
-        raise SizeGuardError("matroid_lrb too large")
     elements = sorted(elements)
 
     def mult(a, b):
@@ -491,12 +660,14 @@ def _matroid_tuples(m, guards):
     )
     nonloops = [x for x in range(m.n)
                 if m.is_independent(frozenset([x]))]
-    return Semigroup.from_objects(
+    sg = Semigroup.from_objects(
         f"matroid_lrb({m.kind},ordered-bases)", elements, mult, key_of, (),
         generators=[(x,) for x in nonloops],
         expected=_wrap_expected(expected, elements),
         family="matroid_lrb", meta={"matroid": m, "kind": "ordered-bases"},
         guards=guards)
+    return _tabulated(sg, guards, lambda: closure_table(
+        elements, sg.keys, _matroid_join(m), chains=False))
 
 
 def _flat_set(label):
@@ -551,13 +722,32 @@ def _matroid_flags(m, guards):
         leq=lambda a, b: _flat_set(a) <= _flat_set(b),
     )
     gens = [(bottom, f, top) for f in by_rank.get(1, ()) if f != top]
-    return Semigroup.from_objects(
+    sg = Semigroup.from_objects(
         f"matroid_lrb({m.kind},flag-chains)", elements, mult, key_of,
         (bottom, top) if bottom != top else (bottom,),
         generators=gens,
         expected=_wrap_expected(expected, elements),
         family="matroid_flags", meta={"matroid": m, "kind": "flag-chains"},
         guards=guards)
+
+    def table():
+        flat_id = {f: i for i, f in enumerate(flats)}
+        join = _flat_join(_matroid_join(m), [sorted(f) for f in flats])
+        return closure_table(
+            [[flat_id[f] for f in chain] for chain in elements], sg.keys,
+            join, chains=True)
+
+    return _tabulated(sg, guards, table)
+
+
+def _matroid_join(m):
+    """Point join over the flats of m, bottom first: join[f, x] is the
+    id of the closure of flat f and element x."""
+    flats = m.flats()
+    flat_id = {f: i for i, f in enumerate(flats)}
+    return numpy.array(
+        [[i if x in f else flat_id[m.closure(f | {x})] for x in range(m.n)]
+         for i, f in enumerate(flats)], dtype=numpy.int64)
 
 
 # ------------------------------------------- distributive chain bands

@@ -13,11 +13,13 @@ all pairs, so a handle that is not an LRB is rejected with a witness.
 
 Elements are addressed by integer ids into a list of canonical string
 keys.  Products come from a dense Cayley table of ids when one exists
-and from a memoized per-pair rule otherwise.  The braid-arrangement
-constructions fill their table with an integer kernel at build time
-(see `constructions`); every other table is filled pair by pair from
-the rule, by `tabulate`, which `verify_lrb` calls whenever it will
-sweep associativity exhaustively.
+and from a memoized per-pair rule otherwise.  The braid-arrangement,
+q-analogue and matroid constructions fill their table at build time
+with the integer braid and closure kernels (see `constructions`).
+The distributive chain bands fill theirs pair by pair from the rule,
+by `tabulate`, which `verify_lrb` calls whenever it will sweep
+associativity exhaustively; above table_cap every band multiplies
+through the rule.
 """
 
 import random

@@ -216,29 +216,6 @@ class InvariantElement:
     n: int
     sigma: dict
 
-    def tau(self):
-        """Coefficients on the tau basis: t_K = sum of s_J over J >= K."""
-        out = {}
-        for k in _subsets(range(1, self.n)):
-            kk = set(k)
-            t = sum(v for j_set, v in self.sigma.items()
-                    if kk <= set(j_set))
-            if t:
-                out[k] = t
-        return out
-
-
-def sigma_element(n, j_set):
-    return InvariantElement(n, {tuple(sorted(j_set)): Fraction(1)})
-
-
-def tau_element(n, j_set):
-    j_set = tuple(sorted(j_set))
-    sigma = {}
-    for k in _subsets(j_set):
-        sigma[k] = Fraction((-1) ** (len(j_set) - len(k)))
-    return InvariantElement(n, sigma)
-
 
 def to_chamber_element(cx, a):
     """Expand sigma coordinates into semigroup-algebra coefficients."""
@@ -423,12 +400,22 @@ class _SymmetricGroupTable:
         self.index = {w: i for i, w in enumerate(self.perms)}
         self.descents = numpy.array(
             [type_mask(descent_set(w)) for w in self.perms])
+        # a permutation is coded by its values 0..n-1 as base-n digits;
+        # digit k of compose(u, v) is u at v[k], for every v at once
+        perms = numpy.array(self.perms, dtype=numpy.int64) - 1
+        powers = n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
+
+        def product_codes(lo, hi):
+            return sum(perms[lo:hi, perms[:, k]] * powers[k]
+                       for k in range(n))
+
         m = len(self.perms)
         self.comp = numpy.empty((m, m), dtype=numpy.int32)
-        for i, u in enumerate(self.perms):
-            row = self.comp[i]
-            for j, v in enumerate(self.perms):
-                row[j] = self.index[compose(u, v)]
+        lo = 0
+        for block in constructions.coded_products(
+                perms @ powers, self.perms, n, product_codes):
+            self.comp[lo:lo + len(block)] = block
+            lo += len(block)
 
     def descent_rows(self):
         """(u, z), integer matrices with one row per type mask J: row J

@@ -24,6 +24,38 @@ BRAID = {
 # no dense table: every product goes through the object rule
 RULE_ONLY = replace(DEFAULT_GUARDS, table_cap=0)
 
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _closure_bands():
+    """The bands tabulated by the closure kernel, as guards -> band."""
+    bands = {}
+    for n, q in [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4), (2, 5)]:
+        for reduced in (False, True):
+            bands[f"q_free({n},{q}){'-reduced' * reduced}"] = (
+                lambda g, n=n, q=q, r=reduced:
+                constructions.q_free_lrb(n, q, r, g))
+    matroids = {
+        "K4": lambda: matroid.Matroid.from_graph(K4_EDGES),
+        "U(2,4)": lambda: matroid.Matroid.uniform(2, 4),
+        "U(3,5)": lambda: matroid.Matroid.uniform(3, 5),
+        "free(3)": lambda: matroid.Matroid.free(3),
+        # a loop and a parallel pair
+        "GF(2)-loopy": lambda: matroid.build_matroid({
+            "kind": "vectors", "q": 2,
+            "columns": [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0],
+                        [1, 1, 0], [0, 0, 1]]}),
+    }
+    for name, build in matroids.items():
+        for kind in ("ordered-bases", "flag-chains"):
+            bands[f"{name}-{kind}"] = (
+                lambda g, build=build, kind=kind:
+                constructions.matroid_lrb(build(), kind, g))
+    return bands
+
+
+CLOSURE = _closure_bands()
+
 
 def _shape(sg):
     st = core.derive_support(sg)
@@ -237,7 +269,7 @@ def test_braid_kernel_product_matches_the_object_rule(family, n, data):
 def test_braid_table_is_independent_of_the_chunk_size(monkeypatch):
     sg = constructions.ordered_partitions(3)
     vectors = [constructions._face_vector(p, 3) for p in sg.objects]
-    monkeypatch.setattr(constructions, "BRAID_CHUNK", 7)
+    monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
     assert constructions.braid_table(vectors, sg.keys) == sg.table
 
 
@@ -248,3 +280,65 @@ def test_braid_table_rejects_products_outside_the_list():
     vectors = [constructions._word_vector(sg.objects[i], 2) for i in keep]
     with pytest.raises(MalformedInputError, match="leaves the element"):
         constructions.braid_table(vectors, [sg.keys[i] for i in keep])
+
+
+# q_free(2,5) has 505 elements, so its rule table takes seconds; the
+# hypothesis test below samples it instead
+@pytest.mark.parametrize("name", [k for k in CLOSURE if k != "q_free(2,5)"])
+def test_closure_kernel_table_matches_the_object_rule(name):
+    sg = CLOSURE[name](DEFAULT_GUARDS)
+    ref = CLOSURE[name](RULE_ONLY)
+    assert sg.table is not None and ref.table is None
+    assert sg.keys == ref.keys
+    size = sg.size
+    assert sg.table == [[ref.product(i, j) for j in range(size)]
+                        for i in range(size)]
+
+
+_q25 = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.data())
+def test_closure_kernel_product_matches_the_object_rule(data):
+    if not _q25:
+        _q25.update(kernel=constructions.q_free_lrb(2, 5),
+                    rule=constructions.q_free_lrb(2, 5, False, RULE_ONLY))
+    sg, ref = _q25["kernel"], _q25["rule"]
+    assert sg.size == 505
+    i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
+    assert sg.table[i][j] == ref.product(i, j)
+
+
+@pytest.mark.parametrize("name", ["q_free(2,3)", "q_free(3,2)-reduced",
+                                  "K4-ordered-bases", "K4-flag-chains"])
+def test_closure_table_is_independent_of_the_chunk_size(monkeypatch, name):
+    want = CLOSURE[name](DEFAULT_GUARDS).table
+    monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
+    assert CLOSURE[name](DEFAULT_GUARDS).table == want
+
+
+def test_closure_table_rejects_products_outside_the_list():
+    # the free matroid on {0, 1}: flats {}, {0}, {1}, {0,1}; the tuples
+    # without 1,0, which is the product of 1 by 0
+    join = numpy.array([[1, 2], [1, 3], [3, 2], [3, 3]])
+    tuples = [(), (0,), (1,), (0, 1)]
+    keys = [str(t) for t in tuples]
+    assert constructions.closure_table(tuples + [(1, 0)], keys + ["1,0"],
+                                       join, chains=False)[2][1] == 4
+    with pytest.raises(MalformedInputError, match=r"\(1,\) \* \(0,\)"):
+        constructions.closure_table(tuples, keys, join, chains=False)
+    # without both chambers the product 0,1 is longer than every element
+    with pytest.raises(MalformedInputError, match=r"\(0,\) \* \(1,\)"):
+        constructions.closure_table(tuples[:3], keys[:3], join, chains=False)
+
+
+def test_oversized_closure_bands_are_refused_before_enumerating():
+    # 10,651,322 tuples and about 1.3e9 ordered independent tuples; the
+    # free matroid skips its axiom sweep, which alone takes seconds
+    with pytest.raises(SizeGuardError, match="10651322 elements"):
+        constructions.q_free_lrb(5, 2)
+    free12 = matroid.Matroid([str(x) for x in range(12)], lambda s: True,
+                             check=False)
+    with pytest.raises(SizeGuardError, match="above the cap"):
+        constructions.matroid_lrb(free12, "ordered-bases")

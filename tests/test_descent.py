@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import derangement, descent, spectral
+from bandwalk import constructions, derangement, descent, spectral
 from bandwalk.errors import (FalsificationError, MalformedInputError,
                              PreconditionError)
 
@@ -100,14 +100,12 @@ def test_beta_equals_h_and_counts_descent_classes():
 def test_invariant_elements_and_products():
     n = 3
     cx = descent.coxeter_complex(n)
-    s = descent.sigma_element(n, (1,))
+    s = descent.InvariantElement(n, {(1,): F(1)})
     assert s.n == n
     chamber_form = descent.to_chamber_element(cx, s)
     assert sum(chamber_form.values()) == len(cx.type_classes[(1,)])
     round_trip = descent.invariant_from_coeffs(cx, chamber_form)
     assert round_trip.sigma == s.sigma
-    # tau coordinates sum sigma over supersets
-    assert descent.tau_element(n, ()).tau() == {(): F(1)}
     with pytest.raises(PreconditionError):
         descent.invariant_from_coeffs(cx, {cx.fundamental: F(1)})
 
@@ -247,3 +245,12 @@ def test_group_convolution_composes_as_functions():
     # product places u after v: (u o v)(i) = u(v(i))
     want = group.vector({descent.compose((2, 1, 3), (1, 3, 2)): 1})
     assert numpy.array_equal(group.convolve(a, b), want)
+
+
+@pytest.mark.parametrize("chunk", [7, constructions.TABLE_CHUNK])
+def test_composition_table_composes_every_pair(monkeypatch, chunk):
+    monkeypatch.setattr(constructions, "TABLE_CHUNK", chunk)
+    group = descent._SymmetricGroupTable(4)
+    for i, u in enumerate(group.perms):
+        for j, v in enumerate(group.perms):
+            assert group.comp[i, j] == group.index[descent.compose(u, v)]
