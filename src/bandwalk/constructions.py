@@ -471,6 +471,15 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
             tuples *= q ** n - q ** i
             count += tuples
         _check_count(f"q_free_lrb({n},{q})", count, guards)
+    else:
+        # a chain with i proper steps before V is a flag of i lines in
+        # successive quotients, [n][n-1]...[n-i+1] of them, where
+        # [m] = (q^m - 1)/(q - 1) counts the lines of a space of dim m
+        count, flags = 0, 1
+        for i in range(n):
+            count += flags          # the chains with i proper steps
+            flags *= (q ** (n - i) - 1) // (q - 1)
+        _check_count(f"q_free_lrb_bar({n},{q})", count, guards)
     nonzero = [v for v in fields.all_vectors(fld, n) if any(v)]
 
     if not reduced:
@@ -479,6 +488,8 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
         while stack:
             tup, basis = stack.pop()
             elements.append(tup)
+            if len(basis) == n:
+                continue            # a chamber: no vector leaves its span
             for v in nonzero:
                 if not fields.in_span(fld, basis, v):
                     stack.append((tup + (v,), fields.rref(fld, basis + (v,))))
@@ -684,6 +695,14 @@ def _matroid_flags(m, guards):
         by_rank.setdefault(rank_of[f], []).append(f)
     bottom = by_rank[0][0]
     top = by_rank[r][0]
+    # an element is a chain bottom < X_1 < ... < X_k with rank X_i = i
+    # below the top, closed by the top; chains[f] counts those ending at f
+    chains = {bottom: 1}
+    for k in range(1, r):
+        for f in by_rank[k]:
+            chains[f] = sum(chains[g] for g in by_rank[k - 1] if g <= f)
+    _check_count(f"matroid_lrb({m.kind},flag-chains)",
+                 sum(chains.values()), guards)
     elements = []
 
     def extend(chain, k):

@@ -7,7 +7,6 @@ independent) or as uniform matroids U_{k,m}.
 """
 
 import itertools
-from functools import lru_cache
 
 from . import fields
 from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
@@ -31,6 +30,7 @@ class Matroid:
         self.kind = kind
         self._indep_fn = indep
         self._cache = {}
+        self._flats = None
         if check:
             self._check_axioms()
         self.full_rank = self.rank(frozenset(range(self.n)))
@@ -44,30 +44,49 @@ class Matroid:
         return got
 
     def _check_axioms(self):
+        """Downward closure, then submodularity of the rank r(X), the
+        largest size of an independent subset of X.  A hereditary family
+        is the independent sets of a matroid exactly when r is
+        submodular, and as r rises by at most one per element it is
+        enough that r(X+a) + r(X+b) >= r(X+a+b) + r(X) for every X and
+        a, b outside X.  Subsets are bitmasks; r(X) is |X| when X is
+        independent and the largest r(X-x) otherwise.  An exchange
+        failure is reported as a pair of independent sets I, J with
+        |J| = |I| + 1 and no x of J - I making I + x independent.
+        """
         if not self.is_independent(frozenset()):
             raise AxiomViolationError("empty set is not independent")
-        universe = list(range(self.n))
-        indep_sets = [frozenset(c)
-                      for r in range(self.n + 1)
-                      for c in itertools.combinations(universe, r)
-                      if self.is_independent(frozenset(c))]
-        indep = set(indep_sets)
-        for a in indep_sets:
-            for x in a:
-                if a - {x} not in indep:
-                    raise AxiomViolationError(
-                        "independence is not downward closed",
-                        witness=(sorted(a), x))
-        by_size = {}
-        for a in indep_sets:
-            by_size.setdefault(len(a), []).append(a)
-        for i in indep_sets:
-            bigger = by_size.get(len(i) + 1, ())
-            for j in bigger:
-                if not any(i | {x} in indep for x in j - i):
+        n = self.n
+        bits = [1 << x for x in range(n)]
+        rank = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            members = [x for x in range(n) if mask & bits[x]]
+            below = [rank[mask ^ bits[x]] for x in members]
+            if not self.is_independent(frozenset(members)):
+                rank[mask] = max(below)
+            elif min(below) < len(members) - 1:
+                raise AxiomViolationError(
+                    "independence is not downward closed",
+                    witness=(members, members[below.index(min(below))]))
+            else:
+                rank[mask] = len(members)
+
+        def independent_part(mask):
+            # drop elements that keep the rank until the set is independent
+            while rank[mask] < bin(mask).count("1"):
+                mask = next(mask ^ b for b in bits
+                            if mask & b and rank[mask ^ b] == rank[mask])
+            return [x for x in range(n) if mask & bits[x]]
+
+        for a, b in itertools.combinations(bits, 2):
+            for x in range(1 << n):
+                if not x & (a | b) and \
+                        rank[x | a] + rank[x | b] < rank[x | a | b] + rank[x]:
+                    # r(X) = r(X+a) = r(X+b) = r(X+a+b) - 1
                     raise AxiomViolationError(
                         "exchange axiom fails",
-                        witness=(sorted(i), sorted(j)))
+                        witness=(independent_part(x),
+                                 independent_part(x | a | b)))
 
     def rank(self, subset):
         r = 0
@@ -84,9 +103,11 @@ class Matroid:
         return frozenset(x for x in range(self.n)
                          if self.rank(subset | {x}) == r)
 
-    @lru_cache(maxsize=None)
     def flats(self):
-        """All flats, sorted by (rank, labels)."""
+        """All flats, sorted by (rank, labels); computed once and kept
+        on the instance, so that the matroid can still be freed."""
+        if self._flats is not None:
+            return self._flats
         seen = {self.closure(frozenset())}
         frontier = list(seen)
         while frontier:
@@ -99,7 +120,8 @@ class Matroid:
                             seen.add(g)
                             nxt.append(g)
             frontier = nxt
-        return sorted(seen, key=lambda f: (self.rank(f), sorted(f)))
+        self._flats = sorted(seen, key=lambda f: (self.rank(f), sorted(f)))
+        return self._flats
 
     def flat_label(self, flat):
         return "{" + ",".join(self.ground[i] for i in sorted(flat)) + "}"

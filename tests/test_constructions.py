@@ -1,6 +1,7 @@
 """Element, flat, and chamber counts of every construction against
 closed forms, plus malformed-spec and guard behaviour."""
 
+import itertools
 from dataclasses import replace
 
 import numpy
@@ -9,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bandwalk import constructions, core, descent, matroid
-from bandwalk.errors import MalformedInputError, SizeGuardError
+from bandwalk.errors import (
+    AxiomViolationError,
+    MalformedInputError,
+    SizeGuardError,
+)
 from bandwalk.guards import DEFAULT_GUARDS
 
 # the braid families with the vector encoding of their elements
@@ -224,6 +229,49 @@ def test_matroid_interface():
     assert len(fano.flats()) == 16
 
 
+def test_non_matroids_are_rejected_with_a_witness():
+    # {a} cannot be grown from {b, c}
+    with pytest.raises(AxiomViolationError, match="exchange") as err:
+        matroid.Matroid.from_independent_sets(
+            "abc", [[], ["a"], ["b"], ["c"], ["b", "c"]])
+    assert err.value.witness == ([0], [1, 2])
+    with pytest.raises(AxiomViolationError, match="downward closed") as err:
+        matroid.Matroid.from_independent_sets("ab", [[], ["a", "b"]])
+    assert err.value.witness in (([0, 1], 0), ([0, 1], 1))
+
+
+def _exchange_holds(family):
+    return all(any(i | {x} in family for x in j - i)
+               for i in family for j in family if len(j) == len(i) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.data())
+def test_matroid_check_agrees_with_the_exchange_axiom(data):
+    n = data.draw(hs.integers(0, 5))
+    sets = data.draw(hs.lists(hs.frozensets(hs.integers(0, n - 1)
+                                            if n else hs.nothing()),
+                              max_size=5))
+    family = {frozenset()} | set(sets)
+    if data.draw(hs.booleans()):        # make it hereditary
+        family = {frozenset(c) for s in family for r in range(len(s) + 1)
+                  for c in itertools.combinations(sorted(s), r)}
+    hereditary = all(s - {x} in family for s in family for x in s)
+    try:
+        matroid.Matroid([str(x) for x in range(n)], family.__contains__)
+    except AxiomViolationError as err:
+        if hereditary:
+            i, j = map(frozenset, err.witness)
+            assert {i, j} <= family and len(j) == len(i) + 1
+            assert not any(i | {x} in family for x in j - i)
+        else:
+            s, x = err.witness
+            assert frozenset(s) in family and frozenset(s) - {x} not in family
+        assert not (hereditary and _exchange_holds(family))
+    else:
+        assert hereditary and _exchange_holds(family)
+
+
 def test_matroid_spec_rejects_garbage():
     with pytest.raises(MalformedInputError):
         matroid.build_matroid({"kind": "mystery"})
@@ -334,11 +382,24 @@ def test_closure_table_rejects_products_outside_the_list():
 
 
 def test_oversized_closure_bands_are_refused_before_enumerating():
-    # 10,651,322 tuples and about 1.3e9 ordered independent tuples; the
-    # free matroid skips its axiom sweep, which alone takes seconds
+    # 10,651,322 tuples, 851,572 chains of subspaces of GF(2)^6, about
+    # 1.3e9 ordered independent tuples and 69,281 flag chains of B_8
     with pytest.raises(SizeGuardError, match="10651322 elements"):
         constructions.q_free_lrb(5, 2)
-    free12 = matroid.Matroid([str(x) for x in range(12)], lambda s: True,
-                             check=False)
+    with pytest.raises(SizeGuardError, match="851572 elements"):
+        constructions.q_free_lrb(6, 2, reduced=True)
     with pytest.raises(SizeGuardError, match="above the cap"):
-        constructions.matroid_lrb(free12, "ordered-bases")
+        constructions.matroid_lrb(matroid.Matroid.free(12), "ordered-bases")
+    with pytest.raises(SizeGuardError, match="69281 elements"):
+        constructions.matroid_lrb(matroid.Matroid.free(8), "flag-chains")
+
+
+@pytest.mark.parametrize("name", [k for k in CLOSURE
+                                  if k.endswith(("-reduced", "flag-chains"))])
+def test_chain_counts_equal_the_enumerated_bands(name):
+    # refused by the count, before enumeration, exactly one below |S|
+    size = CLOSURE[name](DEFAULT_GUARDS).size
+    assert CLOSURE[name](replace(DEFAULT_GUARDS, elements_cap=size)).size \
+        == size
+    with pytest.raises(SizeGuardError, match=f"has {size} elements"):
+        CLOSURE[name](replace(DEFAULT_GUARDS, elements_cap=size - 1))

@@ -24,6 +24,7 @@ def test_every_default_table_band_is_swept_exhaustively(build):
     sg = build(5)
     rep = core.verify_lrb(sg)
     assert rep.ok and rep.assoc_mode == "exhaustive"
+    assert sg.size in (326, 541)
     assert rep.checked_triples == sg.size ** 3
 
 
@@ -43,6 +44,32 @@ def test_associativity_sweep_finds_a_real_witness(x, y, value):
     got = core._assoc_exhaustive(t)
     assert (got is None) == (not bad)
     assert got is None or got in bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.data())
+def test_light_test_agrees_with_every_triple_on_random_magmas(data):
+    n = data.draw(hs.integers(1, 5))
+    ids = hs.integers(0, n - 1)
+    t = data.draw(hs.lists(hs.lists(ids, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    hint = data.draw(hs.lists(ids, max_size=4))
+    bad = _assoc_witnesses(t)
+    got = core._assoc_exhaustive(t, hint)
+    assert (got is None) == (not bad)
+    assert got is None or got in bad
+
+
+@pytest.mark.parametrize("hint", [[], [0], [1]])
+def test_generators_that_do_not_reach_the_band_still_decide(hint):
+    # the identity and the letter 1 each reach only themselves
+    t = [list(row) for row in constructions.free_lrb(3).table]
+    assert core._assoc_exhaustive(t, hint) is None
+    # 1 * (2,3) = 1,3,2 fails only on triples with middle 2 or 2,3
+    t[1][7] = 11
+    bad = _assoc_witnesses(t)
+    assert {a for _, a, _ in bad} == {2, 7}
+    assert core._assoc_exhaustive(t, hint) in bad
 
 
 def test_idempotence_violation_is_reported_with_witness():
