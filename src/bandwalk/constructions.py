@@ -696,13 +696,21 @@ def _matroid_flags(m, guards):
     bottom = by_rank[0][0]
     top = by_rank[r][0]
     # an element is a chain bottom < X_1 < ... < X_k with rank X_i = i
-    # below the top, closed by the top; chains[f] counts those ending at f
-    chains = {bottom: 1}
+    # below the top, closed by the top; chains[i] counts those ending at
+    # the i-th flat of rank k, found by containment of flat bitmasks
+    def masks(k):
+        return numpy.array([sum(1 << x for x in f) for f in by_rank[k]],
+                           dtype=numpy.int64)
+
+    chains = numpy.ones(1, dtype=numpy.int64)
+    count = 1
+    below = masks(0)
     for k in range(1, r):
-        for f in by_rank[k]:
-            chains[f] = sum(chains[g] for g in by_rank[k - 1] if g <= f)
-    _check_count(f"matroid_lrb({m.kind},flag-chains)",
-                 sum(chains.values()), guards)
+        above = masks(k)
+        chains = chains @ ((below[:, None] & above) == below[:, None])
+        count += int(chains.sum())
+        below = above
+    _check_count(f"matroid_lrb({m.kind},flag-chains)", count, guards)
     elements = []
 
     def extend(chain, k):

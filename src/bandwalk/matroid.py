@@ -13,6 +13,14 @@ from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
 from .guards import DEFAULT_GUARDS
 
 
+def _mask(subset):
+    """The bitmask of a set of ground ids."""
+    mask = 0
+    for x in subset:
+        mask |= 1 << x
+    return mask
+
+
 class Matroid:
     """ground: canonical labels of the ground set (ids 0..n-1),
     indep: callable frozenset[int] -> bool, cached per subset."""
@@ -30,6 +38,7 @@ class Matroid:
         self.kind = kind
         self._indep_fn = indep
         self._cache = {}
+        self._rank = None
         self._flats = None
         if check:
             self._check_axioms()
@@ -43,19 +52,14 @@ class Matroid:
             self._cache[subset] = got
         return got
 
-    def _check_axioms(self):
-        """Downward closure, then submodularity of the rank r(X), the
-        largest size of an independent subset of X.  A hereditary family
-        is the independent sets of a matroid exactly when r is
-        submodular, and as r rises by at most one per element it is
-        enough that r(X+a) + r(X+b) >= r(X+a+b) + r(X) for every X and
-        a, b outside X.  Subsets are bitmasks; r(X) is |X| when X is
-        independent and the largest r(X-x) otherwise.  An exchange
-        failure is reported as a pair of independent sets I, J with
-        |J| = |I| + 1 and no x of J - I making I + x independent.
-        """
-        if not self.is_independent(frozenset()):
-            raise AxiomViolationError("empty set is not independent")
+    def _ranks(self):
+        """r(X), the largest size of an independent subset of X, for
+        every subset X as a bitmask; computed once and kept.  r(X) is |X|
+        when X is independent and the largest r(X-x) otherwise, and an
+        independent X with a dependent X-x is reported as a failure of
+        downward closure."""
+        if self._rank is not None:
+            return self._rank
         n = self.n
         bits = [1 << x for x in range(n)]
         rank = [0] * (1 << n)
@@ -70,6 +74,23 @@ class Matroid:
                     witness=(members, members[below.index(min(below))]))
             else:
                 rank[mask] = len(members)
+        self._rank = rank
+        return rank
+
+    def _check_axioms(self):
+        """Downward closure (checked by `_ranks`), then submodularity of
+        the rank.  A hereditary family is the independent sets of a
+        matroid exactly when r is submodular, and as r rises by at most
+        one per element it is enough that r(X+a) + r(X+b) >= r(X+a+b) +
+        r(X) for every X and a, b outside X.  An exchange failure is
+        reported as a pair of independent sets I, J with |J| = |I| + 1
+        and no x of J - I making I + x independent.
+        """
+        if not self.is_independent(frozenset()):
+            raise AxiomViolationError("empty set is not independent")
+        n = self.n
+        bits = [1 << x for x in range(n)]
+        rank = self._ranks()
 
         def independent_part(mask):
             # drop elements that keep the rank until the set is independent
@@ -89,38 +110,33 @@ class Matroid:
                                  independent_part(x | a | b)))
 
     def rank(self, subset):
-        r = 0
-        acc = frozenset()
-        for x in sorted(subset):
-            if self.is_independent(acc | {x}):
-                acc = acc | {x}
-                r += 1
-        return r
+        return self._ranks()[_mask(subset)]
 
     def closure(self, subset):
-        subset = frozenset(subset)
-        r = self.rank(subset)
+        rank = self._ranks()
+        mask = _mask(subset)
+        r = rank[mask]
         return frozenset(x for x in range(self.n)
-                         if self.rank(subset | {x}) == r)
+                         if rank[mask | 1 << x] == r)
 
     def flats(self):
         """All flats, sorted by (rank, labels); computed once and kept
-        on the instance, so that the matroid can still be freed."""
+        on the instance, so that the matroid can still be freed.
+
+        Read off the rank table: a set F is a flat when adding any x
+        outside F raises its rank.
+        """
         if self._flats is not None:
             return self._flats
-        seen = {self.closure(frozenset())}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for x in range(self.n):
-                    if x not in f:
-                        g = self.closure(f | {x})
-                        if g not in seen:
-                            seen.add(g)
-                            nxt.append(g)
-            frontier = nxt
-        self._flats = sorted(seen, key=lambda f: (self.rank(f), sorted(f)))
+        rank = self._ranks()
+        n = self.n
+        bits = [1 << x for x in range(n)]
+        found = []
+        for mask, r in enumerate(rank):
+            if all(rank[mask | b] > r for b in bits if not mask & b):
+                found.append((r, [x for x in range(n) if mask & bits[x]]))
+        found.sort()
+        self._flats = [frozenset(members) for _, members in found]
         return self._flats
 
     def flat_label(self, flat):

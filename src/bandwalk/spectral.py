@@ -10,7 +10,7 @@ of P - lambda I per distinct eigenvalue.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -106,6 +106,9 @@ class TransitionMatrix:
     chamber_keys: list
     chamber_ids: list
     rows: list
+    # (D, per row the (column, integer) pairs of its nonzero cells), with
+    # rows[i][j] = integer / D; see sparse_rows
+    sparse: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
@@ -114,25 +117,51 @@ class TransitionMatrix:
     def row_sums(self):
         return [sum(r, Fraction(0)) for r in self.rows]
 
+    def sparse_rows(self):
+        """(D, cells): cells[i] lists (j, D P(i, j)) over the nonzero
+        P(i, j), as integers; derived from the rows by `linalg.scaled`
+        when the matrix was not built with them."""
+        if self.sparse is None:
+            den, ints = linalg.scaled(self.rows)
+            self.sparse = (den, [[(j, a) for j, a in enumerate(r) if a]
+                                 for r in ints])
+        return self.sparse
+
 
 def transition_matrix(structure, w):
-    """P(c, d) = sum of w_x over x with xc = d, exact."""
+    """P(c, d) = sum of w_x over x with xc = d, exact.
+
+    The weights are scaled once to integers over a common denominator D,
+    and each row sums the integer weights of its cells sparsely; a row
+    has at most |supp w| nonzero cells, and only those become Fractions.
+    """
     sg = structure.semigroup
     chambers = structure.chambers
     if not chambers:
         raise MalformedInputError("no chambers")
     pos = {c: i for i, c in enumerate(chambers)}
     prod = sg.product
-    rows = [[Fraction(0)] * len(chambers) for _ in chambers]
-    for x, wx in w.items():
-        for ci, c in enumerate(chambers):
-            rows[ci][pos[prod(x, c)]] += wx
-    total = w.total
-    for r in rows:
-        if sum(r, Fraction(0)) != total:
+    xs = w.support_ids()
+    den, (nums,) = linalg.scaled([[w[x] for x in xs]])
+    total = sum(nums)
+    zero = Fraction(0)
+    rows = []
+    cells = []
+    for c in chambers:
+        acc = {}
+        for x, a in zip(xs, nums):
+            d = pos[prod(x, c)]
+            acc[d] = acc.get(d, 0) + a
+        if sum(acc.values()) != total:
             raise FalsificationError("row sum drifted from total weight")
+        row = [zero] * len(chambers)
+        nonzero = [(d, a) for d, a in acc.items() if a]
+        for d, a in nonzero:
+            row[d] = Fraction(a, den)
+        rows.append(row)
+        cells.append(nonzero)
     return TransitionMatrix([sg.keys[c] for c in chambers],
-                            list(chambers), rows)
+                            list(chambers), rows, (den, cells))
 
 
 # ------------------------------------------------------------ spectra

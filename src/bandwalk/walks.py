@@ -11,15 +11,19 @@ draw-until-top loop.
 
 Exact paths (stationary solve, matrix powers, total variation, the
 coatom bound) do their matrix work on integer rows, scaled once by
-`linalg.scaled`, and return Fractions; empirical paths use the seeded
-standard generator and report floats.
+`linalg.scaled`, and return Fractions.  Empirical paths replay the
+seeded standard generator in blocks: `_draw_blocks` rebuilds its
+`random()` stream, double for double, from `getrandbits` words and
+draws a whole block of elements with one sorted search, so every
+sampled artifact is the one a draw-at-a-time loop would give.  They
+report floats.
 """
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+
+import numpy as np
 
 from . import linalg
 from .errors import (
@@ -46,8 +50,23 @@ class WalkTrajectory:
         return self.steps[-1][1] if self.steps else self.start
 
 
-def _sampler(w, rng):
-    """Draws from w by inverse CDF, one rng.random() per draw."""
+# draws per block of the sampler stream
+DRAW_BLOCK = 4096
+
+
+def _draw_blocks(w, seed):
+    """Element ids drawn from w by inverse CDF, as an endless stream of
+    int64 arrays of DRAW_BLOCK draws each.
+
+    Draw k is ids[bisect_left(cum, u_k * acc)], with cum the float
+    running sums of w, acc their total and u_k the k-th rng.random() of
+    random.Random(seed).  A block takes 64 bits per draw from that
+    generator with one getrandbits call, whose integer holds the 32-bit
+    Mersenne Twister outputs in order from its low end, and rebuilds
+    each double as random() does, ((a >> 5) 2^26 + (b >> 6)) / 2^53
+    from two consecutive words a, b.  The weights are checked at the
+    call, and nothing is drawn before the first block is asked for.
+    """
     ids = w.support_ids()
     if any(w[i] < 0 for i in ids):
         raise PreconditionError("cannot sample from negative weights")
@@ -56,12 +75,22 @@ def _sampler(w, rng):
     for i in ids:
         acc += float(w[i])
         cum.append(acc)
+    ids = np.array(ids, dtype=np.int64)
+    cum = np.array(cum)
+    rng = random.Random(seed)
 
-    # rng.random() < 1, so the scaled point never passes cum[-1] == acc
-    def draw():
-        return ids[bisect_left(cum, rng.random() * acc)]
+    def blocks():
+        nbytes = 8 * DRAW_BLOCK
+        while True:
+            words = np.frombuffer(
+                rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little"),
+                dtype="<u4")
+            u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
+                * (1.0 / 9007199254740992.0)
+            # u < 1, so the scaled point never passes cum[-1] == acc
+            yield ids[np.searchsorted(cum, u * acc, side="left")]
 
-    return draw
+    return blocks()
 
 
 def simulate(structure, w, c0, steps, seed):
@@ -71,15 +100,14 @@ def simulate(structure, w, c0, steps, seed):
         raise MalformedInputError(f"start {c0} is not a chamber")
     if steps < 0:
         raise MalformedInputError(f"negative step count {steps}")
-    rng = random.Random(seed)
-    draw = _sampler(w, rng)
+    draws = _draw_blocks(w, seed)
     prod = sg.product
     out = []
     cur = c0
-    for _ in range(steps):
-        x = draw()
-        cur = prod(x, cur)
-        out.append((x, cur))
+    while len(out) < steps:
+        for x in next(draws)[:steps - len(out)].tolist():
+            cur = prod(x, cur)
+            out.append((x, cur))
     return WalkTrajectory(c0, seed, out)
 
 
@@ -111,10 +139,12 @@ def stationary_exact(P):
     of P; a kernel of dimension other than one is reported, which is
     the symptom of a walk whose weights do not reach every chamber.
     """
-    den, rows = linalg.scaled(P.rows)
-    tr = [list(col) for col in zip(*rows)]
-    for i, r in enumerate(tr):
-        r[i] -= den
+    den, cells = P.sparse_rows()
+    tr = [[0] * P.size for _ in cells]
+    for i, row in enumerate(cells):
+        for j, a in row:
+            tr[j][i] = a
+        tr[i][i] -= den
     basis = linalg.kernel_basis(tr)
     if len(basis) != 1:
         raise NonUniqueStationaryError(
@@ -138,37 +168,58 @@ def _sample_until_top(structure, w, seed, samples, guards):
     a sample lands on the product x1 .. xT of its draws.  A draw whose
     support lies below the running join is absorbed (xy = x when
     supp y <= supp x), so only the draws that raise the support are
-    multiplied in.
+    multiplied in.  The samples run back to back through one loop over
+    the blocks of `_draw_blocks`, with the supports of a block looked up
+    at once and the join row of the current flat kept at hand.  A
+    sample still short of the top after `sample_step_cap` draws raises
+    StagnationError; a band whose bottom flat is its top has T = 0 for
+    every sample and draws nothing.
     """
     if samples < 1:
         raise MalformedInputError(f"need at least one sample, got {samples}")
     sg = structure.semigroup
     prod = sg.product
-    supp = structure.supp
+    table = sg.table
+    supp = np.array(structure.supp, dtype=np.int64)
     join = structure.join
     bottom = structure.bottom
     top = structure.top
-    draw = _sampler(w, random.Random(seed))
+    draws = _draw_blocks(w, seed)      # checks the weights, drawing nothing
+    if bottom == top:
+        return {0: samples}, {sg.identity: samples}
     cap = guards.sample_step_cap
     times = {}
     landed = {}
-    for _ in range(samples):
-        acc = sg.identity
-        flat = bottom
-        t = 0
-        while flat != top:
-            x = draw()
+    left = samples
+    acc = sg.identity
+    flat = bottom
+    row = join[bottom]
+    t = 0
+    while left:
+        block = next(draws)
+        for x, s in zip(block.tolist(), supp[block].tolist()):
             t += 1
-            if t > cap:
-                raise StagnationError(
-                    f"support never reached the top flat within {cap} draws; "
-                    "the weights likely cannot reach a chamber")
-            up = join[flat][supp[x]]
+            up = row[s]
             if up != flat:
-                acc = prod(acc, x)
+                acc = table[acc][x] if table is not None else prod(acc, x)
                 flat = up
-        times[t] = times.get(t, 0) + 1
-        landed[acc] = landed.get(acc, 0) + 1
+                row = join[up]
+                if up == top:
+                    if t > cap:
+                        break
+                    times[t] = times.get(t, 0) + 1
+                    landed[acc] = landed.get(acc, 0) + 1
+                    left -= 1
+                    if not left:
+                        break
+                    acc = sg.identity
+                    flat = bottom
+                    row = join[bottom]
+                    t = 0
+        if t > cap:
+            raise StagnationError(
+                f"support never reached the top flat within {cap} draws; "
+                "the weights likely cannot reach a chamber")
     return dict(sorted(times.items())), landed
 
 
@@ -257,28 +308,37 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     pi = stationary_exact(P)
     lam = flat_eigenvalues(structure, w)
     lams = [lam[h] for h in structure.coatoms()]
+    # the bound at m is sum(lam_num^m) / lam_den^m
+    lam_den, (lam_num,) = linalg.scaled([lams])
 
     times = (sample_stopping_times(structure, w, seed, samples, guards)
              if samples else None)
 
     # row c0 of P^m is r / den^m with r integer; pi is pi_num / q
-    den, ints = linalg.scaled(P.rows)
-    cols = list(zip(*ints))
+    den, cells = P.sparse_rows()
     q, (pi_num,) = linalg.scaled([pi.probs])
-    r = [0] * P.size
+    n = P.size
+    r = [0] * n
     r[start] = 1
     dm = 1
     rows = []
     ok = True
-    powers = [Fraction(1)] * len(lams)
+    powers = [1] * len(lams)
+    lm = 1
     for m in range(m_max + 1):
         if m:
-            r = [sum(map(mul, r, col)) for col in cols]
+            nxt = [0] * n
+            for a, row in zip(r, cells):
+                if a:
+                    for j, b in row:
+                        nxt[j] += a * b
+            r = nxt
             dm *= den
-            powers = [p * l for p, l in zip(powers, lams)]
+            powers = [p * a for p, a in zip(powers, lam_num)]
+            lm *= lam_den
         tv = Fraction(sum(abs(a * q - dm * b) for a, b in zip(r, pi_num)),
                       2 * dm * q)
-        bound = sum(powers, Fraction(0))
+        bound = Fraction(sum(powers), lm)
         emp = None
         if times is not None:
             emp = sum(c for t, c in times.items() if t > m) / samples

@@ -2,6 +2,7 @@
 closed forms, plus malformed-spec and guard behaviour."""
 
 import itertools
+import time
 from dataclasses import replace
 
 import numpy
@@ -32,6 +33,19 @@ RULE_ONLY = replace(DEFAULT_GUARDS, table_cap=0)
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+MATROIDS = {
+    "K4": lambda: matroid.Matroid.from_graph(K4_EDGES),
+    "U(2,4)": lambda: matroid.Matroid.uniform(2, 4),
+    "U(3,5)": lambda: matroid.Matroid.uniform(3, 5),
+    "free(3)": lambda: matroid.Matroid.free(3),
+    # a loop and a parallel pair
+    "GF(2)-loopy": lambda: matroid.build_matroid({
+        "kind": "vectors", "q": 2,
+        "columns": [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0],
+                    [1, 1, 0], [0, 0, 1]]}),
+}
+
+
 def _closure_bands():
     """The bands tabulated by the closure kernel, as guards -> band."""
     bands = {}
@@ -40,18 +54,7 @@ def _closure_bands():
             bands[f"q_free({n},{q}){'-reduced' * reduced}"] = (
                 lambda g, n=n, q=q, r=reduced:
                 constructions.q_free_lrb(n, q, r, g))
-    matroids = {
-        "K4": lambda: matroid.Matroid.from_graph(K4_EDGES),
-        "U(2,4)": lambda: matroid.Matroid.uniform(2, 4),
-        "U(3,5)": lambda: matroid.Matroid.uniform(3, 5),
-        "free(3)": lambda: matroid.Matroid.free(3),
-        # a loop and a parallel pair
-        "GF(2)-loopy": lambda: matroid.build_matroid({
-            "kind": "vectors", "q": 2,
-            "columns": [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0],
-                        [1, 1, 0], [0, 0, 1]]}),
-    }
-    for name, build in matroids.items():
+    for name, build in MATROIDS.items():
         for kind in ("ordered-bases", "flag-chains"):
             bands[f"{name}-{kind}"] = (
                 lambda g, build=build, kind=kind:
@@ -227,6 +230,51 @@ def test_matroid_interface():
     assert fano.full_rank == 3
     # Fano plane: 7 points, 7 lines, bottom and top
     assert len(fano.flats()) == 16
+
+
+def _oracle_rank(m, subset):
+    """Greedy rank through the independence oracle."""
+    acc = frozenset()
+    for x in sorted(subset):
+        if m.is_independent(acc | {x}):
+            acc |= {x}
+    return len(acc)
+
+
+def _oracle_closure(m, s):
+    r = _oracle_rank(m, s)
+    return frozenset(x for x in range(m.n) if _oracle_rank(m, s | {x}) == r)
+
+
+def _oracle_flats(m):
+    """Flats by closing the closure of the empty set under adding one
+    element, with closures from oracle ranks."""
+    seen = {_oracle_closure(m, frozenset())}
+    frontier = list(seen)
+    while frontier:
+        frontier = [g for g in {_oracle_closure(m, f | {x})
+                                for f in frontier
+                                for x in range(m.n) if x not in f}
+                    if g not in seen]
+        seen.update(frontier)
+    return sorted(seen, key=lambda f: (_oracle_rank(m, f), sorted(f)))
+
+
+@pytest.mark.parametrize("name", ["K4", "U(2,4)", "U(3,5)", "GF(2)-loopy"])
+def test_rank_table_flats_match_the_closure_enumeration(name):
+    m = MATROIDS[name]()
+    assert m.flats() == _oracle_flats(m)
+    for r in range(m.n + 1):
+        for s in map(frozenset, itertools.combinations(range(m.n), r)):
+            assert m.rank(s) == _oracle_rank(m, s)
+            assert m.closure(s) == _oracle_closure(m, s)
+
+
+def test_the_free_twelve_flag_band_is_refused_by_count_quickly():
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="823059745 elements"):
+        constructions.matroid_lrb(matroid.Matroid.free(12), "flag-chains")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_non_matroids_are_rejected_with_a_witness():

@@ -1,11 +1,21 @@
 """Simulation, stationary distributions, and convergence control."""
 
+import os
+import random
+import subprocess
+import sys
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from bandwalk import constructions, core, spectral, walks
+from bandwalk import constructions, core, matroid, spectral, walks
 from bandwalk.errors import (MalformedInputError, NonUniqueStationaryError,
                              PreconditionError, StagnationError)
 from bandwalk.guards import DEFAULT_GUARDS
@@ -81,6 +91,25 @@ def test_convergence_tv_matches_fraction_matrix_powers():
                for j in range(P.size)]
 
 
+def test_integer_cells_agree_with_the_rows_they_are_built_with():
+    sg, st = _f3()
+    w = spectral.seeded_generator_weights(sg, 9)
+    P = spectral.transition_matrix(st, w)
+    bare = spectral.TransitionMatrix(P.chamber_keys, P.chamber_ids, P.rows)
+
+    def cells(M):
+        den, rows = M.sparse_rows()
+        return [sorted((j, F(a, den)) for j, a in r) for r in rows]
+
+    assert cells(P) == cells(bare) == [
+        [(j, v) for j, v in enumerate(r) if v] for r in P.rows]
+    pi = walks.stationary_exact(P).probs
+    assert walks.stationary_exact(bare).probs == pi
+    # deflating the holding probability keeps the stationary law
+    Q = spectral.remove_holding_probability(P, F(1, 3))
+    assert walks.stationary_exact(Q).probs == pi
+
+
 def test_identity_weights_make_the_stationary_solve_fail():
     sg, st = _f3()
     w = spectral.WeightVector(sg, {sg.identity: F(1)})
@@ -115,8 +144,13 @@ def test_sampling_rejects_negative_weights():
                               require_probability=False)
     with pytest.raises(PreconditionError):
         walks.simulate(st, w, st.chambers[0], 5, seed=0)
+    # checked up front, not on the first draw
+    with pytest.raises(PreconditionError):
+        walks.simulate(st, w, st.chambers[0], 0, seed=0)
     with pytest.raises(PreconditionError):
         walks.sample_stationary(st, w, seed=0, samples=5)
+    with pytest.raises(PreconditionError):
+        walks.sample_stopping_times(st, w, seed=0, samples=5)
 
 
 def test_sampling_stalls_out_when_weights_cannot_reach_a_chamber():
@@ -175,3 +209,181 @@ def test_generated_ids_closure():
     assert got == list(range(sg.size))
     only_first = walks.generated_ids(sg, [sg.generators[0]])
     assert set(only_first) == {sg.identity, sg.generators[0]}
+
+
+# --------------------------------------------------- the block sampler
+
+
+def _oracle_draw(w, rng):
+    """One draw at a time: the sampler the block stream must replay."""
+    ids = w.support_ids()
+    cum = []
+    acc = 0.0
+    for i in ids:
+        acc += float(w[i])
+        cum.append(acc)
+
+    def draw():
+        return ids[bisect_left(cum, rng.random() * acc)]
+
+    return draw
+
+
+def _oracle_until_top(structure, w, seed, samples):
+    sg = structure.semigroup
+    draw = _oracle_draw(w, random.Random(seed))
+    times = {}
+    landed = {}
+    for _ in range(samples):
+        acc = sg.identity
+        flat = structure.bottom
+        t = 0
+        while flat != structure.top:
+            x = draw()
+            t += 1
+            up = structure.join[flat][structure.supp[x]]
+            if up != flat:
+                acc = sg.product(acc, x)
+                flat = up
+        times[t] = times.get(t, 0) + 1
+        landed[acc] = landed.get(acc, 0) + 1
+    return dict(sorted(times.items())), landed
+
+
+def _oracle_simulate(structure, w, c0, steps, seed):
+    draw = _oracle_draw(w, random.Random(seed))
+    out = []
+    cur = c0
+    for _ in range(steps):
+        x = draw()
+        cur = structure.semigroup.product(x, cur)
+        out.append((x, cur))
+    return out
+
+
+@contextmanager
+def _block_size(n):
+    saved = walks.DRAW_BLOCK
+    walks.DRAW_BLOCK = n
+    try:
+        yield
+    finally:
+        walks.DRAW_BLOCK = saved
+
+
+@lru_cache(maxsize=None)
+def _band(name):
+    if name == "free_lrb(3)":
+        sg = constructions.free_lrb(3)
+    elif name == "ordered_partitions(3)":
+        sg = constructions.ordered_partitions(3)
+    else:
+        sg = constructions.matroid_lrb(
+            matroid.Matroid.from_graph(
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            "ordered-bases")
+    return core.derive_support(sg)
+
+
+def _spread_weights(sg):
+    """Unequal weights on every element, so the float CDF has rounding."""
+    total = sg.size * (sg.size + 1) // 2
+    return spectral.WeightVector(
+        sg, {i: F(i + 1, total) for i in range(sg.size)})
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("seed", [0, -3, 2 ** 40 + 7, 2 ** 64 + 13])
+def test_draw_blocks_replay_the_standard_generator(monkeypatch, seed, block):
+    # pins the word order of getrandbits that the blocks are built from
+    if block:
+        monkeypatch.setattr(walks, "DRAW_BLOCK", block)
+    sg, _ = _f3()
+    w = _spread_weights(sg)
+    draw = _oracle_draw(w, random.Random(seed))
+    blocks = walks._draw_blocks(w, seed)
+    for _ in range(3):
+        got = next(blocks).tolist()
+        assert len(got) == walks.DRAW_BLOCK
+        assert got == [draw() for _ in got]
+
+
+@settings(max_examples=60, deadline=None)
+@given(band=hs.sampled_from(["free_lrb(3)", "ordered_partitions(3)",
+                             "K4-bases"]),
+       weights=hs.one_of(hs.none(), hs.integers(0, 15)),
+       seed=hs.integers(-2 ** 70, 2 ** 70),
+       samples=hs.integers(1, 300),
+       block=hs.sampled_from([1, 7, walks.DRAW_BLOCK]))
+def test_block_samplers_match_the_per_draw_oracle(band, weights, seed,
+                                                  samples, block):
+    st = _band(band)
+    sg = st.semigroup
+    w = (spectral.uniform_on_generators(sg) if weights is None
+         else spectral.seeded_generator_weights(sg, weights))
+    c0 = st.chambers[seed % len(st.chambers)]
+    with _block_size(block):
+        got = walks._sample_until_top(st, w, seed, samples, DEFAULT_GUARDS)
+        traj = walks.simulate(st, w, c0, samples, seed)
+    times, landed = got
+    want_times, want_landed = _oracle_until_top(st, w, seed, samples)
+    assert times == want_times
+    assert list(times) == list(want_times)
+    assert landed == want_landed
+    assert traj.steps == _oracle_simulate(st, w, c0, samples, seed)
+
+
+def test_a_one_flat_band_stops_at_once_without_drawing(monkeypatch):
+    sg = core.Semigroup.from_json_dict(
+        {"label": "point", "elements": ["e"], "identity": 0,
+         "table": [[0]]})
+    st = core.derive_support(sg)
+    w = spectral.WeightVector(sg, {0: F(1)})
+    real = walks._draw_blocks
+
+    def no_draws(w, seed):
+        real(w, seed)
+        return iter(())        # a draw would raise StopIteration
+
+    monkeypatch.setattr(walks, "_draw_blocks", no_draws)
+    dist, times = walks.sample_stationary(st, w, seed=3, samples=50)
+    assert times == {0: 50}
+    assert dist.probs == [1.0]
+    assert walks.sample_stopping_times(st, w, seed=4, samples=7) == {0: 7}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_the_step_cap_admits_a_sample_of_exactly_cap_draws(monkeypatch,
+                                                          block):
+    if block:
+        monkeypatch.setattr(walks, "DRAW_BLOCK", block)
+    sg, st = _f3()
+    w = spectral.seeded_generator_weights(sg, 9)
+    times = walks.sample_stopping_times(st, w, seed=4, samples=200)
+    longest = max(times)
+    at_cap = replace(DEFAULT_GUARDS, sample_step_cap=longest)
+    assert walks.sample_stopping_times(st, w, 4, 200, at_cap) == times
+    below = replace(DEFAULT_GUARDS, sample_step_cap=longest - 1)
+    with pytest.raises(StagnationError, match=f"within {longest - 1} draws"):
+        walks.sample_stopping_times(st, w, 4, 200, below)
+
+
+def test_the_samplers_leave_numpy_random_unloaded():
+    # loading numpy.random costs about 3 MiB of resident memory
+    src = str(Path(walks.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from bandwalk import constructions, core, spectral, walks\n"
+        "sg = constructions.free_lrb(3)\n"
+        "st = core.derive_support(sg)\n"
+        "w = spectral.uniform_on_generators(sg)\n"
+        "walks.sample_stationary(st, w, seed=1, samples=500)\n"
+        "walks.simulate(st, w, st.chambers[0], 500, seed=2)\n"
+        "walks.convergence_report(st, w, st.chambers[0], 5, samples=500)\n"
+        "assert 'numpy.random' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
