@@ -274,7 +274,7 @@ def _certify_family(sg, structure, w, fam):
     with itself is D times that vector.
     """
     n = sg.size
-    table = sg.table or sg.tabulate()
+    table = sg.tabulate()
     scaled = {}
     for x, e in fam.members.items():
         den, (nums,) = linalg.scaled([e.values()])
@@ -296,11 +296,12 @@ def _certify_family(sg, structure, w, fam):
 
     for xa in fam.flat_ids:
         da, va = scaled[xa]
+        # memoryviews give plain ints without copying the rows
+        rows = [(memoryview(table[i]), ci) for i, ci in va]
         for xb in fam.flat_ids:
             db, vb = scaled[xb]
             out = [0] * n
-            for i, ci in va:
-                row = table[i]
+            for row, ci in rows:
                 for j, cj in vb:
                     out[row[j]] += ci * cj
             if xa == xb:

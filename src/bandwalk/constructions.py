@@ -28,11 +28,11 @@ While |S| <= table_cap, every band but the distributive chains gets
 its dense table at build time from an integer kernel in place of the
 object rule.  Elements become integer vectors, stored as mixed-radix
 integer codes; products are computed over numpy arrays of pairs, one
-block of rows at a time, and their codes are looked up among the
-sorted element codes by `coded_products`, which also rejects a product
-outside the list.  Above table_cap the object rule serves product()
-one pair at a time, and it stays the reference the tests compare
-against.
+block of rows at a time, and `coded_products` looks their codes up
+among the sorted element codes and writes the ids straight into the
+band's int32 table, rejecting a product outside the list.  Above
+table_cap the object rule serves product() one pair at a time, and it
+stays the reference the tests compare against.
 
 `braid_table` serves the first three, bands of faces of the braid
 arrangement.  A face on {1..n} becomes its block-index vector v,
@@ -98,18 +98,20 @@ TABLE_CHUNK = 2 ** 15
 
 
 def coded_products(codes, keys, width, product_codes):
-    """Ids of every product, yielded one block of rows at a time.
+    """Ids of every product, as a C-contiguous int32 size x size table.
 
     codes: integer code of each element, in id order.
     product_codes(lo, hi) gives the codes of the products of elements
     lo..hi-1 with every element, shape (hi - lo, size); a pair costs
     about `width` array elements, and a block holds about TABLE_CHUNK of
-    them.  Codes are mapped to ids through the sorted element codes; a
-    product outside the list is malformed input naming the pair.
+    them.  Codes are mapped to ids through the sorted element codes and
+    written into the table one block of rows at a time; a product
+    outside the list is malformed input naming the pair.
     """
     size = len(codes)
-    by_code = numpy.argsort(codes)
+    by_code = numpy.argsort(codes).astype(numpy.int32)
     sorted_codes = codes[by_code]
+    table = numpy.empty((size, size), dtype=numpy.int32)
     rows = max(1, TABLE_CHUNK // (size * width))
     for lo in range(0, size, rows):
         got = product_codes(lo, lo + rows)
@@ -120,14 +122,8 @@ def coded_products(codes, keys, width, product_codes):
             raise MalformedInputError(
                 "product leaves the element list: "
                 f"{keys[lo + i]} * {keys[j]}")
-        yield by_code[at]
-
-
-def _id_rows(blocks, size):
-    """A Cayley table as lists, from the id blocks of coded_products."""
-    ids = list(range(size))         # one int object per id, shared by rows
-    return [list(map(ids.__getitem__, row))
-            for block in blocks for row in block.tolist()]
+        table[lo:lo + rows] = by_code[at]
+    return table
 
 
 def _tabulated(sg, guards, build_table):
@@ -179,14 +175,13 @@ def braid_table(vectors, keys):
     order, stored as base-(n+1) codes.
     """
     vecs = numpy.asarray(vectors, dtype=numpy.int64)
-    size, n = vecs.shape
+    n = vecs.shape[1]
     powers = (n + 1) ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
 
     def product_codes(lo, hi):
         return braid_product(vecs[lo:hi, None, :], vecs[None, :, :]) @ powers
 
-    return _id_rows(coded_products(vecs @ powers, keys, n, product_codes),
-                    size)
+    return coded_products(vecs @ powers, keys, n, product_codes)
 
 
 def closure_table(elements, keys, join, chains):
@@ -254,8 +249,7 @@ def closure_table(elements, keys, join, chains):
         codes = out[..., :width] @ powers
         return numpy.where(count > width, -1, codes)
 
-    return _id_rows(coded_products(vecs @ powers, keys, width + 1,
-                                   product_codes), size)
+    return coded_products(vecs @ powers, keys, width + 1, product_codes)
 
 
 def _flat_join(point_join, members):

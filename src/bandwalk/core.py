@@ -12,14 +12,15 @@ the mutual-absorption relation and verifies the two displayed laws on
 all pairs, so a handle that is not an LRB is rejected with a witness.
 
 Elements are addressed by integer ids into a list of canonical string
-keys.  Products come from a dense Cayley table of ids when one exists
-and from a memoized per-pair rule otherwise.  The braid-arrangement,
-q-analogue and matroid constructions fill their table at build time
-with the integer braid and closure kernels (see `constructions`).
-The distributive chain bands fill theirs pair by pair from the rule,
-by `tabulate`, which `verify_lrb` calls whenever it will check
-associativity exhaustively; above table_cap every band multiplies
-through the rule.
+keys.  The Cayley table is one C-contiguous int32 array of ids.  The
+braid-arrangement, q-analogue and matroid constructions fill it at
+build time with the integer kernels (see `constructions`); the
+distributive chain bands fill it from their per-pair rule, by
+`tabulate`, which `verify_lrb` and `derive_support` call first, so
+table_cap is the one gate on the |S|^2 work of their laws, array
+expressions that report the first failing pair in row-major order.
+`product` reads a memoryview of the table, which gives plain ints,
+and goes through the memoized rule while there is no table.
 
 "Exhaustive" associativity means every one of the |S|^3 triples is
 certified.  Light's test does it while reading |A|*|S|^2 of them, for
@@ -27,8 +28,11 @@ a set A that generates S (the construction's generators, completed
 where they fall short), so the work scales with |A|, not |S|.
 """
 
+import numbers
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import posets
 from .errors import (
@@ -60,6 +64,7 @@ class Semigroup:
 
     keys: canonical element keys, unique and deterministic
     identity: id of the two-sided identity
+    table: C-contiguous int32 Cayley table, or None before `tabulate`
     product(i, j): id of the product, table-backed or rule+memo
     generators: ids of the construction's distinguished generating set
     """
@@ -76,7 +81,7 @@ class Semigroup:
         self.keys = list(keys)
         self.identity = identity
         self.index = {k: i for i, k in enumerate(self.keys)}
-        self.table = table
+        self.table = None if table is None else _table_array(table, len(keys))
         self._rule = rule
         self._memo = {} if table is None else None
         self.generators = list(generators) if generators else []
@@ -85,12 +90,21 @@ class Semigroup:
         self.meta = meta or {}
 
     @property
+    def table(self):
+        return self._table
+
+    @table.setter
+    def table(self, table):
+        self._table = table
+        self._cells = None if table is None else memoryview(table)
+
+    @property
     def size(self):
         return len(self.keys)
 
     def product(self, i, j):
-        if self.table is not None:
-            return self.table[i][j]
+        if self._cells is not None:
+            return self._cells[i, j]
         key = i * len(self.keys) + j
         got = self._memo.get(key)
         if got is None:
@@ -106,7 +120,8 @@ class Semigroup:
                 raise SizeGuardError(
                     f"|S|={n} exceeds table cap {guards.table_cap}")
             rule = self._rule
-            self.table = [[rule(i, j) for j in range(n)] for i in range(n)]
+            self.table = np.array([[rule(i, j) for j in range(n)]
+                                   for i in range(n)], dtype=np.int32)
             self._memo = None
         return self.table
 
@@ -146,12 +161,13 @@ class Semigroup:
         return sg
 
     def to_json_dict(self, guards=DEFAULT_GUARDS):
-        table = self.table or self.tabulate(guards)
+        ids = list(range(self.size))    # one int object per id, shared
         return {
             "label": self.label,
             "elements": list(self.keys),
             "identity": self.identity,
-            "table": [list(row) for row in table],
+            "table": [list(map(ids.__getitem__, row.tolist()))
+                      for row in self.tabulate(guards)],
         }
 
     @classmethod
@@ -163,14 +179,24 @@ class Semigroup:
             label = str(data.get("label", "table"))
         except (KeyError, TypeError) as exc:
             raise MalformedInputError(f"bad semigroup dict: {exc}") from exc
-        n = len(keys)
-        if len(table) != n or any(len(row) != n for row in table):
-            raise MalformedInputError("table shape does not match elements")
-        for row in table:
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise MalformedInputError("table entry out of range")
         return cls(label, keys, identity, table=table)
+
+
+def _table_array(table, n):
+    """An explicit table as an int32 array, after checking that it is n
+    rows of n element ids (bools are not ids); names the first bad row
+    or cell."""
+    if len(table) != n:
+        raise MalformedInputError(f"table has {len(table)} rows for {n} ids")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise MalformedInputError(f"table row {i} has {len(row)} cells")
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                    or not 0 <= v < n:
+                raise MalformedInputError(
+                    f"table entry ({i}, {j}) is {v!r}, not an element id")
+    return np.array(table, dtype=np.int32)
 
 
 @dataclass
@@ -188,45 +214,45 @@ class AxiomReport:
 
 def verify_lrb(sg, guards=DEFAULT_GUARDS, seed=0):
     """Check identity, idempotence, deletion (xyx = xy) and
-    associativity.  Associativity is exhaustive while the |S|^3 triples
-    fit assoc_triples_cap, on the dense table, which is then built
-    first so that every law reads it; beyond the cap it is sampled
-    (seeded).  Exhaustive means every triple is certified, by Light's
-    test over the generators (`_assoc_exhaustive`), which reads
-    |A|*|S|^2 of them.  Returns a report; never raises on a mere axiom
-    failure.
+    associativity on the dense table, built first; each pointwise law
+    is one array comparison reporting its first failure in row-major
+    order.  Associativity is exhaustive while the |S|^3 triples fit
+    assoc_triples_cap, and sampled (seeded) beyond.  Exhaustive means
+    every triple is certified, by Light's test over the generators
+    (`_assoc_exhaustive`), which reads |A|*|S|^2 of them.  Returns a
+    report; never raises on a mere axiom failure.
     """
     n = sg.size
     e = sg.identity
-    exhaustive = n ** 3 <= guards.assoc_triples_cap
-    if exhaustive:
-        sg.tabulate(guards)
-    prod = sg.product
+    t = sg.tabulate(guards)
+    ids = np.arange(n)
 
-    for x in range(n):
-        if prod(e, x) != x or prod(x, e) != x:
-            return AxiomReport(False, False, True, True, True, "none", 0,
-                               witness=(e, x), message="identity law fails")
-    for x in range(n):
-        if prod(x, x) != x:
-            return AxiomReport(False, True, False, True, True, "none", 0,
-                               witness=(x,), message="idempotence fails")
-    for x in range(n):
-        for y in range(n):
-            xy = prod(x, y)
-            if prod(xy, x) != xy:
-                return AxiomReport(False, True, True, False, True, "none", 0,
-                                   witness=(x, y),
-                                   message="deletion law xyx = xy fails")
+    bad = np.flatnonzero((t[e] != ids) | (t[:, e] != ids))
+    if bad.size:
+        return AxiomReport(False, False, True, True, True, "none", 0,
+                           witness=(e, int(bad[0])),
+                           message="identity law fails")
+    bad = np.flatnonzero(t.diagonal() != ids)
+    if bad.size:
+        return AxiomReport(False, True, False, True, True, "none", 0,
+                           witness=(int(bad[0]),),
+                           message="idempotence fails")
+    # (xy)x against xy, over every pair (x, y)
+    bad = np.argwhere(t[t, ids[:, None]] != t)
+    if len(bad):
+        return AxiomReport(False, True, True, False, True, "none", 0,
+                           witness=tuple(map(int, bad[0])),
+                           message="deletion law xyx = xy fails")
 
-    if exhaustive:
-        bad = _assoc_exhaustive(sg.table, sg.generators)
+    if n ** 3 <= guards.assoc_triples_cap:
+        bad = _assoc_exhaustive(t, sg.generators)
         if bad is not None:
             return AxiomReport(False, True, True, True, False, "exhaustive",
                                n ** 3, witness=bad,
                                message="associativity fails")
         return AxiomReport(True, True, True, True, True, "exhaustive", n ** 3)
 
+    prod = sg.product
     rng = random.Random(seed)
     m = guards.assoc_samples
     for _ in range(m):
@@ -240,7 +266,7 @@ def verify_lrb(sg, guards=DEFAULT_GUARDS, seed=0):
     return AxiomReport(True, True, True, True, True, "sampled", m)
 
 
-def _assoc_exhaustive(table, generators=()):
+def _assoc_exhaustive(t, generators=()):
     """Return a witness triple (x, a, y) with (xa)y != x(ay), or None.
 
     Light's associativity test (Clifford and Preston, The Algebraic
@@ -254,9 +280,6 @@ def _assoc_exhaustive(table, generators=()):
     comparison of two |S| x |S| gathers: t[t[x, a], y] against
     t[x, t[a, y]].
     """
-    import numpy as np
-
-    t = np.asarray(table, dtype=np.int32)
     for a in _light_generators(t, generators):
         bad = t[t[:, a]] != t[:, t[a]]
         if bad.any():
@@ -269,8 +292,6 @@ def _light_generators(t, generators):
     """Ids A whose left-nested products reach every id of the table t:
     the generators, de-duplicated, closed under right multiplication
     by A, with the least unreached id added while one is left."""
-    import numpy as np
-
     n = len(t)
     gens = list(dict.fromkeys(int(g) for g in generators))
     reached = np.zeros(n, dtype=bool)
@@ -350,74 +371,63 @@ class SupportStructure:
 def derive_support(sg, guards=DEFAULT_GUARDS, verify=True):
     """Derive the support lattice of `sg` from products alone.
 
-    Quotients S by  x ~ y  iff  xy = x and yx = y, orders the classes by
-    absorption, and checks on every pair of elements that
+    On the dense table, built first, quotients S by  x ~ y  iff  xy = x
+    and yx = y, orders the classes by absorption, and checks on every
+    pair of elements that
 
         xy = x  <=>  supp(y) <= supp(x)
         supp(xy) = supp(x) v supp(y)
 
     plus that the class order is a lattice.  Raises with a witness when
-    any of this fails, so success certifies the LRB structure.
+    any of this fails, the first failing pair in row-major order, so
+    success certifies the LRB structure.
     """
-    n = sg.size
-    if n > guards.derive_cap:
-        raise SizeGuardError(
-            f"support derivation scans |S|^2 pairs; |S|={n} exceeds "
-            f"cap {guards.derive_cap}")
+    t = sg.tabulate(guards)
     report = None
     if verify:
         report = verify_lrb(sg, guards)
         if not report.ok:
             raise AxiomViolationError(
                 f"not an LRB: {report.message}", witness=report.witness)
-    prod = sg.product
+    n = sg.size
+    ids = np.arange(n)
 
-    # x ~ y  iff  each absorbs the other on the left
-    reps = []           # representative id per class
-    members = []
-    cls_of = [-1] * n
-    for x in range(n):
-        for c, r in enumerate(reps):
-            if prod(x, r) == x and prod(r, x) == r:
-                cls_of[x] = c
-                members[c].append(x)
-                break
-        else:
-            cls_of[x] = len(reps)
-            reps.append(x)
-            members.append([x])
-
-    # canonical flat order: by minimum element id of the fibre
-    order = sorted(range(len(reps)), key=lambda c: min(members[c]))
-    relabel = {old: new for new, old in enumerate(order)}
-    reps = [reps[c] for c in order]
-    members = [sorted(members[c]) for c in order]
-    supp = [relabel[cls_of[x]] for x in range(n)]
-    f = len(reps)
+    # x ~ r  iff  each absorbs the other on the left; a class is named
+    # by its least id r, so the flats come ordered by it
+    supp = np.full(n, -1)
+    reps = []
+    for r in range(n):
+        if supp[r] < 0:
+            fibre = (supp < 0) & (t[:, r] == ids) & (t[r] == r)
+            fibre[r] = True
+            supp[fibre] = len(reps)
+            reps.append(r)
+    members = [np.flatnonzero(supp == c).tolist()
+               for c in range(len(reps))]
 
     # class order: A <= B  iff  rep(B) * rep(A) = rep(B)
-    leq = [[prod(reps[b], reps[a]) == reps[b] for b in range(f)]
-           for a in range(f)]
+    reps = np.array(reps)
+    le = (t[np.ix_(reps, reps)] == reps[:, None]).T
+    leq = le.tolist()
     posets.check_partial_order(leq)
 
     # absorption law on every pair of elements
-    for x in range(n):
-        for y in range(n):
-            if (prod(x, y) == x) != leq[supp[y]][supp[x]]:
-                raise AxiomViolationError(
-                    "xy = x does not match supp(y) <= supp(x)",
-                    witness=(x, y))
+    bad = np.argwhere((t == ids[:, None])
+                      != le[supp[None, :], supp[:, None]])
+    if len(bad):
+        raise AxiomViolationError(
+            "xy = x does not match supp(y) <= supp(x)",
+            witness=tuple(map(int, bad[0])))
 
-    structure = SupportStructure(sg, leq, supp, members, report)
+    structure = SupportStructure(sg, leq, supp.tolist(), members, report)
 
     # join law on every pair of elements
-    join = structure.join
-    for x in range(n):
-        sx = supp[x]
-        for y in range(n):
-            if supp[prod(x, y)] != join[sx][supp[y]]:
-                raise AxiomViolationError(
-                    "supp(xy) is not the join of supports", witness=(x, y))
+    join = np.array(structure.join)
+    bad = np.argwhere(supp[t] != join[supp[:, None], supp[None, :]])
+    if len(bad):
+        raise AxiomViolationError(
+            "supp(xy) is not the join of supports",
+            witness=tuple(map(int, bad[0])))
 
     if supp[sg.identity] != structure.bottom:
         raise AxiomViolationError("identity support is not the bottom flat")

@@ -298,7 +298,7 @@ def certify_phi(cx):
     """
     n = cx.n
     sg = cx.semigroup
-    table = numpy.asarray(sg.table or sg.tabulate(), dtype=numpy.int64)
+    table = sg.tabulate()
     group = _SymmetricGroupTable(n)
     masks = numpy.arange(1 << (n - 1))
     face_type = numpy.array([type_mask(t) for t in cx.types])
@@ -409,13 +409,8 @@ class _SymmetricGroupTable:
             return sum(perms[lo:hi, perms[:, k]] * powers[k]
                        for k in range(n))
 
-        m = len(self.perms)
-        self.comp = numpy.empty((m, m), dtype=numpy.int32)
-        lo = 0
-        for block in constructions.coded_products(
-                perms @ powers, self.perms, n, product_codes):
-            self.comp[lo:lo + len(block)] = block
-            lo += len(block)
+        self.comp = constructions.coded_products(perms @ powers, self.perms,
+                                                 n, product_codes)
 
     def descent_rows(self):
         """(u, z), integer matrices with one row per type mask J: row J

@@ -12,7 +12,8 @@ from .errors import MalformedInputError
 
 @dataclass(frozen=True)
 class Guards:
-    # largest |S| for which a dense Cayley table may be materialized
+    # largest |S| for which a dense Cayley table may be materialized;
+    # the axioms and the support lattice read it, so it caps their work
     table_cap: int = 2048
     # exhaustive associativity check while |S|^3 is at most this many
     # triples (|S| <= 584), sampled beyond
@@ -20,8 +21,6 @@ class Guards:
     assoc_samples: int = 100_000
     # hard ceiling on element counts of any construction
     elements_cap: int = 50_000
-    # support derivation scans |S|^2 pairs; refuse beyond this |S|
-    derive_cap: int = 4096
     free_n_cap: int = 8
     partitions_n_cap: int = 7
     matroid_ground_cap: int = 12

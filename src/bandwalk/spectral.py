@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy
+
 from . import linalg
 from .errors import (
     FalsificationError,
@@ -221,21 +223,19 @@ def spectrum(structure, w):
     Moebius-inverted multiplicities are re-summed against Eq-style
     partial sums, and negatives are rejected.
     """
-    sg = structure.semigroup
     leq = structure.leq
     f = structure.n_flats
-    prod = sg.product
     chambers = structure.chambers
 
     lam = flat_eigenvalues(structure, w)
 
-    c_count = [None] * f
-    for x in range(f):
-        for anchor in structure.members[x]:
-            n_above = sum(1 for c in chambers if prod(anchor, c) == c)
-            if c_count[x] is None:
-                c_count[x] = n_above
-            elif c_count[x] != n_above:
+    # chambers c with yc = c, for every element y at once
+    c = numpy.array(chambers)
+    above = (structure.semigroup.tabulate()[:, c] == c).sum(axis=1).tolist()
+    c_count = [above[fibre[0]] for fibre in structure.members]
+    for x, fibre in enumerate(structure.members):
+        for anchor in fibre:
+            if above[anchor] != c_count[x]:
                 raise FalsificationError(
                     "chamber count over an anchor depends on the anchor",
                     witness=(x, anchor))

@@ -178,8 +178,7 @@ def _sample_until_top(structure, w, seed, samples, guards):
     if samples < 1:
         raise MalformedInputError(f"need at least one sample, got {samples}")
     sg = structure.semigroup
-    prod = sg.product
-    table = sg.table
+    cells = memoryview(sg.tabulate(guards))
     supp = np.array(structure.supp, dtype=np.int64)
     join = structure.join
     bottom = structure.bottom
@@ -201,7 +200,7 @@ def _sample_until_top(structure, w, seed, samples, guards):
             t += 1
             up = row[s]
             if up != flat:
-                acc = table[acc][x] if table is not None else prod(acc, x)
+                acc = cells[acc, x]
                 flat = up
                 row = join[up]
                 if up == top:

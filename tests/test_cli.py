@@ -168,6 +168,11 @@ def test_malformed_inputs_exit_2(tmp_path):
     unknown = _spec(tmp_path, {"type": "nope"})
     assert cli.main(["build", "--spec", unknown]) == 2
     assert cli.main(["build", "--spec", str(tmp_path / "ghost.json")]) == 2
+    # explicit tables with a short row, and with JSON true for an id
+    for table in ([[0, 1], [1]], [[0, True], [True, True]]):
+        assert cli.main(["build", "--spec", _spec(tmp_path, {
+            "type": "table", "elements": ["e", "a"], "identity": 0,
+            "table": table})]) == 2
     # counts that are zero or negative
     walk = ["--spec", _f3(tmp_path), "--uniform-on", "generators"]
     for samples in ("0", "-5"):

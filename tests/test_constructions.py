@@ -2,6 +2,7 @@
 closed forms, plus malformed-spec and guard behaviour."""
 
 import itertools
+import json
 import time
 from dataclasses import replace
 
@@ -131,6 +132,27 @@ def test_distributive_chain_band_counts():
     sg = constructions.distributive_chain_lrb(lat)
     assert _shape(sg) == (26, 14, 6)
     assert len(sg.generators) == 7
+
+
+def test_every_table_path_gives_one_int32_array():
+    # braid kernel, closure kernel, rule-tabulated chain band, JSON and
+    # an explicit table: one C-contiguous int32 array, plain int products
+    chains = constructions.distributive_chain_lrb(
+        constructions.DistributiveLattice.grid(1, 2))
+    assert chains.table is None
+    chains.tabulate()
+    free = constructions.free_lrb(3)
+    paths = [free, constructions.q_free_lrb(2, 2), chains,
+             core.Semigroup.from_json_dict(free.to_json_dict()),
+             core.Semigroup("explicit", ["e", "a"], 0,
+                            table=[[0, 1], [1, 1]])]
+    for sg in paths:
+        t = sg.table
+        assert isinstance(t, numpy.ndarray) and t.dtype == numpy.int32
+        assert t.flags.c_contiguous and t.shape == (sg.size, sg.size)
+        assert all(type(sg.product(i, j)) is int
+                   for i in range(sg.size) for j in range(sg.size))
+        json.dumps(sg.to_json_dict())
 
 
 def test_every_construction_satisfies_the_axioms():
@@ -338,8 +360,8 @@ def test_braid_kernel_table_matches_the_object_rule(family, n):
     assert sg.table is not None and ref.table is None
     assert sg.keys == ref.keys
     size = sg.size
-    assert sg.table == [[ref.product(i, j) for j in range(size)]
-                        for i in range(size)]
+    assert sg.table.tolist() == [[ref.product(i, j) for j in range(size)]
+                                 for i in range(size)]
 
 
 _rule_bands = {}
@@ -366,7 +388,8 @@ def test_braid_table_is_independent_of_the_chunk_size(monkeypatch):
     sg = constructions.ordered_partitions(3)
     vectors = [constructions._face_vector(p, 3) for p in sg.objects]
     monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
-    assert constructions.braid_table(vectors, sg.keys) == sg.table
+    assert numpy.array_equal(constructions.braid_table(vectors, sg.keys),
+                             sg.table)
 
 
 def test_braid_table_rejects_products_outside_the_list():
@@ -387,8 +410,8 @@ def test_closure_kernel_table_matches_the_object_rule(name):
     assert sg.table is not None and ref.table is None
     assert sg.keys == ref.keys
     size = sg.size
-    assert sg.table == [[ref.product(i, j) for j in range(size)]
-                        for i in range(size)]
+    assert sg.table.tolist() == [[ref.product(i, j) for j in range(size)]
+                                 for i in range(size)]
 
 
 _q25 = {}
@@ -411,7 +434,7 @@ def test_closure_kernel_product_matches_the_object_rule(data):
 def test_closure_table_is_independent_of_the_chunk_size(monkeypatch, name):
     want = CLOSURE[name](DEFAULT_GUARDS).table
     monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
-    assert CLOSURE[name](DEFAULT_GUARDS).table == want
+    assert numpy.array_equal(CLOSURE[name](DEFAULT_GUARDS).table, want)
 
 
 def test_closure_table_rejects_products_outside_the_list():

@@ -116,7 +116,7 @@ def test_invariant_product_of_sigmas_stays_invariant():
     # the sigma coordinates the Fraction path reads off
     n = 3
     cx = descent.coxeter_complex(n)
-    table = numpy.asarray(cx.semigroup.table)
+    table = cx.semigroup.table
     face_type = numpy.array([descent.type_mask(t) for t in cx.types])
     a, b = cx.type_classes[(1,)], cx.type_classes[(2,)]
     counts = numpy.bincount(table[a][:, b].ravel(),
