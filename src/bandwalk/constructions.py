@@ -16,6 +16,12 @@ q_free_lrb(n, q, True)   chains of subspaces 0 = X_0 < ... < X_l = V
 matroid_lrb(M, kind)     ordered independent tuples of a matroid
                          ("ordered-bases") or chains of flats with full
                          ranks below the last step ("flag-chains")
+
+The q-analogues are the two matroid bands of one closure system,
+fields.VectorSpace(q, n): its points are the nonzero vectors and its
+flats the subspaces.  `_closure_tuples` and `_closure_chains` build the
+tuple band and the flag-chain band of a Matroid or a VectorSpace alike;
+`q_free_lrb` and `matroid_lrb` only count, name and label them.
 distributive_chain_lrb   chains from bottom to top of a finite
                          distributive lattice, multiplied by refining
                          each step of the left factor through the right
@@ -43,13 +49,12 @@ v is then the lexicographic rank of the pairs (u[x], v[x]) among the
 pairs present, except that a letter absent from both factors stays in
 the sentinel block.
 
-`closure_table` serves the q-analogues and the matroid bands, whose
-products are driven by a closure operator on a finite ground set (the
-nonzero vectors of GF(q)^n, or the matroid's elements).  The flats are
-numbered once per band, with small integer tables for the join of a
-flat with a point and with another flat; a tuple becomes its letters
-and a chain its flat ids, and each product runs a fixed number of
-table lookups.
+`closure_table` serves the bands of a closure system.  Its flats are
+numbered once per band, bottom first, with small integer tables for
+the join of a flat with a point (`_point_join`, read off the system's
+closure) and with another flat (`_flat_join`); a tuple becomes its
+point ids and a chain its flat ids, and each product runs a fixed
+number of table lookups.
 """
 
 import itertools
@@ -430,21 +435,13 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
         [_face_vector(o, n) for o in sg.objects], sg.keys))
 
 
-# ------------------------------------------------------- vector spaces
-
-
-def _space_key(rref_rows):
-    if not rref_rows:
-        return "0"
-    return "+".join("".join(map(str, r)) for r in rref_rows)
-
-
-def _chain_key(chain):
-    return "<".join(_space_key(s) for s in chain)
+# ---------------------------------------------------- closure systems
 
 
 def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
-    """Vector-space analogue of the free constructions over GF(q).
+    """Vector-space analogue of the free constructions over GF(q): the
+    two bands of the closure system fields.VectorSpace(q, n), whose
+    points are the nonzero vectors and whose flats are the subspaces.
 
     reduced=False: tuples of linearly independent vectors in GF(q)^n,
     concatenation dropping vectors already in the span of the prefix.
@@ -454,160 +451,40 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
     dim X_i = i for i < l.  The product of X by Y refines the last step
     of X through Y's members: X_0 < ... < X_{l-1} <= X_{l-1}+Y_1 <= ...
     with repeats dropped.  Lattice = subspaces of dimension != n-1.
+
+    Both are counted in closed form and refused over the elements cap
+    before any vector is listed.
     """
     if n < 1:
         raise MalformedInputError("q_free_lrb needs n >= 1")
-    fld = fields.field(q)
+    fields.field(q)                 # an unsupported q is malformed input
+    meta = {"n": n, "q": q}
     if not reduced:
         # the k-tuples number (q^n - 1)(q^n - q)...(q^n - q^(k-1))
         count = tuples = 1
         for i in range(n):
             tuples *= q ** n - q ** i
             count += tuples
-        _check_count(f"q_free_lrb({n},{q})", count, guards)
-    else:
-        # a chain with i proper steps before V is a flag of i lines in
-        # successive quotients, [n][n-1]...[n-i+1] of them, where
-        # [m] = (q^m - 1)/(q - 1) counts the lines of a space of dim m
-        count, flags = 0, 1
-        for i in range(n):
-            count += flags          # the chains with i proper steps
-            flags *= (q ** (n - i) - 1) // (q - 1)
-        _check_count(f"q_free_lrb_bar({n},{q})", count, guards)
-    nonzero = [v for v in fields.all_vectors(fld, n) if any(v)]
-
-    if not reduced:
-        elements = []
-        stack = [((), ())]          # (tuple of vectors, rref of prefix)
-        while stack:
-            tup, basis = stack.pop()
-            elements.append(tup)
-            if len(basis) == n:
-                continue            # a chamber: no vector leaves its span
-            for v in nonzero:
-                if not fields.in_span(fld, basis, v):
-                    stack.append((tup + (v,), fields.rref(fld, basis + (v,))))
-        elements = sorted(elements)
-
-        def mult(a, b):
-            basis = fields.rref(fld, a)
-            out = list(a)
-            for v in b:
-                if not fields.in_span(fld, basis, v):
-                    out.append(v)
-                    basis = fields.rref(fld, basis + (v,))
-            return tuple(out)
-
-        def key_of(tup):
-            return ",".join("".join(map(str, v)) for v in tup) if tup else "e"
-
-        spaces = fields.all_subspaces(fld, n)
-        expected = ExpectedLattice(
-            labels=tuple(_space_key(s) for s in spaces),
-            label_of=lambda tup: _space_key(fields.rref(fld, tup)),
-            leq=lambda a, b: _space_leq(fld, n, a, b),
-        )
-        sg = Semigroup.from_objects(
-            f"q_free_lrb({n},{q})", elements, mult, key_of, (),
-            generators=[(v,) for v in nonzero],
-            expected=_wrap_expected(expected, elements),
-            family="q_free_lrb", meta={"n": n, "q": q}, guards=guards)
-
-        def table():
-            letter = {v: x for x, v in enumerate(nonzero)}
-            return closure_table(
-                [[letter[v] for v in tup] for tup in elements], sg.keys,
-                _space_join(fld, spaces, nonzero), chains=False)
-
-        return _tabulated(sg, guards, table)
-
-    # reduced: subspace chains
-    spaces = fields.all_subspaces(fld, n)
-    by_dim = {}
-    for s in spaces:
-        by_dim.setdefault(len(s), []).append(s)
-    full = by_dim[n][0]
-    elements = []
-
-    def extend(chain, dim):
-        if chain[-1] == full:
-            elements.append(tuple(chain))
-            return
-        elements.append(tuple(chain) + (full,))
-        for s in by_dim.get(dim + 1, ()):
-            if s != full and fields.space_contains(fld, s, chain[-1]):
-                extend(chain + [s], dim + 1)
-
-    extend([()], 0)
-    elements = sorted(set(elements), key=_chain_key)
-
-    def mult(a, b):
-        last = a[-2] if len(a) > 1 else a[-1]
-        out = list(a[:-1]) if len(a) > 1 else list(a)
-        for s in b[1:]:
-            joined = fields.rref(fld, last + s)
-            if joined != out[-1]:
-                out.append(joined)
-        return tuple(out)
-
-    sub_labels = [_space_key(s) for s in spaces if len(s) != n - 1]
-    expected = ExpectedLattice(
-        labels=tuple(sub_labels),
-        label_of=lambda ch: _space_key(ch[-1] if len(ch) == n + 1
-                                       else ch[-2]),
-        leq=lambda a, b: _space_leq(fld, n, a, b),
-    )
-    lines = [s for s in by_dim.get(1, ())]
-    gens = [((), ln, full) for ln in lines if ln != full]
-    if n == 1:
-        gens = []
-    sg = Semigroup.from_objects(
-        f"q_free_lrb_bar({n},{q})", elements, mult, _chain_key,
-        ((), full) if n >= 1 else ((),),
-        generators=gens,
-        expected=_wrap_expected(expected, elements),
-        family="q_free_lrb_bar", meta={"n": n, "q": q}, guards=guards)
-
-    def table():
-        space_id = {s: i for i, s in enumerate(spaces)}
-        letter = {v: x for x, v in enumerate(nonzero)}
-        join = _flat_join(_space_join(fld, spaces, nonzero),
-                          [[letter[v] for v in s] for s in spaces])
-        return closure_table(
-            [[space_id[s] for s in chain] for chain in elements], sg.keys,
-            join, chains=True)
-
-    return _tabulated(sg, guards, table)
-
-
-def _space_join(fld, spaces, points):
-    """Point join over subspaces listed by dimension: join[f, x] is the
-    id of the span of spaces[f] and the vector points[x]."""
-    space_id = {s: i for i, s in enumerate(spaces)}
-
-    def join(f, v):
-        s = spaces[f]
-        return f if fields.in_span(fld, s, v) else \
-            space_id[fields.rref(fld, s + (v,))]
-
-    return numpy.array([[join(f, v) for v in points]
-                        for f in range(len(spaces))], dtype=numpy.int64)
-
-
-def _space_leq(fld, n, label_a, label_b):
-    def rows(label):
-        if label == "0":
-            return ()
-        return tuple(tuple(int(c) for c in part)
-                     for part in label.split("+"))
-    return fields.space_contains(fld, rows(label_b), rows(label_a))
-
-
-# ------------------------------------------------------------ matroids
+        label = f"q_free_lrb({n},{q})"
+        _check_count(label, count, guards)
+        return _closure_tuples(fields.VectorSpace(q, n), label,
+                               "q_free_lrb", meta, guards)
+    # a chain with i proper steps before V is a flag of i lines in
+    # successive quotients, [n][n-1]...[n-i+1] of them, where
+    # [m] = (q^m - 1)/(q - 1) counts the lines of a space of dim m
+    count, flags = 0, 1
+    for i in range(n):
+        count += flags              # the chains with i proper steps
+        flags *= (q ** (n - i) - 1) // (q - 1)
+    label = f"q_free_lrb_bar({n},{q})"
+    _check_count(label, count, guards)
+    return _closure_chains(fields.VectorSpace(q, n), label,
+                           "q_free_lrb_bar", meta, guards, "<".join)
 
 
 def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
-    """The two semigroups of a matroid.
+    """The two semigroups of a matroid: the bands of its closure, built
+    as `q_free_lrb` builds those of a vector space.
 
     kind="ordered-bases": tuples of distinct elements with independent
     underlying set; products append and drop elements falling in the
@@ -621,77 +498,31 @@ def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
     """
     if not isinstance(m, Matroid):
         raise MalformedInputError("matroid_lrb needs a Matroid")
+    label = f"matroid_lrb({m.kind},{kind})"
+    meta = {"matroid": m, "kind": kind}
     if kind == "ordered-bases":
-        return _matroid_tuples(m, guards)
+        # each independent set I gives |I|! tuples
+        _check_count(label, sum(factorial(r)
+                                for r in range(m.full_rank + 1)
+                                for s in itertools.combinations(range(m.n), r)
+                                if m.is_independent(s)), guards)
+        return _closure_tuples(m, label, "matroid_lrb", meta, guards)
     if kind == "flag-chains":
-        return _matroid_flags(m, guards)
+        _check_count(label, _flag_chain_count(m), guards)
+        # sorted by the tuple of flat labels, not by the key string
+        return _closure_chains(m, label, "matroid_flags", meta, guards, tuple)
     raise MalformedInputError(f"unknown matroid_lrb kind {kind!r}")
 
 
-def _matroid_tuples(m, guards):
-    # each independent set I gives |I|! tuples
-    _check_count(f"matroid_lrb({m.kind},ordered-bases)",
-                 sum(factorial(r)
-                     for r in range(m.full_rank + 1)
-                     for s in itertools.combinations(range(m.n), r)
-                     if m.is_independent(s)), guards)
-    elements = []
-    stack = [()]
-    while stack:
-        tup = stack.pop()
-        elements.append(tup)
-        cl = m.closure(frozenset(tup))
-        for x in range(m.n):
-            if x not in cl:
-                stack.append(tup + (x,))
-    elements = sorted(elements)
-
-    def mult(a, b):
-        out = list(a)
-        cl = m.closure(frozenset(a))
-        for x in b:
-            if x not in cl:
-                out.append(x)
-                cl = m.closure(frozenset(out))
-        return tuple(out)
-
-    def key_of(tup):
-        return ",".join(m.ground[i] for i in tup) if tup else "e"
-
-    expected = ExpectedLattice(
-        labels=tuple(m.flat_label(f) for f in m.flats()),
-        label_of=lambda tup: m.flat_label(m.closure(frozenset(tup))),
-        leq=lambda a, b: _flat_set(a) <= _flat_set(b),
-    )
-    nonloops = [x for x in range(m.n)
-                if m.is_independent(frozenset([x]))]
-    sg = Semigroup.from_objects(
-        f"matroid_lrb({m.kind},ordered-bases)", elements, mult, key_of, (),
-        generators=[(x,) for x in nonloops],
-        expected=_wrap_expected(expected, elements),
-        family="matroid_lrb", meta={"matroid": m, "kind": "ordered-bases"},
-        guards=guards)
-    return _tabulated(sg, guards, lambda: closure_table(
-        elements, sg.keys, _matroid_join(m), chains=False))
-
-
-def _flat_set(label):
-    inner = label.strip("{}")
-    return frozenset(x for x in inner.split(",") if x)
-
-
-def _matroid_flags(m, guards):
-    flats = m.flats()
-    rank_of = {f: m.rank(f) for f in flats}
-    r = m.full_rank
+def _flag_chain_count(m):
+    """Elements of the flag-chain band of m.  A chain bottom < X_1 <
+    ... < X_k has rank X_i = i below the top, closed by the top;
+    chains[i] counts those ending at the i-th flat of rank k, found by
+    containment of flat bitmasks."""
     by_rank = {}
-    for f in flats:
-        by_rank.setdefault(rank_of[f], []).append(f)
-    bottom = by_rank[0][0]
-    top = by_rank[r][0]
-    # an element is a chain bottom < X_1 < ... < X_k with rank X_i = i
-    # below the top, closed by the top; chains[i] counts those ending at
-    # the i-th flat of rank k, found by containment of flat bitmasks
+    for f in m.flats():
+        by_rank.setdefault(m.rank(f), []).append(f)
+
     def masks(k):
         return numpy.array([sum(1 << x for x in f) for f in by_rank[k]],
                            dtype=numpy.int64)
@@ -699,61 +530,110 @@ def _matroid_flags(m, guards):
     chains = numpy.ones(1, dtype=numpy.int64)
     count = 1
     below = masks(0)
-    for k in range(1, r):
+    for k in range(1, m.full_rank):
         above = masks(k)
         chains = chains @ ((below[:, None] & above) == below[:, None])
         count += int(chains.sum())
         below = above
-    _check_count(f"matroid_lrb({m.kind},flag-chains)", count, guards)
+    return count
+
+
+def _expected_flats(system, flats, elements, flat_of):
+    """The support lattice a closure band must derive: `flats`, ordered
+    by containment, with element o labelled by the flat flat_of(o)."""
+    by_label = {system.flat_label(f): f for f in flats}
+    return ExpectedLattice(
+        labels=tuple(by_label),
+        label_of=[system.flat_label(flat_of(o)) for o in elements].__getitem__,
+        leq=lambda a, b: by_label[a] <= by_label[b],
+    )
+
+
+def _closure_tuples(system, label, family, meta, guards):
+    """The tuples of points of a closure system (a Matroid or a
+    fields.VectorSpace), each outside the closure of those before it,
+    under concatenation dropping points in that closure; sorted by
+    point ids."""
     elements = []
+    stack = [()]
+    while stack:
+        tup = stack.pop()
+        elements.append(tup)
+        cl = system.closure(frozenset(tup))
+        stack.extend(tup + (x,) for x in range(system.n) if x not in cl)
+    elements.sort()
 
-    def extend(chain, k):
-        if chain[-1] == top:
-            elements.append(tuple(chain))
-            return
-        elements.append(tuple(chain) + (top,))
-        for f in by_rank.get(k + 1, ()):
-            if f != top and chain[-1] <= f:
-                extend(chain + [f], k + 1)
+    def mult(a, b):
+        out = list(a)
+        cl = system.closure(frozenset(a))
+        for x in b:
+            if x not in cl:
+                out.append(x)
+                cl = system.closure(frozenset(out))
+        return tuple(out)
 
-    extend([bottom], 0)
-    elements = sorted(set(elements),
-                      key=lambda ch: tuple(m.flat_label(f) for f in ch))
+    def key_of(tup):
+        return ",".join(system.ground[x] for x in tup) if tup else "e"
 
-    def join(a, b):
-        return m.closure(a | b)
+    loops = system.closure(frozenset())
+    sg = Semigroup.from_objects(
+        label, elements, mult, key_of, (),
+        generators=[(x,) for x in range(system.n) if x not in loops],
+        expected=_expected_flats(system, system.flats(), elements,
+                                 lambda tup: system.closure(frozenset(tup))),
+        family=family, meta=meta, guards=guards)
+    return _tabulated(sg, guards, lambda: closure_table(
+        elements, sg.keys, _point_join(system), chains=False))
+
+
+def _closure_chains(system, label, family, meta, guards, order):
+    """The flag chains bottom = X_0 < ... < X_l = top of a closure
+    system, rank X_i = i for i < l, under refining the last step through
+    joins.  Elements sort by order(labels of their flats): the key
+    string and the label tuple differ when a ground label holds "}" or
+    ","."""
+    flats = system.flats()
+    r = system.full_rank
+    by_rank = {}
+    for f in flats:
+        by_rank.setdefault(system.rank(f), []).append(f)
+    bottom = by_rank[0][0]
+    top = by_rank[r][0]
+    # a stacked chain X_0 < ... < X_k stands for the element closed by
+    # the top, and grows by the flats of rank k + 1 above X_k
+    elements = []
+    stack = [(bottom,)]
+    while stack:
+        chain = stack.pop()
+        elements.append(chain if chain[-1] == top else chain + (top,))
+        stack.extend(chain + (f,) for f in by_rank.get(len(chain), ())
+                     if f != top and chain[-1] <= f)
+    elements.sort(key=lambda ch: order([system.flat_label(f) for f in ch]))
 
     def mult(a, b):
         last = a[-2] if len(a) > 1 else a[-1]
         out = list(a[:-1]) if len(a) > 1 else list(a)
         for f in b[1:]:
-            j = join(last, f)
+            j = system.closure(last | f)
             if j != out[-1]:
                 out.append(j)
         return tuple(out)
 
     def key_of(chain):
-        return "<".join(m.flat_label(f) for f in chain)
+        return "<".join(system.flat_label(f) for f in chain)
 
-    sub = [f for f in flats if rank_of[f] != r - 1]
-    expected = ExpectedLattice(
-        labels=tuple(m.flat_label(f) for f in sub),
-        label_of=lambda ch: m.flat_label(
-            ch[-1] if len(ch) == r + 1 else ch[-2]),
-        leq=lambda a, b: _flat_set(a) <= _flat_set(b),
-    )
-    gens = [(bottom, f, top) for f in by_rank.get(1, ()) if f != top]
     sg = Semigroup.from_objects(
-        f"matroid_lrb({m.kind},flag-chains)", elements, mult, key_of,
+        label, elements, mult, key_of,
         (bottom, top) if bottom != top else (bottom,),
-        generators=gens,
-        expected=_wrap_expected(expected, elements),
-        family="matroid_flags", meta={"matroid": m, "kind": "flag-chains"},
-        guards=guards)
+        generators=[(bottom, f, top) for f in by_rank.get(1, ()) if f != top],
+        expected=_expected_flats(
+            system, [f for f in flats if system.rank(f) != r - 1], elements,
+            lambda ch: ch[-1] if len(ch) == r + 1 else ch[-2]),
+        family=family, meta=meta, guards=guards)
 
     def table():
         flat_id = {f: i for i, f in enumerate(flats)}
-        join = _flat_join(_matroid_join(m), [sorted(f) for f in flats])
+        join = _flat_join(_point_join(system), [sorted(f) for f in flats])
         return closure_table(
             [[flat_id[f] for f in chain] for chain in elements], sg.keys,
             join, chains=True)
@@ -761,13 +641,14 @@ def _matroid_flags(m, guards):
     return _tabulated(sg, guards, table)
 
 
-def _matroid_join(m):
-    """Point join over the flats of m, bottom first: join[f, x] is the
-    id of the closure of flat f and element x."""
-    flats = m.flats()
+def _point_join(system):
+    """Point join over the flats of a closure system, bottom first:
+    join[f, x] is the id of the closure of flat f and point x."""
+    flats = system.flats()
     flat_id = {f: i for i, f in enumerate(flats)}
     return numpy.array(
-        [[i if x in f else flat_id[m.closure(f | {x})] for x in range(m.n)]
+        [[i if x in f else flat_id[system.closure(f | {x})]
+          for x in range(system.n)]
          for i, f in enumerate(flats)], dtype=numpy.int64)
 
 

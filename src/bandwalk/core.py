@@ -20,7 +20,7 @@ distributive chain bands fill it from their per-pair rule, by
 table_cap is the one gate on the |S|^2 work of their laws, array
 expressions that report the first failing pair in row-major order.
 `product` reads a memoryview of the table, which gives plain ints,
-and goes through the memoized rule while there is no table.
+and calls the rule directly while there is no table.
 
 "Exhaustive" associativity means every one of the |S|^3 triples is
 certified.  Light's test does it while reading |A|*|S|^2 of them, for
@@ -65,7 +65,8 @@ class Semigroup:
     keys: canonical element keys, unique and deterministic
     identity: id of the two-sided identity
     table: C-contiguous int32 Cayley table, or None before `tabulate`
-    product(i, j): id of the product, table-backed or rule+memo
+    product(i, j): id of the product, from the table, or from the rule
+    before `tabulate`
     generators: ids of the construction's distinguished generating set
     """
 
@@ -83,7 +84,6 @@ class Semigroup:
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.table = None if table is None else _table_array(table, len(keys))
         self._rule = rule
-        self._memo = {} if table is None else None
         self.generators = list(generators) if generators else []
         self.expected = expected
         self.family = family
@@ -105,12 +105,7 @@ class Semigroup:
     def product(self, i, j):
         if self._cells is not None:
             return self._cells[i, j]
-        key = i * len(self.keys) + j
-        got = self._memo.get(key)
-        if got is None:
-            got = self._rule(i, j)
-            self._memo[key] = got
-        return got
+        return self._rule(i, j)
 
     def tabulate(self, guards=DEFAULT_GUARDS):
         """Materialize the dense Cayley table (subject to the guard)."""
@@ -122,7 +117,6 @@ class Semigroup:
             rule = self._rule
             self.table = np.array([[rule(i, j) for j in range(n)]
                                    for i in range(n)], dtype=np.int32)
-            self._memo = None
         return self.table
 
     @classmethod

@@ -102,10 +102,15 @@ def from_support_structure(structure):
 # ---------------------------------------------------------------- factories
 
 
+# the most elements a lattice factory builds; its leq matrix has the
+# square of that many entries
+LATTICE_CAP = 4096
+
+
 def boolean_lattice(n):
     if n < 0:
         raise MalformedInputError("boolean_lattice needs n >= 0")
-    if n > 12:
+    if n >= LATTICE_CAP.bit_length():           # 2^n > LATTICE_CAP
         raise SizeGuardError(f"boolean_lattice({n}) has 2^{n} elements")
     masks = list(range(1 << n))
     labels = ["{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
@@ -115,20 +120,25 @@ def boolean_lattice(n):
 
 
 def subspace_lattice(n, q):
-    """All subspaces of GF(q)^n ordered by inclusion.
+    """All subspaces of GF(q)^n ordered by inclusion: the lattice of
+    flats of fields.VectorSpace(q, n).
 
     Elements carry their reduced row-echelon basis as the label, the
-    zero space being "0".
+    zero space being "0".  The subspaces, sum over k of the Gaussian
+    binomials [n k]_q, are counted before any is listed, and more than
+    LATTICE_CAP of them are refused.
     """
     if n < 0:
         raise MalformedInputError("subspace_lattice needs n >= 0")
-    fld = fields.field(q)
-    spaces = fields.all_subspaces(fld, n)
-    labels = ["0" if not s else "+".join("".join(map(str, r)) for r in s)
-              for s in spaces]
-    leq = [[fields.space_contains(fld, b, a) for b in spaces]
-           for a in spaces]
-    return graded_poset(f"subspace({n},{q})", labels, leq)
+    fields.field(q)                 # an unsupported q is malformed input
+    # there are at least 2^n subspaces, the spans of subsets of a basis,
+    # so a large n is refused without running the count
+    if n >= LATTICE_CAP.bit_length() or sum(
+            poly_eval(q_binomial(n, k), q)
+            for k in range(n + 1)) > LATTICE_CAP:
+        raise SizeGuardError(
+            f"subspace_lattice({n},{q}) has over {LATTICE_CAP} elements")
+    return _flats_lattice(f"subspace({n},{q})", fields.VectorSpace(q, n))
 
 
 def _partition_label(part):
@@ -218,10 +228,16 @@ def matroid_flats_lattice(m):
     r - 1, so interval derangement numbers must be taken here, in the
     full lattice, to reproduce the walk multiplicities.
     """
-    flats = m.flats()
-    labels = [m.flat_label(f) for f in flats]
+    return _flats_lattice(f"flats({m.n})", m)
+
+
+def _flats_lattice(name, system):
+    """The flats of a closure system (a Matroid or a VectorSpace),
+    ordered by inclusion."""
+    flats = system.flats()
+    labels = [system.flat_label(f) for f in flats]
     leq = [[a <= b for b in flats] for a in flats]
-    return graded_poset(f"flats({m.n})", labels, leq)
+    return graded_poset(name, labels, leq)
 
 
 def chain_product(lengths):

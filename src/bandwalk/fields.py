@@ -1,11 +1,18 @@
-"""Small finite fields and exact linear algebra over them.
+"""Small finite fields, exact linear algebra over them, and the vector
+space GF(q)^n as a closure system.
 
 Supports GF(q) for prime q and for q in {4, 8, 9}; that covers every
 vector-space construction the package builds.  Prime-power elements are
 encoded as base-p digit strings of polynomials modulo a fixed monic
 irreducible, so each element is just an int in range(q).
+
+`VectorSpace` is GF(q)^n read like a matroid: points are the nonzero
+vectors and flats are the subspaces.  The q-analogue bands are the
+matroid bands of this closure system (see `constructions`), and the
+subspace lattice of `derangement` is its lattice of flats.
 """
 
+import itertools
 from functools import lru_cache
 
 from .errors import MalformedInputError
@@ -90,9 +97,6 @@ class GF:
                                              - c * irr[j]) % self.p
         return self._undigits(raw[:self.deg])
 
-    def add(self, a, b):
-        return self.add_t[a][b]
-
     def sub(self, a, b):
         return self.add_t[a][self.neg_t[b]]
 
@@ -144,18 +148,6 @@ def rref(fld, rows):
     return tuple(tuple(r) for r in out)
 
 
-def in_span(fld, rref_rows, v):
-    """Membership of v in the row span of an rref basis."""
-    v = list(v)
-    for row in rref_rows:
-        lead = next(i for i, x in enumerate(row) if x)
-        c = v[lead]
-        if c:
-            for k in range(len(v)):
-                v[k] = fld.sub(v[k], fld.mul(c, row[k]))
-    return not any(v)
-
-
 def all_vectors(fld, n):
     stack = [()]
     for _ in range(n):
@@ -163,25 +155,72 @@ def all_vectors(fld, n):
     return stack
 
 
-def all_subspaces(fld, n):
-    """Every subspace of GF(q)^n as its rref basis, by dimension and
-    then basis."""
-    seen = {()}
-    frontier = [()]
-    vectors = [v for v in all_vectors(fld, n) if any(v)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in vectors:
-                if not in_span(fld, s, v):
-                    t = rref(fld, s + (v,))
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    return sorted(seen, key=lambda s: (len(s), s))
+def _rref_bases(fld, n):
+    """The reduced row-echelon basis of every subspace of GF(q)^n: per
+    set of pivot columns, every filling of the free entries, those right
+    of a row's pivot and outside the pivot columns."""
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, c) for i, p in enumerate(pivots)
+                    for c in range(p + 1, n) if c not in pivots]
+            for values in itertools.product(range(fld.q), repeat=len(free)):
+                rows = [[int(c == p) for c in range(n)] for p in pivots]
+                for (i, c), a in zip(free, values):
+                    rows[i][c] = a
+                yield tuple(map(tuple, rows))
 
 
-def space_contains(fld, big, small):
-    """Whether the span of rref basis `small` lies inside that of `big`."""
-    return all(in_span(fld, big, v) for v in small)
+def _span(fld, basis, n):
+    """Every vector of the span of `basis`, zero included."""
+    out = [(0,) * n]
+    for row in basis:
+        out = [tuple(fld.add_t[a][fld.mul_t[c][r]] for a, r in zip(v, row))
+               for v in out for c in range(fld.q)]
+    return out
+
+
+class VectorSpace:
+    """GF(q)^n as a closure system, read like a `Matroid`.
+
+    The points are the nonzero vectors in lexicographic order, ids
+    0..N-1, labelled by their digit strings; `n` is N, as on a Matroid,
+    and `full_rank` is the dimension.  The flats are the subspaces, each
+    the frozenset of its point ids, listed by dimension and then by
+    reduced row-echelon basis, and labelled by that basis: its rows
+    joined by "+", the zero space "0".  `closure` and `rank` run one
+    `rref` on the given points; nothing is kept per subset of points.
+    """
+
+    def __init__(self, q, n):
+        fld = field(q)
+        self._fld = fld
+        self.points = [v for v in all_vectors(fld, n) if any(v)]
+        self.ground = ["".join(map(str, v)) for v in self.points]
+        self.n = len(self.points)
+        self.full_rank = n
+        point_id = {v: x for x, v in enumerate(self.points)}
+        self._flats = []
+        self._flat_of = {}
+        self._label = {}
+        for basis in sorted(_rref_bases(fld, n), key=lambda b: (len(b), b)):
+            flat = frozenset(point_id[v] for v in _span(fld, basis, n)
+                             if any(v))
+            self._flats.append(flat)
+            self._flat_of[basis] = flat
+            self._label[flat] = "+".join(
+                "".join(map(str, r)) for r in basis) or "0"
+
+    def _basis(self, subset):
+        return rref(self._fld, [self.points[x] for x in subset])
+
+    def rank(self, subset):
+        return len(self._basis(subset))
+
+    def closure(self, subset):
+        return self._flat_of[self._basis(subset)]
+
+    def flats(self):
+        return self._flats
+
+    def flat_label(self, flat):
+        return self._label[flat]

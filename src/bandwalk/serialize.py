@@ -143,16 +143,6 @@ def convergence_rows(report):
     return out
 
 
-# --------------------------------------------------------------- posets
-
-
-def poset_dict(p):
-    labels = [str(x) for x in p.labels]
-    covers = sorted((labels[a], labels[b])
-                    for a in range(p.size) for b in p.covers[a])
-    return {"elements": labels, "covers": [list(c) for c in covers]}
-
-
 # ----------------------------------------------------------------- JSON
 
 

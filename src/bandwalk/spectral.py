@@ -116,9 +116,6 @@ class TransitionMatrix:
     def size(self):
         return len(self.rows)
 
-    def row_sums(self):
-        return [sum(r, Fraction(0)) for r in self.rows]
-
     def sparse_rows(self):
         """(D, cells): cells[i] lists (j, D P(i, j)) over the nonzero
         P(i, j), as integers; derived from the rows by `linalg.scaled`

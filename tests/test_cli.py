@@ -209,6 +209,7 @@ def test_size_guards_exit_4(tmp_path):
     small = _f3(tmp_path)
     assert cli.main(["build", "--spec", small,
                      "--guard", "elements_cap=5"]) == 4
+    assert cli.main(["derangement", "--subspace", "7", "2"]) == 4
 
 
 def test_bad_guard_name_exits_2(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import constructions, core, descent, matroid
+from bandwalk import constructions, core, descent, fields, matroid
 from bandwalk.errors import (
     AxiomViolationError,
     MalformedInputError,
@@ -292,6 +292,63 @@ def test_rank_table_flats_match_the_closure_enumeration(name):
             assert m.closure(s) == _oracle_closure(m, s)
 
 
+class _SpanOracle:
+    """Independence in GF(q)^n by brute force: k vectors are independent
+    when their linear combinations give q^k distinct vectors."""
+
+    def __init__(self, space, q):
+        self.n = space.n
+        self._points = space.points
+        self._fld = fields.field(q)
+        self._dim = space.full_rank
+        self._seen = {}
+
+    def is_independent(self, subset):
+        subset = frozenset(subset)
+        if subset not in self._seen:
+            add, mul = self._fld.add_t, self._fld.mul_t
+            span = {(0,) * self._dim}
+            for x in subset:
+                v = self._points[x]
+                span = {tuple(add[a][mul[c][b]] for a, b in zip(w, v))
+                        for w in span for c in range(self._fld.q)}
+            self._seen[subset] = len(span) == self._fld.q ** len(subset)
+        return self._seen[subset]
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2)])
+def test_vector_space_flats_match_the_span_enumeration(q, n):
+    space = fields.VectorSpace(q, n)
+    oracle = _SpanOracle(space, q)
+    flats = space.flats()
+    assert space.n == q ** n - 1 and space.full_rank == n
+    assert sorted(flats, key=sorted) == sorted(_oracle_flats(oracle),
+                                               key=sorted)
+    # bottom first, by dimension, then by the rref rows of the label
+    rows = [tuple(tuple(map(int, r)) for r in space.flat_label(f).split("+"))
+            if f else () for f in flats]
+    assert rows == sorted(rows, key=lambda b: (len(b), b))
+    for f, basis in zip(flats, rows):
+        assert space.rank(f) == len(basis) == _oracle_rank(oracle, f)
+        assert {space.points.index(v) for v in basis} <= f
+    for r in range(n + 2):
+        for s in map(frozenset,
+                     itertools.combinations(range(space.n), r)):
+            assert space.rank(s) == _oracle_rank(oracle, s)
+            assert space.closure(s) == _oracle_closure(oracle, s)
+
+
+def test_flag_chains_sort_by_the_tuple_of_flat_labels():
+    # rank 2, every pair independent; "a}," sorts after "a" as a label
+    # but puts its chain key before that of {a}
+    m = matroid.Matroid.from_independent_sets(
+        ["a", "a},", "b"], [[], ["a"], ["a},"], ["b"], ["a", "a},"],
+                            ["a", "b"], ["a},", "b"]])
+    top = "{a,a},,b}"
+    assert constructions.matroid_lrb(m, "flag-chains").keys == [
+        "{}<" + top, "{}<{a}<" + top, "{}<{a},}<" + top, "{}<{b}<" + top]
+
+
 def test_the_free_twelve_flag_band_is_refused_by_count_quickly():
     start = time.perf_counter()
     with pytest.raises(SizeGuardError, match="823059745 elements"):
@@ -463,6 +520,12 @@ def test_oversized_closure_bands_are_refused_before_enumerating():
         constructions.matroid_lrb(matroid.Matroid.free(12), "ordered-bases")
     with pytest.raises(SizeGuardError, match="69281 elements"):
         constructions.matroid_lrb(matroid.Matroid.free(8), "flag-chains")
+    # 43,046,720 vectors of GF(9)^8: counted, not listed
+    for reduced in (False, True):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="above the cap"):
+            constructions.q_free_lrb(8, 9, reduced)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("name", [k for k in CLOSURE

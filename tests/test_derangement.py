@@ -1,12 +1,14 @@
 """Generalized derangement numbers and their identities on lattices."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from bandwalk import derangement as der
 from bandwalk import constructions, core, matroid
-from bandwalk.errors import MalformedInputError, PreconditionError
+from bandwalk.errors import (MalformedInputError, PreconditionError,
+                             SizeGuardError)
 
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -46,6 +48,16 @@ def test_subspace_lattices_give_q_derangements():
             der.poly_eval(der.q_derangement(n), q)
     assert der.derangement_number(der.subspace_lattice(2, 2)) == 2
     assert der.maximal_chain_count(der.subspace_lattice(2, 2)) == 3
+
+
+@pytest.mark.parametrize("n", [7, 100])
+def test_oversized_subspace_lattice_is_refused_by_count(n):
+    # GF(2)^7 has 29,212 subspaces, counted, not listed; GF(2)^100 is
+    # refused by n alone, since the count alone would take minutes
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="over 4096 elements"):
+        der.subspace_lattice(n, 2)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_contraction_lattices():
@@ -170,10 +182,17 @@ def test_support_lattice_export_and_intervals():
     assert top_interval.size == 8
 
 
+def _poset_dict(p):
+    """A poset as the JSON object `poset_from_json` reads."""
+    labels = [str(x) for x in p.labels]
+    covers = sorted((labels[a], labels[b])
+                    for a in range(p.size) for b in p.covers[a])
+    return {"elements": labels, "covers": [list(c) for c in covers]}
+
+
 def test_poset_json_round_trip():
-    from bandwalk import serialize
     p = der.boolean_lattice(2)
-    obj = serialize.poset_dict(p)
+    obj = _poset_dict(p)
     back = der.poset_from_json(obj)
     assert back.size == p.size
     assert der.derangement_number(back) == der.derangement_number(p)
