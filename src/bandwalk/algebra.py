@@ -14,7 +14,7 @@ never returned.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, posets
 from .errors import (
     FalsificationError,
     MalformedInputError,
@@ -22,7 +22,6 @@ from .errors import (
     SizeGuardError,
 )
 from .guards import DEFAULT_GUARDS
-from .posets import rank_function
 from .spectral import flat_eigenvalues
 
 
@@ -92,7 +91,7 @@ def feasible_flats(structure, w):
     Returns a sorted flat id list.  Equals the whole lattice exactly
     when the weighted elements generate the semigroup.
     """
-    join = structure.join
+    join = structure.join.tolist()
     gens = {structure.supp[x] for x in w.support_ids()}
     seen = {structure.bottom} | gens
     frontier = list(seen)
@@ -117,7 +116,7 @@ def _reduced_word_walk(sg, structure, w, visit, guards):
     """
     letters = w.support_ids()
     supp = structure.supp
-    join = structure.join
+    join = structure.join.tolist()
     prod = sg.product
     budget = [guards.word_cap]
 
@@ -192,9 +191,6 @@ class IdempotentFamily:
     grouped: list          # (lambda, algebra element), distinct lambda
     lattice_covered: bool  # feasible flats == all flats
     is_generic: bool
-
-    def member(self, flat):
-        return self.members[flat]
 
 
 def primitive_idempotents(structure, w, restrict=False,
@@ -372,7 +368,7 @@ def uniform_tsetlin_idempotents(structure):
 
 
 def _flat_ranks(structure):
-    r = rank_function(structure.leq, structure.bottom)
+    r = posets.rank_function(structure.cover, structure.order)
     if r is None:
         raise PreconditionError("support lattice is not graded")
     return r

@@ -64,7 +64,7 @@ import numpy
 
 from . import fields, posets
 from .core import ExpectedLattice, Semigroup
-from .errors import MalformedInputError, SizeGuardError
+from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
 from .guards import DEFAULT_GUARDS
 from .matroid import Matroid, build_matroid
 
@@ -658,68 +658,50 @@ def _point_join(system):
 class DistributiveLattice:
     """Finite distributive lattice over labeled elements.
 
-    Built from an explicit order; checks boundedness, the lattice
-    property and distributivity over all triples.
+    Built from an explicit order, a numpy bool leq matrix (see
+    `posets`); refuses an order that is not a bounded lattice, naming
+    the labels of the first failing pair, and checks distributivity
+    over all triples.
     """
 
     def __init__(self, labels, leq):
         self.labels = list(labels)
         self.n = len(labels)
         self.leq = leq
-        posets.check_partial_order(leq)
-        self.join = posets.join_table(leq)
-        self.meet = posets.meet_table(leq)
+        try:
+            posets.check_partial_order(leq)
+            self.join = posets.join_table(leq)
+            self.meet = posets.meet_table(leq)
+        except AxiomViolationError as exc:
+            named = ",".join(self.labels[i] for i in exc.witness)
+            raise MalformedInputError(f"{exc} at ({named})") from None
         self.bottom = posets.bottom_of(leq)
         self.top = posets.top_of(leq)
         if self.bottom is None or self.top is None:
             raise MalformedInputError("lattice must be bounded")
-        for a in range(self.n):
-            for b in range(self.n):
-                for c in range(self.n):
-                    lhs = self.meet[a][self.join[b][c]]
-                    rhs = self.join[self.meet[a][b]][self.meet[a][c]]
-                    if lhs != rhs:
-                        raise MalformedInputError(
-                            f"not distributive at "
-                            f"({self.labels[a]},{self.labels[b]},"
-                            f"{self.labels[c]})")
+        # meet(a, join(b, c)) against join(meet(a, b), meet(a, c)), one
+        # n x n slice a at a time, so the first failure is the first
+        # triple and no n^3 array is held
+        for a, meets in enumerate(self.meet):
+            bad = numpy.argwhere(
+                meets[self.join] != self.join[meets[:, None], meets])
+            if len(bad):
+                b, c = bad[0]
+                raise MalformedInputError(
+                    f"not distributive at "
+                    f"({self.labels[a]},{self.labels[b]},{self.labels[c]})")
 
     @classmethod
     def from_covers(cls, labels, cover_pairs):
-        n = len(labels)
-        pos = {lab: i for i, lab in enumerate(labels)}
-        leq = [[a == b for b in range(n)] for a in range(n)]
-        try:
-            edges = [(pos[str(a)], pos[str(b)]) for a, b in cover_pairs]
-        except KeyError as exc:
-            raise MalformedInputError(f"unknown cover label {exc}") from exc
-        for a, b in edges:
-            leq[a][b] = True
-        for k in range(n):
-            for a in range(n):
-                if leq[a][k]:
-                    row_k = leq[k]
-                    row_a = leq[a]
-                    for b in range(n):
-                        if row_k[b]:
-                            row_a[b] = True
-        return cls([str(x) for x in labels], leq)
+        labels = [str(x) for x in labels]
+        return cls(labels, posets.order_from_covers(labels, cover_pairs))
 
     @classmethod
     def grid(cls, p, q):
         """Divisor-style grid {0..p} x {0..q} under componentwise order."""
-        pts = [(i, j) for i in range(p + 1) for j in range(q + 1)]
-        labels = [f"({i},{j})" for i, j in pts]
-        leq = [[a[0] <= b[0] and a[1] <= b[1] for b in pts] for a in pts]
-        return cls(labels, leq)
-
-    @classmethod
-    def boolean(cls, n):
-        subs = [frozenset(c) for r in range(n + 1)
-                for c in itertools.combinations(range(1, n + 1), r)]
-        labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in subs]
-        leq = [[a <= b for b in subs] for a in subs]
-        return cls(labels, leq)
+        i, j = numpy.divmod(numpy.arange((p + 1) * (q + 1)), q + 1)
+        labels = [f"({a},{b})" for a, b in zip(i.tolist(), j.tolist())]
+        return cls(labels, (i[:, None] <= i) & (j[:, None] <= j))
 
 
 def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
@@ -737,14 +719,16 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
     if not isinstance(lattice, DistributiveLattice):
         raise MalformedInputError("needs a DistributiveLattice")
     D = lattice
+    above = [numpy.flatnonzero(row).tolist() for row in D.leq]
+    join, meet = D.join.tolist(), D.meet.tolist()
     chains = []
 
     def grow(chain):
         if chain[-1] == D.top:
             chains.append(tuple(chain))
             return
-        for x in range(D.n):
-            if D.leq[chain[-1]][x] and x != chain[-1]:
+        for x in above[chain[-1]]:
+            if x != chain[-1]:
                 grow(chain + [x])
 
     grow([D.bottom])
@@ -760,7 +744,7 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
         for i in range(1, len(a)):
             lo, hi = a[i - 1], a[i]
             for y in b:
-                g = D.join[lo][D.meet[y][hi]]
+                g = join[lo][meet[y][hi]]
                 if g != out[-1]:
                     out.append(g)
         return tuple(out)

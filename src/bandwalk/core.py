@@ -10,6 +10,9 @@ support lattice L and a surjection supp: S -> L with
 Both facts are derived, not assumed: `derive_support` quotients S by
 the mutual-absorption relation and verifies the two displayed laws on
 all pairs, so a handle that is not an LRB is rejected with a witness.
+The class order comes off the table as the numpy bool matrix that
+`posets` reads, and the join law is checked against the join table
+`posets` derives from it, both as arrays.
 
 Elements are addressed by integer ids into a list of canonical string
 keys.  The Cayley table is one C-contiguous int32 array of ids.  The
@@ -318,9 +321,11 @@ class SupportStructure:
     """Support lattice of a verified LRB.
 
     flats are labeled X0, X1, ... ordered by the minimum element id of
-    their fibre.  Exposes the order matrix, join table, supp map,
-    chamber set (fibre of the top flat, sorted by element key) and the
-    Moebius function of the lattice.  `axioms` is the AxiomReport that
+    their fibre.  Exposes the order `leq` (a numpy bool matrix, see
+    `posets`), the cover matrix, a linear extension `order`, the join
+    table (an int array), the supp map, the chamber set (fibre of the
+    top flat, sorted by element key) and the Moebius function of the
+    lattice, each derived once, here.  `axioms` is the AxiomReport that
     derive_support checked, or None when it was told not to verify.
     """
 
@@ -337,26 +342,25 @@ class SupportStructure:
         self.top = posets.top_of(leq)
         if self.bottom is None or self.top is None:
             raise AxiomViolationError("support order is not bounded")
-        self._mu = posets.moebius_table(leq)
+        self.cover = posets.covers_of(leq)
+        self.order = posets.linear_extension(leq)
+        self._mu = [posets.moebius_row(leq, self.order, a)
+                    for a in range(self.n_flats)]
         keys = sg.keys
         self.chambers = sorted(members[self.top], key=lambda i: keys[i])
 
     def moebius(self, a, b):
         """Moebius function of the support lattice; 0 unless a <= b."""
-        return self._mu.get((a, b), 0)
+        return self._mu[a].get(b, 0)
 
     def coatoms(self):
         """Flats covered by the top flat."""
-        t = self.top
-        cands = [x for x in range(self.n_flats) if self.leq[x][t] and x != t]
-        return [x for x in cands
-                if not any(self.leq[x][y] and self.leq[y][t]
-                           and y != x and y != t for y in cands)]
+        return np.flatnonzero(self.cover[:, self.top]).tolist()
 
     def to_json_dict(self):
         return {
             "flats": list(self.labels),
-            "leq": [[1 if v else 0 for v in row] for row in self.leq],
+            "leq": self.leq.astype(int).tolist(),
             "supp": list(self.supp),
             "chambers": list(self.chambers),
         }
@@ -401,13 +405,12 @@ def derive_support(sg, guards=DEFAULT_GUARDS, verify=True):
 
     # class order: A <= B  iff  rep(B) * rep(A) = rep(B)
     reps = np.array(reps)
-    le = (t[np.ix_(reps, reps)] == reps[:, None]).T
-    leq = le.tolist()
+    leq = np.ascontiguousarray((t[np.ix_(reps, reps)] == reps[:, None]).T)
     posets.check_partial_order(leq)
 
     # absorption law on every pair of elements
     bad = np.argwhere((t == ids[:, None])
-                      != le[supp[None, :], supp[:, None]])
+                      != leq[supp[None, :], supp[:, None]])
     if len(bad):
         raise AxiomViolationError(
             "xy = x does not match supp(y) <= supp(x)",
@@ -416,8 +419,8 @@ def derive_support(sg, guards=DEFAULT_GUARDS, verify=True):
     structure = SupportStructure(sg, leq, supp.tolist(), members, report)
 
     # join law on every pair of elements
-    join = np.array(structure.join)
-    bad = np.argwhere(supp[t] != join[supp[:, None], supp[None, :]])
+    bad = np.argwhere(
+        supp[t] != structure.join[supp[:, None], supp[None, :]])
     if len(bad):
         raise AxiomViolationError(
             "supp(xy) is not the join of supports",
@@ -445,6 +448,7 @@ def check_expected_lattice(structure):
     if exp is None:
         return None
     f = structure.n_flats
+    leq = structure.leq.tolist()
     flat_label = [None] * f
     for c in range(f):
         for x in structure.members[c]:
@@ -462,8 +466,7 @@ def check_expected_lattice(structure):
             f"expected {sorted(exp.labels)}")
     for a in range(f):
         for b in range(f):
-            if structure.leq[a][b] != bool(exp.leq(flat_label[a],
-                                                   flat_label[b])):
+            if leq[a][b] != bool(exp.leq(flat_label[a], flat_label[b])):
                 raise FalsificationError(
                     f"{sg.label}: derived order disagrees with the expected "
                     f"order at ({flat_label[a]!r}, {flat_label[b]!r})",

@@ -24,7 +24,9 @@ even, and the rank-profile refinement) requires a graded poset.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
+
+import numpy as np
 
 from . import fields, posets
 from .errors import (FalsificationError, MalformedInputError,
@@ -37,19 +39,24 @@ from .guards import DEFAULT_GUARDS
 
 @dataclass
 class GradedPoset:
-    """Finite poset with bottom and top, plus derived structure.
+    """Finite poset with bottom and top, plus the structure derived from
+    it once, by `graded_poset`.
 
+    leq is the numpy bool order matrix (see `posets`); covers[a] lists
+    the ids that cover a, ascending, and order is a linear extension;
+    every routine here reads these rather than deriving them again.
     rank is None when the poset is not graded; the chain-count and
     derangement routines accept that, the flag-vector ones do not.
     """
 
     name: str
     labels: tuple
-    leq: list
+    leq: np.ndarray
     bottom: int
     top: int
     rank: list
     covers: list
+    order: list
 
     @property
     def size(self):
@@ -76,27 +83,28 @@ def graded_poset(name, labels, leq):
     top = posets.top_of(leq)
     if bottom is None or top is None:
         raise MalformedInputError(f"{name} lacks a unique bottom or top")
-    rank = posets.rank_function(leq, bottom)
-    return GradedPoset(name, tuple(labels), leq, bottom, top, rank,
-                       posets.covers_of(leq))
+    cover = posets.covers_of(leq)
+    order = posets.linear_extension(leq)
+    return GradedPoset(name, tuple(labels), leq, bottom, top,
+                       posets.rank_function(cover, order),
+                       [np.flatnonzero(row).tolist() for row in cover], order)
 
 
 def interval(p, lo, hi):
     """The subposet [lo, hi], with lo and hi given as element indices."""
-    if not p.leq[lo][hi]:
+    if not p.leq[lo, hi]:
         raise PreconditionError(
             f"{p.labels[lo]} is not below {p.labels[hi]} in {p.name}")
-    inside = [c for c in range(p.size) if p.leq[lo][c] and p.leq[c][hi]]
-    leq = [[p.leq[a][b] for b in inside] for a in inside]
+    inside = np.flatnonzero(p.leq[lo] & p.leq[:, hi])
     name = f"{p.name}[{p.labels[lo]},{p.labels[hi]}]"
-    return graded_poset(name, [p.labels[c] for c in inside], leq)
+    return graded_poset(name, [p.labels[c] for c in inside],
+                        p.leq[np.ix_(inside, inside)])
 
 
 def from_support_structure(structure):
     """The support lattice of a band, as a poset for interval queries."""
-    leq = [list(row) for row in structure.leq]
     return graded_poset(structure.semigroup.label + " lattice",
-                        structure.labels, leq)
+                        structure.labels, structure.leq)
 
 
 # ---------------------------------------------------------------- factories
@@ -112,10 +120,10 @@ def boolean_lattice(n):
         raise MalformedInputError("boolean_lattice needs n >= 0")
     if n >= LATTICE_CAP.bit_length():           # 2^n > LATTICE_CAP
         raise SizeGuardError(f"boolean_lattice({n}) has 2^{n} elements")
-    masks = list(range(1 << n))
+    masks = np.arange(1 << n)
     labels = ["{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
-              for m in masks]
-    leq = [[a & b == a for b in masks] for a in masks]
+              for m in masks.tolist()]
+    leq = (masks[:, None] & masks) == masks[:, None]
     return graded_poset(f"boolean({n})", labels, leq)
 
 
@@ -167,7 +175,7 @@ def partition_lattice(n, guards=DEFAULT_GUARDS):
              for p in posets.set_partitions(list(range(1, n + 1)))]
     parts = sorted(set(parts), key=lambda p: (-len(p), p))
     labels = [_partition_label(p) for p in parts]
-    leq = [[_refines(a, b) for b in parts] for a in parts]
+    leq = np.array([[_refines(a, b) for b in parts] for a in parts])
     return graded_poset(f"partitions({n})", labels, leq)
 
 
@@ -216,7 +224,7 @@ def contraction_lattice(edges, vertices=None, guards=DEFAULT_GUARDS):
             parts.append(canon)
     parts = sorted(set(parts), key=lambda p: (-len(p), p))
     labels = [_partition_label(p) for p in parts]
-    leq = [[_refines(a, b) for b in parts] for a in parts]
+    leq = np.array([[_refines(a, b) for b in parts] for a in parts])
     name = f"contractions({len(verts)}v,{len(pairs)}e)"
     return graded_poset(name, labels, leq)
 
@@ -236,20 +244,8 @@ def _flats_lattice(name, system):
     ordered by inclusion."""
     flats = system.flats()
     labels = [system.flat_label(f) for f in flats]
-    leq = [[a <= b for b in flats] for a in flats]
+    leq = np.array([[a <= b for b in flats] for a in flats])
     return graded_poset(name, labels, leq)
-
-
-def chain_product(lengths):
-    """Product of chains of the given lengths, e.g. (1,)*n is Boolean."""
-    lengths = tuple(int(l) for l in lengths)
-    if not lengths or min(lengths) < 1:
-        raise MalformedInputError("chain_product needs positive lengths")
-    points = sorted(product(*(range(l + 1) for l in lengths)))
-    labels = [",".join(map(str, pt)) for pt in points]
-    leq = [[all(x <= y for x, y in zip(a, b)) for b in points]
-           for a in points]
-    return graded_poset(f"chains{lengths}", labels, leq)
 
 
 def poset_from_json(obj):
@@ -258,32 +254,8 @@ def poset_from_json(obj):
             or "covers" not in obj:
         raise MalformedInputError("poset JSON needs elements and covers")
     labels = [str(e) for e in obj["elements"]]
-    if len(set(labels)) != len(labels):
-        raise MalformedInputError("duplicate poset elements")
-    index = {lab: i for i, lab in enumerate(labels)}
-    size = len(labels)
-    up = [set() for _ in range(size)]
-    for pair in obj["covers"]:
-        if len(pair) != 2:
-            raise MalformedInputError(f"cover {pair!r} is not a pair")
-        a, b = str(pair[0]), str(pair[1])
-        if a not in index or b not in index:
-            raise MalformedInputError(f"cover {pair!r} names a non-element")
-        up[index[a]].add(index[b])
-    leq = [[a == b for b in range(size)] for a in range(size)]
-    for a in range(size):
-        frontier = list(up[a])
-        while frontier:
-            c = frontier.pop()
-            if not leq[a][c]:
-                leq[a][c] = True
-                frontier.extend(up[c])
-    for a in range(size):
-        for b in range(size):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise MalformedInputError(
-                    f"cover cycle through {labels[a]} and {labels[b]}")
-    return graded_poset("poset", labels, leq)
+    return graded_poset("poset", labels,
+                        posets.order_from_covers(labels, obj["covers"]))
 
 
 # ------------------------------------------------------------ chain counts
@@ -293,14 +265,14 @@ def maximal_chain_count(p):
     """Number of maximal chains of a graded poset."""
     if p.rank is None:
         raise PreconditionError(f"{p.name} is not graded")
-    return posets.count_saturated_chains(p.leq, p.bottom, p.top)
+    return _chains_to_top(p)[p.bottom]
 
 
 def _chains_to_top(p):
-    """f([X, top]) for every X, by one pass over a linear extension."""
+    """f([X, top]) for every X, by one pass over the linear extension."""
     cnt = [0] * p.size
     cnt[p.top] = 1
-    for a in reversed(posets.linear_extension(p.leq)):
+    for a in reversed(p.order):
         if a != p.top:
             cnt[a] = sum(cnt[b] for b in p.covers[a])
     return cnt
@@ -313,11 +285,10 @@ def upper_derangements(p):
     multiplicities m_X of the maximal-chain walk.
     """
     cnt = _chains_to_top(p)
-    order = posets.linear_extension(p.leq)
     d = [0] * p.size
-    for a in reversed(order):
-        above = sum(d[b] for b in range(p.size) if p.leq[a][b] and b != a)
-        d[a] = cnt[a] - above
+    for a in reversed(p.order):
+        # d[a] is still 0, so the up-set of a may include a itself
+        d[a] = cnt[a] - sum(d[b] for b in np.flatnonzero(p.leq[a]).tolist())
     if sum(d) != cnt[p.bottom]:
         raise FalsificationError(
             f"{p.name}: interval derangements do not resum to the "
@@ -333,21 +304,19 @@ def derangement_number(p):
     cnt = _chains_to_top(p)
     via_recurrence = upper_derangements(p)[p.bottom]
 
-    mu = posets.moebius_table(p.leq)
-    via_moebius = sum(mu.get((p.bottom, x), 0) * cnt[x]
-                      for x in range(p.size))
+    mu = posets.moebius_row(p.leq, p.order, p.bottom)
+    via_moebius = sum(m * cnt[x] for x, m in mu.items())
 
-    order = posets.linear_extension(p.leq)
     low = [0] * p.size
     low[p.bottom] = 1
-    for x in order:
+    for x in p.order:
         if x == p.bottom:
             continue
+        below = set(np.flatnonzero(p.leq[:, x]).tolist())
         total = 0
-        for y in range(p.size):
-            if p.leq[y][x] and y != x:
-                c = sum(1 for z in p.covers[y] if p.leq[z][x])
-                total += (c - 1) * low[y]
+        for y in below - {x}:
+            c = sum(1 for z in p.covers[y] if z in below)
+            total += (c - 1) * low[y]
         low[x] = total
     via_covers = low[p.top]
 
@@ -401,6 +370,7 @@ def flag_vectors(p):
     if p.rank is None:
         raise PreconditionError(f"{p.name} is not graded")
     n = p.rank[p.top]
+    leq = p.leq.tolist()
     by_rank = {}
     for x in range(p.size):
         by_rank.setdefault(p.rank[x], []).append(x)
@@ -412,7 +382,7 @@ def flag_vectors(p):
             continue
         acc = {x: 1 for x in by_rank.get(j_set[0], ())}
         for j in j_set[1:]:
-            acc = {y: sum(c for x, c in acc.items() if p.leq[x][y])
+            acc = {y: sum(c for x, c in acc.items() if leq[x][y])
                    for y in by_rank.get(j, ())}
         f[j_set] = sum(acc.values())
 

@@ -146,34 +146,6 @@ def coxeter_complex(n, guards=DEFAULT_GUARDS):
                           perm_at, fundamental)
 
 
-def face_of_type(cx, chamber, j_set):
-    """The unique face of a chamber with the given type."""
-    w = cx.perm_at[chamber]
-    cuts = [0] + sorted(j_set) + [cx.n]
-    part = tuple(tuple(sorted(w[a:b])) for a, b in zip(cuts, cuts[1:]))
-    return cx.semigroup.index["|".join(
-        ",".join(map(str, b)) for b in part)]
-
-
-def descent_pair(cx, c, d):
-    """Type of the smallest face F of d with F c = d.
-
-    By the product characterization, i is in the descent set exactly
-    when dropping i from the type of the face breaks the equality, so
-    one product per type suffices instead of a scan of all faces.
-    """
-    if c not in cx.perm_at or d not in cx.perm_at:
-        raise PreconditionError("descent_pair needs two chambers")
-    full = range(1, cx.n)
-    prod = cx.semigroup.product
-    out = []
-    for i in full:
-        f = face_of_type(cx, d, tuple(j for j in full if j != i))
-        if prod(f, c) != d:
-            out.append(i)
-    return tuple(out)
-
-
 # ------------------------------------------------------- beta and h vector
 
 

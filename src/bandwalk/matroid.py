@@ -172,10 +172,7 @@ class Matroid:
             rows = [cols[i] for i in sorted(subset)]
             return len(fields.rref(fld, rows)) == len(rows)
 
-        m = cls(labels, indep, kind="vectors", guards=guards)
-        m.columns = cols
-        m.q = q
-        return m
+        return cls(labels, indep, kind="vectors", guards=guards)
 
     @classmethod
     def from_graph(cls, edges, guards=DEFAULT_GUARDS):
@@ -205,9 +202,7 @@ class Matroid:
                 parent[ru] = rv
             return True
 
-        m = cls(labels, indep, kind="graph", guards=guards)
-        m.edges = pairs
-        return m
+        return cls(labels, indep, kind="graph", guards=guards)
 
     @classmethod
     def uniform(cls, k, m, guards=DEFAULT_GUARDS):

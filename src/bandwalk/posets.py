@@ -1,149 +1,166 @@
-"""Order-theoretic helpers shared by the support structure, the graded
-poset type and the constructions: cover relations, Moebius functions,
-join/meet tables, validity checks and set-partition enumeration.
+"""Finite partial orders, and the enumeration of set partitions.
 
-Posets are handled as a boolean ``leq`` matrix over element ids
-``0..n-1`` with ``leq[a][b]`` meaning ``a <= b``.
+A partial order on the ids 0..n-1 has one form: a square, C-contiguous
+numpy bool array ``leq``, ``leq[a, b]`` meaning a <= b.  This module is
+the one place that derives anything from it, by array expressions or
+one numpy step per element: validity with the first witness
+(`check_partial_order`), the one transitive closure
+(`order_from_covers`), the cover matrix (`covers_of`), a linear
+extension, bottom and top, join and meet tables (int arrays of ids),
+ranks, and rows of the Moebius function, whose values stay Python ints.
 """
 
-from .errors import AxiomViolationError
+import numpy as np
+
+from .errors import AxiomViolationError, MalformedInputError
+
+
+def _two_way_pair(leq):
+    """The first (a, b) in row-major order with a != b, a <= b and
+    b <= a, or None."""
+    both = leq & leq.T
+    np.fill_diagonal(both, False)
+    pairs = np.argwhere(both)
+    return tuple(map(int, pairs[0])) if len(pairs) else None
 
 
 def check_partial_order(leq):
-    """Raise unless leq is reflexive, antisymmetric and transitive."""
-    n = len(leq)
-    for a in range(n):
-        if not leq[a][a]:
-            raise AxiomViolationError("order not reflexive", witness=(a,))
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise AxiomViolationError("order not antisymmetric", witness=(a, b))
-    for a in range(n):
-        la = leq[a]
-        for b in range(n):
-            if la[b]:
-                lb = leq[b]
-                for c in range(n):
-                    if lb[c] and not la[c]:
-                        raise AxiomViolationError(
-                            "order not transitive", witness=(a, b, c)
-                        )
+    """Raise unless leq is reflexive, antisymmetric and transitive.
+
+    The witness is the first element off the diagonal, the first
+    two-way pair in row-major order, or the lexicographically first
+    (a, b, c) with a <= b <= c and not a <= c.
+    """
+    loose = np.flatnonzero(~leq.diagonal())
+    if len(loose):
+        raise AxiomViolationError("order not reflexive",
+                                  witness=(int(loose[0]),))
+    pair = _two_way_pair(leq)
+    if pair is not None:
+        raise AxiomViolationError("order not antisymmetric", witness=pair)
+    for a, row in enumerate(leq):
+        # everything above something above a must be above a
+        if (leq[row].any(0) & ~row).any():
+            i, c = np.argwhere(leq[row] & ~row)[0]
+            b = np.flatnonzero(row)[i]
+            raise AxiomViolationError("order not transitive",
+                                      witness=(a, int(b), int(c)))
+
+
+def order_from_covers(labels, pairs):
+    """The order generated by cover pairs [a, b], a below b, given by
+    label: their reflexive transitive closure, by Warshall's algorithm.
+
+    Refuses a pair that is not two labels, and a cycle of covers,
+    naming the first two-way pair of the closure.
+    """
+    labels = list(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise MalformedInputError("duplicate poset elements")
+    leq = np.eye(len(labels), dtype=bool)
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise MalformedInputError(f"cover {pair!r} is not a pair")
+        a, b = str(pair[0]), str(pair[1])
+        if a not in index or b not in index:
+            raise MalformedInputError(f"cover {pair!r} names a non-element")
+        leq[index[a], index[b]] = True
+    for k in range(len(labels)):
+        leq[leq[:, k]] |= leq[k]
+    pair = _two_way_pair(leq)
+    if pair is not None:
+        a, b = pair
+        raise MalformedInputError(
+            f"cover cycle through {labels[a]} and {labels[b]}")
+    return leq
 
 
 def covers_of(leq):
-    """cover lists: covers[a] = sorted ids b with a < b and nothing between."""
-    n = len(leq)
-    covers = []
-    for a in range(n):
-        ups = [b for b in range(n) if leq[a][b] and a != b]
-        cov = []
-        for b in ups:
-            if not any(leq[a][c] and leq[c][b] and c != a and c != b for c in ups):
-                cov.append(b)
-        covers.append(sorted(cov))
-    return covers
+    """Cover matrix: cover[a, b] iff a < b with nothing strictly between."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    cover = np.zeros_like(strict)
+    for a, up in enumerate(strict):
+        cover[a] = up & ~strict[up].any(0)
+    return cover
 
 
 def linear_extension(leq):
-    """Element ids ordered so that smaller elements come first."""
-    n = len(leq)
-    below = [sum(1 for b in range(n) if leq[b][a]) for a in range(n)]
-    return sorted(range(n), key=lambda a: (below[a], a))
+    """Ids by the number of elements below them, ties by id, so that
+    smaller elements come first."""
+    return np.argsort(leq.sum(0), kind="stable").tolist()
 
 
-def moebius_table(leq):
-    """Full Moebius function as a dict (a, b) -> mu(a, b) for a <= b."""
-    n = len(leq)
-    order = linear_extension(leq)
-    mu = {}
-    for a in range(n):
-        ups = [b for b in order if leq[a][b]]
-        for b in ups:
-            if a == b:
-                mu[(a, b)] = 1
-            else:
-                mu[(a, b)] = -sum(
-                    mu[(a, z)] for z in ups if leq[z][b] and z != b
-                )
-    return mu
+def bottom_of(leq):
+    ids = np.flatnonzero(leq.all(1))
+    return int(ids[0]) if len(ids) == 1 else None
+
+
+def top_of(leq):
+    ids = np.flatnonzero(leq.all(0))
+    return int(ids[0]) if len(ids) == 1 else None
 
 
 def join_table(leq):
-    """Least-upper-bound table, or raise if some pair has no join."""
+    """Least-upper-bound table, or raise at the first pair (a, b), a <= b
+    as ids, that has no join.
+
+    Of the common upper bounds, the least one, if any, has the largest
+    up-set, so that one is taken and checked to lie below all the
+    others.
+    """
     n = len(leq)
-    table = [[-1] * n for _ in range(n)]
+    height = leq.sum(1)
+    join = np.empty((n, n), dtype=np.int64)
     for a in range(n):
-        for b in range(a, n):
-            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
-            if len(least) != 1:
-                raise AxiomViolationError("pair has no unique join", witness=(a, b))
-            table[a][b] = table[b][a] = least[0]
-    return table
+        ubs = leq[a:] & leq[a]            # row i: upper bounds of a, a + i
+        best = np.where(ubs, height, -1).argmax(1)
+        ok = ubs[np.arange(n - a), best] & ~(ubs & ~leq[best]).any(1)
+        if not ok.all():
+            raise AxiomViolationError("pair has no unique join",
+                                      witness=(a, a + int(ok.argmin())))
+        join[a, a:] = join[a:, a] = best
+    return join
 
 
 def meet_table(leq):
     """Greatest-lower-bound table, or raise if some pair has no meet."""
-    flipped = [[leq[b][a] for b in range(len(leq))] for a in range(len(leq))]
-    return join_table(flipped)
+    return join_table(np.ascontiguousarray(leq.T))
 
 
-def bottom_of(leq):
-    n = len(leq)
-    bottoms = [a for a in range(n) if all(leq[a][b] for b in range(n))]
-    return bottoms[0] if len(bottoms) == 1 else None
+def rank_function(cover, order):
+    """Ranks if the poset is graded, else None.
 
-
-def top_of(leq):
-    n = len(leq)
-    tops = [a for a in range(n) if all(leq[b][a] for b in range(n))]
-    return tops[0] if len(tops) == 1 else None
-
-
-def rank_function(leq, bottom):
-    """Ranks if the poset is graded from bottom, else None.
-
-    Graded means every cover step raises the longest-chain rank by
-    exactly one.
+    The rank of an element is the length of the longest chain of covers
+    up to it, read along the linear extension `order`; graded means
+    every cover raises it by exactly one.
     """
-    n = len(leq)
-    order = linear_extension(leq)
-    rank = [0] * n
-    covers = covers_of(leq)
-    below_covers = [[] for _ in range(n)]
-    for a in range(n):
-        for b in covers[a]:
-            below_covers[b].append(a)
+    rank = np.zeros(len(order), dtype=np.int64)
     for a in order:
-        if a == bottom:
-            rank[a] = 0
-        elif below_covers[a]:
-            rank[a] = 1 + max(rank[b] for b in below_covers[a])
-    for a in range(n):
-        for b in covers[a]:
-            if rank[b] != rank[a] + 1:
-                return None
-    return rank
+        below = cover[:, a]
+        if below.any():
+            rank[a] = rank[below].max() + 1
+    lo, hi = np.nonzero(cover)
+    return rank.tolist() if (rank[hi] == rank[lo] + 1).all() else None
 
 
-def count_saturated_chains(leq, lo, hi):
-    """Number of maximal chains of the interval [lo, hi]."""
-    if lo == hi:
-        return 1
-    if not leq[lo][hi]:
-        return 0
-    n = len(leq)
-    inside = [c for c in range(n) if leq[lo][c] and leq[c][hi]]
-    sub = {c: i for i, c in enumerate(inside)}
-    sub_leq = [[leq[a][b] for b in inside] for a in inside]
-    covers = covers_of(sub_leq)
-    counts = [0] * len(inside)
-    counts[sub[lo]] = 1
-    for a in linear_extension(sub_leq):
-        for b in covers[a]:
-            counts[b] += counts[a]
-    return counts[sub[hi]]
+def moebius_row(leq, order, a):
+    """mu(a, b) for every b >= a, as a dict b -> mu(a, b) in the order
+    of the linear extension `order`.
+
+    mu(a, a) = 1 and mu(a, b) = -(sum of mu(a, z) over a <= z < b); the
+    values are Python ints.
+    """
+    up = leq[a]
+    mu = {}
+    for b in np.asarray(order)[up[order]].tolist():
+        if b == a:
+            mu[b] = 1
+            continue
+        inside = up & leq[:, b]
+        inside[b] = False
+        mu[b] = -sum(mu[z] for z in np.flatnonzero(inside).tolist())
+    return mu
 
 
 def set_partitions(items):

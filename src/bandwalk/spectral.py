@@ -199,7 +199,7 @@ def flat_eigenvalues(structure, w):
     This is the character of the support lattice at X evaluated on w,
     and the eigenvalue that the chamber walk attaches to X.
     """
-    leq = structure.leq
+    leq = structure.leq.tolist()
     supp = structure.supp
     flats = range(structure.n_flats)
     lam = [Fraction(0)] * structure.n_flats
@@ -220,7 +220,7 @@ def spectrum(structure, w):
     Moebius-inverted multiplicities are re-summed against Eq-style
     partial sums, and negatives are rejected.
     """
-    leq = structure.leq
+    leq = structure.leq.tolist()
     f = structure.n_flats
     chambers = structure.chambers
 

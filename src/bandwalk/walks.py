@@ -180,7 +180,7 @@ def _sample_until_top(structure, w, seed, samples, guards):
     sg = structure.semigroup
     cells = memoryview(sg.tabulate(guards))
     supp = np.array(structure.supp, dtype=np.int64)
-    join = structure.join
+    join = structure.join.tolist()
     bottom = structure.bottom
     top = structure.top
     draws = _draw_blocks(w, seed)      # checks the weights, drawing nothing

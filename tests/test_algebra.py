@@ -45,12 +45,12 @@ def test_idempotent_family_certificates():
     # orthogonality and completeness
     total = {}
     for x in fam.flat_ids:
-        total = algebra.alg_add(total, fam.member(x))
+        total = algebra.alg_add(total, fam.members[x])
     assert algebra.alg_equal(total, algebra.alg_identity(sg))
     for x in fam.flat_ids:
         for y in fam.flat_ids:
-            prod = algebra.alg_multiply(sg, fam.member(x), fam.member(y))
-            want = fam.member(x) if x == y else {}
+            prod = algebra.alg_multiply(sg, fam.members[x], fam.members[y])
+            want = fam.members[x] if x == y else {}
             assert algebra.alg_equal(prod, want)
 
 
@@ -60,8 +60,8 @@ def test_idempotents_diagonalize_the_weight_element():
     fam = algebra.primitive_idempotents(st, w)
     a = algebra.weight_element(w)
     for x in fam.flat_ids:
-        left = algebra.alg_multiply(sg, a, fam.member(x))
-        want = algebra.alg_scale(fam.member(x), fam.lam[x])
+        left = algebra.alg_multiply(sg, a, fam.members[x])
+        want = algebra.alg_scale(fam.members[x], fam.lam[x])
         assert algebra.alg_equal(left, want)
 
 
@@ -133,7 +133,7 @@ def test_sampling_measure_reconstruction():
         inner = labels[flat].strip("{}")
         subset = tuple(int(s) for s in inner.split(",")) if inner else ()
         got = algebra.nu_reconstruction(st, nu, subset)
-        assert algebra.alg_equal(got, fam.member(flat))
+        assert algebra.alg_equal(got, fam.members[flat])
 
 
 def test_complete_homogeneous_recurrence():

@@ -193,6 +193,14 @@ def test_malformed_inputs_exit_2(tmp_path):
     op3 = _spec(tmp_path, {"type": "ordered_partitions", "n": 3})
     assert cli.main(["spectrum", "--spec", op3, "--uniform-on",
                      "type:1,x"]) == 2
+    # chain bands over a cycle of covers and over a bounded order that
+    # is not a lattice: bad input, not a falsified band
+    for elements, covers in (
+            ("abc", ["ab", "bc", "cb"]),
+            ("0abcd1", ["0a", "0b", "ac", "ad", "bc", "bd", "c1", "d1"])):
+        assert cli.main(["build", "--spec", _spec(tmp_path, {
+            "type": "dist_chain", "elements": list(elements),
+            "covers": [list(c) for c in covers]})]) == 2
 
 
 def test_axiom_violation_exits_3(tmp_path):

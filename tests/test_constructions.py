@@ -184,8 +184,6 @@ def test_declared_expected_lattices_match_derivation():
 def test_grid_lattice_shape():
     lat = constructions.DistributiveLattice.grid(2, 2)
     assert lat.n == 9
-    lat2 = constructions.DistributiveLattice.boolean(3)
-    assert lat2.n == 8
 
 
 def test_non_distributive_covers_are_rejected():
@@ -194,6 +192,15 @@ def test_non_distributive_covers_are_rejected():
             ["b", "x", "y", "z", "t"],
             [["b", "x"], ["b", "y"], ["b", "z"],
              ["x", "t"], ["y", "t"], ["z", "t"]])
+    # a cycle of covers, and a bounded order in which a and b have two
+    # minimal upper bounds, are refused naming the labels
+    for labels, covers, named in (
+            ("abc", ["ab", "bc", "cb"], "through b and c"),
+            ("0abcd1", ["0a", "0b", "ac", "ad", "bc", "bd", "c1", "d1"],
+             r"join at \(a,b\)")):
+        with pytest.raises(MalformedInputError, match=named):
+            constructions.DistributiveLattice.from_covers(
+                labels, [list(c) for c in covers])
 
 
 def test_spec_dispatch_round_trip():

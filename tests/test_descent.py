@@ -51,40 +51,6 @@ def test_complex_shape_and_type_classes():
     assert sizes == {(): 1, (1,): 3, (2,): 3, (1, 2): 6}
 
 
-def test_face_of_type_cuts_the_chamber_word():
-    cx = descent.coxeter_complex(3)
-    c = cx.chamber_id[(2, 1, 3)]
-    face = descent.face_of_type(cx, c, (1,))
-    assert cx.semigroup.keys[face] == "2|1,3"
-    whole = descent.face_of_type(cx, c, ())
-    assert cx.semigroup.keys[whole] == "1,2,3"
-
-
-def test_descent_pair_matches_the_permutation_descent_set():
-    for n in (3, 4):
-        cx = descent.coxeter_complex(n)
-        for u in permutations(range(1, n + 1)):
-            for v in permutations(range(1, n + 1)):
-                got = descent.descent_pair(
-                    cx, cx.chamber_id[u], cx.chamber_id[v])
-                want = descent.descent_set(
-                    descent.compose(descent.inverse(u), v))
-                assert got == want
-
-
-def test_descent_pair_is_the_minimal_restoring_face():
-    # brute force over all faces of d
-    cx = descent.coxeter_complex(3)
-    sg = cx.semigroup
-    for u in permutations((1, 2, 3)):
-        for v in permutations((1, 2, 3)):
-            c, d = cx.chamber_id[u], cx.chamber_id[v]
-            restoring = [cx.types[f] for f in range(sg.size)
-                         if sg.product(f, c) == d]
-            minimal = min(restoring, key=len)
-            assert set(minimal) == set(descent.descent_pair(cx, c, d))
-
-
 def test_beta_equals_h_and_counts_descent_classes():
     rows = descent.beta_and_h(4)
     assert all(r.ok for r in rows)

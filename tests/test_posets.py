@@ -1,0 +1,201 @@
+"""The array derivations of `posets` against the list loops they replaced."""
+
+import numpy
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from bandwalk import derangement, posets, selftest
+from bandwalk.errors import AxiomViolationError, MalformedInputError
+
+
+# ------------------------------------------------ list-based reference
+
+
+def _ref_check_partial_order(leq):
+    n = len(leq)
+    for a in range(n):
+        if not leq[a][a]:
+            raise AxiomViolationError("order not reflexive", witness=(a,))
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq[a][b] and leq[b][a]:
+                raise AxiomViolationError("order not antisymmetric",
+                                          witness=(a, b))
+    for a in range(n):
+        la = leq[a]
+        for b in range(n):
+            if la[b]:
+                lb = leq[b]
+                for c in range(n):
+                    if lb[c] and not la[c]:
+                        raise AxiomViolationError(
+                            "order not transitive", witness=(a, b, c))
+
+
+def _ref_covers_of(leq):
+    n = len(leq)
+    covers = []
+    for a in range(n):
+        ups = [b for b in range(n) if leq[a][b] and a != b]
+        cov = []
+        for b in ups:
+            if not any(leq[a][c] and leq[c][b] and c != a and c != b
+                       for c in ups):
+                cov.append(b)
+        covers.append(sorted(cov))
+    return covers
+
+
+def _ref_linear_extension(leq):
+    n = len(leq)
+    below = [sum(1 for b in range(n) if leq[b][a]) for a in range(n)]
+    return sorted(range(n), key=lambda a: (below[a], a))
+
+
+def _ref_join_table(leq):
+    n = len(leq)
+    table = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
+            if len(least) != 1:
+                raise AxiomViolationError("pair has no unique join",
+                                          witness=(a, b))
+            table[a][b] = table[b][a] = least[0]
+    return table
+
+
+def _ref_closure(labels, pairs):
+    """The depth-first closure `poset_from_json` ran on cover pairs."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    size = len(labels)
+    up = [set() for _ in range(size)]
+    for a, b in pairs:
+        up[index[a]].add(index[b])
+    leq = [[a == b for b in range(size)] for a in range(size)]
+    for a in range(size):
+        frontier = list(up[a])
+        while frontier:
+            c = frontier.pop()
+            if not leq[a][c]:
+                leq[a][c] = True
+                frontier.extend(up[c])
+    for a in range(size):
+        for b in range(size):
+            if a != b and leq[a][b] and leq[b][a]:
+                raise MalformedInputError(
+                    f"cover cycle through {labels[a]} and {labels[b]}")
+    return leq
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (AxiomViolationError, MalformedInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+# ------------------------------------------------------------ strategies
+
+
+@hs.composite
+def relations(draw):
+    n = draw(hs.integers(0, 7))
+    cells = draw(hs.lists(hs.booleans(), min_size=n * n, max_size=n * n))
+    return numpy.array(cells, dtype=bool).reshape(n, n)
+
+
+@hs.composite
+def closed_dags(draw, max_flips=0):
+    """A random partial order: the closure of a DAG on a shuffled
+    vertex order, with up to `max_flips` cells off the diagonal toggled
+    afterwards."""
+    n = draw(hs.integers(0, 7))
+    rank = draw(hs.permutations(range(n)))
+    leq = numpy.eye(n, dtype=bool)
+    for a in range(n):
+        for b in range(n):
+            if rank[a] < rank[b]:
+                leq[a, b] = draw(hs.booleans())
+    for k in range(n):
+        leq[leq[:, k]] |= leq[k]
+    for _ in range(draw(hs.integers(0, max_flips)) if n > 1 else 0):
+        a, b = draw(hs.lists(hs.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        leq[a, b] = not leq[a, b]
+    return leq
+
+
+# ------------------------------------------------------------------ tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.one_of(relations(), closed_dags(max_flips=3)))
+def test_validity_reports_the_reference_witness(leq):
+    want = _outcome(_ref_check_partial_order, leq.tolist())
+    assert _outcome(posets.check_partial_order, leq) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_dags())
+def test_derivations_match_the_reference_loops(leq):
+    lists = leq.tolist()
+    posets.check_partial_order(leq)
+    cover = posets.covers_of(leq)
+    assert [numpy.flatnonzero(row).tolist() for row in cover] \
+        == _ref_covers_of(lists)
+    assert posets.linear_extension(leq) == _ref_linear_extension(lists)
+    for table, flip in ((posets.join_table, False),
+                        (posets.meet_table, True)):
+        ref = [list(col) for col in zip(*lists)] if flip else lists
+        want = _outcome(_ref_join_table, ref)
+        got = _outcome(table, leq)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(1, 7).flatmap(lambda n: hs.tuples(
+    hs.just(n), hs.lists(hs.tuples(hs.integers(0, n - 1),
+                                   hs.integers(0, n - 1)), max_size=12))))
+def test_closure_of_covers_matches_the_depth_first_reference(case):
+    n, edges = case
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [[labels[a], labels[b]] for a, b in edges]
+    want = _outcome(_ref_closure, labels, pairs)
+    got = _outcome(posets.order_from_covers, labels, pairs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.tolist() == want
+
+
+def _brute_maximal_chains(p):
+    """Every chain from bottom to top, kept when nothing fits between two
+    of its consecutive elements."""
+    leq = p.leq.tolist()
+    n = p.size
+
+    def between(a, b):
+        return any(leq[a][z] and leq[z][b] and z not in (a, b)
+                   for z in range(n))
+
+    def chains(chain):
+        if chain[-1] == p.top:
+            yield chain
+            return
+        for z in range(n):
+            if z != chain[-1] and leq[chain[-1]][z]:
+                yield from chains(chain + [z])
+
+    return sum(1 for chain in chains([p.bottom])
+               if not any(between(a, b) for a, b in zip(chain, chain[1:])))
+
+
+def test_maximal_chain_count_matches_enumeration():
+    for p in selftest.derangement_corpus():
+        assert derangement.maximal_chain_count(p) \
+            == _brute_maximal_chains(p), p.name
