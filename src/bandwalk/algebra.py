@@ -6,9 +6,10 @@ feasible letters whose prefix supports climb strictly.  Summing their
 contributions with complete homogeneous symmetric functions gives the
 exact m-step distribution of the walk; summing them with residue
 coefficients gives an orthogonal family of idempotents splitting the
-walk algebra, one per feasible flat.  Verification is built into the
-constructors; a family that fails its own orthogonality is reported,
-never returned.
+walk algebra, one per feasible flat.  For generic weights the same
+family is a set of Lagrange projectors, polynomials in w.  Verification
+is built into the constructors; a family that fails its own
+certificate is reported, never returned.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .errors import (
     SizeGuardError,
 )
 from .guards import DEFAULT_GUARDS
-from .spectral import flat_eigenvalues
+from .spectral import annihilated, flat_eigenvalues, lagrange_projectors
 
 
 # ------------------------------------------------- algebra primitives
@@ -88,22 +89,16 @@ def weight_element(w):
 def feasible_flats(structure, w):
     """L_w: the bottom plus all joins of supports of weighted elements.
 
-    Returns a sorted flat id list.  Equals the whole lattice exactly
-    when the weighted elements generate the semigroup.
+    Returns a sorted flat id list.  It is the whole lattice when the
+    weighted elements generate the semigroup, and may be so otherwise.
     """
     join = structure.join.tolist()
     gens = {structure.supp[x] for x in w.support_ids()}
     seen = {structure.bottom} | gens
-    frontier = list(seen)
+    frontier = seen
     while frontier:
-        nxt = []
-        for a in list(seen):
-            for g in gens:
-                j = join[a][g]
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
+        frontier = {join[a][g] for a in frontier for g in gens} - seen
+        seen |= frontier
     return sorted(seen)
 
 
@@ -197,13 +192,15 @@ def primitive_idempotents(structure, w, restrict=False,
                           guards=DEFAULT_GUARDS):
     """The orthogonal idempotent family of the walk algebra.
 
-    e_X sums, over reduced words whose support chain passes through X,
-    the residue coefficient times the word's weight on the element the
-    word multiplies out to.  The family is orthogonal, idempotent,
-    sums to the algebra identity and decomposes w as sum of
-    lambda_X e_X; all four facts are certified here before returning.
+    When the lambda_X of the feasible flats are pairwise distinct, e_X
+    is the Lagrange projector prod over Y != X of (w - lambda_Y) /
+    (lambda_X - lambda_Y), and the identity prod (w - lambda_Y) = 0 on
+    the same Krylov sequence makes the family orthogonal, idempotent,
+    complete and sum to w with weights lambda_X.  Otherwise e_X sums
+    residue coefficients over the reduced words whose chain passes
+    through X, and `_certify_family` checks those facts pair by pair.
     Grouping members with equal eigenvalue yields the primitive
-    idempotents of the walk algebra even for non-generic weights.
+    idempotents of the walk algebra either way.
 
     Requires the weighted elements to generate the semigroup so that
     every flat is feasible; pass restrict=True to knowingly work over
@@ -218,6 +215,37 @@ def primitive_idempotents(structure, w, restrict=False,
             f"{len(feas)}/{structure.n_flats} flats; pass restrict=True "
             "to analyze the walk on the generated sub-band")
     lam = flat_eigenvalues(structure, w)
+    by_lam = {}
+    for x in feas:
+        by_lam.setdefault(lam[x], []).append(x)
+    generic = len(by_lam) == len(feas)
+    if generic:
+        vs, nodes, bad = annihilated(structure, w, [lam[x] for x in feas])
+        if bad is not None:
+            raise FalsificationError(
+                "prod (w - lambda_X) over the feasible flats is nonzero "
+                f"at {sg.keys[bad]}", witness=sg.keys[bad])
+        members = {
+            x: {i: Fraction(a, den) for i, a in enumerate(num) if a}
+            for x, (num, den) in zip(feas, lagrange_projectors(vs, nodes))}
+    else:
+        members = _residue_members(structure, w, feas, lam, guards)
+
+    grouped = []
+    for lv in sorted(by_lam, reverse=True):
+        acc = {}
+        for x in by_lam[lv]:
+            acc = alg_add(acc, members[x])
+        grouped.append((lv, acc))
+    fam = IdempotentFamily(
+        feas, {x: lam[x] for x in feas}, members, grouped,
+        lattice_covered=covered, is_generic=generic)
+    if not generic:
+        _certify_family(sg, structure, w, fam)
+    return fam
+
+
+def _residue_members(structure, w, feas, lam, guards):
     members = {x: {} for x in feas}
 
     def visit(word, chain, elem, wprod):
@@ -242,23 +270,8 @@ def primitive_idempotents(structure, w, restrict=False,
             else:
                 e.pop(elem, None)
 
-    _reduced_word_walk(sg, structure, w, visit, guards)
-
-    by_lam = {}
-    for x in feas:
-        by_lam.setdefault(lam[x], []).append(x)
-    grouped = []
-    for lv in sorted(by_lam, reverse=True):
-        acc = {}
-        for x in by_lam[lv]:
-            acc = alg_add(acc, members[x])
-        grouped.append((lv, acc))
-    fam = IdempotentFamily(
-        feas, {x: lam[x] for x in feas}, members, grouped,
-        lattice_covered=covered,
-        is_generic=len(by_lam) == len(feas))
-    _certify_family(sg, structure, w, fam)
-    return fam
+    _reduced_word_walk(structure.semigroup, structure, w, visit, guards)
+    return members
 
 
 def _certify_family(sg, structure, w, fam):

@@ -53,7 +53,7 @@ def _build_parser():
     p.add_argument("--spec", required=True)
     _add_weight_opts(p)
     p.add_argument("--certify", action="store_true",
-                   help="certify diagonalizability by exact nullities")
+                   help="certify diagonalizability in the semigroup algebra")
     _add_common(p)
 
     p = sub.add_parser("idempotents", help="primitive idempotents of the "

@@ -241,11 +241,15 @@ def matroid_flats_lattice(m):
 
 def _flats_lattice(name, system):
     """The flats of a closure system (a Matroid or a VectorSpace),
-    ordered by inclusion."""
+    ordered by inclusion: a <= b when no point of a lies outside b, one
+    float32 product of the 0/1 point incidence matrix, exact because
+    the counts stay below 2^24."""
     flats = system.flats()
     labels = [system.flat_label(f) for f in flats]
-    leq = np.array([[a <= b for b in flats] for a in flats])
-    return graded_poset(name, labels, leq)
+    inc = np.zeros((len(flats), system.n), dtype=np.float32)
+    for i, f in enumerate(flats):
+        inc[i, list(f)] = 1
+    return graded_poset(name, labels, (inc @ (1 - inc).T) == 0)
 
 
 def poset_from_json(obj):

@@ -28,10 +28,10 @@ from math import comb, factorial
 
 import numpy
 
-from . import constructions
+from . import constructions, spectral
 from .derangement import _subsets, flag_h_vector
 from .errors import (FalsificationError, MalformedInputError,
-                     PreconditionError, SizeGuardError)
+                     PreconditionError)
 from .guards import DEFAULT_GUARDS
 
 
@@ -393,12 +393,6 @@ class _SymmetricGroupTable:
         z = self.descents[None, :] == masks
         return u.astype(numpy.int64), z.astype(numpy.int64)
 
-    def vector(self, elem):
-        out = numpy.zeros(len(self.perms), dtype=numpy.int64)
-        for w, v in elem.items():
-            out[self.index[w]] = v
-        return out
-
     def convolve(self, a, b):
         out = numpy.zeros(len(self.perms), dtype=numpy.int64)
         for i in numpy.nonzero(a)[0]:
@@ -409,7 +403,6 @@ class _SymmetricGroupTable:
 @dataclass
 class TopToRandomFamily:
     n: int
-    vs: list
     es: list
 
 
@@ -418,10 +411,10 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
 
     v_l sums the permutations with descent set inside {1..l} (v_n
     repeats v_{n-1}), and E_i is the alternating binomial combination
-    of the v_l / l!.  Orthogonality, idempotence, completeness, the
-    vanishing of E_{n-1} and the spectral decomposition of the walk
-    distribution are all certified exactly over the integers before
-    returning.
+    of the v_l / l!.  E_{n-1} must vanish; for the move-to-front
+    measure mu, prod (n mu - i) over i != n-1 must vanish in ZS_n and
+    each other E_i must be the Lagrange projector of n mu at i, which
+    `certify_top_to_random` checks before returning.
     """
     constructions.check_n("top_to_random_idempotents", n,
                           guards.partitions_n_cap)
@@ -431,7 +424,6 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
         vs.append({w: Fraction(1) for w in permutations(range(1, n + 1))
                    if set(descent_set(w)) <= cap})
     es = []
-    scale = factorial(n)
     for i in range(n + 1):
         e = {}
         for l in range(i, n + 1):
@@ -442,42 +434,35 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
 
     if es[n - 1]:
         raise FalsificationError(f"E_{n - 1} should vanish for n = {n}")
-
     table = _SymmetricGroupTable(n)
-    keep = [i for i in range(n + 1) if i != n - 1]
-    ints = {}
-    for i in keep:
-        v = {w: c * scale for w, c in es[i].items()}
-        if any(c.denominator != 1 for c in v.values()):
-            raise FalsificationError("E_i denominators exceed n!")
-        ints[i] = table.vector({w: c.numerator for w, c in v.items()})
-    bound = max(int(numpy.abs(v).max() or 0) for v in ints.values())
-    if bound * bound * len(table.perms) >= 2 ** 62:
-        raise SizeGuardError("integer certification would overflow")
+    moves = [w for w in table.perms if set(descent_set(w)) <= {1}]
+    certify_top_to_random(table, es, moves)
+    return TopToRandomFamily(n, es)
 
-    identity = tuple(range(1, n + 1))
-    total = sum(ints.values())
-    want = numpy.zeros(len(table.perms), dtype=numpy.int64)
-    want[table.index[identity]] = scale
-    if not numpy.array_equal(total, want):
-        raise FalsificationError("E_i family does not sum to the identity")
-    for i in keep:
-        for j in keep:
-            got = table.convolve(ints[i], ints[j])
-            expect = scale * ints[i] if i == j else 0 * want
-            if not numpy.array_equal(got, expect):
-                raise FalsificationError(
-                    f"E_{i} E_{j} fails the orthogonality certificate")
 
-    # uniform move-to-front measure decomposes as sum of (i/n) E_i;
-    # both sides here carry the common factor n * n!
-    mu = numpy.zeros(len(table.perms), dtype=numpy.int64)
-    for w in permutations(range(1, n + 1)):
-        if set(descent_set(w)) <= {1}:
-            mu[table.index[w]] = scale
-    decomposed = sum(i * ints[i] for i in keep)
-    if not numpy.array_equal(mu, decomposed):
+def certify_top_to_random(table, es, moves):
+    """Certify E_0..E_n against mu, the uniform measure on `moves`: with
+    v_j = (n mu)^j in ZS_n, prod (n mu - i) over i != n-1 must vanish and
+    each E_i must be the Lagrange projector of n mu at i, built from the
+    same v_j.  The identity makes these orthogonal idempotents summing
+    to 1 with mu = sum (i/n) E_i."""
+    n = table.n
+    nodes = [i for i in range(n + 1) if i != n - 1]
+    rows = [(table.comp[table.index[w]].tolist(), 1) for w in moves]
+    identity = table.index[tuple(range(1, n + 1))]
+    vs = spectral.krylov_sequence(rows, identity, len(table.perms),
+                                  len(nodes))
+    residue = spectral.apply_roots(vs, nodes)
+    bad = next((table.perms[x] for x, a in enumerate(residue) if a), None)
+    if bad is not None:
         raise FalsificationError(
-            "uniform move-to-front measure fails its spectral "
-            "decomposition")
-    return TopToRandomFamily(n, vs, es)
+            f"prod (n mu - i) over i != {n - 1} is nonzero at {bad}",
+            witness=bad)
+    for i, (num, den) in zip(nodes, spectral.lagrange_projectors(vs, nodes)):
+        got = [0] * len(table.perms)
+        for w, c in es[i].items():
+            got[table.index[w]] = c * den
+        if got != num:
+            raise FalsificationError(
+                f"E_{i} is not the Lagrange projector of the move-to-front "
+                f"measure at {i}/{n}", witness=i)

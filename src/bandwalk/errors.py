@@ -8,7 +8,12 @@ guard stop (4).
 
 
 class BandwalkError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; carries a witness when one
+    exists."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class MalformedInputError(BandwalkError):
@@ -21,11 +26,7 @@ class PreconditionError(BandwalkError):
 
 class AxiomViolationError(BandwalkError):
     """A semigroup failed idempotence, deletion, associativity or the
-    support axioms.  Carries a witness when one exists."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    support axioms."""
 
 
 class FalsificationError(BandwalkError):

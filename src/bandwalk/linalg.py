@@ -6,7 +6,7 @@ multiplies the whole matrix by the least common denominator of its
 entries.  Elimination proceeds with the two-term integer
 cross-multiplication update plus a gcd squeeze per produced row, and
 pivots are chosen smallest-in-magnitude to keep the integers from
-blowing up.  Nullities and kernels are exact; nothing in this module
+blowing up.  Kernels are exact; nothing in this module
 touches floats.
 """
 
@@ -22,7 +22,7 @@ def scaled(rows):
     entry, and the integer rows are D times the input.
 
     Entries may be ints or Fractions.  Scaling by a nonzero rational
-    preserves nullity and kernel, so the integer matrix stands in for
+    preserves the kernel, so the integer matrix stands in for
     the rational one everywhere in this module.
     """
     rows = [list(r) for r in rows]
@@ -44,13 +44,6 @@ def _squeeze(row):
 
 
 # ------------------------------------------------------- elimination
-
-
-def nullity(rows):
-    rows = list(rows)
-    if not rows:
-        return 0
-    return len(rows[0]) - len(echelon_int_rows(rows))
 
 
 def echelon_int_rows(rows):

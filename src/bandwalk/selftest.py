@@ -106,8 +106,8 @@ def criterion_1(guards=DEFAULT_GUARDS):
             spec = spectral.spectrum(st, w)
             spectral.verify_diagonalizable(P, spec)
             n_walks += 1
-    return (f"{n_walks} walks over {len(bands)} bands: eigenspace "
-            "nullities match the Moebius multiplicities exactly")
+    return (f"{n_walks} walks over {len(bands)} bands: Krylov identities "
+            "and traces certify the Moebius multiplicities exactly")
 
 
 # ---------------------------------------------------------- criterion 2
@@ -145,19 +145,23 @@ def criterion_2(guards=DEFAULT_GUARDS):
     spectral.verify_diagonalizable(P, spec)
 
     # removing the holding probability alpha = 3/7 gives the pushing
-    # walk on 2-subsets; its spectrum maps through (l - a)/(1 - a)
+    # walk on 2-subsets of the signed weights (w - alpha 1)/(1 - alpha);
+    # its spectrum maps through (l - a)/(1 - a)
     alpha = Fraction(3, 7)
-    kids = spectral.remove_holding_probability(P, alpha)
     kids_want = {(l - alpha) / (1 - alpha): m for l, m in want.items()}
     if kids_want != {Fraction(1): 1, Fraction(0): 2, Fraction(-1, 4): 2,
                      Fraction(-1, 2): 1}:
         _fail("transformed eigenvalue table is not the published one")
-    dims = spectral.eigenspace_dimensions(kids, kids_want)
-    for (lam, m), nullity in zip(kids_want.items(), dims):
-        if nullity != m:
-            _fail(f"kids-walk nullity at {lam} is {nullity}, not {m}")
-    if sum(dims) != 6:
-        _fail("kids-walk eigenspaces do not fill the chamber space")
+    coeffs = {x: v / (1 - alpha) for x, v in w.items()}
+    coeffs[sg.identity] = coeffs.get(sg.identity, 0) - alpha / (1 - alpha)
+    kids_w = spectral.WeightVector(sg, coeffs, require_probability=False)
+    kids = spectral.transition_matrix(st, kids_w)
+    if kids.rows != spectral.remove_holding_probability(P, alpha).rows:
+        _fail("signed weights do not give the deflated matrix")
+    kids_spec = spectral.spectrum(st, kids_w)
+    if kids_spec.eigenvalues() != kids_want:
+        _fail(f"kids-walk spectrum {kids_spec.eigenvalues()} != {kids_want}")
+    spectral.verify_diagonalizable(kids, kids_spec)
     return ("printed 6x6 matrix matched up to relabeling; spectra "
             "{1, 3/7 x2, 2/7 x2, 1/7} and {1, 0 x2, -1/4 x2, -1/2} exact")
 

@@ -5,13 +5,17 @@ left, so P(c, d) = sum of w_x over x with xc = d.  The eigenvalues are
 indexed by the support lattice: lambda_X sums the weights of elements
 supported at or below X, and the multiplicity m_X comes from Moebius
 inversion of the chamber counts c_X.  verify_diagonalizable turns that
-statement into a falsifiable certificate by computing exact nullities
-of P - lambda I per distinct eigenvalue.
+statement into a falsifiable certificate in the semigroup algebra kS:
+one integer Krylov sequence (Dw)^j 1 must be annihilated by the product
+of (x - D lambda) over the distinct lambda, and its traces on the
+chamber span must match the multiplicities.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 import numpy
 
@@ -111,6 +115,10 @@ class TransitionMatrix:
     # (D, per row the (column, integer) pairs of its nonzero cells), with
     # rows[i][j] = integer / D; see sparse_rows
     sparse: tuple = field(default=None, repr=False, compare=False)
+    # the support structure and weights of the walk, when P was built
+    # from them by transition_matrix; verify_diagonalizable reads them
+    structure: object = field(default=None, repr=False, compare=False)
+    weights: object = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
@@ -160,7 +168,8 @@ def transition_matrix(structure, w):
         rows.append(row)
         cells.append(nonzero)
     return TransitionMatrix([sg.keys[c] for c in chambers],
-                            list(chambers), rows, (den, cells))
+                            list(chambers), rows, (den, cells),
+                            structure, w)
 
 
 # ------------------------------------------------------------ spectra
@@ -181,12 +190,6 @@ class Spectrum:
     grouped: dict          # lambda -> total multiplicity
     n_chambers: int
     is_generic: bool
-
-    def lam(self, flat):
-        return self.records[flat].lam
-
-    def multiplicity(self, flat):
-        return self.records[flat].multiplicity
 
     def eigenvalues(self):
         """Grouped spectrum without the zero-multiplicity flats."""
@@ -261,28 +264,69 @@ def spectrum(structure, w):
                     is_generic=len(set(lam)) == f)
 
 
+# ---------------------------------------------------- Krylov sequence
+
+
+def krylov_sequence(rows, start, size, k):
+    """[v_0, .., v_k], integer lists of length `size`: v_0 is the unit
+    vector at `start`, and v_{j+1} = a v_j for a = sum of c x over the
+    (row of x, c) pairs in `rows`, acting on the left."""
+    vs = [[0] * size]
+    vs[0][start] = 1
+    for _ in range(k):
+        nonzero = [(y, c) for y, c in enumerate(vs[-1]) if c]
+        v = [0] * size
+        for row, a in rows:
+            for y, c in nonzero:
+                v[row[y]] += a * c
+        vs.append(v)
+    return vs
+
+
+def apply_roots(vs, roots):
+    """The integer list sum of c_j v_j, where c_j are the coefficients,
+    lowest degree first, of the product of (x - r) over `roots`."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    out = [0] * len(vs[0])
+    for c, v in zip(coeffs, vs):
+        out = [o + c * a for o, a in zip(out, v)]
+    return out
+
+
+def lagrange_projectors(vs, nodes):
+    """Per node r, (numerator, denominator) of the Lagrange projector,
+    the product over s != r of (a - s)/(r - s), a^j read off vs[j]."""
+    return [(apply_roots(vs, [s for s in nodes if s != r]),
+             math.prod(r - s for s in nodes if s != r)) for r in nodes]
+
+
+def annihilated(structure, w, lams):
+    """(vs, nodes, bad): v_j = (Dw)^j 1 in kS for j = 0..k, k the number
+    of `lams` and D the common denominator of w and the lams, read off
+    the table rows of the weighted elements; the nodes D lambda; and the
+    first element where prod (Dw - D lambda) 1 is nonzero, None when
+    that product vanishes in kS (1 generates kS as a left module)."""
+    sg = structure.semigroup
+    table = sg.tabulate()
+    xs = w.support_ids()
+    _, (ints,) = linalg.scaled([[w[x] for x in xs] + list(lams)])
+    nodes = ints[len(xs):]
+    vs = krylov_sequence([(table[x].tolist(), a) for x, a in zip(xs, ints)],
+                         sg.identity, sg.size, len(nodes))
+    residue = apply_roots(vs, nodes)
+    return vs, nodes, next((x for x, a in enumerate(residue) if a), None)
+
+
 # -------------------------------------------------------- certificate
-
-
-def eigenspace_dimensions(P, lams):
-    """Exact dim ker(P - lambda I) for each lambda in `lams`, in order.
-
-    P and the lambdas are scaled to integers together, once; each shift
-    then subtracts the integer D lambda on the diagonal of a row copy.
-    """
-    _, rows = linalg.scaled(P.rows + [list(lams)])
-    dims = []
-    for dlam in rows.pop():
-        shifted = [list(r) for r in rows]
-        for i, r in enumerate(shifted):
-            r[i] -= dlam
-        dims.append(linalg.nullity(shifted))
-    return dims
 
 
 @dataclass
 class DiagonalizabilityCertificate:
-    entries: list          # (lambda, expected multiplicity, observed nullity)
+    entries: list          # (lambda, expected, certified multiplicity)
     total_expected: int
     total_observed: int
     ok: bool
@@ -291,25 +335,43 @@ class DiagonalizabilityCertificate:
 def verify_diagonalizable(P, spec, strict=True):
     """Certify diagonalizability and the multiplicity table at once.
 
-    For each distinct eigenvalue the exact nullity of P - lambda I must
-    equal the grouped multiplicity, and the nullities must sum to the
-    chamber count; eigenspace dimensions can only fall short of that
-    total, so equality certifies a full eigenbasis.
+    P is left multiplication by w on the left ideal kC of kS, so the
+    identity prod (Dw - D lambda) 1 = 0 over the distinct lambda proves
+    P diagonalizable.  Left multiplication by x fixes c_{supp x}
+    chambers, so for j < k the traces sum_x v_j(x) c_{supp x} of
+    v_j = (Dw)^j 1 must equal sum m_lambda (D lambda)^j; with distinct
+    nodes this Vandermonde system forces the grouped multiplicities.
     """
-    n = P.size
+    if P.structure is None:
+        raise PreconditionError(
+            "the transition matrix carries no walk to certify")
+    st = P.structure
+    if len(spec.records) != st.n_flats:
+        raise PreconditionError("the spectrum belongs to another band")
     lams = sorted(spec.grouped, reverse=True)
-    entries = [(l, spec.grouped[l], o)
-               for l, o in zip(lams, eigenspace_dimensions(P, lams))]
-    total_obs = sum(o for _, _, o in entries)
+    mults = [spec.grouped[l] for l in lams]
+    vs, nodes, bad = annihilated(st, P.weights, lams)
+    fixed = [spec.records[f].chambers_above for f in st.supp]
+    j = next((j for j in range(len(nodes))
+              if sum(a * c for a, c in zip(vs[j], fixed))
+              != sum(m * d ** j for m, d in zip(mults, nodes))), None)
+    # the first element off the identity, else the first power whose
+    # trace differs
+    witness = st.semigroup.keys[bad] if bad is not None else j
+    observed = mults if witness is None else [None] * len(lams)
+    total_obs = sum(o or 0 for o in observed)
     cert = DiagonalizabilityCertificate(
-        entries, spec.n_chambers, total_obs,
-        ok=(total_obs == n == spec.n_chambers
-            and all(e == o for _, e, o in entries)))
+        list(zip(lams, mults, observed)), spec.n_chambers, total_obs,
+        ok=witness is None and total_obs == P.size)
     if strict and not cert.ok:
-        bad = [(str(l), e, o) for l, e, o in entries if e != o]
+        if bad is not None:
+            why = f"prod (w - lambda) 1 is nonzero at element {witness}"
+        elif j is not None:
+            why = f"the trace of P^{j} misses the multiplicities"
+        else:
+            why = f"multiplicities sum to {total_obs}, not {P.size}"
         raise FalsificationError(
-            f"diagonalizability certificate failed: {bad or 'total'} "
-            f"(observed total {total_obs}, chambers {spec.n_chambers})")
+            f"diagonalizability certificate failed: {why}", witness=witness)
     return cert
 
 
@@ -331,36 +393,13 @@ def remove_holding_probability(P, alpha):
 def matrix_permutation_match(a, b):
     """A permutation p with a[p[i]][p[j]] == b[i][j], or None.
 
-    Backtracking on rows with multiset pruning; intended for the small
-    printed-matrix regressions, not bulk use.
+    Tries every relabeling once the row multisets agree; intended for
+    the small printed-matrix regressions, not bulk use.
     """
     n = len(a)
-    if len(b) != n:
+    if len(b) != n or \
+            sorted(sorted(r) for r in a) != sorted(sorted(r) for r in b):
         return None
-    if sorted(sorted(r) for r in a) != sorted(sorted(r) for r in b):
-        return None
-    perm = [None] * n
-    used = [False] * n
-
-    def fits(i):
-        pi = perm[i]
-        for j in range(n):
-            if perm[j] is not None:
-                if a[pi][perm[j]] != b[i][j] or a[perm[j]][pi] != b[j][i]:
-                    return False
-        return True
-
-    def place(i):
-        if i == n:
-            return True
-        for cand in range(n):
-            if not used[cand]:
-                perm[i] = cand
-                used[cand] = True
-                if fits(i) and place(i + 1):
-                    return True
-                used[cand] = False
-                perm[i] = None
-        return False
-
-    return perm if place(0) else None
+    return next((list(p) for p in permutations(range(n))
+                 if all(a[p[i]][p[j]] == b[i][j]
+                        for i in range(n) for j in range(n))), None)

@@ -29,8 +29,8 @@ def _drive(capsys, number, fn):
 
 
 def test_criterion_1_diagonalizability_certificates(capsys):
-    """Exact eigenspace nullities match lattice multiplicities on every
-    corpus walk, uniform and seeded."""
+    """The Krylov identity and traces certify the lattice multiplicities
+    on every corpus walk, uniform and seeded."""
     _drive(capsys, 1, selftest.criterion_1)
 
 

@@ -54,6 +54,25 @@ def test_idempotent_family_certificates():
             assert algebra.alg_equal(prod, want)
 
 
+def test_generic_family_needs_no_reduced_words_or_pair_sweep(monkeypatch):
+    sg, st = _band(constructions.ordered_partitions, 3)
+    w = _generic_weights(sg)
+    dfs = algebra._residue_members(st, w, list(range(st.n_flats)),
+                                   spectral.flat_eigenvalues(st, w),
+                                   algebra.DEFAULT_GUARDS)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("the generic path reached the DFS")
+
+    monkeypatch.setattr(algebra, "_reduced_word_walk", forbidden)
+    monkeypatch.setattr(algebra, "_certify_family", forbidden)
+    fam = algebra.primitive_idempotents(st, w)
+    assert fam.is_generic and fam.members == dfs
+    # non-generic weights still take the reduced words
+    with pytest.raises(AssertionError):
+        algebra.primitive_idempotents(st, spectral.uniform_on_generators(sg))
+
+
 def test_idempotents_diagonalize_the_weight_element():
     sg, st = _band(constructions.free_lrb_bar, 3)
     w = _generic_weights(sg)

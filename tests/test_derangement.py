@@ -93,6 +93,17 @@ def test_matroid_flats_lattice_matches_direct_counts():
     assert der.derangement_number(u24) == 3
 
 
+@pytest.mark.parametrize("system", [
+    pytest.param(lambda: der.fields.VectorSpace(2, 4), id="subspace(4,2)"),
+    pytest.param(lambda: matroid.Matroid.from_graph(K4), id="K4")])
+def test_flat_inclusion_matches_the_frozenset_order(system):
+    system = system()
+    flats = system.flats()
+    p = der._flats_lattice("flats", system)
+    want = numpy.array([[a <= b for b in flats] for a in flats])
+    assert p.leq.dtype == bool and numpy.array_equal(p.leq, want)
+
+
 def test_stanley_even_gap_identity():
     for p in (der.boolean_lattice(3), der.boolean_lattice(4),
               der.partition_lattice(4), der.subspace_lattice(2, 3),

@@ -1,5 +1,6 @@
 """Coxeter complex, descent sets, and the walk correspondence."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -204,13 +205,71 @@ def test_top_to_random_idempotent_family():
             assert len(w) == 4
 
 
+def _vector(group, elem):
+    out = numpy.zeros(len(group.perms), dtype=numpy.int64)
+    for w, v in elem.items():
+        out[group.index[w]] = v
+    return out
+
+
 def test_group_convolution_composes_as_functions():
     group = descent._SymmetricGroupTable(3)
-    a = group.vector({(2, 1, 3): 1})
-    b = group.vector({(1, 3, 2): 1})
+    a = _vector(group, {(2, 1, 3): 1})
+    b = _vector(group, {(1, 3, 2): 1})
     # product places u after v: (u o v)(i) = u(v(i))
-    want = group.vector({descent.compose((2, 1, 3), (1, 3, 2)): 1})
+    want = _vector(group, {descent.compose((2, 1, 3), (1, 3, 2)): 1})
     assert numpy.array_equal(group.convolve(a, b), want)
+
+
+def _move_to_front(group):
+    return [w for w in group.perms if set(descent.descent_set(w)) <= {1}]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_top_to_random_family_passes_the_pairwise_reference(n):
+    # the reference the Krylov certificate replaced: every pair of
+    # n! E_i convolved, the sum, and mu = sum (i/n) E_i
+    fam = descent.top_to_random_idempotents(n)
+    group = descent._SymmetricGroupTable(n)
+    scale = math.factorial(n)
+    keep = [i for i in range(n + 1) if i != n - 1]
+    ints = {i: _vector(group, {w: int(c * scale)
+                               for w, c in fam.es[i].items()})
+            for i in keep}
+    one = _vector(group, {tuple(range(1, n + 1)): scale})
+    assert numpy.array_equal(sum(ints.values()), one)
+    for i in keep:
+        for j in keep:
+            want = scale * ints[i] if i == j else 0 * one
+            assert numpy.array_equal(group.convolve(ints[i], ints[j]), want)
+    mu = _vector(group, {w: scale for w in _move_to_front(group)})
+    assert numpy.array_equal(sum(i * ints[i] for i in keep), mu)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_top_to_random_certificate_rejects_a_perturbed_family(n):
+    fam = descent.top_to_random_idempotents(n)
+    group = descent._SymmetricGroupTable(n)
+    moves = _move_to_front(group)
+    descent.certify_top_to_random(group, fam.es, moves)
+    for i in (0, n):
+        es = [dict(e) for e in fam.es]
+        w = min(es[i])
+        es[i][w] += F(1, math.factorial(n))
+        with pytest.raises(FalsificationError):
+            descent.certify_top_to_random(group, es, moves)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_top_to_random_certificate_rejects_a_swapped_measure(n):
+    fam = descent.top_to_random_idempotents(n)
+    group = descent._SymmetricGroupTable(n)
+    moves = _move_to_front(group)
+    others = [w for w in group.perms if w not in moves]
+    for k in range(len(moves)):
+        swapped = moves[:k] + [others[k]] + moves[k + 1:]
+        with pytest.raises(FalsificationError):
+            descent.certify_top_to_random(group, fam.es, swapped)
 
 
 @pytest.mark.parametrize("chunk", [7, constructions.TABLE_CHUNK])

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from bandwalk import constructions, core, spectral
+from bandwalk import algebra, constructions, core, selftest, spectral
 from bandwalk.errors import (FalsificationError, MalformedInputError,
                              PreconditionError)
+from test_linalg import eigenspace_dimensions
 
 
 F = Fraction
@@ -145,3 +148,112 @@ def test_character_sums_weights_below_a_flat():
     for flat in range(st.n_flats):
         manual = sum(v for x, v in w.items() if st.leq[st.supp[x]][flat])
         assert lam[flat] == manual
+
+
+def test_certificate_needs_the_walk_of_the_matrix():
+    sg, st = _f3()
+    w = spectral.uniform_on_generators(sg)
+    P = spectral.transition_matrix(st, w)
+    bare = spectral.TransitionMatrix(P.chamber_keys, P.chamber_ids, P.rows)
+    with pytest.raises(PreconditionError):
+        spectral.verify_diagonalizable(bare, spectral.spectrum(st, w))
+
+
+def test_certificate_failure_names_its_witness():
+    sg, st = _f3()
+    uni = spectral.uniform_on_generators(sg)
+    skew = spectral.seeded_generator_weights(sg, 1)
+    P = spectral.transition_matrix(st, skew)
+    with pytest.raises(FalsificationError) as info:
+        spectral.verify_diagonalizable(P, spectral.spectrum(st, uni))
+    assert info.value.witness in sg.keys
+    cert = spectral.verify_diagonalizable(P, spectral.spectrum(st, uni),
+                                          strict=False)
+    assert cert.total_observed == 0
+    assert all(o is None for _, _, o in cert.entries)
+
+
+def test_krylov_helpers_on_a_small_polynomial():
+    # a = 2 x on a two-cell "row" that sends 0 to 1 and 1 to 1
+    vs = spectral.krylov_sequence([([1, 1], 2)], 0, 2, 3)
+    assert vs == [[1, 0], [0, 2], [0, 4], [0, 8]]
+    # (x - 1)(x - 2)(x + 3) = x^3 - 7x + 6 applied: 6 v_0 - 7 v_1 + v_3
+    assert spectral.apply_roots(vs, [1, 2, -3]) == [6, -6]
+    assert spectral.apply_roots(vs, [0, 2]) == [0, 0]
+    (num0, den0), (num2, den2) = spectral.lagrange_projectors(vs, [0, 2])
+    assert (num0, den0) == ([-2, 2], -2) and (num2, den2) == ([0, 2], 2)
+
+
+# ------------------------------------------- random bands and weights
+
+
+def _small_bands():
+    return [(sg, st) for _, sg, st, _ in selftest.corpus()
+            if sg.size <= 80 and len(st.chambers) > 1]
+
+
+@hs.composite
+def _walks(draw):
+    """A corpus band with |S| <= 80 and positive rational weights on an
+    arbitrary set of its elements, the identity allowed."""
+    sg, st = draw(hs.sampled_from(_small_bands()))
+    ids = draw(hs.lists(hs.integers(0, sg.size - 1), min_size=1,
+                        max_size=6, unique=True))
+    nums = draw(hs.lists(hs.integers(1, 40), min_size=len(ids),
+                         max_size=len(ids)))
+    total = sum(nums)
+    return sg, st, spectral.WeightVector(
+        sg, {i: F(a, total) for i, a in zip(ids, nums)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walks())
+def test_krylov_certificate_matches_the_nullity_oracle(walk):
+    sg, st, w = walk
+    P = spectral.transition_matrix(st, w)
+    spec = spectral.spectrum(st, w)
+    cert = spectral.verify_diagonalizable(P, spec)
+    lams = [l for l, _, _ in cert.entries]
+    assert [o for _, _, o in cert.entries] == eigenspace_dimensions(P, lams)
+    assert cert.total_observed == P.size
+
+    # each distinct lambda is a root of the minimal polynomial of w
+    for drop in lams:
+        rest = [l for l in lams if l != drop]
+        assert spectral.annihilated(st, w, rest)[2] is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walks(), hs.data())
+def test_krylov_certificate_rejects_a_corrupted_table_cell(walk, data):
+    sg, st, w = walk
+    P = spectral.transition_matrix(st, w)
+    spec = spectral.spectrum(st, w)
+    # x times the identity is x; send it to an element z fixing another
+    # number of chambers, which moves the trace of P (or, when w is the
+    # identity alone, leaves w - 1 nonzero)
+    x = data.draw(hs.sampled_from(w.support_ids()))
+    fixed = [spec.records[f].chambers_above for f in st.supp]
+    z = next(z for z in range(sg.size) if fixed[z] != fixed[x])
+    table = sg.table
+    corrupted = table.copy()
+    corrupted[x, sg.identity] = z
+    sg.table = corrupted
+    try:
+        cert = spectral.verify_diagonalizable(P, spec, strict=False)
+    finally:
+        sg.table = table
+    assert not cert.ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walks())
+def test_lagrange_members_equal_the_reduced_word_members(walk):
+    sg, st, w = walk
+    fam = algebra.primitive_idempotents(st, w, restrict=True)
+    if not fam.is_generic:
+        return
+    dfs = algebra._residue_members(st, w, fam.flat_ids,
+                                   spectral.flat_eigenvalues(st, w),
+                                   algebra.DEFAULT_GUARDS)
+    assert fam.members == dfs
