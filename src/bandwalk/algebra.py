@@ -15,7 +15,7 @@ certificate is reported, never returned.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, posets
+from . import posets
 from .errors import (
     FalsificationError,
     MalformedInputError,
@@ -23,7 +23,8 @@ from .errors import (
     SizeGuardError,
 )
 from .guards import DEFAULT_GUARDS
-from .spectral import annihilated, flat_eigenvalues, lagrange_projectors
+from .spectral import (annihilated, flat_eigenvalues, lagrange_projectors,
+                       scaled)
 
 
 # ------------------------------------------------- algebra primitives
@@ -284,10 +285,10 @@ def _certify_family(sg, structure, w, fam):
     """
     n = sg.size
     table = sg.tabulate()
-    scaled = {}
+    ints = {}
     for x, e in fam.members.items():
-        den, (nums,) = linalg.scaled([e.values()])
-        scaled[x] = den, list(zip(e, nums))
+        den, (nums,) = scaled([e.values()])
+        ints[x] = den, list(zip(e, nums))
 
     total = {}
     for x in fam.flat_ids:
@@ -304,11 +305,11 @@ def _certify_family(sg, structure, w, fam):
             "eigenvalue decomposition does not rebuild w")
 
     for xa in fam.flat_ids:
-        da, va = scaled[xa]
+        da, va = ints[xa]
         # memoryviews give plain ints without copying the rows
         rows = [(memoryview(table[i]), ci) for i, ci in va]
         for xb in fam.flat_ids:
-            db, vb = scaled[xb]
+            db, vb = ints[xb]
             out = [0] * n
             for row, ci in rows:
                 for j, cj in vb:

@@ -411,31 +411,28 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
 
     v_l sums the permutations with descent set inside {1..l} (v_n
     repeats v_{n-1}), and E_i is the alternating binomial combination
-    of the v_l / l!.  E_{n-1} must vanish; for the move-to-front
-    measure mu, prod (n mu - i) over i != n-1 must vanish in ZS_n and
-    each other E_i must be the Lagrange projector of n mu at i, which
-    `certify_top_to_random` checks before returning.
+    of the v_l / l!.  A permutation w lies in v_l exactly when its
+    largest descent L (0 for none) is at most l, so E_i(w) is the sum
+    over l from max(i, L) to n, read off an (n+1) x n table.  E_{n-1}
+    must vanish; for the move-to-front measure mu, prod (n mu - i) over
+    i != n-1 must vanish in ZS_n and each other E_i must be the
+    Lagrange projector of n mu at i, which `certify_top_to_random`
+    checks before returning.
     """
     constructions.check_n("top_to_random_idempotents", n,
                           guards.partitions_n_cap)
-    vs = []
-    for l in range(n + 1):
-        cap = set(range(1, min(l, n - 1) + 1))
-        vs.append({w: Fraction(1) for w in permutations(range(1, n + 1))
-                   if set(descent_set(w)) <= cap})
-    es = []
-    for i in range(n + 1):
-        e = {}
-        for l in range(i, n + 1):
-            c = Fraction((-1) ** (l - i) * comb(l, i), factorial(l))
-            for w in vs[l]:
-                e[w] = e.get(w, Fraction(0)) + c
-        es.append({w: v for w, v in e.items() if v})
+    table = _SymmetricGroupTable(n)
+    masks = table.descents.tolist()
+    coef = [[sum(Fraction((-1) ** (l - i) * comb(l, i), factorial(l))
+                 for l in range(max(i, last), n + 1))
+             for last in range(n)] for i in range(n + 1)]
+    largest = [m.bit_length() for m in masks]
+    es = [{w: c[k] for w, k in zip(table.perms, largest) if c[k]}
+          for c in coef]
 
     if es[n - 1]:
         raise FalsificationError(f"E_{n - 1} should vanish for n = {n}")
-    table = _SymmetricGroupTable(n)
-    moves = [w for w in table.perms if set(descent_set(w)) <= {1}]
+    moves = [w for w, m in zip(table.perms, masks) if m <= 1]
     certify_top_to_random(table, es, moves)
     return TopToRandomFamily(n, es)
 

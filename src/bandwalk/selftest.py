@@ -246,8 +246,8 @@ def criterion_4(guards=DEFAULT_GUARDS):
         pi = algebra.stationary_from_idempotents(st, fam)
         P = spectral.transition_matrix(st, w)
         if pi != walks.stationary_exact(P).probs:
-            _fail(f"{name}: top idempotent and kernel solve disagree "
-                  "on the stationary distribution")
+            _fail(f"{name}: top idempotent and absorbed right product "
+                  "disagree on the stationary distribution")
         elem = algebra.weight_element(w)
         for m in range(7):
             direct = algebra.alg_power(sg, elem, m)

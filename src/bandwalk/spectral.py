@@ -19,7 +19,6 @@ from itertools import permutations
 
 import numpy
 
-from . import linalg
 from .errors import (
     FalsificationError,
     MalformedInputError,
@@ -28,6 +27,19 @@ from .errors import (
 
 
 # ------------------------------------------------------------ weights
+
+
+def scaled(rows):
+    """(D, integer rows): D is the least common denominator of every
+    entry, and the integer rows are D times the input.
+
+    Entries may be ints or Fractions; this is the one place a rational
+    is turned into an integer.
+    """
+    rows = [list(r) for r in rows]
+    den = math.lcm(*{v.denominator for r in rows for v in r})
+    return den, [[v.numerator * (den // v.denominator) for v in r]
+                 for r in rows]
 
 
 class WeightVector:
@@ -89,7 +101,7 @@ def uniform_on_generators(sg):
     return uniform_on(sg, sg.generators)
 
 
-# Small integer numerators keep downstream exact elimination fast.
+# Small integer numerators keep the downstream exact integers small.
 SEEDED_MAX_NUMERATOR = 9
 
 
@@ -113,26 +125,17 @@ class TransitionMatrix:
     chamber_ids: list
     rows: list
     # (D, per row the (column, integer) pairs of its nonzero cells), with
-    # rows[i][j] = integer / D; see sparse_rows
+    # rows[i][j] = integer / D, set by transition_matrix
     sparse: tuple = field(default=None, repr=False, compare=False)
     # the support structure and weights of the walk, when P was built
-    # from them by transition_matrix; verify_diagonalizable reads them
+    # from them by transition_matrix; verify_diagonalizable and
+    # walks.stationary_exact read them
     structure: object = field(default=None, repr=False, compare=False)
     weights: object = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
         return len(self.rows)
-
-    def sparse_rows(self):
-        """(D, cells): cells[i] lists (j, D P(i, j)) over the nonzero
-        P(i, j), as integers; derived from the rows by `linalg.scaled`
-        when the matrix was not built with them."""
-        if self.sparse is None:
-            den, ints = linalg.scaled(self.rows)
-            self.sparse = (den, [[(j, a) for j, a in enumerate(r) if a]
-                                 for r in ints])
-        return self.sparse
 
 
 def transition_matrix(structure, w):
@@ -149,7 +152,7 @@ def transition_matrix(structure, w):
     pos = {c: i for i, c in enumerate(chambers)}
     prod = sg.product
     xs = w.support_ids()
-    den, (nums,) = linalg.scaled([[w[x] for x in xs]])
+    den, (nums,) = scaled([[w[x] for x in xs]])
     total = sum(nums)
     zero = Fraction(0)
     rows = []
@@ -313,7 +316,7 @@ def annihilated(structure, w, lams):
     sg = structure.semigroup
     table = sg.tabulate()
     xs = w.support_ids()
-    _, (ints,) = linalg.scaled([[w[x] for x in xs] + list(lams)])
+    _, (ints,) = scaled([[w[x] for x in xs] + list(lams)])
     nodes = ints[len(xs):]
     vs = krylov_sequence([(table[x].tolist(), a) for x, a in zip(xs, ints)],
                          sg.identity, sg.size, len(nodes))

@@ -7,16 +7,17 @@ infinite product x1 x2 x3 ..., which grows by multiplying new draws on
 the RIGHT of the accumulator; the accumulator becomes a chamber at the
 first time T its support hits the top flat.  `simulate` runs the
 walk; the stationary and stopping-time samplers share one
-draw-until-top loop.
+draw-until-top loop, and `stationary_exact` computes the law of that
+same loop exactly, one element at a time in support order.
 
-Exact paths (stationary solve, matrix powers, total variation, the
-coatom bound) do their matrix work on integer rows, scaled once by
-`linalg.scaled`, and return Fractions.  Empirical paths replay the
-seeded standard generator in blocks: `_draw_blocks` rebuilds its
-`random()` stream, double for double, from `getrandbits` words and
-draws a whole block of elements with one sorted search, so every
-sampled artifact is the one a draw-at-a-time loop would give.  They
-report floats.
+Exact paths (stationary law, matrix powers, total variation, the
+coatom bound) return Fractions; the matrix work runs on the integer
+cells that `transition_matrix` keeps, with rationals scaled once by
+`spectral.scaled`.  Empirical paths replay the seeded standard
+generator in blocks: `_draw_blocks` rebuilds its `random()` stream,
+double for double, from `getrandbits` words and draws a whole block of
+elements with one sorted search, so every sampled artifact is the one
+a draw-at-a-time loop would give.  They report floats.
 """
 
 import random
@@ -25,15 +26,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .errors import (
+    FalsificationError,
     MalformedInputError,
     NonUniqueStationaryError,
     PreconditionError,
     StagnationError,
 )
 from .guards import DEFAULT_GUARDS
-from .spectral import flat_eigenvalues, transition_matrix
+from .spectral import flat_eigenvalues, scaled, transition_matrix
 
 
 # --------------------------------------------------------- trajectory
@@ -133,29 +134,80 @@ def total_variation(p, q):
 
 
 def stationary_exact(P):
-    """The unique solution of pi P = pi, sum pi = 1, exact.
+    """The unique pi with pi P = pi and sum pi = 1, exact (Theorem 0).
 
-    Solved as the kernel of D P^T - D I, with D the common denominator
-    of P; a kernel of dimension other than one is reported, which is
-    the symptom of a walk whose weights do not reach every chamber.
+    pi is the law of the right product x1 x2 ... of draws from w at the
+    first time its support reaches X_w, the join of the supports of the
+    weighted elements, applied to any chamber.  A draw supported below
+    the current product a is absorbed (ax = a); otherwise it is drawn
+    with probability w_x / (1 - lambda_f), f = supp a.  So the mass of
+    each element comes from the elements below it in one pass over the
+    flats in a linear extension: this is the chamber part of the top
+    idempotent, summed per element instead of per reduced word.
+
+    Every flat not above X_w must have lambda != 1: probability weights
+    ensure it, and signed weights are refused without it.  Then the
+    stationary vectors span c = |a C| dimensions for any a with
+    supp a = X_w, and c != 1 is refused.  The result is certified by
+    D pi = pi (D P) on the integer cells of P.
     """
-    den, cells = P.sparse_rows()
-    tr = [[0] * P.size for _ in cells]
-    for i, row in enumerate(cells):
-        for j, a in row:
-            tr[j][i] = a
-        tr[i][i] -= den
-    basis = linalg.kernel_basis(tr)
-    if len(basis) != 1:
+    st, w = P.structure, P.weights
+    if st is None:
+        raise PreconditionError(
+            "the transition matrix carries no walk to solve")
+    if w.total != 1:
+        raise PreconditionError(f"weights sum to {w.total}, not 1")
+    leq = st.leq
+    supp = st.supp
+    xs = w.support_ids()
+    lam = flat_eigenvalues(st, w)
+    top = st.bottom
+    for x in xs:
+        top = int(st.join[top, supp[x]])
+    stuck = next((f for f in range(st.n_flats)
+                  if lam[f] == 1 and not leq[top, f]), None)
+    if stuck is not None:
+        raise PreconditionError(
+            f"lambda is 1 at {st.labels[stuck]}, which is not above "
+            f"{st.labels[top]}")
+    table = st.semigroup.tabulate()
+    chambers = st.chambers
+    c = len(set(table[st.members[top][0], chambers].tolist()))
+    if c != 1:
         raise NonUniqueStationaryError(
-            f"stationary space has dimension {len(basis)}")
-    v = basis[0]
-    total = sum(v, Fraction(0))
-    if total == 0:
-        raise NonUniqueStationaryError("kernel vector has zero mass")
-    pi = [x / total for x in v]
-    if any(x < 0 for x in pi):
-        raise NonUniqueStationaryError("stationary solve went negative")
+            f"stationary space has dimension {c}")
+
+    products = table[:, xs].tolist()
+    mass = {st.semigroup.identity: Fraction(1)}
+    pos = {d: i for i, d in enumerate(chambers)}
+    pi = [Fraction(0)] * len(chambers)
+    for f in st.order:
+        held = [(a, mass.pop(a)) for a in st.members[f] if a in mass]
+        if f == top:
+            # every flat holding mass lies below X_w, so it ends here
+            for a, m in held:
+                pi[pos[int(table[a, chambers[0]])]] += m
+            break
+        if not held:
+            continue
+        steps = [(k, w[x] / (1 - lam[f])) for k, x in enumerate(xs)
+                 if not leq[supp[x], f]]
+        for a, m in held:
+            row = products[a]
+            for k, p in steps:
+                b = row[k]
+                mass[b] = mass.get(b, 0) + m * p
+
+    den, cells = P.sparse
+    q, (nums,) = scaled([pi])
+    moved = [0] * len(pi)
+    for a, row in zip(nums, cells):
+        if a:
+            for j, b in row:
+                moved[j] += a * b
+    if sum(nums) != q or min(nums) < 0 or moved != [den * a for a in nums]:
+        raise FalsificationError(
+            "the absorbed right product is not a stationary law of P")
     return DistributionOnChambers(list(P.chamber_keys), pi,
                                   "stationary-exact")
 
@@ -308,14 +360,14 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     lam = flat_eigenvalues(structure, w)
     lams = [lam[h] for h in structure.coatoms()]
     # the bound at m is sum(lam_num^m) / lam_den^m
-    lam_den, (lam_num,) = linalg.scaled([lams])
+    lam_den, (lam_num,) = scaled([lams])
 
     times = (sample_stopping_times(structure, w, seed, samples, guards)
              if samples else None)
 
     # row c0 of P^m is r / den^m with r integer; pi is pi_num / q
-    den, cells = P.sparse_rows()
-    q, (pi_num,) = linalg.scaled([pi.probs])
+    den, cells = P.sparse
+    q, (pi_num,) = scaled([pi.probs])
     n = P.size
     r = [0] * n
     r[start] = 1

@@ -16,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bandwalk import constructions, core, matroid, spectral, walks
-from bandwalk.errors import (MalformedInputError, NonUniqueStationaryError,
-                             PreconditionError, StagnationError)
+from bandwalk.errors import (FalsificationError, MalformedInputError,
+                             NonUniqueStationaryError, PreconditionError,
+                             StagnationError)
 from bandwalk.guards import DEFAULT_GUARDS
+from test_linalg import stationary_kernel
+from test_spectral import _small_bands
 
 
 F = Fraction
@@ -95,18 +98,24 @@ def test_integer_cells_agree_with_the_rows_they_are_built_with():
     sg, st = _f3()
     w = spectral.seeded_generator_weights(sg, 9)
     P = spectral.transition_matrix(st, w)
-    bare = spectral.TransitionMatrix(P.chamber_keys, P.chamber_ids, P.rows)
 
     def cells(M):
-        den, rows = M.sparse_rows()
+        den, rows = M.sparse
         return [sorted((j, F(a, den)) for j, a in r) for r in rows]
 
-    assert cells(P) == cells(bare) == [
-        [(j, v) for j, v in enumerate(r) if v] for r in P.rows]
+    assert cells(P) == [[(j, v) for j, v in enumerate(r) if v]
+                        for r in P.rows]
     pi = walks.stationary_exact(P).probs
-    assert walks.stationary_exact(bare).probs == pi
-    # deflating the holding probability keeps the stationary law
-    Q = spectral.remove_holding_probability(P, F(1, 3))
+    # deflating the holding probability alpha is the walk of the signed
+    # weights (w - alpha 1) / (1 - alpha), and keeps the stationary law
+    alpha = F(1, 3)
+    coeffs = {x: v / (1 - alpha) for x, v in w.items()}
+    coeffs[sg.identity] = coeffs.get(sg.identity, 0) - alpha / (1 - alpha)
+    signed = spectral.WeightVector(sg, coeffs, require_probability=False)
+    Q = spectral.transition_matrix(st, signed)
+    assert Q.rows == spectral.remove_holding_probability(P, alpha).rows
+    assert cells(Q) == [[(j, v) for j, v in enumerate(r) if v]
+                        for r in Q.rows]
     assert walks.stationary_exact(Q).probs == pi
 
 
@@ -114,8 +123,90 @@ def test_identity_weights_make_the_stationary_solve_fail():
     sg, st = _f3()
     w = spectral.WeightVector(sg, {sg.identity: F(1)})
     P = spectral.transition_matrix(st, w)
-    with pytest.raises(NonUniqueStationaryError):
+    with pytest.raises(NonUniqueStationaryError, match="dimension 6$"):
         walks.stationary_exact(P)
+
+
+def test_a_walk_below_the_top_lands_where_its_first_draw_says():
+    sg, st = _f3()
+    w = spectral.WeightVector.from_keys(sg, {"1,2": F(1, 3), "2,1": F(2, 3)})
+    P = spectral.transition_matrix(st, w)
+    pi = walks.stationary_exact(P)
+    assert dict(zip(pi.chamber_keys, pi.probs)) == {
+        "1,2,3": F(1, 3), "1,3,2": 0, "2,1,3": F(2, 3), "2,3,1": 0,
+        "3,1,2": 0, "3,2,1": 0}
+    assert [pi.probs] == stationary_kernel(P)
+    # weight on one letter leaves the order of the other two open
+    w = spectral.WeightVector.from_keys(sg, {"1": F(1)})
+    P = spectral.transition_matrix(st, w)
+    with pytest.raises(NonUniqueStationaryError, match="dimension 2$"):
+        walks.stationary_exact(P)
+
+
+def test_the_stationary_law_needs_the_walk_of_the_matrix():
+    sg, st = _f3()
+    P = spectral.transition_matrix(st, spectral.uniform_on_generators(sg))
+    bare = spectral.TransitionMatrix(P.chamber_keys, P.chamber_ids, P.rows)
+    with pytest.raises(PreconditionError):
+        walks.stationary_exact(bare)
+    with pytest.raises(PreconditionError):
+        walks.stationary_exact(spectral.remove_holding_probability(P, 0))
+
+
+def test_signed_weights_with_lambda_one_below_the_join_are_refused():
+    sg, st = _f3()
+    a, b, c = sg.generators
+    w = spectral.WeightVector(sg, {a: F(1), b: F(1), c: F(-1)},
+                              require_probability=False)
+    P = spectral.transition_matrix(st, w)
+    with pytest.raises(PreconditionError, match="lambda is 1"):
+        walks.stationary_exact(P)
+    half = spectral.WeightVector(sg, {a: F(1, 2)}, require_probability=False)
+    with pytest.raises(PreconditionError, match="not 1"):
+        walks.stationary_exact(spectral.transition_matrix(st, half))
+
+
+def test_a_perturbed_integer_cell_fails_the_stationary_certificate():
+    sg, st = _f3()
+    P = spectral.transition_matrix(st, spectral.seeded_generator_weights(sg,
+                                                                         9))
+    den, cells = P.sparse
+    (j, a), *rest = cells[0]
+    # every chamber has positive mass, so row 0 of pi P moves
+    P.sparse = (den, [[(j, a + 1)] + rest] + cells[1:])
+    with pytest.raises(FalsificationError):
+        walks.stationary_exact(P)
+
+
+@hs.composite
+def _walks(draw):
+    """A corpus band with |S| <= 80 and positive rational weights on a
+    random set of its elements, the identity drawn in half the time; the
+    supports often join below the top."""
+    sg, st = draw(hs.sampled_from(_small_bands()))
+    ids = set(draw(hs.lists(hs.integers(0, sg.size - 1), min_size=1,
+                            max_size=6)))
+    if draw(hs.booleans()):
+        ids.add(sg.identity)
+    nums = draw(hs.lists(hs.integers(1, 40), min_size=len(ids),
+                         max_size=len(ids)))
+    total = sum(nums)
+    return sg, st, spectral.WeightVector(
+        sg, {i: F(a, total) for i, a in zip(sorted(ids), nums)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walks())
+def test_stationary_law_matches_the_kernel_oracle(walk):
+    sg, st, w = walk
+    P = spectral.transition_matrix(st, w)
+    basis = stationary_kernel(P)
+    if len(basis) == 1:
+        assert walks.stationary_exact(P).probs == basis[0]
+    else:
+        with pytest.raises(NonUniqueStationaryError,
+                           match=f"dimension {len(basis)}$"):
+            walks.stationary_exact(P)
 
 
 def test_support_generation_detection():
