@@ -1,27 +1,28 @@
 """The rational semigroup algebra of a band and its walk idempotents.
 
 Elements of the algebra are sparse maps from element ids to Fractions.
-The central objects are the reduced words of a weight vector: tuples of
-feasible letters whose prefix supports climb strictly.  Summing their
-contributions with complete homogeneous symmetric functions gives the
-exact m-step distribution of the walk; summing them with residue
-coefficients gives an orthogonal family of idempotents splitting the
-walk algebra, one per feasible flat.  For generic weights the same
-family is a set of Lagrange projectors, polynomials in w.  Verification
-is built into the constructors; a family that fails its own
-certificate is reported, never returned.
+The paper writes the walk's m-step law and its idempotents as sums over
+the reduced words of a weight vector: tuples of weighted letters whose
+prefix supports climb strictly.  The coefficient of a word is a product
+of one factor per flat of its support chain, so `support_pass` sums the
+words per element instead, in one climb through the flats in support
+order.  With the factor 1 / (1 - lambda_f t) it gives the generating
+function of the exact m-step distribution; with the residue factor
+1 / (lambda_X - lambda_f) it gives the member e_X of an orthogonal
+family of idempotents splitting the walk algebra, one per feasible
+flat.  For generic weights the same family is a set of Lagrange
+projectors, polynomials in w.  Verification is built into the
+constructors; a family that fails its own certificate is reported,
+never returned.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import posets
-from .errors import (
-    FalsificationError,
-    MalformedInputError,
-    PreconditionError,
-    SizeGuardError,
-)
+from .errors import FalsificationError, MalformedInputError, PreconditionError
 from .guards import DEFAULT_GUARDS
 from .spectral import (annihilated, flat_eigenvalues, lagrange_projectors,
                        scaled)
@@ -84,7 +85,7 @@ def weight_element(w):
     return dict(w.items())
 
 
-# ------------------------------------------------------ reduced words
+# ----------------------------------------------------- support pass
 
 
 def feasible_flats(structure, w):
@@ -103,77 +104,109 @@ def feasible_flats(structure, w):
     return sorted(seen)
 
 
-def _reduced_word_walk(sg, structure, w, visit, guards):
-    """DFS over reduced words of feasible letters.
+def support_pass(structure, w, settle, start, below=None,
+                 guards=DEFAULT_GUARDS):
+    """The reduced words of w, summed per element in one climb.
 
-    Calls visit(letters, chain, product_id, weight_product) at every
-    node, including the empty word; `chain` is the support chain
-    starting at the bottom flat.
+    A reduced word x_1 .. x_l multiplies out to an element whose prefix
+    supports c_0 < c_1 < .. < c_l climb strictly from the bottom flat.
+    Going through the flats f of `structure.order`, the values pushed
+    to each element a with supp a = f are summed; settle(f, held) maps
+    those (a, sum) pairs to a factor r and the (a, v) pairs that move
+    on, and each such a pushes v * r * w_x to a x for every weighted x
+    with supp x not <= f, and, while f < below, supp x <= below.
+    supp(a x) is the join of f and supp x, so every push lands on a
+    flat still to come and each element is settled once, after all of
+    its words arrived.  The identity starts with `start`; values need
+    only * and +.
     """
-    letters = w.support_ids()
-    supp = structure.supp
-    join = structure.join.tolist()
-    prod = sg.product
-    budget = [guards.word_cap]
-
-    def rec(word, chain, elem, wprod):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SizeGuardError(
-                f"reduced-word traversal exceeded {guards.word_cap} nodes")
-        visit(word, chain, elem, wprod)
-        top = chain[-1]
-        for x in letters:
-            nxt = join[top][supp[x]]
-            if nxt != top:
-                word.append(x)
-                chain.append(nxt)
-                rec(word, chain, prod(elem, x), wprod * w[x])
-                word.pop()
-                chain.pop()
-
-    rec([], [structure.bottom], sg.identity, Fraction(1))
-
-
-def complete_homogeneous(degree, values):
-    """h_degree(values) by the one-variable-at-a-time recurrence."""
-    h = [Fraction(1)] + [Fraction(0)] * degree
-    for v in values:
-        if not v:
+    sg = structure.semigroup
+    leq = structure.leq.tolist()
+    xs = w.support_ids()
+    letters = [(structure.supp[x], w[x]) for x in xs]
+    products = sg.tabulate(guards)[:, xs].tolist()
+    mass = {sg.identity: start}
+    for f in structure.order:
+        held = [(a, mass.pop(a)) for a in structure.members[f] if a in mass]
+        if not held:
             continue
-        for n in range(1, degree + 1):
-            h[n] += v * h[n - 1]
-    return h[degree]
+        r, moving = settle(f, held)
+        early = below is not None and below != f and leq[f][below]
+        steps = [(k, c * r) for k, (s, c) in enumerate(letters)
+                 if not leq[s][f] and (not early or leq[s][below])]
+        for a, v in moving:
+            row = products[a]
+            for k, c in steps:
+                b = row[k]
+                mass[b] = mass.get(b, 0) + v * c
 
 
 def power_formula(structure, w, m, guards=DEFAULT_GUARDS):
     """w^m assembled from reduced words, without a single convolution.
 
-    Each reduced word x of length l <= m contributes
-    h_{m-l}(lambda_0..lambda_l) * w_x on the element it multiplies out
-    to.  Agreement with the convolution power is a theorem; the test
-    suite checks it, this function does not.
+    Each reduced word x of length l <= m, with support chain
+    c_0 < .. < c_l, contributes h_{m-l}(lambda_{c_0}, .., lambda_{c_l})
+    * w_x on the element it multiplies out to.  That is the coefficient
+    of t^m in the generating function
+    t^l * prod_j 1 / (1 - lambda_{c_j} t), which `support_pass` carries
+    per element as its coefficients of degree <= m: the sum at each
+    element is divided by 1 - lambda_f t at its flat f, and pushed on
+    times w_x t.
+    Agreement with the convolution power is a theorem; the test suite
+    checks it, this function does not.
     """
     if m < 0:
         raise MalformedInputError("negative power")
-    sg = structure.semigroup
     lam = flat_eigenvalues(structure, w)
     out = {}
 
-    def visit(word, chain, elem, wprod):
-        l = len(word)
-        if l > m:
-            return
-        h = complete_homogeneous(m - l, [lam[x] for x in chain])
-        if h and wprod:
-            s = out.get(elem, Fraction(0)) + h * wprod
-            if s:
-                out[elem] = s
-            else:
-                out.pop(elem, None)
+    def settle(f, held):
+        moving = []
+        for a, g in held:
+            for n in range(1, m + 1):
+                g[n] += lam[f] * g[n - 1]
+            if g[m]:
+                out[a] = g[m]
+            shifted = np.concatenate(([0], g[:-1]))
+            if shifted.any():
+                moving.append((a, shifted))
+        return 1, moving
 
-    _reduced_word_walk(sg, structure, w, visit, guards)
+    start = np.array([Fraction(1)] + [0] * m, dtype=object)
+    support_pass(structure, w, settle, start, guards=guards)
     return out
+
+
+def residue_idempotent(structure, w, flat, lam, guards=DEFAULT_GUARDS):
+    """The member e_X of the residue family, X = `flat`.
+
+    A reduced word x whose support chain c_0 < .. < c_l passes X adds
+    w_x times prod over c_j != X of 1 / (lambda_X - lambda_{c_j}), its
+    residue at lambda_X, to e_X at the element it multiplies out to.
+    That is one factor per flat, so `support_pass` applies the factor
+    of each flat f once to the summed mass of the elements at f, using
+    only letters with supp x <= X until X is reached.  e_X(a) is the
+    mass that settles at a, for each a with supp a >= X.  A chain
+    through X and another flat with the same lambda has no residue and
+    raises FalsificationError.
+    """
+    lx = lam[flat]
+    above = structure.leq[flat].tolist()
+    e = {}
+
+    def settle(f, held):
+        if f == flat:
+            r = 1
+        elif lam[f] == lx:
+            raise FalsificationError("equal eigenvalues along a feasible chain")
+        else:
+            r = 1 / (lx - lam[f])
+        if above[f]:
+            e.update((a, m * r) for a, m in held if m)
+        return r, held
+
+    support_pass(structure, w, settle, Fraction(1), below=flat, guards=guards)
+    return e
 
 
 # ------------------------------------------------ walk idempotents
@@ -197,9 +230,11 @@ def primitive_idempotents(structure, w, restrict=False,
     is the Lagrange projector prod over Y != X of (w - lambda_Y) /
     (lambda_X - lambda_Y), and the identity prod (w - lambda_Y) = 0 on
     the same Krylov sequence makes the family orthogonal, idempotent,
-    complete and sum to w with weights lambda_X.  Otherwise e_X sums
-    residue coefficients over the reduced words whose chain passes
-    through X, and `_certify_family` checks those facts pair by pair.
+    complete and sum to w with weights lambda_X.  Otherwise e_X is
+    `residue_idempotent`: one pass in support order that multiplies the
+    mass at each flat f != X on a chain through X by
+    1 / (lambda_X - lambda_f), and `_certify_family` checks those facts
+    pair by pair.
     Grouping members with equal eigenvalue yields the primitive
     idempotents of the walk algebra either way.
 
@@ -230,7 +265,8 @@ def primitive_idempotents(structure, w, restrict=False,
             x: {i: Fraction(a, den) for i, a in enumerate(num) if a}
             for x, (num, den) in zip(feas, lagrange_projectors(vs, nodes))}
     else:
-        members = _residue_members(structure, w, feas, lam, guards)
+        members = {x: residue_idempotent(structure, w, x, lam, guards)
+                   for x in feas}
 
     grouped = []
     for lv in sorted(by_lam, reverse=True):
@@ -244,35 +280,6 @@ def primitive_idempotents(structure, w, restrict=False,
     if not generic:
         _certify_family(sg, structure, w, fam)
     return fam
-
-
-def _residue_members(structure, w, feas, lam, guards):
-    members = {x: {} for x in feas}
-
-    def visit(word, chain, elem, wprod):
-        if not wprod:
-            return
-        l = len(word)
-        # residues of the partial-fraction split along this word's chain
-        for i, x in enumerate(chain):
-            den = Fraction(1)
-            for j in range(i):
-                den *= lam[x] - lam[chain[j]]
-            for j in range(i + 1, l + 1):
-                den *= lam[chain[j]] - lam[x]
-            if den == 0:
-                raise FalsificationError(
-                    "equal eigenvalues along a feasible chain")
-            r = Fraction((-1) ** (l - i), 1) / den
-            e = members[x]
-            s = e.get(elem, Fraction(0)) + r * wprod
-            if s:
-                e[elem] = s
-            else:
-                e.pop(elem, None)
-
-    _reduced_word_walk(structure.semigroup, structure, w, visit, guards)
-    return members
 
 
 def _certify_family(sg, structure, w, fam):

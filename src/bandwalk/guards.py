@@ -24,8 +24,6 @@ class Guards:
     free_n_cap: int = 8
     partitions_n_cap: int = 7
     matroid_ground_cap: int = 12
-    # reduced-word DFS node budget
-    word_cap: int = 2_000_000
     # per-sample draw cap before declaring stagnation
     sample_step_cap: int = 100_000
 

@@ -8,7 +8,8 @@ the RIGHT of the accumulator; the accumulator becomes a chamber at the
 first time T its support hits the top flat.  `simulate` runs the
 walk; the stationary and stopping-time samplers share one
 draw-until-top loop, and `stationary_exact` computes the law of that
-same loop exactly, one element at a time in support order.
+same loop exactly, one element at a time in support order, with the
+pass that gives the residue idempotents in `algebra`.
 
 Exact paths (stationary law, matrix powers, total variation, the
 coatom bound) return Fractions; the matrix work runs on the integer
@@ -26,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebra import residue_idempotent
 from .errors import (
     FalsificationError,
     MalformedInputError,
@@ -140,10 +142,12 @@ def stationary_exact(P):
     first time its support reaches X_w, the join of the supports of the
     weighted elements, applied to any chamber.  A draw supported below
     the current product a is absorbed (ax = a); otherwise it is drawn
-    with probability w_x / (1 - lambda_f), f = supp a.  So the mass of
-    each element comes from the elements below it in one pass over the
-    flats in a linear extension: this is the chamber part of the top
-    idempotent, summed per element instead of per reduced word.
+    with probability w_x / (1 - lambda_f), f = supp a.  Since
+    lambda_{X_w} = 1, that is the residue pass of
+    `algebra.residue_idempotent` for X = X_w: the mass of each element
+    comes from the elements below it in one pass over the flats in
+    support order, summed per element instead of per reduced word, and
+    the mass at each a with supp a = X_w lands on a c0 for a chamber c0.
 
     Every flat not above X_w must have lambda != 1: probability weights
     ensure it, and signed weights are refused without it.  Then the
@@ -177,26 +181,11 @@ def stationary_exact(P):
         raise NonUniqueStationaryError(
             f"stationary space has dimension {c}")
 
-    products = table[:, xs].tolist()
-    mass = {st.semigroup.identity: Fraction(1)}
     pos = {d: i for i, d in enumerate(chambers)}
     pi = [Fraction(0)] * len(chambers)
-    for f in st.order:
-        held = [(a, mass.pop(a)) for a in st.members[f] if a in mass]
-        if f == top:
-            # every flat holding mass lies below X_w, so it ends here
-            for a, m in held:
-                pi[pos[int(table[a, chambers[0]])]] += m
-            break
-        if not held:
-            continue
-        steps = [(k, w[x] / (1 - lam[f])) for k, x in enumerate(xs)
-                 if not leq[supp[x], f]]
-        for a, m in held:
-            row = products[a]
-            for k, p in steps:
-                b = row[k]
-                mass[b] = mass.get(b, 0) + m * p
+    # every weighted x has supp x <= X_w, so the mass stops at X_w
+    for a, m in residue_idempotent(st, w, top, lam).items():
+        pi[pos[int(table[a, chambers[0]])]] += m
 
     den, cells = P.sparse
     q, (nums,) = scaled([pi])

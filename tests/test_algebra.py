@@ -1,14 +1,111 @@
-"""Walk-algebra idempotents, power formula, and closed forms."""
+"""Walk-algebra idempotents, power formula, and closed forms.
+
+The paper's sums over reduced words are kept here as reference
+oracles: a depth-first walk over the words, the residue members and
+the word-sum power formula.  The library sums the same words per
+element in one pass in support order (`algebra.support_pass`);
+tests/test_spectral.py checks it against these oracles on random
+bands and weights.
+"""
 
 from fractions import Fraction
 
 import pytest
 
 from bandwalk import algebra, constructions, core, spectral, walks
-from bandwalk.errors import PreconditionError
+from bandwalk.errors import FalsificationError, PreconditionError
 
 
 F = Fraction
+
+
+def reduced_word_walk(sg, structure, w, visit):
+    """DFS over reduced words of weighted letters.
+
+    Calls visit(letters, chain, product_id, weight_product) at every
+    node, including the empty word; `chain` is the support chain
+    starting at the bottom flat.
+    """
+    letters = w.support_ids()
+    supp = structure.supp
+    join = structure.join.tolist()
+    prod = sg.product
+
+    def rec(word, chain, elem, wprod):
+        visit(word, chain, elem, wprod)
+        top = chain[-1]
+        for x in letters:
+            nxt = join[top][supp[x]]
+            if nxt != top:
+                word.append(x)
+                chain.append(nxt)
+                rec(word, chain, prod(elem, x), wprod * w[x])
+                word.pop()
+                chain.pop()
+
+    rec([], [structure.bottom], sg.identity, F(1))
+
+
+def complete_homogeneous(degree, values):
+    """h_degree(values) by the one-variable-at-a-time recurrence."""
+    h = [F(1)] + [F(0)] * degree
+    for v in values:
+        if not v:
+            continue
+        for n in range(1, degree + 1):
+            h[n] += v * h[n - 1]
+    return h[degree]
+
+
+def _accumulate(out, elem, value):
+    s = out.get(elem, F(0)) + value
+    if s:
+        out[elem] = s
+    else:
+        out.pop(elem, None)
+
+
+def power_formula_by_words(structure, w, m):
+    """w^m as the sum of h_{m-l}(lambda_{c_0..c_l}) * w_x over the
+    reduced words x of length l <= m."""
+    lam = spectral.flat_eigenvalues(structure, w)
+    out = {}
+
+    def visit(word, chain, elem, wprod):
+        l = len(word)
+        if l > m:
+            return
+        h = complete_homogeneous(m - l, [lam[x] for x in chain])
+        if h and wprod:
+            _accumulate(out, elem, h * wprod)
+
+    reduced_word_walk(structure.semigroup, structure, w, visit)
+    return out
+
+
+def residue_members(structure, w, feas, lam):
+    """e_X as the sum over the reduced words whose chain passes X of
+    their residue coefficients times w_x."""
+    members = {x: {} for x in feas}
+
+    def visit(word, chain, elem, wprod):
+        if not wprod:
+            return
+        l = len(word)
+        # residues of the partial-fraction split along this word's chain
+        for i, x in enumerate(chain):
+            den = F(1)
+            for j in range(i):
+                den *= lam[x] - lam[chain[j]]
+            for j in range(i + 1, l + 1):
+                den *= lam[chain[j]] - lam[x]
+            if den == 0:
+                raise FalsificationError(
+                    "equal eigenvalues along a feasible chain")
+            _accumulate(members[x], elem, F((-1) ** (l - i), 1) / den * wprod)
+
+    reduced_word_walk(structure.semigroup, structure, w, visit)
+    return members
 
 
 def _band(ctor, *args, **kw):
@@ -57,18 +154,16 @@ def test_idempotent_family_certificates():
 def test_generic_family_needs_no_reduced_words_or_pair_sweep(monkeypatch):
     sg, st = _band(constructions.ordered_partitions, 3)
     w = _generic_weights(sg)
-    dfs = algebra._residue_members(st, w, list(range(st.n_flats)),
-                                   spectral.flat_eigenvalues(st, w),
-                                   algebra.DEFAULT_GUARDS)
+    dfs = residue_members(st, w, list(range(st.n_flats)),
+                          spectral.flat_eigenvalues(st, w))
 
     def forbidden(*args, **kw):
-        raise AssertionError("the generic path reached the DFS")
+        raise AssertionError("the generic path reached the pair sweep")
 
-    monkeypatch.setattr(algebra, "_reduced_word_walk", forbidden)
     monkeypatch.setattr(algebra, "_certify_family", forbidden)
     fam = algebra.primitive_idempotents(st, w)
     assert fam.is_generic and fam.members == dfs
-    # non-generic weights still take the reduced words
+    # non-generic weights still take the pair sweep
     with pytest.raises(AssertionError):
         algebra.primitive_idempotents(st, spectral.uniform_on_generators(sg))
 
@@ -91,6 +186,18 @@ def test_power_formula_matches_convolution():
     for m in range(6):
         direct = algebra.alg_power(sg, a, m)
         assert algebra.alg_equal(algebra.power_formula(st, w, m), direct)
+
+
+def test_non_generic_family_past_the_reach_of_the_word_walk():
+    # 52 flats, 37 distinct lambda and 203431 reduced words
+    sg, st = _band(constructions.ordered_partitions, 5)
+    w = spectral.seeded_generator_weights(sg, 1)
+    fam = algebra.primitive_idempotents(st, w)
+    assert not fam.is_generic and fam.lattice_covered
+    assert len(set(fam.lam.values())) < len(fam.flat_ids)
+    pi = algebra.stationary_from_idempotents(st, fam)
+    P = spectral.transition_matrix(st, w)
+    assert pi == walks.stationary_exact(P).probs
 
 
 def test_stationary_from_idempotents_matches_exact_solve():
@@ -158,6 +265,5 @@ def test_sampling_measure_reconstruction():
 def test_complete_homogeneous_recurrence():
     vals = [F(1, 2), F(1, 3)]
     # h_2(a, b) = a^2 + ab + b^2
-    assert algebra.complete_homogeneous(2, vals) == \
-        F(1, 4) + F(1, 6) + F(1, 9)
-    assert algebra.complete_homogeneous(0, vals) == 1
+    assert complete_homogeneous(2, vals) == F(1, 4) + F(1, 6) + F(1, 9)
+    assert complete_homogeneous(0, vals) == 1

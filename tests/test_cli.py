@@ -222,8 +222,8 @@ def test_size_guards_exit_4(tmp_path):
 
 def test_bad_guard_name_exits_2(tmp_path):
     spec = _f3(tmp_path)
-    assert cli.main(["build", "--spec", spec,
-                     "--guard", "mystery=1"]) == 2
+    for guard in ("mystery=1", "word_cap=1"):
+        assert cli.main(["build", "--spec", spec, "--guard", guard]) == 2
 
 
 def test_bad_guard_values_exit_2(tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 from bandwalk import algebra, constructions, core, selftest, spectral
 from bandwalk.errors import (FalsificationError, MalformedInputError,
                              PreconditionError)
+from test_algebra import power_formula_by_words, residue_members
 from test_linalg import eigenspace_dimensions
 
 
@@ -253,7 +254,29 @@ def test_lagrange_members_equal_the_reduced_word_members(walk):
     fam = algebra.primitive_idempotents(st, w, restrict=True)
     if not fam.is_generic:
         return
-    dfs = algebra._residue_members(st, w, fam.flat_ids,
-                                   spectral.flat_eigenvalues(st, w),
-                                   algebra.DEFAULT_GUARDS)
+    dfs = residue_members(st, w, fam.flat_ids,
+                          spectral.flat_eigenvalues(st, w))
     assert fam.members == dfs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walks(), hs.data())
+def test_the_support_pass_sums_the_reduced_words(walk, data):
+    sg, st, w = walk
+    if sg.generators and data.draw(hs.booleans()):
+        # equal weights on some generators tie the lambda of the flats
+        # that hold the same number of them
+        w = spectral.uniform_on(sg, data.draw(hs.lists(
+            hs.sampled_from(sg.generators), min_size=1, unique=True)))
+    lam = spectral.flat_eigenvalues(st, w)
+    feas = algebra.feasible_flats(st, w)
+    dfs = residue_members(st, w, feas, lam)
+    assert {x: algebra.residue_idempotent(st, w, x, lam)
+            for x in feas} == dfs
+    fam = algebra.primitive_idempotents(st, w, restrict=True)
+    assert fam.members == dfs
+    elem = algebra.weight_element(w)
+    for m in range(7):
+        power = algebra.power_formula(st, w, m)
+        assert power == power_formula_by_words(st, w, m)
+        assert algebra.alg_equal(power, algebra.alg_power(sg, elem, m))
