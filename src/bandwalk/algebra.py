@@ -10,22 +10,23 @@ order.  With the factor 1 / (1 - lambda_f t) it gives the generating
 function of the exact m-step distribution; with the residue factor
 1 / (lambda_X - lambda_f) it gives the member e_X of an orthogonal
 family of idempotents splitting the walk algebra, one per feasible
-flat.  For generic weights the same family is a set of Lagrange
-projectors, polynomials in w.  Verification is built into the
-constructors; a family that fails its own certificate is reported,
-never returned.
+flat.  Verification is built into the constructors; a family that
+fails its own certificate is reported, never returned.  One integer
+certificate, `spectral.certify_family`, proves every family, generic or
+tied, to be the eigenprojectors of w: sum e_X = 1 and w e_X =
+lambda_X e_X, plus e_X e_Y = 0 among members sharing a lambda.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from . import posets
 from .errors import FalsificationError, MalformedInputError, PreconditionError
 from .guards import DEFAULT_GUARDS
-from .spectral import (annihilated, flat_eigenvalues, lagrange_projectors,
-                       scaled)
+from .spectral import certify_family, flat_eigenvalues, scaled
 
 
 # ------------------------------------------------- algebra primitives
@@ -142,31 +143,33 @@ def support_pass(structure, w, settle, start, below=None,
 
 
 def power_formula(structure, w, m, guards=DEFAULT_GUARDS):
-    """w^m assembled from reduced words, without a single convolution.
+    """[w^0, .., w^m] assembled from reduced words, without a single
+    convolution.
 
-    Each reduced word x of length l <= m, with support chain
-    c_0 < .. < c_l, contributes h_{m-l}(lambda_{c_0}, .., lambda_{c_l})
-    * w_x on the element it multiplies out to.  That is the coefficient
-    of t^m in the generating function
+    Each reduced word x of length l, with support chain c_0 < .. < c_l,
+    contributes h_{n-l}(lambda_{c_0}, .., lambda_{c_l}) * w_x to w^n on
+    the element it multiplies out to, for every n >= l.  That is the
+    coefficient of t^n in the generating function
     t^l * prod_j 1 / (1 - lambda_{c_j} t), which `support_pass` carries
     per element as its coefficients of degree <= m: the sum at each
     element is divided by 1 - lambda_f t at its flat f, and pushed on
-    times w_x t.
-    Agreement with the convolution power is a theorem; the test suite
+    times w_x t.  One pass thus yields every power up to m.
+    Agreement with the convolution powers is a theorem; the test suite
     checks it, this function does not.
     """
     if m < 0:
         raise MalformedInputError("negative power")
     lam = flat_eigenvalues(structure, w)
-    out = {}
+    out = [{} for _ in range(m + 1)]
 
     def settle(f, held):
         moving = []
         for a, g in held:
             for n in range(1, m + 1):
                 g[n] += lam[f] * g[n - 1]
-            if g[m]:
-                out[a] = g[m]
+            for n in range(m + 1):
+                if g[n]:
+                    out[n][a] = g[n]
             shifted = np.concatenate(([0], g[:-1]))
             if shifted.any():
                 moving.append((a, shifted))
@@ -226,17 +229,15 @@ def primitive_idempotents(structure, w, restrict=False,
                           guards=DEFAULT_GUARDS):
     """The orthogonal idempotent family of the walk algebra.
 
-    When the lambda_X of the feasible flats are pairwise distinct, e_X
-    is the Lagrange projector prod over Y != X of (w - lambda_Y) /
-    (lambda_X - lambda_Y), and the identity prod (w - lambda_Y) = 0 on
-    the same Krylov sequence makes the family orthogonal, idempotent,
-    complete and sum to w with weights lambda_X.  Otherwise e_X is
-    `residue_idempotent`: one pass in support order that multiplies the
-    mass at each flat f != X on a chain through X by
-    1 / (lambda_X - lambda_f), and `_certify_family` checks those facts
-    pair by pair.
-    Grouping members with equal eigenvalue yields the primitive
-    idempotents of the walk algebra either way.
+    Each member e_X is `residue_idempotent`.  `certify_members` checks
+    in integers that (1) sum e_X = 1, (2) w e_X = lambda_X e_X, and (3)
+    e_X e_Y = 0 for X != Y only among flats sharing a lambda.  By the
+    lemma of `spectral.certify_family`, prod (w - lambda) = 0 over the
+    distinct lambda, the members at each lambda sum to the Lagrange
+    projector of w there (a lone member is it), and the family is
+    orthogonal, idempotent, complete and sums to w with weights
+    lambda_X.  Grouping members with equal eigenvalue yields the
+    primitive idempotents of the walk algebra.
 
     Requires the weighted elements to generate the semigroup so that
     every flat is feasible; pass restrict=True to knowingly work over
@@ -251,83 +252,33 @@ def primitive_idempotents(structure, w, restrict=False,
             f"{len(feas)}/{structure.n_flats} flats; pass restrict=True "
             "to analyze the walk on the generated sub-band")
     lam = flat_eigenvalues(structure, w)
+    members = {x: residue_idempotent(structure, w, x, lam, guards)
+               for x in feas}
+    certify_members(structure, w, members, lam, guards)
+
     by_lam = {}
     for x in feas:
         by_lam.setdefault(lam[x], []).append(x)
-    generic = len(by_lam) == len(feas)
-    if generic:
-        vs, nodes, bad = annihilated(structure, w, [lam[x] for x in feas])
-        if bad is not None:
-            raise FalsificationError(
-                "prod (w - lambda_X) over the feasible flats is nonzero "
-                f"at {sg.keys[bad]}", witness=sg.keys[bad])
-        members = {
-            x: {i: Fraction(a, den) for i, a in enumerate(num) if a}
-            for x, (num, den) in zip(feas, lagrange_projectors(vs, nodes))}
-    else:
-        members = {x: residue_idempotent(structure, w, x, lam, guards)
-                   for x in feas}
-
-    grouped = []
-    for lv in sorted(by_lam, reverse=True):
-        acc = {}
-        for x in by_lam[lv]:
-            acc = alg_add(acc, members[x])
-        grouped.append((lv, acc))
-    fam = IdempotentFamily(
+    grouped = [(lv, reduce(alg_add, (members[x] for x in by_lam[lv])))
+               for lv in sorted(by_lam, reverse=True)]
+    return IdempotentFamily(
         feas, {x: lam[x] for x in feas}, members, grouped,
-        lattice_covered=covered, is_generic=generic)
-    if not generic:
-        _certify_family(sg, structure, w, fam)
-    return fam
+        lattice_covered=covered, is_generic=len(by_lam) == len(feas))
 
 
-def _certify_family(sg, structure, w, fam):
-    """Exact orthogonality, idempotence, completeness, decomposition.
-
-    Pair products run on integer-rescaled copies so the inner loop is
-    integer multiply-add; a family member e with denominator D is
-    idempotent iff the integer convolution of its numerator vector
-    with itself is D times that vector.
-    """
-    n = sg.size
-    table = sg.tabulate()
-    ints = {}
-    for x, e in fam.members.items():
+def certify_members(structure, w, members, lam, guards=DEFAULT_GUARDS):
+    """`spectral.certify_family` on members {flat: algebra element}, each
+    scaled to integers over its own denominator, with eigenvalues D
+    lambda and letters D w_x for D the common denominator of w."""
+    sg = structure.semigroup
+    xs = w.support_ids()
+    _, (ints,) = scaled([[w[x] for x in xs] + [lam[x] for x in members]])
+    family = {}
+    for (x, e), node in zip(members.items(), ints[len(xs):]):
         den, (nums,) = scaled([e.values()])
-        ints[x] = den, list(zip(e, nums))
-
-    total = {}
-    for x in fam.flat_ids:
-        total = alg_add(total, fam.members[x])
-    if not alg_equal(total, alg_identity(sg)):
-        raise FalsificationError("idempotent family does not sum to 1")
-
-    recomposed = {}
-    for x in fam.flat_ids:
-        recomposed = alg_add(recomposed,
-                             alg_scale(fam.members[x], fam.lam[x]))
-    if not alg_equal(recomposed, weight_element(w)):
-        raise FalsificationError(
-            "eigenvalue decomposition does not rebuild w")
-
-    for xa in fam.flat_ids:
-        da, va = ints[xa]
-        # memoryviews give plain ints without copying the rows
-        rows = [(memoryview(table[i]), ci) for i, ci in va]
-        for xb in fam.flat_ids:
-            db, vb = ints[xb]
-            out = [0] * n
-            for row, ci in rows:
-                for j, cj in vb:
-                    out[row[j]] += ci * cj
-            if xa == xb:
-                for i, ci in va:
-                    out[i] -= da * ci
-            if any(out):
-                raise FalsificationError(
-                    f"family not orthogonal/idempotent at flats "
-                    f"({structure.labels[xa]}, {structure.labels[xb]})")
+        family[structure.labels[x]] = node, den, list(zip(e, nums))
+    certify_family(sg.tabulate(guards), sg.identity, list(zip(xs, ints)),
+                   family, sg.keys)
 
 
 def stationary_from_idempotents(structure, fam):

@@ -414,10 +414,9 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
     of the v_l / l!.  A permutation w lies in v_l exactly when its
     largest descent L (0 for none) is at most l, so E_i(w) is the sum
     over l from max(i, L) to n, read off an (n+1) x n table.  E_{n-1}
-    must vanish; for the move-to-front measure mu, prod (n mu - i) over
-    i != n-1 must vanish in ZS_n and each other E_i must be the
-    Lagrange projector of n mu at i, which `certify_top_to_random`
-    checks before returning.
+    must vanish; for the move-to-front measure mu, the other E_i must be
+    the eigenprojectors of n mu at the distinct eigenvalues i, which
+    `certify_top_to_random` checks before returning.
     """
     constructions.check_n("top_to_random_idempotents", n,
                           guards.partitions_n_cap)
@@ -438,28 +437,17 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
 
 
 def certify_top_to_random(table, es, moves):
-    """Certify E_0..E_n against mu, the uniform measure on `moves`: with
-    v_j = (n mu)^j in ZS_n, prod (n mu - i) over i != n-1 must vanish and
-    each E_i must be the Lagrange projector of n mu at i, built from the
-    same v_j.  The identity makes these orthogonal idempotents summing
-    to 1 with mu = sum (i/n) E_i."""
+    """Certify E_i, i != n-1, as the eigenprojectors of n mu in ZS_n, mu
+    the uniform measure on `moves`, by `spectral.certify_family`: they
+    sum to 1 and n mu E_i = i E_i with the i distinct, so
+    prod (n mu - i) = 0, each E_i is the Lagrange projector of n mu at
+    i, and the E_i are orthogonal idempotents with mu = sum (i/n) E_i."""
     n = table.n
-    nodes = [i for i in range(n + 1) if i != n - 1]
-    rows = [(table.comp[table.index[w]].tolist(), 1) for w in moves]
-    identity = table.index[tuple(range(1, n + 1))]
-    vs = spectral.krylov_sequence(rows, identity, len(table.perms),
-                                  len(nodes))
-    residue = spectral.apply_roots(vs, nodes)
-    bad = next((table.perms[x] for x, a in enumerate(residue) if a), None)
-    if bad is not None:
-        raise FalsificationError(
-            f"prod (n mu - i) over i != {n - 1} is nonzero at {bad}",
-            witness=bad)
-    for i, (num, den) in zip(nodes, spectral.lagrange_projectors(vs, nodes)):
-        got = [0] * len(table.perms)
-        for w, c in es[i].items():
-            got[table.index[w]] = c * den
-        if got != num:
-            raise FalsificationError(
-                f"E_{i} is not the Lagrange projector of the move-to-front "
-                f"measure at {i}/{n}", witness=i)
+    keep = [i for i in range(n + 1) if i != n - 1]
+    den, nums = spectral.scaled(es[i].values() for i in keep)
+    family = {f"E_{i}": (i, den, [(table.index[w], a)
+                                  for w, a in zip(es[i], row)])
+              for i, row in zip(keep, nums)}
+    spectral.certify_family(table.comp, table.index[tuple(range(1, n + 1))],
+                            [(table.index[w], 1) for w in moves], family,
+                            table.perms)

@@ -36,18 +36,22 @@ _ENV_PREFIX = "LRB_GUARD_"
 def load_guards(env=None, **overrides):
     """Guards from the environment, with keyword overrides on top.
 
-    Every value must be a non-negative integer; anything else is
-    malformed input, reported with the variable or guard it came from.
+    Each ``LRB_GUARD_*`` variable and keyword must name a `Guards` field
+    and hold a non-negative integer; anything else is malformed input,
+    reported with the variable or guard it came from.
     """
     env = os.environ if env is None else env
+    known = [f.name for f in fields(Guards)]
+    given = [(var, var[len(_ENV_PREFIX):].lower(), raw)
+             for var, raw in env.items() if var.startswith(_ENV_PREFIX)]
+    given += [(f"guard {name}", name, v)
+              for name, v in overrides.items() if v is not None]
     values = {}
-    for f in fields(Guards):
-        var = _ENV_PREFIX + f.name.upper()
-        if var in env:
-            values[f.name] = _count(var, env[var])
-    for name, v in overrides.items():
-        if v is not None:
-            values[name] = _count(f"guard {name}", v)
+    for source, name, raw in given:
+        if name not in known:
+            raise MalformedInputError(
+                f"unknown {source}; known caps: " + ", ".join(known))
+        values[name] = _count(source, raw)
     return replace(DEFAULT_GUARDS, **values)
 
 

@@ -8,7 +8,9 @@ inversion of the chamber counts c_X.  verify_diagonalizable turns that
 statement into a falsifiable certificate in the semigroup algebra kS:
 one integer Krylov sequence (Dw)^j 1 must be annihilated by the product
 of (x - D lambda) over the distinct lambda, and its traces on the
-chamber span must match the multiplicities.
+chamber span must match the multiplicities.  certify_family certifies
+the eigenprojectors of an integer element of any dense algebra, the
+walk idempotents in kS and the E_i in ZS_n alike.
 """
 
 import math
@@ -300,13 +302,6 @@ def apply_roots(vs, roots):
     return out
 
 
-def lagrange_projectors(vs, nodes):
-    """Per node r, (numerator, denominator) of the Lagrange projector,
-    the product over s != r of (a - s)/(r - s), a^j read off vs[j]."""
-    return [(apply_roots(vs, [s for s in nodes if s != r]),
-             math.prod(r - s for s in nodes if s != r)) for r in nodes]
-
-
 def annihilated(structure, w, lams):
     """(vs, nodes, bad): v_j = (Dw)^j 1 in kS for j = 0..k, k the number
     of `lams` and D the common denominator of w and the lams, read off
@@ -322,6 +317,64 @@ def annihilated(structure, w, lams):
                          sg.identity, sg.size, len(nodes))
     residue = apply_roots(vs, nodes)
     return vs, nodes, next((x for x, a in enumerate(residue) if a), None)
+
+
+def certify_family(table, identity, letters, members, keys):
+    """Certify members e_k as the eigenprojectors of a, in integers.
+
+    a is the sum of c x over the pairs (x, c) in `letters`, x y is
+    table[x][y], and `members` maps a name k to (r_k, den, pairs), e_k
+    the sum of (c / den) y over the pairs (y, c).  Checks: (1) sum e_k
+    = 1; (2) a e_k = r_k e_k; (3) e_k e_l = 0 for k != l in a tie group,
+    the members sharing one r.  Lemma: by (1) and (2), p(a) = sum
+    p(r_k) e_k for every polynomial p, so prod (a - r) = 0 over the
+    distinct r, and the Lagrange projectors p_r(a) are the orthogonal
+    idempotents E_r, the sums of the e_k with r_k = r, with E_r e_k =
+    [r_k = r] e_k; a lone member is its E_r.  By (3), e_k = E_{r_k} e_k
+    = e_k^2 = e_k E_{r_k}, so e_k E_s = e_k E_{r_k} E_s = 0 for s !=
+    r_k: products across groups vanish and e_k a = r_k e_k.  That is
+    |F| + sum |G| (|G| - 1) sparse products, not |F|^2.  `keys` names
+    the elements in the witness of a FalsificationError.
+    """
+    size = len(table)
+    rows = {x: table[x].tolist() for x, _ in letters}
+
+    def check(ok, why, witness=None):
+        if not ok:
+            raise FalsificationError(why.format(witness), witness=witness)
+
+    den = math.lcm(*(d for _, d, _ in members.values()))
+    total = [0] * size
+    total[identity] = -den
+    for _, d, e in members.values():
+        for y, c in e:
+            total[y] += c * (den // d)
+    check(not any(total), "the family does not sum to 1")
+    groups = {}
+    for k, (r, _, e) in members.items():
+        out = _product(rows, letters, e, size)
+        for y, c in e:
+            out[y] -= r * c
+        check(not any(out), "member {} is not an eigenvector of a", k)
+        groups.setdefault(r, []).append(k)
+    ties = [g for g in groups.values() if len(g) > 1]
+    rows = table.tolist() if ties else rows
+    for group in ties:
+        for k, l in permutations(group, 2):
+            check(not any(_product(rows, members[k][2], members[l][2], size)),
+                  "members {0[0]} and {0[1]} share an eigenvalue but their "
+                  "product is nonzero", (k, l))
+
+
+def _product(rows, a, b, size):
+    """The integer list of a b, for a and b lists of (element, integer)
+    pairs, where rows[x][y] is the product x y of elements 0..size-1."""
+    out = [0] * size
+    for x, c in a:
+        row = rows[x]
+        for y, d in b:
+            out[row[y]] += c * d
+    return out
 
 
 # -------------------------------------------------------- certificate

@@ -8,6 +8,7 @@ tests/test_spectral.py checks it against these oracles on random
 bands and weights.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -156,16 +157,78 @@ def test_generic_family_needs_no_reduced_words_or_pair_sweep(monkeypatch):
     w = _generic_weights(sg)
     dfs = residue_members(st, w, list(range(st.n_flats)),
                           spectral.flat_eigenvalues(st, w))
+    calls = []
+    product = spectral._product
 
-    def forbidden(*args, **kw):
-        raise AssertionError("the generic path reached the pair sweep")
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
 
-    monkeypatch.setattr(algebra, "_certify_family", forbidden)
+    monkeypatch.setattr(spectral, "_product", counted)
+    # distinct lambda: one left product with w per member and no more
     fam = algebra.primitive_idempotents(st, w)
     assert fam.is_generic and fam.members == dfs
-    # non-generic weights still take the pair sweep
-    with pytest.raises(AssertionError):
-        algebra.primitive_idempotents(st, spectral.uniform_on_generators(sg))
+    assert len(calls) == len(fam.flat_ids)
+    # tied lambda: the member x member products inside each tie group
+    # on top
+    calls.clear()
+    fam = algebra.primitive_idempotents(st, spectral.uniform_on_generators(sg))
+    sizes = Counter(fam.lam.values()).values()
+    assert not fam.is_generic and max(sizes) > 1
+    assert len(calls) == len(fam.flat_ids) + sum(g * (g - 1) for g in sizes)
+
+
+def _tied_walk():
+    sg, st = _band(constructions.free_lrb, 3)
+    w = spectral.uniform_on_generators(sg)
+    lam = spectral.flat_eigenvalues(st, w)
+    members = algebra.primitive_idempotents(st, w).members
+    return st, w, lam, {x: dict(e) for x, e in members.items()}
+
+
+def test_family_certificate_rejects_a_doubled_coefficient():
+    st, w, lam, members = _tied_walk()
+    algebra.certify_members(st, w, members, lam)
+    e = members[st.top]
+    a = min(e)
+    e[a] *= 2
+    with pytest.raises(FalsificationError, match="sum to 1"):
+        algebra.certify_members(st, w, members, lam)
+
+
+def _move(members, x, y, c):
+    """c e_X moved from member X to member Y; the sum is unchanged."""
+    part = algebra.alg_scale(members[x], c)
+    members[x] = algebra.alg_add(members[x], algebra.alg_scale(part, -1))
+    members[y] = algebra.alg_add(members[y], part)
+
+
+def test_family_certificate_catches_a_move_inside_a_tie_group():
+    # e_X and e_Y share lambda, so (1 - c) e_X and e_Y + c e_X still sum
+    # right and are eigenvectors of w; only their product,
+    # c (1 - c) e_X, shows the move
+    st, w, lam, members = _tied_walk()
+    x, y = sorted(f for f in members if lam[f] == F(1, 3))[:2]
+    _move(members, x, y, F(1, 2))
+    with pytest.raises(FalsificationError, match="share an eigenvalue"):
+        algebra.certify_members(st, w, members, lam)
+
+
+def test_family_certificate_catches_a_move_across_eigenvalues():
+    st, w, lam, members = _tied_walk()
+    y = next(f for f in members if lam[f] != lam[st.bottom])
+    _move(members, st.bottom, y, F(1, 3))
+    with pytest.raises(FalsificationError, match="eigenvector"):
+        algebra.certify_members(st, w, members, lam)
+    # and so with generic weights
+    sg = st.semigroup
+    w = _generic_weights(sg)
+    lam = spectral.flat_eigenvalues(st, w)
+    members = {x: dict(e)
+               for x, e in algebra.primitive_idempotents(st, w).members.items()}
+    _move(members, st.top, st.bottom, F(1, 5))
+    with pytest.raises(FalsificationError, match="eigenvector"):
+        algebra.certify_members(st, w, members, lam)
 
 
 def test_idempotents_diagonalize_the_weight_element():
@@ -183,9 +246,11 @@ def test_power_formula_matches_convolution():
     sg, st = _band(constructions.ordered_partitions, 3)
     w = spectral.seeded_generator_weights(sg, 4)
     a = algebra.weight_element(w)
-    for m in range(6):
+    powers = algebra.power_formula(st, w, 5)
+    assert len(powers) == 6
+    for m, assembled in enumerate(powers):
         direct = algebra.alg_power(sg, a, m)
-        assert algebra.alg_equal(algebra.power_formula(st, w, m), direct)
+        assert algebra.alg_equal(assembled, direct)
 
 
 def test_non_generic_family_past_the_reach_of_the_word_walk():

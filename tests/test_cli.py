@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from bandwalk import cli
+from bandwalk.errors import MalformedInputError
+from bandwalk.guards import load_guards
 
 
 def _spec(tmp_path, payload, name="spec.json"):
@@ -224,6 +226,18 @@ def test_bad_guard_name_exits_2(tmp_path):
     spec = _f3(tmp_path)
     for guard in ("mystery=1", "word_cap=1"):
         assert cli.main(["build", "--spec", spec, "--guard", guard]) == 2
+
+
+def test_unknown_guard_variables_exit_2(tmp_path, monkeypatch, capsys):
+    spec = _f3(tmp_path)
+    for var in ("LRB_GUARD_WORD_CAP", "LRB_GUARD_TABLE_CAPP"):
+        monkeypatch.setenv(var, "5")
+        assert cli.main(["build", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert var in err and "table_cap" in err
+        monkeypatch.delenv(var)
+    with pytest.raises(MalformedInputError):
+        load_guards({}, word_cap=5)
 
 
 def test_bad_guard_values_exit_2(tmp_path, monkeypatch, capsys):

@@ -227,8 +227,8 @@ def _move_to_front(group):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_top_to_random_family_passes_the_pairwise_reference(n):
-    # the reference the Krylov certificate replaced: every pair of
-    # n! E_i convolved, the sum, and mu = sum (i/n) E_i
+    # what the lemma of spectral.certify_family proves, pair by pair:
+    # every pair of n! E_i convolved, the sum, and mu = sum (i/n) E_i
     fam = descent.top_to_random_idempotents(n)
     group = descent._SymmetricGroupTable(n)
     scale = math.factorial(n)
@@ -258,6 +258,25 @@ def test_top_to_random_certificate_rejects_a_perturbed_family(n):
         es[i][w] += F(1, math.factorial(n))
         with pytest.raises(FalsificationError):
             descent.certify_top_to_random(group, es, moves)
+
+
+def test_top_to_random_certificate_rejects_a_sum_preserving_change():
+    # S_4: the E_i still sum to 1, so only n mu E_i = i E_i can object
+    fam = descent.top_to_random_idempotents(4)
+    group = descent._SymmetricGroupTable(4)
+    moves = _move_to_front(group)
+    es = [dict(e) for e in fam.es]
+    for w, c in fam.es[0].items():
+        es[0][w] = c / 2
+        es[4][w] = es[4].get(w, 0) + c / 2
+    with pytest.raises(FalsificationError, match="eigenvector"):
+        descent.certify_top_to_random(group, es, moves)
+    es = [dict(e) for e in fam.es]
+    w = min(es[2])
+    es[2][w] += F(1, 24)
+    es[0][w] = es[0].get(w, 0) - F(1, 24)
+    with pytest.raises(FalsificationError, match="eigenvector"):
+        descent.certify_top_to_random(group, es, moves)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

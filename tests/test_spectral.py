@@ -1,12 +1,20 @@
-"""Transition matrices, eigenvalue bookkeeping, and certificates."""
+"""Transition matrices, eigenvalue bookkeeping, and certificates.
 
+The Lagrange projectors of a Krylov sequence are kept here as a
+reference oracle: the library builds every idempotent family in the
+support pass or in closed form and certifies it with
+`spectral.certify_family`; these tests check that the families it
+certifies are the projectors.
+"""
+
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import algebra, constructions, core, selftest, spectral
+from bandwalk import algebra, constructions, core, descent, selftest, spectral
 from bandwalk.errors import (FalsificationError, MalformedInputError,
                              PreconditionError)
 from test_algebra import power_formula_by_words, residue_members
@@ -14,6 +22,13 @@ from test_linalg import eigenspace_dimensions
 
 
 F = Fraction
+
+
+def lagrange_projectors(vs, nodes):
+    """Per node r, (numerator, denominator) of the Lagrange projector,
+    the product over s != r of (a - s)/(r - s), a^j read off vs[j]."""
+    return [(spectral.apply_roots(vs, [s for s in nodes if s != r]),
+             math.prod(r - s for s in nodes if s != r)) for r in nodes]
 
 
 def _f3():
@@ -181,7 +196,7 @@ def test_krylov_helpers_on_a_small_polynomial():
     # (x - 1)(x - 2)(x + 3) = x^3 - 7x + 6 applied: 6 v_0 - 7 v_1 + v_3
     assert spectral.apply_roots(vs, [1, 2, -3]) == [6, -6]
     assert spectral.apply_roots(vs, [0, 2]) == [0, 0]
-    (num0, den0), (num2, den2) = spectral.lagrange_projectors(vs, [0, 2])
+    (num0, den0), (num2, den2) = lagrange_projectors(vs, [0, 2])
     assert (num0, den0) == ([-2, 2], -2) and (num2, den2) == ([0, 2], 2)
 
 
@@ -276,7 +291,66 @@ def test_the_support_pass_sums_the_reduced_words(walk, data):
     fam = algebra.primitive_idempotents(st, w, restrict=True)
     assert fam.members == dfs
     elem = algebra.weight_element(w)
-    for m in range(7):
-        power = algebra.power_formula(st, w, m)
+    for m, power in enumerate(algebra.power_formula(st, w, 6)):
         assert power == power_formula_by_words(st, w, m)
         assert algebra.alg_equal(power, algebra.alg_power(sg, elem, m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_walks(), hs.data())
+def test_certified_families_pass_the_pairwise_reference(walk, data):
+    # what certify_family proves by its lemma, checked pair by pair:
+    # e_k e_l = [k = l] e_k and sum lambda_k e_k = w, ties included
+    sg, st, w = walk
+    if sg.generators and data.draw(hs.booleans()):
+        w = spectral.uniform_on(sg, data.draw(hs.lists(
+            hs.sampled_from(sg.generators), min_size=1, unique=True)))
+    fam = algebra.primitive_idempotents(st, w, restrict=True)
+    rows = sg.tabulate().tolist()
+    ints = {}
+    for x, e in fam.members.items():
+        den, (nums,) = spectral.scaled([e.values()])
+        ints[x] = den, list(zip(e, nums))
+    for x, (dx, ex) in ints.items():
+        for y, (_, ey) in ints.items():
+            want = [0] * sg.size
+            if x == y:
+                for i, c in ex:
+                    want[i] = dx * c
+            assert spectral._product(rows, ex, ey, sg.size) == want
+    rebuilt = {}
+    for x in fam.flat_ids:
+        rebuilt = algebra.alg_add(
+            rebuilt, algebra.alg_scale(fam.members[x], fam.lam[x]))
+    assert algebra.alg_equal(rebuilt, algebra.weight_element(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walks())
+def test_generic_members_are_the_lagrange_projectors(walk):
+    sg, st, w = walk
+    fam = algebra.primitive_idempotents(st, w, restrict=True)
+    if not fam.is_generic:
+        return
+    lams = [fam.lam[x] for x in fam.flat_ids]
+    vs, nodes, bad = spectral.annihilated(st, w, lams)
+    assert bad is None
+    for x, (num, den) in zip(fam.flat_ids, lagrange_projectors(vs, nodes)):
+        assert fam.members[x] == {
+            i: F(a, den) for i, a in enumerate(num) if a}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_top_to_random_family_is_the_lagrange_projectors(n):
+    fam = descent.top_to_random_idempotents(n)
+    group = descent._SymmetricGroupTable(n)
+    moves = [w for w in group.perms if set(descent.descent_set(w)) <= {1}]
+    nodes = [i for i in range(n + 1) if i != n - 1]
+    vs = spectral.krylov_sequence(
+        [(group.comp[group.index[w]].tolist(), 1) for w in moves],
+        group.index[tuple(range(1, n + 1))], len(group.perms), len(nodes))
+    assert not any(spectral.apply_roots(vs, nodes))
+    for i, (num, den) in zip(nodes, lagrange_projectors(vs, nodes)):
+        assert fam.es[i] == {w: F(a, den)
+                             for w, a in zip(group.perms, num) if a}
+    assert not fam.es[n - 1]
