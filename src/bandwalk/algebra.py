@@ -1,13 +1,16 @@
 """The rational semigroup algebra of a band and its walk idempotents.
 
 Elements of the algebra are sparse maps from element ids to Fractions.
-The paper writes the walk's m-step law and its idempotents as sums over
-the reduced words of a weight vector: tuples of weighted letters whose
-prefix supports climb strictly.  The coefficient of a word is a product
-of one factor per flat of its support chain, so `support_pass` sums the
-words per element instead, in one climb through the flats in support
-order.  With the factor 1 / (1 - lambda_f t) it gives the generating
-function of the exact m-step distribution; with the residue factor
+None of them is convolved with another here: the certificates multiply
+in integers, through `spectral.sparse_product` on D w for D the common
+denominator of the weights.  The paper writes
+the walk's m-step law and its idempotents as sums over the reduced
+words of a weight vector: tuples of weighted letters whose prefix
+supports climb strictly.  The coefficient of a word is a product of one
+factor per flat of its support chain, so `support_pass` sums the words
+per element instead, in one climb through the flats in support order.
+With the factor 1 / (1 - lambda_f t) it gives the generating function
+of the exact m-step distribution; with the residue factor
 1 / (lambda_X - lambda_f) it gives the member e_X of an orthogonal
 family of idempotents splitting the walk algebra, one per feasible
 flat.  Verification is built into the constructors; a family that
@@ -32,10 +35,6 @@ from .spectral import certify_family, flat_eigenvalues, scaled
 # ------------------------------------------------- algebra primitives
 
 
-def alg_identity(sg):
-    return {sg.identity: Fraction(1)}
-
-
 def alg_scale(a, c):
     c = Fraction(c)
     if not c:
@@ -54,36 +53,9 @@ def alg_add(a, b):
     return out
 
 
-def alg_multiply(sg, a, b):
-    """Convolution product in the semigroup algebra."""
-    prod = sg.product
-    out = {}
-    for x, va in a.items():
-        for y, vb in b.items():
-            z = prod(x, y)
-            s = out.get(z, Fraction(0)) + va * vb
-            if s:
-                out[z] = s
-            else:
-                out.pop(z, None)
-    return out
-
-
-def alg_power(sg, a, m):
-    out = alg_identity(sg)
-    for _ in range(m):
-        out = alg_multiply(sg, out, a)
-    return out
-
-
 def alg_equal(a, b):
     return {x: v for x, v in a.items() if v} == \
         {x: v for x, v in b.items() if v}
-
-
-def weight_element(w):
-    """The element sum of w_x x for a WeightVector."""
-    return dict(w.items())
 
 
 # ----------------------------------------------------- support pass
@@ -154,8 +126,9 @@ def power_formula(structure, w, m, guards=DEFAULT_GUARDS):
     per element as its coefficients of degree <= m: the sum at each
     element is divided by 1 - lambda_f t at its flat f, and pushed on
     times w_x t.  One pass thus yields every power up to m.
-    Agreement with the convolution powers is a theorem; the test suite
-    checks it, this function does not.
+    Agreement with the powers of w is a theorem; `selftest.criterion_4`
+    checks it against one Krylov sequence (D w)^n 1, and the test suite
+    against convolution, this function does not.
     """
     if m < 0:
         raise MalformedInputError("negative power")

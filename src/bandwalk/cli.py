@@ -8,7 +8,6 @@ inputs and seed produce byte-identical artifacts.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import algebra, constructions, core, derangement, descent, serialize
 from . import spectral, walks
@@ -16,13 +15,6 @@ from .errors import (AxiomViolationError, FalsificationError,
                      MalformedInputError, NonUniqueStationaryError,
                      PreconditionError, SizeGuardError, StagnationError)
 from .guards import load_guards
-
-
-@dataclass
-class RunConfig:
-    out: str
-    fmt: str
-    verbose: bool
 
 
 def _add_common(p):
@@ -153,16 +145,10 @@ def _guard_overrides(args):
     return {name.strip().lower(): value for name, _, value in pairs}
 
 
-def _config(args):
-    return RunConfig(getattr(args, "out", None),
-                     getattr(args, "fmt", "json"),
-                     getattr(args, "verbose", False))
-
-
-def _emit(config, name, text):
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        path = os.path.join(config.out, name)
+def _emit(args, name, text):
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         print(f"wrote {path}")
@@ -236,17 +222,17 @@ def _print_rows(rows):
 # ------------------------------------------------------------- commands
 
 
-def _cmd_build(args, guards, config):
+def _cmd_build(args, guards):
     sg, st, labels = _built(args, guards)
-    _emit(config, "semigroup.json", serialize.dump_json(sg.to_json_dict()))
-    _emit(config, "support.json", serialize.dump_json(st.to_json_dict()))
+    _emit(args, "semigroup.json", serialize.dump_json(sg.to_json_dict()))
+    _emit(args, "support.json", serialize.dump_json(st.to_json_dict()))
     print(f"{sg.label}: {sg.size} elements, {st.n_flats} flats, "
           f"{len(st.chambers)} chambers; axioms {st.axioms.assoc_mode} ok"
           + ("; expected lattice matched" if labels else ""))
     return 0
 
 
-def _cmd_spectrum(args, guards, config):
+def _cmd_spectrum(args, guards):
     sg, st, labels = _built(args, guards)
     w = _weights(args, sg, st)
     P = spectral.transition_matrix(st, w)
@@ -261,11 +247,11 @@ def _cmd_spectrum(args, guards, config):
     if args.certify:
         cert = spectral.verify_diagonalizable(P, spec)
         artifact["certificate"] = serialize.certificate_dict(cert)
-    _emit(config, "spectrum.json", serialize.dump_json(artifact))
-    if config.fmt == "csv":
-        _emit(config, "matrix.csv", serialize.matrix_csv(P))
+    _emit(args, "spectrum.json", serialize.dump_json(artifact))
+    if args.fmt == "csv":
+        _emit(args, "matrix.csv", serialize.matrix_csv(P))
     else:
-        _emit(config, "matrix.json",
+        _emit(args, "matrix.json",
               serialize.dump_json(serialize.matrix_dict(P)))
     eig = ", ".join(f"{serialize.frac_str(l)} (m={m})"
                     for l, m in sorted(spec.eigenvalues().items(),
@@ -275,7 +261,7 @@ def _cmd_spectrum(args, guards, config):
     return 0
 
 
-def _cmd_idempotents(args, guards, config):
+def _cmd_idempotents(args, guards):
     sg, st, labels = _built(args, guards)
     w = _weights(args, sg, st)
     fam = algebra.primitive_idempotents(st, w, restrict=args.restrict,
@@ -300,7 +286,7 @@ def _cmd_idempotents(args, guards, config):
                     f"residue idempotent at flat {flat_labels[x]}")
         artifact["nu_reconstruction_ok"] = True
         notes.append("nu reconstruction ok")
-    _emit(config, "idempotents.json", serialize.dump_json(artifact))
+    _emit(args, "idempotents.json", serialize.dump_json(artifact))
     print(f"{sg.label}: {len(fam.flat_ids)} idempotents"
           + (" (generic weights)" if fam.is_generic else " (ties grouped)")
           + ("" if fam.lattice_covered else "; restricted sublattice")
@@ -316,14 +302,14 @@ def _letters_of(sg, st, flat):
     return tuple(sorted(int(x) for x in key.split(",")))
 
 
-def _cmd_simulate(args, guards, config):
+def _cmd_simulate(args, guards):
     sg, st, _ = _built(args, guards)
     w = _weights(args, sg, st)
     if args.start not in sg.index:
         raise MalformedInputError(f"unknown start key {args.start!r}")
     c0 = sg.index[args.start]
     traj = walks.simulate(st, w, c0, args.steps, args.seed)
-    _emit(config, "trajectory.json",
+    _emit(args, "trajectory.json",
           serialize.dump_json(serialize.trajectory_dict(sg, traj)))
     counts = {}
     for _, c in traj.steps:
@@ -335,7 +321,7 @@ def _cmd_simulate(args, guards, config):
     return 0
 
 
-def _cmd_stationary(args, guards, config):
+def _cmd_stationary(args, guards):
     sg, st, _ = _built(args, guards)
     w = _weights(args, sg, st)
     if args.method == "exact":
@@ -349,9 +335,9 @@ def _cmd_stationary(args, guards, config):
         pi = algebra.stationary_from_idempotents(st, fam)
         dist = walks.DistributionOnChambers(
             [sg.keys[c] for c in st.chambers], pi, "stationary-idempotent")
-    _emit(config, "stationary.json",
+    _emit(args, "stationary.json",
           serialize.dump_json(serialize.distribution_dict(dist)))
-    if config.verbose:
+    if args.verbose:
         for k, p in zip(dist.chamber_keys, dist.probs):
             print(f"  {k}: {serialize.value_str(p)}")
     peak = max(range(len(dist.probs)), key=lambda i: dist.probs[i])
@@ -361,7 +347,7 @@ def _cmd_stationary(args, guards, config):
     return 0
 
 
-def _cmd_converge(args, guards, config):
+def _cmd_converge(args, guards):
     sg, st, _ = _built(args, guards)
     w = _weights(args, sg, st)
     if args.start is None:
@@ -381,8 +367,8 @@ def _cmd_converge(args, guards, config):
         "bound_holds": report.bound_holds,
         "rows": serialize.convergence_rows(report),
     }
-    _emit(config, "converge.json", serialize.dump_json(artifact))
-    if config.verbose:
+    _emit(args, "converge.json", serialize.dump_json(artifact))
+    if args.verbose:
         _print_rows(artifact["rows"])
     if not report.bound_holds:
         raise FalsificationError(
@@ -401,7 +387,12 @@ def _read_graph_edges(path):
     except MalformedInputError:
         obj = None
     if obj is not None:
-        edges = obj["edges"] if isinstance(obj, dict) else obj
+        edges = obj.get("edges") if isinstance(obj, dict) else obj
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 for e in edges):
+            raise MalformedInputError(
+                f"{path}: graph JSON must be a list of [u, v] edges, "
+                "alone or under \"edges\"")
         return [(u, v) for u, v in edges]
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -419,7 +410,7 @@ def _read_graph_edges(path):
     return edges
 
 
-def _cmd_derangement(args, guards, config):
+def _cmd_derangement(args, guards):
     if args.poset:
         p = derangement.poset_from_json(serialize.load_json_file(args.poset))
     elif args.boolean is not None:
@@ -451,7 +442,7 @@ def _cmd_derangement(args, guards, config):
                                for r in rows]
         if not all(r.ok for r in rows):
             failures.append("rank-threaded D_r identity failed")
-    _emit(config, "derangement.json", serialize.dump_json(artifact))
+    _emit(args, "derangement.json", serialize.dump_json(artifact))
     if failures:
         raise FalsificationError(
             f"{p.name}: " + "; ".join(failures) + "; see derangement.json")
@@ -466,7 +457,7 @@ def _perm_key(w):
     return ",".join(map(str, w))
 
 
-def _cmd_descent(args, guards, config):
+def _cmd_descent(args, guards):
     n = args.n
     cx = descent.coxeter_complex(n, guards)
     artifact = {"n": n, "faces": cx.semigroup.size,
@@ -513,7 +504,7 @@ def _cmd_descent(args, guards, config):
         else:
             failures.append("group measure does not reproduce the "
                             "chamber walk")
-    _emit(config, "descent.json", serialize.dump_json(artifact))
+    _emit(args, "descent.json", serialize.dump_json(artifact))
     if failures:
         raise FalsificationError(
             f"S_{n}: " + "; ".join(failures) + "; see descent.json")
@@ -521,7 +512,7 @@ def _cmd_descent(args, guards, config):
     return 0
 
 
-def _cmd_selftest(args, guards, config):
+def _cmd_selftest(args, guards):
     from . import selftest
     results = selftest.run_all(only=args.only or None, guards=guards)
     artifact = []
@@ -535,8 +526,8 @@ def _cmd_selftest(args, guards, config):
                          "detail": r.detail})
         if not r.ok:
             worst = 3
-    if config.out:
-        _emit(config, "selftest.json", serialize.dump_json(artifact))
+    if args.out:
+        _emit(args, "selftest.json", serialize.dump_json(artifact))
     print("all criteria passed" if worst == 0
           else "at least one criterion failed")
     return worst
@@ -558,10 +549,9 @@ _DISPATCH = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config(args)
     try:
         guards = load_guards(**_guard_overrides(args))
-        return _DISPATCH[args.command](args, guards, config)
+        return _DISPATCH[args.command](args, guards)
     except (MalformedInputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ family identity d(L) = sum of h_J over the family J whose first gap is
 even, and the rank-profile refinement) requires a graded poset.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -166,17 +166,13 @@ def _refines(finer, coarser):
 
 
 def partition_lattice(n, guards=DEFAULT_GUARDS):
-    """Partitions of {1..n} ordered by refinement, singletons at bottom."""
+    """Partitions of {1..n} ordered by refinement, singletons at bottom:
+    the contraction lattice of the complete graph on 1..n."""
     if n < 1:
         raise MalformedInputError("partition_lattice needs n >= 1")
-    if n > guards.partitions_n_cap:
-        raise SizeGuardError(f"partition_lattice({n}) over the cap")
-    parts = [tuple(sorted(tuple(sorted(b)) for b in p))
-             for p in posets.set_partitions(list(range(1, n + 1)))]
-    parts = sorted(set(parts), key=lambda p: (-len(p), p))
-    labels = [_partition_label(p) for p in parts]
-    leq = np.array([[_refines(a, b) for b in parts] for a in parts])
-    return graded_poset(f"partitions({n})", labels, leq)
+    vertices = range(1, n + 1)
+    p = contraction_lattice(combinations(vertices, 2), vertices, guards)
+    return replace(p, name=f"partitions({n})")
 
 
 def contraction_lattice(edges, vertices=None, guards=DEFAULT_GUARDS):
@@ -257,6 +253,9 @@ def poset_from_json(obj):
     if not isinstance(obj, dict) or "elements" not in obj \
             or "covers" not in obj:
         raise MalformedInputError("poset JSON needs elements and covers")
+    for key in ("elements", "covers"):
+        if not isinstance(obj[key], list):
+            raise MalformedInputError(f"poset JSON {key} must be a list")
     labels = [str(e) for e in obj["elements"]]
     return graded_poset("poset", labels,
                         posets.order_from_covers(labels, obj["covers"]))

@@ -54,19 +54,27 @@ def value_str(x):
 # ------------------------------------------------------------- matrices
 
 
+def _matrix_rows(P):
+    """Per row of P, its "p/q" entries, rendered from the integer cells;
+    every other entry is "0/1"."""
+    for cells in P.cells:
+        row = ["0/1"] * P.size
+        for j, a in cells:
+            row[j] = frac_str(Fraction(a, P.den))
+        yield row
+
+
 def matrix_csv(P):
     """Chamber-key header row, then one row of "p/q" entries per chamber."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(P.chamber_keys)
-    for row in P.rows:
-        writer.writerow([frac_str(v) for v in row])
+    writer.writerows(_matrix_rows(P))
     return buf.getvalue()
 
 
 def matrix_dict(P):
-    return {"chambers": list(P.chamber_keys),
-            "rows": [[frac_str(v) for v in row] for row in P.rows]}
+    return {"chambers": P.chamber_keys, "rows": list(_matrix_rows(P))}
 
 
 # -------------------------------------------------------------- spectra

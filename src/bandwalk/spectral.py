@@ -1,21 +1,30 @@
 """Chamber-walk transition matrices and their exact spectra.
 
 Walk steps multiply a random element onto the current chamber from the
-left, so P(c, d) = sum of w_x over x with xc = d.  The eigenvalues are
-indexed by the support lattice: lambda_X sums the weights of elements
-supported at or below X, and the multiplicity m_X comes from Moebius
-inversion of the chamber counts c_X.  verify_diagonalizable turns that
-statement into a falsifiable certificate in the semigroup algebra kS:
-one integer Krylov sequence (Dw)^j 1 must be annihilated by the product
-of (x - D lambda) over the distinct lambda, and its traces on the
-chamber span must match the multiplicities.  certify_family certifies
-the eigenprojectors of an integer element of any dense algebra, the
-walk idempotents in kS and the E_i in ZS_n alike.
+left, so P(c, d) = sum of w_x over x with xc = d: P is left
+multiplication by w = sum w_x x on the left ideal kC of the semigroup
+algebra kS, spanned by the chambers.  The walk operator has one
+integer form: the weights are scaled once to D w over their common
+denominator D (`weighted_rows`), and every product by D w, or by any
+other integer element, runs through `sparse_product` on the table rows
+of the weighted elements.  `TransitionMatrix` keeps only the nonzero
+cells of P, at most |supp w| per row.
+
+The eigenvalues are indexed by the support lattice: lambda_X sums the
+weights of elements supported at or below X, and the multiplicity m_X
+comes from Moebius inversion of the chamber counts c_X.
+verify_diagonalizable turns that statement into a falsifiable
+certificate in kS: one integer Krylov sequence (Dw)^j 1 must be
+annihilated by the product of (x - D lambda) over the distinct lambda,
+and its traces on the chamber span must match the multiplicities.
+certify_family certifies the eigenprojectors of an integer element of
+any dense algebra, the walk idempotents in kS and the E_i in ZS_n
+alike.
 """
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -123,58 +132,75 @@ def seeded_generator_weights(sg, seed):
 
 @dataclass
 class TransitionMatrix:
-    chamber_keys: list
-    chamber_ids: list
-    rows: list
-    # (D, per row the (column, integer) pairs of its nonzero cells), with
-    # rows[i][j] = integer / D, set by transition_matrix
-    sparse: tuple = field(default=None, repr=False, compare=False)
-    # the support structure and weights of the walk, when P was built
-    # from them by transition_matrix; verify_diagonalizable and
-    # walks.stationary_exact read them
-    structure: object = field(default=None, repr=False, compare=False)
-    weights: object = field(default=None, repr=False, compare=False)
+    """P(c, d) = sum of w_x over x with xc = d, on the chambers of
+    `structure` in their order, kept as integer cells: cells[i] lists
+    the (j, a) pairs with P(i, j) = a / den != 0, at most |supp w| of
+    them.  The walk behind P, `structure` and `weights`, is what the
+    certificates read; `transition_matrix` builds it.
+    """
+
+    structure: object
+    weights: object
+    den: int
+    cells: list
 
     @property
     def size(self):
-        return len(self.rows)
+        return len(self.cells)
+
+    @property
+    def chamber_keys(self):
+        keys = self.structure.semigroup.keys
+        return [keys[c] for c in self.structure.chambers]
+
+    @property
+    def rows(self):
+        """The dense matrix of Fractions, built anew on every read."""
+        zero = Fraction(0)
+        out = []
+        for cells in self.cells:
+            row = [zero] * self.size
+            for j, a in cells:
+                row[j] = Fraction(a, self.den)
+            out.append(row)
+        return out
+
+
+def weighted_rows(structure, w, extra=()):
+    """(D, rows, ints): D the common denominator of the weights of w and
+    the values in `extra`, rows the (table row of x, D w_x) pairs over
+    the weighted x, which is D w for `sparse_product`, and ints D times
+    each value in `extra`."""
+    table = structure.semigroup.tabulate()
+    xs = w.support_ids()
+    den, (ints,) = scaled([[w[x] for x in xs] + list(extra)])
+    return (den, [(table[x].tolist(), a) for x, a in zip(xs, ints)],
+            ints[len(xs):])
 
 
 def transition_matrix(structure, w):
     """P(c, d) = sum of w_x over x with xc = d, exact.
 
-    The weights are scaled once to integers over a common denominator D,
-    and each row sums the integer weights of its cells sparsely; a row
-    has at most |supp w| nonzero cells, and only those become Fractions.
+    The weights are scaled once to integers over their common
+    denominator D, and each row sums the integer weights of its cells
+    sparsely; no dense row and no Fraction is built.
     """
-    sg = structure.semigroup
     chambers = structure.chambers
     if not chambers:
         raise MalformedInputError("no chambers")
     pos = {c: i for i, c in enumerate(chambers)}
-    prod = sg.product
-    xs = w.support_ids()
-    den, (nums,) = scaled([[w[x] for x in xs]])
-    total = sum(nums)
-    zero = Fraction(0)
-    rows = []
+    den, rows, _ = weighted_rows(structure, w)
+    total = sum(a for _, a in rows)
     cells = []
     for c in chambers:
         acc = {}
-        for x, a in zip(xs, nums):
-            d = pos[prod(x, c)]
+        for row, a in rows:
+            d = pos[row[c]]
             acc[d] = acc.get(d, 0) + a
         if sum(acc.values()) != total:
             raise FalsificationError("row sum drifted from total weight")
-        row = [zero] * len(chambers)
-        nonzero = [(d, a) for d, a in acc.items() if a]
-        for d, a in nonzero:
-            row[d] = Fraction(a, den)
-        rows.append(row)
-        cells.append(nonzero)
-    return TransitionMatrix([sg.keys[c] for c in chambers],
-                            list(chambers), rows, (den, cells),
-                            structure, w)
+        cells.append([(d, a) for d, a in acc.items() if a])
+    return TransitionMatrix(structure, w, den, cells)
 
 
 # ------------------------------------------------------------ spectra
@@ -274,17 +300,13 @@ def spectrum(structure, w):
 
 def krylov_sequence(rows, start, size, k):
     """[v_0, .., v_k], integer lists of length `size`: v_0 is the unit
-    vector at `start`, and v_{j+1} = a v_j for a = sum of c x over the
-    (row of x, c) pairs in `rows`, acting on the left."""
+    vector at `start`, and v_{j+1} = a v_j by `sparse_product`, for a
+    the sum of c x over the (row of x, c) pairs in `rows`."""
     vs = [[0] * size]
     vs[0][start] = 1
     for _ in range(k):
-        nonzero = [(y, c) for y, c in enumerate(vs[-1]) if c]
-        v = [0] * size
-        for row, a in rows:
-            for y, c in nonzero:
-                v[row[y]] += a * c
-        vs.append(v)
+        vs.append(sparse_product(
+            rows, [(y, c) for y, c in enumerate(vs[-1]) if c], size))
     return vs
 
 
@@ -309,12 +331,8 @@ def annihilated(structure, w, lams):
     first element where prod (Dw - D lambda) 1 is nonzero, None when
     that product vanishes in kS (1 generates kS as a left module)."""
     sg = structure.semigroup
-    table = sg.tabulate()
-    xs = w.support_ids()
-    _, (ints,) = scaled([[w[x] for x in xs] + list(lams)])
-    nodes = ints[len(xs):]
-    vs = krylov_sequence([(table[x].tolist(), a) for x, a in zip(xs, ints)],
-                         sg.identity, sg.size, len(nodes))
+    _, rows, nodes = weighted_rows(structure, w, lams)
+    vs = krylov_sequence(rows, sg.identity, sg.size, len(nodes))
     residue = apply_roots(vs, nodes)
     return vs, nodes, next((x for x, a in enumerate(residue) if a), None)
 
@@ -337,7 +355,7 @@ def certify_family(table, identity, letters, members, keys):
     the elements in the witness of a FalsificationError.
     """
     size = len(table)
-    rows = {x: table[x].tolist() for x, _ in letters}
+    a = [(table[x].tolist(), c) for x, c in letters]
 
     def check(ok, why, witness=None):
         if not ok:
@@ -352,26 +370,28 @@ def certify_family(table, identity, letters, members, keys):
     check(not any(total), "the family does not sum to 1")
     groups = {}
     for k, (r, _, e) in members.items():
-        out = _product(rows, letters, e, size)
+        out = sparse_product(a, e, size)
         for y, c in e:
             out[y] -= r * c
         check(not any(out), "member {} is not an eigenvector of a", k)
         groups.setdefault(r, []).append(k)
     ties = [g for g in groups.values() if len(g) > 1]
-    rows = table.tolist() if ties else rows
+    rows = table.tolist() if ties else None
     for group in ties:
         for k, l in permutations(group, 2):
-            check(not any(_product(rows, members[k][2], members[l][2], size)),
+            ek = [(rows[y], c) for y, c in members[k][2]]
+            check(not any(sparse_product(ek, members[l][2], size)),
                   "members {0[0]} and {0[1]} share an eigenvalue but their "
                   "product is nonzero", (k, l))
 
 
-def _product(rows, a, b, size):
-    """The integer list of a b, for a and b lists of (element, integer)
-    pairs, where rows[x][y] is the product x y of elements 0..size-1."""
+def sparse_product(rows, b, size):
+    """The integer list of a b in the algebra of elements 0..size-1, for
+    a the sum of c x over the (row of x, c) pairs in `rows`, row[y]
+    being the product x y, and b the sum of d y over the (y, d) pairs
+    in `b`.  Every product by an element of kS runs through here."""
     out = [0] * size
-    for x, c in a:
-        row = rows[x]
+    for row, c in rows:
         for y, d in b:
             out[row[y]] += c * d
     return out
@@ -398,9 +418,6 @@ def verify_diagonalizable(P, spec, strict=True):
     v_j = (Dw)^j 1 must equal sum m_lambda (D lambda)^j; with distinct
     nodes this Vandermonde system forces the grouped multiplicities.
     """
-    if P.structure is None:
-        raise PreconditionError(
-            "the transition matrix carries no walk to certify")
     st = P.structure
     if len(spec.records) != st.n_flats:
         raise PreconditionError("the spectrum belongs to another band")
@@ -432,18 +449,6 @@ def verify_diagonalizable(P, spec, strict=True):
 
 
 # ----------------------------------------------------------- helpers
-
-
-def remove_holding_probability(P, alpha):
-    """The lazy-part deflation (P - alpha I) / (1 - alpha)."""
-    alpha = Fraction(alpha)
-    if alpha == 1:
-        raise PreconditionError("cannot deflate a holding probability of 1")
-    scale = 1 / (1 - alpha)
-    rows = [[(v - (alpha if i == j else 0)) * scale
-             for j, v in enumerate(row)]
-            for i, row in enumerate(P.rows)]
-    return TransitionMatrix(list(P.chamber_keys), list(P.chamber_ids), rows)
 
 
 def matrix_permutation_match(a, b):

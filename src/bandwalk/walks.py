@@ -12,8 +12,9 @@ same loop exactly, one element at a time in support order, with the
 pass that gives the residue idempotents in `algebra`.
 
 Exact paths (stationary law, matrix powers, total variation, the
-coatom bound) return Fractions; the matrix work runs on the integer
-cells that `transition_matrix` keeps, with rationals scaled once by
+coatom bound) return Fractions; the products by w behind them run in
+the semigroup algebra kS, on the integer D w of `spectral.weighted_rows`
+through `spectral.sparse_product`, with rationals scaled once by
 `spectral.scaled`.  Empirical paths replay the seeded standard
 generator in blocks: `_draw_blocks` rebuilds its `random()` stream,
 double for double, from `getrandbits` words and draws a whole block of
@@ -36,7 +37,8 @@ from .errors import (
     StagnationError,
 )
 from .guards import DEFAULT_GUARDS
-from .spectral import flat_eigenvalues, scaled, transition_matrix
+from .spectral import (flat_eigenvalues, krylov_sequence, scaled,
+                       sparse_product, weighted_rows)
 
 
 # --------------------------------------------------------- trajectory
@@ -136,7 +138,16 @@ def total_variation(p, q):
 
 
 def stationary_exact(P):
-    """The unique pi with pi P = pi and sum pi = 1, exact (Theorem 0).
+    """The unique pi with pi P = pi and sum pi = 1, exact (Theorem 0),
+    for the walk behind the transition matrix P; see `_stationary_law`.
+    """
+    return DistributionOnChambers(
+        P.chamber_keys, _stationary_law(P.structure, P.weights),
+        "stationary-exact")
+
+
+def _stationary_law(st, w):
+    """pi over the chambers of `st`, a support structure, in their order.
 
     pi is the law of the right product x1 x2 ... of draws from w at the
     first time its support reaches X_w, the join of the supports of the
@@ -153,20 +164,16 @@ def stationary_exact(P):
     ensure it, and signed weights are refused without it.  Then the
     stationary vectors span c = |a C| dimensions for any a with
     supp a = X_w, and c != 1 is refused.  The result is certified by
-    D pi = pi (D P) on the integer cells of P.
+    D pi = (D w) pi in kS, with pi as the element sum pi_c c: kC is a
+    left ideal, so that is pi P = pi.
     """
-    st, w = P.structure, P.weights
-    if st is None:
-        raise PreconditionError(
-            "the transition matrix carries no walk to solve")
     if w.total != 1:
         raise PreconditionError(f"weights sum to {w.total}, not 1")
     leq = st.leq
     supp = st.supp
-    xs = w.support_ids()
     lam = flat_eigenvalues(st, w)
     top = st.bottom
-    for x in xs:
+    for x in w.support_ids():
         top = int(st.join[top, supp[x]])
     stuck = next((f for f in range(st.n_flats)
                   if lam[f] == 1 and not leq[top, f]), None)
@@ -174,7 +181,8 @@ def stationary_exact(P):
         raise PreconditionError(
             f"lambda is 1 at {st.labels[stuck]}, which is not above "
             f"{st.labels[top]}")
-    table = st.semigroup.tabulate()
+    sg = st.semigroup
+    table = sg.tabulate()
     chambers = st.chambers
     c = len(set(table[st.members[top][0], chambers].tolist()))
     if c != 1:
@@ -187,18 +195,17 @@ def stationary_exact(P):
     for a, m in residue_idempotent(st, w, top, lam).items():
         pi[pos[int(table[a, chambers[0]])]] += m
 
-    den, cells = P.sparse
+    den, rows, _ = weighted_rows(st, w)
     q, (nums,) = scaled([pi])
-    moved = [0] * len(pi)
-    for a, row in zip(nums, cells):
-        if a:
-            for j, b in row:
-                moved[j] += a * b
-    if sum(nums) != q or min(nums) < 0 or moved != [den * a for a in nums]:
+    held = [(d, a) for d, a in zip(chambers, nums) if a]
+    want = [0] * sg.size
+    for d, a in held:
+        want[d] = den * a
+    if sum(nums) != q or min(nums) < 0 \
+            or sparse_product(rows, held, sg.size) != want:
         raise FalsificationError(
-            "the absorbed right product is not a stationary law of P")
-    return DistributionOnChambers(list(P.chamber_keys), pi,
-                                  "stationary-exact")
+            "the absorbed right product is not a stationary law of the walk")
+    return pi
 
 
 def _sample_until_top(structure, w, seed, samples, guards):
@@ -332,20 +339,22 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     """Exact TV distance vs the Theorem-0 coatom bound, per step.
 
     exactTV(m) = TV(row c0 of P^m, pi); bound(m) = sum over coatoms H
-    of lambda_H^m.  When `samples` > 0 the empirical tail Pr{T > m} of
-    the stopping time joins the table.  The claim checked is
-    exactTV <= bound for every m; the empirical tail sits between the
-    two only up to Monte Carlo noise, so it is reported, not asserted.
+    of lambda_H^m.  Row c0 of P^m is the chamber part of w^m c0 in kS,
+    read off one Krylov sequence (D w)^m c0 over D^m, and pi is the
+    certified law of `stationary_exact`.  When `samples` > 0 the
+    empirical tail Pr{T > m} of the stopping time joins the table.  The
+    claim checked is exactTV <= bound for every m; the empirical tail
+    sits between the two only up to Monte Carlo noise, so it is
+    reported, not asserted.
     """
     if not w.is_probability:
         raise PreconditionError("convergence analysis needs a probability")
     if m_max < 0:
         raise MalformedInputError(f"negative step bound {m_max}")
-    P = transition_matrix(structure, w)
-    start = structure.chambers.index(c0) if c0 in structure.chambers else -1
-    if start < 0:
+    chambers = structure.chambers
+    if c0 not in chambers:
         raise MalformedInputError("start must be a chamber")
-    pi = stationary_exact(P)
+    pi = _stationary_law(structure, w)
     lam = flat_eigenvalues(structure, w)
     lams = [lam[h] for h in structure.coatoms()]
     # the bound at m is sum(lam_num^m) / lam_den^m
@@ -354,35 +363,22 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     times = (sample_stopping_times(structure, w, seed, samples, guards)
              if samples else None)
 
-    # row c0 of P^m is r / den^m with r integer; pi is pi_num / q
-    den, cells = P.sparse
-    q, (pi_num,) = scaled([pi.probs])
-    n = P.size
-    r = [0] * n
-    r[start] = 1
-    dm = 1
+    # row c0 of P^m is the chamber part of vs[m] over den^m; pi is
+    # pi_num / q
+    den, walk, _ = weighted_rows(structure, w)
+    vs = krylov_sequence(walk, c0, structure.semigroup.size, m_max)
+    q, (pi_num,) = scaled([pi])
     rows = []
     ok = True
-    powers = [1] * len(lams)
-    lm = 1
-    for m in range(m_max + 1):
-        if m:
-            nxt = [0] * n
-            for a, row in zip(r, cells):
-                if a:
-                    for j, b in row:
-                        nxt[j] += a * b
-            r = nxt
-            dm *= den
-            powers = [p * a for p, a in zip(powers, lam_num)]
-            lm *= lam_den
-        tv = Fraction(sum(abs(a * q - dm * b) for a, b in zip(r, pi_num)),
-                      2 * dm * q)
-        bound = Fraction(sum(powers), lm)
+    for m, v in enumerate(vs):
+        dm = den ** m
+        tv = Fraction(sum(abs(v[c] * q - dm * b)
+                          for c, b in zip(chambers, pi_num)), 2 * dm * q)
+        bound = Fraction(sum(a ** m for a in lam_num), lam_den ** m)
         emp = None
         if times is not None:
             emp = sum(c for t, c in times.items() if t > m) / samples
         if tv > bound:
             ok = False
         rows.append(ConvergenceRow(m, tv, bound, emp))
-    return ConvergenceReport(P.chamber_keys[start], rows, lams, ok)
+    return ConvergenceReport(structure.semigroup.keys[c0], rows, lams, ok)

@@ -5,7 +5,9 @@ oracles: a depth-first walk over the words, the residue members and
 the word-sum power formula.  The library sums the same words per
 element in one pass in support order (`algebra.support_pass`);
 tests/test_spectral.py checks it against these oracles on random
-bands and weights.
+bands and weights.  The Fraction convolution product of the semigroup
+algebra is an oracle too: the library multiplies only in integers,
+through `spectral.sparse_product`.
 """
 
 from collections import Counter
@@ -13,11 +15,36 @@ from fractions import Fraction
 
 import pytest
 
-from bandwalk import algebra, constructions, core, spectral, walks
+from bandwalk import algebra, constructions, core, selftest, spectral, walks
 from bandwalk.errors import FalsificationError, PreconditionError
 
 
 F = Fraction
+
+
+def alg_identity(sg):
+    return {sg.identity: F(1)}
+
+
+def alg_multiply(sg, a, b):
+    """Convolution product in the semigroup algebra."""
+    out = {}
+    for x, va in a.items():
+        for y, vb in b.items():
+            _accumulate(out, sg.product(x, y), va * vb)
+    return out
+
+
+def alg_power(sg, a, m):
+    out = alg_identity(sg)
+    for _ in range(m):
+        out = alg_multiply(sg, out, a)
+    return out
+
+
+def weight_element(w):
+    """The element sum of w_x x for a WeightVector."""
+    return dict(w.items())
 
 
 def reduced_word_walk(sg, structure, w, visit):
@@ -123,15 +150,15 @@ def _generic_weights(sg):
 
 def test_algebra_primitives():
     sg, _ = _band(constructions.free_lrb, 2)
-    one = algebra.alg_identity(sg)
-    a = algebra.weight_element(spectral.uniform_on_generators(sg))
-    assert algebra.alg_equal(algebra.alg_multiply(sg, one, a), a)
-    assert algebra.alg_equal(algebra.alg_multiply(sg, a, one), a)
+    one = alg_identity(sg)
+    a = weight_element(spectral.uniform_on_generators(sg))
+    assert algebra.alg_equal(alg_multiply(sg, one, a), a)
+    assert algebra.alg_equal(alg_multiply(sg, a, one), a)
     twice = algebra.alg_add(a, a)
     assert algebra.alg_equal(twice, algebra.alg_scale(a, 2))
-    assert algebra.alg_equal(algebra.alg_power(sg, a, 0), one)
-    assert algebra.alg_equal(algebra.alg_power(sg, a, 2),
-                             algebra.alg_multiply(sg, a, a))
+    assert algebra.alg_equal(alg_power(sg, a, 0), one)
+    assert algebra.alg_equal(alg_power(sg, a, 2),
+                             alg_multiply(sg, a, a))
 
 
 def test_idempotent_family_certificates():
@@ -144,10 +171,10 @@ def test_idempotent_family_certificates():
     total = {}
     for x in fam.flat_ids:
         total = algebra.alg_add(total, fam.members[x])
-    assert algebra.alg_equal(total, algebra.alg_identity(sg))
+    assert algebra.alg_equal(total, alg_identity(sg))
     for x in fam.flat_ids:
         for y in fam.flat_ids:
-            prod = algebra.alg_multiply(sg, fam.members[x], fam.members[y])
+            prod = alg_multiply(sg, fam.members[x], fam.members[y])
             want = fam.members[x] if x == y else {}
             assert algebra.alg_equal(prod, want)
 
@@ -158,13 +185,13 @@ def test_generic_family_needs_no_reduced_words_or_pair_sweep(monkeypatch):
     dfs = residue_members(st, w, list(range(st.n_flats)),
                           spectral.flat_eigenvalues(st, w))
     calls = []
-    product = spectral._product
+    product = spectral.sparse_product
 
     def counted(*args):
         calls.append(1)
         return product(*args)
 
-    monkeypatch.setattr(spectral, "_product", counted)
+    monkeypatch.setattr(spectral, "sparse_product", counted)
     # distinct lambda: one left product with w per member and no more
     fam = algebra.primitive_idempotents(st, w)
     assert fam.is_generic and fam.members == dfs
@@ -235,9 +262,9 @@ def test_idempotents_diagonalize_the_weight_element():
     sg, st = _band(constructions.free_lrb_bar, 3)
     w = _generic_weights(sg)
     fam = algebra.primitive_idempotents(st, w)
-    a = algebra.weight_element(w)
+    a = weight_element(w)
     for x in fam.flat_ids:
-        left = algebra.alg_multiply(sg, a, fam.members[x])
+        left = alg_multiply(sg, a, fam.members[x])
         want = algebra.alg_scale(fam.members[x], fam.lam[x])
         assert algebra.alg_equal(left, want)
 
@@ -245,12 +272,27 @@ def test_idempotents_diagonalize_the_weight_element():
 def test_power_formula_matches_convolution():
     sg, st = _band(constructions.ordered_partitions, 3)
     w = spectral.seeded_generator_weights(sg, 4)
-    a = algebra.weight_element(w)
+    a = weight_element(w)
     powers = algebra.power_formula(st, w, 5)
     assert len(powers) == 6
     for m, assembled in enumerate(powers):
-        direct = algebra.alg_power(sg, a, m)
+        direct = alg_power(sg, a, m)
         assert algebra.alg_equal(assembled, direct)
+
+
+def test_criterion_4_catches_a_perturbed_power_formula(monkeypatch):
+    real = algebra.power_formula
+
+    def perturbed(*args):
+        powers = real(*args)
+        top = powers[-1]
+        top[min(top)] += F(1, 10 ** 9)
+        return powers
+
+    monkeypatch.setattr(algebra, "power_formula", perturbed)
+    with pytest.raises(FalsificationError,
+                       match=r"power formula differs from w\^6"):
+        selftest.criterion_4()
 
 
 def test_non_generic_family_past_the_reach_of_the_word_walk():

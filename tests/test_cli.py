@@ -205,6 +205,17 @@ def test_malformed_inputs_exit_2(tmp_path):
             "covers": [list(c) for c in covers]})]) == 2
 
 
+@pytest.mark.parametrize("flag, payload", [
+    ("--poset", {"elements": 5, "covers": []}),
+    ("--poset", {"elements": ["a", "b"], "covers": 3}),
+    ("--graph", {"nodes": [1, 2]}),
+    ("--graph", [[1, 2, 3]]),
+    ("--graph", 7),
+])
+def test_malformed_poset_and_graph_json_exit_2(tmp_path, flag, payload):
+    assert cli.main(["derangement", flag, _spec(tmp_path, payload)]) == 2
+
+
 def test_axiom_violation_exits_3(tmp_path):
     spec = _spec(tmp_path, {
         "type": "table", "label": "broken",

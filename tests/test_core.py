@@ -13,9 +13,8 @@ from bandwalk.errors import (AxiomViolationError, MalformedInputError,
 def test_free_band_passes_every_axiom():
     sg = constructions.free_lrb(3)
     rep = core.verify_lrb(sg)
-    assert rep.ok
-    assert rep.identity_ok and rep.idempotent_ok and rep.deletion_ok
-    assert rep.associative_ok and rep.assoc_mode == "exhaustive"
+    assert rep.ok and rep.message == ""
+    assert rep.assoc_mode == "exhaustive"
     assert rep.witness is None
 
 
@@ -82,7 +81,7 @@ def test_idempotence_violation_is_reported_with_witness():
                         table=[[0, 1, 2], [1, 1, 2], [2, 2, 1]])
     rep = core.verify_lrb(sg)
     assert not rep.ok
-    assert not rep.idempotent_ok
+    assert rep.message == "idempotence fails"
     assert rep.witness is not None
 
 
@@ -94,7 +93,7 @@ def test_deletion_violation_is_reported():
     rep = core.verify_lrb(core.Semigroup("opp", list(sg.keys), sg.identity,
                                          table=opp))
     assert not rep.ok
-    assert not rep.deletion_ok
+    assert rep.message == "deletion law xyx = xy fails"
 
 
 def test_missing_identity_is_reported():
@@ -103,7 +102,7 @@ def test_missing_identity_is_reported():
     rep = core.verify_lrb(core.Semigroup("shifted", list(sg.keys), 1,
                                          table=t))
     assert not rep.ok
-    assert not rep.identity_ok
+    assert rep.message == "identity law fails"
 
 
 def test_semigroup_handle_validation():
@@ -216,7 +215,7 @@ def test_vector_laws_match_the_reference_loops_on_a_corrupted_table(name,
     want = _reference_laws(t, band.identity)
     rep = core.verify_lrb(handle())
     if want is None:
-        assert rep.identity_ok and rep.idempotent_ok and rep.deletion_ok
+        assert rep.message in ("", "associativity fails")
     else:
         assert not rep.ok and (rep.message, rep.witness) == want
 

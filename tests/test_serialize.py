@@ -1,10 +1,12 @@
 """Stable artifact rendering: rational strings, CSV, and JSON."""
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
 
-from bandwalk import constructions, core, serialize, spectral, walks
+from bandwalk import constructions, core, selftest, serialize, spectral, walks
 from bandwalk.errors import MalformedInputError
 
 
@@ -46,6 +48,40 @@ def test_matrix_csv_quotes_comma_keys_and_is_stable():
     text = serialize.matrix_csv(P)
     assert text == '"1,2","2,1"\n1/2,1/2\n1/2,1/2\n'
     assert serialize.matrix_csv(P) == text
+
+
+def _signed(sg, coeffs):
+    return spectral.WeightVector(sg, coeffs, require_probability=False)
+
+
+def test_matrix_render_matches_the_dense_fractions():
+    pairs = [(st, w) for _, sg, st, _ in selftest.corpus()
+             for _, w in selftest.walk_weights(sg)]
+    # criterion 2's signed walk, whose diagonal cells cancel to zero
+    sg = constructions.distributive_chain_lrb(
+        constructions.DistributiveLattice.grid(2, 2))
+    alpha = F(3, 7)
+    coeffs = {x: v / (1 - alpha)
+              for x, v in spectral.uniform_on_generators(sg).items()}
+    coeffs[sg.identity] = -alpha / (1 - alpha)
+    pairs.append((core.derive_support(sg), _signed(sg, coeffs)))
+    # and a walk with a negative weight, so negative cells
+    sg = constructions.free_lrb(3)
+    a, b, c = sg.generators
+    pairs.append((core.derive_support(sg),
+                  _signed(sg, {a: F(1), b: F(1), c: F(-1)})))
+    values = set()
+    for st, w in pairs:
+        P = spectral.transition_matrix(st, w)
+        rows = [[serialize.frac_str(v) for v in row] for row in P.rows]
+        values.update(v for row in P.rows for v in row)
+        assert serialize.matrix_dict(P) == {"chambers": P.chamber_keys,
+                                            "rows": rows}
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [P.chamber_keys] + rows)
+        assert serialize.matrix_csv(P) == buf.getvalue()
+    assert 0 in values and min(values) < 0
 
 
 def test_dump_json_is_byte_stable_and_ordered():

@@ -21,7 +21,7 @@ from bandwalk.errors import (FalsificationError, MalformedInputError,
                              StagnationError)
 from bandwalk.guards import DEFAULT_GUARDS
 from test_linalg import stationary_kernel
-from test_spectral import _small_bands
+from test_spectral import _small_bands, remove_holding_probability
 
 
 F = Fraction
@@ -84,27 +84,38 @@ def test_convergence_tv_matches_fraction_matrix_powers():
     sg, st = _f3()
     w = spectral.seeded_generator_weights(sg, 9)
     P = spectral.transition_matrix(st, w)
+    rows = P.rows
     pi = walks.stationary_exact(P)
-    rep = walks.convergence_report(st, w, st.chambers[1], 5)
-    row = [F(0)] * P.size
-    row[1] = F(1)
-    for m in range(6):
-        assert rep.rows[m].exact_tv == walks.total_variation(row, pi.probs)
-        row = [sum(row[i] * P.rows[i][j] for i in range(P.size))
-               for j in range(P.size)]
+    for start, c0 in enumerate(st.chambers):
+        rep = walks.convergence_report(st, w, c0, 5)
+        assert rep.start_key == sg.keys[c0]
+        row = [F(0)] * P.size
+        row[start] = F(1)
+        for m in range(6):
+            assert rep.rows[m].exact_tv == walks.total_variation(row,
+                                                                 pi.probs)
+            row = [sum(row[i] * rows[i][j] for i in range(P.size))
+                   for j in range(P.size)]
+
+
+def fraction_matrix(st, w):
+    """P(c, d) = sum of w_x over x with xc = d, one Fraction at a time."""
+    sg = st.semigroup
+    pos = {c: i for i, c in enumerate(st.chambers)}
+    rows = [[F(0)] * len(pos) for _ in pos]
+    for i, c in enumerate(st.chambers):
+        for x, v in w.items():
+            rows[i][pos[sg.product(x, c)]] += v
+    return rows
 
 
 def test_integer_cells_agree_with_the_rows_they_are_built_with():
     sg, st = _f3()
     w = spectral.seeded_generator_weights(sg, 9)
     P = spectral.transition_matrix(st, w)
-
-    def cells(M):
-        den, rows = M.sparse
-        return [sorted((j, F(a, den)) for j, a in r) for r in rows]
-
-    assert cells(P) == [[(j, v) for j, v in enumerate(r) if v]
-                        for r in P.rows]
+    assert P.rows == fraction_matrix(st, w)
+    assert all(a for row in P.cells for _, a in row)
+    assert max(len(row) for row in P.cells) <= len(w.support_ids())
     pi = walks.stationary_exact(P).probs
     # deflating the holding probability alpha is the walk of the signed
     # weights (w - alpha 1) / (1 - alpha), and keeps the stationary law
@@ -113,9 +124,9 @@ def test_integer_cells_agree_with_the_rows_they_are_built_with():
     coeffs[sg.identity] = coeffs.get(sg.identity, 0) - alpha / (1 - alpha)
     signed = spectral.WeightVector(sg, coeffs, require_probability=False)
     Q = spectral.transition_matrix(st, signed)
-    assert Q.rows == spectral.remove_holding_probability(P, alpha).rows
-    assert cells(Q) == [[(j, v) for j, v in enumerate(r) if v]
-                        for r in Q.rows]
+    assert Q.rows == remove_holding_probability(P.rows, alpha)
+    assert Q.rows == fraction_matrix(st, signed)
+    assert all(a for row in Q.cells for _, a in row)
     assert walks.stationary_exact(Q).probs == pi
 
 
@@ -143,16 +154,6 @@ def test_a_walk_below_the_top_lands_where_its_first_draw_says():
         walks.stationary_exact(P)
 
 
-def test_the_stationary_law_needs_the_walk_of_the_matrix():
-    sg, st = _f3()
-    P = spectral.transition_matrix(st, spectral.uniform_on_generators(sg))
-    bare = spectral.TransitionMatrix(P.chamber_keys, P.chamber_ids, P.rows)
-    with pytest.raises(PreconditionError):
-        walks.stationary_exact(bare)
-    with pytest.raises(PreconditionError):
-        walks.stationary_exact(spectral.remove_holding_probability(P, 0))
-
-
 def test_signed_weights_with_lambda_one_below_the_join_are_refused():
     sg, st = _f3()
     a, b, c = sg.generators
@@ -166,16 +167,27 @@ def test_signed_weights_with_lambda_one_below_the_join_are_refused():
         walks.stationary_exact(spectral.transition_matrix(st, half))
 
 
-def test_a_perturbed_integer_cell_fails_the_stationary_certificate():
+def test_moved_mass_fails_the_stationary_certificate(monkeypatch):
+    # the absorbed right product lands its mass at X_w on the chambers;
+    # moving part of it between two of them keeps pi a distribution
+    # with positive entries, and only pi P = pi can tell
     sg, st = _f3()
     P = spectral.transition_matrix(st, spectral.seeded_generator_weights(sg,
                                                                          9))
-    den, cells = P.sparse
-    (j, a), *rest = cells[0]
-    # every chamber has positive mass, so row 0 of pi P moves
-    P.sparse = (den, [[(j, a + 1)] + rest] + cells[1:])
-    with pytest.raises(FalsificationError):
+    real = walks.residue_idempotent
+
+    def moved(*args):
+        e = real(*args)
+        a, b = sorted(e)[:2]
+        assert st.supp[a] == st.supp[b] == st.top
+        e[a], e[b] = e[a] / 2, e[b] + e[a] / 2
+        return e
+
+    monkeypatch.setattr(walks, "residue_idempotent", moved)
+    with pytest.raises(FalsificationError, match="not a stationary law"):
         walks.stationary_exact(P)
+    with pytest.raises(FalsificationError, match="not a stationary law"):
+        walks.convergence_report(st, P.weights, st.chambers[0], 3)
 
 
 @hs.composite
