@@ -11,9 +11,10 @@ convergence bounds.  Companion modules cover generalized derangement
 counts on lattices and the descent-algebra side of walks on the
 symmetric group.
 
-Everything user-facing speaks Fraction; floats appear only in sampled
-quantities.  The ``bandwalk`` console script exposes the same pipeline
-as subcommands.
+Everything user-facing speaks Fraction; inside, the weights are scaled
+once to integers over their common denominator, and floats appear only
+in sampled quantities.  The ``bandwalk`` console script exposes the
+same pipeline as subcommands.
 """
 
 from .errors import (

@@ -1,61 +1,35 @@
 """The rational semigroup algebra of a band and its walk idempotents.
 
-Elements of the algebra are sparse maps from element ids to Fractions.
-None of them is convolved with another here: the certificates multiply
-in integers, through `spectral.sparse_product` on D w for D the common
-denominator of the weights.  The paper writes
-the walk's m-step law and its idempotents as sums over the reduced
-words of a weight vector: tuples of weighted letters whose prefix
-supports climb strictly.  The coefficient of a word is a product of one
-factor per flat of its support chain, so `support_pass` sums the words
-per element instead, in one climb through the flats in support order.
-With the factor 1 / (1 - lambda_f t) it gives the generating function
-of the exact m-step distribution; with the residue factor
+Everything here runs on the integers a_x = D w_x and n_X = D lambda_X,
+D the common denominator of w; only the returned elements are sparse
+maps from element ids to Fractions.  The paper writes the walk's m-step
+law and its idempotents as sums over the reduced words of a weight
+vector: tuples of weighted letters whose prefix supports climb
+strictly.  The coefficient of a word is a product of one factor per
+flat of its support chain, so `support_pass` sums the words per element
+instead, in one climb through the flats in support order.  With the
+factor 1 / (1 - lambda_f t) it gives the generating function of the
+exact m-step distribution, D^n w^n in integers; with the residue factor
 1 / (lambda_X - lambda_f) it gives the member e_X of an orthogonal
 family of idempotents splitting the walk algebra, one per feasible
-flat.  Verification is built into the constructors; a family that
-fails its own certificate is reported, never returned.  One integer
-certificate, `spectral.certify_family`, proves every family, generic or
-tied, to be the eigenprojectors of w: sum e_X = 1 and w e_X =
-lambda_X e_X, plus e_X e_Y = 0 among members sharing a lambda.
+flat, as integers over one denominator.  Verification is built into
+the constructors; a family that fails its own certificate is reported,
+never returned.  One integer certificate, `spectral.certify_family`,
+proves every family, generic or tied, to be the eigenprojectors of w:
+sum e_X = 1 and w e_X = lambda_X e_X, plus e_X e_Y = 0 among members
+sharing a lambda.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
 from . import posets
 from .errors import FalsificationError, MalformedInputError, PreconditionError
 from .guards import DEFAULT_GUARDS
-from .spectral import certify_family, flat_eigenvalues, scaled
-
-
-# ------------------------------------------------- algebra primitives
-
-
-def alg_scale(a, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {x: v * c for x, v in a.items()}
-
-
-def alg_add(a, b):
-    out = dict(a)
-    for x, v in b.items():
-        s = out.get(x, Fraction(0)) + v
-        if s:
-            out[x] = s
-        else:
-            out.pop(x, None)
-    return out
-
-
-def alg_equal(a, b):
-    return {x: v for x, v in a.items() if v} == \
-        {x: v for x, v in b.items() if v}
+from .spectral import certify_family, flat_nodes
 
 
 # ----------------------------------------------------- support pass
@@ -85,27 +59,27 @@ def support_pass(structure, w, settle, start, below=None,
     supports c_0 < c_1 < .. < c_l climb strictly from the bottom flat.
     Going through the flats f of `structure.order`, the values pushed
     to each element a with supp a = f are summed; settle(f, held) maps
-    those (a, sum) pairs to a factor r and the (a, v) pairs that move
-    on, and each such a pushes v * r * w_x to a x for every weighted x
+    those (a, sum) pairs to the (a, v) pairs that move on, and each
+    such a pushes v * a_x, a_x = D w_x, to a x for every weighted x
     with supp x not <= f, and, while f < below, supp x <= below.
     supp(a x) is the join of f and supp x, so every push lands on a
     flat still to come and each element is settled once, after all of
     its words arrived.  The identity starts with `start`; values need
-    only * and +.
+    only * and + by integers.
     """
     sg = structure.semigroup
     leq = structure.leq.tolist()
     xs = w.support_ids()
-    letters = [(structure.supp[x], w[x]) for x in xs]
+    letters = [(structure.supp[x], w.nums[x]) for x in xs]
     products = sg.tabulate(guards)[:, xs].tolist()
     mass = {sg.identity: start}
     for f in structure.order:
         held = [(a, mass.pop(a)) for a in structure.members[f] if a in mass]
         if not held:
             continue
-        r, moving = settle(f, held)
+        moving = settle(f, held)
         early = below is not None and below != f and leq[f][below]
-        steps = [(k, c * r) for k, (s, c) in enumerate(letters)
+        steps = [(k, c) for k, (s, c) in enumerate(letters)
                  if not leq[s][f] and (not early or leq[s][below])]
         for a, v in moving:
             row = products[a]
@@ -115,74 +89,85 @@ def support_pass(structure, w, settle, start, below=None,
 
 
 def power_formula(structure, w, m, guards=DEFAULT_GUARDS):
-    """[w^0, .., w^m] assembled from reduced words, without a single
-    convolution.
+    """[D^0 w^0, .., D^m w^m], integer maps assembled from reduced
+    words without a single convolution, D the common denominator of w.
 
     Each reduced word x of length l, with support chain c_0 < .. < c_l,
     contributes h_{n-l}(lambda_{c_0}, .., lambda_{c_l}) * w_x to w^n on
     the element it multiplies out to, for every n >= l.  That is the
     coefficient of t^n in the generating function
     t^l * prod_j 1 / (1 - lambda_{c_j} t), which `support_pass` carries
-    per element as its coefficients of degree <= m: the sum at each
-    element is divided by 1 - lambda_f t at its flat f, and pushed on
-    times w_x t.  One pass thus yields every power up to m.
-    Agreement with the powers of w is a theorem; `selftest.criterion_4`
-    checks it against one Krylov sequence (D w)^n 1, and the test suite
-    against convolution, this function does not.
+    per element as its coefficients of degree <= m, the one of degree
+    n times D^n: the sum at each element is divided by 1 - n_f t at
+    its flat f, n_f = D lambda_f, and pushed on times a_x t.  One pass
+    thus yields every power up to m.  Agreement with the powers of w is
+    a theorem; `selftest.criterion_4` checks it against one Krylov
+    sequence (D w)^n 1, and the test suite against convolution, this
+    function does not.
     """
     if m < 0:
         raise MalformedInputError("negative power")
-    lam = flat_eigenvalues(structure, w)
+    nodes = flat_nodes(structure, w)
     out = [{} for _ in range(m + 1)]
 
     def settle(f, held):
         moving = []
         for a, g in held:
             for n in range(1, m + 1):
-                g[n] += lam[f] * g[n - 1]
+                g[n] += nodes[f] * g[n - 1]
             for n in range(m + 1):
                 if g[n]:
                     out[n][a] = g[n]
             shifted = np.concatenate(([0], g[:-1]))
             if shifted.any():
                 moving.append((a, shifted))
-        return 1, moving
+        return moving
 
-    start = np.array([Fraction(1)] + [0] * m, dtype=object)
+    start = np.array([1] + [0] * m, dtype=object)
     support_pass(structure, w, settle, start, guards=guards)
     return out
 
 
-def residue_idempotent(structure, w, flat, lam, guards=DEFAULT_GUARDS):
-    """The member e_X of the residue family, X = `flat`.
+def residue_idempotent(structure, w, flat, nodes, guards=DEFAULT_GUARDS):
+    """The member e_X of the residue family, X = `flat`, as (den, e) in
+    lowest terms, den > 0: e_X(a) = e[a] / den.
 
     A reduced word x whose support chain c_0 < .. < c_l passes X adds
     w_x times prod over c_j != X of 1 / (lambda_X - lambda_{c_j}), its
     residue at lambda_X, to e_X at the element it multiplies out to.
-    That is one factor per flat, so `support_pass` applies the factor
-    of each flat f once to the summed mass of the elements at f, using
-    only letters with supp x <= X until X is reached.  e_X(a) is the
+    With a_x and n_f = D lambda_f (`nodes`) the powers of D cancel: the
+    word adds prod a_x / prod (n_X - n_{c_j}).  That is one factor per
+    flat, so `support_pass` divides the summed mass of the elements at
+    each flat f once by n_X - n_f, using only letters with supp x <= X
+    until X is reached.  Every chain of the pass runs through flats
+    comparable to X, so the masses are numerators over Q, the product
+    of n_X - n_f over those f != X with n_f != n_X: the product along
+    each chain divides Q, and every division is exact.  e_X(a) is the
     mass that settles at a, for each a with supp a >= X.  A chain
     through X and another flat with the same lambda has no residue and
     raises FalsificationError.
     """
-    lx = lam[flat]
-    above = structure.leq[flat].tolist()
+    nx = nodes[flat]
+    leq = structure.leq
+    comparable = (leq[flat] | leq[:, flat]).tolist()
+    q = math.prod(nx - n for f, n in enumerate(nodes)
+                  if comparable[f] and n != nx)
+    above = leq[flat].tolist()
     e = {}
 
     def settle(f, held):
-        if f == flat:
-            r = 1
-        elif lam[f] == lx:
-            raise FalsificationError("equal eigenvalues along a feasible chain")
-        else:
-            r = 1 / (lx - lam[f])
+        if f != flat:
+            if nodes[f] == nx:
+                raise FalsificationError(
+                    "equal eigenvalues along a feasible chain")
+            held = [(a, m // (nx - nodes[f])) for a, m in held]
         if above[f]:
-            e.update((a, m * r) for a, m in held if m)
-        return r, held
+            e.update((a, m) for a, m in held if m)
+        return held
 
-    support_pass(structure, w, settle, Fraction(1), below=flat, guards=guards)
-    return e
+    support_pass(structure, w, settle, q, below=flat, guards=guards)
+    g = math.gcd(q, *e.values()) * (1 if q > 0 else -1)
+    return q // g, {a: m // g for a, m in e.items()}
 
 
 # ------------------------------------------------ walk idempotents
@@ -224,34 +209,46 @@ def primitive_idempotents(structure, w, restrict=False,
             f"{sg.label}: weighted elements generate only "
             f"{len(feas)}/{structure.n_flats} flats; pass restrict=True "
             "to analyze the walk on the generated sub-band")
-    lam = flat_eigenvalues(structure, w)
-    members = {x: residue_idempotent(structure, w, x, lam, guards)
+    nodes = flat_nodes(structure, w)
+    members = {x: residue_idempotent(structure, w, x, nodes, guards)
                for x in feas}
-    certify_members(structure, w, members, lam, guards)
+    certify_members(structure, w, members, nodes, guards)
 
-    by_lam = {}
+    by_node = {}
     for x in feas:
-        by_lam.setdefault(lam[x], []).append(x)
-    grouped = [(lv, reduce(alg_add, (members[x] for x in by_lam[lv])))
-               for lv in sorted(by_lam, reverse=True)]
+        by_node.setdefault(nodes[x], []).append(x)
+    grouped = [(Fraction(n, w.den),
+                _fractions(*_summed([members[x] for x in by_node[n]])))
+               for n in sorted(by_node, reverse=True)]
     return IdempotentFamily(
-        feas, {x: lam[x] for x in feas}, members, grouped,
-        lattice_covered=covered, is_generic=len(by_lam) == len(feas))
+        feas, {x: Fraction(nodes[x], w.den) for x in feas},
+        {x: _fractions(*members[x]) for x in feas}, grouped,
+        lattice_covered=covered, is_generic=len(by_node) == len(feas))
 
 
-def certify_members(structure, w, members, lam, guards=DEFAULT_GUARDS):
-    """`spectral.certify_family` on members {flat: algebra element}, each
-    scaled to integers over its own denominator, with eigenvalues D
-    lambda and letters D w_x for D the common denominator of w."""
+def _summed(parts):
+    """(den, e) for the sum of the (den, e) integer elements in parts."""
+    den = math.lcm(*(d for d, _ in parts))
+    out = {}
+    for d, e in parts:
+        for a, c in e.items():
+            out[a] = out.get(a, 0) + c * (den // d)
+    return den, {a: c for a, c in out.items() if c}
+
+
+def _fractions(den, e):
+    return {a: Fraction(c, den) for a, c in e.items()}
+
+
+def certify_members(structure, w, members, nodes, guards=DEFAULT_GUARDS):
+    """`spectral.certify_family` on members {flat: (den, integer map)},
+    with eigenvalues the nodes n_X = D lambda_X and letters a_x = D w_x,
+    D the common denominator of w."""
     sg = structure.semigroup
-    xs = w.support_ids()
-    _, (ints,) = scaled([[w[x] for x in xs] + [lam[x] for x in members]])
-    family = {}
-    for (x, e), node in zip(members.items(), ints[len(xs):]):
-        den, (nums,) = scaled([e.values()])
-        family[structure.labels[x]] = node, den, list(zip(e, nums))
-    certify_family(sg.tabulate(guards), sg.identity, list(zip(xs, ints)),
-                   family, sg.keys)
+    family = {structure.labels[x]: (nodes[x], den, list(e.items()))
+              for x, (den, e) in members.items()}
+    certify_family(sg.tabulate(guards), sg.identity, list(w.nums.items()),
+                   family)
 
 
 def stationary_from_idempotents(structure, fam):
@@ -276,9 +273,10 @@ def uniform_tsetlin_idempotents(structure):
 
     sigma_l is the sum of the elements whose support has size l for
     l <= n-2, and the chamber sum for both l = n-1 and l = n.  Returns
-    the list (e_0, .., e_n) where e_{n-1} must come out identically
-    zero; the caller compares with the grouped primitive idempotents
-    of the uniform walk.
+    the list (e_0, .., e_n), e_i the sum over l >= i of
+    (-1)^(l-i) C(l, i) sigma_l / l!, where e_{n-1} must come out
+    identically zero; the caller compares with the grouped primitive
+    idempotents of the uniform walk.
     """
     sg = structure.semigroup
     if getattr(sg, "family", None) != "free_lrb_bar":
@@ -287,28 +285,13 @@ def uniform_tsetlin_idempotents(structure):
     n = sg.meta["n"]
     supp = structure.supp
     rank = _flat_ranks(structure)
-    sigma = {l: {} for l in range(n + 1)}
-    for x in range(sg.size):
-        flat = supp[x]
-        if flat == structure.top:
-            continue
-        sigma[rank[flat]][x] = Fraction(1)
-    chamber_sum = {c: Fraction(1) for c in structure.chambers}
-    sigma[n - 1] = dict(chamber_sum)
-    sigma[n] = dict(chamber_sum)
-
-    fact = [1] * (n + 1)
-    for i in range(1, n + 1):
-        fact[i] = fact[i - 1] * i
-    binom = lambda a, b: fact[a] // (fact[b] * fact[a - b])
-
     family = []
     for i in range(n + 1):
-        e = {}
-        for l in range(i, n + 1):
-            c = Fraction((-1) ** (l - i) * binom(l, i), fact[l])
-            e = alg_add(e, alg_scale(sigma[l], c))
-        family.append(e)
+        c = [Fraction((-1) ** (l - i) * math.comb(l, i), math.factorial(l))
+             if l >= i else 0 for l in range(n + 1)]
+        e = {x: c[n - 1] + c[n] if supp[x] == structure.top
+             else c[rank[supp[x]]] for x in range(sg.size)}
+        family.append({x: v for x, v in e.items() if v})
     return family
 
 
@@ -381,10 +364,11 @@ def tsetlin_nu_family(structure, w):
     return nu
 
 
-def nu_reconstruction(structure, nu, X):
+def nu_reconstruction(nu, X):
     """e_X as the sum of nu_{X,Y} over Y containing X."""
     out = {}
-    for (a, b), measure in nu.items():
+    for (a, _), measure in nu.items():
         if a == X:
-            out = alg_add(out, measure)
-    return out
+            for x, v in measure.items():
+                out[x] = out.get(x, 0) + v
+    return {x: v for x, v in out.items() if v}

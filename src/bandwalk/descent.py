@@ -412,42 +412,43 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
     v_l sums the permutations with descent set inside {1..l} (v_n
     repeats v_{n-1}), and E_i is the alternating binomial combination
     of the v_l / l!.  A permutation w lies in v_l exactly when its
-    largest descent L (0 for none) is at most l, so E_i(w) is the sum
-    over l from max(i, L) to n, read off an (n+1) x n table.  E_{n-1}
-    must vanish; for the move-to-front measure mu, the other E_i must be
-    the eigenprojectors of n mu at the distinct eigenvalues i, which
-    `certify_top_to_random` checks before returning.
+    largest descent L (0 for none) is at most l, so n! E_i(w) is the
+    integer sum over l from max(i, L) to n of (-1)^(l-i) C(l, i) n!/l!,
+    read off an (n+1) x n table.  E_{n-1} must vanish; for the
+    move-to-front measure mu, the other E_i must be the eigenprojectors
+    of n mu at the distinct eigenvalues i, which `certify_top_to_random`
+    checks on the n! E_i before they are returned as Fractions.
     """
     constructions.check_n("top_to_random_idempotents", n,
                           guards.partitions_n_cap)
     table = _SymmetricGroupTable(n)
     masks = table.descents.tolist()
-    coef = [[sum(Fraction((-1) ** (l - i) * comb(l, i), factorial(l))
+    scale = factorial(n)
+    coef = [[sum((-1) ** (l - i) * comb(l, i) * (scale // factorial(l))
                  for l in range(max(i, last), n + 1))
              for last in range(n)] for i in range(n + 1)]
     largest = [m.bit_length() for m in masks]
-    es = [{w: c[k] for w, k in zip(table.perms, largest) if c[k]}
-          for c in coef]
+    ints = [{w: c[k] for w, k in zip(table.perms, largest) if c[k]}
+            for c in coef]
 
-    if es[n - 1]:
+    if ints[n - 1]:
         raise FalsificationError(f"E_{n - 1} should vanish for n = {n}")
     moves = [w for w, m in zip(table.perms, masks) if m <= 1]
-    certify_top_to_random(table, es, moves)
-    return TopToRandomFamily(n, es)
+    certify_top_to_random(table, ints, moves)
+    return TopToRandomFamily(n, [{w: Fraction(c, scale) for w, c in e.items()}
+                                 for e in ints])
 
 
-def certify_top_to_random(table, es, moves):
-    """Certify E_i, i != n-1, as the eigenprojectors of n mu in ZS_n, mu
-    the uniform measure on `moves`, by `spectral.certify_family`: they
-    sum to 1 and n mu E_i = i E_i with the i distinct, so
-    prod (n mu - i) = 0, each E_i is the Lagrange projector of n mu at
-    i, and the E_i are orthogonal idempotents with mu = sum (i/n) E_i."""
+def certify_top_to_random(table, ints, moves):
+    """Certify E_i, i != n-1, given as the integer maps n! E_i, as the
+    eigenprojectors of n mu in ZS_n, mu the uniform measure on `moves`,
+    by `spectral.certify_family`: they sum to 1 and n mu E_i = i E_i
+    with the i distinct, so prod (n mu - i) = 0, each E_i is the
+    Lagrange projector of n mu at i, and the E_i are orthogonal
+    idempotents with mu = sum (i/n) E_i."""
     n = table.n
-    keep = [i for i in range(n + 1) if i != n - 1]
-    den, nums = spectral.scaled(es[i].values() for i in keep)
-    family = {f"E_{i}": (i, den, [(table.index[w], a)
-                                  for w, a in zip(es[i], row)])
-              for i, row in zip(keep, nums)}
+    family = {f"E_{i}": (i, factorial(n),
+                         [(table.index[w], a) for w, a in ints[i].items()])
+              for i in range(n + 1) if i != n - 1}
     spectral.certify_family(table.comp, table.index[tuple(range(1, n + 1))],
-                            [(table.index[w], 1) for w in moves], family,
-                            table.perms)
+                            [(table.index[w], 1) for w in moves], family)

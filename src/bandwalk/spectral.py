@@ -3,16 +3,17 @@
 Walk steps multiply a random element onto the current chamber from the
 left, so P(c, d) = sum of w_x over x with xc = d: P is left
 multiplication by w = sum w_x x on the left ideal kC of the semigroup
-algebra kS, spanned by the chambers.  The walk operator has one
-integer form: the weights are scaled once to D w over their common
-denominator D (`weighted_rows`), and every product by D w, or by any
-other integer element, runs through `sparse_product` on the table rows
-of the weighted elements.  `TransitionMatrix` keeps only the nonzero
-cells of P, at most |supp w| per row.
+algebra kS, spanned by the chambers.  The weights have one integer
+form: `WeightVector` scales them once to a_x = D w_x over their common
+denominator D, and every product by D w, or by any other integer
+element, runs through `sparse_product` on the table rows of the
+weighted elements (`weighted_rows`).  `TransitionMatrix` keeps only the
+nonzero cells of P, at most |supp w| per row.
 
 The eigenvalues are indexed by the support lattice: lambda_X sums the
-weights of elements supported at or below X, and the multiplicity m_X
-comes from Moebius inversion of the chamber counts c_X.
+weights of elements supported at or below X, kept as the integer node
+n_X = D lambda_X (`flat_nodes`), and the multiplicity m_X comes from
+Moebius inversion of the chamber counts c_X.
 verify_diagonalizable turns that statement into a falsifiable
 certificate in kS: one integer Krylov sequence (Dw)^j 1 must be
 annihilated by the product of (x - D lambda) over the distinct lambda,
@@ -57,7 +58,10 @@ class WeightVector:
     """Sparse rational weights on semigroup elements.
 
     Coefficients are exact Fractions keyed by element id; missing keys
-    weigh zero.  `probability` is verified, not assumed.
+    weigh zero.  `probability` is verified, not assumed.  `den` is the
+    common denominator D of the weights and `nums` maps each weighted
+    element x to the integer a_x = D w_x: the one integer form of w that
+    every exact walk computation reads.
     """
 
     def __init__(self, sg, coeffs, require_probability=True):
@@ -69,6 +73,8 @@ class WeightVector:
                 raise MalformedInputError(f"weight on unknown element {i}")
             if v:
                 self.coeffs[int(i)] = v
+        self.den, (nums,) = scaled([self.coeffs.values()])
+        self.nums = dict(zip(self.coeffs, nums))
         self.total = sum(self.coeffs.values(), Fraction(0))
         self.is_probability = (self.total == 1
                                and all(v > 0 for v in self.coeffs.values()))
@@ -166,41 +172,33 @@ class TransitionMatrix:
         return out
 
 
-def weighted_rows(structure, w, extra=()):
-    """(D, rows, ints): D the common denominator of the weights of w and
-    the values in `extra`, rows the (table row of x, D w_x) pairs over
-    the weighted x, which is D w for `sparse_product`, and ints D times
-    each value in `extra`."""
+def weighted_rows(structure, w):
+    """The (table row of x, D w_x) pairs over the weighted x, which is
+    D w for `sparse_product`."""
     table = structure.semigroup.tabulate()
-    xs = w.support_ids()
-    den, (ints,) = scaled([[w[x] for x in xs] + list(extra)])
-    return (den, [(table[x].tolist(), a) for x, a in zip(xs, ints)],
-            ints[len(xs):])
+    return [(table[x].tolist(), w.nums[x]) for x in w.support_ids()]
 
 
 def transition_matrix(structure, w):
     """P(c, d) = sum of w_x over x with xc = d, exact.
 
-    The weights are scaled once to integers over their common
-    denominator D, and each row sums the integer weights of its cells
-    sparsely; no dense row and no Fraction is built.
+    Each row sums the integer weights D w_x of its cells sparsely, over
+    the common denominator D of the weights; no dense row and no
+    Fraction is built.
     """
     chambers = structure.chambers
     if not chambers:
         raise MalformedInputError("no chambers")
     pos = {c: i for i, c in enumerate(chambers)}
-    den, rows, _ = weighted_rows(structure, w)
-    total = sum(a for _, a in rows)
+    rows = weighted_rows(structure, w)
     cells = []
     for c in chambers:
         acc = {}
         for row, a in rows:
             d = pos[row[c]]
             acc[d] = acc.get(d, 0) + a
-        if sum(acc.values()) != total:
-            raise FalsificationError("row sum drifted from total weight")
         cells.append([(d, a) for d, a in acc.items() if a])
-    return TransitionMatrix(structure, w, den, cells)
+    return TransitionMatrix(structure, w, w.den, cells)
 
 
 # ------------------------------------------------------------ spectra
@@ -227,22 +225,23 @@ class Spectrum:
         return {l: m for l, m in self.grouped.items() if m}
 
 
-def flat_eigenvalues(structure, w):
-    """lambda_X = sum of w_y over supp y <= X, one entry per flat X.
+def flat_nodes(structure, w):
+    """n_X = D lambda_X = sum of D w_y over supp y <= X, one integer per
+    flat X, D the common denominator of w.
 
-    This is the character of the support lattice at X evaluated on w,
-    and the eigenvalue that the chamber walk attaches to X.
+    lambda_X is the character of the support lattice at X evaluated on
+    w, and the eigenvalue that the chamber walk attaches to X.
     """
     leq = structure.leq.tolist()
     supp = structure.supp
     flats = range(structure.n_flats)
-    lam = [Fraction(0)] * structure.n_flats
-    for y, wy in w.items():
+    nodes = [0] * structure.n_flats
+    for y, a in w.nums.items():
         sy = supp[y]
         for x in flats:
             if leq[sy][x]:
-                lam[x] += wy
-    return lam
+                nodes[x] += a
+    return nodes
 
 
 def spectrum(structure, w):
@@ -258,7 +257,8 @@ def spectrum(structure, w):
     f = structure.n_flats
     chambers = structure.chambers
 
-    lam = flat_eigenvalues(structure, w)
+    nodes = flat_nodes(structure, w)
+    lam = [Fraction(n, w.den) for n in nodes]
 
     # chambers c with yc = c, for every element y at once
     c = numpy.array(chambers)
@@ -292,7 +292,7 @@ def spectrum(structure, w):
     records = [FlatRecord(x, structure.labels[x], lam[x], c_count[x],
                           mult[x]) for x in range(f)]
     return Spectrum(records, grouped, len(chambers),
-                    is_generic=len(set(lam)) == f)
+                    is_generic=len(set(nodes)) == f)
 
 
 # ---------------------------------------------------- Krylov sequence
@@ -329,15 +329,18 @@ def annihilated(structure, w, lams):
     of `lams` and D the common denominator of w and the lams, read off
     the table rows of the weighted elements; the nodes D lambda; and the
     first element where prod (Dw - D lambda) 1 is nonzero, None when
-    that product vanishes in kS (1 generates kS as a left module)."""
+    that product vanishes in kS (1 generates kS as a left module).  The
+    lams may be the spectrum of another walk, so they are scaled here,
+    jointly with 1 / w.den."""
     sg = structure.semigroup
-    _, rows, nodes = weighted_rows(structure, w, lams)
+    _, ((scale, *nodes),) = scaled([[Fraction(1, w.den), *lams]])
+    rows = [(row, a * scale) for row, a in weighted_rows(structure, w)]
     vs = krylov_sequence(rows, sg.identity, sg.size, len(nodes))
     residue = apply_roots(vs, nodes)
     return vs, nodes, next((x for x, a in enumerate(residue) if a), None)
 
 
-def certify_family(table, identity, letters, members, keys):
+def certify_family(table, identity, letters, members):
     """Certify members e_k as the eigenprojectors of a, in integers.
 
     a is the sum of c x over the pairs (x, c) in `letters`, x y is
@@ -351,8 +354,7 @@ def certify_family(table, identity, letters, members, keys):
     [r_k = r] e_k; a lone member is its E_r.  By (3), e_k = E_{r_k} e_k
     = e_k^2 = e_k E_{r_k}, so e_k E_s = e_k E_{r_k} E_s = 0 for s !=
     r_k: products across groups vanish and e_k a = r_k e_k.  That is
-    |F| + sum |G| (|G| - 1) sparse products, not |F|^2.  `keys` names
-    the elements in the witness of a FalsificationError.
+    |F| + sum |G| (|G| - 1) sparse products, not |F|^2.
     """
     size = len(table)
     a = [(table[x].tolist(), c) for x, c in letters]

@@ -12,16 +12,19 @@ same loop exactly, one element at a time in support order, with the
 pass that gives the residue idempotents in `algebra`.
 
 Exact paths (stationary law, matrix powers, total variation, the
-coatom bound) return Fractions; the products by w behind them run in
-the semigroup algebra kS, on the integer D w of `spectral.weighted_rows`
-through `spectral.sparse_product`, with rationals scaled once by
-`spectral.scaled`.  Empirical paths replay the seeded standard
-generator in blocks: `_draw_blocks` rebuilds its `random()` stream,
-double for double, from `getrandbits` words and draws a whole block of
-elements with one sorted search, so every sampled artifact is the one
-a draw-at-a-time loop would give.  They report floats.
+stopping-time tail, the coatom bound) compute in the integers
+a_x = D w_x of `spectral.WeightVector` and n_X = D lambda_X of
+`spectral.flat_nodes`, with every product by w in the semigroup algebra
+kS through `spectral.sparse_product`, and return Fractions.  Empirical
+paths replay the seeded standard generator in blocks: `_draw_blocks`
+rebuilds its `random()` stream, double for double, from `getrandbits`
+words and draws a whole block of elements with one sorted search, so
+every sampled artifact is the one a draw-at-a-time loop would give.
+They report floats, checked against exact values within the DKW band
+of `dkw_epsilon`, whose false-alarm rate does not depend on the seed.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +40,8 @@ from .errors import (
     StagnationError,
 )
 from .guards import DEFAULT_GUARDS
-from .spectral import (flat_eigenvalues, krylov_sequence, scaled,
-                       sparse_product, weighted_rows)
+from .spectral import (flat_nodes, krylov_sequence, sparse_product,
+                       weighted_rows)
 
 
 # --------------------------------------------------------- trajectory
@@ -141,13 +144,14 @@ def stationary_exact(P):
     """The unique pi with pi P = pi and sum pi = 1, exact (Theorem 0),
     for the walk behind the transition matrix P; see `_stationary_law`.
     """
+    q, nums = _stationary_law(P.structure, P.weights)
     return DistributionOnChambers(
-        P.chamber_keys, _stationary_law(P.structure, P.weights),
-        "stationary-exact")
+        P.chamber_keys, [Fraction(a, q) for a in nums], "stationary-exact")
 
 
 def _stationary_law(st, w):
-    """pi over the chambers of `st`, a support structure, in their order.
+    """(q, nums): pi over the chambers of `st`, a support structure, in
+    their order, is nums / q, in integers.
 
     pi is the law of the right product x1 x2 ... of draws from w at the
     first time its support reaches X_w, the join of the supports of the
@@ -164,19 +168,19 @@ def _stationary_law(st, w):
     ensure it, and signed weights are refused without it.  Then the
     stationary vectors span c = |a C| dimensions for any a with
     supp a = X_w, and c != 1 is refused.  The result is certified by
-    D pi = (D w) pi in kS, with pi as the element sum pi_c c: kC is a
-    left ideal, so that is pi P = pi.
+    D nums = (D w) nums in kS, with nums as the element sum nums_c c:
+    kC is a left ideal, so that is pi P = pi.
     """
     if w.total != 1:
         raise PreconditionError(f"weights sum to {w.total}, not 1")
     leq = st.leq
     supp = st.supp
-    lam = flat_eigenvalues(st, w)
+    nodes = flat_nodes(st, w)
     top = st.bottom
     for x in w.support_ids():
         top = int(st.join[top, supp[x]])
     stuck = next((f for f in range(st.n_flats)
-                  if lam[f] == 1 and not leq[top, f]), None)
+                  if nodes[f] == w.den and not leq[top, f]), None)
     if stuck is not None:
         raise PreconditionError(
             f"lambda is 1 at {st.labels[stuck]}, which is not above "
@@ -190,22 +194,21 @@ def _stationary_law(st, w):
             f"stationary space has dimension {c}")
 
     pos = {d: i for i, d in enumerate(chambers)}
-    pi = [Fraction(0)] * len(chambers)
+    nums = [0] * len(chambers)
     # every weighted x has supp x <= X_w, so the mass stops at X_w
-    for a, m in residue_idempotent(st, w, top, lam).items():
-        pi[pos[int(table[a, chambers[0]])]] += m
+    q, e = residue_idempotent(st, w, top, nodes)
+    for a, m in e.items():
+        nums[pos[int(table[a, chambers[0]])]] += m
 
-    den, rows, _ = weighted_rows(st, w)
-    q, (nums,) = scaled([pi])
     held = [(d, a) for d, a in zip(chambers, nums) if a]
     want = [0] * sg.size
     for d, a in held:
-        want[d] = den * a
+        want[d] = w.den * a
     if sum(nums) != q or min(nums) < 0 \
-            or sparse_product(rows, held, sg.size) != want:
+            or sparse_product(weighted_rows(st, w), held, sg.size) != want:
         raise FalsificationError(
             "the absorbed right product is not a stationary law of the walk")
-    return pi
+    return q, nums
 
 
 def _sample_until_top(structure, w, seed, samples, guards):
@@ -318,11 +321,24 @@ def support_generates(structure, w):
         == structure.semigroup.size
 
 
+# false-alarm rate of a sampled CDF checked against its exact values,
+# for any seed
+DKW_ALPHA = 1e-9
+
+
+def dkw_epsilon(samples):
+    """The Dvoretzky-Kiefer-Wolfowitz-Massart band: the empirical CDF of
+    `samples` independent draws lies within eps of the exact CDF at
+    every point at once, except with probability at most DKW_ALPHA."""
+    return math.sqrt(math.log(2 / DKW_ALPHA) / (2 * samples))
+
+
 @dataclass
 class ConvergenceRow:
     m: int
     exact_tv: Fraction
     coatom_bound: Fraction
+    exact_tail: Fraction
     empirical_tail: float = None
 
 
@@ -339,12 +355,16 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     """Exact TV distance vs the Theorem-0 coatom bound, per step.
 
     exactTV(m) = TV(row c0 of P^m, pi); bound(m) = sum over coatoms H
-    of lambda_H^m.  Row c0 of P^m is the chamber part of w^m c0 in kS,
-    read off one Krylov sequence (D w)^m c0 over D^m, and pi is the
-    certified law of `stationary_exact`.  When `samples` > 0 the
-    empirical tail Pr{T > m} of the stopping time joins the table.  The
-    claim checked is exactTV <= bound for every m; the empirical tail
-    sits between the two only up to Monte Carlo noise, so it is
+    of lambda_H^m; tail(m) = Pr{T > m} for the first time T that the
+    joined support of the draws reaches the top flat, which is
+    1 - sum over flats Y of mu(Y, top) lambda_Y^m by Moebius inversion
+    of Pr{supp <= Y after m draws} = lambda_Y^m.  Row c0 of P^m is the
+    chamber part of w^m c0 in kS, read off one Krylov sequence
+    (D w)^m c0 over D^m, and pi is the certified law of
+    `stationary_exact`; every value is an integer over a power of D
+    until it is stored.  The claim checked, `bound_holds`, is the exact
+    sandwich exactTV <= tail <= bound for every m.  When `samples` > 0
+    the empirical tail of the stopping time joins the table; it is
     reported, not asserted.
     """
     if not w.is_probability:
@@ -354,31 +374,33 @@ def convergence_report(structure, w, c0, m_max, samples=0, seed=0,
     chambers = structure.chambers
     if c0 not in chambers:
         raise MalformedInputError("start must be a chamber")
-    pi = _stationary_law(structure, w)
-    lam = flat_eigenvalues(structure, w)
-    lams = [lam[h] for h in structure.coatoms()]
-    # the bound at m is sum(lam_num^m) / lam_den^m
-    lam_den, (lam_num,) = scaled([lams])
+    q, pi_num = _stationary_law(structure, w)
+    den = w.den
+    nodes = flat_nodes(structure, w)
+    coatoms = [nodes[h] for h in structure.coatoms()]
+    mobius = [(structure.moebius(y, structure.top), n)
+              for y, n in enumerate(nodes)]
 
     times = (sample_stopping_times(structure, w, seed, samples, guards)
              if samples else None)
 
-    # row c0 of P^m is the chamber part of vs[m] over den^m; pi is
-    # pi_num / q
-    den, walk, _ = weighted_rows(structure, w)
-    vs = krylov_sequence(walk, c0, structure.semigroup.size, m_max)
-    q, (pi_num,) = scaled([pi])
+    # row c0 of P^m is the chamber part of vs[m] over den^m, pi is
+    # pi_num / q, and the tail and the bound are integers over den^m
+    vs = krylov_sequence(weighted_rows(structure, w), c0,
+                         structure.semigroup.size, m_max)
     rows = []
     ok = True
     for m, v in enumerate(vs):
         dm = den ** m
-        tv = Fraction(sum(abs(v[c] * q - dm * b)
-                          for c, b in zip(chambers, pi_num)), 2 * dm * q)
-        bound = Fraction(sum(a ** m for a in lam_num), lam_den ** m)
+        gap = sum(abs(v[c] * q - dm * b) for c, b in zip(chambers, pi_num))
+        tail = dm - sum(mu * n ** m for mu, n in mobius)
+        bound = sum(n ** m for n in coatoms)
         emp = None
         if times is not None:
             emp = sum(c for t, c in times.items() if t > m) / samples
-        if tv > bound:
-            ok = False
-        rows.append(ConvergenceRow(m, tv, bound, emp))
-    return ConvergenceReport(structure.semigroup.keys[c0], rows, lams, ok)
+        ok = ok and gap <= 2 * q * tail and tail <= bound
+        rows.append(ConvergenceRow(m, Fraction(gap, 2 * dm * q),
+                                   Fraction(bound, dm), Fraction(tail, dm),
+                                   emp))
+    return ConvergenceReport(structure.semigroup.keys[c0], rows,
+                             [Fraction(n, den) for n in coatoms], ok)

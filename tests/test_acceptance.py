@@ -54,9 +54,9 @@ def test_criterion_4_idempotent_suite(capsys):
 
 
 def test_criterion_5_convergence_sandwich(capsys):
-    """Exact total variation never exceeds the coatom bound, and the
-    sampled stopping-time tail sits inside the sandwich up to three
-    Monte Carlo standard errors."""
+    """Exact total variation never exceeds the exact stopping-time tail,
+    which never exceeds the coatom bound, and the sampled tail lies
+    within the DKW band of the exact one."""
     _drive(capsys, 5, selftest.criterion_5)
 
 

@@ -86,3 +86,32 @@ def test_every_dataclass_field_is_read():
               and isinstance(node.target, ast.Name)
               and node.target.id not in reads]
     assert unread == []
+
+
+def _functions(tree):
+    """Every function and method, nested ones included."""
+    return (node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is passed for nothing;
+    # self, cls and _-prefixed names are exempt.  A read is a name
+    # loaded anywhere in the body, nested functions included
+    unread = []
+    for path, tree in _trees().items():
+        if path.parent != PACKAGE:
+            continue
+        for fn in _functions(tree):
+            reads = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name)
+                     and not isinstance(sub.ctx, ast.Store)}
+            args = fn.args
+            names = [a.arg for a in (args.posonlyargs + args.args
+                                     + args.kwonlyargs)]
+            names += [a.arg for a in (args.vararg, args.kwarg) if a]
+            unread += [f"{path.name}:{fn.lineno} {fn.name}({name})"
+                       for name in names
+                       if name not in ("self", "cls")
+                       and not name.startswith("_") and name not in reads]
+    assert unread == []

@@ -225,6 +225,12 @@ def _move_to_front(group):
     return [w for w in group.perms if set(descent.descent_set(w)) <= {1}]
 
 
+def _integer_family(fam):
+    """The n! E_i that `descent.certify_top_to_random` reads."""
+    scale = math.factorial(fam.n)
+    return [{w: int(c * scale) for w, c in e.items()} for e in fam.es]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_top_to_random_family_passes_the_pairwise_reference(n):
     # what the lemma of spectral.certify_family proves, pair by pair:
@@ -251,30 +257,30 @@ def test_top_to_random_certificate_rejects_a_perturbed_family(n):
     fam = descent.top_to_random_idempotents(n)
     group = descent._SymmetricGroupTable(n)
     moves = _move_to_front(group)
-    descent.certify_top_to_random(group, fam.es, moves)
+    descent.certify_top_to_random(group, _integer_family(fam), moves)
     for i in (0, n):
-        es = [dict(e) for e in fam.es]
-        w = min(es[i])
-        es[i][w] += F(1, math.factorial(n))
+        es = _integer_family(fam)
+        es[i][min(es[i])] += 1
         with pytest.raises(FalsificationError):
             descent.certify_top_to_random(group, es, moves)
 
 
 def test_top_to_random_certificate_rejects_a_sum_preserving_change():
-    # S_4: the E_i still sum to 1, so only n mu E_i = i E_i can object
+    # S_4: the E_i still sum to 1, so only n mu E_i = i E_i can object;
+    # the family is given as the integers 24 E_i
     fam = descent.top_to_random_idempotents(4)
     group = descent._SymmetricGroupTable(4)
     moves = _move_to_front(group)
-    es = [dict(e) for e in fam.es]
-    for w, c in fam.es[0].items():
-        es[0][w] = c / 2
-        es[4][w] = es[4].get(w, 0) + c / 2
+    es = _integer_family(fam)
+    for w, c in list(es[0].items()):
+        es[0][w] = c - c // 2
+        es[4][w] = es[4].get(w, 0) + c // 2
     with pytest.raises(FalsificationError, match="eigenvector"):
         descent.certify_top_to_random(group, es, moves)
-    es = [dict(e) for e in fam.es]
+    es = _integer_family(fam)
     w = min(es[2])
-    es[2][w] += F(1, 24)
-    es[0][w] = es[0].get(w, 0) - F(1, 24)
+    es[2][w] += 1
+    es[0][w] = es[0].get(w, 0) - 1
     with pytest.raises(FalsificationError, match="eigenvector"):
         descent.certify_top_to_random(group, es, moves)
 
@@ -288,7 +294,8 @@ def test_top_to_random_certificate_rejects_a_swapped_measure(n):
     for k in range(len(moves)):
         swapped = moves[:k] + [others[k]] + moves[k + 1:]
         with pytest.raises(FalsificationError):
-            descent.certify_top_to_random(group, fam.es, swapped)
+            descent.certify_top_to_random(group, _integer_family(fam),
+                                          swapped)
 
 
 @pytest.mark.parametrize("chunk", [7, constructions.TABLE_CHUNK])

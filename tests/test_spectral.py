@@ -18,8 +18,9 @@ from hypothesis import strategies as hs
 from bandwalk import algebra, constructions, core, descent, selftest, spectral
 from bandwalk.errors import (FalsificationError, MalformedInputError,
                              PreconditionError)
-from test_algebra import (alg_power, power_formula_by_words,
-                          residue_members, weight_element)
+from test_algebra import (alg_power, alg_scale, alg_sum, flat_lambdas,
+                          power_formula_by_words, residue_members,
+                          weight_element)
 from test_linalg import eigenspace_dimensions
 
 
@@ -172,11 +173,12 @@ def test_matrix_permutation_match():
 def test_character_sums_weights_below_a_flat():
     sg, st = _f3()
     w = spectral.seeded_generator_weights(sg, 2)
-    lam = spectral.flat_eigenvalues(st, w)
-    assert len(lam) == st.n_flats
+    nodes = spectral.flat_nodes(st, w)
+    assert len(nodes) == st.n_flats
     for flat in range(st.n_flats):
         manual = sum(v for x, v in w.items() if st.leq[st.supp[x]][flat])
-        assert lam[flat] == manual
+        assert type(nodes[flat]) is int
+        assert F(nodes[flat], w.den) == manual
 
 
 def test_certificate_failure_names_its_witness():
@@ -273,8 +275,7 @@ def test_lagrange_members_equal_the_reduced_word_members(walk):
     fam = algebra.primitive_idempotents(st, w, restrict=True)
     if not fam.is_generic:
         return
-    dfs = residue_members(st, w, fam.flat_ids,
-                          spectral.flat_eigenvalues(st, w))
+    dfs = residue_members(st, w, fam.flat_ids, flat_lambdas(st, w))
     assert fam.members == dfs
 
 
@@ -287,17 +288,57 @@ def test_the_support_pass_sums_the_reduced_words(walk, data):
         # that hold the same number of them
         w = spectral.uniform_on(sg, data.draw(hs.lists(
             hs.sampled_from(sg.generators), min_size=1, unique=True)))
-    lam = spectral.flat_eigenvalues(st, w)
+    nodes = spectral.flat_nodes(st, w)
     feas = algebra.feasible_flats(st, w)
-    dfs = residue_members(st, w, feas, lam)
-    assert {x: algebra.residue_idempotent(st, w, x, lam)
+    dfs = residue_members(st, w, feas, flat_lambdas(st, w))
+    assert {x: _fractions(*algebra.residue_idempotent(st, w, x, nodes))
             for x in feas} == dfs
     fam = algebra.primitive_idempotents(st, w, restrict=True)
     assert fam.members == dfs
     elem = weight_element(w)
     for m, power in enumerate(algebra.power_formula(st, w, 6)):
-        assert power == power_formula_by_words(st, w, m)
-        assert algebra.alg_equal(power, alg_power(sg, elem, m))
+        by_words = power_formula_by_words(st, w, m)
+        assert power == alg_scale(by_words, w.den ** m)
+        assert by_words == alg_power(sg, elem, m)
+
+
+def _fractions(den, e):
+    return {a: F(c, den) for a, c in e.items()}
+
+
+def _outcome(fn):
+    """fn(), or FalsificationError if it raises one."""
+    try:
+        return fn()
+    except FalsificationError:
+        return FalsificationError
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.data())
+def test_signed_weights_through_the_integer_pass(data):
+    # signed weights can tie the lambda of two flats on a chain, and
+    # make the product Q of the residue denominators negative
+    sg, st = data.draw(hs.sampled_from(_small_bands()))
+    ids = data.draw(hs.lists(hs.integers(0, sg.size - 1), min_size=1,
+                             max_size=5, unique=True))
+    nums = data.draw(hs.lists(hs.integers(-40, 40).filter(bool),
+                              min_size=len(ids), max_size=len(ids)))
+    den = data.draw(hs.integers(1, 12))
+    w = spectral.WeightVector(sg, {i: F(a, den) for i, a in zip(ids, nums)},
+                              require_probability=False)
+    nodes = spectral.flat_nodes(st, w)
+    lam = flat_lambdas(st, w)
+    for x in algebra.feasible_flats(st, w):
+        got = _outcome(lambda: algebra.residue_idempotent(st, w, x, nodes))
+        if got is not FalsificationError:
+            assert got[0] > 0
+            got = _fractions(*got)
+        assert got == _outcome(
+            lambda: residue_members(st, w, [x], lam)[x])
+    elem = weight_element(w)
+    for m, power in enumerate(algebra.power_formula(st, w, 4)):
+        assert power == alg_scale(alg_power(sg, elem, m), w.den ** m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,11 +364,9 @@ def test_certified_families_pass_the_pairwise_reference(walk, data):
                     want[i] = dx * c
             assert spectral.sparse_product(
                 [(rows[i], c) for i, c in ex], ey, sg.size) == want
-    rebuilt = {}
-    for x in fam.flat_ids:
-        rebuilt = algebra.alg_add(
-            rebuilt, algebra.alg_scale(fam.members[x], fam.lam[x]))
-    assert algebra.alg_equal(rebuilt, weight_element(w))
+    rebuilt = alg_sum(*(alg_scale(fam.members[x], fam.lam[x])
+                        for x in fam.flat_ids))
+    assert rebuilt == weight_element(w)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import constructions, core, matroid, spectral, walks
+from bandwalk import constructions, core, matroid, selftest, spectral, walks
 from bandwalk.errors import (FalsificationError, MalformedInputError,
                              NonUniqueStationaryError, PreconditionError,
                              StagnationError)
@@ -177,11 +177,12 @@ def test_moved_mass_fails_the_stationary_certificate(monkeypatch):
     real = walks.residue_idempotent
 
     def moved(*args):
-        e = real(*args)
+        den, e = real(*args)
+        e = {x: 2 * c for x, c in e.items()}
         a, b = sorted(e)[:2]
         assert st.supp[a] == st.supp[b] == st.top
-        e[a], e[b] = e[a] / 2, e[b] + e[a] / 2
-        return e
+        e[a], e[b] = e[a] // 2, e[b] + e[a] // 2
+        return 2 * den, e
 
     monkeypatch.setattr(walks, "residue_idempotent", moved)
     with pytest.raises(FalsificationError, match="not a stationary law"):
@@ -278,8 +279,56 @@ def test_convergence_report_on_the_uniform_free_band():
     assert by_m[3].exact_tv == F(1, 18)
     for r in rep.rows:
         assert r.coatom_bound == 3 * F(2, 3) ** r.m
-        assert r.exact_tv <= r.coatom_bound
+        # coupon collector: some letter is still missing after m draws
+        assert r.exact_tail == 3 * F(2, 3) ** r.m - 3 * F(1, 3) ** r.m \
+            + (r.m == 0)
+        assert r.exact_tv <= r.exact_tail <= r.coatom_bound
         assert r.empirical_tail is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.data())
+def test_exact_tail_counts_the_draw_sequences(data):
+    # Pr{T > m}: the total weight of the m-draw sequences whose joined
+    # support stays below the top flat
+    sg, st = data.draw(hs.sampled_from(_small_bands()))
+    ids = data.draw(hs.lists(hs.integers(0, sg.size - 1), min_size=1,
+                             max_size=5, unique=True))
+    ids += [g for g in sg.generators if g not in ids]
+    nums = data.draw(hs.lists(hs.integers(1, 9), min_size=len(ids),
+                              max_size=len(ids)))
+    w = spectral.WeightVector(
+        sg, {i: F(a, sum(nums)) for i, a in zip(ids, nums)})
+    rep = walks.convergence_report(st, w, st.chambers[0], 3)
+    assert rep.bound_holds
+    below = {st.bottom: F(1)}
+    for r in rep.rows:
+        assert r.exact_tail == sum(p for f, p in below.items()
+                                   if f != st.top)
+        nxt = {}
+        for f, p in below.items():
+            for x, v in w.items():
+                g = int(st.join[f, st.supp[x]])
+                nxt[g] = nxt.get(g, 0) + p * v
+        below = nxt
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_criterion_5_passes_at_seeds_that_failed_the_old_allowance(
+        monkeypatch, seed):
+    monkeypatch.setattr(selftest, "TAIL_SEED", seed)
+    selftest.criterion_5()
+
+
+def test_criterion_5_catches_shifted_stopping_times(monkeypatch):
+    real = walks.sample_stopping_times
+
+    def shifted(*args, **kw):
+        return {t + 1: c for t, c in real(*args, **kw).items()}
+
+    monkeypatch.setattr(walks, "sample_stopping_times", shifted)
+    with pytest.raises(FalsificationError, match="from the exact tail"):
+        selftest.criterion_5()
 
 
 def test_convergence_report_with_sampling_fills_the_tail():
