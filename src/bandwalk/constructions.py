@@ -66,7 +66,7 @@ from . import fields, posets
 from .core import ExpectedLattice, Semigroup
 from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
 from .guards import DEFAULT_GUARDS
-from .matroid import Matroid, build_matroid
+from .matroid import Matroid, build_matroid, spec_int
 
 
 # ---------------------------------------------------------------- free
@@ -784,15 +784,17 @@ def construction_from_spec(spec, guards=DEFAULT_GUARDS):
     kind = spec["type"]
     try:
         if kind == "free_lrb":
-            return free_lrb(int(spec["n"]), guards)
+            return free_lrb(spec_int("n", spec["n"]), guards)
         if kind == "free_lrb_bar":
-            return free_lrb_bar(int(spec["n"]), guards)
+            return free_lrb_bar(spec_int("n", spec["n"]), guards)
         if kind == "q_free":
-            return q_free_lrb(int(spec["n"]), int(spec["q"]), False, guards)
+            return q_free_lrb(spec_int("n", spec["n"]),
+                              spec_int("q", spec["q"]), False, guards)
         if kind == "q_free_bar":
-            return q_free_lrb(int(spec["n"]), int(spec["q"]), True, guards)
+            return q_free_lrb(spec_int("n", spec["n"]),
+                              spec_int("q", spec["q"]), True, guards)
         if kind == "ordered_partitions":
-            return ordered_partitions(int(spec["n"]), guards)
+            return ordered_partitions(spec_int("n", spec["n"]), guards)
         if kind == "matroid":
             return matroid_lrb(build_matroid(spec["matroid"], guards),
                                "ordered-bases", guards)
@@ -802,7 +804,8 @@ def construction_from_spec(spec, guards=DEFAULT_GUARDS):
         if kind == "dist_chain":
             if "grid" in spec:
                 p, q = spec["grid"]
-                lat = DistributiveLattice.grid(int(p), int(q))
+                lat = DistributiveLattice.grid(spec_int("grid", p),
+                                               spec_int("grid", q))
             else:
                 lat = DistributiveLattice.from_covers(
                     spec["elements"], spec["covers"])

@@ -7,6 +7,7 @@ independent) or as uniform matroids U_{k,m}.
 """
 
 import itertools
+import numbers
 
 from . import fields
 from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
@@ -217,6 +218,16 @@ class Matroid:
         return cls.uniform(n, n, guards=guards)
 
 
+def spec_int(field, value):
+    """An integer field of a construction or matroid spec.  Floats and
+    bools are refused, naming the field and the value, rather than
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise MalformedInputError(
+            f"spec field {field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_matroid(spec, guards=DEFAULT_GUARDS):
     """Matroid from a spec dict: {"kind": "sets"|"vectors"|"graph"|
     "uniform"|"free", ...}."""
@@ -228,15 +239,17 @@ def build_matroid(spec, guards=DEFAULT_GUARDS):
             return Matroid.from_independent_sets(
                 spec["ground"], spec["independent"], guards=guards)
         if kind == "vectors":
-            return Matroid.from_vectors(int(spec["q"]), spec["columns"],
+            columns = [[spec_int("columns", c) for c in col]
+                       for col in spec["columns"]]
+            return Matroid.from_vectors(spec_int("q", spec["q"]), columns,
                                         guards=guards)
         if kind == "graph":
             return Matroid.from_graph(spec["edges"], guards=guards)
         if kind == "uniform":
-            return Matroid.uniform(int(spec["k"]), int(spec["m"]),
-                                   guards=guards)
+            return Matroid.uniform(spec_int("k", spec["k"]),
+                                   spec_int("m", spec["m"]), guards=guards)
         if kind == "free":
-            return Matroid.free(int(spec["n"]), guards=guards)
+            return Matroid.free(spec_int("n", spec["n"]), guards=guards)
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad matroid spec: {exc}") from exc
     raise MalformedInputError(f"unknown matroid kind {kind!r}")

@@ -4,18 +4,27 @@ Every exact value is rendered as the string "p/q" in lowest terms with
 q > 0, never as a float; empirical values (and only those) are floats,
 rendered with 12 significant digits.  All tables are built in a fixed
 order so that identical inputs produce byte-identical artifacts.
+
+Every JSON artifact is written by `dump_json`, whose output equals
+`json.dumps(obj, indent=2, ensure_ascii=False)` plus a newline, byte
+for byte.  The writer is hand-written because the stdlib runs its C
+encoder only when `indent` is None: with an indent every token goes
+through the pure-Python encoder.  This is the one package module that
+imports `json`, so no artifact bypasses the writer.
 """
 
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 from .errors import MalformedInputError
 
 
 def frac_str(x):
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -57,10 +66,12 @@ def value_str(x):
 def _matrix_rows(P):
     """Per row of P, its "p/q" entries, rendered from the integer cells;
     every other entry is "0/1"."""
+    den = P.den
     for cells in P.cells:
         row = ["0/1"] * P.size
         for j, a in cells:
-            row[j] = frac_str(Fraction(a, P.den))
+            g = math.gcd(a, den)
+            row[j] = f"{a // g}/{den // g}"
         yield row
 
 
@@ -154,8 +165,109 @@ def convergence_rows(report):
 # ----------------------------------------------------------------- JSON
 
 
+_encode_str = json.encoder.encode_basestring
+
+
 def dump_json(obj):
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """`obj` as JSON text: exactly `json.dumps(obj, indent=2,
+    ensure_ascii=False) + "\n"`, byte for byte.
+
+    Strings go through the stdlib's own C escaper, and ints, floats,
+    NaN and the infinities, bools, None and non-str keys are spelled as
+    the stdlib spells them; tuples are written as lists.  Any other
+    type raises TypeError, as `json.dumps` does.  The writer is
+    hand-written because the stdlib runs its C encoder only when
+    `indent` is None, and its pure-Python one yields one small string
+    per token.  Here a list of only ints or only strs is one join, and
+    the int texts come from a memo that lives for this call; every
+    piece goes into one list, joined once, so a large table is not
+    copied again at each level of nesting.
+    """
+    out = []
+    _write(obj, "\n", {}, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    """A dict key as the string `json.dumps` quotes for it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _write(obj, nl, memo, out):
+    """Append the text of `obj` to `out`, its inner lines indented past
+    `nl`; `memo` maps ints to their text."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        # type() is exact, so bools and int subclasses miss the memo
+        types = set(map(type, obj))
+        if types == {int}:
+            for v in set(obj).difference(memo):
+                memo[v] = int.__repr__(v)
+            items = map(memo.__getitem__, obj)
+        elif types == {str}:
+            items = map(_encode_str, obj)
+        else:
+            sep = "[" + inner
+            for v in obj:
+                out.append(sep)
+                sep = "," + inner
+                _write(v, inner, memo, out)
+            out.append(nl + "]")
+            return
+        out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in obj.items():
+            out.append(sep + _encode_str(_key_text(k)) + ": ")
+            sep = "," + inner
+            _write(v, inner, memo, out)
+        out.append(nl + "}")
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def load_json_file(path):

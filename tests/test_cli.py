@@ -205,6 +205,23 @@ def test_malformed_inputs_exit_2(tmp_path):
             "covers": [list(c) for c in covers]})]) == 2
 
 
+@pytest.mark.parametrize("payload, named", [
+    ({"type": "free_lrb", "n": 3.7}, "'n' must be an integer, got 3.7"),
+    ({"type": "q_free", "n": 2, "q": 2.5}, "'q' must be an integer, got 2.5"),
+    ({"type": "free_lrb", "n": True}, "'n' must be an integer, got True"),
+    ({"type": "dist_chain", "grid": [1, 1.0]}, "'grid' must be an integer"),
+    ({"type": "matroid", "matroid": {"kind": "uniform", "k": 2.9, "m": 4}},
+     "'k' must be an integer, got 2.9"),
+    ({"type": "matroid", "matroid": {"kind": "vectors", "q": 2,
+                                     "columns": [[1, 0], [0, 1.5]]}},
+     "'columns' must be an integer, got 1.5"),
+])
+def test_non_integer_spec_sizes_exit_2(tmp_path, capsys, payload, named):
+    # truncating them would build a different band and exit 0
+    assert cli.main(["build", "--spec", _spec(tmp_path, payload)]) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, payload", [
     ("--poset", {"elements": 5, "covers": []}),
     ("--poset", {"elements": ["a", "b"], "covers": 3}),

@@ -1,10 +1,15 @@
 """Stable artifact rendering: rational strings, CSV, and JSON."""
 
 import csv
+import enum
 import io
+import json
 from fractions import Fraction
 
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bandwalk import constructions, core, selftest, serialize, spectral, walks
 from bandwalk.errors import MalformedInputError
@@ -91,6 +96,56 @@ def test_dump_json_is_byte_stable_and_ordered():
     assert one.endswith("\n")
     # insertion order is preserved, not sorted
     assert one.index('"z"') < one.index('"a"')
+
+
+class _Size(enum.IntEnum):
+    SMALL = 1
+    HUGE = 2 ** 70
+
+
+# text with control characters, quotes, non-ASCII and lone surrogates
+_TEXT = hs.text(hs.one_of(
+    hs.characters(exclude_categories=()),
+    hs.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "é", "\u2028",
+                     "\ud800", "\udfff"])), max_size=8)
+_INTS = hs.one_of(hs.integers(), hs.integers(-2 ** 80, 2 ** 80))
+_FLOATS = hs.one_of(hs.floats(), hs.sampled_from(
+    [-0.0, float("nan"), float("inf"), -float("inf")]))
+_SCALARS = hs.one_of(
+    hs.none(), hs.booleans(), _INTS, _FLOATS, _TEXT,
+    hs.sampled_from(list(_Size)), _FLOATS.map(numpy.float64))
+_KEYS = hs.one_of(_TEXT, _INTS, _FLOATS, hs.booleans(), hs.none(),
+                  hs.sampled_from(list(_Size)))
+_TREES = hs.recursive(
+    _SCALARS,
+    lambda kids: hs.one_of(
+        hs.lists(kids, max_size=5),
+        hs.lists(kids, max_size=5).map(tuple),
+        hs.dictionaries(_KEYS, kids, max_size=5),
+        # one-type lists (the writer's fast paths), str-to-str dicts,
+        # and bools among 0s and 1s
+        hs.lists(_INTS, max_size=6),
+        hs.lists(_TEXT, max_size=6),
+        hs.dictionaries(_TEXT, _TEXT, max_size=4),
+        hs.lists(hs.sampled_from([0, 1, True, False, 1.0]), max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TREES)
+def test_dump_json_equals_the_stdlib_indented_encoder(tree):
+    assert serialize.dump_json(tree) == json.dumps(
+        tree, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [
+    Fraction(1, 2), numpy.int64(3), {1, 2}, object(), {(1, 2): 3},
+    [1, [numpy.int64(1)]], {"a": [Fraction(1)]}])
+def test_dump_json_refuses_what_the_stdlib_refuses(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError):
+        serialize.dump_json(bad)
 
 
 def test_spectrum_rows_render_rationals_as_strings():
