@@ -461,7 +461,7 @@ def _cmd_descent(args, guards):
     n = args.n
     cx = descent.coxeter_complex(n, guards)
     artifact = {"n": n, "faces": cx.semigroup.size,
-                "chambers": len(cx.chamber_id)}
+                "chambers": len(cx.group.perms)}
     failures = []
     summary = [f"S_{n}: {artifact['faces']} faces, "
                f"{artifact['chambers']} chambers"]

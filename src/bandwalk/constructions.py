@@ -63,10 +63,10 @@ from math import factorial
 import numpy
 
 from . import fields, posets
-from .core import ExpectedLattice, Semigroup
+from .core import ExpectedLattice, Semigroup, spec_int
 from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
 from .guards import DEFAULT_GUARDS
-from .matroid import Matroid, build_matroid, spec_int
+from .matroid import Matroid, build_matroid
 
 
 # ---------------------------------------------------------------- free
@@ -344,19 +344,6 @@ def _partition_label(blocks):
                     for b in sorted(blocks, key=lambda blk: min(blk)))
 
 
-def _refines(fine, coarse):
-    """fine refines coarse (both are '/'-joined block labels)."""
-    coarse_of = {}
-    for i, blk in enumerate(coarse.split("/")):
-        for x in blk.split(","):
-            coarse_of[x] = i
-    for blk in fine.split("/"):
-        xs = blk.split(",")
-        if len({coarse_of[x] for x in xs}) != 1:
-            return False
-    return True
-
-
 def ordered_partitions(n, guards=DEFAULT_GUARDS):
     """All ordered set partitions of {1..n}.  The product intersects the
     right factor's blocks into the left factor's blocks in lexicographic
@@ -372,12 +359,12 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
             elements.append(tuple(order))
     elements = sorted(set(elements))
 
-    partition_labels = sorted(
-        {_partition_label(p) for p in posets.set_partitions(universe)})
+    partitions = {_partition_label(p): p
+                  for p in posets.set_partitions(universe)}
     expected = ExpectedLattice(
-        labels=tuple(partition_labels),
+        labels=tuple(sorted(partitions)),
         label_of=_partition_label,
-        leq=lambda a, b: _refines(b, a),
+        leq=lambda a, b: posets.refines(partitions[b], partitions[a]),
     )
     generators = [(tuple(sorted(c)),
                    tuple(sorted(set(universe) - set(c))))

@@ -47,6 +47,16 @@ from .errors import (
 from .guards import DEFAULT_GUARDS
 
 
+def spec_int(field, value):
+    """An integer field of a construction, matroid or table spec.
+    Floats and bools are refused, naming the field and the value,
+    rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise MalformedInputError(
+            f"spec field {field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExpectedLattice:
     """Construction-supplied description of what the support lattice
@@ -170,12 +180,17 @@ class Semigroup:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            keys = list(data["elements"])
+            keys = data["elements"]
             table = [list(row) for row in data["table"]]
-            identity = int(data["identity"])
+            identity = spec_int("identity", data["identity"])
             label = str(data.get("label", "table"))
         except (KeyError, TypeError) as exc:
             raise MalformedInputError(f"bad semigroup dict: {exc}") from exc
+        if not isinstance(keys, list) \
+                or not all(isinstance(k, str) for k in keys):
+            raise MalformedInputError(
+                f"spec field 'elements' must be a list of strings, "
+                f"got {keys!r}")
         return cls(label, keys, identity, table=table)
 
 

@@ -154,17 +154,6 @@ def _partition_label(part):
     return "|".join(",".join(str(v) for v in b) for b in blocks) or "?"
 
 
-def _refines(finer, coarser):
-    lookup = {}
-    for i, block in enumerate(coarser):
-        for v in block:
-            lookup[v] = i
-    for block in finer:
-        if len({lookup[v] for v in block}) != 1:
-            return False
-    return True
-
-
 def partition_lattice(n, guards=DEFAULT_GUARDS):
     """Partitions of {1..n} ordered by refinement, singletons at bottom:
     the contraction lattice of the complete graph on 1..n."""
@@ -220,7 +209,7 @@ def contraction_lattice(edges, vertices=None, guards=DEFAULT_GUARDS):
             parts.append(canon)
     parts = sorted(set(parts), key=lambda p: (-len(p), p))
     labels = [_partition_label(p) for p in parts]
-    leq = np.array([[_refines(a, b) for b in parts] for a in parts])
+    leq = np.array([[posets.refines(a, b) for b in parts] for a in parts])
     name = f"contractions({len(verts)}v,{len(pairs)}e)"
     return graded_poset(name, labels, leq)
 

@@ -7,6 +7,15 @@ group acts by relabeling.  Chambers correspond to permutations through
 w -> ({w(1)} < {w(1), w(2)} < ...); the fundamental chamber is the
 identity column 1|2|...|n.
 
+S_n has one model here, `_SymmetricGroupTable`: the permutations as
+tuples (w(1), .., w(n)) in lexicographic order, so the identity has
+index 0, their descent sets as type masks, and the composition table
+`comp` of indices, u * v mapping i to u(v(i)).  A `CoxeterComplex`
+holds one such table and the int array `perm_of` that carries each
+chamber of the face table to its permutation's index.  Types and
+descent sets are the same bit masks, so invariance and descent classes
+are both `class_values` checks on integer vectors.
+
 The invariant subalgebra of the semigroup algebra has the orbit sums
 sigma_J as a basis, with tau_J the inclusion-exclusion companion
 basis.  The map phi determined by phi(a)C = aC is an anti-isomorphism
@@ -14,15 +23,15 @@ onto the classical descent algebra inside the group algebra: sigma_J
 goes to the sum u_J of the permutations with descent set inside J and
 tau_J to the sum z_J over descent set exactly J.  Under the chamber
 bijection the face walk driven by an invariant distribution p becomes
-the right group walk driven by phi(p); for the uniform move-to-front
-distribution this yields the top-to-random idempotents E_i.
-
-Permutations are tuples (w(1), .., w(n)) and compose as functions, so
-u * v maps i to u(v(i)).
+the right group walk driven by phi(p): with a_x = D p_x, the chamber
+counts sum a_x [x uC = vC] equal D phi(p) at u^-1 v for every pair of
+chambers.  For the uniform move-to-front distribution this yields the
+top-to-random idempotents E_i.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import comb, factorial
 
@@ -35,36 +44,9 @@ from .errors import (FalsificationError, MalformedInputError,
 from .guards import DEFAULT_GUARDS
 
 
-# ------------------------------------------------------------ permutations
-
-
-def check_permutation(w, n=None):
-    w = tuple(int(x) for x in w)
-    if n is not None and len(w) != n:
-        raise MalformedInputError(f"expected a permutation of [{n}]")
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise MalformedInputError(f"{w!r} is not a permutation of 1..n")
-    return w
-
-
-def compose(u, v):
-    return tuple(u[x - 1] for x in v)
-
-
-def inverse(u):
-    out = [0] * len(u)
-    for i, x in enumerate(u):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
 def descent_set(w):
     """{i : w(i) > w(i+1)} as a sorted tuple."""
-    w = check_permutation(w)
     return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
-
-
-# ---------------------------------------------------------------- complex
 
 
 def type_of_partition(part):
@@ -76,74 +58,124 @@ def type_of_partition(part):
     return tuple(out)
 
 
-def act(w, part):
-    """Relabel the blocks of an ordered partition by a permutation."""
-    return tuple(tuple(sorted(w[x - 1] for x in block)) for block in part)
+def type_mask(j_set):
+    """The subset J of {1..n-1} as the bit mask sum of 2^(i-1)."""
+    return sum(1 << (i - 1) for i in j_set)
+
+
+def class_values(vec, classes):
+    """Per-class values of an integer vector, or None if it is not
+    constant on every class; classes[i] is the class of entry i."""
+    values = numpy.zeros(int(classes.max()) + 1, dtype=vec.dtype)
+    values[classes] = vec
+    return values if numpy.array_equal(values[classes], vec) else None
+
+
+# ------------------------------------------------------------ the group
+
+
+class _SymmetricGroupTable:
+    """S_n in lexicographic order, the identity first, with the descent
+    set of each permutation as a type mask and the dense composition
+    table, built on first use."""
+
+    def __init__(self, n):
+        self.n = n
+        self.perms = sorted(permutations(range(1, n + 1)))
+        self.index = {w: i for i, w in enumerate(self.perms)}
+        self.descents = numpy.array(
+            [type_mask(descent_set(w)) for w in self.perms])
+
+    @cached_property
+    def comp(self):
+        # a permutation is coded by its values 0..n-1 as base-n digits;
+        # digit k of u * v is u at v[k], for every v at once
+        n = self.n
+        perms = numpy.array(self.perms, dtype=numpy.int64) - 1
+        powers = n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
+
+        def product_codes(lo, hi):
+            return sum(perms[lo:hi, perms[:, k]] * powers[k]
+                       for k in range(n))
+
+        return constructions.coded_products(perms @ powers, self.perms, n,
+                                            product_codes)
+
+    def descent_rows(self):
+        """(u, z), integer matrices with one row per type mask J: row J
+        of u marks the permutations with descent set inside J, row J of
+        z those with descent set exactly J."""
+        masks = numpy.arange(1 << (self.n - 1))[:, None]
+        u = (self.descents[None, :] & ~masks) == 0
+        z = self.descents[None, :] == masks
+        return u.astype(numpy.int64), z.astype(numpy.int64)
+
+    def convolve(self, a, b):
+        out = numpy.zeros(len(self.perms), dtype=numpy.int64)
+        for i in numpy.nonzero(a)[0]:
+            out[self.comp[i]] += int(a[i]) * b
+        return out
+
+
+# ---------------------------------------------------------------- complex
 
 
 @dataclass
 class CoxeterComplex:
-    """Ordered-partition band plus type map and chamber bijection."""
+    """Ordered-partition band, its face types as masks, and S_n with
+    the chamber bijection: perm_of[face] is the index in group.perms of
+    a chamber's permutation, -1 off the chambers.  `guards` are the
+    ones the band was built with; the face table is tabulated through
+    them."""
 
     n: int
     semigroup: object
-    types: list
+    face_type: object
     type_classes: dict
-    chamber_id: dict
-    perm_at: dict
+    group: _SymmetricGroupTable
+    perm_of: object
     fundamental: int
+    guards: object
 
 
 def coxeter_complex(n, guards=DEFAULT_GUARDS):
     """Build the complex and certify that orbits match type classes.
 
-    The group action is generated by the adjacent transpositions; the
-    orbit partition it induces must coincide with the fibres of the
-    type map, which is what makes invariance checkable either way.
+    A face is its block-index vector v (v[x] is the block holding x + 1)
+    and w relabels it to v composed with w^-1.  Each type class must
+    equal the S_n orbit of its face with consecutive blocks; orbits
+    partition the faces, so the orbit partition is the type partition,
+    which makes invariance checkable either way.
     """
     sg = constructions.ordered_partitions(n, guards=guards)
-    objs = sg.objects
-    types = [type_of_partition(p) for p in objs]
+    types = [type_of_partition(p) for p in sg.objects]
     type_classes = {}
     for i, t in enumerate(types):
         type_classes.setdefault(t, []).append(i)
+    group = _SymmetricGroupTable(n)
 
-    index = {p: i for i, p in enumerate(objs)}
-    gens = []
-    for i in range(1, n):
-        w = list(range(1, n + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        gens.append(tuple(w))
-    seen = [False] * sg.size
-    for start in range(sg.size):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = index[act(g, objs[x])]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            seen[x] = True
-        if sorted(orbit) != type_classes[types[start]]:
+    powers = n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
+    codes = numpy.array([constructions._face_vector(p, n)
+                         for p in sg.objects]) @ powers
+    perms = numpy.array(group.perms) - 1
+    for t, cls in type_classes.items():
+        blocks = numpy.searchsorted(numpy.array(t, dtype=int),
+                                    numpy.arange(1, n + 1))
+        # a set, not numpy.unique, which imports numpy.ma (0.5 MiB)
+        orbit = set((blocks[perms] @ powers).tolist())
+        if sorted(orbit) != sorted(codes[cls].tolist()):
             raise FalsificationError(
-                f"S_{n} orbit of {sg.keys[start]} does not match its "
-                "type class")
+                f"S_{n}: the orbit of the type-{t} faces does not match "
+                "their type class")
 
-    chamber_id = {}
-    perm_at = {}
-    for i, p in enumerate(objs):
+    perm_of = numpy.full(sg.size, -1)
+    for i, p in enumerate(sg.objects):
         if len(p) == n:
-            w = tuple(b[0] for b in p)
-            chamber_id[w] = i
-            perm_at[i] = w
-    fundamental = chamber_id[tuple(range(1, n + 1))]
-    return CoxeterComplex(n, sg, types, type_classes, chamber_id,
-                          perm_at, fundamental)
+            perm_of[i] = group.index[tuple(b[0] for b in p)]
+    fundamental = int(numpy.flatnonzero(perm_of == 0)[0])
+    face_type = numpy.array([type_mask(t) for t in types])
+    return CoxeterComplex(n, sg, face_type, type_classes, group, perm_of,
+                          fundamental, guards)
 
 
 # ------------------------------------------------------- beta and h vector
@@ -166,91 +198,17 @@ def beta_and_h(n, cx=None, guards=DEFAULT_GUARDS):
     rows record beta(J) == h_J.
     """
     cx = cx or coxeter_complex(n, guards)
-    beta = {}
-    for w in permutations(range(1, n + 1)):
-        beta[descent_set(w)] = beta.get(descent_set(w), 0) + 1
+    beta = numpy.bincount(cx.group.descents, minlength=1 << (n - 1))
     f = {t: len(cls) for t, cls in cx.type_classes.items()}
     h = flag_h_vector(f)
     rows = []
     for j_set in _subsets(range(1, n)):
-        b = beta.get(j_set, 0)
+        b = int(beta[type_mask(j_set)])
         rows.append(BetaRow(j_set, b, f[j_set], h[j_set], b == h[j_set]))
     return rows
 
 
-# ------------------------------------------------------ invariant algebra
-
-
-@dataclass
-class InvariantElement:
-    """Element of the invariant subalgebra in sigma coordinates."""
-
-    n: int
-    sigma: dict
-
-
-def to_chamber_element(cx, a):
-    """Expand sigma coordinates into semigroup-algebra coefficients."""
-    out = {}
-    for j_set, v in a.sigma.items():
-        if j_set not in cx.type_classes:
-            raise MalformedInputError(f"no simplices of type {j_set}")
-        for i in cx.type_classes[j_set]:
-            out[i] = out.get(i, Fraction(0)) + v
-    return {i: v for i, v in out.items() if v}
-
-
-def invariant_from_coeffs(cx, coeffs):
-    """Read an invariant element off semigroup coefficients.
-
-    Constancy is demanded on each orbit (certified equal to each type
-    class when the complex was built), not just well-formedness of the
-    type map.
-    """
-    sigma = {}
-    for t, cls in cx.type_classes.items():
-        vals = {Fraction(coeffs.get(i, Fraction(0))) for i in cls}
-        if len(vals) != 1:
-            raise PreconditionError(
-                f"coefficients are not constant on the type-{t} orbit")
-        v = vals.pop()
-        if v:
-            sigma[t] = v
-    return InvariantElement(cx.n, sigma)
-
-
 # --------------------------------------------------------------- phi map
-
-
-def phi(cx, a):
-    """Image of an invariant element in the group algebra.
-
-    Characterized by phi(a) C = a C at the fundamental chamber; the
-    product a C lands in the chamber span, whose basis is carried to
-    permutations by the bijection.
-    """
-    if not isinstance(a, InvariantElement):
-        a = invariant_from_coeffs(cx, a)
-    prod = cx.semigroup.product
-    out = {}
-    for i, v in to_chamber_element(cx, a).items():
-        c = prod(i, cx.fundamental)
-        w = cx.perm_at[c]
-        out[w] = out.get(w, Fraction(0)) + v
-    return {w: v for w, v in out.items() if v}
-
-
-def type_mask(j_set):
-    """The subset J of {1..n-1} as the bit mask sum of 2^(i-1)."""
-    return sum(1 << (i - 1) for i in j_set)
-
-
-def class_values(vec, classes):
-    """Per-class values of an integer vector, or None if it is not
-    constant on every class; classes[i] is the class of entry i."""
-    values = numpy.zeros(int(classes.max()) + 1, dtype=numpy.int64)
-    values[classes] = vec
-    return values if numpy.array_equal(values[classes], vec) else None
 
 
 def certify_phi(cx):
@@ -270,17 +228,13 @@ def certify_phi(cx):
     """
     n = cx.n
     sg = cx.semigroup
-    table = sg.tabulate()
-    group = _SymmetricGroupTable(n)
+    table = sg.tabulate(cx.guards)
+    group = cx.group
     masks = numpy.arange(1 << (n - 1))
-    face_type = numpy.array([type_mask(t) for t in cx.types])
-    members = [numpy.flatnonzero(face_type == k) for k in masks]
+    members = [numpy.flatnonzero(cx.face_type == k) for k in masks]
     type_of = {type_mask(t): t for t in cx.type_classes}
 
-    perm_of = numpy.full(sg.size, -1)
-    for c, w in cx.perm_at.items():
-        perm_of[c] = group.index[w]
-    image_of = perm_of[table[:, cx.fundamental]]
+    image_of = cx.perm_of[table[:, cx.fundamental]]
     if image_of.min() < 0:
         f = int(numpy.argmin(image_of))
         raise FalsificationError(
@@ -306,7 +260,7 @@ def certify_phi(cx):
         for b in masks:
             counts = numpy.bincount(rows[:, members[b]].ravel(),
                                     minlength=sg.size)
-            sigma = class_values(counts, face_type)
+            sigma = class_values(counts, cx.face_type)
             if sigma is None:
                 raise PreconditionError(
                     f"S_{n}: sigma_{type_of[a]} sigma_{type_of[b]} is not "
@@ -328,9 +282,11 @@ def certify_phi(cx):
 def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
     """Carry an invariant chamber walk to the group side.
 
-    Returns (mu, ok) where mu = phi(p) and ok records the entrywise
-    match P(uC, vC) == mu at the group ratio of u and v, i.e. the
-    composition of u-inverse with v.
+    Returns (mu, ok) where mu = phi(p) as {permutation: Fraction} and ok
+    records that P(uC, vC) == mu(u^-1 v) for every pair of chambers.
+    With a_x = D p_x as Python ints (exact for any D), counts[u, v] sums
+    a_x over x with x uC = vC; its identity row is D mu, and u^-1 is
+    read off the row of comp that holds the identity.
     """
     if not hasattr(p, "coeffs"):
         raise MalformedInputError("descent_walk needs a WeightVector")
@@ -342,62 +298,32 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
     cx = cx or coxeter_complex(n, guards)
     if not p.is_probability:
         raise PreconditionError("descent_walk needs a probability vector")
-    mu = phi(cx, invariant_from_coeffs(cx, dict(p.items())))
+    xs = p.support_ids()
+    a = numpy.array([p.nums[x] for x in xs], dtype=object)
+    weights = numpy.zeros(cx.semigroup.size, dtype=object)
+    weights[xs] = a
+    if class_values(weights, cx.face_type) is None:
+        raise PreconditionError(
+            "weights are not constant on the type classes")
 
-    prod = cx.semigroup.product
-    ok = True
-    for u, cu in cx.chamber_id.items():
-        row = {}
-        for i, v in p.items():
-            d = prod(i, cu)
-            row[d] = row.get(d, Fraction(0)) + v
-        uinv = inverse(u)
-        for v, cv in cx.chamber_id.items():
-            if row.get(cv, Fraction(0)) != mu.get(compose(uinv, v),
-                                                  Fraction(0)):
-                ok = False
-    return mu, ok
+    group = cx.group
+    m = len(group.perms)
+    # the chambers' face ids in group order, after the -1 of the others
+    chamber_of = numpy.argsort(cx.perm_of)[-m:]
+    table = cx.semigroup.tabulate(cx.guards)
+    images = cx.perm_of[table[numpy.ix_(xs, chamber_of)]]
+    counts = numpy.zeros((m, m), dtype=object)
+    numpy.add.at(counts, (numpy.arange(m), images), a[:, None])
+    mu = counts[0]
+    inv = numpy.argmax(group.comp == 0, axis=1)
+    # a product off the chambers (-1) is no step of the chamber walk
+    ok = bool(images.min() >= 0
+              and numpy.array_equal(counts, mu[group.comp[inv]]))
+    return ({group.perms[v]: Fraction(int(mu[v]), p.den)
+             for v in numpy.flatnonzero(mu)}, ok)
 
 
 # ------------------------------------------------- top-to-random family
-
-
-class _SymmetricGroupTable:
-    """Dense composition table over S_n for integer certification,
-    with the descent set of each permutation as a type mask."""
-
-    def __init__(self, n):
-        self.n = n
-        self.perms = sorted(permutations(range(1, n + 1)))
-        self.index = {w: i for i, w in enumerate(self.perms)}
-        self.descents = numpy.array(
-            [type_mask(descent_set(w)) for w in self.perms])
-        # a permutation is coded by its values 0..n-1 as base-n digits;
-        # digit k of compose(u, v) is u at v[k], for every v at once
-        perms = numpy.array(self.perms, dtype=numpy.int64) - 1
-        powers = n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
-
-        def product_codes(lo, hi):
-            return sum(perms[lo:hi, perms[:, k]] * powers[k]
-                       for k in range(n))
-
-        self.comp = constructions.coded_products(perms @ powers, self.perms,
-                                                 n, product_codes)
-
-    def descent_rows(self):
-        """(u, z), integer matrices with one row per type mask J: row J
-        of u marks the permutations with descent set inside J, row J of
-        z those with descent set exactly J."""
-        masks = numpy.arange(1 << (self.n - 1))[:, None]
-        u = (self.descents[None, :] & ~masks) == 0
-        z = self.descents[None, :] == masks
-        return u.astype(numpy.int64), z.astype(numpy.int64)
-
-    def convolve(self, a, b):
-        out = numpy.zeros(len(self.perms), dtype=numpy.int64)
-        for i in numpy.nonzero(a)[0]:
-            out[self.comp[i]] += int(a[i]) * b
-        return out
 
 
 @dataclass

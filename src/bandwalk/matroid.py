@@ -7,9 +7,9 @@ independent) or as uniform matroids U_{k,m}.
 """
 
 import itertools
-import numbers
 
 from . import fields
+from .core import spec_int
 from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
 from .guards import DEFAULT_GUARDS
 
@@ -216,16 +216,6 @@ class Matroid:
     @classmethod
     def free(cls, n, guards=DEFAULT_GUARDS):
         return cls.uniform(n, n, guards=guards)
-
-
-def spec_int(field, value):
-    """An integer field of a construction or matroid spec.  Floats and
-    bools are refused, naming the field and the value, rather than
-    truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise MalformedInputError(
-            f"spec field {field!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 def build_matroid(spec, guards=DEFAULT_GUARDS):

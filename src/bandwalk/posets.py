@@ -8,6 +8,8 @@ one numpy step per element: validity with the first witness
 (`order_from_covers`), the cover matrix (`covers_of`), a linear
 extension, bottom and top, join and meet tables (int arrays of ids),
 ranks, and rows of the Moebius function, whose values stay Python ints.
+Set partitions live here too: their enumeration and the refinement
+test that orders them.
 """
 
 import numpy as np
@@ -161,6 +163,13 @@ def moebius_row(leq, order, a):
         inside[b] = False
         mu[b] = -sum(mu[z] for z in np.flatnonzero(inside).tolist())
     return mu
+
+
+def refines(fine, coarse):
+    """Whether the set partition `fine` refines `coarse`, both given as
+    sequences of blocks: each block of fine lies inside one of coarse."""
+    block_of = {x: i for i, block in enumerate(coarse) for x in block}
+    return all(len({block_of[x] for x in block}) == 1 for block in fine)
 
 
 def set_partitions(items):

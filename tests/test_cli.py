@@ -163,6 +163,33 @@ def test_descent_subcommand(tmp_path):
     assert cli.main(["descent", "--n", "3", "--walk", lopsided]) == 2
 
 
+def test_descent_tabulates_through_the_guards(tmp_path):
+    # S_5 has 541 faces: phi and the walk need the face table, beta
+    # does not
+    capped = ["--n", "5", "--guard", "table_cap=100", "--out",
+              str(tmp_path / "out")]
+    assert cli.main(["descent", *capped, "--phi-check"]) == 4
+    walk = _spec(tmp_path, {
+        f"{i}|" + ",".join(str(x) for x in range(1, 6) if x != i): "1/5"
+        for i in range(1, 6)}, "walk.json")
+    assert cli.main(["descent", *capped, "--walk", walk]) == 4
+    assert cli.main(["descent", *capped, "--beta"]) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("identity", 0.9), ("identity", "0"), ("identity", True),
+    ("elements", "ea"), ("elements", [0, 1]),
+])
+def test_table_spec_fields_are_read_strictly(tmp_path, capsys, field, value):
+    # each of these used to build: the identity truncated or cast, the
+    # elements split into characters or left as ints no key can name
+    spec = {"type": "table", "elements": ["e", "a"], "identity": 0,
+            "table": [[0, 1], [1, 1]]}
+    spec[field] = value
+    assert cli.main(["build", "--spec", _spec(tmp_path, spec)]) == 2
+    assert repr(field) in capsys.readouterr().err
+
+
 def test_malformed_inputs_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json", encoding="utf-8")

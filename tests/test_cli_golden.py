@@ -34,6 +34,12 @@ START = {"free_lrb(3)": "1,2,3", "free_lrb_bar(3)": "1|2|3",
 GENERIC_F3 = {"1": "1/2", "2": "1/3", "3": "1/6"}
 
 
+def _move_to_front(n):
+    """Uniform weights on the faces of type (1,) of S_n: i | the rest."""
+    return {f"{i}|" + ",".join(str(x) for x in range(1, n + 1) if x != i):
+            f"1/{n}" for i in range(1, n + 1)}
+
+
 def _band_cases():
     for band in SPECS:
         spec = ["--spec", f"{{tmp}}/{band}.json"]
@@ -77,6 +83,8 @@ def _other_cases():
     for n in ("3", "4"):
         yield f"descent/S{n}", ["descent", "--n", n, "--beta",
                                 "--phi-check", "--idempotents"]
+        yield f"descent/S{n}-walk", ["descent", "--n", n, "--walk",
+                                     f"{{tmp}}/move_to_front_{n}.json"]
 
 
 CASES = dict(list(_band_cases()) + list(_other_cases()))
@@ -87,6 +95,9 @@ def _write_inputs(tmp):
         (tmp / f"{band}.json").write_text(json.dumps(spec), encoding="utf-8")
     (tmp / "generic.json").write_text(json.dumps(GENERIC_F3),
                                       encoding="utf-8")
+    for n in (3, 4):
+        (tmp / f"move_to_front_{n}.json").write_text(
+            json.dumps(_move_to_front(n)), encoding="utf-8")
 
 
 def _digests(tmp, case):
@@ -156,9 +167,17 @@ GOLDEN = {
         'descent.json':
             'd6da9c7cbf966bb2cab0e61dfab3e21cf21749b3f1a2f6fa4181d7907302cbc5',
     },
+    'descent/S3-walk': {
+        'descent.json':
+            'de9f7cb5905041753583d2cd42b09d2ed7b50b21d87afe0f299eb72ac565b0e7',
+    },
     'descent/S4': {
         'descent.json':
             '0fa74eab7a24a16790b4e0dfb577d212b596e3b37bfd6fcaeb8193a5e549e10e',
+    },
+    'descent/S4-walk': {
+        'descent.json':
+            '3359e20a958db19f8c7b6ebb80aca15d9ea06255e61d5c8e7240c9bf50c11142',
     },
     'free_lrb(3)/build': {
         'semigroup.json':

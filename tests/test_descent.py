@@ -10,11 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bandwalk import constructions, derangement, descent, spectral
-from bandwalk.errors import (FalsificationError, MalformedInputError,
-                             PreconditionError)
+from bandwalk.errors import FalsificationError, PreconditionError
 
 
 F = Fraction
+
+
+def _compose(u, v):
+    """u * v as tuples: i goes to u(v(i))."""
+    return tuple(u[x - 1] for x in v)
+
+
+def _inverse(u):
+    out = [0] * len(u)
+    for i, x in enumerate(u):
+        out[x - 1] = i + 1
+    return tuple(out)
+
+
+def _chambers(cx):
+    """{permutation: face id}, read off the chamber objects themselves."""
+    return {tuple(b[0] for b in p): i
+            for i, p in enumerate(cx.semigroup.objects) if len(p) == cx.n}
 
 
 def test_permutation_primitives():
@@ -22,34 +39,57 @@ def test_permutation_primitives():
     assert descent.descent_set(u) == (2, 3)
     assert descent.descent_set((1, 2, 3)) == ()
     assert descent.descent_set((3, 2, 1)) == (1, 2)
-    assert descent.inverse(u) == (4, 1, 3, 2)
-    ident = (1, 2, 3, 4)
-    assert descent.compose(u, descent.inverse(u)) == ident
-    assert descent.compose(descent.inverse(u), u) == ident
-    v = (2, 1, 3, 4)
-    # compose(u, v)(i) = u(v(i))
-    assert descent.compose(u, v) == (4, 2, 3, 1)
-    with pytest.raises(MalformedInputError):
-        descent.check_permutation((1, 1, 2))
-    with pytest.raises(MalformedInputError):
-        descent.check_permutation((1, 2), n=3)
+    # the group table composes as functions, the identity first
+    group = descent._SymmetricGroupTable(4)
+    assert group.perms[0] == (1, 2, 3, 4)
+    i, j = group.index[u], group.index[(4, 1, 3, 2)]
+    assert group.comp[i, j] == group.comp[j, i] == 0
+    assert group.perms[group.comp[i, group.index[(2, 1, 3, 4)]]] \
+        == (4, 2, 3, 1)
 
 
 def test_partition_types_and_action():
     assert descent.type_of_partition(((1, 2), (3,))) == (2,)
     assert descent.type_of_partition(((1,), (2,), (3,))) == (1, 2)
     assert descent.type_of_partition(((1, 2, 3),)) == ()
-    w = (2, 1, 3)
-    assert descent.act(w, ((1,), (2, 3))) == ((2,), (1, 3))
+    # relabeling a face keeps its type: each class is one S_3 orbit
+    cx = descent.coxeter_complex(3)
+    index = cx.semigroup.index
+    for w in cx.group.perms:
+        for i, p in enumerate(cx.semigroup.objects):
+            moved = tuple(tuple(sorted(w[x - 1] for x in b)) for b in p)
+            key = "|".join(",".join(map(str, b)) for b in moved)
+            assert cx.face_type[index[key]] == cx.face_type[i]
 
 
 def test_complex_shape_and_type_classes():
     cx = descent.coxeter_complex(3)
     assert cx.semigroup.size == 13
-    assert len(cx.chamber_id) == 6
-    assert cx.perm_at[cx.fundamental] == (1, 2, 3)
+    assert len(cx.group.perms) == 6
+    assert (cx.perm_of >= 0).sum() == 6
+    assert cx.group.perms[cx.perm_of[cx.fundamental]] == (1, 2, 3)
+    for w, c in _chambers(cx).items():
+        assert cx.group.perms[cx.perm_of[c]] == w
     sizes = {t: len(cls) for t, cls in cx.type_classes.items()}
     assert sizes == {(): 1, (1,): 3, (2,): 3, (1, 2): 6}
+    for t, cls in cx.type_classes.items():
+        assert (cx.face_type[cls] == descent.type_mask(t)).all()
+
+
+def test_orbit_check_refuses_a_face_outside_its_type_class(monkeypatch):
+    # list the face 2|1,3 twice, in place of 1|2,3: the type class of
+    # (1,) is no longer the orbit of 1|2,3
+    build = constructions.ordered_partitions
+
+    def moved(n, guards):
+        sg = build(n, guards=guards)
+        i = sg.objects.index(((1,), (2, 3)))
+        sg.objects[i] = ((2,), (1, 3))
+        return sg
+
+    monkeypatch.setattr(constructions, "ordered_partitions", moved)
+    with pytest.raises(FalsificationError, match="orbit"):
+        descent.coxeter_complex(3)
 
 
 def test_beta_equals_h_and_counts_descent_classes():
@@ -65,37 +105,34 @@ def test_beta_equals_h_and_counts_descent_classes():
 
 
 def test_invariant_elements_and_products():
+    # weights constant on the type classes are accepted; weights that
+    # single out one chamber, or one face of a class, are refused
     n = 3
     cx = descent.coxeter_complex(n)
-    s = descent.InvariantElement(n, {(1,): F(1)})
-    assert s.n == n
-    chamber_form = descent.to_chamber_element(cx, s)
-    assert sum(chamber_form.values()) == len(cx.type_classes[(1,)])
-    round_trip = descent.invariant_from_coeffs(cx, chamber_form)
-    assert round_trip.sigma == s.sigma
-    with pytest.raises(PreconditionError):
-        descent.invariant_from_coeffs(cx, {cx.fundamental: F(1)})
+    sg = cx.semigroup
+    descent.descent_walk(spectral.uniform_on(sg, cx.type_classes[(2,)]),
+                         n, cx)
+    for ids in ([cx.fundamental], cx.type_classes[(1,)][:2]):
+        with pytest.raises(PreconditionError, match="type classes"):
+            descent.descent_walk(spectral.uniform_on(sg, ids), n, cx)
 
 
 def test_invariant_product_of_sigmas_stays_invariant():
     # sigma_(1) sigma_(2) counted over the face table is constant on
-    # type classes, carries |class 1| * |class 2| terms, and folds to
-    # the sigma coordinates the Fraction path reads off
+    # type classes, carries |class 1| * |class 2| terms, and its class
+    # values are the coefficients of each face, read one by one
     n = 3
     cx = descent.coxeter_complex(n)
     table = cx.semigroup.table
-    face_type = numpy.array([descent.type_mask(t) for t in cx.types])
     a, b = cx.type_classes[(1,)], cx.type_classes[(2,)]
     counts = numpy.bincount(table[a][:, b].ravel(),
                             minlength=cx.semigroup.size)
-    sigma = descent.class_values(counts, face_type)
+    sigma = descent.class_values(counts, cx.face_type)
     assert sigma is not None
     assert counts.sum() == len(a) * len(b)
-    folded = descent.invariant_from_coeffs(
-        cx, {i: F(int(c)) for i, c in enumerate(counts)})
-    assert folded.sigma == {t: F(int(sigma[descent.type_mask(t)]))
-                            for t in cx.type_classes
-                            if sigma[descent.type_mask(t)]}
+    for t, cls in cx.type_classes.items():
+        assert {int(counts[i]) for i in cls} \
+            == {int(sigma[descent.type_mask(t)])}
 
 
 def test_phi_certification():
@@ -107,14 +144,14 @@ def test_phi_certification():
 
 
 _S4 = descent.coxeter_complex(4)
+_S4_CHAMBERS = numpy.flatnonzero(_S4.perm_of >= 0).tolist()
 _S4_CHAMBER_ENTRIES = [(i, j) for i in range(_S4.semigroup.size)
                        for j in range(_S4.semigroup.size)
-                       if _S4.semigroup.table[i][j] in _S4.perm_at]
+                       if _S4.perm_of[_S4.semigroup.table[i][j]] >= 0]
 
 
 @settings(max_examples=60, deadline=None)
-@given(hs.sampled_from(_S4_CHAMBER_ENTRIES),
-       hs.sampled_from(sorted(_S4.perm_at)))
+@given(hs.sampled_from(_S4_CHAMBER_ENTRIES), hs.sampled_from(_S4_CHAMBERS))
 def test_corrupted_complex_table_fails_phi_certification(entry, chamber):
     # one chamber-valued product of the S_4 face table replaced by
     # another chamber: certify_phi must report a failure or raise
@@ -122,7 +159,7 @@ def test_corrupted_complex_table_fails_phi_certification(entry, chamber):
     table = _S4.semigroup.table
     kept = table[i][j]
     if chamber == kept:
-        chamber = min(c for c in _S4.perm_at if c != kept)
+        chamber = min(c for c in _S4_CHAMBERS if c != kept)
     table[i][j] = chamber
     try:
         report = descent.certify_phi(_S4)
@@ -173,7 +210,7 @@ def test_descent_walk_on_uniform_chambers():
     n = 3
     cx = descent.coxeter_complex(n)
     sg = cx.semigroup
-    w = spectral.uniform_on(sg, list(cx.perm_at))
+    w = spectral.uniform_on(sg, numpy.flatnonzero(cx.perm_of >= 0).tolist())
     mu, ok = descent.descent_walk(w, n, cx)
     assert ok
     assert all(v == F(1, 6) for v in mu.values())
@@ -185,14 +222,84 @@ def test_descent_walk_on_top_to_random():
     n = 3
     cx = descent.coxeter_complex(n)
     sg = cx.semigroup
-    picks = [i for i, t in enumerate(cx.types) if t == (1,)]
-    w = spectral.uniform_on(sg, picks)
+    w = spectral.uniform_on(sg, cx.type_classes[(1,)])
     mu, ok = descent.descent_walk(w, n, cx)
     assert ok
     # moving letter i to the front of the identity gives these three
     want = {(1, 2, 3): F(1, 3), (2, 1, 3): F(1, 3), (3, 1, 2): F(1, 3)}
     got = {k: v for k, v in mu.items() if v}
     assert got == want
+
+
+def _walk_oracle(cx, p):
+    """The Fraction route: phi(p) by one product per weighted face at
+    the fundamental chamber, then every chamber row compared with mu at
+    u^-1 v, permutations composed as tuples."""
+    prod = cx.semigroup.product
+    chamber = _chambers(cx)
+    perm_at = {c: w for w, c in chamber.items()}
+    mu = {}
+    for i, v in p.items():
+        w = perm_at[prod(i, chamber[tuple(range(1, cx.n + 1))])]
+        mu[w] = mu.get(w, F(0)) + v
+    mu = {w: v for w, v in mu.items() if v}
+    ok = True
+    for u, cu in chamber.items():
+        row = {}
+        for i, v in p.items():
+            d = prod(i, cu)
+            row[d] = row.get(d, F(0)) + v
+        for v, cv in chamber.items():
+            if row.get(cv, F(0)) != mu.get(_compose(_inverse(u), v), F(0)):
+                ok = False
+    return mu, ok
+
+
+_COMPLEXES = {3: descent.coxeter_complex(3), 4: _S4}
+# small weights, and weights whose numerators pass 2^63
+_CLASS_WEIGHT = hs.one_of(hs.integers(0, 9), hs.integers(0, 2 ** 80))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.sampled_from([3, 4]).flatmap(lambda n: hs.tuples(
+    hs.just(n), hs.lists(_CLASS_WEIGHT, min_size=2 ** (n - 1),
+                         max_size=2 ** (n - 1)).filter(any))))
+def test_descent_walk_matches_the_fraction_oracle(case):
+    # random integer weights constant on each type class, scaled to a
+    # probability
+    n, per_class = case
+    cx = _COMPLEXES[n]
+    classes = sorted(cx.type_classes.items())
+    total = sum(c * len(cls) for c, (_, cls) in zip(per_class, classes))
+    p = spectral.WeightVector(cx.semigroup, {
+        i: F(c, total) for c, (_, cls) in zip(per_class, classes)
+        for i in cls})
+    assert descent.descent_walk(p, n, cx) == _walk_oracle(cx, p)
+
+
+_S4_ALL_FACES = spectral.uniform_on(_S4.semigroup, range(_S4.semigroup.size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.sampled_from([(i, j) for i in range(_S4.semigroup.size)
+                        for j in _S4_CHAMBERS]),
+       hs.integers(0, _S4.semigroup.size - 1))
+def test_corrupted_chamber_product_breaks_the_walk_correspondence(entry,
+                                                                  face):
+    # every face is weighted, so one chamber product x uC moved to
+    # another chamber changes one count of row u, and one moved off the
+    # chambers is no step of the walk
+    i, j = entry
+    table = _S4.semigroup.table
+    kept = table[i][j]
+    if face == kept:
+        face = min(c for c in _S4_CHAMBERS if c != kept)
+    table[i][j] = face
+    try:
+        assert not descent.descent_walk(_S4_ALL_FACES, 4, _S4)[1]
+    finally:
+        table[i][j] = kept
+    assert descent.descent_walk(_S4_ALL_FACES, 4, _S4)[1]
 
 
 def test_top_to_random_idempotent_family():
@@ -217,7 +324,7 @@ def test_group_convolution_composes_as_functions():
     a = _vector(group, {(2, 1, 3): 1})
     b = _vector(group, {(1, 3, 2): 1})
     # product places u after v: (u o v)(i) = u(v(i))
-    want = _vector(group, {descent.compose((2, 1, 3), (1, 3, 2)): 1})
+    want = _vector(group, {_compose((2, 1, 3), (1, 3, 2)): 1})
     assert numpy.array_equal(group.convolve(a, b), want)
 
 
@@ -304,4 +411,4 @@ def test_composition_table_composes_every_pair(monkeypatch, chunk):
     group = descent._SymmetricGroupTable(4)
     for i, u in enumerate(group.perms):
         for j, v in enumerate(group.perms):
-            assert group.comp[i, j] == group.index[descent.compose(u, v)]
+            assert group.comp[i, j] == group.index[_compose(u, v)]

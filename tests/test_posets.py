@@ -199,3 +199,14 @@ def test_maximal_chain_count_matches_enumeration():
     for p in selftest.derangement_corpus():
         assert derangement.maximal_chain_count(p) \
             == _brute_maximal_chains(p), p.name
+
+
+def test_refinement_is_block_containment():
+    # the one refinement test, against its definition on the 15 x 15
+    # pairs of set partitions of {1..4}
+    parts = list(posets.set_partitions((1, 2, 3, 4)))
+    assert len(parts) == 15
+    for a in parts:
+        for b in parts:
+            want = all(any(set(x) <= set(y) for y in b) for x in a)
+            assert posets.refines(a, b) == want
