@@ -138,8 +138,9 @@ def _tabulated(sg, guards, build_table):
     return sg
 
 
-def _face_vector(blocks, n):
-    """Block-index vector of an ordered partition of {1..n}."""
+def face_vector(blocks, n):
+    """Block-index vector of an ordered partition of {1..n}: entry
+    x - 1 is the index of the block holding x."""
     v = [0] * n
     for b, block in enumerate(blocks):
         for x in block:
@@ -376,7 +377,7 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
         expected=_wrap_expected(expected, elements),
         family="ordered_partitions", meta={"n": n}, guards=guards)
     return _tabulated(sg, guards, lambda: braid_table(
-        [_face_vector(o, n) for o in sg.objects], sg.keys))
+        [face_vector(o, n) for o in sg.objects], sg.keys))
 
 
 def free_lrb_bar(n, guards=DEFAULT_GUARDS):
@@ -419,7 +420,7 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
         expected=_wrap_expected(expected, elements),
         family="free_lrb_bar", meta={"n": n}, guards=guards)
     return _tabulated(sg, guards, lambda: braid_table(
-        [_face_vector(o, n) for o in sg.objects], sg.keys))
+        [face_vector(o, n) for o in sg.objects], sg.keys))
 
 
 # ---------------------------------------------------- closure systems

@@ -32,7 +32,7 @@ top-to-random idempotents E_i.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial
 
 import numpy
@@ -50,12 +50,8 @@ def descent_set(w):
 
 
 def type_of_partition(part):
-    acc = 0
-    out = []
-    for block in part[:-1]:
-        acc += len(block)
-        out.append(acc)
-    return tuple(out)
+    """The proper prefix sizes of an ordered partition."""
+    return tuple(accumulate(len(block) for block in part[:-1]))
 
 
 def type_mask(j_set):
@@ -125,8 +121,8 @@ class CoxeterComplex:
     """Ordered-partition band, its face types as masks, and S_n with
     the chamber bijection: perm_of[face] is the index in group.perms of
     a chamber's permutation, -1 off the chambers.  `guards` are the
-    ones the band was built with; the face table is tabulated through
-    them."""
+    ones the band was built with; `certify_phi` tabulates the face
+    table through them."""
 
     n: int
     semigroup: object
@@ -154,16 +150,13 @@ def coxeter_complex(n, guards=DEFAULT_GUARDS):
         type_classes.setdefault(t, []).append(i)
     group = _SymmetricGroupTable(n)
 
-    powers = n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
-    codes = numpy.array([constructions._face_vector(p, n)
-                         for p in sg.objects]) @ powers
     perms = numpy.array(group.perms) - 1
     for t, cls in type_classes.items():
         blocks = numpy.searchsorted(numpy.array(t, dtype=int),
                                     numpy.arange(1, n + 1))
-        # a set, not numpy.unique, which imports numpy.ma (0.5 MiB)
-        orbit = set((blocks[perms] @ powers).tolist())
-        if sorted(orbit) != sorted(codes[cls].tolist()):
+        orbit = set(map(tuple, blocks[perms].tolist()))
+        if orbit != {tuple(constructions.face_vector(sg.objects[i], n))
+                     for i in cls}:
             raise FalsificationError(
                 f"S_{n}: the orbit of the type-{t} faces does not match "
                 "their type class")
@@ -284,9 +277,11 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
 
     Returns (mu, ok) where mu = phi(p) as {permutation: Fraction} and ok
     records that P(uC, vC) == mu(u^-1 v) for every pair of chambers.
-    With a_x = D p_x as Python ints (exact for any D), counts[u, v] sums
-    a_x over x with x uC = vC; its identity row is D mu, and u^-1 is
-    read off the row of comp that holds the identity.
+    With a_x = D p_x as Python ints (exact for any D), row u of the
+    counts sums a_x over x with x uC = vC, one `product` per weighted
+    face and chamber, so no face table is built; row u read at u w must
+    equal the identity row D mu.  A product off the chambers raises
+    FalsificationError.
     """
     if not hasattr(p, "coeffs"):
         raise MalformedInputError("descent_walk needs a WeightVector")
@@ -310,15 +305,22 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
     m = len(group.perms)
     # the chambers' face ids in group order, after the -1 of the others
     chamber_of = numpy.argsort(cx.perm_of)[-m:]
-    table = cx.semigroup.tabulate(cx.guards)
-    images = cx.perm_of[table[numpy.ix_(xs, chamber_of)]]
-    counts = numpy.zeros((m, m), dtype=object)
-    numpy.add.at(counts, (numpy.arange(m), images), a[:, None])
-    mu = counts[0]
-    inv = numpy.argmax(group.comp == 0, axis=1)
-    # a product off the chambers (-1) is no step of the chamber walk
-    ok = bool(images.min() >= 0
-              and numpy.array_equal(counts, mu[group.comp[inv]]))
+    product = cx.semigroup.product
+    images = cx.perm_of[[[product(x, c) for c in chamber_of] for x in xs]]
+    if images.min() < 0:
+        x = xs[int(numpy.argmin(images.min(axis=1)))]
+        raise FalsificationError(f"S_{n}: {cx.semigroup.keys[x]} times a "
+                                 "chamber is not a chamber", witness=x)
+
+    def counts(u):
+        row = numpy.zeros(m, dtype=object)
+        numpy.add.at(row, images[:, u], a)
+        return row
+
+    mu = counts(0)
+    # row u of the counts, read at v = u w, must be mu at w
+    ok = all(numpy.array_equal(counts(u)[group.comp[u]], mu)
+             for u in range(1, m))
     return ({group.perms[v]: Fraction(int(mu[v]), p.den)
              for v in numpy.flatnonzero(mu)}, ok)
 

@@ -163,17 +163,31 @@ def test_descent_subcommand(tmp_path):
     assert cli.main(["descent", "--n", "3", "--walk", lopsided]) == 2
 
 
+def _move_to_front(tmp_path, n):
+    return _spec(tmp_path, {
+        f"{i}|" + ",".join(str(x) for x in range(1, n + 1) if x != i):
+        f"1/{n}" for i in range(1, n + 1)}, f"walk{n}.json")
+
+
 def test_descent_tabulates_through_the_guards(tmp_path):
-    # S_5 has 541 faces: phi and the walk need the face table, beta
-    # does not
+    # S_5 has 541 faces: phi needs the face table; beta and the walk,
+    # which reads one product per weighted face and chamber, do not
     capped = ["--n", "5", "--guard", "table_cap=100", "--out",
               str(tmp_path / "out")]
     assert cli.main(["descent", *capped, "--phi-check"]) == 4
-    walk = _spec(tmp_path, {
-        f"{i}|" + ",".join(str(x) for x in range(1, 6) if x != i): "1/5"
-        for i in range(1, 6)}, "walk.json")
-    assert cli.main(["descent", *capped, "--walk", walk]) == 4
     assert cli.main(["descent", *capped, "--beta"]) == 0
+    assert cli.main(["descent", *capped,
+                     "--walk", _move_to_front(tmp_path, 5)]) == 0
+
+
+def test_descent_walk_runs_past_the_table_cap(tmp_path):
+    # S_6 has 4683 faces, more than the default table cap of 2048
+    out = tmp_path / "out"
+    assert cli.main(["descent", "--n", "6", "--walk",
+                     _move_to_front(tmp_path, 6), "--out", str(out)]) == 0
+    data = json.loads((out / "descent.json").read_text())
+    assert data["faces"] == 4683
+    assert data["walk"]["matches_chamber_walk"] is True
 
 
 @pytest.mark.parametrize("field, value", [

@@ -23,9 +23,9 @@ from bandwalk.guards import DEFAULT_GUARDS
 BRAID = {
     "free_lrb": (constructions.free_lrb, constructions._word_vector),
     "free_lrb_bar": (constructions.free_lrb_bar,
-                     constructions._face_vector),
+                     constructions.face_vector),
     "ordered_partitions": (constructions.ordered_partitions,
-                           constructions._face_vector),
+                           constructions.face_vector),
 }
 
 # no dense table: every product goes through the object rule
@@ -450,7 +450,7 @@ def test_braid_kernel_product_matches_the_object_rule(family, n, data):
 
 def test_braid_table_is_independent_of_the_chunk_size(monkeypatch):
     sg = constructions.ordered_partitions(3)
-    vectors = [constructions._face_vector(p, 3) for p in sg.objects]
+    vectors = [constructions.face_vector(p, 3) for p in sg.objects]
     monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
     assert numpy.array_equal(constructions.braid_table(vectors, sg.keys),
                              sg.table)

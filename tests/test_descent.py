@@ -296,7 +296,11 @@ def test_corrupted_chamber_product_breaks_the_walk_correspondence(entry,
         face = min(c for c in _S4_CHAMBERS if c != kept)
     table[i][j] = face
     try:
-        assert not descent.descent_walk(_S4_ALL_FACES, 4, _S4)[1]
+        if face in _S4_CHAMBERS:
+            assert not descent.descent_walk(_S4_ALL_FACES, 4, _S4)[1]
+        else:
+            with pytest.raises(FalsificationError, match="not a chamber"):
+                descent.descent_walk(_S4_ALL_FACES, 4, _S4)
     finally:
         table[i][j] = kept
     assert descent.descent_walk(_S4_ALL_FACES, 4, _S4)[1]
