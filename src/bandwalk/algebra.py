@@ -247,8 +247,10 @@ def certify_members(structure, w, members, nodes, guards=DEFAULT_GUARDS):
     sg = structure.semigroup
     family = {structure.labels[x]: (nodes[x], den, list(e.items()))
               for x, (den, e) in members.items()}
-    certify_family(sg.tabulate(guards), sg.identity, list(w.nums.items()),
-                   family)
+    table = sg.tabulate(guards)
+    certify_family(sg.size, sg.identity,
+                   [(table[x].tolist(), c) for x, c in w.nums.items()],
+                   family, lambda: table)
 
 
 def stationary_from_idempotents(structure, fam):

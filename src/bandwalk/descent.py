@@ -67,13 +67,24 @@ def class_values(vec, classes):
     return values if numpy.array_equal(values[classes], vec) else None
 
 
+def face_count(n):
+    """The faces of the complex, the ordered set partitions of {1..n}:
+    the ordered Bell number sum_k k! S(n, k), counted by the size j of
+    the first block, f(m) = sum_j C(m, j) f(m - j)."""
+    f = [1]
+    for m in range(1, n + 1):
+        f.append(sum(comb(m, j) * f[m - j] for j in range(1, m + 1)))
+    return f[n]
+
+
 # ------------------------------------------------------------ the group
 
 
 class _SymmetricGroupTable:
     """S_n in lexicographic order, the identity first, with the descent
     set of each permutation as a type mask and the dense composition
-    table, built on first use."""
+    table, built on first use; `rows` computes a few of its rows
+    without it."""
 
     def __init__(self, n):
         self.n = n
@@ -81,21 +92,30 @@ class _SymmetricGroupTable:
         self.index = {w: i for i, w in enumerate(self.perms)}
         self.descents = numpy.array(
             [type_mask(descent_set(w)) for w in self.perms])
+        # a permutation is coded by its values 0..n-1 as base-n digits,
+        # so the codes ascend in lexicographic order
+        self._digits = numpy.array(self.perms, dtype=numpy.int64) - 1
+        self._codes = self._digits @ (
+            n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64))
+
+    def _product_codes(self, us):
+        """Codes of u * v for the u at `us`, a slice or an index list,
+        and every v: digit k of u * v is u at v[k]."""
+        d = self._digits
+        n = self.n
+        return sum(d[us][:, d[:, k]] * n ** (n - 1 - k) for k in range(n))
 
     @cached_property
     def comp(self):
-        # a permutation is coded by its values 0..n-1 as base-n digits;
-        # digit k of u * v is u at v[k], for every v at once
-        n = self.n
-        perms = numpy.array(self.perms, dtype=numpy.int64) - 1
-        powers = n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
+        return constructions.coded_products(
+            self._codes, self.perms, self.n,
+            lambda lo, hi: self._product_codes(slice(lo, hi)))
 
-        def product_codes(lo, hi):
-            return sum(perms[lo:hi, perms[:, k]] * powers[k]
-                       for k in range(n))
-
-        return constructions.coded_products(perms @ powers, self.perms, n,
-                                            product_codes)
+    def rows(self, us):
+        """Rows `us` of `comp` as lists, found by a sorted search of the
+        product codes instead of from the whole table."""
+        return numpy.searchsorted(self._codes,
+                                  self._product_codes(us)).tolist()
 
     def descent_rows(self):
         """(u, z), integer matrices with one row per type mask J: row J
@@ -378,5 +398,8 @@ def certify_top_to_random(table, ints, moves):
     family = {f"E_{i}": (i, factorial(n),
                          [(table.index[w], a) for w, a in ints[i].items()])
               for i in range(n + 1) if i != n - 1}
-    spectral.certify_family(table.comp, table.index[tuple(range(1, n + 1))],
-                            [(table.index[w], 1) for w in moves], family)
+    letters = [(row, 1) for row in table.rows([table.index[w]
+                                               for w in moves])]
+    spectral.certify_family(len(table.perms),
+                            table.index[tuple(range(1, n + 1))], letters,
+                            family, lambda: table.comp)

@@ -340,25 +340,25 @@ def annihilated(structure, w, lams):
     return vs, nodes, next((x for x, a in enumerate(residue) if a), None)
 
 
-def certify_family(table, identity, letters, members):
+def certify_family(size, identity, letters, members, table):
     """Certify members e_k as the eigenprojectors of a, in integers.
 
-    a is the sum of c x over the pairs (x, c) in `letters`, x y is
-    table[x][y], and `members` maps a name k to (r_k, den, pairs), e_k
-    the sum of (c / den) y over the pairs (y, c).  Checks: (1) sum e_k
-    = 1; (2) a e_k = r_k e_k; (3) e_k e_l = 0 for k != l in a tie group,
-    the members sharing one r.  Lemma: by (1) and (2), p(a) = sum
-    p(r_k) e_k for every polynomial p, so prod (a - r) = 0 over the
-    distinct r, and the Lagrange projectors p_r(a) are the orthogonal
-    idempotents E_r, the sums of the e_k with r_k = r, with E_r e_k =
-    [r_k = r] e_k; a lone member is its E_r.  By (3), e_k = E_{r_k} e_k
-    = e_k^2 = e_k E_{r_k}, so e_k E_s = e_k E_{r_k} E_s = 0 for s !=
-    r_k: products across groups vanish and e_k a = r_k e_k.  That is
-    |F| + sum |G| (|G| - 1) sparse products, not |F|^2.
+    The algebra has the elements 0..size-1.  a is the sum of c x over
+    the (row of x, c) pairs in `letters`, row[y] being x y as for
+    `sparse_product`; `members` maps a name k to (r_k, den, pairs), e_k
+    the sum of (c / den) y over the pairs (y, c); and table() gives the
+    whole product table, x y at table[x][y], which only a tie group
+    reads.  Checks: (1) sum e_k = 1; (2) a e_k = r_k e_k; (3) e_k e_l =
+    0 for k != l in a tie group, the members sharing one r.  Lemma: by
+    (1) and (2), p(a) = sum p(r_k) e_k for every polynomial p, so
+    prod (a - r) = 0 over the distinct r, and the Lagrange projectors
+    p_r(a) are the orthogonal idempotents E_r, the sums of the e_k with
+    r_k = r, with E_r e_k = [r_k = r] e_k; a lone member is its E_r.
+    By (3), e_k = E_{r_k} e_k = e_k^2 = e_k E_{r_k}, so e_k E_s =
+    e_k E_{r_k} E_s = 0 for s != r_k: products across groups vanish and
+    e_k a = r_k e_k.  That is |F| + sum |G| (|G| - 1) sparse products,
+    not |F|^2.
     """
-    size = len(table)
-    a = [(table[x].tolist(), c) for x, c in letters]
-
     def check(ok, why, witness=None):
         if not ok:
             raise FalsificationError(why.format(witness), witness=witness)
@@ -372,13 +372,13 @@ def certify_family(table, identity, letters, members):
     check(not any(total), "the family does not sum to 1")
     groups = {}
     for k, (r, _, e) in members.items():
-        out = sparse_product(a, e, size)
+        out = sparse_product(letters, e, size)
         for y, c in e:
             out[y] -= r * c
         check(not any(out), "member {} is not an eigenvector of a", k)
         groups.setdefault(r, []).append(k)
     ties = [g for g in groups.values() if len(g) > 1]
-    rows = table.tolist() if ties else None
+    rows = table().tolist() if ties else None
     for group in ties:
         for k, l in permutations(group, 2):
             ek = [(rows[y], c) for y, c in members[k][2]]

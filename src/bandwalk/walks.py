@@ -18,10 +18,16 @@ a_x = D w_x of `spectral.WeightVector` and n_X = D lambda_X of
 kS through `spectral.sparse_product`, and return Fractions.  Empirical
 paths replay the seeded standard generator in blocks: `_draw_blocks`
 rebuilds its `random()` stream, double for double, from `getrandbits`
-words and draws a whole block of elements with one sorted search, so
-every sampled artifact is the one a draw-at-a-time loop would give.
-They report floats, checked against exact values within the DKW band
-of `dkw_epsilon`, whose false-alarm rate does not depend on the seed.
+words and draws a whole block with one sorted search, so every sampled
+artifact is the one a draw-at-a-time loop would give.  A draw is a
+position k into the weighted ids, and the loops read everything per
+draw off rows indexed by k, built once per call: the walk steps along
+the table row of ids[k]; the draw-until-top loop tests a rise of the
+support with one rise row per flat, and only the stationary sampler,
+which needs the landing chamber, multiplies the accumulator in, from
+the table columns of the weighted ids.  Empirical values are floats,
+checked against exact values within the DKW band of `dkw_epsilon`,
+whose false-alarm rate does not depend on the seed.
 """
 
 import math
@@ -63,8 +69,9 @@ DRAW_BLOCK = 4096
 
 
 def _draw_blocks(w, seed):
-    """Element ids drawn from w by inverse CDF, as an endless stream of
-    int64 arrays of DRAW_BLOCK draws each.
+    """(ids, blocks): the weighted element ids w.support_ids(), and the
+    draws from w by inverse CDF as an endless stream of lists of
+    DRAW_BLOCK positions into ids.
 
     Draw k is ids[bisect_left(cum, u_k * acc)], with cum the float
     running sums of w, acc their total and u_k the k-th rng.random() of
@@ -83,7 +90,6 @@ def _draw_blocks(w, seed):
     for i in ids:
         acc += float(w[i])
         cum.append(acc)
-    ids = np.array(ids, dtype=np.int64)
     cum = np.array(cum)
     rng = random.Random(seed)
 
@@ -96,26 +102,29 @@ def _draw_blocks(w, seed):
             u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
                 * (1.0 / 9007199254740992.0)
             # u < 1, so the scaled point never passes cum[-1] == acc
-            yield ids[np.searchsorted(cum, u * acc, side="left")]
+            yield np.searchsorted(cum, u * acc, side="left").tolist()
 
-    return blocks()
+    return ids, blocks()
 
 
 def simulate(structure, w, c0, steps, seed):
-    """Seeded left-multiplication walk from chamber c0."""
-    sg = structure.semigroup
+    """Seeded left-multiplication walk from chamber c0.
+
+    A draw at position k of the weighted ids moves the chamber along
+    the table row of ids[k], read as a zero-copy memoryview."""
     if c0 not in structure.chambers:
         raise MalformedInputError(f"start {c0} is not a chamber")
     if steps < 0:
         raise MalformedInputError(f"negative step count {steps}")
-    draws = _draw_blocks(w, seed)
-    prod = sg.product
+    ids, draws = _draw_blocks(w, seed)
+    table = structure.semigroup.tabulate()
+    left = [memoryview(table[x]) for x in ids]
     out = []
     cur = c0
     while len(out) < steps:
-        for x in next(draws)[:steps - len(out)].tolist():
-            cur = prod(x, cur)
-            out.append((x, cur))
+        for k in next(draws)[:steps - len(out)]:
+            cur = left[k][cur]
+            out.append((ids[k], cur))
     return WalkTrajectory(c0, seed, out)
 
 
@@ -211,17 +220,23 @@ def _stationary_law(st, w):
     return q, nums
 
 
-def _sample_until_top(structure, w, seed, samples, guards):
+def _sample_until_top(structure, w, seed, samples, guards, landing):
     """Draw from w until the joined support of the draws reaches the top
     flat, `samples` times over.
 
     Returns (stopping time T -> count, landing chamber -> count), where
-    a sample lands on the product x1 .. xT of its draws.  A draw whose
-    support lies below the running join is absorbed (xy = x when
-    supp y <= supp x), so only the draws that raise the support are
-    multiplied in.  The samples run back to back through one loop over
-    the blocks of `_draw_blocks`, with the supports of a block looked up
-    at once and the join row of the current flat kept at hand.  A
+    a sample lands on the product x1 .. xT of its draws; with `landing`
+    false the landings are not computed and the second count is None.
+    The samples run back to back through one loop over the blocks of
+    `_draw_blocks`, whose draws are positions k into the weighted ids.
+    The rise rows rise[f][k] = f v supp ids[k], one per flat f, turn a
+    draw into one list index and one compare: the draw raises the
+    support exactly when the flat changes.  A draw whose support lies
+    below the running join is absorbed (xy = x when supp y <= supp x),
+    so only the draws that raise the support are multiplied in, the
+    accumulator a going to rows[a][k] = a ids[k]; rows holds one
+    memoryview per element over one contiguous int32 copy of the table
+    columns of the weighted ids, at most the size of the table.  A
     sample still short of the top after `sample_step_cap` draws raises
     StagnationError; a band whose bottom flat is its top has T = 0 for
     every sample and draws nothing.
@@ -229,42 +244,48 @@ def _sample_until_top(structure, w, seed, samples, guards):
     if samples < 1:
         raise MalformedInputError(f"need at least one sample, got {samples}")
     sg = structure.semigroup
-    cells = memoryview(sg.tabulate(guards))
-    supp = np.array(structure.supp, dtype=np.int64)
-    join = structure.join.tolist()
     bottom = structure.bottom
     top = structure.top
-    draws = _draw_blocks(w, seed)      # checks the weights, drawing nothing
+    ids, draws = _draw_blocks(w, seed)   # checks the weights, drawing nothing
     if bottom == top:
-        return {0: samples}, {sg.identity: samples}
+        return {0: samples}, {sg.identity: samples} if landing else None
+    # one int object per flat, shared by every row: past 256 flats a
+    # plain tolist() would hold a fresh int in every cell
+    flats = np.array(range(structure.n_flats), dtype=object)
+    supps = np.asarray(structure.supp)[ids]
+    rise = [flats[r[supps]].tolist() for r in structure.join]
+    if landing:
+        columns = np.ascontiguousarray(sg.tabulate(guards)[:, ids])
+        rows = [memoryview(r) for r in columns]
     cap = guards.sample_step_cap
     times = {}
-    landed = {}
+    landed = {} if landing else None
     left = samples
     acc = sg.identity
     flat = bottom
-    row = join[bottom]
+    row = rise[bottom]
     t = 0
     while left:
-        block = next(draws)
-        for x, s in zip(block.tolist(), supp[block].tolist()):
+        for k in next(draws):
             t += 1
-            up = row[s]
+            up = row[k]
             if up != flat:
-                acc = cells[acc, x]
+                if landing:
+                    acc = rows[acc][k]
                 flat = up
-                row = join[up]
+                row = rise[up]
                 if up == top:
                     if t > cap:
                         break
                     times[t] = times.get(t, 0) + 1
-                    landed[acc] = landed.get(acc, 0) + 1
+                    if landing:
+                        landed[acc] = landed.get(acc, 0) + 1
                     left -= 1
                     if not left:
                         break
                     acc = sg.identity
                     flat = bottom
-                    row = join[bottom]
+                    row = rise[bottom]
                     t = 0
         if t > cap:
             raise StagnationError(
@@ -280,7 +301,8 @@ def sample_stationary(structure, w, seed, samples, guards=DEFAULT_GUARDS):
     carries top support, then records the chamber it landed on and the
     stopping time T.  Returns (distribution, stopping time counts).
     """
-    times, landed = _sample_until_top(structure, w, seed, samples, guards)
+    times, landed = _sample_until_top(structure, w, seed, samples, guards,
+                                      landing=True)
     chambers = structure.chambers
     probs = [landed.get(c, 0) / samples for c in chambers]
     keys = structure.semigroup.keys
@@ -291,8 +313,9 @@ def sample_stationary(structure, w, seed, samples, guards=DEFAULT_GUARDS):
 
 def sample_stopping_times(structure, w, seed, samples,
                           guards=DEFAULT_GUARDS):
-    """Stopping-time counts only."""
-    return _sample_until_top(structure, w, seed, samples, guards)[0]
+    """Stopping-time counts only; no landing product is computed."""
+    return _sample_until_top(structure, w, seed, samples, guards,
+                             landing=False)[0]
 
 
 # --------------------------------------------------------- convergence

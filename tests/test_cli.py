@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bandwalk import cli
+from bandwalk import cli, descent
 from bandwalk.errors import MalformedInputError
 from bandwalk.guards import load_guards
 
@@ -161,6 +161,21 @@ def test_descent_subcommand(tmp_path):
     lopsided = _spec(tmp_path, {"1|2|3": "1/3", "2|1|3": "1/3",
                                 "3|1|2": "1/3"}, "bad_walk.json")
     assert cli.main(["descent", "--n", "3", "--walk", lopsided]) == 2
+
+
+def test_descent_idempotents_build_no_complex(tmp_path, monkeypatch):
+    # the counts are closed forms, and the E_i live in the group alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(descent, "coxeter_complex", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["descent", "--n", "4", "--idempotents",
+                     "--out", str(out)]) == 0
+    data = json.loads((out / "descent.json").read_text())
+    assert (data["faces"], data["chambers"]) == (75, 24)
+    assert cli.main(["descent", "--n", "4"]) == 0
+    assert cli.main(["descent", "--n", "8", "--idempotents"]) == 4
 
 
 def _move_to_front(tmp_path, n):

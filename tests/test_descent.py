@@ -76,6 +76,13 @@ def test_complex_shape_and_type_classes():
         assert (cx.face_type[cls] == descent.type_mask(t)).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_face_count_is_the_size_of_the_complex(n):
+    cx = descent.coxeter_complex(n)
+    assert descent.face_count(n) == cx.semigroup.size
+    assert math.factorial(n) == len(cx.group.perms)
+
+
 def test_orbit_check_refuses_a_face_outside_its_type_class(monkeypatch):
     # list the face 2|1,3 twice, in place of 1|2,3: the type class of
     # (1,) is no longer the orbit of 1|2,3
@@ -316,6 +323,23 @@ def test_top_to_random_idempotent_family():
             assert len(w) == 4
 
 
+def test_top_to_random_reads_only_the_move_to_front_rows(monkeypatch):
+    # the E_i never tie, so no certificate needs the n! x n! table
+    made = []
+
+    class Recording(descent._SymmetricGroupTable):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(descent, "_SymmetricGroupTable", Recording)
+    fam = descent.top_to_random_idempotents(6)
+    assert len(made) == 1
+    assert "comp" not in made[0].__dict__
+    monkeypatch.undo()
+    assert fam == descent.top_to_random_idempotents(6)
+
+
 def _vector(group, elem):
     out = numpy.zeros(len(group.perms), dtype=numpy.int64)
     for w, v in elem.items():
@@ -413,6 +437,9 @@ def test_top_to_random_certificate_rejects_a_swapped_measure(n):
 def test_composition_table_composes_every_pair(monkeypatch, chunk):
     monkeypatch.setattr(constructions, "TABLE_CHUNK", chunk)
     group = descent._SymmetricGroupTable(4)
+    rows = group.rows(list(range(len(group.perms))))
     for i, u in enumerate(group.perms):
         for j, v in enumerate(group.perms):
             assert group.comp[i, j] == group.index[_compose(u, v)]
+    assert rows == group.comp.tolist()
+    assert group.rows([5, 0, 5]) == [rows[5], rows[0], rows[5]]

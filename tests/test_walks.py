@@ -453,11 +453,29 @@ def test_draw_blocks_replay_the_standard_generator(monkeypatch, seed, block):
     sg, _ = _f3()
     w = _spread_weights(sg)
     draw = _oracle_draw(w, random.Random(seed))
-    blocks = walks._draw_blocks(w, seed)
+    ids, blocks = walks._draw_blocks(w, seed)
+    assert ids == w.support_ids()
     for _ in range(3):
-        got = next(blocks).tolist()
+        got = [ids[k] for k in next(blocks)]
         assert len(got) == walks.DRAW_BLOCK
         assert got == [draw() for _ in got]
+
+
+def _check_against_the_oracle(st, w, seed, samples, block):
+    c0 = st.chambers[seed % len(st.chambers)]
+    with _block_size(block):
+        got = walks._sample_until_top(st, w, seed, samples, DEFAULT_GUARDS,
+                                      landing=True)
+        only_times = walks.sample_stopping_times(st, w, seed, samples)
+        traj = walks.simulate(st, w, c0, samples, seed)
+    times, landed = got
+    want_times, want_landed = _oracle_until_top(st, w, seed, samples)
+    assert times == want_times
+    assert list(times) == list(want_times)
+    assert landed == want_landed
+    assert only_times == want_times
+    assert list(only_times) == list(want_times)
+    assert traj.steps == _oracle_simulate(st, w, c0, samples, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,16 +491,19 @@ def test_block_samplers_match_the_per_draw_oracle(band, weights, seed,
     sg = st.semigroup
     w = (spectral.uniform_on_generators(sg) if weights is None
          else spectral.seeded_generator_weights(sg, weights))
-    c0 = st.chambers[seed % len(st.chambers)]
-    with _block_size(block):
-        got = walks._sample_until_top(st, w, seed, samples, DEFAULT_GUARDS)
-        traj = walks.simulate(st, w, c0, samples, seed)
-    times, landed = got
-    want_times, want_landed = _oracle_until_top(st, w, seed, samples)
-    assert times == want_times
-    assert list(times) == list(want_times)
-    assert landed == want_landed
-    assert traj.steps == _oracle_simulate(st, w, c0, samples, seed)
+    _check_against_the_oracle(st, w, seed, samples, block)
+
+
+@pytest.mark.parametrize("block", [1, 7, walks.DRAW_BLOCK])
+@pytest.mark.parametrize("seed", [0, 2 ** 40 + 7])
+def test_block_samplers_match_the_oracle_with_weight_on_every_element(
+        seed, block):
+    # |supp w| = |S|: the identity, which never raises the support, and
+    # the chambers, which reach the top in one draw, are drawn too
+    st = _band("ordered_partitions(3)")
+    w = _spread_weights(st.semigroup)
+    assert w.support_ids() == list(range(st.semigroup.size))
+    _check_against_the_oracle(st, w, seed, 300, block)
 
 
 def test_a_one_flat_band_stops_at_once_without_drawing(monkeypatch):
@@ -494,8 +515,8 @@ def test_a_one_flat_band_stops_at_once_without_drawing(monkeypatch):
     real = walks._draw_blocks
 
     def no_draws(w, seed):
-        real(w, seed)
-        return iter(())        # a draw would raise StopIteration
+        ids, _ = real(w, seed)
+        return ids, iter(())   # a draw would raise StopIteration
 
     monkeypatch.setattr(walks, "_draw_blocks", no_draws)
     dist, times = walks.sample_stationary(st, w, seed=3, samples=50)
@@ -518,6 +539,12 @@ def test_the_step_cap_admits_a_sample_of_exactly_cap_draws(monkeypatch,
     below = replace(DEFAULT_GUARDS, sample_step_cap=longest - 1)
     with pytest.raises(StagnationError, match=f"within {longest - 1} draws"):
         walks.sample_stopping_times(st, w, 4, 200, below)
+    # the landing path counts the same draws against the same cap
+    dist, got = walks.sample_stationary(st, w, 4, 200, at_cap)
+    assert got == times
+    assert (dist, got) == walks.sample_stationary(st, w, 4, 200)
+    with pytest.raises(StagnationError, match=f"within {longest - 1} draws"):
+        walks.sample_stationary(st, w, 4, 200, below)
 
 
 def test_the_samplers_leave_numpy_random_unloaded():
