@@ -29,7 +29,7 @@ import numpy as np
 from . import posets
 from .errors import FalsificationError, MalformedInputError, PreconditionError
 from .guards import DEFAULT_GUARDS
-from .spectral import certify_family, flat_nodes
+from .spectral import certify_family, flat_nodes, weighted_rows
 
 
 # ----------------------------------------------------- support pass
@@ -71,7 +71,7 @@ def support_pass(structure, w, settle, start, below=None,
     leq = structure.leq.tolist()
     xs = w.support_ids()
     letters = [(structure.supp[x], w.nums[x]) for x in xs]
-    products = sg.tabulate(guards)[:, xs].tolist()
+    products = sg.id_lists(sg.tabulate(guards)[:, xs])
     mass = {sg.identity: start}
     for f in structure.order:
         held = [(a, mass.pop(a)) for a in structure.members[f] if a in mass]
@@ -247,10 +247,8 @@ def certify_members(structure, w, members, nodes, guards=DEFAULT_GUARDS):
     sg = structure.semigroup
     family = {structure.labels[x]: (nodes[x], den, list(e.items()))
               for x, (den, e) in members.items()}
-    table = sg.tabulate(guards)
-    certify_family(sg.size, sg.identity,
-                   [(table[x].tolist(), c) for x, c in w.nums.items()],
-                   family, lambda: table)
+    certify_family(sg.size, sg.identity, weighted_rows(structure, w), family,
+                   lambda: sg.id_lists(sg.tabulate(guards)))
 
 
 def stationary_from_idempotents(structure, fam):

@@ -21,13 +21,9 @@ from .guards import load_guards
 def _add_common(p):
     p.add_argument("--out", metavar="DIR",
                    help="write artifacts under DIR instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   dest="fmt", help="matrix artifact format")
     p.add_argument("--guard", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="override a size cap (also via LRB_GUARD_NAME)")
-    p.add_argument("--verbose", action="store_true",
-                   help="print full tables, not just summaries")
 
 
 def _build_parser():
@@ -47,6 +43,8 @@ def _build_parser():
     _add_weight_opts(p)
     p.add_argument("--certify", action="store_true",
                    help="certify diagonalizability in the semigroup algebra")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   dest="fmt", help="matrix artifact format")
     _add_common(p)
 
     p = sub.add_parser("idempotents", help="primitive idempotents of the "
@@ -78,6 +76,8 @@ def _build_parser():
                    default="exact")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--verbose", action="store_true",
+                   help="print every chamber's probability")
     _add_common(p)
 
     p = sub.add_parser("converge", help="total-variation decay against "
@@ -90,6 +90,8 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=0,
                    help="also estimate the stopping-time tail")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--verbose", action="store_true",
+                   help="print every row of the report")
     _add_common(p)
 
     p = sub.add_parser("derangement", help="generalized derangement "

@@ -30,17 +30,15 @@ Every constructor attaches the generating set it is usually driven by
 and an ExpectedLattice describing what the derived support lattice must
 be isomorphic to.
 
-While |S| <= table_cap, every band but the distributive chains gets
-its dense table at build time from an integer kernel in place of the
-object rule.  Elements become integer vectors, stored as mixed-radix
-integer codes; products are computed over numpy arrays of pairs, one
+Each band has one product implementation, which serves its
+`Semigroup.rows(ids)`.  Every band but the distributive chains, which
+read their lattice product, serves it from an integer kernel: elements
+become integer vectors, stored as mixed-radix integer codes; the
+products of the requested rows are computed over numpy arrays, one
 block of rows at a time, and `coded_products` looks their codes up
-among the sorted element codes and writes the ids straight into the
-band's int32 table, rejecting a product outside the list.  Above
-table_cap the object rule serves product() one pair at a time, and it
-stays the reference the tests compare against.
+among the sorted element codes, rejecting a product outside the list.
 
-`braid_table` serves the first three, bands of faces of the braid
+`braid_rows` serves the first three, bands of faces of the braid
 arrangement.  A face on {1..n} becomes its block-index vector v,
 v[x-1] = index of the block holding x; a free-LRB word becomes its
 position vector, v[x-1] = position of x in the word, with absent
@@ -49,7 +47,7 @@ v is then the lexicographic rank of the pairs (u[x], v[x]) among the
 pairs present, except that a letter absent from both factors stays in
 the sentinel block.
 
-`closure_table` serves the bands of a closure system.  Its flats are
+`closure_rows` serves the bands of a closure system.  Its flats are
 numbered once per band, bottom first, with small integer tables for
 the join of a flat with a point (`_point_join`, read off the system's
 closure) and with another flat (`_flat_join`); a tuple becomes its
@@ -58,7 +56,8 @@ number of table lookups.
 """
 
 import itertools
-from math import factorial
+import math
+from dataclasses import replace
 
 import numpy
 
@@ -103,39 +102,40 @@ TABLE_CHUNK = 2 ** 15
 
 
 def coded_products(codes, keys, width, product_codes):
-    """Ids of every product, as a C-contiguous int32 size x size table.
+    """The product rows of a band whose elements carry integer codes.
 
-    codes: integer code of each element, in id order.
-    product_codes(lo, hi) gives the codes of the products of elements
-    lo..hi-1 with every element, shape (hi - lo, size); a pair costs
-    about `width` array elements, and a block holds about TABLE_CHUNK of
-    them.  Codes are mapped to ids through the sorted element codes and
-    written into the table one block of rows at a time; a product
-    outside the list is malformed input naming the pair.
+    codes: integer code of each element, in id order.  product_codes(us)
+    gives the codes of the products of the elements at the index array
+    us with every element, shape (len(us), size); a pair costs about
+    `width` array elements.  Returns rows(ids), the int32 ids of those
+    products for the elements at ids, filled one block of about
+    TABLE_CHUNK array elements at a time through the sorted element
+    codes; a product outside the list is malformed input naming the
+    pair.
     """
     size = len(codes)
     by_code = numpy.argsort(codes).astype(numpy.int32)
     sorted_codes = codes[by_code]
-    table = numpy.empty((size, size), dtype=numpy.int32)
-    rows = max(1, TABLE_CHUNK // (size * width))
-    for lo in range(0, size, rows):
-        got = product_codes(lo, lo + rows)
-        at = numpy.minimum(numpy.searchsorted(sorted_codes, got), size - 1)
-        missing = numpy.argwhere(sorted_codes[at] != got)
-        if len(missing):
-            i, j = missing[0]
-            raise MalformedInputError(
-                "product leaves the element list: "
-                f"{keys[lo + i]} * {keys[j]}")
-        table[lo:lo + rows] = by_code[at]
-    return table
 
+    def rows(ids):
+        ids = numpy.asarray(ids, dtype=numpy.intp)
+        out = numpy.empty((len(ids), size), dtype=numpy.int32)
+        block = max(1, TABLE_CHUNK // (size * width))
+        for lo in range(0, len(ids), block):
+            us = ids[lo:lo + block]
+            got = product_codes(us)
+            at = numpy.minimum(numpy.searchsorted(sorted_codes, got),
+                               size - 1)
+            missing = numpy.argwhere(sorted_codes[at] != got)
+            if len(missing):
+                i, j = missing[0]
+                raise MalformedInputError(
+                    "product leaves the element list: "
+                    f"{keys[us[i]]} * {keys[j]}")
+            out[lo:lo + block] = by_code[at]
+        return out
 
-def _tabulated(sg, guards, build_table):
-    """Give a band its kernel-built table when it fits the cap."""
-    if sg.size <= guards.table_cap:
-        sg.table = build_table()
-    return sg
+    return rows
 
 
 def face_vector(blocks, n):
@@ -174,8 +174,8 @@ def braid_product(u, v):
     return numpy.where(pairs == n * (n + 1) + n, n, rank)
 
 
-def braid_table(vectors, keys):
-    """Dense Cayley table of a band of braid faces or words.
+def braid_rows(vectors, keys):
+    """The product rows of a band of braid faces or words.
 
     vectors: one block-index or position vector per element, in id
     order, stored as base-(n+1) codes.
@@ -184,20 +184,21 @@ def braid_table(vectors, keys):
     n = vecs.shape[1]
     powers = (n + 1) ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
 
-    def product_codes(lo, hi):
-        return braid_product(vecs[lo:hi, None, :], vecs[None, :, :]) @ powers
+    def product_codes(us):
+        return braid_product(vecs[us][:, None, :], vecs[None, :, :]) @ powers
 
     return coded_products(vecs @ powers, keys, n, product_codes)
 
 
-def closure_table(elements, keys, join, chains):
-    """Dense Cayley table of a band driven by a closure operator.
+def closure_rows(elements, keys, join, chains):
+    """The product rows of a band driven by a closure operator.
 
     Flats are numbered 0..F-1 with the bottom flat 0, and `join` is an
     integer array with F rows: join[f, x] is the flat spanned by f and
     x.  Each element, a sequence of ints, is padded to the longest with
     the value P = join.shape[1], a step that joins to nothing new, and
-    stored as its base-(P+1) code.
+    coded in mixed radix by digits that number densely the values met
+    at each position, one more digit standing for every other value.
 
     chains=False: elements are tuples of letters, join is the point
     join F x N (P = N), and a b appends each letter x of b with
@@ -210,17 +211,29 @@ def closure_table(elements, keys, join, chains):
     member of b, dropping repeats.  Since b increases, that join equals
     the join of the previous one with the member, so both shapes run
     the same loop: one step per position of b, over every pair of a
-    block of rows at once.  A product longer than every element is
+    block of rows at once, adding each appended value's digit to the
+    code of the kept prefix.  A product longer than every element is
     outside the list.
     """
     flats, pad = join.shape
     width = max(map(len, elements))
-    if (pad + 1) ** width >= 2 ** 63:
-        raise SizeGuardError(
-            f"{width} digits in base {pad + 1} overflow an int64 code")
     vecs = numpy.array([list(e) + [pad] * (width - len(e)) for e in elements],
                        dtype=numpy.int64)
     size = len(vecs)
+    # digit[k, v]: the value v at position k, times the place of k
+    digit = numpy.empty((width, pad + 1), dtype=numpy.int64)
+    radix = []
+    for k, column in enumerate(vecs.T):
+        seen = numpy.unique(column)
+        digit[k] = len(seen)
+        digit[k, seen] = numpy.arange(len(seen))
+        radix.append(len(seen) + 1)
+    if math.prod(radix) >= 2 ** 63:
+        raise SizeGuardError(f"{width} digits in radices {radix} overflow "
+                             "an int64 code")
+    digit *= numpy.array([math.prod(radix[k + 1:]) for k in range(width)],
+                         dtype=numpy.int64)[:, None]
+    at = numpy.arange(width)
     join = numpy.hstack([join, numpy.arange(flats)[:, None]])
     length = (vecs != pad).sum(axis=1)
     if chains:
@@ -234,28 +247,26 @@ def closure_table(elements, keys, join, chains):
         for x in vecs.T:
             start = join[start, x]
         steps = vecs
-    # one spare slot takes the writes past the longest element
-    prefix = numpy.full((size, width + 1), pad, dtype=numpy.int64)
-    prefix[:, :width] = numpy.where(
-        numpy.arange(width) < keep[:, None], vecs, pad)
-    powers = (pad + 1) ** numpy.arange(width - 1, -1, -1, dtype=numpy.int64)
+    kept = digit[at, numpy.where(at < keep[:, None], vecs, pad)].sum(axis=1)
+    # a value put at position k, over the pad there; a value put past the
+    # longest element makes count exceed width, whatever it adds
+    rise = digit - digit[:, pad:]
 
-    def product_codes(lo, hi):
-        out = numpy.repeat(prefix[lo:hi, None, :], size, axis=1)
-        count = numpy.repeat(keep[lo:hi, None], size, axis=1)
-        flat = numpy.repeat(start[lo:hi, None], size, axis=1)
+    def product_codes(us):
+        code = numpy.repeat(kept[us][:, None], size, axis=1)
+        count = numpy.repeat(keep[us][:, None], size, axis=1)
+        flat = numpy.repeat(start[us][:, None], size, axis=1)
         for x in steps.T:
             joined = join[flat, x]
             new = joined != flat
-            put = numpy.where(new, joined if chains else x, pad)
-            numpy.put_along_axis(out, numpy.minimum(count, width)[..., None],
-                                 put[..., None], axis=-1)
+            code += new * rise[numpy.minimum(count, width - 1),
+                               joined if chains else x]
             count += new
             flat = joined
-        codes = out[..., :width] @ powers
-        return numpy.where(count > width, -1, codes)
+        return numpy.where(count > width, -1, code)
 
-    return coded_products(vecs @ powers, keys, width + 1, product_codes)
+    return coded_products(digit[at, vecs].sum(axis=1), keys, width + 1,
+                          product_codes)
 
 
 def _flat_join(point_join, members):
@@ -275,18 +286,11 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
     dropped.  Chambers are the n! full-length tuples; the support
     lattice is the boolean lattice of subsets."""
     check_n("free_lrb", n, guards.free_n_cap)
+    _check_count(f"free_lrb({n})",
+                 sum(math.perm(n, k) for k in range(n + 1)), guards)
     universe = range(1, n + 1)
     elements = [tuple(t) for r in range(n + 1)
                 for t in itertools.permutations(universe, r)]
-
-    def mult(a, b):
-        seen = set(a)
-        out = list(a)
-        for x in b:
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-        return tuple(out)
 
     def set_label(t):
         return "{" + ",".join(map(str, sorted(t))) + "}"
@@ -295,16 +299,12 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
                for c in itertools.combinations(universe, r)]
     expected = ExpectedLattice(
         labels=tuple(subsets),
-        label_of=lambda t: set_label(t),
+        label_of=set_label,
         leq=lambda a, b: _set_of(a) <= _set_of(b),
     )
-    sg = Semigroup.from_objects(
-        f"free_lrb({n})", elements, mult, _tuple_key, (),
-        generators=[(x,) for x in universe],
-        expected=_wrap_expected(expected, elements),
-        family="free_lrb", meta={"n": n}, guards=guards)
-    return _tabulated(sg, guards, lambda: braid_table(
-        [_word_vector(o, n) for o in sg.objects], sg.keys))
+    return _braid_band(f"free_lrb({n})", elements, n, _tuple_key,
+                       _word_vector, (), [(x,) for x in universe], expected,
+                       "free_lrb", guards)
 
 
 def _set_of(label):
@@ -312,14 +312,19 @@ def _set_of(label):
     return frozenset(int(x) for x in inner.split(",") if x)
 
 
-def _wrap_expected(expected, elements):
-    """Adapt an object-level label_of to element ids at build time."""
-    labels_by_id = [expected.label_of(o) for o in elements]
-    return ExpectedLattice(
-        labels=expected.labels,
-        label_of=lambda i: labels_by_id[i],
-        leq=expected.leq,
-    )
+def _braid_band(label, elements, n, key_of, vector_of, identity,
+                generators, expected, family, guards):
+    """A band of braid faces or words on {1..n}, its rows from the braid
+    kernel over vector_of(element, n).  The identity, the generators and
+    the label_of of `expected` are given on elements, not ids."""
+    keys = [key_of(o) for o in elements]
+    labels = [expected.label_of(o) for o in elements]
+    return Semigroup.from_objects(
+        label, elements, keys,
+        braid_rows([vector_of(o, n) for o in elements], keys),
+        key_of(identity), generators=[key_of(g) for g in generators],
+        expected=replace(expected, label_of=labels.__getitem__),
+        family=family, meta={"n": n}, guards=guards)
 
 
 # ------------------------------------------------- ordered partitions
@@ -327,17 +332,6 @@ def _wrap_expected(expected, elements):
 
 def _op_key(blocks):
     return "|".join(",".join(map(str, b)) for b in blocks)
-
-
-def _op_mult(a, b):
-    out = []
-    for blk in a:
-        s = set(blk)
-        for other in b:
-            piece = tuple(x for x in other if x in s)
-            if piece:
-                out.append(piece)
-    return tuple(out)
 
 
 def _partition_label(blocks):
@@ -371,13 +365,9 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
                    tuple(sorted(set(universe) - set(c))))
                   for r in range(1, n)
                   for c in itertools.combinations(universe, r)]
-    sg = Semigroup.from_objects(
-        f"ordered_partitions({n})", elements, _op_mult, _op_key,
-        (universe,), generators=generators,
-        expected=_wrap_expected(expected, elements),
-        family="ordered_partitions", meta={"n": n}, guards=guards)
-    return _tabulated(sg, guards, lambda: braid_table(
-        [face_vector(o, n) for o in sg.objects], sg.keys))
+    return _braid_band(f"ordered_partitions({n})", elements, n, _op_key,
+                       face_vector, (universe,), generators, expected,
+                       "ordered_partitions", guards)
 
 
 def free_lrb_bar(n, guards=DEFAULT_GUARDS):
@@ -387,6 +377,8 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
     with its unique full extension.  Support lattice: subsets of size
     different from n-1."""
     check_n("free_lrb_bar", n, guards.free_n_cap)
+    _check_count(f"free_lrb_bar({n})", math.factorial(n)
+                 + sum(math.perm(n, r) for r in range(n - 1)), guards)
     universe = tuple(range(1, n + 1))
     elements = []
     for r in range(n - 1):
@@ -414,13 +406,9 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
                   for x in universe]
     if n == 1:
         generators = []
-    sg = Semigroup.from_objects(
-        f"free_lrb_bar({n})", elements, _op_mult, _op_key,
-        (universe,), generators=generators,
-        expected=_wrap_expected(expected, elements),
-        family="free_lrb_bar", meta={"n": n}, guards=guards)
-    return _tabulated(sg, guards, lambda: braid_table(
-        [face_vector(o, n) for o in sg.objects], sg.keys))
+    return _braid_band(f"free_lrb_bar({n})", elements, n, _op_key,
+                       face_vector, (universe,), generators, expected,
+                       "free_lrb_bar", guards)
 
 
 # ---------------------------------------------------- closure systems
@@ -490,7 +478,7 @@ def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
     meta = {"matroid": m, "kind": kind}
     if kind == "ordered-bases":
         # each independent set I gives |I|! tuples
-        _check_count(label, sum(factorial(r)
+        _check_count(label, sum(math.factorial(r)
                                 for r in range(m.full_rank + 1)
                                 for s in itertools.combinations(range(m.n), r)
                                 if m.is_independent(s)), guards)
@@ -551,27 +539,19 @@ def _closure_tuples(system, label, family, meta, guards):
         stack.extend(tup + (x,) for x in range(system.n) if x not in cl)
     elements.sort()
 
-    def mult(a, b):
-        out = list(a)
-        cl = system.closure(frozenset(a))
-        for x in b:
-            if x not in cl:
-                out.append(x)
-                cl = system.closure(frozenset(out))
-        return tuple(out)
-
     def key_of(tup):
         return ",".join(system.ground[x] for x in tup) if tup else "e"
 
+    keys = [key_of(t) for t in elements]
     loops = system.closure(frozenset())
-    sg = Semigroup.from_objects(
-        label, elements, mult, key_of, (),
-        generators=[(x,) for x in range(system.n) if x not in loops],
+    return Semigroup.from_objects(
+        label, elements, keys,
+        closure_rows(elements, keys, _point_join(system), chains=False),
+        key_of(()),
+        generators=[key_of((x,)) for x in range(system.n) if x not in loops],
         expected=_expected_flats(system, system.flats(), elements,
                                  lambda tup: system.closure(frozenset(tup))),
         family=family, meta=meta, guards=guards)
-    return _tabulated(sg, guards, lambda: closure_table(
-        elements, sg.keys, _point_join(system), chains=False))
 
 
 def _closure_chains(system, label, family, meta, guards, order):
@@ -598,35 +578,23 @@ def _closure_chains(system, label, family, meta, guards, order):
                      if f != top and chain[-1] <= f)
     elements.sort(key=lambda ch: order([system.flat_label(f) for f in ch]))
 
-    def mult(a, b):
-        last = a[-2] if len(a) > 1 else a[-1]
-        out = list(a[:-1]) if len(a) > 1 else list(a)
-        for f in b[1:]:
-            j = system.closure(last | f)
-            if j != out[-1]:
-                out.append(j)
-        return tuple(out)
-
     def key_of(chain):
         return "<".join(system.flat_label(f) for f in chain)
 
-    sg = Semigroup.from_objects(
-        label, elements, mult, key_of,
-        (bottom, top) if bottom != top else (bottom,),
-        generators=[(bottom, f, top) for f in by_rank.get(1, ()) if f != top],
+    keys = [key_of(ch) for ch in elements]
+    flat_id = {f: i for i, f in enumerate(flats)}
+    join = _flat_join(_point_join(system), [sorted(f) for f in flats])
+    return Semigroup.from_objects(
+        label, elements, keys,
+        closure_rows([[flat_id[f] for f in chain] for chain in elements],
+                     keys, join, chains=True),
+        key_of((bottom, top) if bottom != top else (bottom,)),
+        generators=[key_of((bottom, f, top))
+                    for f in by_rank.get(1, ()) if f != top],
         expected=_expected_flats(
             system, [f for f in flats if system.rank(f) != r - 1], elements,
             lambda ch: ch[-1] if len(ch) == r + 1 else ch[-2]),
         family=family, meta=meta, guards=guards)
-
-    def table():
-        flat_id = {f: i for i, f in enumerate(flats)}
-        join = _flat_join(_point_join(system), [sorted(f) for f in flats])
-        return closure_table(
-            [[flat_id[f] for f in chain] for chain in elements], sg.keys,
-            join, chains=True)
-
-    return _tabulated(sg, guards, table)
 
 
 def _point_join(system):
@@ -697,55 +665,58 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
 
     The product of E = (x_0..x_l) by F = (y_0..y_m) refines every step
     [x_{i-1}, x_i] of E through the values x_{i-1} v (y_j ^ x_i) and
-    drops repeats.  Chambers are the maximal chains.  No expected
-    support lattice is attached: two chains share a support when they
-    absorb each other, and the resulting lattice is coarser than the
-    input lattice in general (for a Boolean lattice the chain band is
-    the band of ordered set partitions, whose support lattice is the
-    partition lattice).
+    drops repeats; this product serves the band's rows, one left factor
+    at a time.  Chambers are the maximal chains.  The chains are counted
+    before they are listed, so a band over the elements cap is refused
+    by its count.  No expected support lattice is attached: two chains
+    share a support when they absorb each other, and the resulting
+    lattice is coarser than the input lattice in general (for a Boolean
+    lattice the chain band is the band of ordered set partitions, whose
+    support lattice is the partition lattice).
     """
     if not isinstance(lattice, DistributiveLattice):
         raise MalformedInputError("needs a DistributiveLattice")
     D = lattice
-    above = [numpy.flatnonzero(row).tolist() for row in D.leq]
+    above = [[y for y in numpy.flatnonzero(row).tolist() if y != x]
+             for x, row in enumerate(D.leq)]
+    # c[x] counts the chains from x to the top, filled from the top down
+    c = [0] * D.n
+    for x in reversed(posets.linear_extension(D.leq)):
+        c[x] = 1 if x == D.top else sum(c[y] for y in above[x])
+    _check_count("distributive_chain_lrb", c[D.bottom], guards)
     join, meet = D.join.tolist(), D.meet.tolist()
-    chains = []
-
-    def grow(chain):
+    chains, stack = [], [(D.bottom,)]
+    while stack:
+        chain = stack.pop()
         if chain[-1] == D.top:
-            chains.append(tuple(chain))
-            return
-        for x in above[chain[-1]]:
-            if x != chain[-1]:
-                grow(chain + [x])
-
-    grow([D.bottom])
-    if D.bottom == D.top:
-        chains = [(D.bottom,)]
-    if len(chains) > guards.elements_cap:
-        raise SizeGuardError("distributive_chain_lrb too large")
-    chains = sorted(set(chains),
-                    key=lambda ch: tuple(D.labels[x] for x in ch))
+            chains.append(chain)
+        stack.extend(chain + (x,) for x in above[chain[-1]])
+    chains.sort(key=lambda ch: tuple(D.labels[x] for x in ch))
+    chain_id = {ch: i for i, ch in enumerate(chains)}
 
     def mult(a, b):
         out = [a[0]]
-        for i in range(1, len(a)):
-            lo, hi = a[i - 1], a[i]
+        for lo, hi in zip(a, a[1:]):
             for y in b:
                 g = join[lo][meet[y][hi]]
                 if g != out[-1]:
                     out.append(g)
         return tuple(out)
 
+    def rows(ids):
+        out = numpy.empty((len(ids), len(chains)), dtype=numpy.int32)
+        for k, i in enumerate(ids):
+            out[k] = [chain_id[mult(chains[i], b)] for b in chains]
+        return out
+
     def key_of(chain):
         return "<".join(D.labels[x] for x in chain)
 
-    interior = [x for x in range(D.n) if x != D.bottom and x != D.top]
-    gens = [(D.bottom, x, D.top) for x in interior]
-    identity = (D.bottom, D.top) if D.bottom != D.top else (D.bottom,)
     return Semigroup.from_objects(
-        "distributive_chain_lrb", chains, mult, key_of, identity,
-        generators=gens,
+        "distributive_chain_lrb", chains, [key_of(ch) for ch in chains],
+        rows, key_of((D.bottom, D.top) if D.bottom != D.top else (D.bottom,)),
+        generators=[key_of((D.bottom, x, D.top)) for x in range(D.n)
+                    if x not in (D.bottom, D.top)],
         family="dist_chain", meta={"lattice": D}, guards=guards)
 
 

@@ -15,15 +15,17 @@ The class order comes off the table as the numpy bool matrix that
 `posets` derives from it, both as arrays.
 
 Elements are addressed by integer ids into a list of canonical string
-keys.  The Cayley table is one C-contiguous int32 array of ids.  The
-braid-arrangement, q-analogue and matroid constructions fill it at
-build time with the integer kernels (see `constructions`); the
-distributive chain bands fill it from their per-pair rule, by
-`tabulate`, which `verify_lrb` and `derive_support` call first, so
-table_cap is the one gate on the |S|^2 work of their laws, array
-expressions that report the first failing pair in row-major order.
-`product` reads a memoryview of the table, which gives plain ints,
-and calls the rule directly while there is no table.
+keys.  Every product comes from one source, `Semigroup.rows(ids)`: the
+int32 array whose row k holds x y for x = ids[k] and every y.  The
+braid-arrangement, q-analogue and matroid constructions serve it with
+their integer kernels, the distributive chain bands with their lattice
+product (see `constructions`), and an explicit table serves itself.  The
+dense Cayley table is that source read over every id, built lazily by
+`tabulate` behind table_cap, which `verify_lrb` and `derive_support`
+call first; so table_cap is the one gate on the |S|^2 work of their
+laws, array expressions that report the first failing pair in
+row-major order.  `product` reads one cell of the table as a plain
+int, or one row of the source while there is no table.
 
 "Exhaustive" associativity means every one of the |S|^3 triples is
 certified.  Light's test does it while reading |A|*|S|^2 of them, for
@@ -34,6 +36,7 @@ where they fall short), so the work scales with |A|, not |S|.
 import numbers
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,16 +80,18 @@ class Semigroup:
 
     keys: canonical element keys, unique and deterministic
     identity: id of the two-sided identity
-    table: C-contiguous int32 Cayley table, or None before `tabulate`
-    product(i, j): id of the product, from the table, or from the rule
-    before `tabulate`
+    rows(ids): the int32 product rows of `ids`, shape (len(ids), |S|),
+    served by the callable `rows=` or by an explicit `table=`
+    table: the C-contiguous int32 Cayley table, rows over every id, or
+    None before `tabulate`
+    product(i, j): id of the product
     generators: ids of the construction's distinguished generating set
     """
 
-    def __init__(self, label, keys, identity, *, table=None, rule=None,
+    def __init__(self, label, keys, identity, *, table=None, rows=None,
                  generators=None, expected=None, family=None, meta=None):
-        if table is None and rule is None:
-            raise MalformedInputError("need a product table or rule")
+        if (table is None) == (rows is None):
+            raise MalformedInputError("need product rows or a table")
         if len(set(keys)) != len(keys):
             raise MalformedInputError("element keys are not unique")
         if not 0 <= identity < len(keys):
@@ -95,86 +100,77 @@ class Semigroup:
         self.keys = list(keys)
         self.identity = identity
         self.index = {k: i for i, k in enumerate(self.keys)}
+        self._source = rows
         self.table = None if table is None else _table_array(table, len(keys))
-        self._rule = rule
         self.generators = list(generators) if generators else []
         self.expected = expected
         self.family = family
         self.meta = meta or {}
 
     @property
-    def table(self):
-        return self._table
-
-    @table.setter
-    def table(self, table):
-        self._table = table
-        self._cells = None if table is None else memoryview(table)
-
-    @property
     def size(self):
         return len(self.keys)
 
+    def rows(self, ids):
+        """The product rows of `ids` as an int32 array: row k holds the
+        ids of x y for x = ids[k] and every y, read off the table once
+        there is one."""
+        if self.table is not None:
+            return self.table[ids]
+        return self._source(ids)
+
     def product(self, i, j):
-        if self._cells is not None:
-            return self._cells[i, j]
-        return self._rule(i, j)
+        if self.table is not None:
+            return self.table.item(i, j)
+        return int(self._source([i])[0, j])
 
     def tabulate(self, guards=DEFAULT_GUARDS):
-        """Materialize the dense Cayley table (subject to the guard)."""
+        """The dense Cayley table, `rows` over every id, built on first
+        call (subject to the guard)."""
         if self.table is None:
             n = self.size
             if n > guards.table_cap:
                 raise SizeGuardError(
                     f"|S|={n} exceeds table cap {guards.table_cap}")
-            rule = self._rule
-            self.table = np.array([[rule(i, j) for j in range(n)]
-                                   for i in range(n)], dtype=np.int32)
+            self.table = self._source(np.arange(n))
         return self.table
 
+    def id_lists(self, cells):
+        """The rows of a 2-d int32 array of ids as lists that share one
+        int object per id (a plain tolist() makes a fresh int per cell
+        past 256), gathered through an object array of the ids."""
+        step = max(1, 2 ** 15 // max(1, cells.shape[1]))
+        out = []
+        for lo in range(0, len(cells), step):
+            out += self._ids[cells[lo:lo + step]].tolist()
+        return out
+
+    @cached_property
+    def _ids(self):
+        return np.array(range(self.size), dtype=object)
+
     @classmethod
-    def from_objects(cls, label, objects, mult, key_of, identity_obj, *,
+    def from_objects(cls, label, objects, keys, rows, identity, *,
                      generators=(), expected=None, family=None, meta=None,
                      guards=DEFAULT_GUARDS):
-        """Wrap explicit element objects and an object-level product.
-
-        The object product must be closed over `objects`; a product that
-        leaves the listed elements is reported as a malformed handle.
-        """
+        """Wrap explicit element objects, their keys and their product
+        rows; the identity and the generators are given by key."""
         if len(objects) > guards.elements_cap:
             raise SizeGuardError(
                 f"{len(objects)} elements exceed cap {guards.elements_cap}")
-        keys = [key_of(o) for o in objects]
-        index = {}
-        for i, k in enumerate(keys):
-            if k in index:
-                raise MalformedInputError(f"duplicate element key {k!r}")
-            index[k] = i
-        objs = list(objects)
-
-        def rule(i, j):
-            out = key_of(mult(objs[i], objs[j]))
-            got = index.get(out)
-            if got is None:
-                raise MalformedInputError(
-                    f"product leaves the element list: {keys[i]} * {keys[j]}")
-            return got
-
-        gen_ids = [index[key_of(g)] for g in generators]
-        sg = cls(label, keys, index[key_of(identity_obj)], rule=rule,
-                 generators=gen_ids, expected=expected, family=family,
-                 meta=meta)
-        sg.objects = objs
+        index = {k: i for i, k in enumerate(keys)}
+        sg = cls(label, keys, index[identity], rows=rows,
+                 generators=[index[g] for g in generators],
+                 expected=expected, family=family, meta=meta)
+        sg.objects = list(objects)
         return sg
 
     def to_json_dict(self, guards=DEFAULT_GUARDS):
-        ids = list(range(self.size))    # one int object per id, shared
         return {
             "label": self.label,
             "elements": list(self.keys),
             "identity": self.identity,
-            "table": [list(map(ids.__getitem__, row.tolist()))
-                      for row in self.tabulate(guards)],
+            "table": self.id_lists(self.tabulate(guards)),
         }
 
     @classmethod

@@ -9,12 +9,15 @@ identity column 1|2|...|n.
 
 S_n has one model here, `_SymmetricGroupTable`: the permutations as
 tuples (w(1), .., w(n)) in lexicographic order, so the identity has
-index 0, their descent sets as type masks, and the composition table
-`comp` of indices, u * v mapping i to u(v(i)).  A `CoxeterComplex`
-holds one such table and the int array `perm_of` that carries each
-chamber of the face table to its permutation's index.  Types and
-descent sets are the same bit masks, so invariance and descent classes
-are both `class_values` checks on integer vectors.
+index 0, their descent sets as type masks, and the composition rows
+`rows(us)` of indices, u * v mapping i to u(v(i)), from the bands' coded
+kernel (`constructions.coded_products`), with the dense table `comp`.
+A `CoxeterComplex` holds one such table and the int array `perm_of`
+that carries each chamber face to its permutation's index.  The walk
+correspondence reads only the face band's rows of the weighted faces;
+`certify_phi` reads its dense table.  Types and descent sets are the
+same bit masks, so invariance and descent classes are both
+`class_values` checks on integer vectors.
 
 The invariant subalgebra of the semigroup algebra has the orbit sums
 sigma_J as a basis, with tau_J the inclusion-exclusion companion
@@ -82,9 +85,9 @@ def face_count(n):
 
 class _SymmetricGroupTable:
     """S_n in lexicographic order, the identity first, with the descent
-    set of each permutation as a type mask and the dense composition
-    table, built on first use; `rows` computes a few of its rows
-    without it."""
+    set of each permutation as a type mask.  rows(us) gives the int32
+    composition rows of the permutations at us, and `comp`, the dense
+    table, is those rows over every permutation, built on first use."""
 
     def __init__(self, n):
         self.n = n
@@ -94,28 +97,20 @@ class _SymmetricGroupTable:
             [type_mask(descent_set(w)) for w in self.perms])
         # a permutation is coded by its values 0..n-1 as base-n digits,
         # so the codes ascend in lexicographic order
-        self._digits = numpy.array(self.perms, dtype=numpy.int64) - 1
-        self._codes = self._digits @ (
-            n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64))
+        digits = numpy.array(self.perms, dtype=numpy.int64) - 1
+        powers = n ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
 
-    def _product_codes(self, us):
-        """Codes of u * v for the u at `us`, a slice or an index list,
-        and every v: digit k of u * v is u at v[k]."""
-        d = self._digits
-        n = self.n
-        return sum(d[us][:, d[:, k]] * n ** (n - 1 - k) for k in range(n))
+        def product_codes(us):
+            # digit k of u * v is u at v[k]
+            return sum(digits[us][:, digits[:, k]] * powers[k]
+                       for k in range(n))
+
+        self.rows = constructions.coded_products(
+            digits @ powers, self.perms, n, product_codes)
 
     @cached_property
     def comp(self):
-        return constructions.coded_products(
-            self._codes, self.perms, self.n,
-            lambda lo, hi: self._product_codes(slice(lo, hi)))
-
-    def rows(self, us):
-        """Rows `us` of `comp` as lists, found by a sorted search of the
-        product codes instead of from the whole table."""
-        return numpy.searchsorted(self._codes,
-                                  self._product_codes(us)).tolist()
+        return self.rows(numpy.arange(len(self.perms)))
 
     def descent_rows(self):
         """(u, z), integer matrices with one row per type mask J: row J
@@ -298,10 +293,10 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
     Returns (mu, ok) where mu = phi(p) as {permutation: Fraction} and ok
     records that P(uC, vC) == mu(u^-1 v) for every pair of chambers.
     With a_x = D p_x as Python ints (exact for any D), row u of the
-    counts sums a_x over x with x uC = vC, one `product` per weighted
-    face and chamber, so no face table is built; row u read at u w must
-    equal the identity row D mu.  A product off the chambers raises
-    FalsificationError.
+    counts sums a_x over x with x uC = vC, read off the band's rows of
+    the weighted faces at the chamber columns, so no face table is
+    built; row u read at u w must equal the identity row D mu.  A
+    product off the chambers raises FalsificationError.
     """
     if not hasattr(p, "coeffs"):
         raise MalformedInputError("descent_walk needs a WeightVector")
@@ -325,8 +320,7 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
     m = len(group.perms)
     # the chambers' face ids in group order, after the -1 of the others
     chamber_of = numpy.argsort(cx.perm_of)[-m:]
-    product = cx.semigroup.product
-    images = cx.perm_of[[[product(x, c) for c in chamber_of] for x in xs]]
+    images = cx.perm_of[cx.semigroup.rows(xs)[:, chamber_of]]
     if images.min() < 0:
         x = xs[int(numpy.argmin(images.min(axis=1)))]
         raise FalsificationError(f"S_{n}: {cx.semigroup.keys[x]} times a "
@@ -399,7 +393,7 @@ def certify_top_to_random(table, ints, moves):
                          [(table.index[w], a) for w, a in ints[i].items()])
               for i in range(n + 1) if i != n - 1}
     letters = [(row, 1) for row in table.rows([table.index[w]
-                                               for w in moves])]
+                                               for w in moves]).tolist()]
     spectral.certify_family(len(table.perms),
                             table.index[tuple(range(1, n + 1))], letters,
-                            family, lambda: table.comp)
+                            family, lambda: table.comp.tolist())

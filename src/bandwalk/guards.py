@@ -12,8 +12,9 @@ from .errors import MalformedInputError
 
 @dataclass(frozen=True)
 class Guards:
-    # largest |S| for which a dense Cayley table may be materialized;
-    # the axioms and the support lattice read it, so it caps their work
+    # largest |S| for which `tabulate` reads the product rows of every id
+    # into the dense Cayley table, which caps the work of the axioms and
+    # the support lattice; the rows of a few ids are served past it
     table_cap: int = 2048
     # exhaustive associativity check while |S|^3 is at most this many
     # triples (|S| <= 584), sampled beyond

@@ -373,7 +373,7 @@ def criterion_6(guards=DEFAULT_GUARDS):
     for p in lattices:
         d = derangement.derangement_number(p)  # three routes agree inside
         if p.size > 1:
-            # the even-gap rule addresses ranks >= 1; on the one-point
+            # the even-gap sum addresses ranks >= 1; on the one-point
             # lattice it sums over no flags while d = 1
             d2, total, ok = derangement.stanley_identity_check(p)
             if not ok or d2 != d:

@@ -173,10 +173,11 @@ class TransitionMatrix:
 
 
 def weighted_rows(structure, w):
-    """The (table row of x, D w_x) pairs over the weighted x, which is
-    D w for `sparse_product`."""
-    table = structure.semigroup.tabulate()
-    return [(table[x].tolist(), w.nums[x]) for x in w.support_ids()]
+    """The (product row of x, D w_x) pairs over the weighted x, which is
+    D w for `sparse_product`; the rows are lists of shared ints
+    (`Semigroup.id_lists`)."""
+    sg, xs = structure.semigroup, w.support_ids()
+    return list(zip(sg.id_lists(sg.rows(xs)), map(w.nums.get, xs)))
 
 
 def transition_matrix(structure, w):
@@ -347,7 +348,7 @@ def certify_family(size, identity, letters, members, table):
     the (row of x, c) pairs in `letters`, row[y] being x y as for
     `sparse_product`; `members` maps a name k to (r_k, den, pairs), e_k
     the sum of (c / den) y over the pairs (y, c); and table() gives the
-    whole product table, x y at table[x][y], which only a tie group
+    whole product table as lists, x y at [x][y], which only a tie group
     reads.  Checks: (1) sum e_k = 1; (2) a e_k = r_k e_k; (3) e_k e_l =
     0 for k != l in a tie group, the members sharing one r.  Lemma: by
     (1) and (2), p(a) = sum p(r_k) e_k for every polynomial p, so
@@ -378,7 +379,7 @@ def certify_family(size, identity, letters, members, table):
         check(not any(out), "member {} is not an eigenvector of a", k)
         groups.setdefault(r, []).append(k)
     ties = [g for g in groups.values() if len(g) > 1]
-    rows = table().tolist() if ties else None
+    rows = table() if ties else None
     for group in ties:
         for k, l in permutations(group, 2):
             ek = [(rows[y], c) for y, c in members[k][2]]

@@ -111,14 +111,13 @@ def simulate(structure, w, c0, steps, seed):
     """Seeded left-multiplication walk from chamber c0.
 
     A draw at position k of the weighted ids moves the chamber along
-    the table row of ids[k], read as a zero-copy memoryview."""
+    the product row of ids[k], read as a memoryview."""
     if c0 not in structure.chambers:
         raise MalformedInputError(f"start {c0} is not a chamber")
     if steps < 0:
         raise MalformedInputError(f"negative step count {steps}")
     ids, draws = _draw_blocks(w, seed)
-    table = structure.semigroup.tabulate()
-    left = [memoryview(table[x]) for x in ids]
+    left = list(map(memoryview, structure.semigroup.rows(ids)))
     out = []
     cur = c0
     while len(out) < steps:
@@ -322,20 +321,16 @@ def sample_stopping_times(structure, w, seed, samples,
 
 
 def generated_ids(sg, ids):
-    """Closure of `ids` (plus the identity) under the product."""
-    seen = {sg.identity}
-    frontier = sorted(set(ids))
-    seen.update(frontier)
-    prod = sg.product
+    """Closure of `ids` (plus the identity) under the product: the
+    products x1 .. xk of ids, grown one right factor at a time from the
+    product rows of the newest ones."""
+    ids = sorted(set(ids))
+    seen = {sg.identity, *ids}
+    frontier = ids
     while frontier:
-        nxt = []
-        for a in list(seen):
-            for b in frontier:
-                for c in (prod(a, b), prod(b, a)):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
+        frontier = set(sg.rows(frontier)[:, ids].ravel().tolist()) - seen
+        seen |= frontier
+        frontier = sorted(frontier)
     return sorted(seen)
 
 

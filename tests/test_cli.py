@@ -186,7 +186,7 @@ def _move_to_front(tmp_path, n):
 
 def test_descent_tabulates_through_the_guards(tmp_path):
     # S_5 has 541 faces: phi needs the face table; beta and the walk,
-    # which reads one product per weighted face and chamber, do not
+    # which reads the product rows of the weighted faces, do not
     capped = ["--n", "5", "--guard", "table_cap=100", "--out",
               str(tmp_path / "out")]
     assert cli.main(["descent", *capped, "--phi-check"]) == 4
@@ -342,6 +342,25 @@ def test_missing_required_flags_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["nonsense"])
     assert err.value.code == 2
+
+
+def test_flags_are_refused_where_nothing_reads_them(tmp_path, capsys):
+    # --verbose is read by stationary and converge, --format by spectrum
+    spec = _f3(tmp_path)
+    uniform = ["--spec", spec, "--uniform-on", "generators"]
+    for argv in (["build", "--spec", spec, "--verbose"],
+                 ["converge", *uniform, "--format", "csv"],
+                 ["descent", "--n", "3", "--beta", "--verbose"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    out = str(tmp_path / "out")
+    assert cli.main(["stationary", *uniform, "--verbose", "--out", out]) == 0
+    assert cli.main(["converge", *uniform, "--mmax", "3", "--verbose",
+                     "--out", out]) == 0
+    assert cli.main(["spectrum", *uniform, "--format", "csv",
+                     "--out", out]) == 0
 
 
 def test_selftest_subset(capsys):

@@ -27,6 +27,18 @@ SPECS = {
                                        [2, 4], [3, 4]]}},
 }
 
+# distributive chain bands: a grid, and the order ideals of the poset
+# a < c > b < d given by its covers
+CHAIN_SPECS = {
+    "dist_chain(grid2x2)": {"type": "dist_chain", "grid": [2, 2]},
+    "dist_chain(ideals-N)": {
+        "type": "dist_chain",
+        "elements": ["0", "a", "b", "ab", "bd", "abc", "abd", "abcd"],
+        "covers": [["0", "a"], ["0", "b"], ["a", "ab"], ["b", "ab"],
+                   ["b", "bd"], ["ab", "abc"], ["ab", "abd"],
+                   ["bd", "abd"], ["abc", "abcd"], ["abd", "abcd"]]},
+}
+
 START = {"free_lrb(3)": "1,2,3", "free_lrb_bar(3)": "1|2|3",
          "ordered_partitions(3)": "1|2|3", "K4_bases": "1-2,1-3,1-4"}
 
@@ -73,6 +85,16 @@ def _band_cases():
         "--mmax", "12", "--samples", "3000", "--seed", "6"]
 
 
+def _chain_cases():
+    for band in CHAIN_SPECS:
+        uniform = ["--spec", f"{{tmp}}/{band}.json",
+                   "--uniform-on", "generators"]
+        yield f"{band}/build", ["build", "--spec", f"{{tmp}}/{band}.json"]
+        yield f"{band}/spectrum-json", ["spectrum"] + uniform + ["--certify"]
+        yield f"{band}/stationary-exact", (["stationary"] + uniform
+                                           + ["--method", "exact"])
+
+
 def _other_cases():
     checks = ["--stanley", "--mahajan"]
     yield "derangement/boolean(4)", ["derangement", "--boolean", "4"] + checks
@@ -87,11 +109,12 @@ def _other_cases():
                                      f"{{tmp}}/move_to_front_{n}.json"]
 
 
-CASES = dict(list(_band_cases()) + list(_other_cases()))
+CASES = dict(list(_band_cases()) + list(_chain_cases())
+             + list(_other_cases()))
 
 
 def _write_inputs(tmp):
-    for band, spec in SPECS.items():
+    for band, spec in {**SPECS, **CHAIN_SPECS}.items():
         (tmp / f"{band}.json").write_text(json.dumps(spec), encoding="utf-8")
     (tmp / "generic.json").write_text(json.dumps(GENERIC_F3),
                                       encoding="utf-8")
@@ -178,6 +201,38 @@ GOLDEN = {
     'descent/S4-walk': {
         'descent.json':
             '3359e20a958db19f8c7b6ebb80aca15d9ea06255e61d5c8e7240c9bf50c11142',
+    },
+    'dist_chain(grid2x2)/build': {
+        'semigroup.json':
+            '23a4b35eb371a5d86f6cffaa35b5e8c3f9e859931b7c8039a3e5812f51de46e6',
+        'support.json':
+            '69b6d6fe8f5966d9621a9402efae83ed27fb3313e7f53d60f16a1315664998ac',
+    },
+    'dist_chain(grid2x2)/spectrum-json': {
+        'matrix.json':
+            '2e4733f8998f15b1d09499599b5d48f54c00d826d980570c72bfc9bc29f69bca',
+        'spectrum.json':
+            '0f06f9e58afb219124384728f9d15330a96e8f6c585e01a09bc5dde300b4a9c4',
+    },
+    'dist_chain(grid2x2)/stationary-exact': {
+        'stationary.json':
+            '3662a7a670079611a319be2f29b5da1d75ad01c4051d17055b159ca6581a1881',
+    },
+    'dist_chain(ideals-N)/build': {
+        'semigroup.json':
+            'c5cc8dc33016fc157f61196006aa0c34ddb50dcbe11368fedf0bc24c8d7f0c27',
+        'support.json':
+            'db3b0c62e786eb3218407cca82782b4c7b1bd61dc19640f4f0c3d4411a71a69d',
+    },
+    'dist_chain(ideals-N)/spectrum-json': {
+        'matrix.json':
+            'a04ae076608592f471e1732f6032e6e85cb1e6fb116bcef38d22628d633185f6',
+        'spectrum.json':
+            'b1d911e76f5271a7151d8b7ca18ca4fb559ceaf16e4c6df0d602be03c7cd96da',
+    },
+    'dist_chain(ideals-N)/stationary-exact': {
+        'stationary.json':
+            '398a1754fb85c8c7255a4d5acc2f69670cee4470243a153c565b7561ba453535',
     },
     'free_lrb(3)/build': {
         'semigroup.json':

@@ -19,17 +19,54 @@ from bandwalk.errors import (
 )
 from bandwalk.guards import DEFAULT_GUARDS
 
-# the braid families with the vector encoding of their elements
-BRAID = {
-    "free_lrb": (constructions.free_lrb, constructions._word_vector),
-    "free_lrb_bar": (constructions.free_lrb_bar,
-                     constructions.face_vector),
-    "ordered_partitions": (constructions.ordered_partitions,
-                           constructions.face_vector),
-}
+def _free_mult(a, b):
+    return tuple(dict.fromkeys(a + b))      # concatenate, drop repeats
 
-# no dense table: every product goes through the object rule
-RULE_ONLY = replace(DEFAULT_GUARDS, table_cap=0)
+
+def _face_mult(a, b):
+    # each block of a cut by the blocks of b in order, empties dropped
+    pieces = (tuple(x for x in o if x in block) for block in a for o in b)
+    return tuple(p for p in pieces if p)
+
+
+def _closure_mult(sg):
+    """Tuples append the points of b outside the closure so far; chains
+    keep a less its last step, then refine that step through b."""
+    meta = sg.meta
+    system = meta.get("matroid") or fields.VectorSpace(meta["q"], meta["n"])
+
+    def tuples(a, b):
+        out = list(a)
+        for x in b:
+            if x not in system.closure(frozenset(out)):
+                out.append(x)
+        return tuple(out)
+
+    def chains(a, b):
+        last, out = a[max(len(a) - 2, 0)], list(a[:-1] or a)
+        for j in (system.closure(last | f) for f in b[1:]):
+            if j != out[-1]:
+                out.append(j)
+        return tuple(out)
+
+    return chains if sg.family.endswith(("_bar", "_flags")) else tuples
+
+
+def _oracle_table(sg, mult):
+    at = {o: i for i, o in enumerate(sg.objects)}
+    return [[at[mult(a, b)] for b in sg.objects] for a in sg.objects]
+
+
+# the braid families with the vector encoding and the object product
+# of their elements, the reference each kernel must reproduce
+BRAID = {
+    "free_lrb": (constructions.free_lrb, constructions._word_vector,
+                 _free_mult),
+    "free_lrb_bar": (constructions.free_lrb_bar,
+                     constructions.face_vector, _face_mult),
+    "ordered_partitions": (constructions.ordered_partitions,
+                           constructions.face_vector, _face_mult),
+}
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -135,19 +172,22 @@ def test_distributive_chain_band_counts():
 
 
 def test_every_table_path_gives_one_int32_array():
-    # braid kernel, closure kernel, rule-tabulated chain band, JSON and
-    # an explicit table: one C-contiguous int32 array, plain int products
-    chains = constructions.distributive_chain_lrb(
-        constructions.DistributiveLattice.grid(1, 2))
-    assert chains.table is None
-    chains.tabulate()
-    free = constructions.free_lrb(3)
-    paths = [free, constructions.q_free_lrb(2, 2), chains,
-             core.Semigroup.from_json_dict(free.to_json_dict()),
+    # braid kernel, closure kernel, chain band, JSON and an explicit
+    # table: int32 rows before any table, then tabulate gives one
+    # C-contiguous int32 array of those rows and plain int products
+    paths = [constructions.free_lrb(3), constructions.q_free_lrb(2, 2),
+             constructions.distributive_chain_lrb(
+                 constructions.DistributiveLattice.grid(1, 2)),
+             core.Semigroup.from_json_dict(
+                 constructions.free_lrb(3).to_json_dict()),
              core.Semigroup("explicit", ["e", "a"], 0,
                             table=[[0, 1], [1, 1]])]
+    assert [sg.table is None for sg in paths] == [True] * 3 + [False] * 2
     for sg in paths:
-        t = sg.table
+        rows = sg.rows([1, 0])
+        t = sg.tabulate()
+        assert rows.dtype == numpy.int32
+        assert numpy.array_equal(rows, t[[1, 0]])
         assert isinstance(t, numpy.ndarray) and t.dtype == numpy.int32
         assert t.flags.c_contiguous and t.shape == (sg.size, sg.size)
         assert all(type(sg.product(i, j)) is int
@@ -226,6 +266,13 @@ def test_size_guards_fire():
         constructions.free_lrb(9)
     with pytest.raises(SizeGuardError):
         constructions.ordered_partitions(8)
+    # 109,601 and 69,281 words on 8 letters: counted, not listed
+    for build, count in ((constructions.free_lrb, 109601),
+                         (constructions.free_lrb_bar, 69281)):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match=f"has {count} elements"):
+            build(8)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("build", [
@@ -418,42 +465,43 @@ def test_matroid_spec_rejects_garbage():
 @pytest.mark.parametrize("family", sorted(BRAID))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_braid_kernel_table_matches_the_object_rule(family, n):
-    build, _ = BRAID[family]
+    build, _, mult = BRAID[family]
     sg = build(n)
-    ref = build(n, RULE_ONLY)
-    assert sg.table is not None and ref.table is None
-    assert sg.keys == ref.keys
-    size = sg.size
-    assert sg.table.tolist() == [[ref.product(i, j) for j in range(size)]
-                                 for i in range(size)]
+    assert sg.tabulate().tolist() == _oracle_table(sg, mult)
 
 
-_rule_bands = {}
+_big_bands = {}
 
 
-def _rule_band(family, n):
-    if (family, n) not in _rule_bands:
-        _rule_bands[family, n] = BRAID[family][0](n, RULE_ONLY)
-    return _rule_bands[family, n]
+def _big_band(family, n):
+    if (family, n) not in _big_bands:
+        _big_bands[family, n] = BRAID[family][0](n)
+    return _big_bands[family, n]
 
 
 @settings(max_examples=300, deadline=None)
 @given(hs.sampled_from(sorted(BRAID)), hs.sampled_from([5, 6]), hs.data())
 def test_braid_kernel_product_matches_the_object_rule(family, n, data):
-    sg = _rule_band(family, n)
-    encode = BRAID[family][1]
+    # no table: each product reads one row of the kernel
+    sg = _big_band(family, n)
+    _, encode, mult = BRAID[family]
     i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
-    u, v = (numpy.array(encode(sg.objects[k], n)) for k in (i, j))
-    got = constructions.braid_product(u, v)
-    assert got.tolist() == encode(sg.objects[sg.product(i, j)], n)
+    a, b = sg.objects[i], sg.objects[j]
+    assert sg.objects[sg.product(i, j)] == mult(a, b)
+    got = constructions.braid_product(numpy.array(encode(a, n)),
+                                      numpy.array(encode(b, n)))
+    assert got.tolist() == encode(mult(a, b), n)
+    assert sg.table is None
 
 
 def test_braid_table_is_independent_of_the_chunk_size(monkeypatch):
     sg = constructions.ordered_partitions(3)
+    want = sg.tabulate()
     vectors = [constructions.face_vector(p, 3) for p in sg.objects]
     monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
-    assert numpy.array_equal(constructions.braid_table(vectors, sg.keys),
-                             sg.table)
+    rows = constructions.braid_rows(vectors, sg.keys)
+    assert numpy.array_equal(rows(range(sg.size)), want)
+    assert numpy.array_equal(rows([5, 0, 5]), want[[5, 0, 5]])
 
 
 def test_braid_table_rejects_products_outside_the_list():
@@ -461,21 +509,17 @@ def test_braid_table_rejects_products_outside_the_list():
     sg = constructions.free_lrb(2)
     keep = [i for i, k in enumerate(sg.keys) if k != "2,1"]
     vectors = [constructions._word_vector(sg.objects[i], 2) for i in keep]
+    rows = constructions.braid_rows(vectors, [sg.keys[i] for i in keep])
     with pytest.raises(MalformedInputError, match="leaves the element"):
-        constructions.braid_table(vectors, [sg.keys[i] for i in keep])
+        rows(range(len(keep)))
 
 
-# q_free(2,5) has 505 elements, so its rule table takes seconds; the
+# q_free(2,5) has 505 elements, so its oracle table takes seconds; the
 # hypothesis test below samples it instead
 @pytest.mark.parametrize("name", [k for k in CLOSURE if k != "q_free(2,5)"])
 def test_closure_kernel_table_matches_the_object_rule(name):
     sg = CLOSURE[name](DEFAULT_GUARDS)
-    ref = CLOSURE[name](RULE_ONLY)
-    assert sg.table is not None and ref.table is None
-    assert sg.keys == ref.keys
-    size = sg.size
-    assert sg.table.tolist() == [[ref.product(i, j) for j in range(size)]
-                                 for i in range(size)]
+    assert sg.tabulate().tolist() == _oracle_table(sg, _closure_mult(sg))
 
 
 _q25 = {}
@@ -485,20 +529,39 @@ _q25 = {}
 @given(hs.data())
 def test_closure_kernel_product_matches_the_object_rule(data):
     if not _q25:
-        _q25.update(kernel=constructions.q_free_lrb(2, 5),
-                    rule=constructions.q_free_lrb(2, 5, False, RULE_ONLY))
-    sg, ref = _q25["kernel"], _q25["rule"]
+        sg = constructions.q_free_lrb(2, 5)
+        _q25.update(sg=sg, table=sg.tabulate(), mult=_closure_mult(sg))
+    sg, mult = _q25["sg"], _q25["mult"]
     assert sg.size == 505
     i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
-    assert sg.table[i][j] == ref.product(i, j)
+    assert sg.objects[_q25["table"][i][j]] \
+        == mult(sg.objects[i], sg.objects[j])
+
+
+_u78 = {}
+
+
+@settings(max_examples=50, deadline=None)
+@given(hs.data())
+def test_wide_flag_chains_are_coded_past_the_table_cap(data):
+    # U(7,8): chains of 8 of its 255 flats, which would overflow an
+    # int64 code in base 256; 28,961 chains, past the table cap
+    if not _u78:
+        sg = constructions.matroid_lrb(matroid.Matroid.uniform(7, 8),
+                                       "flag-chains")
+        _u78.update(sg=sg, mult=_closure_mult(sg))
+    sg, mult = _u78["sg"], _u78["mult"]
+    assert sg.size == 28961
+    i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
+    assert sg.objects[sg.product(i, j)] == mult(sg.objects[i], sg.objects[j])
 
 
 @pytest.mark.parametrize("name", ["q_free(2,3)", "q_free(3,2)-reduced",
                                   "K4-ordered-bases", "K4-flag-chains"])
 def test_closure_table_is_independent_of_the_chunk_size(monkeypatch, name):
-    want = CLOSURE[name](DEFAULT_GUARDS).table
+    want = CLOSURE[name](DEFAULT_GUARDS).tabulate()
     monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
-    assert numpy.array_equal(CLOSURE[name](DEFAULT_GUARDS).table, want)
+    assert numpy.array_equal(CLOSURE[name](DEFAULT_GUARDS).tabulate(), want)
 
 
 def test_closure_table_rejects_products_outside_the_list():
@@ -507,13 +570,16 @@ def test_closure_table_rejects_products_outside_the_list():
     join = numpy.array([[1, 2], [1, 3], [3, 2], [3, 3]])
     tuples = [(), (0,), (1,), (0, 1)]
     keys = [str(t) for t in tuples]
-    assert constructions.closure_table(tuples + [(1, 0)], keys + ["1,0"],
-                                       join, chains=False)[2][1] == 4
+    assert constructions.closure_rows(tuples + [(1, 0)], keys + ["1,0"],
+                                      join, chains=False)([2])[0][1] == 4
+    rows = constructions.closure_rows(tuples, keys, join, chains=False)
     with pytest.raises(MalformedInputError, match=r"\(1,\) \* \(0,\)"):
-        constructions.closure_table(tuples, keys, join, chains=False)
+        rows(range(4))
     # without both chambers the product 0,1 is longer than every element
+    rows = constructions.closure_rows(tuples[:3], keys[:3], join,
+                                      chains=False)
     with pytest.raises(MalformedInputError, match=r"\(0,\) \* \(1,\)"):
-        constructions.closure_table(tuples[:3], keys[:3], join, chains=False)
+        rows(range(3))
 
 
 def test_oversized_closure_bands_are_refused_before_enumerating():
@@ -544,3 +610,47 @@ def test_chain_counts_equal_the_enumerated_bands(name):
         == size
     with pytest.raises(SizeGuardError, match=f"has {size} elements"):
         CLOSURE[name](replace(DEFAULT_GUARDS, elements_cap=size - 1))
+
+
+def _boolean_covers(n):
+    """The Boolean lattice of subsets of an n-set, from its covers, with
+    each subset labelled by its bit mask."""
+    return constructions.DistributiveLattice.from_covers(
+        [str(m) for m in range(1 << n)],
+        [[str(m), str(m | 1 << i)] for m in range(1 << n) for i in range(n)
+         if not m >> i & 1])
+
+
+def test_oversized_chain_bands_are_refused_before_enumerating():
+    # 3,112,896 and 34,013,312 chains of the 8 x 8 and 9 x 9 grids, and
+    # the 545,835 ordered partitions of 8 as the chains of B_8
+    for lattice, count in (
+            (constructions.DistributiveLattice.grid(7, 7), 3112896),
+            (constructions.DistributiveLattice.grid(8, 8), 34013312),
+            (_boolean_covers(8), descent.face_count(8))):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match=f"has {count} elements"):
+            constructions.distributive_chain_lrb(lattice)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("lattice", [
+    lambda: constructions.DistributiveLattice.grid(0, 0),
+    lambda: constructions.DistributiveLattice.grid(2, 2),
+    lambda: constructions.DistributiveLattice.grid(4, 2),
+    lambda: _boolean_covers(4),
+    lambda: constructions.DistributiveLattice.from_covers(
+        ["0", "a", "b", "ab", "bd", "abc", "abd", "abcd"],
+        [["0", "a"], ["0", "b"], ["a", "ab"], ["b", "ab"], ["b", "bd"],
+         ["ab", "abc"], ["ab", "abd"], ["bd", "abd"], ["abc", "abcd"],
+         ["abd", "abcd"]])])
+def test_distributive_chain_counts_equal_the_enumerated_bands(lattice):
+    # refused by the count, before enumeration, exactly one below |S|
+    lat = lattice()
+    size = constructions.distributive_chain_lrb(lat).size
+    capped = constructions.distributive_chain_lrb(
+        lat, replace(DEFAULT_GUARDS, elements_cap=size))
+    assert capped.size == size
+    with pytest.raises(SizeGuardError, match=f"has {size} elements"):
+        constructions.distributive_chain_lrb(
+            lat, replace(DEFAULT_GUARDS, elements_cap=size - 1))

@@ -40,7 +40,7 @@ def _assoc_witnesses(t):
 @given(hs.integers(0, 15), hs.integers(0, 15), hs.integers(0, 15))
 def test_associativity_sweep_finds_a_real_witness(x, y, value):
     # one entry of the free_lrb(3) table overwritten
-    t = constructions.free_lrb(3).table.copy()
+    t = constructions.free_lrb(3).tabulate().copy()
     t[x, y] = value
     bad = _assoc_witnesses(t)
     got = core._assoc_exhaustive(t)
@@ -66,7 +66,7 @@ def test_light_test_agrees_with_every_triple_on_random_magmas(data):
 @pytest.mark.parametrize("hint", [[], [0], [1]])
 def test_generators_that_do_not_reach_the_band_still_decide(hint):
     # the identity and the letter 1 each reach only themselves
-    t = constructions.free_lrb(3).table.copy()
+    t = constructions.free_lrb(3).tabulate().copy()
     assert core._assoc_exhaustive(t, hint) is None
     # 1 * (2,3) = 1,3,2 fails only on triples with middle 2 or 2,3
     t[1, 7] = 11
@@ -205,7 +205,7 @@ def test_vector_laws_match_the_reference_loops_on_a_corrupted_table(name,
     band = _BANDS[name]
     ids = hs.integers(0, band.size - 1)
     x, y, value = data.draw(ids), data.draw(ids), data.draw(ids)
-    t = band.table.tolist()
+    t = band.tabulate().tolist()
     t[x][y] = value
 
     def handle():

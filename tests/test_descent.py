@@ -130,7 +130,7 @@ def test_invariant_product_of_sigmas_stays_invariant():
     # values are the coefficients of each face, read one by one
     n = 3
     cx = descent.coxeter_complex(n)
-    table = cx.semigroup.table
+    table = cx.semigroup.tabulate()
     a, b = cx.type_classes[(1,)], cx.type_classes[(2,)]
     counts = numpy.bincount(table[a][:, b].ravel(),
                             minlength=cx.semigroup.size)
@@ -151,6 +151,7 @@ def test_phi_certification():
 
 
 _S4 = descent.coxeter_complex(4)
+_S4.semigroup.tabulate()
 _S4_CHAMBERS = numpy.flatnonzero(_S4.perm_of >= 0).tolist()
 _S4_CHAMBER_ENTRIES = [(i, j) for i in range(_S4.semigroup.size)
                        for j in range(_S4.semigroup.size)
@@ -437,9 +438,9 @@ def test_top_to_random_certificate_rejects_a_swapped_measure(n):
 def test_composition_table_composes_every_pair(monkeypatch, chunk):
     monkeypatch.setattr(constructions, "TABLE_CHUNK", chunk)
     group = descent._SymmetricGroupTable(4)
-    rows = group.rows(list(range(len(group.perms))))
+    rows = group.rows(list(range(len(group.perms)))).tolist()
     for i, u in enumerate(group.perms):
         for j, v in enumerate(group.perms):
             assert group.comp[i, j] == group.index[_compose(u, v)]
     assert rows == group.comp.tolist()
-    assert group.rows([5, 0, 5]) == [rows[5], rows[0], rows[5]]
+    assert group.rows([5, 0, 5]).tolist() == [rows[5], rows[0], rows[5]]

@@ -363,6 +363,31 @@ def test_generated_ids_closure():
     assert set(only_first) == {sg.identity, sg.generators[0]}
 
 
+def _two_sided_closure(sg, ids):
+    """The identity and ids, closed under products in either order, one
+    product at a time."""
+    seen = {sg.identity, *ids}
+    while True:
+        new = {sg.product(a, b) for a in seen for b in seen} - seen
+        if not new:
+            return sorted(seen)
+        seen |= new
+
+
+_CLOSURE_BANDS = {"free": lambda: constructions.free_lrb(3),
+                  "faces": lambda: constructions.ordered_partitions(3),
+                  "flags": lambda: constructions.q_free_lrb(3, 2, True)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.sampled_from(sorted(_CLOSURE_BANDS)), hs.data())
+def test_generated_ids_match_the_two_sided_closure(name, data):
+    sg = _CLOSURE_BANDS[name]()
+    sg.tabulate()
+    ids = data.draw(hs.lists(hs.integers(0, sg.size - 1), max_size=4))
+    assert walks.generated_ids(sg, ids) == _two_sided_closure(sg, ids)
+
+
 # --------------------------------------------------- the block sampler
 
 
