@@ -26,7 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import posets
 from .errors import FalsificationError, MalformedInputError, PreconditionError
 from .guards import DEFAULT_GUARDS
 from .spectral import certify_family, flat_nodes, weighted_rows
@@ -284,22 +283,14 @@ def uniform_tsetlin_idempotents(structure):
                                 "free band")
     n = sg.meta["n"]
     supp = structure.supp
-    rank = _flat_ranks(structure)
     family = []
     for i in range(n + 1):
         c = [Fraction((-1) ** (l - i) * math.comb(l, i), math.factorial(l))
              if l >= i else 0 for l in range(n + 1)]
         e = {x: c[n - 1] + c[n] if supp[x] == structure.top
-             else c[rank[supp[x]]] for x in range(sg.size)}
+             else c[structure.rank[supp[x]]] for x in range(sg.size)}
         family.append({x: v for x, v in e.items() if v})
     return family
-
-
-def _flat_ranks(structure):
-    r = posets.rank_function(structure.cover, structure.order)
-    if r is None:
-        raise PreconditionError("support lattice is not graded")
-    return r
 
 
 # ------------------------------------------------- Tsetlin nu family

@@ -28,7 +28,10 @@ distributive_chain_lrb   chains from bottom to top of a finite
 
 Every constructor attaches the generating set it is usually driven by
 and an ExpectedLattice describing what the derived support lattice must
-be isomorphic to.
+be isomorphic to: a `posets.Poset` of named flats, ordered by inclusion
+(`posets.inclusion_order`) or by refinement (`posets.refinement_order`),
+with each element's flat as an index into the names.  The input of a
+distributive chain band, a `DistributiveLattice`, is a Poset too.
 
 Each band has one product implementation, which serves its
 `Semigroup.rows(ids)`.  Every band but the distributive chains, which
@@ -57,8 +60,6 @@ number of table lookups.
 
 import itertools
 import math
-from dataclasses import replace
-
 import numpy
 
 from . import fields, posets
@@ -292,39 +293,41 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
     elements = [tuple(t) for r in range(n + 1)
                 for t in itertools.permutations(universe, r)]
 
-    def set_label(t):
-        return "{" + ",".join(map(str, sorted(t))) + "}"
-
-    subsets = [set_label(c) for r in range(n + 1)
+    label = f"free_lrb({n})"
+    subsets = [c for r in range(n + 1)
                for c in itertools.combinations(universe, r)]
-    expected = ExpectedLattice(
-        labels=tuple(subsets),
-        label_of=set_label,
-        leq=lambda a, b: _set_of(a) <= _set_of(b),
-    )
-    return _braid_band(f"free_lrb({n})", elements, n, _tuple_key,
-                       _word_vector, (), [(x,) for x in universe], expected,
-                       "free_lrb", guards)
+    expected = _expected(label, subsets, posets.inclusion_order(subsets),
+                         _set_label, elements)
+    return _braid_band(label, elements, n, _tuple_key, _word_vector, (),
+                       [(x,) for x in universe], expected, "free_lrb",
+                       guards)
 
 
-def _set_of(label):
-    inner = label.strip("{}")
-    return frozenset(int(x) for x in inner.split(",") if x)
+def _set_label(t):
+    return "{" + ",".join(map(str, sorted(t))) + "}"
+
+
+def _expected(label, flats, leq, name, element_flats):
+    """The support lattice a band claims: `flats` ordered by `leq`, each
+    named by name(flat), with element x in the flat element_flats[x]."""
+    names = [name(f) for f in flats]
+    index = {n: i for i, n in enumerate(names)}
+    return ExpectedLattice(
+        names, leq, label + " expected",
+        numpy.array([index[name(f)] for f in element_flats]))
 
 
 def _braid_band(label, elements, n, key_of, vector_of, identity,
                 generators, expected, family, guards):
     """A band of braid faces or words on {1..n}, its rows from the braid
-    kernel over vector_of(element, n).  The identity, the generators and
-    the label_of of `expected` are given on elements, not ids."""
+    kernel over vector_of(element, n).  The identity and the generators
+    are given on elements, not ids."""
     keys = [key_of(o) for o in elements]
-    labels = [expected.label_of(o) for o in elements]
     return Semigroup.from_objects(
         label, elements, keys,
         braid_rows([vector_of(o, n) for o in elements], keys),
         key_of(identity), generators=[key_of(g) for g in generators],
-        expected=replace(expected, label_of=labels.__getitem__),
-        family=family, meta={"n": n}, guards=guards)
+        expected=expected, family=family, meta={"n": n}, guards=guards)
 
 
 # ------------------------------------------------- ordered partitions
@@ -332,11 +335,6 @@ def _braid_band(label, elements, n, key_of, vector_of, identity,
 
 def _op_key(blocks):
     return "|".join(",".join(map(str, b)) for b in blocks)
-
-
-def _partition_label(blocks):
-    return "/".join(",".join(map(str, sorted(b)))
-                    for b in sorted(blocks, key=lambda blk: min(blk)))
 
 
 def ordered_partitions(n, guards=DEFAULT_GUARDS):
@@ -354,19 +352,19 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
             elements.append(tuple(order))
     elements = sorted(set(elements))
 
-    partitions = {_partition_label(p): p
-                  for p in posets.set_partitions(universe)}
-    expected = ExpectedLattice(
-        labels=tuple(sorted(partitions)),
-        label_of=_partition_label,
-        leq=lambda a, b: posets.refines(partitions[b], partitions[a]),
-    )
+    label = f"ordered_partitions({n})"
+    flats = list(posets.set_partitions(universe))
+    # a coarser partition is the lower flat
+    expected = _expected(
+        label, flats,
+        numpy.ascontiguousarray(posets.refinement_order(flats).T),
+        posets.partition_label, elements)
     generators = [(tuple(sorted(c)),
                    tuple(sorted(set(universe) - set(c))))
                   for r in range(1, n)
                   for c in itertools.combinations(universe, r)]
-    return _braid_band(f"ordered_partitions({n})", elements, n, _op_key,
-                       face_vector, (universe,), generators, expected,
+    return _braid_band(label, elements, n, _op_key, face_vector,
+                       (universe,), generators, expected,
                        "ordered_partitions", guards)
 
 
@@ -388,27 +386,22 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
     for t in itertools.permutations(universe):
         elements.append(tuple((x,) for x in t))
 
-    def label_of(blocks):
+    def support(blocks):
         head = [b[0] for b in blocks[:-1]]
-        if len(blocks[-1]) == 1:
-            head.append(blocks[-1][0])
-        return "{" + ",".join(map(str, sorted(head))) + "}"
+        return head + list(blocks[-1]) if len(blocks[-1]) == 1 else head
 
-    size_ok = [r for r in range(n + 1) if r != n - 1]
-    labels = ["{" + ",".join(map(str, c)) + "}"
-              for r in size_ok for c in itertools.combinations(universe, r)]
-    expected = ExpectedLattice(
-        labels=tuple(labels),
-        label_of=label_of,
-        leq=lambda a, b: _set_of(a) <= _set_of(b),
-    )
+    label = f"free_lrb_bar({n})"
+    subsets = [c for r in range(n + 1) if r != n - 1
+               for c in itertools.combinations(universe, r)]
+    expected = _expected(label, subsets, posets.inclusion_order(subsets),
+                         _set_label, [support(o) for o in elements])
     generators = [((x,), tuple(sorted(set(universe) - {x})))
                   for x in universe]
     if n == 1:
         generators = []
-    return _braid_band(f"free_lrb_bar({n})", elements, n, _op_key,
-                       face_vector, (universe,), generators, expected,
-                       "free_lrb_bar", guards)
+    return _braid_band(label, elements, n, _op_key, face_vector,
+                       (universe,), generators, expected, "free_lrb_bar",
+                       guards)
 
 
 # ---------------------------------------------------- closure systems
@@ -514,17 +507,6 @@ def _flag_chain_count(m):
     return count
 
 
-def _expected_flats(system, flats, elements, flat_of):
-    """The support lattice a closure band must derive: `flats`, ordered
-    by containment, with element o labelled by the flat flat_of(o)."""
-    by_label = {system.flat_label(f): f for f in flats}
-    return ExpectedLattice(
-        labels=tuple(by_label),
-        label_of=[system.flat_label(flat_of(o)) for o in elements].__getitem__,
-        leq=lambda a, b: by_label[a] <= by_label[b],
-    )
-
-
 def _closure_tuples(system, label, family, meta, guards):
     """The tuples of points of a closure system (a Matroid or a
     fields.VectorSpace), each outside the closure of those before it,
@@ -549,8 +531,10 @@ def _closure_tuples(system, label, family, meta, guards):
         closure_rows(elements, keys, _point_join(system), chains=False),
         key_of(()),
         generators=[key_of((x,)) for x in range(system.n) if x not in loops],
-        expected=_expected_flats(system, system.flats(), elements,
-                                 lambda tup: system.closure(frozenset(tup))),
+        expected=_expected(
+            label, system.flats(), posets.inclusion_order(system.flats()),
+            system.flat_label,
+            [system.closure(frozenset(tup)) for tup in elements]),
         family=family, meta=meta, guards=guards)
 
 
@@ -582,6 +566,7 @@ def _closure_chains(system, label, family, meta, guards, order):
         return "<".join(system.flat_label(f) for f in chain)
 
     keys = [key_of(ch) for ch in elements]
+    kept = [f for f in flats if system.rank(f) != r - 1]
     flat_id = {f: i for i, f in enumerate(flats)}
     join = _flat_join(_point_join(system), [sorted(f) for f in flats])
     return Semigroup.from_objects(
@@ -591,9 +576,9 @@ def _closure_chains(system, label, family, meta, guards, order):
         key_of((bottom, top) if bottom != top else (bottom,)),
         generators=[key_of((bottom, f, top))
                     for f in by_rank.get(1, ()) if f != top],
-        expected=_expected_flats(
-            system, [f for f in flats if system.rank(f) != r - 1], elements,
-            lambda ch: ch[-1] if len(ch) == r + 1 else ch[-2]),
+        expected=_expected(
+            label, kept, posets.inclusion_order(kept), system.flat_label,
+            [ch[-1] if len(ch) == r + 1 else ch[-2] for ch in elements]),
         family=family, meta=meta, guards=guards)
 
 
@@ -611,28 +596,22 @@ def _point_join(system):
 # ------------------------------------------- distributive chain bands
 
 
-class DistributiveLattice:
-    """Finite distributive lattice over labeled elements.
-
-    Built from an explicit order, a numpy bool leq matrix (see
-    `posets`); refuses an order that is not a bounded lattice, naming
-    the labels of the first failing pair, and checks distributivity
-    over all triples.
+class DistributiveLattice(posets.Poset):
+    """Finite distributive lattice over labeled elements: a Poset (see
+    `posets`) built from an explicit order, which it refuses unless it
+    is a bounded lattice, naming the labels of the first failing pair,
+    and distributive over all triples.
     """
 
-    def __init__(self, labels, leq):
-        self.labels = list(labels)
-        self.n = len(labels)
-        self.leq = leq
+    def check(self):
         try:
-            posets.check_partial_order(leq)
-            self.join = posets.join_table(leq)
-            self.meet = posets.meet_table(leq)
+            posets.check_partial_order(self.leq)
+            # deriving the tables names the first pair without a join
+            # or a meet
+            self.join, self.meet
         except AxiomViolationError as exc:
             named = ",".join(self.labels[i] for i in exc.witness)
             raise MalformedInputError(f"{exc} at ({named})") from None
-        self.bottom = posets.bottom_of(leq)
-        self.top = posets.top_of(leq)
         if self.bottom is None or self.top is None:
             raise MalformedInputError("lattice must be bounded")
         # meet(a, join(b, c)) against join(meet(a, b), meet(a, c)), one
@@ -650,14 +629,16 @@ class DistributiveLattice:
     @classmethod
     def from_covers(cls, labels, cover_pairs):
         labels = [str(x) for x in labels]
-        return cls(labels, posets.order_from_covers(labels, cover_pairs))
+        return cls(labels, posets.order_from_covers(labels, cover_pairs),
+                   "lattice")
 
     @classmethod
     def grid(cls, p, q):
         """Divisor-style grid {0..p} x {0..q} under componentwise order."""
         i, j = numpy.divmod(numpy.arange((p + 1) * (q + 1)), q + 1)
         labels = [f"({a},{b})" for a, b in zip(i.tolist(), j.tolist())]
-        return cls(labels, (i[:, None] <= i) & (j[:, None] <= j))
+        return cls(labels, (i[:, None] <= i) & (j[:, None] <= j),
+                   f"grid({p},{q})")
 
 
 def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
@@ -677,11 +658,12 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
     if not isinstance(lattice, DistributiveLattice):
         raise MalformedInputError("needs a DistributiveLattice")
     D = lattice
+    # a chain steps to any element strictly above its last one
     above = [[y for y in numpy.flatnonzero(row).tolist() if y != x]
              for x, row in enumerate(D.leq)]
     # c[x] counts the chains from x to the top, filled from the top down
-    c = [0] * D.n
-    for x in reversed(posets.linear_extension(D.leq)):
+    c = [0] * D.size
+    for x in reversed(D.order):
         c[x] = 1 if x == D.top else sum(c[y] for y in above[x])
     _check_count("distributive_chain_lrb", c[D.bottom], guards)
     join, meet = D.join.tolist(), D.meet.tolist()
@@ -715,7 +697,7 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
     return Semigroup.from_objects(
         "distributive_chain_lrb", chains, [key_of(ch) for ch in chains],
         rows, key_of((D.bottom, D.top) if D.bottom != D.top else (D.bottom,)),
-        generators=[key_of((D.bottom, x, D.top)) for x in range(D.n)
+        generators=[key_of((D.bottom, x, D.top)) for x in range(D.size)
                     if x not in (D.bottom, D.top)],
         family="dist_chain", meta={"lattice": D}, guards=guards)
 

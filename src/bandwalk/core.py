@@ -11,8 +11,12 @@ Both facts are derived, not assumed: `derive_support` quotients S by
 the mutual-absorption relation and verifies the two displayed laws on
 all pairs, so a handle that is not an LRB is rejected with a witness.
 The class order comes off the table as the numpy bool matrix that
-`posets` reads, and the join law is checked against the join table
-`posets` derives from it, both as arrays.
+`posets` reads, and the support lattice is a `posets.Poset` over it,
+`SupportStructure`, which derives its join table, covers, linear
+extension and Moebius rows there; the join law is checked against that
+join table as an array.  A construction's claim about the lattice,
+`ExpectedLattice`, is a Poset too, compared with the derived one by
+array comparisons.
 
 Elements are addressed by integer ids into a list of canonical string
 keys.  Every product comes from one source, `Semigroup.rows(ids)`: the
@@ -60,19 +64,15 @@ def spec_int(field, value):
     return int(value)
 
 
-@dataclass(frozen=True)
-class ExpectedLattice:
+@dataclass(eq=False)
+class ExpectedLattice(posets.Poset):
     """Construction-supplied description of what the support lattice
-    should look like, used by the foundation checks.
-
-    labels: canonical labels of all expected flats
-    label_of: element id -> expected flat label
-    leq: (label, label) -> bool, the expected order
+    should look like, used by the foundation checks: the expected flats
+    `labels` ordered by `leq`, a Poset, and label_of, an int array whose
+    entry x is the index in `labels` of element x's expected flat.
     """
 
-    labels: tuple
-    label_of: object
-    leq: object
+    label_of: np.ndarray
 
 
 class Semigroup:
@@ -326,45 +326,33 @@ def _light_generators(t, generators):
         frontier = np.flatnonzero(fresh)
 
 
-class SupportStructure:
-    """Support lattice of a verified LRB.
+class SupportStructure(posets.Poset):
+    """Support lattice of a verified LRB: a Poset (see `posets`) plus
+    the band, its supp map, the fibre of each flat and the chamber set
+    (fibre of the top flat, sorted by element key).
 
     flats are labeled X0, X1, ... ordered by the minimum element id of
-    their fibre.  Exposes the order `leq` (a numpy bool matrix, see
-    `posets`), the cover matrix, a linear extension `order`, the join
-    table (an int array), the supp map, the chamber set (fibre of the
-    top flat, sorted by element key) and the Moebius function of the
-    lattice, each derived once, here.  `axioms` is the AxiomReport that
-    derive_support checked, or None when it was told not to verify.
+    their fibre.  `axioms` is the AxiomReport that derive_support
+    checked, or None when it was told not to verify.
     """
 
     def __init__(self, sg, leq, supp, members, axioms=None):
         self.semigroup = sg
         self.axioms = axioms
-        self.leq = leq
         self.supp = supp
         self.members = members
-        self.n_flats = len(leq)
-        self.labels = [f"X{i}" for i in range(self.n_flats)]
-        self.join = posets.join_table(leq)
-        self.bottom = posets.bottom_of(leq)
-        self.top = posets.top_of(leq)
+        super().__init__([f"X{i}" for i in range(len(leq))], leq,
+                         sg.label + " lattice")
+        self.chambers = sorted(members[self.top], key=sg.keys.__getitem__)
+
+    def check(self):
+        """Raise at the first pair of flats without a join, then if the
+        order is not bounded."""
+        self.join
         if self.bottom is None or self.top is None:
             raise AxiomViolationError("support order is not bounded")
-        self.cover = posets.covers_of(leq)
-        self.order = posets.linear_extension(leq)
-        self._mu = [posets.moebius_row(leq, self.order, a)
-                    for a in range(self.n_flats)]
-        keys = sg.keys
-        self.chambers = sorted(members[self.top], key=lambda i: keys[i])
 
-    def moebius(self, a, b):
-        """Moebius function of the support lattice; 0 unless a <= b."""
-        return self._mu[a].get(b, 0)
-
-    def coatoms(self):
-        """Flats covered by the top flat."""
-        return np.flatnonzero(self.cover[:, self.top]).tolist()
+    n_flats = posets.Poset.size
 
     def to_json_dict(self):
         return {
@@ -444,10 +432,10 @@ def check_expected_lattice(structure):
     """Compare a derived support lattice against the builder's claim.
 
     Each construction that knows its support lattice in closed form
-    attaches an ExpectedLattice; this verifies that the derived flats
-    biject with the expected labels, that the derived fibres agree with
-    the expected labelling element by element, and that the two orders
-    coincide under the bijection.  Raises FalsificationError with a
+    attaches an ExpectedLattice; this verifies, by array comparisons,
+    that the derived fibres agree with the expected labelling element
+    by element, that the derived flats biject with the expected labels,
+    and that the two orders coincide under the bijection.  Raises FalsificationError with a
     witness on any mismatch; returns the label list (derived flat id ->
     expected label) on success.  Semigroups without a claim pass
     trivially with None.
@@ -456,28 +444,28 @@ def check_expected_lattice(structure):
     exp = sg.expected
     if exp is None:
         return None
-    f = structure.n_flats
-    leq = structure.leq.tolist()
-    flat_label = [None] * f
-    for c in range(f):
-        for x in structure.members[c]:
-            lab = exp.label_of(x)
-            if flat_label[c] is None:
-                flat_label[c] = lab
-            elif flat_label[c] != lab:
-                raise FalsificationError(
-                    f"{sg.label}: one derived flat carries two expected "
-                    f"labels {flat_label[c]!r} and {lab!r}",
-                    witness=structure.members[c][0])
+    supp = np.asarray(structure.supp)
+    # the expected label of each flat, by its least member
+    first = exp.label_of[[m[0] for m in structure.members]]
+    bad = np.flatnonzero(exp.label_of != first[supp])
+    if bad.size:
+        c = supp[bad].min()
+        x = bad[supp[bad] == c][0]
+        raise FalsificationError(
+            f"{sg.label}: one derived flat carries two expected "
+            f"labels {exp.labels[first[c]]!r} and "
+            f"{exp.labels[exp.label_of[x]]!r}",
+            witness=structure.members[c][0])
+    flat_label = [exp.labels[i] for i in first.tolist()]
     if sorted(flat_label) != sorted(exp.labels):
         raise FalsificationError(
             f"{sg.label}: derived flats {sorted(flat_label)} differ from "
             f"expected {sorted(exp.labels)}")
-    for a in range(f):
-        for b in range(f):
-            if leq[a][b] != bool(exp.leq(flat_label[a], flat_label[b])):
-                raise FalsificationError(
-                    f"{sg.label}: derived order disagrees with the expected "
-                    f"order at ({flat_label[a]!r}, {flat_label[b]!r})",
-                    witness=(a, b))
+    bad = np.argwhere(structure.leq != exp.leq[np.ix_(first, first)])
+    if len(bad):
+        a, b = map(int, bad[0])
+        raise FalsificationError(
+            f"{sg.label}: derived order disagrees with the expected "
+            f"order at ({flat_label[a]!r}, {flat_label[b]!r})",
+            witness=(a, b))
     return flat_label

@@ -21,6 +21,10 @@ falsification rather than returned.
 The flag-vector half of the module (flag f and h vectors, the descent
 family identity d(L) = sum of h_J over the family J whose first gap is
 even, and the rank-profile refinement) requires a graded poset.
+
+Every poset here is a `posets.Poset`, which derives its covers, linear
+extension, ranks and Moebius rows once; `from_support_structure` hands
+back the support lattice a band already holds.
 """
 
 from dataclasses import dataclass, replace
@@ -34,60 +38,7 @@ from .errors import (FalsificationError, MalformedInputError,
 from .guards import DEFAULT_GUARDS
 
 
-# ---------------------------------------------------------------- poset type
-
-
-@dataclass
-class GradedPoset:
-    """Finite poset with bottom and top, plus the structure derived from
-    it once, by `graded_poset`.
-
-    leq is the numpy bool order matrix (see `posets`); covers[a] lists
-    the ids that cover a, ascending, and order is a linear extension;
-    every routine here reads these rather than deriving them again.
-    rank is None when the poset is not graded; the chain-count and
-    derangement routines accept that, the flag-vector ones do not.
-    """
-
-    name: str
-    labels: tuple
-    leq: np.ndarray
-    bottom: int
-    top: int
-    rank: list
-    covers: list
-    order: list
-
-    @property
-    def size(self):
-        return len(self.labels)
-
-    @property
-    def n(self):
-        if self.rank is None:
-            raise PreconditionError(f"{self.name} is not graded")
-        return self.rank[self.top]
-
-    def index_of(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise MalformedInputError(
-                f"{self.name} has no element {label!r}") from None
-
-
-def graded_poset(name, labels, leq):
-    """Validate and package a poset given by labels and a leq matrix."""
-    posets.check_partial_order(leq)
-    bottom = posets.bottom_of(leq)
-    top = posets.top_of(leq)
-    if bottom is None or top is None:
-        raise MalformedInputError(f"{name} lacks a unique bottom or top")
-    cover = posets.covers_of(leq)
-    order = posets.linear_extension(leq)
-    return GradedPoset(name, tuple(labels), leq, bottom, top,
-                       posets.rank_function(cover, order),
-                       [np.flatnonzero(row).tolist() for row in cover], order)
+# ---------------------------------------------------------------- posets
 
 
 def interval(p, lo, hi):
@@ -97,14 +48,13 @@ def interval(p, lo, hi):
             f"{p.labels[lo]} is not below {p.labels[hi]} in {p.name}")
     inside = np.flatnonzero(p.leq[lo] & p.leq[:, hi])
     name = f"{p.name}[{p.labels[lo]},{p.labels[hi]}]"
-    return graded_poset(name, [p.labels[c] for c in inside],
-                        p.leq[np.ix_(inside, inside)])
+    return posets.Poset([p.labels[c] for c in inside],
+                        p.leq[np.ix_(inside, inside)], name)
 
 
 def from_support_structure(structure):
-    """The support lattice of a band, as a poset for interval queries."""
-    return graded_poset(structure.semigroup.label + " lattice",
-                        structure.labels, structure.leq)
+    """The support lattice of a band, which is a Poset already."""
+    return structure
 
 
 # ---------------------------------------------------------------- factories
@@ -120,11 +70,11 @@ def boolean_lattice(n):
         raise MalformedInputError("boolean_lattice needs n >= 0")
     if n >= LATTICE_CAP.bit_length():           # 2^n > LATTICE_CAP
         raise SizeGuardError(f"boolean_lattice({n}) has 2^{n} elements")
-    masks = np.arange(1 << n)
-    labels = ["{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}"
-              for m in masks.tolist()]
-    leq = (masks[:, None] & masks) == masks[:, None]
-    return graded_poset(f"boolean({n})", labels, leq)
+    subsets = [[i for i in range(n) if m >> i & 1] for m in range(1 << n)]
+    labels = ["{" + ",".join(str(i + 1) for i in sub) + "}"
+              for sub in subsets]
+    return posets.Poset(labels, posets.inclusion_order(subsets),
+                        f"boolean({n})")
 
 
 def subspace_lattice(n, q):
@@ -147,11 +97,6 @@ def subspace_lattice(n, q):
         raise SizeGuardError(
             f"subspace_lattice({n},{q}) has over {LATTICE_CAP} elements")
     return _flats_lattice(f"subspace({n},{q})", fields.VectorSpace(q, n))
-
-
-def _partition_label(part):
-    blocks = sorted(tuple(sorted(b, key=str)) for b in part)
-    return "|".join(",".join(str(v) for v in b) for b in blocks) or "?"
 
 
 def partition_lattice(n, guards=DEFAULT_GUARDS):
@@ -208,10 +153,9 @@ def contraction_lattice(edges, vertices=None, guards=DEFAULT_GUARDS):
         if all(connected(b) for b in canon):
             parts.append(canon)
     parts = sorted(set(parts), key=lambda p: (-len(p), p))
-    labels = [_partition_label(p) for p in parts]
-    leq = np.array([[posets.refines(a, b) for b in parts] for a in parts])
-    name = f"contractions({len(verts)}v,{len(pairs)}e)"
-    return graded_poset(name, labels, leq)
+    return posets.Poset([posets.partition_label(p) for p in parts],
+                        posets.refinement_order(parts),
+                        f"contractions({len(verts)}v,{len(pairs)}e)")
 
 
 def matroid_flats_lattice(m):
@@ -226,15 +170,10 @@ def matroid_flats_lattice(m):
 
 def _flats_lattice(name, system):
     """The flats of a closure system (a Matroid or a VectorSpace),
-    ordered by inclusion: a <= b when no point of a lies outside b, one
-    float32 product of the 0/1 point incidence matrix, exact because
-    the counts stay below 2^24."""
+    ordered by inclusion."""
     flats = system.flats()
-    labels = [system.flat_label(f) for f in flats]
-    inc = np.zeros((len(flats), system.n), dtype=np.float32)
-    for i, f in enumerate(flats):
-        inc[i, list(f)] = 1
-    return graded_poset(name, labels, (inc @ (1 - inc).T) == 0)
+    return posets.Poset([system.flat_label(f) for f in flats],
+                        posets.inclusion_order(flats), name)
 
 
 def poset_from_json(obj):
@@ -246,8 +185,9 @@ def poset_from_json(obj):
         if not isinstance(obj[key], list):
             raise MalformedInputError(f"poset JSON {key} must be a list")
     labels = [str(e) for e in obj["elements"]]
-    return graded_poset("poset", labels,
-                        posets.order_from_covers(labels, obj["covers"]))
+    return posets.Poset(labels,
+                        posets.order_from_covers(labels, obj["covers"]),
+                        "poset")
 
 
 # ------------------------------------------------------------ chain counts
@@ -296,8 +236,7 @@ def derangement_number(p):
     cnt = _chains_to_top(p)
     via_recurrence = upper_derangements(p)[p.bottom]
 
-    mu = posets.moebius_row(p.leq, p.order, p.bottom)
-    via_moebius = sum(m * cnt[x] for x, m in mu.items())
+    via_moebius = sum(p.moebius(p.bottom, x) * cnt[x] for x in p.order)
 
     low = [0] * p.size
     low[p.bottom] = 1
@@ -359,9 +298,7 @@ def flag_vectors(p):
     bottom and top are not part of the flag); h is the inclusion-
     exclusion transform, re-checked against f before returning.
     """
-    if p.rank is None:
-        raise PreconditionError(f"{p.name} is not graded")
-    n = p.rank[p.top]
+    n = p.n
     leq = p.leq.tolist()
     by_rank = {}
     for x in range(p.size):

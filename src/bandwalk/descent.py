@@ -14,8 +14,9 @@ index 0, their descent sets as type masks, and the composition rows
 kernel (`constructions.coded_products`), with the dense table `comp`.
 A `CoxeterComplex` holds one such table and the int array `perm_of`
 that carries each chamber face to its permutation's index.  The walk
-correspondence reads only the face band's rows of the weighted faces;
-`certify_phi` reads its dense table.  Types and descent sets are the
+correspondence reads only the face band's rows of the weighted faces
+and the composition rows a block at a time; `certify_phi` reads the
+dense face table and `comp`.  Types and descent sets are the
 same bit masks, so invariance and descent classes are both
 `class_values` checks on integer vectors.
 
@@ -295,8 +296,10 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
     With a_x = D p_x as Python ints (exact for any D), row u of the
     counts sums a_x over x with x uC = vC, read off the band's rows of
     the weighted faces at the chamber columns, so no face table is
-    built; row u read at u w must equal the identity row D mu.  A
-    product off the chambers raises FalsificationError.
+    built; row u read at u w must equal the identity row D mu, through
+    the composition rows of S_n read a block of u at a time, so no
+    group table is built either.  A product off the chambers raises
+    FalsificationError.
     """
     if not hasattr(p, "coeffs"):
         raise MalformedInputError("descent_walk needs a WeightVector")
@@ -332,9 +335,12 @@ def descent_walk(p, n, cx=None, guards=DEFAULT_GUARDS):
         return row
 
     mu = counts(0)
-    # row u of the counts, read at v = u w, must be mu at w
-    ok = all(numpy.array_equal(counts(u)[group.comp[u]], mu)
-             for u in range(1, m))
+    # row u of the counts, read at v = u w, must be mu at w; the
+    # composition rows of u come a block at a time
+    step = max(1, constructions.TABLE_CHUNK // m)
+    ok = all(numpy.array_equal(counts(u)[row], mu)
+             for lo in range(1, m, step) for u, row in enumerate(
+                 group.rows(range(lo, min(lo + step, m))), lo))
     return ({group.perms[v]: Fraction(int(mu[v]), p.den)
              for v in numpy.flatnonzero(mu)}, ok)
 

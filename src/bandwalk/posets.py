@@ -1,20 +1,25 @@
 """Finite partial orders, and the enumeration of set partitions.
 
 A partial order on the ids 0..n-1 has one form: a square, C-contiguous
-numpy bool array ``leq``, ``leq[a, b]`` meaning a <= b.  This module is
-the one place that derives anything from it, by array expressions or
-one numpy step per element: validity with the first witness
-(`check_partial_order`), the one transitive closure
-(`order_from_covers`), the cover matrix (`covers_of`), a linear
-extension, bottom and top, join and meet tables (int arrays of ids),
-ranks, and rows of the Moebius function, whose values stay Python ints.
-Set partitions live here too: their enumeration and the refinement
-test that orders them.
+numpy bool array ``leq``, ``leq[a, b]`` meaning a <= b.  A bounded
+poset has one type, `Poset`: the support lattices, the expected
+lattices, the derangement posets and the distributive lattices are all
+Posets.  This module is the one place that derives anything from an
+order, by array expressions or one numpy step per element: validity
+with the first witness (`check_partial_order`), the one transitive
+closure (`order_from_covers`), the inclusion and refinement orders,
+the cover matrix (`covers_of`), a linear extension, bottom and top,
+join and meet tables (int arrays of ids), ranks, and rows of the
+Moebius function, whose values stay Python ints.  Set partitions live
+here too: their enumeration and the refinement order.
 """
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AxiomViolationError, MalformedInputError
+from .errors import AxiomViolationError, MalformedInputError, PreconditionError
 
 
 def _two_way_pair(leq):
@@ -76,6 +81,29 @@ def order_from_covers(labels, pairs):
         raise MalformedInputError(
             f"cover cycle through {labels[a]} and {labels[b]}")
     return leq
+
+
+def inclusion_order(sets):
+    """Sets ordered by inclusion: a <= b when no point of a lies outside
+    b, one float32 product of the 0/1 point incidence matrix, exact
+    while there are fewer than 2^24 points."""
+    index = {}
+    for members in sets:
+        for x in members:
+            index.setdefault(x, len(index))
+    inc = np.zeros((len(sets), len(index)), dtype=np.float32)
+    for i, members in enumerate(sets):
+        inc[i, [index[x] for x in members]] = 1
+    return (inc @ (1 - inc).T) == 0
+
+
+def refinement_order(parts):
+    """Set partitions, each a sequence of blocks, ordered by refinement:
+    leq[a, b] when every block of parts[a] lies inside a block of
+    parts[b], that is, when every pair of points sharing a block of
+    parts[a] shares one of parts[b], the inclusion of those pair sets."""
+    return inclusion_order([[(x, y) for block in p for x in block
+                             for y in block if x != y] for p in parts])
 
 
 def covers_of(leq):
@@ -165,11 +193,97 @@ def moebius_row(leq, order, a):
     return mu
 
 
-def refines(fine, coarse):
-    """Whether the set partition `fine` refines `coarse`, both given as
-    sequences of blocks: each block of fine lies inside one of coarse."""
-    block_of = {x: i for i, block in enumerate(coarse) for x in block}
-    return all(len({block_of[x] for x in block}) == 1 for block in fine)
+@dataclass(eq=False)
+class Poset:
+    """A finite poset with a bottom and a top: the label of each id,
+    the order `leq` and a name for errors.  Building one finds the
+    bottom and the top and runs `check`; the rest is derived on first
+    read, once: the cover matrix `cover`, the up-cover lists `covers`
+    (covers[a] the ids that cover a, ascending), a linear extension
+    `order`, `rank` (None unless graded), the `join` and `meet` tables,
+    the Moebius rows and the label index of `index_of`.
+    """
+
+    labels: tuple
+    leq: np.ndarray
+    name: str
+
+    def __post_init__(self):
+        self.labels = tuple(self.labels)
+        self.bottom = bottom_of(self.leq)
+        self.top = top_of(self.leq)
+        self._mu = {}
+        self.check()
+
+    def check(self):
+        """Raise unless the order has a bottom and a top; a poset that
+        checks more, or raises another error, overrides this."""
+        if self.bottom is None or self.top is None:
+            raise MalformedInputError(
+                f"{self.name} lacks a unique bottom or top")
+
+    @property
+    def size(self):
+        return len(self.labels)
+
+    @property
+    def n(self):
+        """The rank of the top; the poset must be graded."""
+        if self.rank is None:
+            raise PreconditionError(f"{self.name} is not graded")
+        return self.rank[self.top]
+
+    @cached_property
+    def cover(self):
+        return covers_of(self.leq)
+
+    @cached_property
+    def covers(self):
+        return [np.flatnonzero(row).tolist() for row in self.cover]
+
+    @cached_property
+    def order(self):
+        return linear_extension(self.leq)
+
+    @cached_property
+    def rank(self):
+        return rank_function(self.cover, self.order)
+
+    @cached_property
+    def join(self):
+        return join_table(self.leq)
+
+    @cached_property
+    def meet(self):
+        return meet_table(self.leq)
+
+    def moebius(self, a, b):
+        """The Moebius function, 0 unless a <= b; row a is read once."""
+        if a not in self._mu:
+            self._mu[a] = moebius_row(self.leq, self.order, a)
+        return self._mu[a].get(b, 0)
+
+    def coatoms(self):
+        """The ids covered by the top."""
+        return np.flatnonzero(self.cover[:, self.top]).tolist()
+
+    @cached_property
+    def _index(self):
+        return {label: i for i, label in enumerate(self.labels)}
+
+    def index_of(self, label):
+        try:
+            return self._index[label]
+        except KeyError:
+            raise MalformedInputError(
+                f"{self.name} has no element {label!r}") from None
+
+
+def partition_label(blocks):
+    """A set partition named by its blocks, each sorted, in order of
+    their least points: 1,3/2."""
+    return "/".join(",".join(map(str, sorted(b)))
+                    for b in sorted(blocks, key=min))
 
 
 def set_partitions(items):

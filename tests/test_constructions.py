@@ -223,7 +223,7 @@ def test_declared_expected_lattices_match_derivation():
 
 def test_grid_lattice_shape():
     lat = constructions.DistributiveLattice.grid(2, 2)
-    assert lat.n == 9
+    assert lat.size == 9 and lat.n == 4
 
 
 def test_non_distributive_covers_are_rejected():

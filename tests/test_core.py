@@ -1,13 +1,15 @@
 """Axiom checking, support derivation, and chamber identification."""
 
+from dataclasses import replace
+
 import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bandwalk import constructions, core, posets
-from bandwalk.errors import (AxiomViolationError, MalformedInputError,
-                             SizeGuardError)
+from bandwalk.errors import (AxiomViolationError, FalsificationError,
+                             MalformedInputError, SizeGuardError)
 
 
 def test_free_band_passes_every_axiom():
@@ -262,6 +264,75 @@ def test_expected_lattice_is_matched_on_the_free_band():
     labels = core.check_expected_lattice(st)
     assert labels is not None
     assert len(labels) == 8
+
+
+def _relabel(exp, xs, label):
+    """The expected lattice `exp` with the elements xs labelled `label`."""
+    if callable(exp.label_of):
+        # the labelling as a function of element ids
+        old = exp.label_of
+        return replace(exp, label_of=lambda x: label if x in xs else old(x))
+    label_of = numpy.array(exp.label_of)
+    label_of[list(xs)] = list(exp.labels).index(label)
+    return replace(exp, label_of=label_of)
+
+
+def _flip(exp, a, b):
+    """The expected lattice `exp` with the order at labels (a, b) flipped."""
+    if callable(exp.leq):
+        # the order as a predicate on labels
+        old = exp.leq
+        return replace(exp, leq=lambda x, y: old(x, y) != ((x, y) == (a, b)))
+    leq = numpy.array(exp.leq)
+    i, j = list(exp.labels).index(a), list(exp.labels).index(b)
+    leq[i, j] = not leq[i, j]
+    return replace(exp, leq=leq)
+
+
+@pytest.mark.parametrize("build, corrupt, message, witness", [
+    # the second member of the first flat with two takes the bottom label
+    (constructions.free_lrb, "split",
+     "free_lrb(3): one derived flat carries two expected labels "
+     "'{1,2}' and '{}'", 4),
+    (constructions.ordered_partitions, "split",
+     "ordered_partitions(3): one derived flat carries two expected labels "
+     "'1/2/3' and '1,2,3'", 0),
+    # every member of the top flat takes the bottom label
+    (constructions.free_lrb, "merge",
+     "free_lrb(3): derived flats ['{1,2}', '{1,3}', '{1}', '{2,3}', '{2}', "
+     "'{3}', '{}', '{}'] differ from expected ['{1,2,3}', '{1,2}', "
+     "'{1,3}', '{1}', '{2,3}', '{2}', '{3}', '{}']", None),
+    (constructions.ordered_partitions, "merge",
+     "ordered_partitions(3): derived flats ['1,2,3', '1,2,3', '1,2/3', "
+     "'1,3/2', '1/2,3'] differ from expected ['1,2,3', '1,2/3', '1,3/2', "
+     "'1/2,3', '1/2/3']", None),
+    # the first two atoms become comparable
+    (constructions.free_lrb, "flip",
+     "free_lrb(3): derived order disagrees with the expected order at "
+     "('{1}', '{2}')", (1, 2)),
+    (constructions.ordered_partitions, "flip",
+     "ordered_partitions(3): derived order disagrees with the expected "
+     "order at ('1/2,3', '1,2/3')", (1, 2)),
+], ids=["free-split", "faces-split", "free-merge", "faces-merge",
+        "free-flip", "faces-flip"])
+def test_a_corrupted_expected_lattice_is_falsified(build, corrupt, message,
+                                                   witness):
+    sg = build(3)
+    st = core.derive_support(sg)
+    labels = core.check_expected_lattice(st)
+    exp = sg.expected
+    if corrupt == "split":
+        c = next(c for c in range(st.n_flats) if len(st.members[c]) > 1)
+        sg.expected = _relabel(exp, {st.members[c][1]}, labels[st.bottom])
+    elif corrupt == "merge":
+        sg.expected = _relabel(exp, set(st.members[st.top]),
+                               labels[st.bottom])
+    else:
+        sg.expected = _flip(exp, labels[1], labels[2])
+    with pytest.raises(FalsificationError) as info:
+        core.check_expected_lattice(st)
+    assert str(info.value) == message
+    assert info.value.witness == witness
 
 
 def test_moebius_values_on_the_boolean_support_lattice():

@@ -212,5 +212,5 @@ def test_poset_json_rejects_garbage():
 
 def test_graded_poset_needs_bounds():
     leq = numpy.eye(2, dtype=bool)
-    with pytest.raises(MalformedInputError):
-        der.graded_poset("antichain", ["a", "b"], leq)
+    with pytest.raises(MalformedInputError, match="antichain lacks"):
+        posets.Poset(["a", "b"], leq, "antichain")

@@ -239,6 +239,17 @@ def test_descent_walk_on_top_to_random():
     assert got == want
 
 
+def test_descent_walk_builds_no_group_table():
+    # the per-row check reads the composition rows a block at a time,
+    # so the n! x n! table is never built for the walk
+    n = 5
+    cx = descent.coxeter_complex(n)
+    w = spectral.uniform_on(cx.semigroup, cx.type_classes[(1,)])
+    mu, ok = descent.descent_walk(w, n, cx)
+    assert ok and len(mu) == n
+    assert "comp" not in cx.group.__dict__
+
+
 def _walk_oracle(cx, p):
     """The Fraction route: phi(p) by one product per weighted face at
     the fundamental chamber, then every chamber row compared with mu at

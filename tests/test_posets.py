@@ -1,10 +1,11 @@
 """The array derivations of `posets` against the list loops they replaced."""
 
 import numpy
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import derangement, posets, selftest
+from bandwalk import constructions, core, derangement, posets, selftest
 from bandwalk.errors import AxiomViolationError, MalformedInputError
 
 
@@ -64,6 +65,36 @@ def _ref_join_table(leq):
                                           witness=(a, b))
             table[a][b] = table[b][a] = least[0]
     return table
+
+
+def _ref_rank(leq):
+    """The length of the longest chain of covers up to each element, or
+    None unless every cover raises it by exactly one."""
+    covers = _ref_covers_of(leq)
+    rank = {}
+
+    def rank_of(b):
+        if b not in rank:
+            rank[b] = max((rank_of(a) + 1 for a in range(len(leq))
+                           if b in covers[a]), default=0)
+        return rank[b]
+
+    ranks = [rank_of(b) for b in range(len(leq))]
+    if any(ranks[b] != ranks[a] + 1
+           for a in range(len(leq)) for b in covers[a]):
+        return None
+    return ranks
+
+
+def _ref_moebius_row(leq, a):
+    """mu(a, b) for every b >= a, by the defining recursion over the
+    elements in order of how many lie below them."""
+    mu = {}
+    for b in _ref_linear_extension(leq):
+        if leq[a][b]:
+            mu[b] = 1 if b == a else -sum(
+                m for z, m in mu.items() if leq[z][b])
+    return mu
 
 
 def _ref_closure(labels, pairs):
@@ -127,6 +158,19 @@ def closed_dags(draw, max_flips=0):
     return leq
 
 
+@hs.composite
+def bounded_dags(draw):
+    """A random bounded poset: a closed DAG with a bottom and a top
+    adjoined, the ids shuffled."""
+    inner = draw(closed_dags())
+    n = len(inner) + 2
+    leq = numpy.zeros((n, n), dtype=bool)
+    leq[0] = leq[:, -1] = True
+    leq[1:-1, 1:-1] = inner
+    perm = draw(hs.permutations(range(n)))
+    return numpy.ascontiguousarray(leq[numpy.ix_(perm, perm)])
+
+
 # ------------------------------------------------------------------ tests
 
 
@@ -155,6 +199,55 @@ def test_derivations_match_the_reference_loops(leq):
             assert got == want
         else:
             assert got.tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_dags())
+def test_the_poset_type_matches_the_reference_loops(leq):
+    lists = leq.tolist()
+    p = posets.Poset([f"v{i}" for i in range(len(leq))], leq, "dag")
+    assert [a for a, row in enumerate(lists) if all(row)] == [p.bottom]
+    assert [b for b in range(p.size)
+            if all(row[b] for row in lists)] == [p.top]
+    assert p.covers == _ref_covers_of(lists)
+    assert p.coatoms() == [a for a, up in enumerate(p.covers)
+                           if p.top in up]
+    assert p.order == _ref_linear_extension(lists)
+    assert p.rank == _ref_rank(lists)
+    for a in range(p.size):
+        row = _ref_moebius_row(lists, a)
+        assert [p.moebius(a, b) for b in range(p.size)] \
+            == [row.get(b, 0) for b in range(p.size)]
+        assert p.index_of(f"v{a}") == a
+    for table, flip in (("join", False), ("meet", True)):
+        ref = [list(col) for col in zip(*lists)] if flip else lists
+        want = _outcome(_ref_join_table, ref)
+        got = _outcome(getattr, p, table)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.tolist() == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constructions.free_lrb(3),
+    lambda: constructions.free_lrb_bar(4),
+    lambda: constructions.ordered_partitions(4),
+    lambda: constructions.q_free_lrb(2, 2, True)],
+    ids=["free(3)", "free_bar(4)", "faces(4)", "q_free_bar(2,2)"])
+def test_the_support_lattice_is_the_poset_built_afresh(build):
+    st = core.derive_support(build())
+    p = derangement.from_support_structure(st)
+    fresh = posets.Poset(st.labels, st.leq.copy(), "fresh")
+    for name in ("labels", "bottom", "top", "covers", "order", "rank"):
+        assert getattr(p, name) == getattr(fresh, name), name
+    for name in ("leq", "cover", "join", "meet"):
+        assert numpy.array_equal(getattr(p, name), getattr(fresh, name))
+    pairs = [(a, b) for a in range(p.size) for b in range(p.size)]
+    assert [p.moebius(a, b) for a, b in pairs] \
+        == [fresh.moebius(a, b) for a, b in pairs]
+    assert derangement.upper_derangements(p) \
+        == derangement.upper_derangements(fresh)
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,11 +295,12 @@ def test_maximal_chain_count_matches_enumeration():
 
 
 def test_refinement_is_block_containment():
-    # the one refinement test, against its definition on the 15 x 15
+    # the one refinement order, against its definition on the 15 x 15
     # pairs of set partitions of {1..4}
     parts = list(posets.set_partitions((1, 2, 3, 4)))
     assert len(parts) == 15
-    for a in parts:
-        for b in parts:
+    leq = posets.refinement_order(parts)
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
             want = all(any(set(x) <= set(y) for y in b) for x in a)
-            assert posets.refines(a, b) == want
+            assert leq[i, j] == want
