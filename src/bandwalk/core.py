@@ -435,10 +435,10 @@ def check_expected_lattice(structure):
     attaches an ExpectedLattice; this verifies, by array comparisons,
     that the derived fibres agree with the expected labelling element
     by element, that the derived flats biject with the expected labels,
-    and that the two orders coincide under the bijection.  Raises FalsificationError with a
-    witness on any mismatch; returns the label list (derived flat id ->
-    expected label) on success.  Semigroups without a claim pass
-    trivially with None.
+    and that the two orders coincide under the bijection.  Raises
+    FalsificationError with a witness on any mismatch; returns the
+    label list (derived flat id -> expected label) on success.
+    Semigroups without a claim pass trivially with None.
     """
     sg = structure.semigroup
     exp = sg.expected

@@ -16,9 +16,9 @@ A `CoxeterComplex` holds one such table and the int array `perm_of`
 that carries each chamber face to its permutation's index.  The walk
 correspondence reads only the face band's rows of the weighted faces
 and the composition rows a block at a time; `certify_phi` reads the
-dense face table and `comp`.  Types and descent sets are the
-same bit masks, so invariance and descent classes are both
-`class_values` checks on integer vectors.
+dense face table and `comp`.  Types and descent sets are the same bit
+masks, so invariance and descent classes are both `class_values`
+checks on integer vectors.
 
 The invariant subalgebra of the semigroup algebra has the orbit sums
 sigma_J as a basis, with tau_J the inclusion-exclusion companion
