@@ -60,6 +60,7 @@ number of table lookups.
 
 import itertools
 import math
+
 import numpy
 
 from . import fields, posets

@@ -209,9 +209,9 @@ def test_the_poset_type_matches_the_reference_loops(leq):
     assert [a for a, row in enumerate(lists) if all(row)] == [p.bottom]
     assert [b for b in range(p.size)
             if all(row[b] for row in lists)] == [p.top]
-    assert p.covers == _ref_covers_of(lists)
-    assert p.coatoms() == [a for a, up in enumerate(p.covers)
-                           if p.top in up]
+    covers = _ref_covers_of(lists)
+    assert p.covers == covers
+    assert p.coatoms() == [a for a, up in enumerate(covers) if p.top in up]
     assert p.order == _ref_linear_extension(lists)
     assert p.rank == _ref_rank(lists)
     for a in range(p.size):
