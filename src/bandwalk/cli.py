@@ -23,7 +23,9 @@ def _add_common(p):
                    help="write artifacts under DIR instead of stdout")
     p.add_argument("--guard", action="append", default=[],
                    metavar="NAME=VALUE",
-                   help="override a size cap (also via LRB_GUARD_NAME)")
+                   help="override a size cap: table_cap, elements_cap, "
+                        "partitions_n_cap or sample_step_cap (also via "
+                        "LRB_GUARD_NAME)")
 
 
 def _build_parser():

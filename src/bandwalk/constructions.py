@@ -86,6 +86,22 @@ def _check_count(label, count, guards):
             f"{guards.elements_cap}")
 
 
+def _check_words(label, n, count, guards):
+    """Refuse a band above the elements cap before it is listed.  It has
+    a(n) elements, where a(k) = k a(k-1) + 1 and a(0) = count: 1 for the
+    injective words of free_lrb, 0 for the faces of free_lrb_bar.  The
+    recurrence stops at the first a(k) past the cap, so any n is cheap."""
+    if n < 1:
+        raise MalformedInputError(f"{label} needs n >= 1")
+    for k in range(1, n + 1):
+        count = k * count + 1
+        if count > guards.elements_cap:
+            more = "more than " if k < n else ""
+            raise SizeGuardError(
+                f"{label}({n}) has {more}{count} elements, above the cap "
+                f"{guards.elements_cap}")
+
+
 def check_n(label, n, cap):
     """n below 1 is malformed input; n above the guard cap is refused."""
     if n < 1:
@@ -287,9 +303,7 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
     """Injective tuples over {1..n} under concatenation with repeats
     dropped.  Chambers are the n! full-length tuples; the support
     lattice is the boolean lattice of subsets."""
-    check_n("free_lrb", n, guards.free_n_cap)
-    _check_count(f"free_lrb({n})",
-                 sum(math.perm(n, k) for k in range(n + 1)), guards)
+    _check_words("free_lrb", n, 1, guards)
     universe = range(1, n + 1)
     elements = [tuple(t) for r in range(n + 1)
                 for t in itertools.permutations(universe, r)]
@@ -310,12 +324,13 @@ def _set_label(t):
 
 def _expected(label, flats, leq, name, element_flats):
     """The support lattice a band claims: `flats` ordered by `leq`, each
-    named by name(flat), with element x in the flat element_flats[x]."""
-    names = [name(f) for f in flats]
-    index = {n: i for i, n in enumerate(names)}
+    named by name(flat), with element x in the flat element_flats[x].
+    A flat is matched by its set of members (letters, points or blocks),
+    in any order, and only the flats are named."""
+    index = {frozenset(f): i for i, f in enumerate(flats)}
     return ExpectedLattice(
-        names, leq, label + " expected",
-        numpy.array([index[name(f)] for f in element_flats]))
+        [name(f) for f in flats], leq, label + " expected",
+        numpy.array([index[frozenset(f)] for f in element_flats]))
 
 
 def _braid_band(label, elements, n, key_of, vector_of, identity,
@@ -354,8 +369,9 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
     elements = sorted(set(elements))
 
     label = f"ordered_partitions({n})"
+    # blocks are sorted tuples here as in the elements; a coarser
+    # partition is the lower flat
     flats = list(posets.set_partitions(universe))
-    # a coarser partition is the lower flat
     expected = _expected(
         label, flats,
         numpy.ascontiguousarray(posets.refinement_order(flats).T),
@@ -375,9 +391,7 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
     the order inside the final block; each (n-1)-tuple is identified
     with its unique full extension.  Support lattice: subsets of size
     different from n-1."""
-    check_n("free_lrb_bar", n, guards.free_n_cap)
-    _check_count(f"free_lrb_bar({n})", math.factorial(n)
-                 + sum(math.perm(n, r) for r in range(n - 1)), guards)
+    _check_words("free_lrb_bar", n, 0, guards)
     universe = tuple(range(1, n + 1))
     elements = []
     for r in range(n - 1):
@@ -738,11 +752,11 @@ def construction_from_spec(spec, guards=DEFAULT_GUARDS):
         if kind == "ordered_partitions":
             return ordered_partitions(spec_int("n", spec["n"]), guards)
         if kind == "matroid":
-            return matroid_lrb(build_matroid(spec["matroid"], guards),
-                               "ordered-bases", guards)
+            return matroid_lrb(build_matroid(spec["matroid"]), "ordered-bases",
+                               guards)
         if kind == "matroid_flags":
-            return matroid_lrb(build_matroid(spec["matroid"], guards),
-                               "flag-chains", guards)
+            return matroid_lrb(build_matroid(spec["matroid"]), "flag-chains",
+                               guards)
         if kind == "dist_chain":
             if "grid" in spec:
                 p, q = spec["grid"]

@@ -31,14 +31,14 @@ laws, array expressions that report the first failing pair in
 row-major order.  `product` reads one cell of the table as a plain
 int, or one row of the source while there is no table.
 
-"Exhaustive" associativity means every one of the |S|^3 triples is
-certified.  Light's test does it while reading |A|*|S|^2 of them, for
-a set A that generates S (the construction's generators, completed
-where they fall short), so the work scales with |A|, not |S|.
+Associativity has one certificate, exhaustive: every one of the |S|^3
+triples is certified, by Light's test on the dense table.  It reads
+|A|*|S|^2 cells for a set A that generates S (the construction's
+generators, completed where they fall short), so the work scales with
+|A|, not |S|, and that count is what LIGHT_CELLS_CAP bounds.
 """
 
 import numbers
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +52,10 @@ from .errors import (
     SizeGuardError,
 )
 from .guards import DEFAULT_GUARDS
+
+# most table cells Light's test may read, |A|*|S|^2; since |A| <= |S|,
+# no band with |S|^3 within it is refused
+LIGHT_CELLS_CAP = 200_000_000
 
 
 def spec_int(field, value):
@@ -213,21 +217,21 @@ class AxiomReport:
     first law that fails and `witness` its first counterexample."""
 
     ok: bool
-    assoc_mode: str            # "exhaustive" | "sampled"
+    assoc_mode: str            # "exhaustive"; "none" if a law before fails
     checked_triples: int
     witness: tuple = None
     message: str = ""
 
 
-def verify_lrb(sg, guards=DEFAULT_GUARDS, seed=0):
+def verify_lrb(sg, guards=DEFAULT_GUARDS):
     """Check identity, idempotence, deletion (xyx = xy) and
     associativity on the dense table, built first; each pointwise law
     is one array comparison reporting its first failure in row-major
-    order.  Associativity is exhaustive while the |S|^3 triples fit
-    assoc_triples_cap, and sampled (seeded) beyond.  Exhaustive means
-    every triple is certified, by Light's test over the generators
-    (`_assoc_exhaustive`), which reads |A|*|S|^2 of them.  Returns a
-    report; never raises on a mere axiom failure.
+    order.  Associativity is always exhaustive: Light's test over the
+    generators (`_assoc_exhaustive`) certifies all |S|^3 triples, and a
+    band whose test would read more than LIGHT_CELLS_CAP cells is
+    refused with SizeGuardError.  Returns a report; never raises on a
+    mere axiom failure.
     """
     n = sg.size
     e = sg.identity
@@ -251,25 +255,11 @@ def verify_lrb(sg, guards=DEFAULT_GUARDS, seed=0):
                            witness=tuple(map(int, bad[0])),
                            message="deletion law xyx = xy fails")
 
-    if n ** 3 <= guards.assoc_triples_cap:
-        bad = _assoc_exhaustive(t, sg.generators)
-        if bad is not None:
-            return AxiomReport(False, "exhaustive", n ** 3, witness=bad,
-                               message="associativity fails")
-        return AxiomReport(True, "exhaustive", n ** 3)
-
-    prod = sg.product
-    rng = random.Random(seed)
-    m = guards.assoc_samples
-    for _ in range(m):
-        x = rng.randrange(n)
-        y = rng.randrange(n)
-        z = rng.randrange(n)
-        if prod(prod(x, y), z) != prod(x, prod(y, z)):
-            return AxiomReport(False, "sampled", m,
-                               witness=(x, y, z),
-                               message="associativity fails")
-    return AxiomReport(True, "sampled", m)
+    bad = _assoc_exhaustive(t, sg.generators)
+    if bad is not None:
+        return AxiomReport(False, "exhaustive", n ** 3, witness=bad,
+                           message="associativity fails")
+    return AxiomReport(True, "exhaustive", n ** 3)
 
 
 def _assoc_exhaustive(t, generators=()):
@@ -282,11 +272,18 @@ def _assoc_exhaustive(t, generators=()):
     a of a set A whose left-nested products ((a1 a2) a3)... reach every
     element certifies all |S|^3 triples while reading |A|*|S|^2 of them.
     A is `generators` (ids) plus, while some element is unreached, the
-    least unreached id; with no generators at worst A = S.  Per a, one
-    comparison of two |S| x |S| gathers: t[t[x, a], y] against
-    t[x, t[a, y]].
+    least unreached id; with no generators at worst A = S.  A table
+    whose |A|*|S|^2 exceeds LIGHT_CELLS_CAP is refused before any is
+    read.  Per a, one comparison of two |S| x |S| gathers: t[t[x, a], y]
+    against t[x, t[a, y]].
     """
-    for a in _light_generators(t, generators):
+    gens = _light_generators(t, generators)
+    n = len(t)
+    cells = len(gens) * n * n
+    if cells > LIGHT_CELLS_CAP:
+        raise SizeGuardError(f"Light's test reads |A|*|S|^2 = {cells} "
+                             f"cells, above the cap {LIGHT_CELLS_CAP}")
+    for a in gens:
         bad = t[t[:, a]] != t[:, t[a]]
         if bad.any():
             x, y = np.argwhere(bad)[0]

@@ -194,9 +194,7 @@ def poset_from_json(obj):
 
 
 def maximal_chain_count(p):
-    """Number of maximal chains of a graded poset."""
-    if p.rank is None:
-        raise PreconditionError(f"{p.name} is not graded")
+    """Number of maximal chains of a bounded poset, graded or not."""
     return _chains_to_top(p)[p.bottom]
 
 

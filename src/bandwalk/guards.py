@@ -1,7 +1,9 @@
 """Size guards.
 
-Every cap can be overridden per call, via a CLI flag, or through an
-``LRB_GUARD_*`` environment variable (e.g. ``LRB_GUARD_TABLE_CAP=4096``).
+Each cap can be overridden per call, via ``--guard NAME=VALUE``, or
+through an ``LRB_GUARD_*`` environment variable (e.g.
+``LRB_GUARD_TABLE_CAP=4096``).  Bounds on the work itself are module
+constants beside it: `core.LIGHT_CELLS_CAP`, `matroid.RANK_TABLE_CAP`.
 """
 
 import os
@@ -16,15 +18,10 @@ class Guards:
     # into the dense Cayley table, which caps the work of the axioms and
     # the support lattice; the rows of a few ids are served past it
     table_cap: int = 2048
-    # exhaustive associativity check while |S|^3 is at most this many
-    # triples (|S| <= 584), sampled beyond
-    assoc_triples_cap: int = 200_000_000
-    assoc_samples: int = 100_000
     # hard ceiling on element counts of any construction
     elements_cap: int = 50_000
-    free_n_cap: int = 8
+    # largest n for ordered partitions, descents and graph contractions
     partitions_n_cap: int = 7
-    matroid_ground_cap: int = 12
     # per-sample draw cap before declaring stagnation
     sample_step_cap: int = 100_000
 

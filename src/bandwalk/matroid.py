@@ -11,7 +11,10 @@ import itertools
 from . import fields
 from .core import spec_int
 from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
-from .guards import DEFAULT_GUARDS
+
+# most entries of the rank table, one per subset of the ground set: a
+# ground set of at most 12 elements
+RANK_TABLE_CAP = 4096
 
 
 def _mask(subset):
@@ -24,50 +27,43 @@ def _mask(subset):
 
 class Matroid:
     """ground: canonical labels of the ground set (ids 0..n-1),
-    indep: callable frozenset[int] -> bool, cached per subset."""
+    indep: callable frozenset[int] -> bool.  The axioms are checked on
+    construction over the rank table of all 2^|E| subsets, refused above
+    RANK_TABLE_CAP entries, and every later question reads that table."""
 
-    def __init__(self, ground, indep, kind="oracle", guards=DEFAULT_GUARDS,
-                 check=True):
-        if len(ground) > guards.matroid_ground_cap:
+    def __init__(self, ground, indep, kind="oracle"):
+        if 1 << len(ground) > RANK_TABLE_CAP:
             raise SizeGuardError(
-                f"ground set of {len(ground)} exceeds cap "
-                f"{guards.matroid_ground_cap}")
+                f"ground set of {len(ground)} needs a rank table of "
+                f"2^{len(ground)} entries, above the cap {RANK_TABLE_CAP}")
         if len(set(ground)) != len(ground):
             raise MalformedInputError("ground labels are not unique")
         self.ground = list(ground)
         self.n = len(ground)
         self.kind = kind
-        self._indep_fn = indep
-        self._cache = {}
-        self._rank = None
         self._flats = None
-        if check:
-            self._check_axioms()
-        self.full_rank = self.rank(frozenset(range(self.n)))
+        if not indep(frozenset()):
+            raise AxiomViolationError("empty set is not independent")
+        self._rank = self._ranks(indep)
+        self._check_exchange()
+        self.full_rank = self._rank[-1]
 
     def is_independent(self, subset):
         subset = frozenset(subset)
-        got = self._cache.get(subset)
-        if got is None:
-            got = bool(self._indep_fn(subset))
-            self._cache[subset] = got
-        return got
+        return self.rank(subset) == len(subset)
 
-    def _ranks(self):
+    def _ranks(self, indep):
         """r(X), the largest size of an independent subset of X, for
-        every subset X as a bitmask; computed once and kept.  r(X) is |X|
-        when X is independent and the largest r(X-x) otherwise, and an
-        independent X with a dependent X-x is reported as a failure of
-        downward closure."""
-        if self._rank is not None:
-            return self._rank
+        every subset X as a bitmask.  r(X) is |X| when X is independent
+        and the largest r(X-x) otherwise, and an independent X with a
+        dependent X-x is reported as a failure of downward closure."""
         n = self.n
         bits = [1 << x for x in range(n)]
         rank = [0] * (1 << n)
         for mask in range(1, 1 << n):
             members = [x for x in range(n) if mask & bits[x]]
             below = [rank[mask ^ bits[x]] for x in members]
-            if not self.is_independent(frozenset(members)):
+            if not indep(frozenset(members)):
                 rank[mask] = max(below)
             elif min(below) < len(members) - 1:
                 raise AxiomViolationError(
@@ -75,23 +71,20 @@ class Matroid:
                     witness=(members, members[below.index(min(below))]))
             else:
                 rank[mask] = len(members)
-        self._rank = rank
         return rank
 
-    def _check_axioms(self):
-        """Downward closure (checked by `_ranks`), then submodularity of
-        the rank.  A hereditary family is the independent sets of a
-        matroid exactly when r is submodular, and as r rises by at most
-        one per element it is enough that r(X+a) + r(X+b) >= r(X+a+b) +
-        r(X) for every X and a, b outside X.  An exchange failure is
-        reported as a pair of independent sets I, J with |J| = |I| + 1
-        and no x of J - I making I + x independent.
+    def _check_exchange(self):
+        """Submodularity of the rank, given downward closure.  A
+        hereditary family is the independent sets of a matroid exactly
+        when r is submodular, and as r rises by at most one per element
+        it is enough that r(X+a) + r(X+b) >= r(X+a+b) + r(X) for every X
+        and a, b outside X.  An exchange failure is reported as a pair of
+        independent sets I, J with |J| = |I| + 1 and no x of J - I making
+        I + x independent.
         """
-        if not self.is_independent(frozenset()):
-            raise AxiomViolationError("empty set is not independent")
         n = self.n
         bits = [1 << x for x in range(n)]
-        rank = self._ranks()
+        rank = self._rank
 
         def independent_part(mask):
             # drop elements that keep the rank until the set is independent
@@ -111,10 +104,10 @@ class Matroid:
                                  independent_part(x | a | b)))
 
     def rank(self, subset):
-        return self._ranks()[_mask(subset)]
+        return self._rank[_mask(subset)]
 
     def closure(self, subset):
-        rank = self._ranks()
+        rank = self._rank
         mask = _mask(subset)
         r = rank[mask]
         return frozenset(x for x in range(self.n)
@@ -129,7 +122,7 @@ class Matroid:
         """
         if self._flats is not None:
             return self._flats
-        rank = self._ranks()
+        rank = self._rank
         n = self.n
         bits = [1 << x for x in range(n)]
         found = []
@@ -146,17 +139,17 @@ class Matroid:
     # constructors -----------------------------------------------------
 
     @classmethod
-    def from_independent_sets(cls, ground, independent, guards=DEFAULT_GUARDS):
+    def from_independent_sets(cls, ground, independent):
         labels = [str(g) for g in ground]
         pos = {g: i for i, g in enumerate(labels)}
         try:
             sets = {frozenset(pos[str(x)] for x in s) for s in independent}
         except KeyError as exc:
             raise MalformedInputError(f"unknown ground element {exc}") from exc
-        return cls(labels, lambda a: a in sets, kind="sets", guards=guards)
+        return cls(labels, lambda a: a in sets, kind="sets")
 
     @classmethod
-    def from_vectors(cls, q, columns, guards=DEFAULT_GUARDS):
+    def from_vectors(cls, q, columns):
         fld = fields.field(q)
         cols = [tuple(int(c) % q for c in col) for col in columns]
         if len({len(c) for c in cols}) > 1:
@@ -173,10 +166,10 @@ class Matroid:
             rows = [cols[i] for i in sorted(subset)]
             return len(fields.rref(fld, rows)) == len(rows)
 
-        return cls(labels, indep, kind="vectors", guards=guards)
+        return cls(labels, indep, kind="vectors")
 
     @classmethod
-    def from_graph(cls, edges, guards=DEFAULT_GUARDS):
+    def from_graph(cls, edges):
         """Edges as (u, v) pairs; loops and parallel edges allowed."""
         pairs = [(str(u), str(v)) for u, v in edges]
         labels = []
@@ -203,22 +196,21 @@ class Matroid:
                 parent[ru] = rv
             return True
 
-        return cls(labels, indep, kind="graph", guards=guards)
+        return cls(labels, indep, kind="graph")
 
     @classmethod
-    def uniform(cls, k, m, guards=DEFAULT_GUARDS):
+    def uniform(cls, k, m):
         if not 0 <= k <= m:
             raise MalformedInputError("uniform matroid needs 0 <= k <= m")
         labels = [str(i + 1) for i in range(m)]
-        return cls(labels, lambda a: len(a) <= k, kind="uniform",
-                   guards=guards)
+        return cls(labels, lambda a: len(a) <= k, kind="uniform")
 
     @classmethod
-    def free(cls, n, guards=DEFAULT_GUARDS):
-        return cls.uniform(n, n, guards=guards)
+    def free(cls, n):
+        return cls.uniform(n, n)
 
 
-def build_matroid(spec, guards=DEFAULT_GUARDS):
+def build_matroid(spec):
     """Matroid from a spec dict: {"kind": "sets"|"vectors"|"graph"|
     "uniform"|"free", ...}."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -227,19 +219,18 @@ def build_matroid(spec, guards=DEFAULT_GUARDS):
     try:
         if kind == "sets":
             return Matroid.from_independent_sets(
-                spec["ground"], spec["independent"], guards=guards)
+                spec["ground"], spec["independent"])
         if kind == "vectors":
             columns = [[spec_int("columns", c) for c in col]
                        for col in spec["columns"]]
-            return Matroid.from_vectors(spec_int("q", spec["q"]), columns,
-                                        guards=guards)
+            return Matroid.from_vectors(spec_int("q", spec["q"]), columns)
         if kind == "graph":
-            return Matroid.from_graph(spec["edges"], guards=guards)
+            return Matroid.from_graph(spec["edges"])
         if kind == "uniform":
             return Matroid.uniform(spec_int("k", spec["k"]),
-                                   spec_int("m", spec["m"]), guards=guards)
+                                   spec_int("m", spec["m"]))
         if kind == "free":
-            return Matroid.free(spec_int("n", spec["n"]), guards=guards)
+            return Matroid.free(spec_int("n", spec["n"]))
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad matroid spec: {exc}") from exc
     raise MalformedInputError(f"unknown matroid kind {kind!r}")

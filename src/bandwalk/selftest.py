@@ -56,7 +56,7 @@ def corpus(guards=DEFAULT_GUARDS):
     bands.append(constructions.q_free_lrb(2, 2, False, guards))
     bands.append(constructions.q_free_lrb(3, 2, False, guards))
     bands.append(constructions.q_free_lrb(3, 2, True, guards))
-    k4 = matroid.build_matroid({"kind": "graph", "edges": K4_EDGES}, guards)
+    k4 = matroid.build_matroid({"kind": "graph", "edges": K4_EDGES})
     bands.append(constructions.matroid_lrb(k4, "ordered-bases", guards))
     bands.append(constructions.matroid_lrb(k4, "flag-chains", guards))
     bands.append(constructions.distributive_chain_lrb(
@@ -207,7 +207,7 @@ def criterion_3(guards=DEFAULT_GUARDS):
     for tag, spec_dict in (
             ("K4", {"kind": "graph", "edges": K4_EDGES}),
             ("U(2,4)", {"kind": "uniform", "k": 2, "m": 4})):
-        m_obj = matroid.build_matroid(spec_dict, guards)
+        m_obj = matroid.build_matroid(spec_dict)
         sg = constructions.matroid_lrb(m_obj, "flag-chains", guards)
         st = core.derive_support(sg, guards)
         labels = core.check_expected_lattice(st)

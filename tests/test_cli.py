@@ -150,6 +150,22 @@ def test_derangement_routes(tmp_path):
     assert cli.main(["derangement", "--poset", bad]) == 2
 
 
+def test_ungraded_poset_counts_its_maximal_chains(tmp_path):
+    # the pentagon 0 < a < b < 1, 0 < c < 1 is bounded but not graded:
+    # its two maximal chains are counted, the flag-vector checks refuse
+    pentagon = _spec(tmp_path, {
+        "elements": ["0", "a", "b", "c", "1"],
+        "covers": [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"],
+                   ["c", "1"]]}, "pentagon.json")
+    out = tmp_path / "out"
+    assert cli.main(["derangement", "--poset", pentagon,
+                     "--out", str(out)]) == 0
+    data = json.loads((out / "derangement.json").read_text())
+    assert data["maximal_chains"] == 2
+    for flag in ("--stanley", "--mahajan"):
+        assert cli.main(["derangement", "--poset", pentagon, flag]) == 2
+
+
 def test_descent_subcommand(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["descent", "--n", "3", "--beta", "--phi-check",
@@ -308,7 +324,10 @@ def test_size_guards_exit_4(tmp_path):
 
 def test_bad_guard_name_exits_2(tmp_path):
     spec = _f3(tmp_path)
-    for guard in ("mystery=1", "word_cap=1"):
+    # a cap that left Guards is an unknown name, not ignored
+    for guard in ("mystery=1", "word_cap=1", "assoc_triples_cap=9",
+                  "assoc_samples=1", "free_n_cap=9",
+                  "matroid_ground_cap=13"):
         assert cli.main(["build", "--spec", spec, "--guard", guard]) == 2
 
 

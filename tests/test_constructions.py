@@ -273,6 +273,20 @@ def test_size_guards_fire():
         with pytest.raises(SizeGuardError, match=f"has {count} elements"):
             build(8)
         assert time.perf_counter() - start < 0.1
+    # a million letters: refused by the count stopped past the cap
+    for build in (constructions.free_lrb, constructions.free_lrb_bar):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="has more than"):
+            build(10 ** 6)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_matroid_rank_table_is_capped_at_twelve_elements():
+    assert matroid.Matroid.free(12).full_rank == 12
+    with pytest.raises(SizeGuardError, match="2\\^13 entries"):
+        matroid.Matroid.free(13)
+    with pytest.raises(SizeGuardError):
+        matroid.build_matroid({"kind": "uniform", "k": 2, "m": 13})
 
 
 @pytest.mark.parametrize("build", [

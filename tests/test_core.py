@@ -1,5 +1,6 @@
 """Axiom checking, support derivation, and chamber identification."""
 
+import json
 from dataclasses import replace
 
 import numpy
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import constructions, core, posets
+from bandwalk import cli, constructions, core, posets
 from bandwalk.errors import (AxiomViolationError, FalsificationError,
                              MalformedInputError, SizeGuardError)
 
@@ -20,15 +21,44 @@ def test_free_band_passes_every_axiom():
     assert rep.witness is None
 
 
-@pytest.mark.parametrize("build", [constructions.free_lrb,
-                                   constructions.ordered_partitions])
-def test_every_default_table_band_is_swept_exhaustively(build):
-    # 326 and 541 elements: the triple cap, not |S|, decides
-    sg = build(5)
+@pytest.mark.parametrize("build, size", [
+    pytest.param(lambda: constructions.free_lrb(5), 326, id="free_lrb"),
+    pytest.param(lambda: constructions.ordered_partitions(5), 541,
+                 id="ordered_partitions"),
+    pytest.param(lambda: constructions.free_lrb(6), 1957, id="free_lrb(6)"),
+    pytest.param(lambda: constructions.free_lrb_bar(6), 1237,
+                 id="free_lrb_bar(6)"),
+    pytest.param(lambda: constructions.distributive_chain_lrb(
+        constructions.DistributiveLattice.grid(3, 4)), 768,
+                 id="grid(3,4)")])
+def test_every_default_table_band_is_swept_exhaustively(build, size):
+    # Light's test reads |A|*|S|^2 cells, at most 2.7e7 here for |A| of
+    # 7 to 19: the cell count, not |S|^3, decides, so every band the
+    # default table cap admits is certified on all |S|^3 triples
+    sg = build()
     rep = core.verify_lrb(sg)
     assert rep.ok and rep.assoc_mode == "exhaustive"
-    assert sg.size in (326, 541)
+    assert sg.size == size
     assert rep.checked_triples == sg.size ** 3
+
+
+def test_band_past_the_light_cell_cap_is_refused(monkeypatch, tmp_path):
+    # the identity and 29 left zeros, z x = z for every x: no product is
+    # another element, so every id is in A and Light's test would read
+    # |S|^3 cells
+    sg = core.Semigroup("left_zero", ["e"] + [f"z{i}" for i in range(29)],
+                        0, table=[list(range(30))]
+                        + [[z] * 30 for z in range(1, 30)])
+    assert len(core._light_generators(sg.tabulate(), [])) == 30
+    monkeypatch.setattr(core, "LIGHT_CELLS_CAP", 30 ** 3 - 1)
+    with pytest.raises(SizeGuardError, match=f"= {30 ** 3} cells"):
+        core.verify_lrb(sg)
+    spec = tmp_path / "left_zero.json"
+    spec.write_text(json.dumps({"type": "table", **sg.to_json_dict()}),
+                    encoding="utf-8")
+    assert cli.main(["build", "--spec", str(spec)]) == 4
+    monkeypatch.setattr(core, "LIGHT_CELLS_CAP", 30 ** 3)
+    assert core.verify_lrb(sg).ok
 
 
 def _assoc_witnesses(t):
