@@ -48,7 +48,10 @@ position vector, v[x-1] = position of x in the word, with absent
 letters in a trailing sentinel block v[x-1] = n.  The product of u and
 v is then the lexicographic rank of the pairs (u[x], v[x]) among the
 pairs present, except that a letter absent from both factors stays in
-the sentinel block.
+the sentinel block.  The kernel ranks without sorting: each pair is
+the code u[x] (n+1) + v[x] < (n+1)^2, the codes of a product set bits
+of a mask one uint64 word per 64 codes (one word up to n = 7), and a
+pair's rank is the popcount of the mask bits under its code.
 
 `closure_rows` serves the bands of a closure system.  Its flats are
 numbered once per band, bottom first, with small integer tables for
@@ -174,36 +177,52 @@ def _word_vector(word, n):
     return v
 
 
-def braid_product(u, v):
-    """Vectors of the products u v, broadcast over leading axes.
-
-    Each output entry is the dense lexicographic rank of the pair
-    (u[x], v[x]) within its row; the pair (n, n) of a letter absent
-    from both words stays n.
-    """
-    n = u.shape[-1]
-    pairs = u * (n + 1) + v
-    order = numpy.argsort(pairs, axis=-1, kind="stable")
-    ranked = numpy.take_along_axis(pairs, order, axis=-1)
-    fresh = numpy.zeros(ranked.shape, dtype=numpy.int64)
-    fresh[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
-    rank = numpy.empty_like(fresh)
-    numpy.put_along_axis(rank, order, numpy.cumsum(fresh, axis=-1), axis=-1)
-    return numpy.where(pairs == n * (n + 1) + n, n, rank)
-
-
 def braid_rows(vectors, keys):
     """The product rows of a band of braid faces or words.
 
     vectors: one block-index or position vector per element, in id
-    order, stored as base-(n+1) codes.
+    order, stored as base-(n+1) codes.  Entry x of a product u v is the
+    dense rank of the pair code p_x = u[x] (n+1) + v[x] among the codes
+    of its row, and n for the pair (n, n) of a letter absent from both
+    words.  The vectors are kept letter-major, so each letter's codes
+    over a block of rows form one contiguous array; the bits 1 << p_x of
+    every letter are OR-ed into a mask of ceil((n+1)^2 / 64) uint64
+    words, and the rank of p_x is the popcount of the mask bits under
+    it.  Word k holds the codes 64k .. 64k + 63: a code below the word
+    shifts in nothing, and the bits under a code above it are the whole
+    word.
     """
     vecs = numpy.asarray(vectors, dtype=numpy.int64)
-    n = vecs.shape[1]
+    size, n = vecs.shape
     powers = (n + 1) ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
+    letters = numpy.ascontiguousarray(vecs.T)
+    # highs[k]: each letter's u[x] (n+1), less the first code of word k
+    starts = numpy.arange(0, (n + 1) ** 2, 64)
+    highs = letters * (n + 1) - starts[:, None, None]
+    # the pair (n, n), less the first code of the last word
+    absent = n * (n + 1) + n - starts[-1]
+    one = numpy.uint64(1)
 
     def product_codes(us):
-        return braid_product(vecs[us][:, None, :], vecs[None, :, :]) @ powers
+        # codes[x][k]: p_x less the first code of word k, over the block
+        codes = [[high[x, us][:, None] + letters[x] for high in highs]
+                 for x in range(n)]
+        mask = numpy.zeros((len(starts), len(us), size), dtype=numpy.uint64)
+        for qs in codes:
+            for word, q in zip(mask, qs):
+                # numpy shifts past 63 give 0, so a q off this word, a
+                # negative one wrapped, sets nothing
+                word |= one << q.view(numpy.uint64)
+        out = numpy.zeros((len(us), size), dtype=numpy.int64)
+        for qs, power in zip(codes, powers):
+            rank = numpy.zeros((len(us), size), dtype=numpy.int64)
+            for word, q in zip(mask, qs):
+                # every bit for a q past the word (0 - 1), none below it
+                below = (one << numpy.maximum(q, 0).view(numpy.uint64)) - one
+                rank += numpy.bitwise_count(word & below)
+            rank[qs[-1] == absent] = n
+            out += rank * power
+        return out
 
     return coded_products(vecs @ powers, keys, n, product_codes)
 

@@ -255,14 +255,14 @@ def verify_lrb(sg, guards=DEFAULT_GUARDS):
                            witness=tuple(map(int, bad[0])),
                            message="deletion law xyx = xy fails")
 
-    bad = _assoc_exhaustive(t, sg.generators)
+    bad = _assoc_exhaustive(t, sg.generators, e)
     if bad is not None:
         return AxiomReport(False, "exhaustive", n ** 3, witness=bad,
                            message="associativity fails")
     return AxiomReport(True, "exhaustive", n ** 3)
 
 
-def _assoc_exhaustive(t, generators=()):
+def _assoc_exhaustive(t, generators=(), identity=None):
     """Return a witness triple (x, a, y) with (xa)y != x(ay), or None.
 
     Light's associativity test (Clifford and Preston, The Algebraic
@@ -272,12 +272,14 @@ def _assoc_exhaustive(t, generators=()):
     a of a set A whose left-nested products ((a1 a2) a3)... reach every
     element certifies all |S|^3 triples while reading |A|*|S|^2 of them.
     A is `generators` (ids) plus, while some element is unreached, the
-    least unreached id; with no generators at worst A = S.  A table
-    whose |A|*|S|^2 exceeds LIGHT_CELLS_CAP is refused before any is
-    read.  Per a, one comparison of two |S| x |S| gathers: t[t[x, a], y]
-    against t[x, t[a, y]].
+    least unreached id; with no generators at worst A = S.  `identity`,
+    an id whose identity law the caller has checked, is in B already
+    ((xe)y = xy = x(ey)), so it counts as reached and never joins A.  A
+    table whose |A|*|S|^2 exceeds LIGHT_CELLS_CAP is refused before any
+    is read.  Per a, one comparison of two |S| x |S| gathers:
+    t[t[x, a], y] against t[x, t[a, y]].
     """
-    gens = _light_generators(t, generators)
+    gens = _light_generators(t, generators, identity)
     n = len(t)
     cells = len(gens) * n * n
     if cells > LIGHT_CELLS_CAP:
@@ -291,14 +293,18 @@ def _assoc_exhaustive(t, generators=()):
     return None
 
 
-def _light_generators(t, generators):
-    """Ids A whose left-nested products reach every id of the table t:
-    the generators, de-duplicated, closed under right multiplication
-    by A, with the least unreached id added while one is left."""
+def _light_generators(t, generators, identity=None):
+    """Ids A whose left-nested products reach every id of the table t
+    but `identity`, which starts reached and is never in A: the
+    generators, de-duplicated, closed under right multiplication by A,
+    with the least unreached id added while one is left."""
     n = len(t)
-    gens = list(dict.fromkeys(int(g) for g in generators))
+    gens = [g for g in dict.fromkeys(int(g) for g in generators)
+            if g != identity]
     reached = np.zeros(n, dtype=bool)
     reached[gens] = True
+    if identity is not None:
+        reached[identity] = True
     frontier = np.array(gens, dtype=np.intp)
     while True:
         while frontier.size:

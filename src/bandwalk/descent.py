@@ -16,9 +16,11 @@ A `CoxeterComplex` holds one such table and the int array `perm_of`
 that carries each chamber face to its permutation's index.  The walk
 correspondence reads only the face band's rows of the weighted faces
 and the composition rows a block at a time; `certify_phi` reads the
-dense face table and `comp`.  Types and descent sets are the same bit
-masks, so invariance and descent classes are both `class_values`
-checks on integer vectors.
+dense face table and `comp`, and multiplies every pair of phi images
+in one batched product of ZS_n through the inverses of the rows of
+`comp`, which it first checks are permutations.  Types and descent
+sets are the same bit masks, so invariance and descent classes are
+both `class_values` checks on integer vectors.
 
 The invariant subalgebra of the semigroup algebra has the orbit sums
 sigma_J as a basis, with tau_J the inclusion-exclusion companion
@@ -64,11 +66,13 @@ def type_mask(j_set):
 
 
 def class_values(vec, classes):
-    """Per-class values of an integer vector, or None if it is not
-    constant on every class; classes[i] is the class of entry i."""
-    values = numpy.zeros(int(classes.max()) + 1, dtype=vec.dtype)
-    values[classes] = vec
-    return values if numpy.array_equal(values[classes], vec) else None
+    """Per-class values of integer vectors along the last axis, or None
+    if one is not constant on every class; classes[i] is the class of
+    entry i."""
+    values = numpy.zeros(vec.shape[:-1] + (int(classes.max()) + 1,),
+                         dtype=vec.dtype)
+    values[..., classes] = vec
+    return values if numpy.array_equal(values[..., classes], vec) else None
 
 
 def face_count(n):
@@ -121,12 +125,6 @@ class _SymmetricGroupTable:
         u = (self.descents[None, :] & ~masks) == 0
         z = self.descents[None, :] == masks
         return u.astype(numpy.int64), z.astype(numpy.int64)
-
-    def convolve(self, a, b):
-        out = numpy.zeros(len(self.perms), dtype=numpy.int64)
-        for i in numpy.nonzero(a)[0]:
-            out[self.comp[i]] += int(a[i]) * b
-        return out
 
 
 # ---------------------------------------------------------------- complex
@@ -228,18 +226,25 @@ def certify_phi(cx):
     image stays inside the descent span (constant on descent classes).
     Everything is exact int64 counting over the dense face table, with
     types and descent sets as bit masks: sigma_a sigma_b is the
-    bincount of table[class a][:, class b], which must be constant on
-    every type class (PreconditionError otherwise); phi(sigma_K) counts
-    the permutations of the chambers F C, F of type K, through the
-    column of the fundamental chamber C; group products use the
-    composition table of S_n.
+    bincount of table[class a][:, class b], counted for every b at once
+    a block of type-a rows at a time, which must be constant on every
+    type class (PreconditionError otherwise); phi(sigma_K) counts the
+    permutations of the chambers F C, F of type K, through the column of
+    the fundamental chamber C.  The group side is one batched product in
+    ZS_n: with inverse[i, k] the j such that i j = k, every product
+    phi(x) phi(y) is the sum of phi(x)[i] phi(y)[inverse[i]] over the
+    support of phi(x), taken for all y at once a block of i at a time.
+    inverse comes from sorting the rows of the composition table
+    `comp`, so each row must first be a permutation (FalsificationError
+    otherwise).
     Returns {"basis_images_ok", "anti_homomorphism_ok", "closure_ok"}.
     """
     n = cx.n
     sg = cx.semigroup
     table = sg.tabulate(cx.guards)
     group = cx.group
-    masks = numpy.arange(1 << (n - 1))
+    types = 1 << (n - 1)
+    masks = numpy.arange(types)
     members = [numpy.flatnonzero(cx.face_type == k) for k in masks]
     type_of = {type_mask(t): t for t in cx.type_classes}
 
@@ -262,24 +267,49 @@ def certify_phi(cx):
     basis_ok = (numpy.array_equal(images, u)
                 and numpy.array_equal((below * sign) @ images, z))
 
-    anti_ok = True
-    closure_ok = True
-    for a in masks:
-        rows = table[members[a]]
-        for b in masks:
-            counts = numpy.bincount(rows[:, members[b]].ravel(),
-                                    minlength=sg.size)
-            sigma = class_values(counts, cx.face_type)
-            if sigma is None:
-                raise PreconditionError(
-                    f"S_{n}: sigma_{type_of[a]} sigma_{type_of[b]} is not "
-                    "constant on the type classes")
-            image = sigma @ images
-            if not numpy.array_equal(
-                    image, group.convolve(images[b], images[a])):
-                anti_ok = False
-            if class_values(image, group.descents) is None:
-                closure_ok = False
+    # sigma[a, b]: sigma_a sigma_b by type, from counts[b, f], the
+    # products of a type-a face with a type-b face that equal f, keyed
+    # b |S| + f in one bincount per block of `types` type-a rows, so the
+    # keys take no more room than the counts
+    sigma = numpy.empty((types,) * 3, dtype=numpy.int64)
+    for a, cls in enumerate(members):
+        counts = sum(numpy.bincount(
+            (cx.face_type * sg.size + table[cls[lo:lo + types]]).ravel(),
+            minlength=types * sg.size) for lo in range(0, len(cls), types))
+        counts = counts.reshape(types, sg.size)
+        values = class_values(counts, cx.face_type)
+        if values is None:
+            b = next(b for b in masks
+                     if class_values(counts[b], cx.face_type) is None)
+            raise PreconditionError(
+                f"S_{n}: sigma_{type_of[a]} sigma_{type_of[b]} is not "
+                "constant on the type classes")
+        sigma[a] = values
+    image = sigma @ images
+
+    comp = group.comp
+    inverse = numpy.argsort(comp, axis=1)
+    bad = numpy.flatnonzero(
+        (numpy.take_along_axis(comp, inverse, 1) != numpy.arange(m)).any(1))
+    if bad.size:
+        raise FalsificationError(
+            f"S_{n}: row {group.perms[bad[0]]} of the composition table is "
+            "not a permutation", witness=int(bad[0]))
+    # product[x, k types + y] is (phi(x) phi(y))[k]: the sum over the i
+    # with phi(x)[i] != 0 of phi(x)[i] phi(y)[inverse[i, k]], for every
+    # y at once, a block of i at a time
+    by_perm = numpy.ascontiguousarray(images.T)
+    product = numpy.zeros((types, m * types), dtype=numpy.int64)
+    step = max(1, constructions.TABLE_CHUNK // (types * m))
+    for x, row in enumerate(images):
+        support = numpy.flatnonzero(row)
+        for lo in range(0, len(support), step):
+            i = support[lo:lo + step]
+            product[x] += row[i] @ by_perm[inverse[i]].reshape(len(i), -1)
+    # sigma_a sigma_b must go to phi(b) phi(a)
+    anti_ok = numpy.array_equal(
+        image, product.reshape(types, m, types).transpose(2, 0, 1))
+    closure_ok = class_values(image, group.descents) is not None
     return {"basis_images_ok": basis_ok,
             "anti_homomorphism_ok": anti_ok,
             "closure_ok": closure_ok}

@@ -502,10 +502,55 @@ def test_braid_kernel_product_matches_the_object_rule(family, n, data):
     i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
     a, b = sg.objects[i], sg.objects[j]
     assert sg.objects[sg.product(i, j)] == mult(a, b)
-    got = constructions.braid_product(numpy.array(encode(a, n)),
-                                      numpy.array(encode(b, n)))
+    got = _braid_product(numpy.array(encode(a, n)), numpy.array(encode(b, n)))
     assert got.tolist() == encode(mult(a, b), n)
     assert sg.table is None
+
+
+def _braid_product(u, v):
+    """Vectors of the products u v, broadcast over leading axes, by
+    sorting: each entry is the dense lexicographic rank of the pair
+    (u[x], v[x]) within its row, and the pair (n, n) of a letter absent
+    from both words stays n."""
+    n = u.shape[-1]
+    pairs = u * (n + 1) + v
+    order = numpy.argsort(pairs, axis=-1, kind="stable")
+    ranked = numpy.take_along_axis(pairs, order, axis=-1)
+    fresh = numpy.zeros(ranked.shape, dtype=numpy.int64)
+    fresh[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    rank = numpy.empty_like(fresh)
+    numpy.put_along_axis(rank, order, numpy.cumsum(fresh, axis=-1), axis=-1)
+    return numpy.where(pairs == n * (n + 1) + n, n, rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(1, 9), hs.booleans(), hs.data())
+def test_braid_rows_match_the_sorting_oracle(n, words, data):
+    # up to three random faces (block-index vectors) or injective words
+    # (position vectors, absent letters at n) and every product they
+    # reach; from n = 8 on the pair codes fill two mask words
+    if words:
+        vector = hs.permutations(range(n)).flatmap(
+            lambda order: hs.integers(0, n).map(
+                lambda k: [order.index(x) if x in order[:k] else n
+                           for x in range(n)]))
+    else:
+        vector = hs.lists(hs.integers(0, n - 1), min_size=n,
+                          max_size=n).map(
+            lambda v: numpy.unique(v, return_inverse=True)[1].tolist())
+    vecs = {tuple(v) for v in data.draw(hs.lists(vector, min_size=1,
+                                                  max_size=3))}
+    while True:
+        arr = numpy.array(sorted(vecs))
+        table = _braid_product(arr[:, None, :], arr[None, :, :])
+        reached = vecs | set(map(tuple, table.reshape(-1, n).tolist()))
+        if reached == vecs:
+            break
+        vecs = reached
+    index = {v: i for i, v in enumerate(sorted(vecs))}
+    rows = constructions.braid_rows(sorted(vecs), list(map(str, index)))
+    assert rows(range(len(vecs))).tolist() == [
+        [index[tuple(p)] for p in row] for row in table.tolist()]
 
 
 def test_braid_table_is_independent_of_the_chunk_size(monkeypatch):

@@ -32,8 +32,8 @@ def test_free_band_passes_every_axiom():
         constructions.DistributiveLattice.grid(3, 4)), 768,
                  id="grid(3,4)")])
 def test_every_default_table_band_is_swept_exhaustively(build, size):
-    # Light's test reads |A|*|S|^2 cells, at most 2.7e7 here for |A| of
-    # 7 to 19: the cell count, not |S|^3, decides, so every band the
+    # Light's test reads |A|*|S|^2 cells, at most 2.3e7 here for |A| of
+    # 5 to 30: the cell count, not |S|^3, decides, so every band the
     # default table cap admits is certified on all |S|^3 triples
     sg = build()
     rep = core.verify_lrb(sg)
@@ -44,21 +44,32 @@ def test_every_default_table_band_is_swept_exhaustively(build, size):
 
 def test_band_past_the_light_cell_cap_is_refused(monkeypatch, tmp_path):
     # the identity and 29 left zeros, z x = z for every x: no product is
-    # another element, so every id is in A and Light's test would read
-    # |S|^3 cells
+    # another element, so every id is in A, the identity aside, and
+    # Light's test would read 29 * 30^2 cells
     sg = core.Semigroup("left_zero", ["e"] + [f"z{i}" for i in range(29)],
                         0, table=[list(range(30))]
                         + [[z] * 30 for z in range(1, 30)])
     assert len(core._light_generators(sg.tabulate(), [])) == 30
-    monkeypatch.setattr(core, "LIGHT_CELLS_CAP", 30 ** 3 - 1)
-    with pytest.raises(SizeGuardError, match=f"= {30 ** 3} cells"):
+    assert core._light_generators(sg.tabulate(), [], 0) == list(range(1, 30))
+    monkeypatch.setattr(core, "LIGHT_CELLS_CAP", 29 * 30 ** 2 - 1)
+    with pytest.raises(SizeGuardError, match=f"= {29 * 30 ** 2} cells"):
         core.verify_lrb(sg)
     spec = tmp_path / "left_zero.json"
     spec.write_text(json.dumps({"type": "table", **sg.to_json_dict()}),
                     encoding="utf-8")
     assert cli.main(["build", "--spec", str(spec)]) == 4
-    monkeypatch.setattr(core, "LIGHT_CELLS_CAP", 30 ** 3)
+    monkeypatch.setattr(core, "LIGHT_CELLS_CAP", 29 * 30 ** 2)
     assert core.verify_lrb(sg).ok
+
+
+def test_light_set_leaves_out_the_identity():
+    # the identity law, checked first, certifies every triple with the
+    # identity in the middle, so A is the 6 letters of free_lrb(6) alone
+    sg = constructions.free_lrb(6)
+    gens = core._light_generators(sg.tabulate(), sg.generators, sg.identity)
+    assert len(gens) == 6 and sg.identity not in gens
+    assert sorted(sg.keys[g] for g in gens) == list("123456")
+    assert len(core._light_generators(sg.tabulate(), sg.generators)) == 7
 
 
 def _assoc_witnesses(t):

@@ -143,7 +143,7 @@ def test_invariant_product_of_sigmas_stays_invariant():
 
 
 def test_phi_certification():
-    for n in (3, 4):
+    for n in (3, 4, 5):
         report = descent.certify_phi(descent.coxeter_complex(n))
         assert report["basis_images_ok"]
         assert report["anti_homomorphism_ok"]
@@ -176,6 +176,25 @@ def test_corrupted_complex_table_fails_phi_certification(entry, chamber):
         pass
     finally:
         table[i][j] = kept
+    assert all(descent.certify_phi(_S4).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.integers(0, 23), hs.integers(0, 23), hs.integers(0, 22))
+def test_corrupted_group_table_fails_phi_certification(i, j, other):
+    # one entry of the S_4 composition table replaced by another
+    # permutation: its row is no permutation, so the batched group
+    # product cannot invert it
+    comp = _S4.group.comp
+    kept = int(comp[i, j])
+    comp[i, j] = other + (other >= kept)
+    try:
+        report = descent.certify_phi(_S4)
+        assert not all(report.values())
+    except FalsificationError:
+        pass
+    finally:
+        comp[i, j] = kept
     assert all(descent.certify_phi(_S4).values())
 
 
@@ -359,13 +378,22 @@ def _vector(group, elem):
     return out
 
 
+def _convolve(group, a, b):
+    """a b in ZS_n by scattering: a[i] b lands on the row of i in the
+    composition table."""
+    out = numpy.zeros(len(group.perms), dtype=numpy.int64)
+    for i in numpy.nonzero(a)[0]:
+        out[group.comp[i]] += int(a[i]) * b
+    return out
+
+
 def test_group_convolution_composes_as_functions():
     group = descent._SymmetricGroupTable(3)
     a = _vector(group, {(2, 1, 3): 1})
     b = _vector(group, {(1, 3, 2): 1})
     # product places u after v: (u o v)(i) = u(v(i))
     want = _vector(group, {_compose((2, 1, 3), (1, 3, 2)): 1})
-    assert numpy.array_equal(group.convolve(a, b), want)
+    assert numpy.array_equal(_convolve(group, a, b), want)
 
 
 def _move_to_front(group):
@@ -394,7 +422,8 @@ def test_top_to_random_family_passes_the_pairwise_reference(n):
     for i in keep:
         for j in keep:
             want = scale * ints[i] if i == j else 0 * one
-            assert numpy.array_equal(group.convolve(ints[i], ints[j]), want)
+            assert numpy.array_equal(_convolve(group, ints[i], ints[j]),
+                                     want)
     mu = _vector(group, {w: scale for w in _move_to_front(group)})
     assert numpy.array_equal(sum(i * ints[i] for i in keep), mu)
 
