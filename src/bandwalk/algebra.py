@@ -211,7 +211,7 @@ def primitive_idempotents(structure, w, restrict=False,
     nodes = flat_nodes(structure, w)
     members = {x: residue_idempotent(structure, w, x, nodes, guards)
                for x in feas}
-    certify_members(structure, w, members, nodes, guards)
+    certify_members(structure, w, members, nodes)
 
     by_node = {}
     for x in feas:
@@ -239,15 +239,16 @@ def _fractions(den, e):
     return {a: Fraction(c, den) for a, c in e.items()}
 
 
-def certify_members(structure, w, members, nodes, guards=DEFAULT_GUARDS):
+def certify_members(structure, w, members, nodes):
     """`spectral.certify_family` on members {flat: (den, integer map)},
     with eigenvalues the nodes n_X = D lambda_X and letters a_x = D w_x,
-    D the common denominator of w."""
+    D the common denominator of w; a tie group reads the band's rows of
+    its members' supports."""
     sg = structure.semigroup
     family = {structure.labels[x]: (nodes[x], den, list(e.items()))
               for x, (den, e) in members.items()}
     certify_family(sg.size, sg.identity, weighted_rows(structure, w), family,
-                   lambda: sg.id_lists(sg.tabulate(guards)))
+                   lambda ids: sg.id_lists(sg.rows(ids)))
 
 
 def stationary_from_idempotents(structure, fam):
@@ -302,20 +303,18 @@ def tsetlin_nu_family(structure, w):
     nu_{X,Y} puts (-1)^{|Y-X|} times the probability of drawing the
     ordering (x_1..x_i, y_j..y_1) on that tuple, where the x's sample X
     without replacement (left to right) and the y's sample Y-X without
-    replacement, written right to left.  Their upper sums rebuild the
-    residue idempotents; the caller checks that equality.
+    replacement, written right to left.  It is keyed by the pair of
+    flat ids of X and Y.  Their upper sums rebuild the residue
+    idempotents; the caller checks that equality.
     """
     sg = structure.semigroup
     if getattr(sg, "family", None) != "free_lrb":
         raise PreconditionError("nu measures are defined on the free band")
     n = sg.meta["n"]
-    index = {k: i for i, k in enumerate(sg.keys)}
+    index = {word: i for i, word in enumerate(sg.objects)}
     letters = list(range(1, n + 1))
-    weight_of = {}
-    for x, v in w.items():
-        key = sg.keys[x]
-        if "," not in key and key != "e":
-            weight_of[int(key)] = v
+    weight_of = {sg.objects[x][0]: v for x, v in w.items()
+                 if len(sg.objects[x]) == 1}
     if sorted(weight_of) != letters or any(v <= 0
                                            for v in weight_of.values()):
         raise PreconditionError(
@@ -346,20 +345,20 @@ def tsetlin_nu_family(structure, w):
             measure = {}
             for xpart, px in orderings(list(X)):
                 for ypart, py in orderings(sorted(sety - setx)):
-                    word = xpart + tuple(reversed(ypart))
-                    key = ",".join(str(i) for i in word) if word else "e"
-                    eid = index[key]
+                    eid = index[xpart + tuple(reversed(ypart))]
                     measure[eid] = measure.get(eid, Fraction(0)) \
                         + sign * px * py
-            nu[(X, Y)] = measure
+            # the sorted word on a letter set has that set as its flat
+            nu[(structure.supp[index[X]], structure.supp[index[Y]])] = measure
     return nu
 
 
-def nu_reconstruction(nu, X):
-    """e_X as the sum of nu_{X,Y} over Y containing X."""
+def nu_reconstruction(nu, flat):
+    """e_X as the sum of nu_{X,Y} over Y containing X, for X the flat
+    id `flat`, the key of e_X in `IdempotentFamily.members`."""
     out = {}
     for (a, _), measure in nu.items():
-        if a == X:
+        if a == flat:
             for x, v in measure.items():
                 out[x] = out.get(x, 0) + v
     return {x: v for x, v in out.items() if v}

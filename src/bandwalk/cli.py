@@ -23,9 +23,8 @@ def _add_common(p):
                    help="write artifacts under DIR instead of stdout")
     p.add_argument("--guard", action="append", default=[],
                    metavar="NAME=VALUE",
-                   help="override a size cap: table_cap, elements_cap, "
-                        "partitions_n_cap or sample_step_cap (also via "
-                        "LRB_GUARD_NAME)")
+                   help="override a size cap: table_cap, elements_cap "
+                        "or sample_step_cap (also via LRB_GUARD_NAME)")
 
 
 def _build_parser():
@@ -284,7 +283,7 @@ def _cmd_idempotents(args, guards):
     if args.check_nu:
         nu = algebra.tsetlin_nu_family(st, w)
         for x in fam.flat_ids:
-            rebuilt = algebra.nu_reconstruction(nu, _letters_of(sg, st, x))
+            rebuilt = algebra.nu_reconstruction(nu, x)
             if rebuilt != fam.members[x]:
                 raise FalsificationError(
                     "sampling-measure reconstruction differs from the "
@@ -297,14 +296,6 @@ def _cmd_idempotents(args, guards):
           + ("" if fam.lattice_covered else "; restricted sublattice")
           + ("; " + "; ".join(notes) if notes else ""))
     return 0
-
-
-def _letters_of(sg, st, flat):
-    anchor = st.members[flat][0]
-    key = sg.keys[anchor]
-    if key == "e":
-        return ()
-    return tuple(sorted(int(x) for x in key.split(",")))
 
 
 def _cmd_simulate(args, guards):
@@ -415,7 +406,9 @@ def _read_graph_edges(path):
     return edges
 
 
-def _cmd_derangement(args, guards):
+def _cmd_derangement(args, _guards):
+    # the lattice factories are bounded by derangement.LATTICE_CAP, a
+    # module constant, so no guard reaches them
     if args.poset:
         p = derangement.poset_from_json(serialize.load_json_file(args.poset))
     elif args.boolean is not None:
@@ -424,8 +417,7 @@ def _cmd_derangement(args, guards):
         n, q = args.subspace
         p = derangement.subspace_lattice(n, q)
     else:
-        p = derangement.contraction_lattice(_read_graph_edges(args.graph),
-                                            guards=guards)
+        p = derangement.contraction_lattice(_read_graph_edges(args.graph))
     d = derangement.derangement_number(p)
     artifact = {"poset": p.name, "size": p.size, "d": d,
                 "maximal_chains": derangement.maximal_chain_count(p)}
@@ -464,12 +456,13 @@ def _perm_key(w):
 
 def _cmd_descent(args, guards):
     n = args.n
-    constructions.check_n("ordered_partitions", n, guards.partitions_n_cap)
-    # the counts are closed forms; only these checks read the complex
+    # refused by the face count over the elements cap whatever the
+    # flags; the counts are closed forms, and only these checks read the
+    # complex
+    faces = constructions.face_count(n, guards.elements_cap)
     cx = (descent.coxeter_complex(n, guards)
           if args.beta or args.phi_check or args.walk else None)
-    artifact = {"n": n, "faces": descent.face_count(n),
-                "chambers": math.factorial(n)}
+    artifact = {"n": n, "faces": faces, "chambers": math.factorial(n)}
     failures = []
     summary = [f"S_{n}: {artifact['faces']} faces, "
                f"{artifact['chambers']} chambers"]

@@ -33,6 +33,9 @@ be isomorphic to: a `posets.Poset` of named flats, ordered by inclusion
 with each element's flat as an index into the names.  The input of a
 distributive chain band, a `DistributiveLattice`, is a Poset too.
 
+Every constructor counts its elements before it lists any, and that
+count is its one check against the elements cap (`guards.check_counts`).
+
 Each band has one product implementation, which serves its
 `Semigroup.rows(ids)`.  Every band but the distributive chains, which
 read their lattice product, serves it from an integer kernel: elements
@@ -69,7 +72,7 @@ import numpy
 from . import fields, posets
 from .core import ExpectedLattice, Semigroup, spec_int
 from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
-from .guards import DEFAULT_GUARDS
+from .guards import DEFAULT_GUARDS, check_counts
 from .matroid import Matroid, build_matroid
 
 
@@ -80,37 +83,27 @@ def _tuple_key(t):
     return ",".join(map(str, t)) if t else "e"
 
 
-def _check_count(label, count, guards):
-    """Refuse a band whose element count, known before it is
-    enumerated, exceeds the elements cap."""
-    if count > guards.elements_cap:
-        raise SizeGuardError(
-            f"{label} has {count} elements, above the cap "
-            f"{guards.elements_cap}")
-
-
-def _check_words(label, n, count, guards):
-    """Refuse a band above the elements cap before it is listed.  It has
-    a(n) elements, where a(k) = k a(k-1) + 1 and a(0) = count: 1 for the
-    injective words of free_lrb, 0 for the faces of free_lrb_bar.  The
-    recurrence stops at the first a(k) past the cap, so any n is cheap."""
-    if n < 1:
-        raise MalformedInputError(f"{label} needs n >= 1")
-    for k in range(1, n + 1):
+def _words(count):
+    """a(1), a(2), ... for a(k) = k a(k-1) + 1 and a(0) = count: 1 for
+    the words of free_lrb, 0 for the faces of free_lrb_bar."""
+    for k in itertools.count(1):
         count = k * count + 1
-        if count > guards.elements_cap:
-            more = "more than " if k < n else ""
-            raise SizeGuardError(
-                f"{label}({n}) has {more}{count} elements, above the cap "
-                f"{guards.elements_cap}")
+        yield count
 
 
-def check_n(label, n, cap):
-    """n below 1 is malformed input; n above the guard cap is refused."""
-    if n < 1:
-        raise MalformedInputError(f"{label} needs n >= 1")
-    if n > cap:
-        raise SizeGuardError(f"{label} needs n <= {cap}")
+def _ordered_bell():
+    """The ordered Bell numbers f(1), f(2), ...: by the size j of the
+    first block, f(m) = sum_j C(m, j) f(m - j)."""
+    f = [1]
+    for m in itertools.count(1):
+        f.append(sum(math.comb(m, j) * f[m - j] for j in range(1, m + 1)))
+        yield f[m]
+
+
+def face_count(n, cap=math.inf):
+    """The faces of ordered_partitions(n), the ordered set partitions of
+    {1..n}, refused over `cap` by `check_counts`."""
+    return check_counts(f"ordered_partitions({n})", _ordered_bell(), cap, n)
 
 
 # ------------------------------------------------------ table kernels
@@ -322,7 +315,7 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
     """Injective tuples over {1..n} under concatenation with repeats
     dropped.  Chambers are the n! full-length tuples; the support
     lattice is the boolean lattice of subsets."""
-    _check_words("free_lrb", n, 1, guards)
+    check_counts(f"free_lrb({n})", _words(1), guards.elements_cap, n)
     universe = range(1, n + 1)
     elements = [tuple(t) for r in range(n + 1)
                 for t in itertools.permutations(universe, r)]
@@ -333,8 +326,7 @@ def free_lrb(n, guards=DEFAULT_GUARDS):
     expected = _expected(label, subsets, posets.inclusion_order(subsets),
                          _set_label, elements)
     return _braid_band(label, elements, n, _tuple_key, _word_vector, (),
-                       [(x,) for x in universe], expected, "free_lrb",
-                       guards)
+                       [(x,) for x in universe], expected, "free_lrb")
 
 
 def _set_label(t):
@@ -353,7 +345,7 @@ def _expected(label, flats, leq, name, element_flats):
 
 
 def _braid_band(label, elements, n, key_of, vector_of, identity,
-                generators, expected, family, guards):
+                generators, expected, family):
     """A band of braid faces or words on {1..n}, its rows from the braid
     kernel over vector_of(element, n).  The identity and the generators
     are given on elements, not ids."""
@@ -362,7 +354,7 @@ def _braid_band(label, elements, n, key_of, vector_of, identity,
         label, elements, keys,
         braid_rows([vector_of(o, n) for o in elements], keys),
         key_of(identity), generators=[key_of(g) for g in generators],
-        expected=expected, family=family, meta={"n": n}, guards=guards)
+        expected=expected, family=family, meta={"n": n})
 
 
 # ------------------------------------------------- ordered partitions
@@ -378,7 +370,7 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
     order and drops empties.  Chambers are the n! all-singleton
     partitions; the support lattice is the lattice of unordered
     partitions ordered by 'is refined by'."""
-    check_n("ordered_partitions", n, guards.partitions_n_cap)
+    face_count(n, guards.elements_cap)
     universe = tuple(range(1, n + 1))
     elements = []
     for part in posets.set_partitions(universe):
@@ -401,7 +393,7 @@ def ordered_partitions(n, guards=DEFAULT_GUARDS):
                   for c in itertools.combinations(universe, r)]
     return _braid_band(label, elements, n, _op_key, face_vector,
                        (universe,), generators, expected,
-                       "ordered_partitions", guards)
+                       "ordered_partitions")
 
 
 def free_lrb_bar(n, guards=DEFAULT_GUARDS):
@@ -410,7 +402,7 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
     the order inside the final block; each (n-1)-tuple is identified
     with its unique full extension.  Support lattice: subsets of size
     different from n-1."""
-    _check_words("free_lrb_bar", n, 0, guards)
+    check_counts(f"free_lrb_bar({n})", _words(0), guards.elements_cap, n)
     universe = tuple(range(1, n + 1))
     elements = []
     for r in range(n - 1):
@@ -434,8 +426,7 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
     if n == 1:
         generators = []
     return _braid_band(label, elements, n, _op_key, face_vector,
-                       (universe,), generators, expected, "free_lrb_bar",
-                       guards)
+                       (universe,), generators, expected, "free_lrb_bar")
 
 
 # ---------------------------------------------------- closure systems
@@ -469,9 +460,9 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
             tuples *= q ** n - q ** i
             count += tuples
         label = f"q_free_lrb({n},{q})"
-        _check_count(label, count, guards)
+        check_counts(label, [count], guards.elements_cap)
         return _closure_tuples(fields.VectorSpace(q, n), label,
-                               "q_free_lrb", meta, guards)
+                               "q_free_lrb", meta)
     # a chain with i proper steps before V is a flag of i lines in
     # successive quotients, [n][n-1]...[n-i+1] of them, where
     # [m] = (q^m - 1)/(q - 1) counts the lines of a space of dim m
@@ -480,9 +471,9 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
         count += flags              # the chains with i proper steps
         flags *= (q ** (n - i) - 1) // (q - 1)
     label = f"q_free_lrb_bar({n},{q})"
-    _check_count(label, count, guards)
+    check_counts(label, [count], guards.elements_cap)
     return _closure_chains(fields.VectorSpace(q, n), label,
-                           "q_free_lrb_bar", meta, guards, "<".join)
+                           "q_free_lrb_bar", meta, "<".join)
 
 
 def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
@@ -505,15 +496,15 @@ def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
     meta = {"matroid": m, "kind": kind}
     if kind == "ordered-bases":
         # each independent set I gives |I|! tuples
-        _check_count(label, sum(math.factorial(r)
-                                for r in range(m.full_rank + 1)
-                                for s in itertools.combinations(range(m.n), r)
-                                if m.is_independent(s)), guards)
-        return _closure_tuples(m, label, "matroid_lrb", meta, guards)
+        count = sum(math.factorial(r) for r in range(m.full_rank + 1)
+                    for s in itertools.combinations(range(m.n), r)
+                    if m.is_independent(s))
+        check_counts(label, [count], guards.elements_cap)
+        return _closure_tuples(m, label, "matroid_lrb", meta)
     if kind == "flag-chains":
-        _check_count(label, _flag_chain_count(m), guards)
+        check_counts(label, [_flag_chain_count(m)], guards.elements_cap)
         # sorted by the tuple of flat labels, not by the key string
-        return _closure_chains(m, label, "matroid_flags", meta, guards, tuple)
+        return _closure_chains(m, label, "matroid_flags", meta, tuple)
     raise MalformedInputError(f"unknown matroid_lrb kind {kind!r}")
 
 
@@ -541,7 +532,7 @@ def _flag_chain_count(m):
     return count
 
 
-def _closure_tuples(system, label, family, meta, guards):
+def _closure_tuples(system, label, family, meta):
     """The tuples of points of a closure system (a Matroid or a
     fields.VectorSpace), each outside the closure of those before it,
     under concatenation dropping points in that closure; sorted by
@@ -569,10 +560,10 @@ def _closure_tuples(system, label, family, meta, guards):
             label, system.flats(), posets.inclusion_order(system.flats()),
             system.flat_label,
             [system.closure(frozenset(tup)) for tup in elements]),
-        family=family, meta=meta, guards=guards)
+        family=family, meta=meta)
 
 
-def _closure_chains(system, label, family, meta, guards, order):
+def _closure_chains(system, label, family, meta, order):
     """The flag chains bottom = X_0 < ... < X_l = top of a closure
     system, rank X_i = i for i < l, under refining the last step through
     joins.  Elements sort by order(labels of their flats): the key
@@ -613,7 +604,7 @@ def _closure_chains(system, label, family, meta, guards, order):
         expected=_expected(
             label, kept, posets.inclusion_order(kept), system.flat_label,
             [ch[-1] if len(ch) == r + 1 else ch[-2] for ch in elements]),
-        family=family, meta=meta, guards=guards)
+        family=family, meta=meta)
 
 
 def _point_join(system):
@@ -699,7 +690,7 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
     c = [0] * D.size
     for x in reversed(D.order):
         c[x] = 1 if x == D.top else sum(c[y] for y in above[x])
-    _check_count("distributive_chain_lrb", c[D.bottom], guards)
+    check_counts("distributive_chain_lrb", [c[D.bottom]], guards.elements_cap)
     join, meet = D.join.tolist(), D.meet.tolist()
     chains, stack = [], [(D.bottom,)]
     while stack:
@@ -733,7 +724,7 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
         rows, key_of((D.bottom, D.top) if D.bottom != D.top else (D.bottom,)),
         generators=[key_of((D.bottom, x, D.top)) for x in range(D.size)
                     if x not in (D.bottom, D.top)],
-        family="dist_chain", meta={"lattice": D}, guards=guards)
+        family="dist_chain", meta={"lattice": D})
 
 
 # ---------------------------------------------------------- dispatch

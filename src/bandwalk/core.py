@@ -28,8 +28,7 @@ dense Cayley table is that source read over every id, built lazily by
 `tabulate` behind table_cap, which `verify_lrb` and `derive_support`
 call first; so table_cap is the one gate on the |S|^2 work of their
 laws, array expressions that report the first failing pair in
-row-major order.  `product` reads one cell of the table as a plain
-int, or one row of the source while there is no table.
+row-major order.
 
 Associativity has one certificate, exhaustive: every one of the |S|^3
 triples is certified, by Light's test on the dense table.  It reads
@@ -88,7 +87,6 @@ class Semigroup:
     served by the callable `rows=` or by an explicit `table=`
     table: the C-contiguous int32 Cayley table, rows over every id, or
     None before `tabulate`
-    product(i, j): id of the product
     generators: ids of the construction's distinguished generating set
     """
 
@@ -123,11 +121,6 @@ class Semigroup:
             return self.table[ids]
         return self._source(ids)
 
-    def product(self, i, j):
-        if self.table is not None:
-            return self.table.item(i, j)
-        return int(self._source([i])[0, j])
-
     def tabulate(self, guards=DEFAULT_GUARDS):
         """The dense Cayley table, `rows` over every id, built on first
         call (subject to the guard)."""
@@ -155,13 +148,10 @@ class Semigroup:
 
     @classmethod
     def from_objects(cls, label, objects, keys, rows, identity, *,
-                     generators=(), expected=None, family=None, meta=None,
-                     guards=DEFAULT_GUARDS):
+                     generators=(), expected=None, family=None, meta=None):
         """Wrap explicit element objects, their keys and their product
-        rows; the identity and the generators are given by key."""
-        if len(objects) > guards.elements_cap:
-            raise SizeGuardError(
-                f"{len(objects)} elements exceed cap {guards.elements_cap}")
+        rows; the identity and the generators are given by key.  The
+        constructions count and cap their elements before listing."""
         index = {k: i for i, k in enumerate(keys)}
         sg = cls(label, keys, index[identity], rows=rows,
                  generators=[index[g] for g in generators],
@@ -169,12 +159,12 @@ class Semigroup:
         sg.objects = list(objects)
         return sg
 
-    def to_json_dict(self, guards=DEFAULT_GUARDS):
+    def to_json_dict(self):
         return {
             "label": self.label,
             "elements": list(self.keys),
             "identity": self.identity,
-            "table": self.id_lists(self.tabulate(guards)),
+            "table": self.id_lists(self.tabulate()),
         }
 
     @classmethod

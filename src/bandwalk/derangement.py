@@ -28,14 +28,14 @@ back the support lattice a band already holds.
 """
 
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import numpy as np
 
 from . import fields, posets
 from .errors import (FalsificationError, MalformedInputError,
                      PreconditionError, SizeGuardError)
-from .guards import DEFAULT_GUARDS
+from .guards import check_counts
 
 
 # ---------------------------------------------------------------- posets
@@ -99,23 +99,33 @@ def subspace_lattice(n, q):
     return _flats_lattice(f"subspace({n},{q})", fields.VectorSpace(q, n))
 
 
-def partition_lattice(n, guards=DEFAULT_GUARDS):
+def _bell_numbers():
+    """The Bell numbers B(1), B(2), ...: B(m) begins row m of Bell's
+    triangle, the running sums of row m - 1 from its last entry."""
+    row = [1]
+    while True:
+        row = list(accumulate(row, initial=row[-1]))
+        yield row[0]
+
+
+def partition_lattice(n):
     """Partitions of {1..n} ordered by refinement, singletons at bottom:
-    the contraction lattice of the complete graph on 1..n."""
-    if n < 1:
-        raise MalformedInputError("partition_lattice needs n >= 1")
+    the contraction lattice of the complete graph on 1..n, counted
+    before the graph is listed."""
+    check_counts(f"partition_lattice({n})", _bell_numbers(), LATTICE_CAP, n)
     vertices = range(1, n + 1)
-    p = contraction_lattice(combinations(vertices, 2), vertices, guards)
+    p = contraction_lattice(combinations(vertices, 2), vertices)
     return replace(p, name=f"partitions({n})")
 
 
-def contraction_lattice(edges, vertices=None, guards=DEFAULT_GUARDS):
+def contraction_lattice(edges, vertices=None):
     """Partitions of the vertex set whose blocks induce connected
     subgraphs, ordered by refinement.
 
     The top is the partition into connected components, so a
     disconnected graph is fine; a discrete graph gives the one-element
-    poset.
+    poset.  Every set partition of the vertices is tested, so their
+    count, a Bell number, is held to LATTICE_CAP.
     """
     adj = {}
     for v in vertices or ():
@@ -133,8 +143,9 @@ def contraction_lattice(edges, vertices=None, guards=DEFAULT_GUARDS):
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     verts = sorted(adj)
-    if len(verts) > guards.partitions_n_cap:
-        raise SizeGuardError("contraction_lattice vertex count over the cap")
+    if verts:
+        check_counts(f"the graph on {len(verts)} vertices", _bell_numbers(),
+                     LATTICE_CAP, len(verts), "set partitions")
 
     def connected(block):
         block = set(block)

@@ -38,8 +38,9 @@ top-to-random idempotents E_i.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, permutations
+from itertools import accumulate, count, permutations
 from math import comb, factorial
+from operator import mul
 
 import numpy
 
@@ -47,7 +48,7 @@ from . import constructions, spectral
 from .derangement import _subsets, flag_h_vector
 from .errors import (FalsificationError, MalformedInputError,
                      PreconditionError)
-from .guards import DEFAULT_GUARDS
+from .guards import DEFAULT_GUARDS, check_counts
 
 
 def descent_set(w):
@@ -73,16 +74,6 @@ def class_values(vec, classes):
                          dtype=vec.dtype)
     values[..., classes] = vec
     return values if numpy.array_equal(values[..., classes], vec) else None
-
-
-def face_count(n):
-    """The faces of the complex, the ordered set partitions of {1..n}:
-    the ordered Bell number sum_k k! S(n, k), counted by the size j of
-    the first block, f(m) = sum_j C(m, j) f(m - j)."""
-    f = [1]
-    for m in range(1, n + 1):
-        f.append(sum(comb(m, j) * f[m - j] for j in range(1, m + 1)))
-    return f[n]
 
 
 # ------------------------------------------------------------ the group
@@ -155,7 +146,8 @@ def coxeter_complex(n, guards=DEFAULT_GUARDS):
     and w relabels it to v composed with w^-1.  Each type class must
     equal the S_n orbit of its face with consecutive blocks; orbits
     partition the faces, so the orbit partition is the type partition,
-    which makes invariance checkable either way.
+    which makes invariance checkable either way.  The faces are counted
+    first, against the elements cap.
     """
     sg = constructions.ordered_partitions(n, guards=guards)
     types = [type_of_partition(p) for p in sg.objects]
@@ -395,10 +387,11 @@ def top_to_random_idempotents(n, guards=DEFAULT_GUARDS):
     read off an (n+1) x n table.  E_{n-1} must vanish; for the
     move-to-front measure mu, the other E_i must be the eigenprojectors
     of n mu at the distinct eigenvalues i, which `certify_top_to_random`
-    checks on the n! E_i before they are returned as Fractions.
+    checks on the n! E_i before they are returned as Fractions.  n! is
+    counted first, against the elements cap.
     """
-    constructions.check_n("top_to_random_idempotents", n,
-                          guards.partitions_n_cap)
+    check_counts(f"top_to_random_idempotents({n})", accumulate(count(1), mul),
+                 guards.elements_cap, n, "permutations")
     table = _SymmetricGroupTable(n)
     masks = table.descents.tolist()
     scale = factorial(n)
@@ -432,4 +425,4 @@ def certify_top_to_random(table, ints, moves):
                                                for w in moves]).tolist()]
     spectral.certify_family(len(table.perms),
                             table.index[tuple(range(1, n + 1))], letters,
-                            family, lambda: table.comp.tolist())
+                            family, lambda ids: table.rows(ids).tolist())

@@ -3,13 +3,16 @@
 Each cap can be overridden per call, via ``--guard NAME=VALUE``, or
 through an ``LRB_GUARD_*`` environment variable (e.g.
 ``LRB_GUARD_TABLE_CAP=4096``).  Bounds on the work itself are module
-constants beside it: `core.LIGHT_CELLS_CAP`, `matroid.RANK_TABLE_CAP`.
+constants beside it: `core.LIGHT_CELLS_CAP`, `matroid.RANK_TABLE_CAP`,
+`derangement.LATTICE_CAP`.  Every construction counts its elements
+before it lists them (`check_counts`), so elements_cap refuses a band
+before any work grows with it.
 """
 
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, SizeGuardError
 
 
 @dataclass(frozen=True)
@@ -18,10 +21,8 @@ class Guards:
     # into the dense Cayley table, which caps the work of the axioms and
     # the support lattice; the rows of a few ids are served past it
     table_cap: int = 2048
-    # hard ceiling on element counts of any construction
+    # most elements of a construction, counted before any is listed
     elements_cap: int = 50_000
-    # largest n for ordered partitions, descents and graph contractions
-    partitions_n_cap: int = 7
     # per-sample draw cap before declaring stagnation
     sample_step_cap: int = 100_000
 
@@ -62,3 +63,19 @@ def _count(name, raw):
         pass
     raise MalformedInputError(
         f"{name}={raw!r} is not a non-negative integer")
+
+
+def check_counts(label, counts, cap, n=1, noun="elements"):
+    """The count of `label`, the n-th of the ascending `counts` a(1),
+    a(2), ..., refused over `cap` before anything is listed.  The counts
+    are read only up to the first one past the cap, so any n is cheap;
+    n below 1 is malformed input."""
+    if n < 1:
+        raise MalformedInputError(f"{label} needs n >= 1")
+    for k, count in enumerate(counts, 1):
+        if count > cap:
+            more = "more than " if k < n else ""
+            raise SizeGuardError(
+                f"{label} has {more}{count} {noun}, above the cap {cap}")
+        if k == n:
+            return count

@@ -262,10 +262,7 @@ def criterion_4(guards=DEFAULT_GUARDS):
     fam = algebra.primitive_idempotents(st, w, guards=guards)
     nu = algebra.tsetlin_nu_family(st, w)
     for x in fam.flat_ids:
-        inner = labels[x].strip("{}")
-        subset = tuple(int(s) for s in inner.split(",")) if inner else ()
-        rebuilt = algebra.nu_reconstruction(nu, subset)
-        if rebuilt != fam.members[x]:
+        if algebra.nu_reconstruction(nu, x) != fam.members[x]:
             _fail(f"free band 3: sampling measures miss e at {labels[x]}")
 
     # reduced free bands, uniform weights: closed-form family with a
@@ -325,7 +322,10 @@ def criterion_5(guards=DEFAULT_GUARDS):
 # ---------------------------------------------------------- criterion 6
 
 
-def derangement_corpus(guards=DEFAULT_GUARDS):
+def derangement_corpus(_guards=DEFAULT_GUARDS):
+    # the lattice factories are bounded by derangement.LATTICE_CAP, so
+    # the guards go unread; the parameter keeps the positional call
+    # derangement_corpus(ctx.guards) in perfbench/jobs.py working
     out = []
     for n in range(7):
         out.append(derangement.boolean_lattice(n))
@@ -333,22 +333,23 @@ def derangement_corpus(guards=DEFAULT_GUARDS):
         for q in (2, 3):
             out.append(derangement.subspace_lattice(n, q))
     for n in range(1, 6):
-        out.append(derangement.partition_lattice(n, guards))
+        out.append(derangement.partition_lattice(n))
     for nv in range(1, 5):
         vertices = list(range(1, nv + 1))
         pool = list(combinations(vertices, 2))
         for r in range(len(pool) + 1):
             for edges in combinations(pool, r):
-                p = derangement.contraction_lattice(edges, vertices, guards)
+                p = derangement.contraction_lattice(edges, vertices)
                 # the top is the partition into connected components
                 if "/" not in p.labels[p.top]:
                     out.append(p)
     return out
 
 
-def criterion_6(guards=DEFAULT_GUARDS):
-    """Derangement recurrences, flag identities and the q-analogue."""
-    lattices = derangement_corpus(guards)
+def criterion_6(_guards=DEFAULT_GUARDS):
+    """Derangement recurrences, flag identities and the q-analogue; the
+    lattices are bounded by derangement.LATTICE_CAP, not by guards."""
+    lattices = derangement_corpus()
     for p in lattices:
         d = derangement.derangement_number(p)  # three routes agree inside
         if p.size > 1:

@@ -341,15 +341,16 @@ def annihilated(structure, w, lams):
     return vs, nodes, next((x for x, a in enumerate(residue) if a), None)
 
 
-def certify_family(size, identity, letters, members, table):
+def certify_family(size, identity, letters, members, rows):
     """Certify members e_k as the eigenprojectors of a, in integers.
 
     The algebra has the elements 0..size-1.  a is the sum of c x over
     the (row of x, c) pairs in `letters`, row[y] being x y as for
     `sparse_product`; `members` maps a name k to (r_k, den, pairs), e_k
-    the sum of (c / den) y over the pairs (y, c); and table() gives the
-    whole product table as lists, x y at [x][y], which only a tie group
-    reads.  Checks: (1) sum e_k = 1; (2) a e_k = r_k e_k; (3) e_k e_l =
+    the sum of (c / den) y over the pairs (y, c); and rows(ids) gives
+    the product rows of the elements at ids as lists, x y at [k][y] for
+    x = ids[k], which only a tie group reads, for its members'
+    supports.  Checks: (1) sum e_k = 1; (2) a e_k = r_k e_k; (3) e_k e_l =
     0 for k != l in a tie group, the members sharing one r.  Lemma: by
     (1) and (2), p(a) = sum p(r_k) e_k for every polynomial p, so
     prod (a - r) = 0 over the distinct r, and the Lagrange projectors
@@ -378,11 +379,11 @@ def certify_family(size, identity, letters, members, table):
             out[y] -= r * c
         check(not any(out), "member {} is not an eigenvector of a", k)
         groups.setdefault(r, []).append(k)
-    ties = [g for g in groups.values() if len(g) > 1]
-    rows = table() if ties else None
-    for group in ties:
+    for group in (g for g in groups.values() if len(g) > 1):
+        ids = sorted({y for k in group for y, _ in members[k][2]})
+        row_of = dict(zip(ids, rows(ids)))
         for k, l in permutations(group, 2):
-            ek = [(rows[y], c) for y, c in members[k][2]]
+            ek = [(row_of[y], c) for y, c in members[k][2]]
             check(not any(sparse_product(ek, members[l][2], size)),
                   "members {0[0]} and {0[1]} share an eigenvalue but their "
                   "product is nonzero", (k, l))

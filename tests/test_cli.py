@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,24 @@ def test_size_guards_exit_4(tmp_path):
     assert cli.main(["build", "--spec", small,
                      "--guard", "elements_cap=5"]) == 4
     assert cli.main(["derangement", "--subspace", "7", "2"]) == 4
+    # ordered_partitions(3) has 13 faces
+    op3 = _spec(tmp_path, {"type": "ordered_partitions", "n": 3})
+    assert cli.main(["build", "--spec", op3,
+                     "--guard", "elements_cap=12"]) == 4
+    assert cli.main(["build", "--spec", op3,
+                     "--guard", "elements_cap=13"]) == 0
+
+
+def test_descent_is_refused_by_its_face_count(capsys):
+    # a million letters: the ordered Bell numbers are counted only up
+    # to the first past the cap, whatever the flags
+    start = time.perf_counter()
+    assert cli.main(["descent", "--n", "1000000"]) == 4
+    assert time.perf_counter() - start < 0.1
+    assert "has more than 545835 elements" in capsys.readouterr().err
+    for flags in ([], ["--beta"], ["--phi-check"], ["--idempotents"]):
+        assert cli.main(["descent", "--n", "8", *flags]) == 4
+        assert "has 545835 elements" in capsys.readouterr().err
 
 
 def test_bad_guard_name_exits_2(tmp_path):
@@ -327,13 +346,14 @@ def test_bad_guard_name_exits_2(tmp_path):
     # a cap that left Guards is an unknown name, not ignored
     for guard in ("mystery=1", "word_cap=1", "assoc_triples_cap=9",
                   "assoc_samples=1", "free_n_cap=9",
-                  "matroid_ground_cap=13"):
+                  "matroid_ground_cap=13", "partitions_n_cap=7"):
         assert cli.main(["build", "--spec", spec, "--guard", guard]) == 2
 
 
 def test_unknown_guard_variables_exit_2(tmp_path, monkeypatch, capsys):
     spec = _f3(tmp_path)
-    for var in ("LRB_GUARD_WORD_CAP", "LRB_GUARD_TABLE_CAPP"):
+    for var in ("LRB_GUARD_WORD_CAP", "LRB_GUARD_TABLE_CAPP",
+                "LRB_GUARD_PARTITIONS_N_CAP"):
         monkeypatch.setenv(var, "5")
         assert cli.main(["build", "--spec", spec]) == 2
         err = capsys.readouterr().err

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import constructions, core, descent, fields, matroid
+from bandwalk import (constructions, core, derangement, descent, fields,
+                      matroid)
 from bandwalk.errors import (
     AxiomViolationError,
     MalformedInputError,
@@ -174,7 +175,7 @@ def test_distributive_chain_band_counts():
 def test_every_table_path_gives_one_int32_array():
     # braid kernel, closure kernel, chain band, JSON and an explicit
     # table: int32 rows before any table, then tabulate gives one
-    # C-contiguous int32 array of those rows and plain int products
+    # C-contiguous int32 array of those rows
     paths = [constructions.free_lrb(3), constructions.q_free_lrb(2, 2),
              constructions.distributive_chain_lrb(
                  constructions.DistributiveLattice.grid(1, 2)),
@@ -190,8 +191,6 @@ def test_every_table_path_gives_one_int32_array():
         assert numpy.array_equal(rows, t[[1, 0]])
         assert isinstance(t, numpy.ndarray) and t.dtype == numpy.int32
         assert t.flags.c_contiguous and t.shape == (sg.size, sg.size)
-        assert all(type(sg.product(i, j)) is int
-                   for i in range(sg.size) for j in range(sg.size))
         json.dumps(sg.to_json_dict())
 
 
@@ -264,21 +263,26 @@ def test_spec_dispatch_rejects_garbage():
 def test_size_guards_fire():
     with pytest.raises(SizeGuardError):
         constructions.free_lrb(9)
-    with pytest.raises(SizeGuardError):
-        constructions.ordered_partitions(8)
-    # 109,601 and 69,281 words on 8 letters: counted, not listed
+    # 109,601 and 69,281 words and 545,835 faces on 8 letters: counted,
+    # not listed
     for build, count in ((constructions.free_lrb, 109601),
-                         (constructions.free_lrb_bar, 69281)):
+                         (constructions.free_lrb_bar, 69281),
+                         (constructions.ordered_partitions, 545835)):
         start = time.perf_counter()
         with pytest.raises(SizeGuardError, match=f"has {count} elements"):
             build(8)
         assert time.perf_counter() - start < 0.1
     # a million letters: refused by the count stopped past the cap
-    for build in (constructions.free_lrb, constructions.free_lrb_bar):
+    for build in (constructions.free_lrb, constructions.free_lrb_bar,
+                  constructions.ordered_partitions):
         start = time.perf_counter()
         with pytest.raises(SizeGuardError, match="has more than"):
             build(10 ** 6)
         assert time.perf_counter() - start < 0.1
+    # S_5 has 5! = 120 permutations, over a cap of 100
+    with pytest.raises(SizeGuardError, match="has 120 permutations"):
+        descent.top_to_random_idempotents(
+            5, replace(DEFAULT_GUARDS, elements_cap=100))
 
 
 def test_matroid_rank_table_is_capped_at_twelve_elements():
@@ -292,7 +296,7 @@ def test_matroid_rank_table_is_capped_at_twelve_elements():
 @pytest.mark.parametrize("build", [
     constructions.free_lrb, constructions.free_lrb_bar,
     constructions.ordered_partitions, descent.coxeter_complex,
-    descent.top_to_random_idempotents])
+    descent.top_to_random_idempotents, derangement.partition_lattice])
 @pytest.mark.parametrize("n", [0, -1])
 def test_nonpositive_n_is_malformed_not_oversized(build, n):
     with pytest.raises(MalformedInputError):
@@ -501,7 +505,7 @@ def test_braid_kernel_product_matches_the_object_rule(family, n, data):
     _, encode, mult = BRAID[family]
     i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
     a, b = sg.objects[i], sg.objects[j]
-    assert sg.objects[sg.product(i, j)] == mult(a, b)
+    assert sg.objects[sg.rows([i])[0, j]] == mult(a, b)
     got = _braid_product(numpy.array(encode(a, n)), numpy.array(encode(b, n)))
     assert got.tolist() == encode(mult(a, b), n)
     assert sg.table is None
@@ -612,7 +616,8 @@ def test_wide_flag_chains_are_coded_past_the_table_cap(data):
     sg, mult = _u78["sg"], _u78["mult"]
     assert sg.size == 28961
     i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
-    assert sg.objects[sg.product(i, j)] == mult(sg.objects[i], sg.objects[j])
+    assert sg.objects[sg.rows([i])[0, j]] == mult(sg.objects[i],
+                                                  sg.objects[j])
 
 
 @pytest.mark.parametrize("name", ["q_free(2,3)", "q_free(3,2)-reduced",
@@ -686,7 +691,7 @@ def test_oversized_chain_bands_are_refused_before_enumerating():
     for lattice, count in (
             (constructions.DistributiveLattice.grid(7, 7), 3112896),
             (constructions.DistributiveLattice.grid(8, 8), 34013312),
-            (_boolean_covers(8), descent.face_count(8))):
+            (_boolean_covers(8), constructions.face_count(8))):
         start = time.perf_counter()
         with pytest.raises(SizeGuardError, match=f"has {count} elements"):
             constructions.distributive_chain_lrb(lattice)

@@ -61,6 +61,24 @@ def test_oversized_subspace_lattice_is_refused_by_count(n):
     assert time.perf_counter() - start < 0.1
 
 
+def test_oversized_contraction_lattices_are_refused_by_count():
+    # every set partition of the vertices is tested: B(7) = 877 of them
+    # are built, B(8) = 4140 are over the cap and refused before any is
+    # listed, for the path on 8 vertices (2^7 contractions) as for K_8
+    assert der.partition_lattice(7).size == 877
+    path = [(i, i + 1) for i in range(7)]
+    assert der.contraction_lattice(path[:6]).size == 2 ** 6
+    for build, count in (
+            (lambda: der.contraction_lattice(path), "4140 set partitions"),
+            (lambda: der.partition_lattice(8), "4140 elements"),
+            (lambda: der.partition_lattice(10 ** 6),
+             "more than 4140 elements")):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match=count):
+            build()
+        assert time.perf_counter() - start < 0.1
+
+
 def test_contraction_lattices():
     triangle = der.contraction_lattice([(0, 1), (1, 2), (0, 2)])
     assert triangle.size == 5

@@ -79,7 +79,7 @@ def test_complex_shape_and_type_classes():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_face_count_is_the_size_of_the_complex(n):
     cx = descent.coxeter_complex(n)
-    assert descent.face_count(n) == cx.semigroup.size
+    assert constructions.face_count(n) == cx.semigroup.size
     assert math.factorial(n) == len(cx.group.perms)
 
 
@@ -273,7 +273,9 @@ def _walk_oracle(cx, p):
     """The Fraction route: phi(p) by one product per weighted face at
     the fundamental chamber, then every chamber row compared with mu at
     u^-1 v, permutations composed as tuples."""
-    prod = cx.semigroup.product
+    def prod(x, y):
+        return cx.semigroup.rows([x]).item(0, y)
+
     chamber = _chambers(cx)
     perm_at = {c: w for w, c in chamber.items()}
     mu = {}

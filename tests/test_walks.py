@@ -100,12 +100,12 @@ def test_convergence_tv_matches_fraction_matrix_powers():
 
 def fraction_matrix(st, w):
     """P(c, d) = sum of w_x over x with xc = d, one Fraction at a time."""
-    sg = st.semigroup
+    table = st.semigroup.tabulate().tolist()
     pos = {c: i for i, c in enumerate(st.chambers)}
     rows = [[F(0)] * len(pos) for _ in pos]
     for i, c in enumerate(st.chambers):
         for x, v in w.items():
-            rows[i][pos[sg.product(x, c)]] += v
+            rows[i][pos[table[x][c]]] += v
     return rows
 
 
@@ -366,9 +366,10 @@ def test_generated_ids_closure():
 def _two_sided_closure(sg, ids):
     """The identity and ids, closed under products in either order, one
     product at a time."""
+    table = sg.tabulate().tolist()
     seen = {sg.identity, *ids}
     while True:
-        new = {sg.product(a, b) for a in seen for b in seen} - seen
+        new = {table[a][b] for a in seen for b in seen} - seen
         if not new:
             return sorted(seen)
         seen |= new
@@ -408,6 +409,7 @@ def _oracle_draw(w, rng):
 
 def _oracle_until_top(structure, w, seed, samples):
     sg = structure.semigroup
+    table = sg.tabulate().tolist()
     draw = _oracle_draw(w, random.Random(seed))
     times = {}
     landed = {}
@@ -420,7 +422,7 @@ def _oracle_until_top(structure, w, seed, samples):
             t += 1
             up = structure.join[flat][structure.supp[x]]
             if up != flat:
-                acc = sg.product(acc, x)
+                acc = table[acc][x]
                 flat = up
         times[t] = times.get(t, 0) + 1
         landed[acc] = landed.get(acc, 0) + 1
@@ -429,11 +431,12 @@ def _oracle_until_top(structure, w, seed, samples):
 
 def _oracle_simulate(structure, w, c0, steps, seed):
     draw = _oracle_draw(w, random.Random(seed))
+    table = structure.semigroup.tabulate().tolist()
     out = []
     cur = c0
     for _ in range(steps):
         x = draw()
-        cur = structure.semigroup.product(x, cur)
+        cur = table[x][cur]
         out.append((x, cur))
     return out
 
