@@ -407,7 +407,7 @@ def _read_graph_edges(path):
 
 
 def _cmd_derangement(args, _guards):
-    # the lattice factories are bounded by derangement.LATTICE_CAP, a
+    # the lattice factories are bounded by posets.LATTICE_CAP, a
     # module constant, so no guard reaches them
     if args.poset:
         p = derangement.poset_from_json(serialize.load_json_file(args.poset))

@@ -16,15 +16,15 @@ q_free_lrb(n, q, True)   chains of subspaces 0 = X_0 < ... < X_l = V
 matroid_lrb(M, kind)     ordered independent tuples of a matroid
                          ("ordered-bases") or chains of flats with full
                          ranks below the last step ("flag-chains")
+distributive_chain_lrb   chains from bottom to top of a finite
+                         distributive lattice, multiplied by refining
+                         each step of the left factor through the right
 
 The q-analogues are the two matroid bands of one closure system,
 fields.VectorSpace(q, n): its points are the nonzero vectors and its
 flats the subspaces.  `_closure_tuples` and `_closure_chains` build the
 tuple band and the flag-chain band of a Matroid or a VectorSpace alike;
 `q_free_lrb` and `matroid_lrb` only count, name and label them.
-distributive_chain_lrb   chains from bottom to top of a finite
-                         distributive lattice, multiplied by refining
-                         each step of the left factor through the right
 
 Every constructor attaches the generating set it is usually driven by
 and an ExpectedLattice describing what the derived support lattice must
@@ -36,25 +36,26 @@ distributive chain band, a `DistributiveLattice`, is a Poset too.
 Every constructor counts its elements before it lists any, and that
 count is its one check against the elements cap (`guards.check_counts`).
 
-Each band has one product implementation, which serves its
-`Semigroup.rows(ids)`.  Every band but the distributive chains, which
-read their lattice product, serves it from an integer kernel: elements
-become integer vectors, stored as mixed-radix integer codes; the
-products of the requested rows are computed over numpy arrays, one
-block of rows at a time, and `coded_products` looks their codes up
-among the sorted element codes, rejecting a product outside the list.
+Each band has one product implementation, an integer kernel, which
+serves its `Semigroup.rows(ids)`: elements become integer vectors,
+stored as mixed-radix integer codes; the products of the requested rows
+are computed over numpy arrays, one block of rows at a time, and
+`coded_products` looks their codes up among the sorted element codes,
+rejecting a product outside the list.
 
 `braid_rows` serves the first three, bands of faces of the braid
-arrangement.  A face on {1..n} becomes its block-index vector v,
-v[x-1] = index of the block holding x; a free-LRB word becomes its
-position vector, v[x-1] = position of x in the word, with absent
-letters in a trailing sentinel block v[x-1] = n.  The product of u and
-v is then the lexicographic rank of the pairs (u[x], v[x]) among the
-pairs present, except that a letter absent from both factors stays in
-the sentinel block.  The kernel ranks without sorting: each pair is
-the code u[x] (n+1) + v[x] < (n+1)^2, the codes of a product set bits
-of a mask one uint64 word per 64 codes (one word up to n = 7), and a
-pair's rank is the popcount of the mask bits under its code.
+arrangement, and the distributive chain bands, which are sub-bands of
+them by Birkhoff's theorem (see `distributive_chain_lrb`).  A face on
+{1..n} becomes its block-index vector v, v[x-1] = index of the block
+holding x; a free-LRB word becomes its position vector, v[x-1] =
+position of x in the word, with absent letters in a trailing sentinel
+block v[x-1] = n.  The product of u and v is then the lexicographic
+rank of the pairs (u[x], v[x]) among the pairs present, except that a
+letter absent from both factors stays in the sentinel block.  The
+kernel ranks without sorting: each pair is the code u[x] (n+1) + v[x]
+< (n+1)^2, the codes of a product set bits of a mask one uint64 word
+per 64 codes (one word up to n = 7), and a pair's rank is the popcount
+of the mask bits under its code.
 
 `closure_rows` serves the bands of a closure system.  Its flats are
 numbered once per band, bottom first, with small integer tables for
@@ -187,6 +188,8 @@ def braid_rows(vectors, keys):
     """
     vecs = numpy.asarray(vectors, dtype=numpy.int64)
     size, n = vecs.shape
+    if (n + 1) ** n >= 2 ** 63:
+        raise SizeGuardError(f"{n} letters in radix {n + 1} overflow int64")
     powers = (n + 1) ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
     letters = numpy.ascontiguousarray(vecs.T)
     # highs[k]: each letter's u[x] (n+1), less the first code of word k
@@ -217,7 +220,8 @@ def braid_rows(vectors, keys):
             out += rank * power
         return out
 
-    return coded_products(vecs @ powers, keys, n, product_codes)
+    # the one-point lattice's band has no letters; a pair still costs a cell
+    return coded_products(vecs @ powers, keys, max(n, 1), product_codes)
 
 
 def closure_rows(elements, keys, join, chains):
@@ -671,14 +675,18 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
 
     The product of E = (x_0..x_l) by F = (y_0..y_m) refines every step
     [x_{i-1}, x_i] of E through the values x_{i-1} v (y_j ^ x_i) and
-    drops repeats; this product serves the band's rows, one left factor
-    at a time.  Chambers are the maximal chains.  The chains are counted
-    before they are listed, so a band over the elements cap is refused
-    by its count.  No expected support lattice is attached: two chains
-    share a support when they absorb each other, and the resulting
-    lattice is coarser than the input lattice in general (for a Boolean
-    lattice the chain band is the band of ordered set partitions, whose
-    support lattice is the partition lattice).
+    drops repeats.  By Birkhoff's theorem x is the ideal I of the
+    join-irreducibles P below it, so a chain is the ordered partition
+    (I_1, I_2 - I_1, ...) of P, the product is that of
+    `ordered_partitions`, and the braid kernel serves the rows over the
+    vectors v[p] = #{i >= 1 : not p <= x_i}.  Chambers are the maximal
+    chains.  The chains are counted before they are listed, so a band
+    over the elements cap is refused by its count.  No expected support
+    lattice is attached: two chains share a support when they absorb
+    each other, and the resulting lattice is coarser than the input
+    lattice in general (for a Boolean lattice the chain band is the band
+    of ordered set partitions, whose support lattice is the partition
+    lattice).
     """
     if not isinstance(lattice, DistributiveLattice):
         raise MalformedInputError("needs a DistributiveLattice")
@@ -691,7 +699,6 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
     for x in reversed(D.order):
         c[x] = 1 if x == D.top else sum(c[y] for y in above[x])
     check_counts("distributive_chain_lrb", [c[D.bottom]], guards.elements_cap)
-    join, meet = D.join.tolist(), D.meet.tolist()
     chains, stack = [], [(D.bottom,)]
     while stack:
         chain = stack.pop()
@@ -699,29 +706,20 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
             chains.append(chain)
         stack.extend(chain + (x,) for x in above[chain[-1]])
     chains.sort(key=lambda ch: tuple(D.labels[x] for x in ch))
-    chain_id = {ch: i for i, ch in enumerate(chains)}
-
-    def mult(a, b):
-        out = [a[0]]
-        for lo, hi in zip(a, a[1:]):
-            for y in b:
-                g = join[lo][meet[y][hi]]
-                if g != out[-1]:
-                    out.append(g)
-        return tuple(out)
-
-    def rows(ids):
-        out = numpy.empty((len(ids), len(chains)), dtype=numpy.int32)
-        for k, i in enumerate(ids):
-            out[k] = [chain_id[mult(chains[i], b)] for b in chains]
-        return out
 
     def key_of(chain):
         return "<".join(D.labels[x] for x in chain)
 
+    keys = [key_of(ch) for ch in chains]
+    # the join-irreducibles cover exactly one element, and the top,
+    # padding every chain past x_0 to one width, lies above each of them
+    width = max(map(len, chains))
+    steps = numpy.array([ch[1:] + (D.top,) * (width - len(ch))
+                         for ch in chains], dtype=numpy.intp)
+    vectors = (~D.leq[D.cover.sum(0) == 1][:, steps]).sum(axis=2).T
     return Semigroup.from_objects(
-        "distributive_chain_lrb", chains, [key_of(ch) for ch in chains],
-        rows, key_of((D.bottom, D.top) if D.bottom != D.top else (D.bottom,)),
+        "distributive_chain_lrb", chains, keys, braid_rows(vectors, keys),
+        key_of((D.bottom, D.top) if D.bottom != D.top else (D.bottom,)),
         generators=[key_of((D.bottom, x, D.top)) for x in range(D.size)
                     if x not in (D.bottom, D.top)],
         family="dist_chain", meta={"lattice": D})

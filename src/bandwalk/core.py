@@ -20,15 +20,13 @@ array comparisons.
 
 Elements are addressed by integer ids into a list of canonical string
 keys.  Every product comes from one source, `Semigroup.rows(ids)`: the
-int32 array whose row k holds x y for x = ids[k] and every y.  The
-braid-arrangement, q-analogue and matroid constructions serve it with
-their integer kernels, the distributive chain bands with their lattice
-product (see `constructions`), and an explicit table serves itself.  The
-dense Cayley table is that source read over every id, built lazily by
-`tabulate` behind table_cap, which `verify_lrb` and `derive_support`
-call first; so table_cap is the one gate on the |S|^2 work of their
-laws, array expressions that report the first failing pair in
-row-major order.
+int32 array whose row k holds x y for x = ids[k] and every y.  Every
+construction serves it with an integer kernel (see `constructions`),
+and an explicit table serves itself.  The dense Cayley table is that
+source read over every id, built lazily by `tabulate` behind
+table_cap, which `verify_lrb` and `derive_support` call first; so
+table_cap is the one gate on the |S|^2 work of their laws, array
+expressions that report the first failing pair in row-major order.
 
 Associativity has one certificate, exhaustive: every one of the |S|^3
 triples is certified, by Light's test on the dense table.  It reads

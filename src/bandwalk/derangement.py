@@ -36,6 +36,7 @@ from . import fields, posets
 from .errors import (FalsificationError, MalformedInputError,
                      PreconditionError, SizeGuardError)
 from .guards import check_counts
+from .posets import LATTICE_CAP
 
 
 # ---------------------------------------------------------------- posets
@@ -58,11 +59,6 @@ def from_support_structure(structure):
 
 
 # ---------------------------------------------------------------- factories
-
-
-# the most elements a lattice factory builds; its leq matrix has the
-# square of that many entries
-LATTICE_CAP = 4096
 
 
 def boolean_lattice(n):

@@ -4,7 +4,7 @@ Each cap can be overridden per call, via ``--guard NAME=VALUE``, or
 through an ``LRB_GUARD_*`` environment variable (e.g.
 ``LRB_GUARD_TABLE_CAP=4096``).  Bounds on the work itself are module
 constants beside it: `core.LIGHT_CELLS_CAP`, `matroid.RANK_TABLE_CAP`,
-`derangement.LATTICE_CAP`.  Every construction counts its elements
+`posets.LATTICE_CAP`.  Every construction counts its elements
 before it lists them (`check_counts`), so elements_cap refuses a band
 before any work grows with it.
 """

@@ -19,7 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AxiomViolationError, MalformedInputError, PreconditionError
+from .errors import (AxiomViolationError, MalformedInputError,
+                     PreconditionError, SizeGuardError)
+
+# the most elements a lattice factory or a cover list builds; its leq
+# matrix has the square of that many entries
+LATTICE_CAP = 4096
 
 
 def _two_way_pair(leq):
@@ -58,10 +63,14 @@ def order_from_covers(labels, pairs):
     """The order generated by cover pairs [a, b], a below b, given by
     label: their reflexive transitive closure, by Warshall's algorithm.
 
-    Refuses a pair that is not two labels, and a cycle of covers,
-    naming the first two-way pair of the closure.
+    Refuses more than LATTICE_CAP labels before the order is allocated,
+    a pair that is not two labels, and a cycle of covers, naming the
+    first two-way pair of the closure.
     """
     labels = list(labels)
+    if len(labels) > LATTICE_CAP:
+        raise SizeGuardError(f"{len(labels)} poset elements, above the cap "
+                             f"{LATTICE_CAP}")
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise MalformedInputError("duplicate poset elements")

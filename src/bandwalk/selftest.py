@@ -323,7 +323,7 @@ def criterion_5(guards=DEFAULT_GUARDS):
 
 
 def derangement_corpus(_guards=DEFAULT_GUARDS):
-    # the lattice factories are bounded by derangement.LATTICE_CAP, so
+    # the lattice factories are bounded by posets.LATTICE_CAP, so
     # the guards go unread; the parameter keeps the positional call
     # derangement_corpus(ctx.guards) in perfbench/jobs.py working
     out = []
@@ -348,7 +348,7 @@ def derangement_corpus(_guards=DEFAULT_GUARDS):
 
 def criterion_6(_guards=DEFAULT_GUARDS):
     """Derangement recurrences, flag identities and the q-analogue; the
-    lattices are bounded by derangement.LATTICE_CAP, not by guards."""
+    lattices are bounded by posets.LATTICE_CAP, not by guards."""
     lattices = derangement_corpus()
     for p in lattices:
         d = derangement.derangement_number(p)  # three routes agree inside

@@ -3,6 +3,7 @@ closed forms, plus malformed-spec and guard behaviour."""
 
 import itertools
 import json
+import math
 import time
 from dataclasses import replace
 
@@ -51,6 +52,23 @@ def _closure_mult(sg):
         return tuple(out)
 
     return chains if sg.family.endswith(("_bar", "_flags")) else tuples
+
+
+def _chain_mult(D):
+    """Each step [lo, hi] of a refined through every y of b, to the
+    values lo v (y ^ hi), repeats dropped: the lattice product."""
+    join, meet = D.join.tolist(), D.meet.tolist()
+
+    def mult(a, b):
+        out = [a[0]]
+        for lo, hi in zip(a, a[1:]):
+            for y in b:
+                g = join[lo][meet[y][hi]]
+                if g != out[-1]:
+                    out.append(g)
+        return tuple(out)
+
+    return mult
 
 
 def _oracle_table(sg, mult):
@@ -173,9 +191,9 @@ def test_distributive_chain_band_counts():
 
 
 def test_every_table_path_gives_one_int32_array():
-    # braid kernel, closure kernel, chain band, JSON and an explicit
-    # table: int32 rows before any table, then tabulate gives one
-    # C-contiguous int32 array of those rows
+    # braid kernel, closure kernel, the braid kernel over a chain band,
+    # JSON and an explicit table: int32 rows before any table, then
+    # tabulate gives one C-contiguous int32 array of those rows
     paths = [constructions.free_lrb(3), constructions.q_free_lrb(2, 2),
              constructions.distributive_chain_lrb(
                  constructions.DistributiveLattice.grid(1, 2)),
@@ -685,6 +703,22 @@ def _boolean_covers(n):
          if not m >> i & 1])
 
 
+def _ideals_n():
+    """The order ideals of the N poset a < c, b < c, b < d, by covers."""
+    return constructions.DistributiveLattice.from_covers(
+        ["0", "a", "b", "ab", "bd", "abc", "abd", "abcd"],
+        [["0", "a"], ["0", "b"], ["a", "ab"], ["b", "ab"], ["b", "bd"],
+         ["ab", "abc"], ["ab", "abd"], ["bd", "abd"], ["abc", "abcd"],
+         ["abd", "abcd"]])
+
+
+def _chain_covers(n):
+    """The n-element chain 0 < 1 < ... < n-1, from its covers."""
+    return constructions.DistributiveLattice.from_covers(
+        [str(i) for i in range(n)], [[str(i), str(i + 1)]
+                                     for i in range(n - 1)])
+
+
 def test_oversized_chain_bands_are_refused_before_enumerating():
     # 3,112,896 and 34,013,312 chains of the 8 x 8 and 9 x 9 grids, and
     # the 545,835 ordered partitions of 8 as the chains of B_8
@@ -703,11 +737,7 @@ def test_oversized_chain_bands_are_refused_before_enumerating():
     lambda: constructions.DistributiveLattice.grid(2, 2),
     lambda: constructions.DistributiveLattice.grid(4, 2),
     lambda: _boolean_covers(4),
-    lambda: constructions.DistributiveLattice.from_covers(
-        ["0", "a", "b", "ab", "bd", "abc", "abd", "abcd"],
-        [["0", "a"], ["0", "b"], ["a", "ab"], ["b", "ab"], ["b", "bd"],
-         ["ab", "abc"], ["ab", "abd"], ["bd", "abd"], ["abc", "abcd"],
-         ["abd", "abcd"]])])
+    lambda: _ideals_n()])
 def test_distributive_chain_counts_equal_the_enumerated_bands(lattice):
     # refused by the count, before enumeration, exactly one below |S|
     lat = lattice()
@@ -718,3 +748,125 @@ def test_distributive_chain_counts_equal_the_enumerated_bands(lattice):
     with pytest.raises(SizeGuardError, match=f"has {size} elements"):
         constructions.distributive_chain_lrb(
             lat, replace(DEFAULT_GUARDS, elements_cap=size - 1))
+
+
+# the lattices whose chain bands the braid kernel must reproduce, the
+# one-point lattice, with no join-irreducibles, among them
+CHAIN_LATTICES = {
+    **{f"grid({p},{q})": (lambda p=p, q=q:
+                          constructions.DistributiveLattice.grid(p, q))
+       for p, q in [(0, 0), (1, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 2)]},
+    "B_4": lambda: _boolean_covers(4),
+    "ideals-N": _ideals_n,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_LATTICES))
+def test_chain_kernel_table_matches_the_lattice_product(name):
+    lat = CHAIN_LATTICES[name]()
+    sg = constructions.distributive_chain_lrb(lat)
+    assert sg.tabulate().tolist() == _oracle_table(sg, _chain_mult(lat))
+
+
+def _ideal_lattice(k, below):
+    """J(P) from its covers, for P on 0..k-1 with `below` the set of
+    pairs (a, b), a < b: ideals as bit masks, an ideal covered by each
+    ideal with one more point."""
+    ideals = [m for m in range(1 << k)
+              if all(m >> a & 1 for a, b in below if m >> b & 1)]
+    return constructions.DistributiveLattice.from_covers(
+        [f"I{m}" for m in ideals],
+        [[f"I{m}", f"I{m | 1 << x}"] for m in ideals for x in range(k)
+         if not m >> x & 1 and m | 1 << x in ideals])
+
+
+
+def _closed(k, pairs):
+    """The strict order on 0..k-1 generated by pairs (a, b), a < b."""
+    below = set(pairs)
+    for m in range(k):
+        below |= {(a, b) for a, x in below if x == m
+                  for y, b in below if y == m}
+    return below
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.integers(1, 5).flatmap(lambda k: hs.tuples(
+    hs.just(k), hs.sets(hs.tuples(hs.integers(0, k - 1),
+                                  hs.integers(0, k - 1)).filter(
+                                      lambda ab: ab[0] < ab[1])))))
+def test_chain_bands_of_random_ideal_lattices_match_the_oracle(case):
+    # the chambers of the chain band of J(P) are its maximal chains, one
+    # for each linear extension of P
+    k, pairs = case
+    below = _closed(k, pairs)
+    lat = _ideal_lattice(k, below)
+    sg = constructions.distributive_chain_lrb(lat)
+    assert sg.tabulate().tolist() == _oracle_table(sg, _chain_mult(lat))
+    extensions = sum(
+        all(order.index(a) < order.index(b) for a, b in below)
+        for order in itertools.permutations(range(k)))
+    assert len(core.derive_support(sg).chambers) == extensions
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boolean_chain_band_is_the_ordered_partition_band(n):
+    # a chain of subsets m_0 < ... < m_l and an ordered partition of
+    # {1..n} match when letter x + 1 lies in block #{i >= 1 : x not in
+    # m_i} of the partition
+    chains = constructions.distributive_chain_lrb(_boolean_covers(n))
+    faces = constructions.ordered_partitions(n)
+    face_of = {tuple(constructions.face_vector(o, n)): i
+               for i, o in enumerate(faces.objects)}
+    lat = chains.meta["lattice"]
+    to_face = [face_of[tuple(
+        sum(not int(lat.labels[m]) >> x & 1 for m in ch[1:])
+        for x in range(n))] for ch in chains.objects]
+    assert sorted(to_face) == list(range(faces.size))
+    t, u = chains.tabulate(), faces.tabulate()
+    assert [[to_face[c] for c in row] for row in t.tolist()] \
+        == [[u[to_face[a], to_face[b]] for b in range(chains.size)]
+            for a in range(chains.size)]
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 2), (2, 3), (4, 2)])
+def test_grid_chain_band_has_a_chamber_per_lattice_path(p, q):
+    sg = constructions.distributive_chain_lrb(
+        constructions.DistributiveLattice.grid(p, q))
+    assert len(core.derive_support(sg).chambers) == math.comb(p + q, p)
+
+
+def test_the_one_point_lattice_is_served_on_no_letters():
+    sg = constructions.distributive_chain_lrb(
+        constructions.DistributiveLattice.grid(0, 0))
+    assert sg.keys == ["(0,0)"] and sg.tabulate().tolist() == [[0]]
+    rows = constructions.braid_rows(numpy.zeros((1, 0)), ["e"])
+    assert rows([0, 0]).tolist() == [[0], [0]]
+
+
+_chain16 = {}
+
+
+@settings(max_examples=50, deadline=None)
+@given(hs.data())
+def test_fifteen_join_irreducibles_are_coded_in_int64(data):
+    # the 16-element chain: 16,384 chains on 15 letters, coded below
+    # 16^15 = 2^60, past the table cap
+    if not _chain16:
+        lat = _chain_covers(16)
+        _chain16.update(sg=constructions.distributive_chain_lrb(lat),
+                        mult=_chain_mult(lat))
+    sg, mult = _chain16["sg"], _chain16["mult"]
+    assert sg.size == 16384
+    i, j = (data.draw(hs.integers(0, sg.size - 1)) for _ in range(2))
+    assert sg.objects[sg.rows([i])[0, j]] == mult(sg.objects[i],
+                                                  sg.objects[j])
+
+
+def test_sixteen_letters_overflow_the_braid_code_and_are_refused():
+    # 17^16 > 2^63: the 17-element chain, 32,768 chains under the
+    # elements cap, and any 16-letter braid band
+    with pytest.raises(SizeGuardError, match="16 letters in radix 17"):
+        constructions.distributive_chain_lrb(_chain_covers(17))
+    with pytest.raises(SizeGuardError, match="overflow int64"):
+        constructions.braid_rows(numpy.zeros((1, 16)), ["e"])

@@ -1,12 +1,16 @@
 """The array derivations of `posets` against the list loops they replaced."""
 
+import time
+
 import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bandwalk import constructions, core, derangement, posets, selftest
-from bandwalk.errors import AxiomViolationError, MalformedInputError
+from bandwalk.errors import (AxiomViolationError, MalformedInputError,
+                             SizeGuardError)
+from bandwalk.posets import LATTICE_CAP
 
 
 # ------------------------------------------------ list-based reference
@@ -304,3 +308,22 @@ def test_refinement_is_block_containment():
         for j, b in enumerate(parts):
             want = all(any(set(x) <= set(y) for y in b) for x in a)
             assert leq[i, j] == want
+
+
+def test_oversized_cover_lists_are_refused_before_allocating():
+    # a 100,000-element chain given by covers: its order would be a
+    # 10 GB bool array, closed in cubic time
+    n = 100_000
+    labels = [str(i) for i in range(n)]
+    covers = [[str(i), str(i + 1)] for i in range(n - 1)]
+    for build in (
+            lambda: constructions.DistributiveLattice.from_covers(
+                labels, covers),
+            lambda: derangement.poset_from_json(
+                {"elements": labels, "covers": covers})):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="100000 poset elements"):
+            build()
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(SizeGuardError, match=f"above the cap {LATTICE_CAP}"):
+        posets.order_from_covers(labels[:LATTICE_CAP + 1], [])
