@@ -59,10 +59,15 @@ of the mask bits under its code.
 
 `closure_rows` serves the bands of a closure system.  Its flats are
 numbered once per band, bottom first, with small integer tables for
-the join of a flat with a point (`_point_join`, read off the system's
-closure) and with another flat (`_flat_join`); a tuple becomes its
-point ids and a chain its flat ids, and each product runs a fixed
-number of table lookups.
+the join of a flat with another flat, the join table of the flats as a
+`posets.Poset` (`_flat_lattice`), and with a point, the join with its
+closure; a tuple becomes its point ids and a chain its flat ids, and
+each product runs a fixed number of table lookups.
+
+One walker, `_chains`, counts and lists every chain band: the flag
+chains of a closure system and the chains of a distributive lattice.
+Birkhoff's ideals of join-irreducibles both certify a distributive
+lattice and code its chain band (see `DistributiveLattice`).
 """
 
 import itertools
@@ -303,18 +308,6 @@ def closure_rows(elements, keys, join, chains):
                           product_codes)
 
 
-def _flat_join(point_join, members):
-    """Flat join from the point join: join[f, g] folds the points
-    members[g] of flat g into flat f, for every f at once."""
-    out = numpy.empty((len(point_join), len(members)), dtype=numpy.int64)
-    for g, points in enumerate(members):
-        f = numpy.arange(len(point_join))
-        for x in points:
-            f = point_join[f, x]
-        out[:, g] = f
-    return out
-
-
 def free_lrb(n, guards=DEFAULT_GUARDS):
     """Injective tuples over {1..n} under concatenation with repeats
     dropped.  Chambers are the n! full-length tuples; the support
@@ -433,6 +426,29 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
                        (universe,), generators, expected, "free_lrb_bar")
 
 
+# -------------------------------------------------------------- chains
+
+
+def _chains(label, up, order, bottom, top, cap):
+    """The chains bottom = x_0 < ... < x_k, each step from x_i to an id
+    of the bool row up[x_i], each closed by top unless it ends there.
+    chains(a) = 1 + sum of chains(b) over b in up[a], in Python ints
+    along the linear extension `order` from its end, and chains(bottom)
+    is refused over `cap` (`check_counts`) before any chain is listed.
+    """
+    count = numpy.zeros(len(up), dtype=object)
+    for a in reversed(order):
+        count[a] = 1 + count[up[a]].sum()
+    check_counts(label, [count[bottom]], cap)
+    steps = [numpy.flatnonzero(row).tolist() for row in up]
+    chains, stack = [], [(bottom,)]
+    while stack:
+        chain = stack.pop()
+        chains.append(chain if chain[-1] == top else chain + (top,))
+        stack.extend(chain + (b,) for b in steps[chain[-1]])
+    return chains
+
+
 # ---------------------------------------------------- closure systems
 
 
@@ -450,12 +466,12 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
     of X through Y's members: X_0 < ... < X_{l-1} <= X_{l-1}+Y_1 <= ...
     with repeats dropped.  Lattice = subspaces of dimension != n-1.
 
-    Both are counted in closed form and refused over the elements cap
-    before any vector is listed.
+    Both are counted in closed form and refused over the elements cap,
+    and the q^n - 1 points of the space over posets.LATTICE_CAP
+    (`fields.VectorSpace`), before the field is built.
     """
     if n < 1:
         raise MalformedInputError("q_free_lrb needs n >= 1")
-    fields.field(q)                 # an unsupported q is malformed input
     meta = {"n": n, "q": q}
     if not reduced:
         # the k-tuples number (q^n - 1)(q^n - q)...(q^n - q^(k-1))
@@ -469,15 +485,16 @@ def q_free_lrb(n, q, reduced=False, guards=DEFAULT_GUARDS):
                                "q_free_lrb", meta)
     # a chain with i proper steps before V is a flag of i lines in
     # successive quotients, [n][n-1]...[n-i+1] of them, where
-    # [m] = (q^m - 1)/(q - 1) counts the lines of a space of dim m
+    # [m] = 1 + q + ... + q^(m-1) counts the lines of a space of dim m
     count, flags = 0, 1
     for i in range(n):
         count += flags              # the chains with i proper steps
-        flags *= (q ** (n - i) - 1) // (q - 1)
+        flags *= sum(q ** j for j in range(n - i))
     label = f"q_free_lrb_bar({n},{q})"
     check_counts(label, [count], guards.elements_cap)
     return _closure_chains(fields.VectorSpace(q, n), label,
-                           "q_free_lrb_bar", meta, "<".join)
+                           "q_free_lrb_bar", meta, "<".join,
+                           guards.elements_cap)
 
 
 def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
@@ -506,34 +523,10 @@ def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
         check_counts(label, [count], guards.elements_cap)
         return _closure_tuples(m, label, "matroid_lrb", meta)
     if kind == "flag-chains":
-        check_counts(label, [_flag_chain_count(m)], guards.elements_cap)
         # sorted by the tuple of flat labels, not by the key string
-        return _closure_chains(m, label, "matroid_flags", meta, tuple)
+        return _closure_chains(m, label, "matroid_flags", meta, tuple,
+                               guards.elements_cap)
     raise MalformedInputError(f"unknown matroid_lrb kind {kind!r}")
-
-
-def _flag_chain_count(m):
-    """Elements of the flag-chain band of m.  A chain bottom < X_1 <
-    ... < X_k has rank X_i = i below the top, closed by the top;
-    chains[i] counts those ending at the i-th flat of rank k, found by
-    containment of flat bitmasks."""
-    by_rank = {}
-    for f in m.flats():
-        by_rank.setdefault(m.rank(f), []).append(f)
-
-    def masks(k):
-        return numpy.array([sum(1 << x for x in f) for f in by_rank[k]],
-                           dtype=numpy.int64)
-
-    chains = numpy.ones(1, dtype=numpy.int64)
-    count = 1
-    below = masks(0)
-    for k in range(1, m.full_rank):
-        above = masks(k)
-        chains = chains @ ((below[:, None] & above) == below[:, None])
-        count += int(chains.sum())
-        below = above
-    return count
 
 
 def _closure_tuples(system, label, family, meta):
@@ -543,11 +536,13 @@ def _closure_tuples(system, label, family, meta):
     point ids."""
     elements = []
     stack = [()]
+    outside = {f: [x for x in range(system.n) if x not in f]
+               for f in system.flats()}
     while stack:
         tup = stack.pop()
         elements.append(tup)
         cl = system.closure(frozenset(tup))
-        stack.extend(tup + (x,) for x in range(system.n) if x not in cl)
+        stack.extend(tup + (x,) for x in outside[cl])
     elements.sort()
 
     def key_of(tup):
@@ -555,71 +550,62 @@ def _closure_tuples(system, label, family, meta):
 
     keys = [key_of(t) for t in elements]
     loops = system.closure(frozenset())
+    lattice = _flat_lattice(system, label)
+    # a point joins a flat as its closure does
+    points = [system.flats().index(system.closure(frozenset({x})))
+              for x in range(system.n)]
     return Semigroup.from_objects(
         label, elements, keys,
-        closure_rows(elements, keys, _point_join(system), chains=False),
+        closure_rows(elements, keys, lattice.join[:, points], chains=False),
         key_of(()),
         generators=[key_of((x,)) for x in range(system.n) if x not in loops],
         expected=_expected(
-            label, system.flats(), posets.inclusion_order(system.flats()),
-            system.flat_label,
+            label, system.flats(), lattice.leq, system.flat_label,
             [system.closure(frozenset(tup)) for tup in elements]),
         family=family, meta=meta)
 
 
-def _closure_chains(system, label, family, meta, order):
+def _closure_chains(system, label, family, meta, order, cap):
     """The flag chains bottom = X_0 < ... < X_l = top of a closure
     system, rank X_i = i for i < l, under refining the last step through
-    joins.  Elements sort by order(labels of their flats): the key
-    string and the label tuple differ when a ground label holds "}" or
-    ","."""
+    joins: `_chains` steps from a flat to the flats of the next rank
+    above it, not the top, and refuses more than `cap` chains.  Elements
+    sort by order(labels of their flats): the key string and the label
+    tuple differ when a ground label holds "}" or ","."""
     flats = system.flats()
-    r = system.full_rank
-    by_rank = {}
-    for f in flats:
-        by_rank.setdefault(system.rank(f), []).append(f)
-    bottom = by_rank[0][0]
-    top = by_rank[r][0]
-    # a stacked chain X_0 < ... < X_k stands for the element closed by
-    # the top, and grows by the flats of rank k + 1 above X_k
-    elements = []
-    stack = [(bottom,)]
-    while stack:
-        chain = stack.pop()
-        elements.append(chain if chain[-1] == top else chain + (top,))
-        stack.extend(chain + (f,) for f in by_rank.get(len(chain), ())
-                     if f != top and chain[-1] <= f)
-    elements.sort(key=lambda ch: order([system.flat_label(f) for f in ch]))
+    lattice = _flat_lattice(system, label)
+    rank = numpy.array([system.rank(f) for f in flats])
+    bottom, top = lattice.bottom, lattice.top
+    up = lattice.leq & (rank == rank[:, None] + 1)
+    up[:, top] = False
+    chains = _chains(label, up, lattice.order, bottom, top, cap)
+    chains.sort(key=lambda ch: order([lattice.labels[f] for f in ch]))
 
     def key_of(chain):
-        return "<".join(system.flat_label(f) for f in chain)
+        return "<".join(lattice.labels[f] for f in chain)
 
-    keys = [key_of(ch) for ch in elements]
-    kept = [f for f in flats if system.rank(f) != r - 1]
-    flat_id = {f: i for i, f in enumerate(flats)}
-    join = _flat_join(_point_join(system), [sorted(f) for f in flats])
+    keys = [key_of(ch) for ch in chains]
+    kept = numpy.flatnonzero(rank != rank[top] - 1)
     return Semigroup.from_objects(
-        label, elements, keys,
-        closure_rows([[flat_id[f] for f in chain] for chain in elements],
-                     keys, join, chains=True),
+        label, [tuple(flats[f] for f in ch) for ch in chains], keys,
+        closure_rows(chains, keys, lattice.join, chains=True),
         key_of((bottom, top) if bottom != top else (bottom,)),
         generators=[key_of((bottom, f, top))
-                    for f in by_rank.get(1, ()) if f != top],
+                    for f in numpy.flatnonzero(up[bottom])],
         expected=_expected(
-            label, kept, posets.inclusion_order(kept), system.flat_label,
-            [ch[-1] if len(ch) == r + 1 else ch[-2] for ch in elements]),
+            label, [flats[f] for f in kept],
+            lattice.leq[numpy.ix_(kept, kept)], system.flat_label,
+            [flats[ch[-1] if len(ch) == rank[top] + 1 else ch[-2]]
+             for ch in chains]),
         family=family, meta=meta)
 
 
-def _point_join(system):
-    """Point join over the flats of a closure system, bottom first:
-    join[f, x] is the id of the closure of flat f and point x."""
+def _flat_lattice(system, label):
+    """The flats of a closure system, listed by rank, as a `posets.Poset`
+    ordered by inclusion, whose join table is the flat join."""
     flats = system.flats()
-    flat_id = {f: i for i, f in enumerate(flats)}
-    return numpy.array(
-        [[i if x in f else flat_id[system.closure(f | {x})]
-          for x in range(system.n)]
-         for i, f in enumerate(flats)], dtype=numpy.int64)
+    return posets.Poset([system.flat_label(f) for f in flats],
+                        posets.inclusion_order(flats), label)
 
 
 # ------------------------------------------- distributive chain bands
@@ -627,47 +613,40 @@ def _point_join(system):
 
 class DistributiveLattice(posets.Poset):
     """Finite distributive lattice over labeled elements: a Poset (see
-    `posets`) built from an explicit order, which it refuses unless it
-    is a bounded lattice, naming the labels of the first failing pair,
-    and distributive over all triples.
+    `posets`, whose `grid` and `from_covers` it inherits), refused
+    unless it is a partial order with a join for every pair (naming the
+    first pair without one), a bottom and a top, and distributive.
+
+    Distributivity is certified by Birkhoff's theorem: a finite lattice
+    is distributive exactly when the ideal of join-irreducibles (the
+    elements with one lower cover) below x v y is the union of those
+    below x and y.  `ideals` keeps them, row p of leq for each
+    join-irreducible p; every pair is checked, one slice x at a time in
+    O(|P| n^2), and a failure names x, y and a p below x v y but below
+    neither.  The same ideals code the chain band.
     """
 
     def check(self):
         try:
             posets.check_partial_order(self.leq)
-            # deriving the tables names the first pair without a join
-            # or a meet
-            self.join, self.meet
+            # deriving the table names the first pair without a join
+            self.join
         except AxiomViolationError as exc:
             named = ",".join(self.labels[i] for i in exc.witness)
             raise MalformedInputError(f"{exc} at ({named})") from None
         if self.bottom is None or self.top is None:
             raise MalformedInputError("lattice must be bounded")
-        # meet(a, join(b, c)) against join(meet(a, b), meet(a, c)), one
-        # n x n slice a at a time, so the first failure is the first
-        # triple and no n^3 array is held
-        for a, meets in enumerate(self.meet):
-            bad = numpy.argwhere(
-                meets[self.join] != self.join[meets[:, None], meets])
-            if len(bad):
-                b, c = bad[0]
+        ideals = self.ideals = self.leq[self.join_irreducibles]
+        for x, joins in enumerate(self.join):
+            lost = numpy.argwhere(
+                (ideals[:, joins] != (ideals[:, x, None] | ideals)).T)
+            if len(lost):
+                y, p = lost[0].tolist()
+                p, name = int(self.join_irreducibles[p]), self.labels
                 raise MalformedInputError(
-                    f"not distributive at "
-                    f"({self.labels[a]},{self.labels[b]},{self.labels[c]})")
-
-    @classmethod
-    def from_covers(cls, labels, cover_pairs):
-        labels = [str(x) for x in labels]
-        return cls(labels, posets.order_from_covers(labels, cover_pairs),
-                   "lattice")
-
-    @classmethod
-    def grid(cls, p, q):
-        """Divisor-style grid {0..p} x {0..q} under componentwise order."""
-        i, j = numpy.divmod(numpy.arange((p + 1) * (q + 1)), q + 1)
-        labels = [f"({a},{b})" for a, b in zip(i.tolist(), j.tolist())]
-        return cls(labels, (i[:, None] <= i) & (j[:, None] <= j),
-                   f"grid({p},{q})")
+                    f"not distributive at ({name[x]},{name[y]}): {name[p]} "
+                    f"lies below their join {name[joins[y]]} but below "
+                    "neither", witness=(x, y, p))
 
 
 def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
@@ -676,47 +655,46 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
     The product of E = (x_0..x_l) by F = (y_0..y_m) refines every step
     [x_{i-1}, x_i] of E through the values x_{i-1} v (y_j ^ x_i) and
     drops repeats.  By Birkhoff's theorem x is the ideal I of the
-    join-irreducibles P below it, so a chain is the ordered partition
-    (I_1, I_2 - I_1, ...) of P, the product is that of
-    `ordered_partitions`, and the braid kernel serves the rows over the
-    vectors v[p] = #{i >= 1 : not p <= x_i}.  Chambers are the maximal
-    chains.  The chains are counted before they are listed, so a band
-    over the elements cap is refused by its count.  No expected support
-    lattice is attached: two chains share a support when they absorb
-    each other, and the resulting lattice is coarser than the input
-    lattice in general (for a Boolean lattice the chain band is the band
-    of ordered set partitions, whose support lattice is the partition
-    lattice).
+    join-irreducibles P below it, column x of the lattice's `ideals`,
+    so a chain is the ordered partition (I_1, I_2 - I_1, ...) of P, the
+    product is that of `ordered_partitions`, and the braid kernel serves
+    the rows over the vectors v[p] = #{i >= 1 : not p <= x_i}.  Chambers
+    are the maximal chains.  `_chains` steps to any element above, not
+    the top, and refuses a band over the elements cap by its count
+    before any chain is listed.  No expected support lattice is
+    attached: two chains share a support when they absorb each other,
+    and the resulting lattice is coarser than the input lattice in
+    general (for a Boolean lattice the chain band is the band of ordered
+    set partitions, whose support lattice is the partition lattice).
     """
     if not isinstance(lattice, DistributiveLattice):
         raise MalformedInputError("needs a DistributiveLattice")
-    D = lattice
-    # a chain steps to any element strictly above its last one
-    above = [[y for y in numpy.flatnonzero(row).tolist() if y != x]
-             for x, row in enumerate(D.leq)]
-    # c[x] counts the chains from x to the top, filled from the top down
-    c = [0] * D.size
-    for x in reversed(D.order):
-        c[x] = 1 if x == D.top else sum(c[y] for y in above[x])
-    check_counts("distributive_chain_lrb", [c[D.bottom]], guards.elements_cap)
-    chains, stack = [], [(D.bottom,)]
-    while stack:
-        chain = stack.pop()
-        if chain[-1] == D.top:
-            chains.append(chain)
-        stack.extend(chain + (x,) for x in above[chain[-1]])
+    return _chain_band(lattice, guards)
+
+
+def _chain_band(poset, guards):
+    """The chain band of a bounded Poset, whose chains are counted
+    before it is checked to be a DistributiveLattice (unless it is one),
+    so a spec over the cap is refused before its join table."""
+    up = poset.leq.copy()
+    numpy.fill_diagonal(up, False)
+    up[:, poset.top] = False
+    chains = _chains("distributive_chain_lrb", up, poset.order, poset.bottom,
+                     poset.top, guards.elements_cap)
+    D = poset if isinstance(poset, DistributiveLattice) else \
+        DistributiveLattice(poset.labels, poset.leq, poset.name)
     chains.sort(key=lambda ch: tuple(D.labels[x] for x in ch))
 
     def key_of(chain):
         return "<".join(D.labels[x] for x in chain)
 
     keys = [key_of(ch) for ch in chains]
-    # the join-irreducibles cover exactly one element, and the top,
-    # padding every chain past x_0 to one width, lies above each of them
+    # the top, padding every chain past x_0 to one width, lies above
+    # every join-irreducible
     width = max(map(len, chains))
     steps = numpy.array([ch[1:] + (D.top,) * (width - len(ch))
                          for ch in chains], dtype=numpy.intp)
-    vectors = (~D.leq[D.cover.sum(0) == 1][:, steps]).sum(axis=2).T
+    vectors = (~D.ideals[:, steps]).sum(axis=2).T
     return Semigroup.from_objects(
         "distributive_chain_lrb", chains, keys, braid_rows(vectors, keys),
         key_of((D.bottom, D.top) if D.bottom != D.top else (D.bottom,)),
@@ -766,14 +744,15 @@ def construction_from_spec(spec, guards=DEFAULT_GUARDS):
             return matroid_lrb(build_matroid(spec["matroid"]), "flag-chains",
                                guards)
         if kind == "dist_chain":
+            # a bare bounded order, checked once its chains are counted
             if "grid" in spec:
                 p, q = spec["grid"]
-                lat = DistributiveLattice.grid(spec_int("grid", p),
-                                               spec_int("grid", q))
+                poset = posets.Poset.grid(spec_int("grid", p),
+                                          spec_int("grid", q))
             else:
-                lat = DistributiveLattice.from_covers(
-                    spec["elements"], spec["covers"])
-            return distributive_chain_lrb(lat, guards)
+                poset = posets.Poset.from_covers(spec["elements"],
+                                                 spec["covers"], "lattice")
+            return _chain_band(poset, guards)
         if kind == "table":
             return Semigroup.from_json_dict(spec)
     except (KeyError, TypeError, ValueError) as exc:

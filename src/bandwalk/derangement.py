@@ -79,12 +79,12 @@ def subspace_lattice(n, q):
 
     Elements carry their reduced row-echelon basis as the label, the
     zero space being "0".  The subspaces, sum over k of the Gaussian
-    binomials [n k]_q, are counted before any is listed, and more than
-    LATTICE_CAP of them are refused.
+    binomials [n k]_q, and then the q^n - 1 points of the space are
+    counted before the field is built or anything is listed, and more
+    than LATTICE_CAP of either are refused.
     """
     if n < 0:
         raise MalformedInputError("subspace_lattice needs n >= 0")
-    fields.field(q)                 # an unsupported q is malformed input
     # there are at least 2^n subspaces, the spans of subsets of a basis,
     # so a large n is refused without running the count
     if n >= LATTICE_CAP.bit_length() or sum(
@@ -191,10 +191,7 @@ def poset_from_json(obj):
     for key in ("elements", "covers"):
         if not isinstance(obj[key], list):
             raise MalformedInputError(f"poset JSON {key} must be a list")
-    labels = [str(e) for e in obj["elements"]]
-    return posets.Poset(labels,
-                        posets.order_from_covers(labels, obj["covers"]),
-                        "poset")
+    return posets.Poset.from_covers(obj["elements"], obj["covers"])
 
 
 # ------------------------------------------------------------ chain counts

@@ -4,7 +4,9 @@ space GF(q)^n as a closure system.
 Supports GF(q) for prime q and for q in {4, 8, 9}; that covers every
 vector-space construction the package builds.  Prime-power elements are
 encoded as base-p digit strings of polynomials modulo a fixed monic
-irreducible, so each element is just an int in range(q).
+irreducible, so each element is just an int in range(q).  A field of
+order at most 9 reads tables of at most 81 cells; a larger prime field
+computes mod p, so building one costs nothing that grows with q.
 
 `VectorSpace` is GF(q)^n read like a matroid: points are the nonzero
 vectors and flats are the subspaces.  The q-analogue bands are the
@@ -16,6 +18,8 @@ import itertools
 from functools import lru_cache
 
 from .errors import MalformedInputError
+from .guards import check_counts
+from .posets import LATTICE_CAP
 
 # ascending coefficients of a monic irreducible over the prime subfield
 _IRREDUCIBLE = {
@@ -24,89 +28,79 @@ _IRREDUCIBLE = {
     9: (1, 0, 1),        # x^2 + 1 over GF(3)
 }
 
+# Miller-Rabin on the first 13 primes decides every m below _WITNESSED
+# (J. Sorenson, J. Webster, Math. Comp. 86, 2017, 985-1003)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESSED = 3317044064679887385961981
+
 
 def _is_prime(m):
-    if m < 2:
+    """Whether m is a prime below _WITNESSED, by the Miller-Rabin test
+    on every base of _WITNESSES, which is exact there."""
+    if m < 2 or m >= _WITNESSED:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    s = ((m - 1) & (1 - m)).bit_length() - 1     # 2^s exactly divides m-1
+    for a in _WITNESSES:
+        x = pow(a, (m - 1) >> s, m)
+        if a % m and x != 1 and all(pow(x, 2 ** i, m) != m - 1
+                                    for i in range(s)):
             return False
-        d += 1
     return True
 
 
 class GF:
-    """Arithmetic tables for GF(q)."""
+    """Arithmetic in GF(q): `add`, `sub`, `mul` and `inv` on ints in
+    range(q).  A field of order at most 9 reads its tables `add_t` and
+    `mul_t`; a larger one, which is prime, computes mod q."""
 
     def __init__(self, q):
-        if _is_prime(q):
-            self.q = q
-            self.p = q
-            self.deg = 1
-        elif q in _IRREDUCIBLE:
-            self.q = q
-            self.p = 2 if q in (4, 8) else 3
-            self.deg = len(_IRREDUCIBLE[q]) - 1
+        if q in _IRREDUCIBLE:
+            p, irr = (2 if q in (4, 8) else 3), _IRREDUCIBLE[q]
+        elif _is_prime(q):
+            p, irr = q, (0, 1)
         else:
             raise MalformedInputError(
-                f"unsupported field order {q}: need a prime or one of 4, 8, 9")
-        self.add_t = [[self._add(a, b) for b in range(q)] for a in range(q)]
-        self.mul_t = [[self._mul(a, b) for b in range(q)] for a in range(q)]
-        self.neg_t = [next(b for b in range(q) if self.add_t[a][b] == 0)
-                      for a in range(q)]
-        self.inv_t = [0] + [next(b for b in range(1, q)
-                                 if self.mul_t[a][b] == 1)
-                            for a in range(1, q)]
+                f"unsupported field order {q}: need a prime below "
+                f"{_WITNESSED} or one of 4, 8, 9")
+        self.q, self.add_t = q, None
+        if q > 9:
+            return
+        # an element is the polynomial of its base-p digits, lowest first
+        digits = [[a // p ** i % p for i in range(len(irr) - 1)]
+                  for a in range(q)]
 
-    def _digits(self, a):
-        out = []
-        for _ in range(self.deg):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        def poly(coefficients):
+            return sum(c * p ** i for i, c in enumerate(coefficients))
 
-    def _undigits(self, ds):
-        a = 0
-        for d in reversed(ds):
-            a = a * self.p + d
-        return a
+        def mul(a, b):
+            # Horner on the digits of a: out x + digit b, with x^deg
+            # reduced by the monic irreducible
+            out = digits[0]
+            for x in reversed(digits[a]):
+                out = [(lo - out[-1] * c + x * y) % p for lo, c, y
+                       in zip([0] + out[:-1], irr, digits[b])]
+            return poly(out)
 
-    def _add(self, a, b):
-        if self.deg == 1:
-            return (a + b) % self.p
-        return self._undigits([(x + y) % self.p
-                               for x, y in zip(self._digits(a), self._digits(b))])
+        self.add_t = [[poly([(x + y) % p for x, y in zip(da, db)])
+                       for db in digits] for da in digits]
+        self.mul_t = [[mul(a, b) for b in range(q)] for a in range(q)]
 
-    def _mul(self, a, b):
-        if self.deg == 1:
-            return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        raw = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    raw[i + j] = (raw[i + j] + x * y) % self.p
-        irr = _IRREDUCIBLE[self.q]
-        for i in range(len(raw) - 1, self.deg - 1, -1):
-            c = raw[i]
-            if c:
-                raw[i] = 0
-                for j in range(self.deg):
-                    raw[i - self.deg + j] = (raw[i - self.deg + j]
-                                             - c * irr[j]) % self.p
-        return self._undigits(raw[:self.deg])
+    def add(self, a, b):
+        return (a + b) % self.q if self.add_t is None else self.add_t[a][b]
 
     def sub(self, a, b):
-        return self.add_t[a][self.neg_t[b]]
+        # the c with b + c = a
+        return (a - b) % self.q if self.add_t is None else \
+            self.add_t[b].index(a)
 
     def mul(self, a, b):
-        return self.mul_t[a][b]
+        return a * b % self.q if self.add_t is None else self.mul_t[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self.inv_t[a]
+        return pow(a, -1, self.q) if self.add_t is None else \
+            self.mul_t[a].index(1)
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +168,7 @@ def _span(fld, basis, n):
     """Every vector of the span of `basis`, zero included."""
     out = [(0,) * n]
     for row in basis:
-        out = [tuple(fld.add_t[a][fld.mul_t[c][r]] for a, r in zip(v, row))
+        out = [tuple(fld.add(a, fld.mul(c, r)) for a, r in zip(v, row))
                for v in out for c in range(fld.q)]
     return out
 
@@ -189,9 +183,16 @@ class VectorSpace:
     reduced row-echelon basis, and labelled by that basis: its rows
     joined by "+", the zero space "0".  `closure` and `rank` run one
     `rref` on the given points; nothing is kept per subset of points.
+    The q^k - 1 points of GF(q)^k, k = 1..n, are counted first and held
+    to posets.LATTICE_CAP (`check_counts`), so q is bounded before the
+    field is built and tested prime; an order below 2 is left to the
+    field to refuse.
     """
 
     def __init__(self, q, n):
+        if n > 0 and q > 1:
+            points = (q ** k - 1 for k in itertools.count(1))
+            check_counts(f"GF({q})^{n}", points, LATTICE_CAP, n, "points")
         fld = field(q)
         self._fld = fld
         self.points = [v for v in all_vectors(fld, n) if any(v)]

@@ -9,9 +9,9 @@ order, by array expressions or one numpy step per element: validity
 with the first witness (`check_partial_order`), the one transitive
 closure (`order_from_covers`), the inclusion and refinement orders,
 the cover matrix (`covers_of`), a linear extension, bottom and top,
-join and meet tables (int arrays of ids), ranks, and rows of the
-Moebius function, whose values stay Python ints.  Set partitions live
-here too: their enumeration and the refinement order.
+the join table (an int array of ids), the join-irreducibles, ranks,
+and rows of the Moebius function, whose values stay Python ints.  Set
+partitions live here too: their enumeration and the refinement order.
 """
 
 from dataclasses import dataclass
@@ -162,11 +162,6 @@ def join_table(leq):
     return join
 
 
-def meet_table(leq):
-    """Greatest-lower-bound table, or raise if some pair has no meet."""
-    return join_table(np.ascontiguousarray(leq.T))
-
-
 def rank_function(cover, order):
     """Ranks if the poset is graded, else None.
 
@@ -208,9 +203,10 @@ class Poset:
     the order `leq` and a name for errors.  Building one finds the
     bottom and the top and runs `check`; the rest is derived on first
     read, once: the cover matrix `cover`, the up-cover lists `covers`
-    (covers[a] the ids that cover a, ascending), a linear extension
-    `order`, `rank` (None unless graded), the `join` and `meet` tables,
-    the Moebius rows and the label index of `index_of`.
+    (covers[a] the ids that cover a, ascending), the join-irreducibles
+    `join_irreducibles`, a linear extension `order`, `rank` (None unless
+    graded), the `join` table, the Moebius rows and the label index of
+    `index_of`.
     """
 
     labels: tuple
@@ -231,6 +227,27 @@ class Poset:
             raise MalformedInputError(
                 f"{self.name} lacks a unique bottom or top")
 
+    @classmethod
+    def from_covers(cls, labels, pairs, name="poset"):
+        """The poset generated by cover pairs [a, b], a below b, given by
+        label, each label made a string (`order_from_covers`)."""
+        labels = [str(x) for x in labels]
+        return cls(labels, order_from_covers(labels, pairs), name)
+
+    @classmethod
+    def grid(cls, p, q):
+        """The grid {0..p} x {0..q} by components, refused for a negative
+        side or over LATTICE_CAP elements before any is listed."""
+        if p < 0 or q < 0:
+            raise MalformedInputError(f"grid({p},{q}) needs sides >= 0")
+        if (p + 1) * (q + 1) > LATTICE_CAP:
+            raise SizeGuardError(f"grid({p},{q}) has {(p + 1) * (q + 1)} "
+                                 f"elements, above the cap {LATTICE_CAP}")
+        i, j = np.divmod(np.arange((p + 1) * (q + 1)), q + 1)
+        labels = [f"({a},{b})" for a, b in zip(i.tolist(), j.tolist())]
+        return cls(labels, (i[:, None] <= i) & (j[:, None] <= j),
+                   f"grid({p},{q})")
+
     @property
     def size(self):
         return len(self.labels)
@@ -247,6 +264,12 @@ class Poset:
         return covers_of(self.leq)
 
     @cached_property
+    def join_irreducibles(self):
+        """The ids with exactly one lower cover, ascending: in a lattice,
+        the join-irreducibles."""
+        return np.flatnonzero(self.cover.sum(0) == 1)
+
+    @cached_property
     def covers(self):
         return [np.flatnonzero(row).tolist() for row in self.cover]
 
@@ -261,10 +284,6 @@ class Poset:
     @cached_property
     def join(self):
         return join_table(self.leq)
-
-    @cached_property
-    def meet(self):
-        return meet_table(self.leq)
 
     def moebius(self, a, b):
         """The Moebius function, 0 unless a <= b; row a is read once."""

@@ -278,6 +278,29 @@ def test_malformed_inputs_exit_2(tmp_path):
             "covers": [list(c) for c in covers]})]) == 2
 
 
+def test_oversized_grids_and_field_orders_exit_at_once(tmp_path, capsys):
+    # a negative grid side is malformed, a grid over posets.LATTICE_CAP
+    # and the chains of a 61 x 61 grid are refused before the lattice is
+    # checked; a field order is counted by the points it lists
+    q = 2 ** 61 - 1
+    for payload, code, named in (
+            ({"type": "dist_chain", "grid": [-2, -3]}, 2, "sides >= 0"),
+            ({"type": "dist_chain", "grid": [64, 64]}, 4, "4225 elements"),
+            ({"type": "dist_chain", "grid": [60, 60]}, 4,
+             "distributive_chain_lrb has 3646197746809872246698909038840"),
+            ({"type": "q_free", "n": 1, "q": 10007}, 4, "10006 points"),
+            ("--subspace 1 10007", 4, "10006 points"),
+            ({"type": "matroid", "matroid": {
+                "kind": "vectors", "q": q,
+                "columns": [[1, 0], [0, 1], [1, q - 1]]}}, 0, "")):
+        args = ["derangement"] + payload.split() if isinstance(payload, str) \
+            else ["build", "--spec", _spec(tmp_path, payload)]
+        start = time.perf_counter()
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == code
+        assert time.perf_counter() - start < 1
+        assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload, named", [
     ({"type": "free_lrb", "n": 3.7}, "'n' must be an integer, got 3.7"),
     ({"type": "q_free", "n": 2, "q": 2.5}, "'q' must be an integer, got 2.5"),

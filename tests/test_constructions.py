@@ -9,11 +9,11 @@ from dataclasses import replace
 
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from bandwalk import (constructions, core, derangement, descent, fields,
-                      matroid)
+                      matroid, posets)
 from bandwalk.errors import (
     AxiomViolationError,
     MalformedInputError,
@@ -56,8 +56,10 @@ def _closure_mult(sg):
 
 def _chain_mult(D):
     """Each step [lo, hi] of a refined through every y of b, to the
-    values lo v (y ^ hi), repeats dropped: the lattice product."""
-    join, meet = D.join.tolist(), D.meet.tolist()
+    values lo v (y ^ hi), repeats dropped: the lattice product.  Meets
+    are the joins of the dual order."""
+    join = D.join.tolist()
+    meet = posets.join_table(numpy.ascontiguousarray(D.leq.T)).tolist()
 
     def mult(a, b):
         out = [a[0]]
@@ -260,6 +262,126 @@ def test_non_distributive_covers_are_rejected():
                 labels, [list(c) for c in covers])
 
 
+def _ref_distributive(leq):
+    """The certificate the Birkhoff check replaced: a partial order with
+    a join and a meet (the join of the dual order) for every pair, a
+    bottom and a top, and meet(a, join(b, c)) = join(meet(a, b),
+    meet(a, c)) over every triple, one slice a at a time."""
+    try:
+        posets.check_partial_order(leq)
+        join = posets.join_table(leq)
+        meet = posets.join_table(numpy.ascontiguousarray(leq.T))
+    except AxiomViolationError:
+        return False
+    if posets.bottom_of(leq) is None or posets.top_of(leq) is None:
+        return False
+    return all((meets[join] == join[meets[:, None], meets]).all()
+               for meets in meet)
+
+
+@hs.composite
+def _bounded_orders(draw):
+    """A random relation on up to seven points, each pair related with
+    chance 1/3, transitively closed, with a bottom and a top adjoined
+    and the ids shuffled; an acyclic draw keeps only the pairs (a, b)
+    with a < b."""
+    k = draw(hs.integers(0, 7))
+    cells = draw(hs.lists(hs.integers(0, 2).map(lambda v: v == 0),
+                          min_size=k * k, max_size=k * k))
+    inner = numpy.array(cells, dtype=bool).reshape(k, k)
+    if draw(hs.booleans()):
+        inner = numpy.triu(inner, 1)
+    leq = numpy.eye(k + 2, dtype=bool)
+    leq[0] = leq[:, -1] = True
+    leq[1:-1, 1:-1] |= inner
+    for m in range(k + 2):
+        leq[leq[:, m]] |= leq[m]
+    perm = draw(hs.permutations(range(k + 2)))
+    return numpy.ascontiguousarray(leq[numpy.ix_(perm, perm)])
+
+
+def _covers_order(labels, covers):
+    return posets.order_from_covers(labels, [list(c) for c in covers])
+
+
+# M3, N5, and a bounded order in which a and b have two minimal upper
+# bounds
+M3 = _covers_order("0xyz1", ["0x", "0y", "0z", "x1", "y1", "z1"])
+N5 = _covers_order("0abc1", ["0a", "ab", "b1", "0c", "c1"])
+TWO_UPPER = _covers_order("0abcd1", ["0a", "0b", "ac", "ad", "bc", "bd",
+                                     "c1", "d1"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bounded_orders())
+@example(M3)
+@example(N5)
+@example(TWO_UPPER)
+def test_birkhoff_certificate_decides_as_the_triple_loop(leq):
+    want = _ref_distributive(leq)
+    try:
+        constructions.DistributiveLattice(
+            [f"v{i}" for i in range(len(leq))], leq, "random")
+    except MalformedInputError as exc:
+        assert not want
+        if exc.witness is not None:
+            # a join-irreducible p below x v y but below neither
+            x, y, p = exc.witness
+            join = posets.join_table(leq)
+            assert leq[p, join[x, y]] and not leq[p, x] and not leq[p, y]
+            assert posets.covers_of(leq)[:, p].sum() == 1
+            assert str(exc).startswith(f"not distributive at (v{x},v{y}): "
+                                       f"v{p} lies below their join")
+    else:
+        assert want
+
+
+@pytest.mark.parametrize("leq, labels, named", [
+    (M3, "0xyz1", r"at \(x,y\): z lies below their join 1"),
+    (N5, "0abc1", r"at \(a,c\): b lies below their join 1"),
+])
+def test_non_distributive_lattices_name_their_witness(leq, labels, named):
+    with pytest.raises(MalformedInputError, match=named):
+        constructions.DistributiveLattice(list(labels), leq, "lattice")
+
+
+def test_negative_grid_sides_are_malformed():
+    for p, q in ((-2, -3), (-1, 0), (0, -1)):
+        with pytest.raises(MalformedInputError, match="needs sides >= 0"):
+            constructions.DistributiveLattice.grid(p, q)
+    with pytest.raises(MalformedInputError, match="needs sides >= 0"):
+        constructions.construction_from_spec(
+            {"type": "dist_chain", "grid": [-2, -3]})
+
+
+def test_grids_over_the_lattice_cap_are_refused_before_allocating():
+    # 64 x 64 grid points are the cap, refused by their chain count; one
+    # more row is refused by the grid, and a side of a million without
+    # its 10^12 elements
+    with pytest.raises(SizeGuardError, match="distributive_chain_lrb has"):
+        constructions.construction_from_spec(
+            {"type": "dist_chain", "grid": [63, 63]})
+    with pytest.raises(SizeGuardError, match="has 4160 elements"):
+        constructions.DistributiveLattice.grid(64, 63)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="above the cap 4096"):
+        constructions.construction_from_spec(
+            {"type": "dist_chain", "grid": [10 ** 6, 10 ** 6]})
+    assert time.perf_counter() - start < 0.1
+
+
+def test_grid_specs_are_counted_before_the_lattice_is_checked():
+    # the chain counts of the 31 x 31 and 61 x 61 grids refuse them
+    # before the join table of their 961 and 3721 elements is built
+    for p in (30, 60):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError,
+                           match=r"distributive_chain_lrb has \d{30,} "):
+            constructions.construction_from_spec(
+                {"type": "dist_chain", "grid": [p, p]})
+        assert time.perf_counter() - start < 1
+
+
 def test_spec_dispatch_round_trip():
     sg = constructions.construction_from_spec(
         {"type": "q_free_bar", "n": 2, "q": 2})
@@ -406,6 +528,63 @@ class _SpanOracle:
         return self._seen[subset]
 
 
+def test_prime_fields_above_nine_compute_mod_p_without_tables():
+    # orders up to 9 keep their tables of at most 81 cells
+    assert all(fields.field(q).add_t is not None for q in (2, 4, 7, 8, 9))
+    for q in (11, 10007, 2 ** 61 - 1):
+        start = time.perf_counter()
+        fld = fields.field(q)
+        assert time.perf_counter() - start < 0.1
+        assert fld.add_t is None
+        for a, b in ((3, 5), (q - 1, q - 2), (0, 7)):
+            assert fld.add(a, b) == (a + b) % q
+            assert fld.sub(a, b) == (a - b) % q
+            assert fld.mul(a, b) == a * b % q
+        assert fld.mul(fld.inv(q - 2), q - 2) == 1
+
+
+def test_field_orders_are_decided_exactly():
+    def trial(m):
+        return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    assert [m for m in range(3000) if fields._is_prime(m)] \
+        == [m for m in range(3000) if trial(m)]
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    for m, factor in ((3215031751, 151), (3825123056546413051, 149491)):
+        assert m % factor == 0 and not fields._is_prime(m)
+    assert fields._is_prime(2 ** 31 - 1) and fields._is_prime(2 ** 61 - 1)
+    # a prime past the range the bases decide is not a supported order
+    for q in (6, 2 ** 89 - 1):
+        with pytest.raises(MalformedInputError, match="unsupported field"):
+            fields.field(q)
+
+
+def test_vector_spaces_count_their_points_before_the_field():
+    # GF(q)^1 has 2 subspaces and one flag chain for every q, so its
+    # q - 1 points are held to the cap before the field is built
+    with pytest.raises(SizeGuardError, match=r"GF\(10007\)\^1 has 10006 "
+                                             "points, above the cap 4096"):
+        derangement.subspace_lattice(1, 10007)
+    assert derangement.subspace_lattice(1, 4093).size == 2
+    with pytest.raises(SizeGuardError, match="has 50002 points"):
+        constructions.q_free_lrb(1, 50003, reduced=True)
+    # an order that is no field is refused once the band is counted
+    with pytest.raises(MalformedInputError, match="unsupported field"):
+        constructions.q_free_lrb(2, 6)
+    with pytest.raises(SizeGuardError, match="q_free_lrb_bar"):
+        constructions.q_free_lrb(9, 6, reduced=True)
+
+
+def test_matroids_over_a_large_prime_field_are_built_at_once():
+    q = 2 ** 61 - 1
+    start = time.perf_counter()
+    m = matroid.build_matroid({"kind": "vectors", "q": q, "columns": [
+        [1, 0], [0, 1], [1, 1], [q - 1, 5]]})
+    assert m.full_rank == 2 and len(m.flats()) == 6       # U(2,4)
+    assert constructions.matroid_lrb(m, "flag-chains").size == 5
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2)])
 def test_vector_space_flats_match_the_span_enumeration(q, n):
     space = fields.VectorSpace(q, n)
@@ -437,6 +616,25 @@ def test_flag_chains_sort_by_the_tuple_of_flat_labels():
     top = "{a,a},,b}"
     assert constructions.matroid_lrb(m, "flag-chains").keys == [
         "{}<" + top, "{}<{a}<" + top, "{}<{a},}<" + top, "{}<{b}<" + top]
+
+
+@pytest.mark.parametrize("build, keys", [
+    (lambda: matroid.Matroid.from_independent_sets(["a", "b"], [[]]),
+     ["{a,b}"]),
+    (lambda: matroid.Matroid.uniform(1, 3), ["{}<{1,2,3}"]),
+    (lambda: matroid.Matroid.uniform(0, 0), ["{}"])],
+    ids=["rank-0", "U(1,3)", "U(0,0)"])
+def test_flag_bands_of_rank_below_two_are_one_chain(build, keys):
+    # every element a loop, one point, no point: the only chain is the
+    # identity, and no flat lies strictly between bottom and top
+    sg = constructions.matroid_lrb(build(), "flag-chains")
+    assert sg.keys == keys and sg.identity == 0 and sg.generators == []
+    assert constructions.matroid_lrb(
+        build(), "flag-chains", replace(DEFAULT_GUARDS, elements_cap=1)
+    ).keys == keys
+    with pytest.raises(SizeGuardError, match="has 1 elements"):
+        constructions.matroid_lrb(build(), "flag-chains",
+                                  replace(DEFAULT_GUARDS, elements_cap=0))
 
 
 def test_the_free_twelve_flag_band_is_refused_by_count_quickly():

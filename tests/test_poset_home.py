@@ -8,7 +8,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bandwalk"
 
 DERIVATIONS = {"bottom_of", "top_of", "covers_of", "linear_extension",
-               "rank_function", "moebius_row", "join_table", "meet_table"}
+               "rank_function", "moebius_row", "join_table"}
 
 
 def _called_names(tree):
