@@ -24,7 +24,10 @@ The q-analogues are the two matroid bands of one closure system,
 fields.VectorSpace(q, n): its points are the nonzero vectors and its
 flats the subspaces.  `_closure_tuples` and `_closure_chains` build the
 tuple band and the flag-chain band of a Matroid or a VectorSpace alike;
-`q_free_lrb` and `matroid_lrb` only count, name and label them.
+`q_free_lrb` and `matroid_lrb` only count, name and label them.  They
+read a closure system through its ground labels, `n`, and its flats,
+listed by rank, with their labels and ranks: the first flat holding a
+set is its closure, so the join table of the flats answers the rest.
 
 Every constructor attaches the generating set it is usually driven by
 and an ExpectedLattice describing what the derived support lattice must
@@ -60,9 +63,9 @@ of the mask bits under its code.
 `closure_rows` serves the bands of a closure system.  Its flats are
 numbered once per band, bottom first, with small integer tables for
 the join of a flat with another flat, the join table of the flats as a
-`posets.Poset` (`_flat_lattice`), and with a point, the join with its
-closure; a tuple becomes its point ids and a chain its flat ids, and
-each product runs a fixed number of table lookups.
+`posets.Poset` (`posets.flat_lattice`), and with a point, the join with
+the point's flat; a tuple becomes its point ids and a chain its flat
+ids, and each product runs a fixed number of table lookups.
 
 One walker, `_chains`, counts and lists every chain band: the flag
 chains of a closure system and the chains of a distributive lattice.
@@ -531,37 +534,42 @@ def matroid_lrb(m, kind, guards=DEFAULT_GUARDS):
 
 def _closure_tuples(system, label, family, meta):
     """The tuples of points of a closure system (a Matroid or a
-    fields.VectorSpace), each outside the closure of those before it,
-    under concatenation dropping points in that closure; sorted by
-    point ids."""
-    elements = []
-    stack = [()]
-    outside = {f: [x for x in range(system.n) if x not in f]
-               for f in system.flats()}
+    fields.VectorSpace), each outside the flat of those before it, under
+    concatenation dropping points in that flat; sorted by point ids.
+    The walk carries each tuple's flat id.  As the flats are listed by
+    rank, the first one holding a set is its closure: the empty tuple
+    sits at the bottom flat, which holds the loops, and appending x to a
+    tuple at flat f moves to the join of f with the first flat holding
+    x."""
+    flats = system.flats()
+    lattice = posets.flat_lattice(system, label)
+    point_flat = [next(f for f, flat in enumerate(flats) if x in flat)
+                  for x in range(system.n)]
+    join = lattice.join[:, point_flat]
+    steps = join.tolist()
+    outside = [[x for x in range(system.n) if x not in flat]
+               for flat in flats]
+    pairs, stack = [], [((), lattice.bottom)]
     while stack:
-        tup = stack.pop()
-        elements.append(tup)
-        cl = system.closure(frozenset(tup))
-        stack.extend(tup + (x,) for x in outside[cl])
-    elements.sort()
+        tup, f = stack.pop()
+        pairs.append((tup, f))
+        stack.extend((tup + (x,), steps[f][x]) for x in outside[f])
+    # tuples are unique, so the flat ids never take part in the order
+    pairs.sort()
+    elements = [tup for tup, _ in pairs]
 
     def key_of(tup):
         return ",".join(system.ground[x] for x in tup) if tup else "e"
 
     keys = [key_of(t) for t in elements]
-    loops = system.closure(frozenset())
-    lattice = _flat_lattice(system, label)
-    # a point joins a flat as its closure does
-    points = [system.flats().index(system.closure(frozenset({x})))
-              for x in range(system.n)]
     return Semigroup.from_objects(
         label, elements, keys,
-        closure_rows(elements, keys, lattice.join[:, points], chains=False),
+        closure_rows(elements, keys, join, chains=False),
         key_of(()),
-        generators=[key_of((x,)) for x in range(system.n) if x not in loops],
-        expected=_expected(
-            label, system.flats(), lattice.leq, system.flat_label,
-            [system.closure(frozenset(tup)) for tup in elements]),
+        generators=[key_of((x,)) for x, f in enumerate(point_flat)
+                    if f != lattice.bottom],
+        expected=_expected(label, flats, lattice.leq, system.flat_label,
+                           [flats[f] for _, f in pairs]),
         family=family, meta=meta)
 
 
@@ -573,7 +581,7 @@ def _closure_chains(system, label, family, meta, order, cap):
     sort by order(labels of their flats): the key string and the label
     tuple differ when a ground label holds "}" or ","."""
     flats = system.flats()
-    lattice = _flat_lattice(system, label)
+    lattice = posets.flat_lattice(system, label)
     rank = numpy.array([system.rank(f) for f in flats])
     bottom, top = lattice.bottom, lattice.top
     up = lattice.leq & (rank == rank[:, None] + 1)
@@ -598,14 +606,6 @@ def _closure_chains(system, label, family, meta, order, cap):
             [flats[ch[-1] if len(ch) == rank[top] + 1 else ch[-2]]
              for ch in chains]),
         family=family, meta=meta)
-
-
-def _flat_lattice(system, label):
-    """The flats of a closure system, listed by rank, as a `posets.Poset`
-    ordered by inclusion, whose join table is the flat join."""
-    flats = system.flats()
-    return posets.Poset([system.flat_label(f) for f in flats],
-                        posets.inclusion_order(flats), label)
 
 
 # ------------------------------------------- distributive chain bands

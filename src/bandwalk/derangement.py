@@ -92,7 +92,7 @@ def subspace_lattice(n, q):
             for k in range(n + 1)) > LATTICE_CAP:
         raise SizeGuardError(
             f"subspace_lattice({n},{q}) has over {LATTICE_CAP} elements")
-    return _flats_lattice(f"subspace({n},{q})", fields.VectorSpace(q, n))
+    return posets.flat_lattice(fields.VectorSpace(q, n), f"subspace({n},{q})")
 
 
 def _bell_numbers():
@@ -172,15 +172,7 @@ def matroid_flats_lattice(m):
     r - 1, so interval derangement numbers must be taken here, in the
     full lattice, to reproduce the walk multiplicities.
     """
-    return _flats_lattice(f"flats({m.n})", m)
-
-
-def _flats_lattice(name, system):
-    """The flats of a closure system (a Matroid or a VectorSpace),
-    ordered by inclusion."""
-    flats = system.flats()
-    return posets.Poset([system.flat_label(f) for f in flats],
-                        posets.inclusion_order(flats), name)
+    return posets.flat_lattice(m, f"flats({m.n})")
 
 
 def poset_from_json(obj):

@@ -9,9 +9,12 @@ order at most 9 reads tables of at most 81 cells; a larger prime field
 computes mod p, so building one costs nothing that grows with q.
 
 `VectorSpace` is GF(q)^n read like a matroid: points are the nonzero
-vectors and flats are the subspaces.  The q-analogue bands are the
-matroid bands of this closure system (see `constructions`), and the
-subspace lattice of `derangement` is its lattice of flats.
+vectors and flats are the subspaces, listed by dimension, so the first
+flat holding a set of points is its closure; it has no `closure`.  The
+q-analogue bands are the matroid bands of this closure system (see
+`constructions`), and the subspace lattice of `derangement` is its
+lattice of flats.  `vector_label` names a vector, here and in
+`Matroid.from_vectors`.
 """
 
 import itertools
@@ -142,6 +145,13 @@ def rref(fld, rows):
     return tuple(tuple(r) for r in out)
 
 
+def vector_label(v, q):
+    """The name of a vector over GF(q): the digits of its coordinates
+    run together up to q = 9, and joined by "." above, where a
+    coordinate may take two digits and "1.12" differs from "11.2"."""
+    return ("" if q <= 9 else ".").join(map(str, v))
+
+
 def all_vectors(fld, n):
     stack = [()]
     for _ in range(n):
@@ -177,12 +187,12 @@ class VectorSpace:
     """GF(q)^n as a closure system, read like a `Matroid`.
 
     The points are the nonzero vectors in lexicographic order, ids
-    0..N-1, labelled by their digit strings; `n` is N, as on a Matroid,
-    and `full_rank` is the dimension.  The flats are the subspaces, each
-    the frozenset of its point ids, listed by dimension and then by
-    reduced row-echelon basis, and labelled by that basis: its rows
-    joined by "+", the zero space "0".  `closure` and `rank` run one
-    `rref` on the given points; nothing is kept per subset of points.
+    0..N-1, named by `vector_label`; `n` is N, as on a Matroid, and
+    `full_rank` is the dimension.  The flats are the subspaces, each the
+    frozenset of its point ids, listed by dimension and then by reduced
+    row-echelon basis, and labelled by the `vector_label`s of its rows
+    joined by "+", the zero space "0".  `rank` is one `rref` on the
+    given points per call; nothing is kept per subset of points.
     The q^k - 1 points of GF(q)^k, k = 1..n, are counted first and held
     to posets.LATTICE_CAP (`check_counts`), so q is bounded before the
     field is built and tested prime; an order below 2 is left to the
@@ -193,32 +203,23 @@ class VectorSpace:
         if n > 0 and q > 1:
             points = (q ** k - 1 for k in itertools.count(1))
             check_counts(f"GF({q})^{n}", points, LATTICE_CAP, n, "points")
-        fld = field(q)
-        self._fld = fld
+        fld = self._fld = field(q)
         self.points = [v for v in all_vectors(fld, n) if any(v)]
-        self.ground = ["".join(map(str, v)) for v in self.points]
+        self.ground = [vector_label(v, q) for v in self.points]
         self.n = len(self.points)
         self.full_rank = n
         point_id = {v: x for x, v in enumerate(self.points)}
         self._flats = []
-        self._flat_of = {}
         self._label = {}
         for basis in sorted(_rref_bases(fld, n), key=lambda b: (len(b), b)):
             flat = frozenset(point_id[v] for v in _span(fld, basis, n)
                              if any(v))
             self._flats.append(flat)
-            self._flat_of[basis] = flat
             self._label[flat] = "+".join(
-                "".join(map(str, r)) for r in basis) or "0"
-
-    def _basis(self, subset):
-        return rref(self._fld, [self.points[x] for x in subset])
+                vector_label(r, q) for r in basis) or "0"
 
     def rank(self, subset):
-        return len(self._basis(subset))
-
-    def closure(self, subset):
-        return self._flat_of[self._basis(subset)]
+        return len(rref(self._fld, [self.points[x] for x in subset]))
 
     def flats(self):
         return self._flats

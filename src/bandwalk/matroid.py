@@ -1,5 +1,5 @@
-"""Finite matroids given by an independence oracle, with the closure
-and flat machinery required to build the two matroid semigroups.
+"""Finite matroids given by an independence oracle, with the rank table
+and the flats that build the two matroid semigroups.
 
 Matroids can be specified by explicit independent sets, by vector
 configurations over GF(q), by multigraphs (edge sets, forests
@@ -15,6 +15,16 @@ from .errors import AxiomViolationError, MalformedInputError, SizeGuardError
 # most entries of the rank table, one per subset of the ground set: a
 # ground set of at most 12 elements
 RANK_TABLE_CAP = 4096
+
+
+def _numbered(labels):
+    """The labels with the k-th repeat of each, k >= 2, suffixed "#k"."""
+    seen = {}
+    out = []
+    for lab in labels:
+        seen[lab] = seen.get(lab, 0) + 1
+        out.append(lab if seen[lab] == 1 else f"{lab}#{seen[lab]}")
+    return out
 
 
 def _mask(subset):
@@ -106,13 +116,6 @@ class Matroid:
     def rank(self, subset):
         return self._rank[_mask(subset)]
 
-    def closure(self, subset):
-        rank = self._rank
-        mask = _mask(subset)
-        r = rank[mask]
-        return frozenset(x for x in range(self.n)
-                         if rank[mask | 1 << x] == r)
-
     def flats(self):
         """All flats, sorted by (rank, labels); computed once and kept
         on the instance, so that the matroid can still be freed.
@@ -154,13 +157,7 @@ class Matroid:
         cols = [tuple(int(c) % q for c in col) for col in columns]
         if len({len(c) for c in cols}) > 1:
             raise MalformedInputError("vector columns have mixed lengths")
-        labels = ["".join(map(str, c)) for c in cols]
-        # disambiguate repeated columns
-        seen = {}
-        for i, lab in enumerate(labels):
-            seen[lab] = seen.get(lab, 0) + 1
-            if seen[lab] > 1:
-                labels[i] = f"{lab}#{seen[lab]}"
+        labels = _numbered([fields.vector_label(c, q) for c in cols])
 
         def indep(subset):
             rows = [cols[i] for i in sorted(subset)]
@@ -172,12 +169,7 @@ class Matroid:
     def from_graph(cls, edges):
         """Edges as (u, v) pairs; loops and parallel edges allowed."""
         pairs = [(str(u), str(v)) for u, v in edges]
-        labels = []
-        seen = {}
-        for u, v in pairs:
-            base = f"{u}-{v}"
-            seen[base] = seen.get(base, 0) + 1
-            labels.append(base if seen[base] == 1 else f"{base}#{seen[base]}")
+        labels = _numbered([f"{u}-{v}" for u, v in pairs])
 
         def indep(subset):
             parent = {}

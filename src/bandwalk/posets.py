@@ -8,7 +8,8 @@ Posets.  This module is the one place that derives anything from an
 order, by array expressions or one numpy step per element: validity
 with the first witness (`check_partial_order`), the one transitive
 closure (`order_from_covers`), the inclusion and refinement orders,
-the cover matrix (`covers_of`), a linear extension, bottom and top,
+the lattice of flats of a closure system (`flat_lattice`), the cover
+matrix (`covers_of`), a linear extension, bottom and top,
 the join table (an int array of ids), the join-irreducibles, ranks,
 and rows of the Moebius function, whose values stay Python ints.  Set
 partitions live here too: their enumeration and the refinement order.
@@ -305,6 +306,14 @@ class Poset:
         except KeyError:
             raise MalformedInputError(
                 f"{self.name} has no element {label!r}") from None
+
+
+def flat_lattice(system, name):
+    """The flats of a closure system, listed by rank, as a Poset ordered
+    by inclusion, whose join table is the flat join."""
+    flats = system.flats()
+    return Poset([system.flat_label(f) for f in flats],
+                 inclusion_order(flats), name)
 
 
 def partition_label(blocks):

@@ -84,14 +84,14 @@ class WeightVector:
                 f"(sum is {self.total})")
 
     @classmethod
-    def from_keys(cls, sg, table, require_probability=True):
+    def from_keys(cls, sg, table):
         index = {k: i for i, k in enumerate(sg.keys)}
         coeffs = {}
         for key, v in table.items():
             if key not in index:
                 raise MalformedInputError(f"unknown element key {key!r}")
             coeffs[index[key]] = Fraction(v)
-        return cls(sg, coeffs, require_probability)
+        return cls(sg, coeffs)
 
     def support_ids(self):
         return sorted(self.coeffs)

@@ -31,6 +31,12 @@ def _face_mult(a, b):
     return tuple(p for p in pieces if p)
 
 
+def _first_flat(system, s):
+    """The first listed flat holding s: its closure, as the flats of a
+    closure system are listed by rank."""
+    return next(f for f in system.flats() if s <= f)
+
+
 def _closure_mult(sg):
     """Tuples append the points of b outside the closure so far; chains
     keep a less its last step, then refine that step through b."""
@@ -40,13 +46,13 @@ def _closure_mult(sg):
     def tuples(a, b):
         out = list(a)
         for x in b:
-            if x not in system.closure(frozenset(out)):
+            if x not in _first_flat(system, frozenset(out)):
                 out.append(x)
         return tuple(out)
 
     def chains(a, b):
         last, out = a[max(len(a) - 2, 0)], list(a[:-1] or a)
-        for j in (system.closure(last | f) for f in b[1:]):
+        for j in (_first_flat(system, last | f) for f in b[1:]):
             if j != out[-1]:
                 out.append(j)
         return tuple(out)
@@ -448,8 +454,9 @@ def test_matroid_interface():
     assert u24.full_rank == 2
     assert u24.rank(frozenset()) == 0
     assert u24.rank(frozenset({0, 1, 2})) == 2
-    assert u24.closure(frozenset({0})) == frozenset({0})
-    assert u24.closure(frozenset({0, 1})) == frozenset({0, 1, 2, 3})
+    for s, closure in (({0}, {0}), ({0, 1}, {0, 1, 2, 3})):
+        s = frozenset(s)
+        assert _first_flat(u24, s) == _oracle_closure(u24, s) == closure
     assert len(u24.flats()) == 6
 
     k4 = matroid.Matroid.from_graph(
@@ -501,7 +508,7 @@ def test_rank_table_flats_match_the_closure_enumeration(name):
     for r in range(m.n + 1):
         for s in map(frozenset, itertools.combinations(range(m.n), r)):
             assert m.rank(s) == _oracle_rank(m, s)
-            assert m.closure(s) == _oracle_closure(m, s)
+            assert _first_flat(m, s) == _oracle_closure(m, s)
 
 
 class _SpanOracle:
@@ -575,6 +582,27 @@ def test_vector_spaces_count_their_points_before_the_field():
         constructions.q_free_lrb(9, 6, reduced=True)
 
 
+def test_vectors_over_two_digit_fields_are_labelled_apart():
+    # over GF(13) the coordinates of (1,12) and (11,2) both run together
+    # to "112", so from q = 11 on they are joined by "."
+    space = fields.VectorSpace(13, 2)
+    assert {"1.12", "11.2"} <= set(space.ground)
+    assert len(set(space.ground)) == space.n == 168
+    assert constructions.q_free_lrb(2, 13).size == 26377
+    # the lines spanned by the basis rows (1,1,12) and (1,11,2)
+    lattice = derangement.subspace_lattice(3, 13)
+    assert {"1.1.12", "1.11.2"} <= set(lattice.labels)
+    assert len(set(lattice.labels)) == lattice.size == 368
+    assert constructions.q_free_lrb(3, 13, reduced=True).size == 2746
+    # two columns that read alike run together, and one repeated column
+    assert matroid.Matroid.from_vectors(
+        13, [[1, 12], [11, 2], [1, 12]]).ground == ["1.12", "11.2", "1.12#2"]
+    # up to q = 9 the digits still run together
+    assert fields.VectorSpace(3, 2).ground[:3] == ["01", "02", "10"]
+    assert matroid.Matroid.from_vectors(
+        9, [[1, 8], [1, 8]]).ground == ["18", "18#2"]
+
+
 def test_matroids_over_a_large_prime_field_are_built_at_once():
     q = 2 ** 61 - 1
     start = time.perf_counter()
@@ -604,7 +632,7 @@ def test_vector_space_flats_match_the_span_enumeration(q, n):
         for s in map(frozenset,
                      itertools.combinations(range(space.n), r)):
             assert space.rank(s) == _oracle_rank(oracle, s)
-            assert space.closure(s) == _oracle_closure(oracle, s)
+            assert _first_flat(space, s) == _oracle_closure(oracle, s)
 
 
 def test_flag_chains_sort_by_the_tuple_of_flat_labels():

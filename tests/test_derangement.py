@@ -117,7 +117,7 @@ def test_matroid_flats_lattice_matches_direct_counts():
 def test_flat_inclusion_matches_the_frozenset_order(system):
     system = system()
     flats = system.flats()
-    p = der._flats_lattice("flats", system)
+    p = posets.flat_lattice(system, "flats")
     want = numpy.array([[a <= b for b in flats] for a in flats])
     assert p.leq.dtype == bool and numpy.array_equal(p.leq, want)
 
