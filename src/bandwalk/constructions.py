@@ -26,8 +26,8 @@ flats the subspaces.  `_closure_tuples` and `_closure_chains` build the
 tuple band and the flag-chain band of a Matroid or a VectorSpace alike;
 `q_free_lrb` and `matroid_lrb` only count, name and label them.  They
 read a closure system through its ground labels, `n`, and its flats,
-listed by rank, with their labels and ranks: the first flat holding a
-set is its closure, so the join table of the flats answers the rest.
+listed by rank, with their labels: the first flat holding a set is its
+closure, so the lattice of flats answers the rest, ranks and joins.
 
 Every constructor attaches the generating set it is usually driven by
 and an ExpectedLattice describing what the derived support lattice must
@@ -573,6 +573,25 @@ def _closure_tuples(system, label, family, meta):
         family=family, meta=meta)
 
 
+def _flat_ranks(leq):
+    """The rank of each flat of a closure system, read off the inclusion
+    order `leq` of its flats, listed by rank.
+
+    The lattice of flats is graded and the flats of one rank are an
+    antichain, so the next rank starts at the first flat above one of
+    the current rank.  That reads a slice of one column per flat, where
+    `posets.Poset.rank` would first find every cover.
+    """
+    rank = [0] * len(leq)
+    start = 0
+    for f in range(1, len(leq)):
+        rank[f] = rank[f - 1]
+        if leq[start:f, f].any():
+            start = f
+            rank[f] += 1
+    return rank
+
+
 def _closure_chains(system, label, family, meta, order, cap):
     """The flag chains bottom = X_0 < ... < X_l = top of a closure
     system, rank X_i = i for i < l, under refining the last step through
@@ -582,7 +601,7 @@ def _closure_chains(system, label, family, meta, order, cap):
     tuple differ when a ground label holds "}" or ","."""
     flats = system.flats()
     lattice = posets.flat_lattice(system, label)
-    rank = numpy.array([system.rank(f) for f in flats])
+    rank = numpy.array(_flat_ranks(lattice.leq))
     bottom, top = lattice.bottom, lattice.top
     up = lattice.leq & (rank == rank[:, None] + 1)
     up[:, top] = False

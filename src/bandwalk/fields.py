@@ -191,8 +191,7 @@ class VectorSpace:
     `full_rank` is the dimension.  The flats are the subspaces, each the
     frozenset of its point ids, listed by dimension and then by reduced
     row-echelon basis, and labelled by the `vector_label`s of its rows
-    joined by "+", the zero space "0".  `rank` is one `rref` on the
-    given points per call; nothing is kept per subset of points.
+    joined by "+", the zero space "0".
     The q^k - 1 points of GF(q)^k, k = 1..n, are counted first and held
     to posets.LATTICE_CAP (`check_counts`), so q is bounded before the
     field is built and tested prime; an order below 2 is left to the
@@ -217,9 +216,6 @@ class VectorSpace:
             self._flats.append(flat)
             self._label[flat] = "+".join(
                 vector_label(r, q) for r in basis) or "0"
-
-    def rank(self, subset):
-        return len(rref(self._fld, [self.points[x] for x in subset]))
 
     def flats(self):
         return self._flats

@@ -16,18 +16,26 @@ stopping-time tail, the coatom bound) compute in the integers
 a_x = D w_x of `spectral.WeightVector` and n_X = D lambda_X of
 `spectral.flat_nodes`, with every product by w in the semigroup algebra
 kS through `spectral.sparse_product`, and return Fractions.  Empirical
-paths replay the seeded standard generator in blocks: `_draw_blocks`
-rebuilds its `random()` stream, double for double, from `getrandbits`
-words and draws a whole block with one sorted search, so every sampled
-artifact is the one a draw-at-a-time loop would give.  A draw is a
-position k into the weighted ids, and the loops read everything per
-draw off rows indexed by k, built once per call: the walk steps along
-the table row of ids[k]; the draw-until-top loop tests a rise of the
-support with one rise row per flat, and only the stationary sampler,
-which needs the landing chamber, multiplies the accumulator in, from
-the table columns of the weighted ids.  Empirical values are floats,
-checked against exact values within the DKW band of `dkw_epsilon`,
-whose false-alarm rate does not depend on the seed.
+paths draw from the seeded standard generator and give, draw for draw,
+the samples of a loop that calls rng.random() once per draw.
+`_drawer` keeps the 53-bit integer behind each random(), built from
+`getrandbits` words, and turns it into a position k into the weighted
+ids by integer thresholds that put it where a sorted search of the
+float running sums would.  The walk steps along the table row of
+ids[k].  The draw-until-top samples run back to back through one
+stream, and `_until_top` replays it a round at a time in lanes: lane c
+starts a sample at draw c B, and every lane steps its flat through a
+join table in one lock-step numpy loop, starting over at the bottom
+each time it reaches the top.  Lane 0 starts where a sample truly
+starts, and two neighbouring lanes that start a sample at the same
+draw agree from there on, so the true sample ends are read off each
+lane up to where it meets the next; a pair that does not meet within
+its overlap ends the round, and the next round starts after the last
+true end.  Each sample then lands on the product of its draws, taken
+in lock step over the samples of a round, since a draw below the
+support of the product so far is absorbed.  Empirical values are
+floats, checked against exact values within the DKW band of
+`dkw_epsilon`, whose false-alarm rate does not depend on the seed.
 """
 
 import math
@@ -64,23 +72,56 @@ class WalkTrajectory:
         return self.steps[-1][1] if self.steps else self.start
 
 
-# draws per block of the sampler stream
-DRAW_BLOCK = 4096
+# most draws taken from the generator with one getrandbits call
+DRAW_CHUNK = 1 << 14
+# past this many thresholds a sorted search beats one compare per
+# threshold
+COMPARE_CAP = 64
 
 
-def _draw_blocks(w, seed):
-    """(ids, blocks): the weighted element ids w.support_ids(), and the
-    draws from w by inverse CDF as an endless stream of lists of
-    DRAW_BLOCK positions into ids.
+def _threshold(c, acc):
+    """The least N < 2^53 with (N 2^-53) acc > c, or 2^53 if none: the
+    product rounds monotonically in N, so bisection finds it."""
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if mid * 2.0 ** -53 * acc > c:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _locate(big, thresholds, out):
+    """Write into `out` the number of thresholds <= each 53-bit N."""
+    if len(thresholds) > COMPARE_CAP:
+        out[:] = np.searchsorted(thresholds, big, side="right")
+        return
+    out[:] = 0
+    for t in thresholds:
+        out += big >= t
+
+
+def _drawer(w, seed):
+    """(ids, draw): the weighted element ids w.support_ids(), and
+    draw(n), the next n draws from w by inverse CDF as an array of
+    positions into ids, of the narrowest unsigned dtype.
 
     Draw k is ids[bisect_left(cum, u_k * acc)], with cum the float
     running sums of w, acc their total and u_k the k-th rng.random() of
-    random.Random(seed).  A block takes 64 bits per draw from that
-    generator with one getrandbits call, whose integer holds the 32-bit
-    Mersenne Twister outputs in order from its low end, and rebuilds
-    each double as random() does, ((a >> 5) 2^26 + (b >> 6)) / 2^53
-    from two consecutive words a, b.  The weights are checked at the
-    call, and nothing is drawn before the first block is asked for.
+    random.Random(seed).  Each draw takes 64 bits from getrandbits,
+    whose integer holds the 32-bit Mersenne Twister outputs in order
+    from its low end, and keeps the integer of random(),
+    N = (a >> 5) 2^26 + (b >> 6) from two consecutive words a, b, so
+    that u = N 2^-53.  The position is the number of c with
+    cum[c] < u acc, which is the number of thresholds t_c <= N, t_c the
+    least N with (N 2^-53) acc > cum[c] in the same float arithmetic
+    (`_threshold`); acc itself is never passed, since u < 1.  So the
+    positions are those of the float search, with no float pass.  Each
+    float running sum is within about |ids| 2^-53 of its exact value,
+    relative to acc, which bounds how far the law of a draw is off w.
+    The weights are checked at the call, and nothing is drawn before
+    draw is called.
     """
     ids = w.support_ids()
     if any(w[i] < 0 for i in ids):
@@ -90,21 +131,25 @@ def _draw_blocks(w, seed):
     for i in ids:
         acc += float(w[i])
         cum.append(acc)
-    cum = np.array(cum)
+    thresholds = np.array([_threshold(c, acc) for c in cum[:-1]],
+                          dtype=np.uint64)
+    dtype = np.min_scalar_type(max(len(ids) - 1, 0))
     rng = random.Random(seed)
 
-    def blocks():
-        nbytes = 8 * DRAW_BLOCK
-        while True:
-            words = np.frombuffer(
-                rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little"),
-                dtype="<u4")
-            u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
-                * (1.0 / 9007199254740992.0)
-            # u < 1, so the scaled point never passes cum[-1] == acc
-            yield np.searchsorted(cum, u * acc, side="left").tolist()
+    def draw(n):
+        out = np.empty(n, dtype)
+        for i in range(0, n, DRAW_CHUNK):
+            m = min(DRAW_CHUNK, n - i)
+            x = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m,
+                                                                "little"),
+                              dtype="<u8")
+            big = x & 0xFFFFFFE0     # (a >> 5) << 5
+            big <<= 21
+            big |= x >> 38           # b >> 6
+            _locate(big, thresholds, out[i:i + m])
+        return out
 
-    return ids, blocks()
+    return ids, draw
 
 
 def simulate(structure, w, c0, steps, seed):
@@ -116,12 +161,12 @@ def simulate(structure, w, c0, steps, seed):
         raise MalformedInputError(f"start {c0} is not a chamber")
     if steps < 0:
         raise MalformedInputError(f"negative step count {steps}")
-    ids, draws = _draw_blocks(w, seed)
+    ids, draw = _drawer(w, seed)
     left = list(map(memoryview, structure.semigroup.rows(ids)))
     out = []
     cur = c0
     while len(out) < steps:
-        for k in next(draws)[:steps - len(out)]:
+        for k in draw(min(ROUND_DRAWS, steps - len(out))).tolist():
             cur = left[k][cur]
             out.append((ids[k], cur))
     return WalkTrajectory(c0, seed, out)
@@ -219,78 +264,180 @@ def _stationary_law(st, w):
     return q, nums
 
 
-def _sample_until_top(structure, w, seed, samples, guards, landing):
-    """Draw from w until the joined support of the draws reaches the top
-    flat, `samples` times over.
+# most draws taken from the stream per round of the lane replay
+ROUND_DRAWS = 1 << 18
+# the stride of the replay lanes, which is also their overlap, in mean
+# stopping times
+LANE_MEANS = 16
+
+
+def _lane_ends(pos, step, stop, span):
+    """(ends, known, mean): the last draws of the samples that run back
+    to back from the start of the positions `pos`, ascending, all of
+    them before the position `known`, and the mean stopping time over
+    every lane, an estimate to size the next round by.
+
+    A state is a flat premultiplied by |ids|, and a draw at position k
+    moves state s to step[s + k]; `stop`, the top, is also the start
+    state, since its step row is the bottom's.  Lane c replays the
+    draws from c span on for 2 span draws, starting a sample there; a
+    lock-step numpy loop runs every lane, and a lane ends a sample
+    wherever it stops.  Lane 0 starts where a sample truly starts.
+    Once lanes c and c + 1 start a sample at the same position, they
+    read the same draws in the same way from there on, so the true
+    ends are lane 0's before its first common start with lane 1, then
+    lane 1's before its first common start with lane 2, and so on.
+    The first lane that shares no start with the next within their
+    overlap of span draws cuts the replay at its own last draw.
+    """
+    lanes = len(pos) // span - 1
+    if lanes < 2:
+        lanes, span = 1, len(pos) // 2
+    last = (lanes - 1) * span + 1
+    state = np.full(lanes, stop, dtype=np.intp)
+    ended = np.empty((2 * span, lanes), dtype=bool)
+    for r in range(2 * span):
+        state = step[state + pos[r:r + last:span]]
+        ended[r] = state == stop
+    # row j: lane c starts a sample at offset span + j of its own, and
+    # lane c + 1 at offset j, which it does at j = 0
+    common = ended[span - 1:, :-1].copy()
+    common[1:] &= ended[:span, 1:]
+    first = common.argmax(0)
+    joined = common[first, np.arange(lanes - 1)]
+    cut = lanes - 1 if joined.all() else int(joined.argmin())
+    # draw c span + j is lane c's j-th, or lane c - 1's (span + j)-th
+    # while the two have not met, j < first[c - 1]
+    mine = ended[:span, :cut + 1].copy()
+    np.copyto(mine[:, 1:], ended[span:, :cut],
+              where=np.arange(span)[:, None] < first[:cut])
+    ends = np.concatenate((np.flatnonzero(mine.T), (cut + 1) * span
+                           + np.flatnonzero(ended[span:, cut])))
+    return ends, (cut + 2) * span, ended.size / max(1, np.count_nonzero(ended))
+
+
+def _landings(pos, ends, times, columns, one):
+    """The product x_s .. x_e of the draws of each sample, which ends
+    at e after T draws, longest T first; the product a x of a draw at
+    position k is columns[a, k].
+
+    The samples run in lock step, longest first, one draw at a time,
+    and each leaves the loop after its own T draws.
+    """
+    order = np.argsort(times)[::-1]
+    at = (ends - times + 1)[order]
+    acc = np.full(len(at), one, dtype=np.intp)
+    alive = len(times) - np.cumsum(np.bincount(times))
+    for m in alive[:-1].tolist():
+        acc[:m] = columns[acc[:m], pos.take(at[:m])]
+        at[:m] += 1
+    return acc
+
+
+def _until_top(structure, ids, draw, samples, guards, landing):
+    """Draw until the joined support of the draws reaches the top flat,
+    `samples` times over, reading positions into `ids` from the stream
+    draw(n).
 
     Returns (stopping time T -> count, landing chamber -> count), where
     a sample lands on the product x1 .. xT of its draws; with `landing`
     false the landings are not computed and the second count is None.
-    The samples run back to back through one loop over the blocks of
-    `_draw_blocks`, whose draws are positions k into the weighted ids.
-    The rise rows rise[f][k] = f v supp ids[k], one per flat f, turn a
-    draw into one list index and one compare: the draw raises the
-    support exactly when the flat changes.  A draw whose support lies
-    below the running join is absorbed (xy = x when supp y <= supp x),
-    so only the draws that raise the support are multiplied in, the
-    accumulator a going to rows[a][k] = a ids[k]; rows holds one
-    memoryview per element over one contiguous int32 copy of the table
-    columns of the weighted ids, at most the size of the table.  A
-    sample still short of the top after `sample_step_cap` draws raises
-    StagnationError; a band whose bottom flat is its top has T = 0 for
-    every sample and draws nothing.
+    The samples run back to back through the stream, a round at a
+    time: the draws kept from the round before and at most ROUND_DRAWS
+    new ones, more only while one sample outruns them, replayed in
+    lanes (`_lane_ends`) whose stride and overlap are LANE_MEANS times
+    the mean T over the lanes of the round before, or the draws known
+    to end no sample if that is more.  A round folds its samples into
+    the counts at once and keeps the draws past its last end for the
+    next.  The landings follow from the start and T of each sample
+    (`_landings`): a draw whose support lies below the running join is
+    absorbed (xy = x when supp y <= supp x), so every draw may be
+    multiplied in.  A sample still short of the top after
+    `sample_step_cap` draws raises StagnationError, and so does a
+    weighting whose supports join below the top, without drawing; a
+    band whose bottom flat is its top has T = 0 for every sample and
+    draws nothing.
     """
-    if samples < 1:
-        raise MalformedInputError(f"need at least one sample, got {samples}")
     sg = structure.semigroup
     bottom = structure.bottom
     top = structure.top
-    ids, draws = _draw_blocks(w, seed)   # checks the weights, drawing nothing
     if bottom == top:
         return {0: samples}, {sg.identity: samples} if landing else None
-    # one int object per flat, shared by every row: past 256 flats a
-    # plain tolist() would hold a fresh int in every cell
-    flats = np.array(range(structure.n_flats), dtype=object)
     supps = np.asarray(structure.supp)[ids]
-    rise = [flats[r[supps]].tolist() for r in structure.join]
+    reach = bottom
+    for f in set(supps.tolist()):
+        reach = int(structure.join[reach, f])
+    if reach != top:
+        raise StagnationError(
+            f"the weighted supports join to {structure.labels[reach]}, "
+            "below the top flat; the weights cannot reach a chamber")
+    size = len(ids)
+    again = structure.join.copy()
+    again[top] = again[bottom]
+    step = (again[:, supps] * size).astype(np.intp).ravel()
+    stop = top * size
     if landing:
         columns = np.ascontiguousarray(sg.tabulate(guards)[:, ids])
-        rows = [memoryview(r) for r in columns]
+    landed = np.zeros(sg.size, dtype=np.int64) if landing else None
     cap = guards.sample_step_cap
     times = {}
-    landed = {} if landing else None
     left = samples
-    acc = sg.identity
-    flat = bottom
-    row = rise[bottom]
-    t = 0
+    mean = 1.0               # until the first round has measured it
+    held = np.empty(0, dtype=np.uint8)   # the draws past the last end
+    known = 0                # how many of them end no sample
     while left:
-        for k in next(draws):
-            t += 1
-            up = row[k]
-            if up != flat:
-                if landing:
-                    acc = rows[acc][k]
-                flat = up
-                row = rise[up]
-                if up == top:
-                    if t > cap:
-                        break
-                    times[t] = times.get(t, 0) + 1
-                    if landing:
-                        landed[acc] = landed.get(acc, 0) + 1
-                    left -= 1
-                    if not left:
-                        break
-                    acc = sg.identity
-                    flat = bottom
-                    row = rise[bottom]
-                    t = 0
-        if t > cap:
-            raise StagnationError(
-                f"support never reached the top flat within {cap} draws; "
-                "the weights likely cannot reach a chamber")
+        span = max(int(LANE_MEANS * mean) + 1, known)
+        # the draws of the samples left and four deviations more, taking
+        # the deviation of T to be its mean
+        want = int(mean * (left + 4 * math.sqrt(left))) + 2 * span
+        pos = np.concatenate((held, draw(
+            max(min(ROUND_DRAWS, want - len(held)), known + 2))))
+        ends, known, mean = _lane_ends(pos, step, stop, span)
+        ends = ends[:left]
+        start = 0
+        if len(ends):
+            t = np.diff(ends, prepend=-1)
+            if t.max() > cap:
+                raise _stagnation(cap)
+            counts = np.bincount(t)
+            for k in np.flatnonzero(counts).tolist():
+                times[k] = times.get(k, 0) + int(counts[k])
+            if landing:
+                landed += np.bincount(
+                    _landings(pos, ends, t, columns, sg.identity),
+                    minlength=sg.size)
+            start = int(ends[-1]) + 1
+            left -= len(ends)
+        known -= start
+        if left and known >= cap:
+            raise _stagnation(cap)
+        held = pos[start:].copy()   # and let the round go
+    if landing:
+        landed = {c: n for c, n in enumerate(landed.tolist()) if n}
     return dict(sorted(times.items())), landed
+
+
+def _stagnation(cap):
+    return StagnationError(
+        f"support never reached the top flat within {cap} draws, "
+        "the sample_step_cap")
+
+
+def _sample_until_top(structure, w, seed, samples, guards, landing):
+    """Draw from w with random.Random(seed) until the joined support
+    of the draws reaches the top flat, `samples` times over, by the
+    lane replay of `_until_top` on the stream of `_drawer`.
+
+    Lanes started a stride apart replay the one stream in lock step.
+    Two lanes that start a sample at the same draw agree from there on,
+    so the true sample ends are read off each lane up to its first
+    common start with the next, and each sample gets the draws a
+    draw-at-a-time loop would give it.
+    """
+    if samples < 1:
+        raise MalformedInputError(f"need at least one sample, got {samples}")
+    ids, draw = _drawer(w, seed)   # checks the weights, drawing nothing
+    return _until_top(structure, ids, draw, samples, guards, landing)
 
 
 def sample_stationary(structure, w, seed, samples, guards=DEFAULT_GUARDS):

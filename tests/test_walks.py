@@ -1,9 +1,12 @@
 """Simulation, stationary distributions, and convergence control."""
 
+import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import replace
@@ -11,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -389,7 +393,7 @@ def test_generated_ids_match_the_two_sided_closure(name, data):
     assert walks.generated_ids(sg, ids) == _two_sided_closure(sg, ids)
 
 
-# --------------------------------------------------- the block sampler
+# ---------------------------------------------------- the lane sampler
 
 
 def _oracle_draw(w, rng):
@@ -443,12 +447,16 @@ def _oracle_simulate(structure, w, c0, steps, seed):
 
 @contextmanager
 def _block_size(n):
-    saved = walks.DRAW_BLOCK
-    walks.DRAW_BLOCK = n
+    """Rounds and draw chunks of n draws, and lanes that overlap by 1-2
+    draws, so that neighbours rarely meet; the defaults for None."""
+    saved = walks.ROUND_DRAWS, walks.DRAW_CHUNK, walks.LANE_MEANS
+    if n:
+        walks.ROUND_DRAWS = walks.DRAW_CHUNK = n
+        walks.LANE_MEANS = 0.1
     try:
         yield
     finally:
-        walks.DRAW_BLOCK = saved
+        walks.ROUND_DRAWS, walks.DRAW_CHUNK, walks.LANE_MEANS = saved
 
 
 @lru_cache(maxsize=None)
@@ -472,21 +480,54 @@ def _spread_weights(sg):
         sg, {i: F(i + 1, total) for i in range(sg.size)})
 
 
+def _heavy_weights(sg):
+    """Nearly all weight on one generator: T runs to thousands of draws,
+    far past a round of the small sizes."""
+    a, b, c = sg.generators
+    return spectral.WeightVector(sg, {a: F(998, 1000), b: F(1, 1000),
+                                      c: F(1, 1000)})
+
+
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("seed", [0, -3, 2 ** 40 + 7, 2 ** 64 + 13])
-def test_draw_blocks_replay_the_standard_generator(monkeypatch, seed, block):
-    # pins the word order of getrandbits that the blocks are built from
-    if block:
-        monkeypatch.setattr(walks, "DRAW_BLOCK", block)
+def test_draw_blocks_replay_the_standard_generator(seed, block):
+    # pins the word order of getrandbits that the draws are built from,
+    # across draw chunks and calls of every length
     sg, _ = _f3()
     w = _spread_weights(sg)
     draw = _oracle_draw(w, random.Random(seed))
-    ids, blocks = walks._draw_blocks(w, seed)
-    assert ids == w.support_ids()
-    for _ in range(3):
-        got = [ids[k] for k in next(blocks)]
-        assert len(got) == walks.DRAW_BLOCK
-        assert got == [draw() for _ in got]
+    with _block_size(block):
+        ids, stream = walks._drawer(w, seed)
+        assert ids == w.support_ids()
+        for n in (0, 1, 5, 7, 8, 30, 0, 3):
+            got = stream(n)
+            assert got.dtype == np.uint8 and len(got) == n
+            assert [ids[k] for k in got.tolist()] == [draw() for _ in got]
+
+
+@pytest.mark.parametrize("weights", [
+    [F(1, 3)] * 3, [F(1, 10), F(2, 10), F(3, 10), F(4, 10)],
+    [F(1, 7)] * 7, [F(1, 2 ** 60), F(1, 2) - F(1, 2 ** 60), F(1, 2)],
+    [F(i + 1, 2080) for i in range(64)],
+    [F(1, 300)] * 300])
+def test_thresholds_place_every_boundary_as_the_float_search(weights):
+    # the integer N of random() = N 2^-53 lands where bisect_left of
+    # N 2^-53 acc lands in the float running sums, on both sides of
+    # every threshold; past COMPARE_CAP thresholds a sorted search
+    cum = []
+    acc = 0.0
+    for v in weights:
+        acc += float(v)
+        cum.append(acc)
+    thresholds = np.array([walks._threshold(c, acc) for c in cum[:-1]],
+                          dtype=np.uint64)
+    big = sorted({0, 2 ** 53 - 1} | {int(t) + d for t in thresholds
+                                      for d in (-1, 0, 1)
+                                      if 0 <= int(t) + d < 2 ** 53})
+    got = np.empty(len(big), dtype=np.uint16)
+    walks._locate(np.array(big, dtype=np.uint64), thresholds, got)
+    assert got.tolist() == [bisect_left(cum, n * 2.0 ** -53 * acc)
+                            for n in big]
 
 
 def _check_against_the_oracle(st, w, seed, samples, block):
@@ -512,7 +553,7 @@ def _check_against_the_oracle(st, w, seed, samples, block):
        weights=hs.one_of(hs.none(), hs.integers(0, 15)),
        seed=hs.integers(-2 ** 70, 2 ** 70),
        samples=hs.integers(1, 300),
-       block=hs.sampled_from([1, 7, walks.DRAW_BLOCK]))
+       block=hs.sampled_from([None, 1, 2, 7, 64]))
 def test_block_samplers_match_the_per_draw_oracle(band, weights, seed,
                                                   samples, block):
     st = _band(band)
@@ -522,7 +563,7 @@ def test_block_samplers_match_the_per_draw_oracle(band, weights, seed,
     _check_against_the_oracle(st, w, seed, samples, block)
 
 
-@pytest.mark.parametrize("block", [1, 7, walks.DRAW_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 4096])
 @pytest.mark.parametrize("seed", [0, 2 ** 40 + 7])
 def test_block_samplers_match_the_oracle_with_weight_on_every_element(
         seed, block):
@@ -534,45 +575,192 @@ def test_block_samplers_match_the_oracle_with_weight_on_every_element(
     _check_against_the_oracle(st, w, seed, 300, block)
 
 
+@pytest.mark.parametrize("block", [None, 7, 4096])
+@pytest.mark.parametrize("samples", [1, 2, 40])
+def test_samples_that_outrun_the_lanes_match_the_oracle(samples, block):
+    # T near 1500 draws on average: a sample spans many rounds, and the
+    # lanes grow with the draws already known to end no sample
+    st = _band("free_lrb(3)")
+    _check_against_the_oracle(st, _heavy_weights(st.semigroup), 5,
+                              samples, block)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("seed", [3, 2 ** 40 + 7])
+def test_one_sample_matches_the_oracle(seed, block):
+    for band in ("free_lrb(3)", "ordered_partitions(3)", "K4-bases"):
+        st = _band(band)
+        _check_against_the_oracle(
+            st, spectral.uniform_on_generators(st.semigroup), seed, 1, block)
+
+
 def test_a_one_flat_band_stops_at_once_without_drawing(monkeypatch):
     sg = core.Semigroup.from_json_dict(
         {"label": "point", "elements": ["e"], "identity": 0,
          "table": [[0]]})
     st = core.derive_support(sg)
     w = spectral.WeightVector(sg, {0: F(1)})
-    real = walks._draw_blocks
+    real = walks._drawer
 
     def no_draws(w, seed):
         ids, _ = real(w, seed)
-        return ids, iter(())   # a draw would raise StopIteration
 
-    monkeypatch.setattr(walks, "_draw_blocks", no_draws)
+        def draw(n):
+            raise AssertionError(f"drew {n} positions")
+
+        return ids, draw
+
+    monkeypatch.setattr(walks, "_drawer", no_draws)
     dist, times = walks.sample_stationary(st, w, seed=3, samples=50)
     assert times == {0: 50}
     assert dist.probs == [1.0]
     assert walks.sample_stopping_times(st, w, seed=4, samples=7) == {0: 7}
 
 
+def test_weights_below_the_top_stall_out_without_drawing(monkeypatch):
+    sg, st = _f3()
+    w = spectral.uniform_on(sg, sg.generators[:2])
+
+    def no_draws(w, seed):
+        return w.support_ids(), None   # calling it would raise TypeError
+
+    monkeypatch.setattr(walks, "_drawer", no_draws)
+    with pytest.raises(StagnationError, match="below the top flat"):
+        walks.sample_stopping_times(st, w, seed=0, samples=3)
+
+
 @pytest.mark.parametrize("block", [None, 7])
-def test_the_step_cap_admits_a_sample_of_exactly_cap_draws(monkeypatch,
-                                                          block):
-    if block:
-        monkeypatch.setattr(walks, "DRAW_BLOCK", block)
+def test_the_step_cap_admits_a_sample_of_exactly_cap_draws(block):
     sg, st = _f3()
     w = spectral.seeded_generator_weights(sg, 9)
-    times = walks.sample_stopping_times(st, w, seed=4, samples=200)
-    longest = max(times)
-    at_cap = replace(DEFAULT_GUARDS, sample_step_cap=longest)
-    assert walks.sample_stopping_times(st, w, 4, 200, at_cap) == times
-    below = replace(DEFAULT_GUARDS, sample_step_cap=longest - 1)
-    with pytest.raises(StagnationError, match=f"within {longest - 1} draws"):
-        walks.sample_stopping_times(st, w, 4, 200, below)
-    # the landing path counts the same draws against the same cap
-    dist, got = walks.sample_stationary(st, w, 4, 200, at_cap)
-    assert got == times
-    assert (dist, got) == walks.sample_stationary(st, w, 4, 200)
-    with pytest.raises(StagnationError, match=f"within {longest - 1} draws"):
-        walks.sample_stationary(st, w, 4, 200, below)
+    with _block_size(block):
+        times = walks.sample_stopping_times(st, w, seed=4, samples=200)
+        longest = max(times)
+        at_cap = replace(DEFAULT_GUARDS, sample_step_cap=longest)
+        assert walks.sample_stopping_times(st, w, 4, 200, at_cap) == times
+        below = replace(DEFAULT_GUARDS, sample_step_cap=longest - 1)
+        with pytest.raises(StagnationError,
+                           match=f"within {longest - 1} draws"):
+            walks.sample_stopping_times(st, w, 4, 200, below)
+        # the landing path counts the same draws against the same cap
+        dist, got = walks.sample_stationary(st, w, 4, 200, at_cap)
+        assert got == times
+        assert (dist, got) == walks.sample_stationary(st, w, 4, 200)
+        with pytest.raises(StagnationError,
+                           match=f"within {longest - 1} draws"):
+            walks.sample_stationary(st, w, 4, 200, below)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_a_sample_in_progress_past_the_cap_stalls_out(block):
+    # no sample ends within the cap: the one in progress raises, however
+    # many rounds it spans
+    st = _band("free_lrb(3)")
+    w = _heavy_weights(st.semigroup)
+    want, _ = _oracle_until_top(st, w, 5, 1)
+    (t,) = want
+    with _block_size(block):
+        for cap in (t - 1, t // 3):
+            with pytest.raises(StagnationError, match=f"within {cap} draws"):
+                walks.sample_stopping_times(
+                    st, w, 5, 1, replace(DEFAULT_GUARDS, sample_step_cap=cap))
+        assert walks.sample_stopping_times(
+            st, w, 5, 1, replace(DEFAULT_GUARDS, sample_step_cap=t)) == want
+
+
+# -------------------------------- the exact law of the draw-until-top loop
+
+
+def _stream(seq, size):
+    """draw(n) over the positions `seq`, then 0, 1, .., size - 1 over
+    and over, which joins every weighted support."""
+    taken = 0
+
+    def draw(n):
+        nonlocal taken
+        out = np.arange(taken, taken + n) % size
+        head = seq[taken:taken + n]
+        out[:len(head)] = head
+        taken += n
+        return out.astype(np.uint8)
+
+    return draw
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("band, weights, length", [
+    ("free_lrb(3)", None, 7), ("free_lrb(3)", 9, 7),
+    ("ordered_partitions(3)", None, 4)])
+def test_the_replay_gives_the_exact_stopping_time_law(band, weights, length,
+                                                      block):
+    # Every sequence of L positions, weighted by its exact probability,
+    # fed to the replay as its own stream: one sample gives the law of
+    # min(T, L + 1), which must be the exact tail at every t <= L, and a
+    # landing law on T <= L within Pr{T > L} of pi below it; two samples
+    # give the law of the pair of stopping times when T1 + T2 <= L.  A
+    # sequence decides each of these, so no false alarm is possible.
+    st = _band(band)
+    sg = st.semigroup
+    w = (spectral.uniform_on_generators(sg) if weights is None
+         else spectral.seeded_generator_weights(sg, weights))
+    ids = w.support_ids()
+    rep = walks.convergence_report(st, w, st.chambers[0], length)
+    tail = [r.exact_tail for r in rep.rows]
+    law = [None] + [tail[t - 1] - tail[t] for t in range(1, length + 1)]
+    pi = walks.stationary_exact(spectral.transition_matrix(st, w)).probs
+    one = {}
+    landed = {}
+    two = {}
+    with _block_size(block):
+        for seq in itertools.product(range(len(ids)), repeat=length):
+            p = math.prod((w[ids[k]] for k in seq), start=F(1))
+            times, land = walks._until_top(st, ids, _stream(seq, len(ids)),
+                                           1, DEFAULT_GUARDS, landing=True)
+            (t,) = times
+            one[min(t, length + 1)] = one.get(min(t, length + 1), 0) + p
+            if t <= length:
+                (c,) = land
+                landed[c] = landed.get(c, 0) + p
+            pair, _ = walks._until_top(st, ids, _stream(seq, len(ids)), 2,
+                                       DEFAULT_GUARDS, landing=False)
+            if sum(a * n for a, n in pair.items()) <= length:
+                key = tuple(sorted(pair.items()))
+                two[key] = two.get(key, 0) + p
+    assert sum(one.values()) == 1
+    assert one.get(length + 1, 0) == tail[length]
+    for t in range(1, length + 1):
+        assert one.get(t, 0) == law[t]
+    for c, q in zip(st.chambers, pi):
+        assert 0 <= q - landed.get(c, 0) <= tail[length]
+    want = {}
+    for a in range(1, length):
+        for b in range(a, length + 1 - a):
+            key = ((a, 2),) if a == b else ((a, 1), (b, 1))
+            want[key] = law[a] * law[b] * (1 if a == b else 2)
+    assert two == {k: v for k, v in want.items() if v}
+
+
+# ------------------------------------------------------------- memory
+
+
+def test_sampler_memory_does_not_grow_with_the_samples():
+    # a round holds at most about ROUND_DRAWS draws, and each round is
+    # folded into the counts before the next is drawn
+    sg = constructions.free_lrb(4)
+    st = core.derive_support(sg)
+    w = spectral.uniform_on_generators(sg)
+    walks.sample_stationary(st, w, 1, 100)   # tabulate outside the trace
+    peaks = []
+    for samples in (20000, 400000):
+        for sampler in (walks.sample_stopping_times, walks.sample_stationary):
+            tracemalloc.start()
+            try:
+                sampler(st, w, 5, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < 6, peaks
+    assert max(peaks[2:]) < min(peaks[:2]) + 3, peaks
 
 
 def test_the_samplers_leave_numpy_random_unloaded():
