@@ -573,25 +573,6 @@ def _closure_tuples(system, label, family, meta):
         family=family, meta=meta)
 
 
-def _flat_ranks(leq):
-    """The rank of each flat of a closure system, read off the inclusion
-    order `leq` of its flats, listed by rank.
-
-    The lattice of flats is graded and the flats of one rank are an
-    antichain, so the next rank starts at the first flat above one of
-    the current rank.  That reads a slice of one column per flat, where
-    `posets.Poset.rank` would first find every cover.
-    """
-    rank = [0] * len(leq)
-    start = 0
-    for f in range(1, len(leq)):
-        rank[f] = rank[f - 1]
-        if leq[start:f, f].any():
-            start = f
-            rank[f] += 1
-    return rank
-
-
 def _closure_chains(system, label, family, meta, order, cap):
     """The flag chains bottom = X_0 < ... < X_l = top of a closure
     system, rank X_i = i for i < l, under refining the last step through
@@ -601,9 +582,9 @@ def _closure_chains(system, label, family, meta, order, cap):
     tuple differ when a ground label holds "}" or ","."""
     flats = system.flats()
     lattice = posets.flat_lattice(system, label)
-    rank = numpy.array(_flat_ranks(lattice.leq))
+    rank = numpy.array(lattice.rank)
     bottom, top = lattice.bottom, lattice.top
-    up = lattice.leq & (rank == rank[:, None] + 1)
+    up = lattice.cover.copy()
     up[:, top] = False
     chains = _chains(label, up, lattice.order, bottom, top, cap)
     chains.sort(key=lambda ch: order([lattice.labels[f] for f in ch]))

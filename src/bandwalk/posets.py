@@ -9,9 +9,10 @@ order, by array expressions or one numpy step per element: validity
 with the first witness (`check_partial_order`), the one transitive
 closure (`order_from_covers`), the inclusion and refinement orders,
 the lattice of flats of a closure system (`flat_lattice`), the cover
-matrix (`covers_of`), a linear extension, bottom and top,
-the join table (an int array of ids), the join-irreducibles, ranks,
-and rows of the Moebius function, whose values stay Python ints.  Set
+matrix (`covers_of`, over up-sets packed into words), a linear
+extension, bottom and top, the join table (an int array of ids), the
+join-irreducibles, ranks (one step per cover, in Python ints) and rows
+of the Moebius function, whose values stay Python ints.  Set
 partitions live here too: their enumeration and the refinement order.
 """
 
@@ -117,12 +118,20 @@ def refinement_order(parts):
 
 
 def covers_of(leq):
-    """Cover matrix: cover[a, b] iff a < b with nothing strictly between."""
-    strict = leq & ~np.eye(len(leq), dtype=bool)
-    cover = np.zeros_like(strict)
+    """Cover matrix: cover[a, b] iff a < b with nothing strictly between.
+
+    The strict up-sets are packed 64 to a word, so that the elements
+    above something above a, the OR of the up-sets of everything above
+    a, read n / 64 words a row."""
+    n = len(leq)
+    strict = leq & ~np.eye(n, dtype=bool)
+    words = np.packbits(strict, axis=1, bitorder="little")
+    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+    beyond = np.zeros_like(words)
     for a, up in enumerate(strict):
-        cover[a] = up & ~strict[up].any(0)
-    return cover
+        np.bitwise_or.reduce(words[up], axis=0, out=beyond[a])
+    return strict & ~np.unpackbits(beyond.view(np.uint8), axis=1, count=n,
+                                   bitorder="little").astype(bool)
 
 
 def linear_extension(leq):
@@ -167,16 +176,19 @@ def rank_function(cover, order):
     """Ranks if the poset is graded, else None.
 
     The rank of an element is the length of the longest chain of covers
-    up to it, read along the linear extension `order`; graded means
-    every cover raises it by exactly one.
+    up to it, read along the linear extension `order` from the lists of
+    lower covers; graded means every cover raises it by exactly one.
     """
-    rank = np.zeros(len(order), dtype=np.int64)
-    for a in order:
-        below = cover[:, a]
-        if below.any():
-            rank[a] = rank[below].max() + 1
     lo, hi = np.nonzero(cover)
-    return rank.tolist() if (rank[hi] == rank[lo] + 1).all() else None
+    below = [[] for _ in order]
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        below[b].append(a)
+    rank = [0] * len(order)
+    for b in order:
+        if below[b]:
+            rank[b] = max(rank[a] for a in below[b]) + 1
+    graded = (np.take(rank, hi) == np.take(rank, lo) + 1).all()
+    return rank if graded else None
 
 
 def moebius_row(leq, order, a):

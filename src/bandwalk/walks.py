@@ -33,7 +33,9 @@ lane up to where it meets the next; a pair that does not meet within
 its overlap ends the round, and the next round starts after the last
 true end.  Each sample then lands on the product of its draws, taken
 in lock step over the samples of a round, since a draw below the
-support of the product so far is absorbed.  Empirical values are
+support of the product so far is absorbed.  A round that would hold
+too few lanes to pay for the lock-step loop, as when T runs long, is
+walked a draw at a time instead.  Empirical values are
 floats, checked against exact values within the DKW band of
 `dkw_epsilon`, whose false-alarm rate does not depend on the seed.
 """
@@ -74,9 +76,6 @@ class WalkTrajectory:
 
 # most draws taken from the generator with one getrandbits call
 DRAW_CHUNK = 1 << 14
-# past this many thresholds a sorted search beats one compare per
-# threshold
-COMPARE_CAP = 64
 
 
 def _threshold(c, acc):
@@ -90,16 +89,6 @@ def _threshold(c, acc):
         else:
             lo = mid + 1
     return lo
-
-
-def _locate(big, thresholds, out):
-    """Write into `out` the number of thresholds <= each 53-bit N."""
-    if len(thresholds) > COMPARE_CAP:
-        out[:] = np.searchsorted(thresholds, big, side="right")
-        return
-    out[:] = 0
-    for t in thresholds:
-        out += big >= t
 
 
 def _drawer(w, seed):
@@ -116,8 +105,9 @@ def _drawer(w, seed):
     that u = N 2^-53.  The position is the number of c with
     cum[c] < u acc, which is the number of thresholds t_c <= N, t_c the
     least N with (N 2^-53) acc > cum[c] in the same float arithmetic
-    (`_threshold`); acc itself is never passed, since u < 1.  So the
-    positions are those of the float search, with no float pass.  Each
+    (`_threshold`); acc itself is never passed, since u < 1.  One
+    sorted search of the thresholds counts them, so the positions are
+    those of the float search, with no float pass.  Each
     float running sum is within about |ids| 2^-53 of its exact value,
     relative to acc, which bounds how far the law of a draw is off w.
     The weights are checked at the call, and nothing is drawn before
@@ -146,7 +136,7 @@ def _drawer(w, seed):
             big = x & 0xFFFFFFE0     # (a >> 5) << 5
             big <<= 21
             big |= x >> 38           # b >> 6
-            _locate(big, thresholds, out[i:i + m])
+            out[i:i + m] = np.searchsorted(thresholds, big, side="right")
         return out
 
     return ids, draw
@@ -269,6 +259,11 @@ ROUND_DRAWS = 1 << 18
 # the stride of the replay lanes, which is also their overlap, in mean
 # stopping times
 LANE_MEANS = 16
+# a round that holds fewer lanes than this is walked a draw at a time:
+# every lane makes two lock-step numpy steps for each draw it adds, and
+# near 128 lanes a draw costs the same either way, 75-100 ns with its
+# drawing (mean T of 15 to 1500 draws, 2-core VM)
+WALK_LANES = 128
 
 
 def _lane_ends(pos, step, stop, span):
@@ -290,9 +285,7 @@ def _lane_ends(pos, step, stop, span):
     The first lane that shares no start with the next within their
     overlap of span draws cuts the replay at its own last draw.
     """
-    lanes = len(pos) // span - 1
-    if lanes < 2:
-        lanes, span = 1, len(pos) // 2
+    lanes = len(pos) // span - 1     # at least one
     last = (lanes - 1) * span + 1
     state = np.full(lanes, stop, dtype=np.intp)
     ended = np.empty((2 * span, lanes), dtype=bool)
@@ -334,6 +327,38 @@ def _landings(pos, ends, times, columns, one):
     return acc
 
 
+def _walk(pos, step, start, stop, rows, one, wanted):
+    """(ends, landings): the last draws of the first `wanted` samples
+    that run back to back from the start of the positions `pos`, or of
+    as many as end in them, and the product of the draws of each, the
+    draw-at-a-time loop that the lanes replay.
+
+    A state is a flat premultiplied by |ids|, as in `_lane_ends`, with
+    `start` the bottom.  Only a draw that raises the flat is multiplied
+    in, since a draw below the running join is absorbed; the product
+    a x of a draw at position k is rows[a][k], and with `rows` None no
+    product is taken.
+    """
+    ends = []
+    landings = []
+    state, acc = start, one
+    for i, k in enumerate(pos.tolist()):
+        up = step[state + k]
+        if up == state:
+            continue
+        if rows is not None:
+            acc = rows[acc][k]
+        if up != stop:
+            state = up
+            continue
+        ends.append(i)
+        landings.append(acc)
+        if len(ends) == wanted:
+            break
+        state, acc = start, one
+    return ends, landings
+
+
 def _until_top(structure, ids, draw, samples, guards, landing):
     """Draw until the joined support of the draws reaches the top flat,
     `samples` times over, reading positions into `ids` from the stream
@@ -344,19 +369,21 @@ def _until_top(structure, ids, draw, samples, guards, landing):
     false the landings are not computed and the second count is None.
     The samples run back to back through the stream, a round at a
     time: the draws kept from the round before and at most ROUND_DRAWS
-    new ones, more only while one sample outruns them, replayed in
-    lanes (`_lane_ends`) whose stride and overlap are LANE_MEANS times
-    the mean T over the lanes of the round before, or the draws known
-    to end no sample if that is more.  A round folds its samples into
+    new ones, more only while one sample outruns them.  A round is
+    replayed in lanes (`_lane_ends`) whose stride and overlap are
+    LANE_MEANS times the mean T over the round before, or the draws
+    known to end no sample if that is more, and the landings follow
+    from the start and T of each sample (`_landings`): a draw whose
+    support lies below the running join is absorbed (xy = x when
+    supp y <= supp x), so every draw may be multiplied in.  A round
+    that would hold fewer than WALK_LANES lanes, which happens once the
+    mean T nears ROUND_DRAWS / (LANE_MEANS WALK_LANES), is walked a
+    draw at a time instead (`_walk`).  A round folds its samples into
     the counts at once and keeps the draws past its last end for the
-    next.  The landings follow from the start and T of each sample
-    (`_landings`): a draw whose support lies below the running join is
-    absorbed (xy = x when supp y <= supp x), so every draw may be
-    multiplied in.  A sample still short of the top after
-    `sample_step_cap` draws raises StagnationError, and so does a
-    weighting whose supports join below the top, without drawing; a
-    band whose bottom flat is its top has T = 0 for every sample and
-    draws nothing.
+    next.  A sample still short of the top after `sample_step_cap`
+    draws raises StagnationError, and so does a weighting whose
+    supports join below the top, without drawing; a band whose bottom
+    flat is its top has T = 0 for every sample and draws nothing.
     """
     sg = structure.semigroup
     bottom = structure.bottom
@@ -375,9 +402,12 @@ def _until_top(structure, ids, draw, samples, guards, landing):
     again = structure.join.copy()
     again[top] = again[bottom]
     step = (again[:, supps] * size).astype(np.intp).ravel()
-    stop = top * size
+    steps = step.tolist()
+    start, stop = bottom * size, top * size
+    rows = None
     if landing:
         columns = np.ascontiguousarray(sg.tabulate(guards)[:, ids])
+        rows = list(map(memoryview, columns))
     landed = np.zeros(sg.size, dtype=np.int64) if landing else None
     cap = guards.sample_step_cap
     times = {}
@@ -392,9 +422,17 @@ def _until_top(structure, ids, draw, samples, guards, landing):
         want = int(mean * (left + 4 * math.sqrt(left))) + 2 * span
         pos = np.concatenate((held, draw(
             max(min(ROUND_DRAWS, want - len(held)), known + 2))))
-        ends, known, mean = _lane_ends(pos, step, stop, span)
-        ends = ends[:left]
-        start = 0
+        if len(pos) // span - 1 < WALK_LANES:
+            ends, lands = _walk(pos, steps, start, stop, rows, sg.identity,
+                                left)
+            ends = np.array(ends, dtype=np.intp)
+            known = len(pos)
+            mean = known / max(1, len(ends))
+        else:
+            ends, known, mean = _lane_ends(pos, step, stop, span)
+            ends = ends[:left]
+            lands = None
+        start_at = 0
         if len(ends):
             t = np.diff(ends, prepend=-1)
             if t.max() > cap:
@@ -403,15 +441,15 @@ def _until_top(structure, ids, draw, samples, guards, landing):
             for k in np.flatnonzero(counts).tolist():
                 times[k] = times.get(k, 0) + int(counts[k])
             if landing:
-                landed += np.bincount(
-                    _landings(pos, ends, t, columns, sg.identity),
-                    minlength=sg.size)
-            start = int(ends[-1]) + 1
+                if lands is None:
+                    lands = _landings(pos, ends, t, columns, sg.identity)
+                landed += np.bincount(lands, minlength=sg.size)
+            start_at = int(ends[-1]) + 1
             left -= len(ends)
-        known -= start
+        known -= start_at
         if left and known >= cap:
             raise _stagnation(cap)
-        held = pos[start:].copy()   # and let the round go
+        held = pos[start_at:].copy()   # and let the round go
     if landing:
         landed = {c: n for c, n in enumerate(landed.tolist()) if n}
     return dict(sorted(times.items())), landed
@@ -432,7 +470,8 @@ def _sample_until_top(structure, w, seed, samples, guards, landing):
     Two lanes that start a sample at the same draw agree from there on,
     so the true sample ends are read off each lane up to its first
     common start with the next, and each sample gets the draws a
-    draw-at-a-time loop would give it.
+    draw-at-a-time loop would give it; a round of too few lanes is
+    that loop (`_walk`).
     """
     if samples < 1:
         raise MalformedInputError(f"need at least one sample, got {samples}")

@@ -505,6 +505,9 @@ def _oracle_flats(m):
 def test_rank_table_flats_match_the_closure_enumeration(name):
     m = MATROIDS[name]()
     assert m.flats() == _oracle_flats(m)
+    # the flag-chain band reads the rank of each flat off its lattice
+    assert posets.flat_lattice(m, name).rank \
+        == [_oracle_rank(m, f) for f in m.flats()]
     for r in range(m.n + 1):
         for s in map(frozenset, itertools.combinations(range(m.n), r)):
             assert m.rank(s) == _oracle_rank(m, s)

@@ -1,5 +1,6 @@
 """The array derivations of `posets` against the list loops they replaced."""
 
+import random
 import time
 
 import numpy
@@ -204,6 +205,41 @@ def test_derivations_match_the_reference_loops(leq):
             assert got == want
         else:
             assert got.tolist() == want
+
+
+def _random_order(n, seed):
+    """The closure of a sparse random DAG on n shuffled ids."""
+    rng = random.Random(seed)
+    leq = numpy.eye(n, dtype=bool)
+    for a in range(n):
+        for b in range(a + 1, n):
+            leq[a, b] = rng.random() < 0.05
+    for k in range(n):
+        leq[leq[:, k]] |= leq[k]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return numpy.ascontiguousarray(leq[numpy.ix_(perm, perm)])
+
+
+def _boolean_order(k):
+    """The subsets of k points by inclusion, a graded lattice."""
+    ids = numpy.arange(2 ** k)
+    return (ids[:, None] & ids) == ids[:, None]
+
+
+@pytest.mark.parametrize("leq", [
+    _random_order(63, 0), _random_order(64, 1), _random_order(65, 2),
+    _random_order(130, 3), _boolean_order(7)],
+    ids=["63", "64", "65", "130", "B7"])
+def test_covers_and_ranks_past_one_word_match_the_reference(leq):
+    # covers_of packs each up-set 64 ids to a word: orders of more than
+    # one word, and of sizes on both sides of a word boundary
+    lists = leq.tolist()
+    cover = posets.covers_of(leq)
+    assert [numpy.flatnonzero(row).tolist() for row in cover] \
+        == _ref_covers_of(lists)
+    assert posets.rank_function(cover, posets.linear_extension(leq)) \
+        == _ref_rank(lists)
 
 
 @settings(max_examples=300, deadline=None)

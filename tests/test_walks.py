@@ -448,15 +448,22 @@ def _oracle_simulate(structure, w, c0, steps, seed):
 @contextmanager
 def _block_size(n):
     """Rounds and draw chunks of n draws, and lanes that overlap by 1-2
-    draws, so that neighbours rarely meet; the defaults for None."""
-    saved = walks.ROUND_DRAWS, walks.DRAW_CHUNK, walks.LANE_MEANS
-    if n:
+    draws, so that neighbours rarely meet, replayed however few they
+    are; for "walk", every round walked a draw at a time; the defaults
+    for None."""
+    saved = (walks.ROUND_DRAWS, walks.DRAW_CHUNK, walks.LANE_MEANS,
+             walks.WALK_LANES)
+    if n == "walk":
+        walks.WALK_LANES = 1 << 62
+    elif n:
         walks.ROUND_DRAWS = walks.DRAW_CHUNK = n
         walks.LANE_MEANS = 0.1
+        walks.WALK_LANES = 1
     try:
         yield
     finally:
-        walks.ROUND_DRAWS, walks.DRAW_CHUNK, walks.LANE_MEANS = saved
+        (walks.ROUND_DRAWS, walks.DRAW_CHUNK, walks.LANE_MEANS,
+         walks.WALK_LANES) = saved
 
 
 @lru_cache(maxsize=None)
@@ -513,19 +520,19 @@ def test_draw_blocks_replay_the_standard_generator(seed, block):
 def test_thresholds_place_every_boundary_as_the_float_search(weights):
     # the integer N of random() = N 2^-53 lands where bisect_left of
     # N 2^-53 acc lands in the float running sums, on both sides of
-    # every threshold; past COMPARE_CAP thresholds a sorted search
+    # every threshold: the number of thresholds <= N
     cum = []
     acc = 0.0
     for v in weights:
         acc += float(v)
         cum.append(acc)
-    thresholds = np.array([walks._threshold(c, acc) for c in cum[:-1]],
-                          dtype=np.uint64)
-    big = sorted({0, 2 ** 53 - 1} | {int(t) + d for t in thresholds
+    thresholds = [walks._threshold(c, acc) for c in cum[:-1]]
+    big = sorted({0, 2 ** 53 - 1} | {t + d for t in thresholds
                                       for d in (-1, 0, 1)
-                                      if 0 <= int(t) + d < 2 ** 53})
-    got = np.empty(len(big), dtype=np.uint16)
-    walks._locate(np.array(big, dtype=np.uint64), thresholds, got)
+                                      if 0 <= t + d < 2 ** 53})
+    got = np.searchsorted(np.array(thresholds, dtype=np.uint64),
+                          np.array(big, dtype=np.uint64), side="right")
+    assert got.tolist() == [sum(t <= n for t in thresholds) for n in big]
     assert got.tolist() == [bisect_left(cum, n * 2.0 ** -53 * acc)
                             for n in big]
 
@@ -553,7 +560,7 @@ def _check_against_the_oracle(st, w, seed, samples, block):
        weights=hs.one_of(hs.none(), hs.integers(0, 15)),
        seed=hs.integers(-2 ** 70, 2 ** 70),
        samples=hs.integers(1, 300),
-       block=hs.sampled_from([None, 1, 2, 7, 64]))
+       block=hs.sampled_from([None, 1, 2, 7, 64, "walk"]))
 def test_block_samplers_match_the_per_draw_oracle(band, weights, seed,
                                                   samples, block):
     st = _band(band)
@@ -563,7 +570,7 @@ def test_block_samplers_match_the_per_draw_oracle(band, weights, seed,
     _check_against_the_oracle(st, w, seed, samples, block)
 
 
-@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("block", [1, 7, 4096, "walk"])
 @pytest.mark.parametrize("seed", [0, 2 ** 40 + 7])
 def test_block_samplers_match_the_oracle_with_weight_on_every_element(
         seed, block):
@@ -575,11 +582,12 @@ def test_block_samplers_match_the_oracle_with_weight_on_every_element(
     _check_against_the_oracle(st, w, seed, 300, block)
 
 
-@pytest.mark.parametrize("block", [None, 7, 4096])
+@pytest.mark.parametrize("block", [None, 7, 4096, "walk"])
 @pytest.mark.parametrize("samples", [1, 2, 40])
 def test_samples_that_outrun_the_lanes_match_the_oracle(samples, block):
-    # T near 1500 draws on average: a sample spans many rounds, and the
-    # lanes grow with the draws already known to end no sample
+    # T near 1500 draws on average: a sample spans many rounds, which
+    # the defaults walk a draw at a time, and in which the small sizes
+    # replay lanes that grow with the draws known to end no sample
     st = _band("free_lrb(3)")
     _check_against_the_oracle(st, _heavy_weights(st.semigroup), 5,
                               samples, block)
@@ -629,7 +637,7 @@ def test_weights_below_the_top_stall_out_without_drawing(monkeypatch):
         walks.sample_stopping_times(st, w, seed=0, samples=3)
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("block", [None, 7, "walk"])
 def test_the_step_cap_admits_a_sample_of_exactly_cap_draws(block):
     sg, st = _f3()
     w = spectral.seeded_generator_weights(sg, 9)
@@ -687,7 +695,7 @@ def _stream(seq, size):
     return draw
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("block", [7, "walk"])
 @pytest.mark.parametrize("band, weights, length", [
     ("free_lrb(3)", None, 7), ("free_lrb(3)", 9, 7),
     ("ordered_partitions(3)", None, 4)])
