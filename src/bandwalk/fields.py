@@ -191,7 +191,8 @@ class VectorSpace:
     `full_rank` is the dimension.  The flats are the subspaces, each the
     frozenset of its point ids, listed by dimension and then by reduced
     row-echelon basis, and labelled by the `vector_label`s of its rows
-    joined by "+", the zero space "0".
+    joined by "+", the zero space "0"; the rank of a flat is the length
+    of that basis, kept from the listing.
     The q^k - 1 points of GF(q)^k, k = 1..n, are counted first and held
     to posets.LATTICE_CAP (`check_counts`), so q is bounded before the
     field is built and tested prime; an order below 2 is left to the
@@ -210,15 +211,21 @@ class VectorSpace:
         point_id = {v: x for x, v in enumerate(self.points)}
         self._flats = []
         self._label = {}
+        self._rank = {}
         for basis in sorted(_rref_bases(fld, n), key=lambda b: (len(b), b)):
             flat = frozenset(point_id[v] for v in _span(fld, basis, n)
                              if any(v))
             self._flats.append(flat)
             self._label[flat] = "+".join(
                 vector_label(r, q) for r in basis) or "0"
+            self._rank[flat] = len(basis)
 
     def flats(self):
         return self._flats
+
+    def rank(self, flat):
+        """The dimension of a flat."""
+        return self._rank[flat]
 
     def flat_label(self, flat):
         return self._label[flat]

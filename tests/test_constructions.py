@@ -514,6 +514,31 @@ def test_rank_table_flats_match_the_closure_enumeration(name):
             assert _first_flat(m, s) == _oracle_closure(m, s)
 
 
+_SYSTEMS = {**MATROIDS,
+            "free(6)": lambda: matroid.Matroid.free(6),
+            "U(0,3)": lambda: matroid.Matroid.uniform(0, 3),
+            "GF(2)^3": lambda: fields.VectorSpace(2, 3),
+            "GF(3)^2": lambda: fields.VectorSpace(3, 2),
+            "GF(4)^2": lambda: fields.VectorSpace(4, 2)}
+
+
+@pytest.mark.parametrize("name", list(_SYSTEMS))
+def test_flat_lattices_take_covers_and_ranks_from_the_system(name):
+    # a lattice of flats is graded by rank, so the covers and ranks read
+    # from the system's ranks are those the order derives
+    system = _SYSTEMS[name]()
+    lattice = posets.flat_lattice(system, name)
+    assert lattice.rank == [system.rank(f) for f in system.flats()]
+    assert lattice.rank == posets.rank_function(
+        posets.covers_of(lattice.leq), lattice.order)
+    assert numpy.array_equal(lattice.cover, posets.covers_of(lattice.leq))
+    fresh = posets.Poset(lattice.labels, lattice.leq, name)
+    assert lattice.covers == fresh.covers
+    assert lattice.join_irreducibles.tolist() \
+        == fresh.join_irreducibles.tolist()
+    assert lattice.coatoms() == fresh.coatoms() and lattice.n == fresh.n
+
+
 class _SpanOracle:
     """Independence in GF(q)^n by brute force: k vectors are independent
     when their linear combinations give q^k distinct vectors."""

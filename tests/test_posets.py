@@ -349,6 +349,18 @@ def test_refinement_is_block_containment():
             assert leq[i, j] == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(hs.lists(hs.frozensets(hs.integers(0, 150), max_size=40),
+                max_size=12),
+       hs.integers(0, 3))
+def test_inclusion_is_the_frozenset_order_across_words(sets, blank):
+    # points past one word of 64, and empty sets
+    sets = sets + [frozenset()] * blank
+    leq = posets.inclusion_order(sets)
+    assert leq.dtype == bool and leq.shape == (len(sets), len(sets))
+    assert leq.tolist() == [[a <= b for b in sets] for a in sets]
+
+
 def test_oversized_cover_lists_are_refused_before_allocating():
     # a 100,000-element chain given by covers: its order would be a
     # 10 GB bool array, closed in cubic time

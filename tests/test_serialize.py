@@ -116,6 +116,52 @@ _SCALARS = hs.one_of(
     hs.sampled_from(list(_Size)), _FLOATS.map(numpy.float64))
 _KEYS = hs.one_of(_TEXT, _INTS, _FLOATS, hs.booleans(), hs.none(),
                   hs.sampled_from(list(_Size)))
+
+
+class _Str(str):
+    pass
+
+
+# text that a row template must not read as a format or escape twice:
+# %, braces, quotes, backslashes, non-ASCII and lone surrogates
+_ROW_TEXT = hs.lists(hs.sampled_from(
+    ["%", "%s", "%%", "{", "}", "{0}", '"', "\\", "\n", "é", "\u2028",
+     "\ud800", "\udfff", "a"]), max_size=3).map("".join)
+# values of other types, one of which an odd row may carry
+_ODD_VALUES = hs.sampled_from([1, 1.5, None, True, ["x"], {"a": "b"},
+                               _Str("x"), _Str("")])
+
+
+@hs.composite
+def _flat_rows(draw):
+    """Lists of flat str-to-str dicts with the same keys, drawn from a
+    pool of a few values so that rows repeat, the first row repeated
+    once more, then maybe one odd row."""
+    keys = draw(hs.lists(_ROW_TEXT, min_size=1, max_size=3, unique=True))
+    pool = draw(hs.lists(_ROW_TEXT, min_size=1, max_size=3))
+    rows = [dict(zip(keys, draw(hs.lists(hs.sampled_from(pool),
+                                         min_size=len(keys),
+                                         max_size=len(keys)))))
+            for _ in range(draw(hs.integers(1, 6)))]
+    rows.append(dict(rows[0]))
+    odd = dict(rows[0])
+    how = draw(hs.sampled_from(["none", "reorder", "drop", "add", "value",
+                                "key"]))
+    if how == "reorder":
+        odd = dict(reversed(odd.items()))
+    elif how == "drop":
+        odd.popitem()
+    elif how == "add":
+        odd[draw(_ROW_TEXT) + "+"] = draw(_ROW_TEXT)
+    elif how == "value":
+        odd[draw(hs.sampled_from(keys))] = draw(_ODD_VALUES)
+    elif how == "key":
+        odd = {_Str(k): v for k, v in odd.items()}
+    if how != "none":
+        rows.insert(draw(hs.integers(1, len(rows))), odd)
+    return rows
+
+
 _TREES = hs.recursive(
     _SCALARS,
     lambda kids: hs.one_of(
@@ -127,7 +173,10 @@ _TREES = hs.recursive(
         hs.lists(_INTS, max_size=6),
         hs.lists(_TEXT, max_size=6),
         hs.dictionaries(_TEXT, _TEXT, max_size=4),
-        hs.lists(hs.sampled_from([0, 1, True, False, 1.0]), max_size=6)),
+        hs.lists(hs.sampled_from([0, 1, True, False, 1.0]), max_size=6),
+        # lists of flat rows (the memoized rows), as lists and tuples
+        _flat_rows(),
+        _flat_rows().map(tuple)),
     max_leaves=40)
 
 
@@ -140,12 +189,28 @@ def test_dump_json_equals_the_stdlib_indented_encoder(tree):
 
 @pytest.mark.parametrize("bad", [
     Fraction(1, 2), numpy.int64(3), {1, 2}, object(), {(1, 2): 3},
-    [1, [numpy.int64(1)]], {"a": [Fraction(1)]}])
+    [1, [numpy.int64(1)]], {"a": [Fraction(1)]},
+    # refused after a row that fills the row memo
+    [{"a": "x"}, {"a": Fraction(1)}], [{"a": "x"}, {"a": numpy.int64(1)}],
+    [{"a": "x"}, {"a": "x"}, {"a": object()}]])
 def test_dump_json_refuses_what_the_stdlib_refuses(bad):
     with pytest.raises(TypeError):
         json.dumps(bad, indent=2, ensure_ascii=False)
     with pytest.raises(TypeError):
         serialize.dump_json(bad)
+
+
+def test_only_rows_of_exact_str_keys_and_values_take_the_row_memo():
+    rows = [{"drew": "a", "chamber": "b"}, {"drew": "a", "chamber": "c"}] * 3
+    assert list(serialize._flat_rows(rows, "\n  ")) == [
+        json.dumps(r, indent=2).replace("\n", "\n  ") for r in rows]
+    for odd in ({"chamber": "b", "drew": "a"}, {"drew": "a"},
+                {"drew": "a", "chamber": "b", "x": "y"},
+                {"drew": "a", "chamber": 1}, {"drew": "a", "chamber": None},
+                {"drew": "a", "chamber": _Str("b")},
+                {_Str("drew"): "a", "chamber": "b"}):
+        assert serialize._flat_rows(rows + [odd], "\n  ") is None
+    assert serialize._flat_rows([{}, {}], "\n") is None
 
 
 def test_spectrum_rows_render_rationals_as_strings():

@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -535,6 +535,75 @@ def test_thresholds_place_every_boundary_as_the_float_search(weights):
     assert got.tolist() == [sum(t <= n for t in thresholds) for n in big]
     assert got.tolist() == [bisect_left(cum, n * 2.0 ** -53 * acc)
                             for n in big]
+
+
+def _words(big, seed):
+    """The 64-bit words whose random() integer is each N of `big`: the
+    low 32-bit half a carries N >> 26 above 5 dropped bits and the high
+    half b carries the low 26 bits of N above 6, the dropped bits
+    random."""
+    rng = random.Random(seed)
+    return np.array([((n >> 26) << 5 | rng.getrandbits(5))
+                     | ((n & (1 << 26) - 1) << 6 | rng.getrandbits(6)) << 32
+                     for n in big], dtype="<u8")
+
+
+@pytest.mark.parametrize("weights", [
+    [F(1)], [F(1, 3)] * 3, [F(1, 10), F(2, 10), F(3, 10), F(4, 10)],
+    [F(1, 2 ** 60), F(1, 2) - F(1, 2 ** 60), F(1, 2)],
+    # both thresholds in bucket 0
+    [F(1, 2 ** 40), F(1, 2 ** 40), 1 - F(2, 2 ** 40)],
+    [F(i + 1, 2080) for i in range(64)],
+    [F(1, 300)] * 300])
+def test_the_bucket_table_places_crafted_words_as_the_float_search(weights):
+    # words fed straight to the placer: N on both sides of every
+    # threshold and of the edges of the buckets that a threshold splits,
+    # of their neighbours and of a spread of unsplit buckets
+    cum = []
+    acc = 0.0
+    for v in weights:
+        acc += float(v)
+        cum.append(acc)
+    thresholds = [walks._threshold(c, acc) for c in cum[:-1]]
+    width = 1 << walks.BUCKET_SHIFT
+    split = {t // width for t in thresholds if t % width}
+    if len(weights) == 3 and weights[0] == F(1, 2 ** 40):
+        assert split == {0} and len(thresholds) == 2
+    buckets = split | {j + d for j in split for d in (-1, 1)} \
+        | set(range(0, 1 << 16, 4099)) | {(1 << 16) - 1}
+    big = sorted({n for n in {0, 2 ** 53 - 1}
+                  | {t + d for t in thresholds for d in (-1, 0, 1)}
+                  | {j * width + d for j in buckets for d in (-1, 0)}
+                  if 0 <= n < 2 ** 53})
+    want = [bisect_right(thresholds, n) for n in big]
+    assert want == [bisect_left(cum, n * 2.0 ** -53 * acc) for n in big]
+    dtype = np.min_scalar_type(len(weights) - 1)
+    assert dtype == (np.uint16 if len(weights) > 256 else np.uint8)
+    out = np.empty(len(big), dtype)
+    walks._placer(np.array(thresholds, dtype=np.uint64), dtype)(
+        _words(big, len(weights)), out)
+    assert out.tolist() == want
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("n, ids", [(3, 1), (5, 326)])
+def test_draws_over_one_id_or_over_256_replay_the_standard_generator(
+        n, ids, block):
+    # one id has no threshold; the 326 elements of free_lrb(5) draw
+    # uint16 positions, about one draw in 200 in a split bucket
+    sg = constructions.free_lrb(n)
+    w = (spectral.WeightVector(sg, {sg.generators[1]: F(1)}) if ids == 1
+         else _spread_weights(sg))
+    draw = _oracle_draw(w, random.Random(11))
+    with _block_size(block):
+        got_ids, stream = walks._drawer(w, 11)
+        assert len(got_ids) == ids
+        for size in (0, 1, 7, 5000, 3):
+            got = stream(size)
+            assert len(got) == size
+            assert got.dtype == (np.uint16 if ids > 256 else np.uint8)
+            assert [got_ids[k] for k in got.tolist()] \
+                == [draw() for _ in got]
 
 
 def _check_against_the_oracle(st, w, seed, samples, block):
