@@ -67,8 +67,11 @@ the join of a flat with another flat, the join table of the flats as a
 the point's flat; a tuple becomes its point ids and a chain its flat
 ids, and each product runs a fixed number of table lookups.
 
-One walker, `_chains`, counts and lists every chain band: the flag
-chains of a closure system and the chains of a distributive lattice.
+One walker, `_chains`, lists every chain band, the flag chains of a
+closure system and the chains of a distributive lattice, once its count
+is refused over the cap: the flag chains are counted in Python ints
+over the cover lists, and the chains of a distributive lattice, which
+step to any element above, over bool rows of an object array.
 Birkhoff's ideals of join-irreducibles both certify a distributive
 lattice and code its chain band (see `DistributiveLattice`).
 """
@@ -432,18 +435,11 @@ def free_lrb_bar(n, guards=DEFAULT_GUARDS):
 # -------------------------------------------------------------- chains
 
 
-def _chains(label, up, order, bottom, top, cap):
+def _chains(steps, bottom, top):
     """The chains bottom = x_0 < ... < x_k, each step from x_i to an id
-    of the bool row up[x_i], each closed by top unless it ends there.
-    chains(a) = 1 + sum of chains(b) over b in up[a], in Python ints
-    along the linear extension `order` from its end, and chains(bottom)
-    is refused over `cap` (`check_counts`) before any chain is listed.
-    """
-    count = numpy.zeros(len(up), dtype=object)
-    for a in reversed(order):
-        count[a] = 1 + count[up[a]].sum()
-    check_counts(label, [count[bottom]], cap)
-    steps = [numpy.flatnonzero(row).tolist() for row in up]
+    of the list steps[x_i], each closed by top unless it ends there.
+    Callers count them first, chains(a) = 1 + sum of chains(b) over b in
+    steps[a], and refuse the count over the cap (`check_counts`)."""
     chains, stack = [], [(bottom,)]
     while stack:
         chain = stack.pop()
@@ -577,16 +573,22 @@ def _closure_chains(system, label, family, meta, order, cap):
     """The flag chains bottom = X_0 < ... < X_l = top of a closure
     system, rank X_i = i for i < l, under refining the last step through
     joins: `_chains` steps from a flat to the flats of the next rank
-    above it, not the top, and refuses more than `cap` chains.  Elements
-    sort by order(labels of their flats): the key string and the label
-    tuple differ when a ground label holds "}" or ","."""
+    above it, not the top, once more than `cap` chains are refused by
+    their count.  Elements sort by order(labels of their flats): the key
+    string and the label tuple differ when a ground label holds "}" or
+    ","."""
     flats = system.flats()
     lattice = posets.flat_lattice(system, label)
     rank = numpy.array(lattice.rank)
     bottom, top = lattice.bottom, lattice.top
-    up = lattice.cover.copy()
-    up[:, top] = False
-    chains = _chains(label, up, lattice.order, bottom, top, cap)
+    steps = [[f for f in up if f != top] for up in lattice.covers]
+    # the count in Python ints over the step lists, along the linear
+    # extension from its end
+    count = [0] * lattice.size
+    for f in reversed(lattice.order):
+        count[f] = 1 + sum(count[g] for g in steps[f])
+    check_counts(label, [count[bottom]], cap)
+    chains = _chains(steps, bottom, top)
     chains.sort(key=lambda ch: order([lattice.labels[f] for f in ch]))
 
     def key_of(chain):
@@ -598,8 +600,7 @@ def _closure_chains(system, label, family, meta, order, cap):
         label, [tuple(flats[f] for f in ch) for ch in chains], keys,
         closure_rows(chains, keys, lattice.join, chains=True),
         key_of((bottom, top) if bottom != top else (bottom,)),
-        generators=[key_of((bottom, f, top))
-                    for f in numpy.flatnonzero(up[bottom])],
+        generators=[key_of((bottom, f, top)) for f in steps[bottom]],
         expected=_expected(
             label, [flats[f] for f in kept],
             lattice.leq[numpy.ix_(kept, kept)], system.flat_label,
@@ -660,12 +661,12 @@ def distributive_chain_lrb(lattice, guards=DEFAULT_GUARDS):
     product is that of `ordered_partitions`, and the braid kernel serves
     the rows over the vectors v[p] = #{i >= 1 : not p <= x_i}.  Chambers
     are the maximal chains.  `_chains` steps to any element above, not
-    the top, and refuses a band over the elements cap by its count
-    before any chain is listed.  No expected support lattice is
-    attached: two chains share a support when they absorb each other,
-    and the resulting lattice is coarser than the input lattice in
-    general (for a Boolean lattice the chain band is the band of ordered
-    set partitions, whose support lattice is the partition lattice).
+    the top, once a band over the elements cap is refused by its count.
+    No expected support lattice is attached: two chains share a support
+    when they absorb each other, and the resulting lattice is coarser
+    than the input lattice in general (for a Boolean lattice the chain
+    band is the band of ordered set partitions, whose support lattice
+    is the partition lattice).
     """
     if not isinstance(lattice, DistributiveLattice):
         raise MalformedInputError("needs a DistributiveLattice")
@@ -676,11 +677,20 @@ def _chain_band(poset, guards):
     """The chain band of a bounded Poset, whose chains are counted
     before it is checked to be a DistributiveLattice (unless it is one),
     so a spec over the cap is refused before its join table."""
+    # every element above but the top is a step, up to n^2 / 2 pairs of
+    # a grid, so the count sums bool rows of an object array, in C
+    top = poset.top
     up = poset.leq.copy()
     numpy.fill_diagonal(up, False)
-    up[:, poset.top] = False
-    chains = _chains("distributive_chain_lrb", up, poset.order, poset.bottom,
-                     poset.top, guards.elements_cap)
+    up[:, top] = False
+    count = numpy.zeros(poset.size, dtype=object)
+    for a in reversed(poset.order):
+        count[a] = 1 + count[up[a]].sum()
+    check_counts("distributive_chain_lrb", [count[poset.bottom]],
+                 guards.elements_cap)
+    steps = [sorted(b for b in above if b != a and b != top)
+             for a, above in enumerate(poset.packed.ups)]
+    chains = _chains(steps, poset.bottom, top)
     D = poset if isinstance(poset, DistributiveLattice) else \
         DistributiveLattice(poset.labels, poset.leq, poset.name)
     chains.sort(key=lambda ch: tuple(D.labels[x] for x in ch))

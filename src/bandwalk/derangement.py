@@ -22,12 +22,19 @@ The flag-vector half of the module (flag f and h vectors, the descent
 family identity d(L) = sum of h_J over the family J whose first gap is
 even, and the rank-profile refinement) requires a graded poset.
 
-Every poset here is a `posets.Poset`, which derives its covers, linear
-extension, ranks and Moebius rows once; `from_support_structure` hands
-back the support lattice a band already holds.
+Every poset here is a `posets.Poset`, which derives its linear
+extension, its packed up-sets (`posets.UpSets`) and from them its
+covers, ranks and Moebius rows once; `from_support_structure` hands
+back the support lattice a band already holds.  Nothing here reads the
+order matrix an element at a time: the chain counts follow the up-cover
+lists, the defining recurrence sums over the up list of each X, the
+cover recurrence counts the covers of each Y inside the down list of
+X, the flag counts sum over down lists and `interval` intersects an
+up list with a down list.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import accumulate, combinations, permutations
 
 import numpy as np
@@ -47,7 +54,7 @@ def interval(p, lo, hi):
     if not p.leq[lo, hi]:
         raise PreconditionError(
             f"{p.labels[lo]} is not below {p.labels[hi]} in {p.name}")
-    inside = np.flatnonzero(p.leq[lo] & p.leq[:, hi])
+    inside = sorted(set(p.packed.ups[lo]).intersection(p.packed.downs[hi]))
     name = f"{p.name}[{p.labels[lo]},{p.labels[hi]}]"
     return posets.Poset([p.labels[c] for c in inside],
                         p.leq[np.ix_(inside, inside)], name)
@@ -143,6 +150,8 @@ def contraction_lattice(edges, vertices=None):
         check_counts(f"the graph on {len(verts)} vertices", _bell_numbers(),
                      LATTICE_CAP, len(verts), "set partitions")
 
+    # blocks recur across the partitions, so each is searched once
+    @cache
     def connected(block):
         block = set(block)
         seen = {next(iter(block))}
@@ -211,10 +220,11 @@ def upper_derangements(p):
     multiplicities m_X of the maximal-chain walk.
     """
     cnt = _chains_to_top(p)
+    ups = p.packed.ups
     d = [0] * p.size
     for a in reversed(p.order):
-        # d[a] is still 0, so the up-set of a may include a itself
-        d[a] = cnt[a] - sum(d[b] for b in np.flatnonzero(p.leq[a]).tolist())
+        # d[a] is still 0, so the up list of a may include a itself
+        d[a] = cnt[a] - sum(d[b] for b in ups[a])
     if sum(d) != cnt[p.bottom]:
         raise FalsificationError(
             f"{p.name}: interval derangements do not resum to the "
@@ -232,17 +242,15 @@ def derangement_number(p):
 
     via_moebius = sum(p.moebius(p.bottom, x) * cnt[x] for x in p.order)
 
+    covers, downs = p.covers, p.packed.downs
     low = [0] * p.size
     low[p.bottom] = 1
     for x in p.order:
         if x == p.bottom:
             continue
-        below = set(np.flatnonzero(p.leq[:, x]).tolist())
-        total = 0
-        for y in below - {x}:
-            c = sum(1 for z in p.covers[y] if z in below)
-            total += (c - 1) * low[y]
-        low[x] = total
+        below = set(downs[x])
+        low[x] = sum((len(below.intersection(covers[y])) - 1) * low[y]
+                     for y in downs[x] if y != x)
     via_covers = low[p.top]
 
     if not via_recurrence == via_moebius == via_covers:
@@ -293,7 +301,7 @@ def flag_vectors(p):
     exclusion transform, re-checked against f before returning.
     """
     n = p.n
-    leq = p.leq.tolist()
+    downs = p.packed.downs
     by_rank = {}
     for x in range(p.size):
         by_rank.setdefault(p.rank[x], []).append(x)
@@ -305,7 +313,7 @@ def flag_vectors(p):
             continue
         acc = {x: 1 for x in by_rank.get(j_set[0], ())}
         for j in j_set[1:]:
-            acc = {y: sum(c for x, c in acc.items() if leq[x][y])
+            acc = {y: sum(acc[x] for x in downs[y] if x in acc)
                    for y in by_rank.get(j, ())}
         f[j_set] = sum(acc.values())
 

@@ -1,24 +1,50 @@
 """Finite partial orders, and the enumeration of set partitions.
 
-A partial order on the ids 0..n-1 has one form: a square, C-contiguous
-numpy bool array ``leq``, ``leq[a, b]`` meaning a <= b.  A bounded
-poset has one type, `Poset`: the support lattices, the expected
+A partial order on the ids 0..n-1 is given as a square, C-contiguous
+numpy bool array ``leq``, ``leq[a, b]`` meaning a <= b: the constructor
+argument of every order, and the form that array readers use.  A
+bounded poset has one type, `Poset`: the support lattices, the expected
 lattices, the derangement posets and the distributive lattices are all
 Posets.  This module is the one place that derives anything from an
-order, by array expressions or one numpy step per element: validity
-with the first witness (`check_partial_order`), the one transitive
-closure (`order_from_covers`), the inclusion and refinement orders,
+order.
+
+Everything past a bottom, a top and a linear extension (each one array
+expression) is read from one packed form, `UpSets`, taken off ``leq``
+by one `np.packbits` pass with the columns in linear-extension order:
+the up-set of each id as uint64 words and as a Python int, and, on
+first read, the ids above and below each id as lists, each cut from one
+np.nonzero of the order.  Bit i of the up-set of a stands for
+the i-th id of the linear extension, so everything above a comes after
+a's own bit.  From it, with no numpy call per element:
+
+- `covers_of`, the up-covers: the lowest set bit of the strict up-set
+  of a is a cover, and dropping the up-set of each cover found leaves
+  the next one lowest;
+- `rank_function`, along the covers;
+- `moebius_row`, mu(a, b) = -(sum of mu(a, z) over the z of the down
+  list of b already in row a), b along the up list of a;
+- `join_table`, the lowest set bit of up(a) & up(b), a block of rows
+  of words at a time, certified by up(join) == up(a) & up(b): the least
+  upper bound comes first among the upper bounds in any linear
+  extension, and the certificate fails exactly when there is no join;
+- `check_partial_order`, which runs before any order is trusted:
+  transitivity as the OR of the up-sets of up(a) being up(a), over the
+  up-sets as Python ints in id order.
+
+The inclusion and refinement orders come from holder masks: the items
+holding each point (the pairs of points sharing a block, for
+partitions) as a Python int, and up(a) is the AND of the holder masks
+of a's points.  The one transitive closure (`order_from_covers`) and
 the lattice of flats of a closure system (`flat_lattice`, whose covers
-and ranks come from the system's ranks), the cover
-matrix (`covers_of`, over up-sets packed into words), a linear
-extension, bottom and top, the join table (an int array of ids), the
-join-irreducibles, ranks (one step per cover, in Python ints) and rows
-of the Moebius function, whose values stay Python ints.  Set
-partitions live here too: their enumeration and the refinement order.
+and ranks come from the system's ranks) live here too, and so do set
+partitions: their enumeration and labels.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate, pairwise
+from operator import or_
 
 import numpy as np
 
@@ -28,6 +54,9 @@ from .errors import (AxiomViolationError, MalformedInputError,
 # the most elements a lattice factory or a cover list builds; its leq
 # matrix has the square of that many entries
 LATTICE_CAP = 4096
+
+# the most uint64 words one block of the join table reads at a time
+JOIN_BLOCK_WORDS = 1 << 16
 
 
 def _two_way_pair(leq):
@@ -39,12 +68,66 @@ def _two_way_pair(leq):
     return tuple(map(int, pairs[0])) if len(pairs) else None
 
 
+def _packed(rows):
+    """The bool matrix `rows` packed 64 columns to a uint64 word."""
+    n, m = rows.shape
+    words = np.zeros((n, -(-m // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, :-(-m // 8)] = np.packbits(rows, axis=1,
+                                                       bitorder="little")
+    return words
+
+
+def _row_ints(words):
+    """Each row of a packed matrix as a Python int, its first column
+    the lowest bit."""
+    raw = words.tobytes()
+    width = words.shape[1] * words.itemsize
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
+            for i in range(len(words))]
+
+
+def _split(flat, counts):
+    """The list `flat` cut into consecutive runs of the given lengths."""
+    return [flat[s:e] for s, e in pairwise(accumulate(counts, initial=0))]
+
+
+class UpSets:
+    """An order packed by up-sets, with its bits in the order `order`, a
+    permutation of the ids: `words[a]`, the up-set of a as uint64 words
+    with bit i set when a <= order[i], from one packbits pass, and
+    `masks[a]`, the same bits as a Python int; then, on first read,
+    `ups[a]` and `downs[a]`, the ids above and below a (a itself
+    included) in the order of `order`, each list cut from one np.nonzero
+    of the order."""
+
+    def __init__(self, leq, order):
+        self.order = list(order)
+        self._leq = leq
+        self._ids = np.asarray(self.order, dtype=np.intp)
+        self.words = _packed(leq.take(self._ids, axis=1))
+        self.masks = _row_ints(self.words)
+
+    @cached_property
+    def ups(self):
+        cols = self._leq.take(self._ids, axis=1)
+        return _split(self._ids[np.nonzero(cols)[1]].tolist(),
+                      self._leq.sum(1, dtype=np.int32).tolist())
+
+    @cached_property
+    def downs(self):
+        rows = self._leq.take(self._ids, axis=0)
+        return _split(self._ids[np.nonzero(rows.T)[1]].tolist(),
+                      self._leq.sum(0, dtype=np.int32).tolist())
+
+
 def check_partial_order(leq):
     """Raise unless leq is reflexive, antisymmetric and transitive.
 
     The witness is the first element off the diagonal, the first
     two-way pair in row-major order, or the lexicographically first
-    (a, b, c) with a <= b <= c and not a <= c.
+    (a, b, c) with a <= b <= c and not a <= c: transitivity asks that
+    up(b) lie inside up(a) for every b in up(a), that is, that the OR of
+    the up-sets of up(a), Python ints in id order, be up(a).
     """
     loose = np.flatnonzero(~leq.diagonal())
     if len(loose):
@@ -53,13 +136,17 @@ def check_partial_order(leq):
     pair = _two_way_pair(leq)
     if pair is not None:
         raise AxiomViolationError("order not antisymmetric", witness=pair)
-    for a, row in enumerate(leq):
-        # everything above something above a must be above a
-        if (leq[row].any(0) & ~row).any():
-            i, c = np.argwhere(leq[row] & ~row)[0]
-            b = np.flatnonzero(row)[i]
+    masks = _row_ints(_packed(leq))
+    ups = _split(np.nonzero(leq)[1].tolist(),
+                 leq.sum(1, dtype=np.int32).tolist())
+    for a, up in enumerate(ups):
+        if reduce(or_, map(masks.__getitem__, up)) != masks[a]:
+            outside = ~masks[a]
+            b = next(b for b in up if masks[b] & outside)
+            beyond = masks[b] & outside
+            c = (beyond & -beyond).bit_length() - 1
             raise AxiomViolationError("order not transitive",
-                                      witness=(a, int(b), int(c)))
+                                      witness=(a, b, c))
 
 
 def order_from_covers(labels, pairs):
@@ -95,62 +182,53 @@ def order_from_covers(labels, pairs):
     return leq
 
 
-def _packed(rows):
-    """The bool matrix `rows` packed 64 columns to a uint64 word."""
-    words = np.packbits(rows, axis=1, bitorder="little")
-    return np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+def _holder_order(holds, needs):
+    """The order on the items 0..n-1, n = len(holds), in which up(a) is
+    the AND over the keys k of needs[a] of the holder mask of k, the
+    items b whose holds[b] has k, a Python int.  Every key needed is
+    held by its own item, and an item that needs no key lies below
+    all."""
+    holders = {}
+    for b, keys in enumerate(holds):
+        bit = 1 << b
+        for k in keys:
+            holders[k] = holders.get(k, 0) | bit
+    n = len(holds)
+    width = (n + 7) // 8
+    ups = []
+    for keys in needs:
+        up = (1 << n) - 1
+        for k in keys:
+            up &= holders[k]
+        ups.append(up.to_bytes(width, "little"))
+    rows = np.frombuffer(b"".join(ups), dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(rows, axis=1, count=n,
+                         bitorder="little").view(bool)
 
 
 def inclusion_order(sets):
-    """Sets ordered by inclusion: a <= b when no point of a lies outside
-    b, that is, when a & ~b is zero in every word of their point sets
-    packed 64 to a word, a block of rows at a time."""
-    index = {}
-    for members in sets:
-        for x in members:
-            index.setdefault(x, len(index))
-    inc = np.zeros((len(sets), len(index)), dtype=bool)
-    for i, members in enumerate(sets):
-        inc[i, [index[x] for x in members]] = True
-    n = len(sets)
-    leq = np.ones((n, n), dtype=bool)
-    rows = max(1, (1 << 18) // max(n, 1))
-    for word in _packed(inc).T:
-        outside = ~word
-        for s in range(0, n, rows):
-            leq[s:s + rows] &= (word[s:s + rows, None] & outside) == 0
-    return leq
+    """Sets ordered by inclusion: up(a), the sets holding a, is the AND
+    of the holder masks of a's points."""
+    return _holder_order(sets, sets)
 
 
 def refinement_order(parts):
     """Set partitions, each a sequence of blocks, ordered by refinement:
-    leq[a, b] when every block of parts[a] lies inside a block of
-    parts[b], that is, when every pair of points sharing a block of
-    parts[a] shares one of parts[b], the inclusion of those pair sets."""
-    return inclusion_order([[(x, y) for block in p for x in block
-                             for y in block if x != y] for p in parts])
-
-
-def covers_of(leq):
-    """Cover matrix: cover[a, b] iff a < b with nothing strictly between.
-
-    The strict up-sets are packed 64 to a word, so that the elements
-    above something above a, the OR of the up-sets of everything above
-    a, read n / 64 words a row."""
-    n = len(leq)
-    strict = leq & ~np.eye(n, dtype=bool)
-    words = _packed(strict)
-    beyond = np.zeros_like(words)
-    for a, up in enumerate(strict):
-        np.bitwise_or.reduce(words[up], axis=0, out=beyond[a])
-    return strict & ~np.unpackbits(beyond.view(np.uint8), axis=1, count=n,
-                                   bitorder="little").astype(bool)
+    a <= b when every block of a lies inside a block of b, that is, when
+    b puts the first point of each block of a together with each other
+    point of it.  The holder mask of a pair of points is the partitions
+    that share a block between them."""
+    holds = [[(x, y) for block in p for x in block for y in block if x != y]
+             for p in parts]
+    needs = [[(block[0], y) for block in p for y in block[1:]]
+             for p in parts]
+    return _holder_order(holds, needs)
 
 
 def linear_extension(leq):
     """Ids by the number of elements below them, ties by id, so that
     smaller elements come first."""
-    return np.argsort(leq.sum(0), kind="stable").tolist()
+    return np.argsort(leq.sum(0, dtype=np.int32), kind="stable").tolist()
 
 
 def bottom_of(leq):
@@ -163,63 +241,93 @@ def top_of(leq):
     return int(ids[0]) if len(ids) == 1 else None
 
 
-def join_table(leq):
-    """Least-upper-bound table, or raise at the first pair (a, b), a <= b
-    as ids, that has no join.
+def covers_of(packed):
+    """The up-cover lists, covers[a] the ids that cover a, ascending, of
+    an order packed in a linear extension (`UpSets`).
 
-    Of the common upper bounds, the least one, if any, has the largest
-    up-set, so that one is taken and checked to lie below all the
-    others.
+    The lowest bit of the strict up-set of a is a minimal element above
+    a, a cover; dropping the up-set of each cover found leaves the next
+    minimal element lowest, so each cover costs one AND of words."""
+    order, masks = packed.order, packed.masks
+    covers = []
+    for m in masks:
+        rest = m & (m - 1)      # a's own bit is the lowest of its up-set
+        found = []
+        while rest:
+            c = order[(rest & -rest).bit_length() - 1]
+            found.append(c)
+            rest &= ~masks[c]
+        covers.append(sorted(found))
+    return covers
+
+
+def join_table(packed):
+    """Least-upper-bound table, or raise at the first pair (a, b), a <= b
+    as ids, that has no join, of an order packed in a linear extension.
+
+    The least upper bound comes first among the upper bounds in a linear
+    extension, so the join of a and b is the lowest set bit of up(a) &
+    up(b), certified by up(join) == up(a) & up(b); with no join, the
+    lowest common upper bound, or the last id when there is none, fails
+    the certificate.  Rows a..a + k - 1 are read against the ids from a
+    on, at most JOIN_BLOCK_WORDS words a block.
     """
-    n = len(leq)
-    height = leq.sum(1)
+    words = packed.words
+    order = np.asarray(packed.order, dtype=np.int64)
+    n, width = words.shape
     join = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        ubs = leq[a:] & leq[a]            # row i: upper bounds of a, a + i
-        best = np.where(ubs, height, -1).argmax(1)
-        ok = ubs[np.arange(n - a), best] & ~(ubs & ~leq[best]).any(1)
+    step = max(1, JOIN_BLOCK_WORDS // max(1, n * width))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        common = words[s:e, None] & words[None, s:]
+        first = (common != 0).argmax(2)[..., None]
+        word = np.take_along_axis(common, first, 2)[..., 0]
+        low = word & (~word + np.uint64(1))
+        # the exponent of a power of two, exact in a float64
+        bit = np.frexp(low.astype(np.float64))[1] - 1
+        best = order[first[..., 0] * 64 + bit]
+        ok = (words[best] == common).all(2)
         if not ok.all():
+            # (a, b) fails exactly when (b, a) does, so the first
+            # failure in row-major order has a <= b
+            i, j = np.argwhere(~ok)[0].tolist()
             raise AxiomViolationError("pair has no unique join",
-                                      witness=(a, a + int(ok.argmin())))
-        join[a, a:] = join[a:, a] = best
+                                      witness=(s + i, s + j))
+        join[s:e, s:] = best
+        join[s:, s:e] = best.T
     return join
 
 
-def rank_function(cover, order):
+def rank_function(covers, order):
     """Ranks if the poset is graded, else None.
 
     The rank of an element is the length of the longest chain of covers
-    up to it, read along the linear extension `order` from the lists of
-    lower covers; graded means every cover raises it by exactly one.
+    up to it, read along the linear extension `order` from the up-cover
+    lists; graded means every cover raises it by exactly one.
     """
-    lo, hi = np.nonzero(cover)
-    below = [[] for _ in order]
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        below[b].append(a)
     rank = [0] * len(order)
-    for b in order:
-        if below[b]:
-            rank[b] = max(rank[a] for a in below[b]) + 1
-    graded = (np.take(rank, hi) == np.take(rank, lo) + 1).all()
+    for a in order:
+        up = rank[a] + 1
+        for c in covers[a]:
+            if rank[c] < up:
+                rank[c] = up
+    graded = all(rank[c] == rank[a] + 1
+                 for a in order for c in covers[a])
     return rank if graded else None
 
 
-def moebius_row(leq, order, a):
+def moebius_row(packed, a):
     """mu(a, b) for every b >= a, as a dict b -> mu(a, b) in the order
-    of the linear extension `order`.
+    of the linear extension.
 
-    mu(a, a) = 1 and mu(a, b) = -(sum of mu(a, z) over a <= z < b); the
-    values are Python ints.
+    mu(a, a) = 1 and mu(a, b) = -(sum of mu(a, z) over a <= z < b): the
+    z of the down list of b already in the row, since every such z
+    comes before b; the values are Python ints.
     """
-    up = leq[a]
-    mu = {}
-    for b in np.asarray(order)[up[order]].tolist():
-        if b == a:
-            mu[b] = 1
-            continue
-        inside = up & leq[:, b]
-        inside[b] = False
-        mu[b] = -sum(mu[z] for z in np.flatnonzero(inside).tolist())
+    up, downs = packed.ups[a], packed.downs
+    mu = {a: 1}
+    for b in up[1:]:
+        mu[b] = -sum(mu[z] for z in downs[b] if z in mu)
     return mu
 
 
@@ -228,11 +336,14 @@ class Poset:
     """A finite poset with a bottom and a top: the label of each id,
     the order `leq` and a name for errors.  Building one finds the
     bottom and the top and runs `check`; the rest is derived on first
-    read, once: the cover matrix `cover`, the up-cover lists `covers`
-    (covers[a] the ids that cover a, ascending), the join-irreducibles
-    `join_irreducibles`, a linear extension `order`, `rank` (None unless
-    graded), the `join` table, the Moebius rows and the label index of
-    `index_of`.
+    read, once: a linear extension `order`, the packed form `packed`
+    (`UpSets`: up-set words and masks in the bits of `order`, up and
+    down lists), and from it the up-cover lists `covers` (covers[a] the
+    ids that cover a, ascending, off the masks), the join-irreducibles
+    `join_irreducibles` and `rank` (None unless graded), both along the
+    covers, the `join` table (off the words, each entry certified by
+    up(join) == up(a) & up(b)) and the Moebius rows (off the up and down
+    lists); and the label index of `index_of`.
     """
 
     labels: tuple
@@ -286,40 +397,43 @@ class Poset:
         return self.rank[self.top]
 
     @cached_property
-    def cover(self):
-        return covers_of(self.leq)
+    def order(self):
+        return linear_extension(self.leq)
+
+    @cached_property
+    def packed(self):
+        return UpSets(self.leq, self.order)
+
+    @cached_property
+    def covers(self):
+        return covers_of(self.packed)
 
     @cached_property
     def join_irreducibles(self):
         """The ids with exactly one lower cover, ascending: in a lattice,
         the join-irreducibles."""
-        return np.flatnonzero(self.cover.sum(0) == 1)
-
-    @cached_property
-    def covers(self):
-        return [np.flatnonzero(row).tolist() for row in self.cover]
-
-    @cached_property
-    def order(self):
-        return linear_extension(self.leq)
+        lower = np.bincount(
+            np.array([c for up in self.covers for c in up], dtype=np.intp),
+            minlength=self.size)
+        return np.flatnonzero(lower == 1)
 
     @cached_property
     def rank(self):
-        return rank_function(self.cover, self.order)
+        return rank_function(self.covers, self.order)
 
     @cached_property
     def join(self):
-        return join_table(self.leq)
+        return join_table(self.packed)
 
     def moebius(self, a, b):
         """The Moebius function, 0 unless a <= b; row a is read once."""
         if a not in self._mu:
-            self._mu[a] = moebius_row(self.leq, self.order, a)
+            self._mu[a] = moebius_row(self.packed, a)
         return self._mu[a].get(b, 0)
 
     def coatoms(self):
         """The ids covered by the top."""
-        return np.flatnonzero(self.cover[:, self.top]).tolist()
+        return [a for a, up in enumerate(self.covers) if self.top in up]
 
     @cached_property
     def _index(self):
@@ -340,14 +454,23 @@ def flat_lattice(system, name):
     A lattice of flats is graded by the rank of the system, so its
     ranks are the system's ranks of the flats and G is covered by F
     exactly when G < F and rank F = rank G + 1: both are read that way,
-    not derived from the order by `covers_of` and `rank_function`."""
+    not derived from the order by `covers_of` and `rank_function`.  The
+    flats of each rank are a run of ids, so the covers of the flats of
+    one rank are read off one block of the order."""
     flats = system.flats()
     leq = inclusion_order(flats)
     lattice = Poset([system.flat_label(f) for f in flats], leq, name)
-    rank = np.array([system.rank(f) for f in flats])
+    rank = [system.rank(f) for f in flats]
+    # the flats of rank r are the ids first[r] to first[r + 1] - 1
+    first = [bisect_left(rank, r) for r in range(rank[-1] + 3)]
+    covers = []
+    for lo, mid, hi in zip(first, first[1:], first[2:]):
+        block = leq[lo:mid, mid:hi]
+        covers += _split((np.nonzero(block)[1] + mid).tolist(),
+                         block.sum(1).tolist())
     # filled in place of the derived cached properties
-    lattice.rank = rank.tolist()
-    lattice.cover = leq & (rank[:, None] + 1 == rank)
+    lattice.rank = rank
+    lattice.covers = covers
     return lattice
 
 

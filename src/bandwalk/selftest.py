@@ -339,11 +339,21 @@ def derangement_corpus(_guards=DEFAULT_GUARDS):
         pool = list(combinations(vertices, 2))
         for r in range(len(pool) + 1):
             for edges in combinations(pool, r):
-                p = derangement.contraction_lattice(edges, vertices)
-                # the top is the partition into connected components
-                if "/" not in p.labels[p.top]:
-                    out.append(p)
+                # the top of a contraction lattice is the partition into
+                # connected components, one block for a connected graph
+                if _connected(vertices, edges):
+                    out.append(derangement.contraction_lattice(edges,
+                                                               vertices))
     return out
+
+
+def _connected(vertices, edges):
+    """Whether every vertex is reached from the first along the edges."""
+    reached = {vertices[0]}
+    for _ in vertices:
+        reached.update(v for e in edges if reached.intersection(e)
+                       for v in e)
+    return len(reached) == len(vertices)
 
 
 def criterion_6(_guards=DEFAULT_GUARDS):

@@ -254,7 +254,6 @@ def spectrum(structure, w):
     Moebius-inverted multiplicities are re-summed against Eq-style
     partial sums, and negatives are rejected.
     """
-    leq = structure.leq.tolist()
     f = structure.n_flats
     chambers = structure.chambers
 
@@ -272,12 +271,12 @@ def spectrum(structure, w):
                     "chamber count over an anchor depends on the anchor",
                     witness=(x, anchor))
 
+    ups = structure.packed.ups
     mult = [0] * f
     for x in range(f):
-        mult[x] = sum(structure.moebius(x, y) * c_count[y]
-                      for y in range(f) if leq[x][y])
+        mult[x] = sum(structure.moebius(x, y) * c_count[y] for y in ups[x])
     for x in range(f):
-        back = sum(mult[y] for y in range(f) if leq[x][y])
+        back = sum(mult[y] for y in ups[x])
         if back != c_count[x]:
             raise FalsificationError(
                 "multiplicities do not re-sum to chamber counts",

@@ -2,12 +2,13 @@
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import numpy
 import pytest
 
 from bandwalk import derangement as der
-from bandwalk import constructions, core, matroid, posets
+from bandwalk import constructions, core, matroid, posets, selftest
 from bandwalk.errors import (MalformedInputError, PreconditionError,
                              SizeGuardError)
 
@@ -149,7 +150,7 @@ def test_top_h_entry_is_the_moebius_value():
               der.subspace_lattice(2, 2)):
         fv = der.flag_vectors(p)
         full = tuple(range(1, p.n))
-        mu = posets.moebius_row(p.leq, p.order, p.bottom)
+        mu = posets.moebius_row(p.packed, p.bottom)
         assert fv.h[full] == (-1) ** p.n * mu[p.top]
 
 
@@ -232,3 +233,22 @@ def test_graded_poset_needs_bounds():
     leq = numpy.eye(2, dtype=bool)
     with pytest.raises(MalformedInputError, match="antichain lacks"):
         posets.Poset(["a", "b"], leq, "antichain")
+
+
+def test_the_corpus_builds_only_the_connected_graphs():
+    # every graph on 1..4 vertices whose contraction lattice has a
+    # one-block top, the lattices built for all 75 graphs and filtered,
+    # against the corpus that skips a disconnected graph unbuilt
+    want = []
+    for nv in range(1, 5):
+        vertices = list(range(1, nv + 1))
+        pool = list(combinations(vertices, 2))
+        for r in range(len(pool) + 1):
+            for edges in combinations(pool, r):
+                p = der.contraction_lattice(edges, vertices)
+                if "/" not in p.labels[p.top]:
+                    want.append(p)
+    corpus = selftest.derangement_corpus()
+    assert len(corpus) == 62
+    assert [(p.name, p.labels, p.leq.tolist()) for p in corpus[-len(want):]] \
+        == [(p.name, p.labels, p.leq.tolist()) for p in want]

@@ -1,7 +1,9 @@
-"""The array derivations of `posets` against the list loops they replaced."""
+"""The derivations of `posets`, read from packed up-sets, against the
+list loops they replaced."""
 
 import random
 import time
+from unittest import mock
 
 import numpy
 import pytest
@@ -125,6 +127,11 @@ def _ref_closure(labels, pairs):
     return leq
 
 
+def _up_sets(leq):
+    """The packed form of an order, bits in its linear extension."""
+    return posets.UpSets(leq, posets.linear_extension(leq))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -191,16 +198,14 @@ def test_validity_reports_the_reference_witness(leq):
 def test_derivations_match_the_reference_loops(leq):
     lists = leq.tolist()
     posets.check_partial_order(leq)
-    cover = posets.covers_of(leq)
-    assert [numpy.flatnonzero(row).tolist() for row in cover] \
-        == _ref_covers_of(lists)
+    assert posets.covers_of(_up_sets(leq)) == _ref_covers_of(lists)
     assert posets.linear_extension(leq) == _ref_linear_extension(lists)
     # meets are the joins of the dual order
     for order, flip in ((leq, False),
                         (numpy.ascontiguousarray(leq.T), True)):
         ref = [list(col) for col in zip(*lists)] if flip else lists
         want = _outcome(_ref_join_table, ref)
-        got = _outcome(posets.join_table, order)
+        got = _outcome(posets.join_table, _up_sets(order))
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -232,14 +237,74 @@ def _boolean_order(k):
     _random_order(130, 3), _boolean_order(7)],
     ids=["63", "64", "65", "130", "B7"])
 def test_covers_and_ranks_past_one_word_match_the_reference(leq):
-    # covers_of packs each up-set 64 ids to a word: orders of more than
-    # one word, and of sizes on both sides of a word boundary
+    # the up-sets are packed 64 ids to a word: orders of more than one
+    # word, and of sizes on both sides of a word boundary
     lists = leq.tolist()
-    cover = posets.covers_of(leq)
-    assert [numpy.flatnonzero(row).tolist() for row in cover] \
-        == _ref_covers_of(lists)
-    assert posets.rank_function(cover, posets.linear_extension(leq)) \
+    covers = posets.covers_of(_up_sets(leq))
+    assert covers == _ref_covers_of(lists)
+    assert posets.rank_function(covers, posets.linear_extension(leq)) \
         == _ref_rank(lists)
+
+
+@hs.composite
+def wide_orders(draw):
+    """A random order on 65 to 144 ids, so that every up-set spans two or
+    three words: the closure of a random DAG, maybe with a bottom and a
+    top adjoined, or a grid, a lattice; the ids shuffled and up to two
+    cells off the diagonal toggled afterwards."""
+    rng = random.Random(draw(hs.integers(0, 2 ** 32 - 1)))
+    kind = draw(hs.sampled_from(["dag", "bounded", "grid"]))
+    if kind == "grid":
+        p = draw(hs.integers(4, 11))
+        q = draw(hs.integers(-(-65 // (p + 1)) - 1, 144 // (p + 1) - 1))
+        i, j = numpy.divmod(numpy.arange((p + 1) * (q + 1)), q + 1)
+        leq = (i[:, None] <= i) & (j[:, None] <= j)
+    else:
+        n = draw(hs.integers(65, 142))
+        chance = draw(hs.sampled_from([0.01, 0.04, 0.15]))
+        leq = numpy.eye(n, dtype=bool)
+        for a in range(n):
+            for b in range(a + 1, n):
+                leq[a, b] = rng.random() < chance
+        if kind == "bounded":
+            leq[0] = leq[:, -1] = True
+        for k in range(n):
+            leq[leq[:, k]] |= leq[k]
+    perm = list(range(len(leq)))
+    rng.shuffle(perm)
+    leq = numpy.ascontiguousarray(leq[numpy.ix_(perm, perm)])
+    for _ in range(draw(hs.sampled_from([0, 0, 1, 2]))):
+        a, b = rng.sample(range(len(leq)), 2)
+        leq[a, b] = not leq[a, b]
+    return leq
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_orders(), hs.sampled_from([1, 5, 64, posets.JOIN_BLOCK_WORDS]),
+       hs.randoms(use_true_random=False))
+def test_the_reference_oracles_hold_past_one_word(leq, block, rng):
+    # every derivation read from the packed up-sets, on orders whose
+    # up-sets span several words; the join table a block of rows at a
+    # time, with blocks of one row up to all of them
+    lists = leq.tolist()
+    want = _outcome(_ref_check_partial_order, lists)
+    assert _outcome(posets.check_partial_order, leq) == want
+    if want is not None:
+        return
+    packed = _up_sets(leq)
+    covers = posets.covers_of(packed)
+    assert covers == _ref_covers_of(lists)
+    assert posets.rank_function(covers, packed.order) == _ref_rank(lists)
+    for a in rng.sample(range(len(leq)), 3):
+        row = posets.moebius_row(packed, a)
+        assert list(row.items()) == list(_ref_moebius_row(lists, a).items())
+    with mock.patch.object(posets, "JOIN_BLOCK_WORDS", block):
+        got = _outcome(posets.join_table, packed)
+    want = _outcome(_ref_join_table, lists)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.tolist() == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,8 +349,11 @@ def test_the_support_lattice_is_the_poset_built_afresh(build):
     fresh = posets.Poset(st.labels, st.leq.copy(), "fresh")
     for name in ("labels", "bottom", "top", "covers", "order", "rank"):
         assert getattr(p, name) == getattr(fresh, name), name
-    for name in ("leq", "cover", "join"):
+    for name in ("leq", "join"):
         assert numpy.array_equal(getattr(p, name), getattr(fresh, name))
+    for name in ("order", "masks", "ups", "downs"):
+        assert getattr(p.packed, name) == getattr(fresh.packed, name), name
+    assert numpy.array_equal(p.packed.words, fresh.packed.words)
     pairs = [(a, b) for a in range(p.size) for b in range(p.size)]
     assert [p.moebius(a, b) for a, b in pairs] \
         == [fresh.moebius(a, b) for a, b in pairs]
@@ -351,14 +419,74 @@ def test_refinement_is_block_containment():
 
 @settings(max_examples=100, deadline=None)
 @given(hs.lists(hs.frozensets(hs.integers(0, 150), max_size=40),
-                max_size=12),
+                max_size=90),
        hs.integers(0, 3))
 def test_inclusion_is_the_frozenset_order_across_words(sets, blank):
-    # points past one word of 64, and empty sets
+    # holder masks of more than one word of 64 sets, points past 64,
+    # and empty sets
     sets = sets + [frozenset()] * blank
     leq = posets.inclusion_order(sets)
     assert leq.dtype == bool and leq.shape == (len(sets), len(sets))
     assert leq.tolist() == [[a <= b for b in sets] for a in sets]
+
+
+@hs.composite
+def partitions_of_one_set(draw):
+    """Up to 90 set partitions of one set of up to 8 points, each a list
+    of blocks in a drawn order, each block a list in a drawn order."""
+    points = draw(hs.lists(hs.integers(0, 300), unique=True, max_size=8))
+    parts = []
+    for _ in range(draw(hs.integers(0, 90))):
+        tags = draw(hs.lists(hs.integers(0, 3), min_size=len(points),
+                             max_size=len(points)))
+        blocks = {}
+        for x, t in zip(draw(hs.permutations(points)), tags):
+            blocks.setdefault(t, []).append(x)
+        parts.append(draw(hs.permutations(list(blocks.values()))))
+    return parts
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_of_one_set())
+def test_refinement_is_the_frozenset_order(parts):
+    # a <= b when every block of a, as a frozenset, lies inside one of b
+    leq = posets.refinement_order(parts)
+    assert leq.dtype == bool and leq.shape == (len(parts), len(parts))
+    blocks = [[frozenset(block) for block in p] for p in parts]
+    assert leq.tolist() == [[all(any(x <= y for y in b) for x in a)
+                             for b in blocks] for a in blocks]
+
+
+def _brute_derangements(leq, top):
+    """d([x, top]) for every x by the defining recurrence: the maximal
+    chains of [x, top], each listed along the covers, less d([y, top])
+    over every y > x."""
+    covers = _ref_covers_of(leq)
+
+    def chains(x):
+        return [[x]] if x == top else \
+            [[x] + rest for y in covers[x] for rest in chains(y)]
+
+    d = {}
+
+    def value(x):
+        if x not in d:
+            d[x] = len(chains(x)) - sum(
+                value(y) for y in range(len(leq)) if leq[x][y] and y != x)
+        return d[x]
+
+    return [value(x) for x in range(len(leq))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_dags())
+def test_the_derangement_routes_agree_with_the_brute_recurrence(leq):
+    # derangement_number raises unless its three routes agree; the
+    # value and the interval values are those of the recurrence
+    p = posets.Poset([f"v{i}" for i in range(len(leq))], leq, "dag")
+    want = _brute_derangements(leq.tolist(), p.top)
+    assert derangement.upper_derangements(p) == want
+    assert derangement.derangement_number(p) == want[p.bottom]
 
 
 def test_oversized_cover_lists_are_refused_before_allocating():
