@@ -158,11 +158,16 @@ class Semigroup:
         return sg
 
     def to_json_dict(self):
+        """The band as a JSON tree for `serialize.dump_json`: its label,
+        element keys and identity, and the Cayley table as the int32
+        array `tabulate` returns (subject to the default guards), which
+        the writer renders as nested lists without a Python int per
+        cell; `from_json_dict` reads the tree back."""
         return {
             "label": self.label,
             "elements": list(self.keys),
             "identity": self.identity,
-            "table": self.id_lists(self.tabulate()),
+            "table": self.tabulate(),
         }
 
     @classmethod
@@ -348,7 +353,8 @@ class SupportStructure(posets.Poset):
     def to_json_dict(self):
         return {
             "flats": list(self.labels),
-            "leq": self.leq.astype(int).tolist(),
+            # the bool order as the integers 0 and 1, not copied
+            "leq": self.leq.view(np.uint8),
             "supp": list(self.supp),
             "chambers": list(self.chambers),
         }

@@ -12,11 +12,17 @@ flats of a matroid the interval values d([X, top]) are exactly the
 eigenvalue multiplicities of the maximal-chain random walk, which is
 why the module exposes them separately.
 
-Three independent computations of d(L) are run on every call: the
-defining recurrence, the Moebius-inversion sum, and the sign-free
-cover recurrence d(L) = sum over X < top of (c(X) - 1) d([bottom, X]).
+Three independent computations of d(L) are run: the defining
+recurrence, the Moebius-inversion sum, and the sign-free cover
+recurrence d(L) = sum over X < top of (c(X) - 1) d([bottom, X]).
 They are provably equal, so any disagreement is raised as a
 falsification rather than returned.
+
+The chain counts, the interval derangements, the three-route check and
+the flag vectors call on one another, so each is computed once per
+poset and kept on it (`Poset.derived`), as a tuple, an int or a
+FlagVectors that only this module reads; the public functions hand out
+fresh lists and dicts.
 
 The flag-vector half of the module (flag f and h vectors, the descent
 family identity d(L) = sum of h_J over the family J whose first gap is
@@ -200,7 +206,7 @@ def poset_from_json(obj):
 
 def maximal_chain_count(p):
     """Number of maximal chains of a bounded poset, graded or not."""
-    return _chains_to_top(p)[p.bottom]
+    return p.derived(_chains_to_top)[p.bottom]
 
 
 def _chains_to_top(p):
@@ -210,16 +216,21 @@ def _chains_to_top(p):
     for a in reversed(p.order):
         if a != p.top:
             cnt[a] = sum(cnt[b] for b in p.covers[a])
-    return cnt
+    return tuple(cnt)
 
 
 def upper_derangements(p):
-    """d([X, top]) for every X, via the defining recurrence.
+    """d([X, top]) for every X, via the defining recurrence, as a new
+    list.
 
     For the lattice of flats of a matroid these are the eigenvalue
     multiplicities m_X of the maximal-chain walk.
     """
-    cnt = _chains_to_top(p)
+    return list(p.derived(_upper_derangements))
+
+
+def _upper_derangements(p):
+    cnt = p.derived(_chains_to_top)
     ups = p.packed.ups
     d = [0] * p.size
     for a in reversed(p.order):
@@ -229,7 +240,7 @@ def upper_derangements(p):
         raise FalsificationError(
             f"{p.name}: interval derangements do not resum to the "
             "maximal-chain count")
-    return d
+    return tuple(d)
 
 
 def derangement_number(p):
@@ -237,8 +248,12 @@ def derangement_number(p):
 
     Accepts any bounded poset; gradedness is not required here.
     """
-    cnt = _chains_to_top(p)
-    via_recurrence = upper_derangements(p)[p.bottom]
+    return p.derived(_derangement_number)
+
+
+def _derangement_number(p):
+    cnt = p.derived(_chains_to_top)
+    via_recurrence = p.derived(_upper_derangements)[p.bottom]
 
     via_moebius = sum(p.moebius(p.bottom, x) * cnt[x] for x in p.order)
 
@@ -298,8 +313,14 @@ def flag_vectors(p):
 
     f_J is the number of chains hitting exactly the ranks in J (the
     bottom and top are not part of the flag); h is the inclusion-
-    exclusion transform, re-checked against f before returning.
+    exclusion transform, re-checked against f before returning.  The
+    dicts are new on every call.
     """
+    fv = p.derived(_flag_vectors)
+    return FlagVectors(fv.n, dict(fv.f), dict(fv.h))
+
+
+def _flag_vectors(p):
     n = p.n
     downs = p.packed.downs
     by_rank = {}
@@ -336,7 +357,7 @@ def first_gap(j_set):
 
 def stanley_identity_check(p):
     """(d(L), sum of h_J over J with even first gap, agreement flag)."""
-    fv = flag_vectors(p)
+    fv = p.derived(_flag_vectors)
     total = sum(hv for j_set, hv in fv.h.items()
                 if first_gap(j_set) % 2 == 0)
     d = derangement_number(p)
@@ -367,8 +388,8 @@ class MahajanRow:
 def mahajan_profile(p):
     """Per rank r: sum of d([X, top]) over rank-r elements against the
     gamma-filtered flag h-sum, plus the two forced edge values."""
-    fv = flag_vectors(p)
-    ups = upper_derangements(p)
+    fv = p.derived(_flag_vectors)
+    ups = p.derived(_upper_derangements)
     n = fv.n
     rows = []
     for r in range(n + 1):

@@ -343,7 +343,8 @@ class Poset:
     `join_irreducibles` and `rank` (None unless graded), both along the
     covers, the `join` table (off the words, each entry certified by
     up(join) == up(a) & up(b)) and the Moebius rows (off the up and down
-    lists); and the label index of `index_of`.
+    lists); the label index of `index_of`; and, through `derived`, any
+    value another module computes from the poset.
     """
 
     labels: tuple
@@ -355,6 +356,7 @@ class Poset:
         self.bottom = bottom_of(self.leq)
         self.top = top_of(self.leq)
         self._mu = {}
+        self._derived = {}
         self.check()
 
     def check(self):
@@ -430,6 +432,16 @@ class Poset:
         if a not in self._mu:
             self._mu[a] = moebius_row(self.packed, a)
         return self._mu[a].get(b, 0)
+
+    def derived(self, fn):
+        """fn(self), computed on the first call and kept for this poset,
+        so that what another module reads off the order (the derangement
+        routes, say) runs once per poset however often it is asked for;
+        a value that raises is not kept.  The caller keeps the value
+        immutable or hands out copies."""
+        if fn not in self._derived:
+            self._derived[fn] = fn(self)
+        return self._derived[fn]
 
     def coatoms(self):
         """The ids covered by the top."""

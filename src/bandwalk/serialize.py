@@ -6,13 +6,17 @@ rendered with 12 significant digits.  All tables are built in a fixed
 order so that identical inputs produce byte-identical artifacts.
 
 Every JSON artifact is written by `dump_json`, whose output equals
-`json.dumps(obj, indent=2, ensure_ascii=False)` plus a newline, byte
-for byte.  The writer is hand-written because the stdlib runs its C
-encoder only when `indent` is None: with an indent every token goes
-through the pure-Python encoder.  A list of flat str-to-str rows, such
-as the steps of a trajectory, is rendered through one template per
-list with each distinct row memoized.  This is the one package module
-that imports `json`, so no artifact bypasses the writer.
+`json.dumps(tree, indent=2, ensure_ascii=False)` plus a newline, byte
+for byte, where `tree` is the object with every integer numpy array
+replaced by its `tolist()`.  The writer is hand-written because the
+stdlib runs its C encoder only when `indent` is None: with an indent
+every token goes through the pure-Python encoder.  A Cayley table stays
+one int32 array until it becomes text: each value's cell text is built
+once, and a block of cells at a time is gathered from those texts into
+one string per row.  A list of flat str-to-str rows, such as the steps
+of a trajectory, is rendered through one template per list with each
+distinct row memoized.  This is the one package module that imports
+`json`, so no artifact bypasses the writer.
 """
 
 import csv
@@ -22,6 +26,8 @@ import math
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
+
+import numpy as np
 
 from .errors import MalformedInputError
 
@@ -173,13 +179,16 @@ _encode_str = json.encoder.encode_basestring
 
 
 def dump_json(obj):
-    """`obj` as JSON text: exactly `json.dumps(obj, indent=2,
-    ensure_ascii=False) + "\n"`, byte for byte.
+    """`obj` as JSON text: exactly `json.dumps(tree, indent=2,
+    ensure_ascii=False) + "\n"`, byte for byte, where `tree` is `obj`
+    with every integer numpy array replaced by its `tolist()`.
 
     Strings go through the stdlib's own C escaper, and ints, floats,
     NaN and the infinities, bools, None and non-str keys are spelled as
-    the stdlib spells them; tuples are written as lists.  Any other
-    type raises TypeError, as `json.dumps` does.  The writer is
+    the stdlib spells them; tuples are written as lists.  Integer
+    arrays (int8 to uint64) are the one type the stdlib refuses that is
+    written here; bool, float and object arrays, numpy scalars and any
+    other type raise TypeError, as `json.dumps` does.  The writer is
     hand-written because the stdlib runs its C encoder only when
     `indent` is None, and its pure-Python one yields one small string
     per token.  Here a list of only ints or only strs is one join, and
@@ -187,6 +196,8 @@ def dump_json(obj):
     dicts with the same str keys in the same order and only str values,
     all exact types, is one join too: its rows fill one template built
     from the keys, each distinct tuple of values once (`_flat_rows`).
+    A 1-d or 2-d integer array whose values lie in 0..size-1, such as a
+    Cayley table, is written row by row from its cells (`_int_rows`).
     Every piece goes into one list, joined once, so a large table is
     not copied again at each level of nesting.
     """
@@ -251,6 +262,53 @@ def _flat_rows(rows, nl):
     return map(texts.__getitem__, values)
 
 
+# the most cells of an integer array gathered into texts at a time
+ARRAY_BLOCK_CELLS = 1 << 15
+
+
+def _int_rows(arr, nl, out):
+    """Append the text of the integer array `arr`, a value on a line
+    starting with `nl`, to `out`, if it is 1-d or 2-d, not empty, and
+    its values lie in 0..arr.size-1; else return False.
+
+    The text of each cell, "," and the line start and the value, is
+    built once per value as an object array; the cells of a block of
+    about ARRAY_BLOCK_CELLS at a time, whole rows, are gathered from it,
+    each row's first cell swapped for the text that closes the row
+    before and opens this one, and each row joined into one string.
+    A 1-d array is one such row.  The table is never joined into a
+    string of its own, so `dump_json`'s one join is its one copy.
+    """
+    if arr.ndim not in (1, 2) or not arr.size:
+        return False
+    top = int(arr.max())
+    if arr.min() < 0 or top >= arr.size:
+        return False
+    nested = arr.ndim == 2
+    if nested:
+        row_nl = nl + "  "
+        out.append("[" + row_nl)
+    else:
+        arr, row_nl = arr[None], nl
+    cell_nl = row_nl + "  "
+    values = range(top + 1)
+    texts = np.array([f",{cell_nl}{v}" for v in values], dtype=object)
+    heads = np.array([f"{row_nl}],{row_nl}[{cell_nl}{v}" for v in values],
+                     dtype=object)
+    step = max(1, ARRAY_BLOCK_CELLS // arr.shape[1])
+    for lo in range(0, len(arr), step):
+        block = arr[lo:lo + step]
+        cells = texts[block]
+        cells[:, 0] = heads[block[:, 0]]
+        if not lo:
+            cells[0, 0] = f"[{cell_nl}{int(block[0, 0])}"
+        out.extend(map("".join, cells.tolist()))
+    out.append(row_nl + "]")
+    if nested:
+        out.append(nl + "]")
+    return True
+
+
 def _write(obj, nl, memo, out):
     """Append the text of `obj` to `out`, its inner lines indented past
     `nl`; `memo` maps ints to their text."""
@@ -302,6 +360,9 @@ def _write(obj, nl, memo, out):
             sep = "," + inner
             _write(v, inner, memo, out)
         out.append(nl + "}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        if not _int_rows(obj, nl, out):
+            _write(obj.tolist(), nl, memo, out)
     else:
         raise TypeError(
             f"Object of type {type(obj).__name__} is not JSON serializable")

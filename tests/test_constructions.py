@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from bandwalk import (constructions, core, derangement, descent, fields,
-                      matroid, posets)
+                      matroid, posets, serialize)
 from bandwalk.errors import (
     AxiomViolationError,
     MalformedInputError,
@@ -223,7 +223,9 @@ def test_every_table_path_gives_one_int32_array():
         assert numpy.array_equal(rows, t[[1, 0]])
         assert isinstance(t, numpy.ndarray) and t.dtype == numpy.int32
         assert t.flags.c_contiguous and t.shape == (sg.size, sg.size)
-        json.dumps(sg.to_json_dict())
+        # the package's one writer renders the table array as its lists
+        text = serialize.dump_json(sg.to_json_dict())
+        assert json.loads(text)["table"] == t.tolist()
 
 
 def test_every_construction_satisfies_the_axioms():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bandwalk import cli, constructions, core, posets
+from bandwalk import cli, constructions, core, posets, serialize
 from bandwalk.errors import (AxiomViolationError, FalsificationError,
                              MalformedInputError, SizeGuardError)
 
@@ -55,8 +55,9 @@ def test_band_past_the_light_cell_cap_is_refused(monkeypatch, tmp_path):
     with pytest.raises(SizeGuardError, match=f"= {29 * 30 ** 2} cells"):
         core.verify_lrb(sg)
     spec = tmp_path / "left_zero.json"
-    spec.write_text(json.dumps({"type": "table", **sg.to_json_dict()}),
-                    encoding="utf-8")
+    text = serialize.dump_json({"type": "table", **sg.to_json_dict()})
+    assert json.loads(text)["table"] == sg.tabulate().tolist()
+    spec.write_text(text, encoding="utf-8")
     assert cli.main(["build", "--spec", str(spec)]) == 4
     monkeypatch.setattr(core, "LIGHT_CELLS_CAP", 29 * 30 ** 2)
     assert core.verify_lrb(sg).ok

@@ -252,3 +252,61 @@ def test_the_corpus_builds_only_the_connected_graphs():
     assert len(corpus) == 62
     assert [(p.name, p.labels, p.leq.tolist()) for p in corpus[-len(want):]] \
         == [(p.name, p.labels, p.leq.tolist()) for p in want]
+
+
+_ROUTES = ("_chains_to_top", "_upper_derangements", "_derangement_number",
+           "_flag_vectors")
+
+
+def _everything(p):
+    """What perfbench's corpus job and the CLI ask of a lattice, and the
+    three getters on top."""
+    out = [der.derangement_number(p)]
+    if p.size > 1:
+        out.append(der.stanley_identity_check(p))
+    out += [der.mahajan_profile(p), der.maximal_chain_count(p),
+            der.upper_derangements(p)]
+    if p.rank is not None:
+        fv = der.flag_vectors(p)
+        out.append((fv.n, fv.f, fv.h))
+    return out
+
+
+def test_each_derangement_route_runs_once_per_poset(monkeypatch):
+    # derangement_number, stanley_identity_check and mahajan_profile
+    # share the chain counts, the interval derangements, the three-route
+    # check and the flag vectors, each computed once per poset
+    calls = {}
+
+    def counted(name, fn):
+        def run(p):
+            calls[name, id(p)] = calls.get((name, id(p)), 0) + 1
+            return fn(p)
+        return run
+
+    for name in _ROUTES:
+        monkeypatch.setattr(der, name, counted(name, getattr(der, name)))
+    corpus = selftest.derangement_corpus()
+    first = [_everything(p) for p in corpus]
+    again = [_everything(p) for p in corpus]
+    assert set(calls.values()) == {1}
+    assert {name for name, _ in calls} == set(_ROUTES)
+    assert first == again
+    monkeypatch.undo()
+    # the values kept on a poset are those of fresh calls on a new one
+    assert first == [_everything(p) for p in selftest.derangement_corpus()]
+
+
+def test_kept_derangement_values_are_handed_out_as_copies():
+    p = der.boolean_lattice(4)
+    ups = der.upper_derangements(p)
+    fv = der.flag_vectors(p)
+    want = (list(ups), dict(fv.f), dict(fv.h))
+    ups[p.bottom] += 1
+    fv.f.clear()
+    fv.h[()] = -1
+    assert der.upper_derangements(p) == want[0]
+    again = der.flag_vectors(p)
+    assert (again.f, again.h) == want[1:]
+    assert der.stanley_identity_check(p) == (9, 9, True)
+    assert der.mahajan_profile(p)[0].d_sum == 9

@@ -4,12 +4,15 @@ import csv
 import enum
 import io
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from bandwalk import constructions, core, selftest, serialize, spectral, walks
 from bandwalk.errors import MalformedInputError
@@ -162,6 +165,55 @@ def _flat_rows(draw):
     return rows
 
 
+_INT_DTYPES = [numpy.int8, numpy.int16, numpy.int32, numpy.int64,
+               numpy.uint8, numpy.uint16, numpy.uint32, numpy.uint64]
+
+
+@hs.composite
+def _int_arrays(draw):
+    """Integer arrays of every dtype, 0 to 3 dimensions with sides of 0
+    to 5, holding either ids below the size (the writer's array rows)
+    or any value of the dtype (so negatives and values past the size
+    take the tolist fallback); then maybe a transpose, a strided or a
+    reversed view."""
+    dtype = numpy.dtype(draw(hs.sampled_from(_INT_DTYPES)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                  max_side=5))
+    size = math.prod(shape)
+    if draw(hs.booleans()):
+        elements = hs.integers(0, max(0, min(size - 1,
+                                             numpy.iinfo(dtype).max)))
+    else:
+        elements = hnp.from_dtype(dtype)
+    arr = draw(hnp.arrays(dtype, shape, elements=elements))
+    view = draw(hs.sampled_from(["plain", "transpose", "strided",
+                                 "reversed"]))
+    if view == "transpose":
+        arr = arr.T
+    elif view == "strided" and arr.ndim:
+        arr = arr[::2]
+    elif view == "reversed" and arr.ndim:
+        arr = arr[..., ::-1]
+    return arr
+
+
+def _listed(tree):
+    """`tree` with every numpy array replaced by its tolist()."""
+    if isinstance(tree, numpy.ndarray):
+        return tree.tolist()
+    if isinstance(tree, list):
+        return [_listed(v) for v in tree]
+    if isinstance(tree, tuple):
+        return tuple(_listed(v) for v in tree)
+    if isinstance(tree, dict):
+        return {k: _listed(v) for k, v in tree.items()}
+    return tree
+
+
+def _stdlib_text(tree):
+    return json.dumps(_listed(tree), indent=2, ensure_ascii=False) + "\n"
+
+
 _TREES = hs.recursive(
     _SCALARS,
     lambda kids: hs.one_of(
@@ -176,15 +228,80 @@ _TREES = hs.recursive(
         hs.lists(hs.sampled_from([0, 1, True, False, 1.0]), max_size=6),
         # lists of flat rows (the memoized rows), as lists and tuples
         _flat_rows(),
-        _flat_rows().map(tuple)),
+        _flat_rows().map(tuple),
+        # integer arrays, written as their tolist()
+        _int_arrays()),
     max_leaves=40)
 
 
 @settings(max_examples=500, deadline=None)
 @given(_TREES)
 def test_dump_json_equals_the_stdlib_indented_encoder(tree):
-    assert serialize.dump_json(tree) == json.dumps(
-        tree, indent=2, ensure_ascii=False) + "\n"
+    assert serialize.dump_json(tree) == _stdlib_text(tree)
+
+
+_BLOCK = serialize.ARRAY_BLOCK_CELLS
+
+
+def _first_difference(got, want):
+    """None if the texts are equal, else where they part, so that a
+    failure on megabytes of text is not diffed in full."""
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    lo = max(0, at - 40)
+    return at, got[lo:at + 40], want[lo:at + 40]
+
+
+@pytest.mark.parametrize("cols", [1, 3, 1000, _BLOCK, _BLOCK + 1])
+def test_int_tables_on_both_sides_of_the_block_boundary(cols):
+    # a block holds ARRAY_BLOCK_CELLS // cols whole rows, at least one
+    step = max(1, _BLOCK // cols)
+    rng = numpy.random.default_rng(cols)
+    for rows in sorted({1, step - 1, step, step + 1, 2 * step + 1} - {0}):
+        t = rng.integers(0, rows * cols, size=(rows, cols), dtype=numpy.int32)
+        for arr in (t, t[0] % cols, {"t": [t]}):
+            assert _first_difference(serialize.dump_json(arr),
+                                     _stdlib_text(arr)) is None
+
+
+@pytest.fixture(scope="module")
+def s5_band():
+    sg = constructions.ordered_partitions(5)
+    sg.tabulate()
+    return sg
+
+
+def test_a_real_band_is_written_as_its_lists(s5_band):
+    data = s5_band.to_json_dict()
+    assert isinstance(data["table"], numpy.ndarray)
+    assert _first_difference(serialize.dump_json(data),
+                             _stdlib_text(data)) is None
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_table_is_not_copied_again_before_the_last_join(s5_band):
+    # S_5's 541^2 table is 3.16 MB of text.  The traced peak of
+    # dump_json is the row strings plus the joined text, 2.01 times the
+    # text; a writer that joins the table into a string first peaks at
+    # 2.01 times as well, since its row strings are freed before the
+    # last join, so the writer's own pass is bounded too: 1.20 times the
+    # text when the rows go straight into its list, 2.01 when they are
+    # joined first.  Both bounds leave room for the block of cells.
+    obj = {"table": s5_band.tabulate()}
+    size = len(serialize.dump_json(obj))
+    assert _traced_peak(lambda: serialize.dump_json(obj)) < 2.5 * size
+    assert _traced_peak(lambda: serialize._write(obj, "\n", {}, [])) \
+        < 1.6 * size
 
 
 @pytest.mark.parametrize("bad", [
@@ -192,7 +309,13 @@ def test_dump_json_equals_the_stdlib_indented_encoder(tree):
     [1, [numpy.int64(1)]], {"a": [Fraction(1)]},
     # refused after a row that fills the row memo
     [{"a": "x"}, {"a": Fraction(1)}], [{"a": "x"}, {"a": numpy.int64(1)}],
-    [{"a": "x"}, {"a": "x"}, {"a": object()}]])
+    [{"a": "x"}, {"a": "x"}, {"a": object()}],
+    # arrays other than integer ones, and numpy scalars, are refused;
+    # integer arrays are the one extension, written as their tolist()
+    numpy.array([True, False]), numpy.zeros((2, 2), dtype=bool),
+    numpy.arange(3.0), numpy.array([1, 2], dtype=object),
+    numpy.array(["a"]), numpy.array(3.0), numpy.array([1j]),
+    {"a": [numpy.array([0.5])]}, numpy.uint8(1)])
 def test_dump_json_refuses_what_the_stdlib_refuses(bad):
     with pytest.raises(TypeError):
         json.dumps(bad, indent=2, ensure_ascii=False)
