@@ -43,8 +43,10 @@ Each band has one product implementation, an integer kernel, which
 serves its `Semigroup.rows(ids)`: elements become integer vectors,
 stored as mixed-radix integer codes; the products of the requested rows
 are computed over numpy arrays, one block of rows at a time, and
-`coded_products` looks their codes up among the sorted element codes,
-rejecting a product outside the list.
+`coded_products` looks their codes up, in an id array over the whole
+code space where that is at most DENSE_CODES_PER_ELEMENT codes per
+element and among the sorted element codes past it, rejecting a
+product outside the list.
 
 `braid_rows` serves the first three, bands of faces of the braid
 arrangement, and the distributive chain bands, which are sub-bands of
@@ -55,10 +57,14 @@ position of x in the word, with absent letters in a trailing sentinel
 block v[x-1] = n.  The product of u and v is then the lexicographic
 rank of the pairs (u[x], v[x]) among the pairs present, except that a
 letter absent from both factors stays in the sentinel block.  The
-kernel ranks without sorting: each pair is the code u[x] (n+1) + v[x]
-< (n+1)^2, the codes of a product set bits of a mask one uint64 word
-per 64 codes (one word up to n = 7), and a pair's rank is the popcount
-of the mask bits under its code.
+kernel ranks without sorting, block by block of the left factor: a
+singleton block of u adds a constant to the code of u v, and any other
+block B, or u's set of absent letters, adds rows of its restriction
+tables, indexed by the letter set B and holding for every right factor
+v the code of v's dense ranks on B, their count, and for absent sets
+the place weight of the letters v holds.  A band has a few dozen such
+letter sets (26 for S_5, 32 for free_lrb(5)), so each product row is a
+handful of table rows added together.
 
 `closure_rows` serves the bands of a closure system.  Its flats are
 numbered once per band, bottom first, with small integer tables for
@@ -126,8 +132,14 @@ def face_count(n, cap=math.inf):
 # calls
 TABLE_CHUNK = 2 ** 15
 
+# product codes map to ids through an array over the whole code space
+# while it holds at most this many codes per element, and through a
+# search of the sorted element codes past that
+DENSE_CODES_PER_ELEMENT = 64
 
-def coded_products(codes, keys, width, product_codes):
+
+def coded_products(codes, keys, width, product_codes, space=None,
+                   order=None):
     """The product rows of a band whose elements carry integer codes.
 
     codes: integer code of each element, in id order.  product_codes(us)
@@ -135,30 +147,51 @@ def coded_products(codes, keys, width, product_codes):
     us with every element, shape (len(us), size); a pair costs about
     `width` array elements.  Returns rows(ids), the int32 ids of those
     products for the elements at ids, filled one block of about
-    TABLE_CHUNK array elements at a time through the sorted element
-    codes; a product outside the list is malformed input naming the
-    pair.
+    TABLE_CHUNK array elements at a time; a product outside the list is
+    malformed input naming its pair, the first in row-major order.
+
+    space: a bound on the product codes, all in range(space); an int32
+    array over that range then reads the ids, as long as it holds at
+    most DENSE_CODES_PER_ELEMENT codes per element, and otherwise (or
+    without a bound) the sorted element codes are searched.  order: a
+    callable giving, for the ids of one rows call, the order in which
+    their rows are computed, which each block hands to product_codes.
     """
     size = len(codes)
-    by_code = numpy.argsort(codes).astype(numpy.int32)
-    sorted_codes = codes[by_code]
+    if space is not None and space <= DENSE_CODES_PER_ELEMENT * size:
+        id_of = numpy.full(space, -1, dtype=numpy.int32)
+        id_of[codes] = numpy.arange(size, dtype=numpy.int32)
+
+        def lookup(got):
+            return id_of.take(got)
+    else:
+        by_code = numpy.argsort(codes).astype(numpy.int32)
+        sorted_codes = codes[by_code]
+
+        def lookup(got):
+            at = numpy.minimum(numpy.searchsorted(sorted_codes, got),
+                               size - 1)
+            ids = by_code.take(at)
+            ids[sorted_codes.take(at) != got] = -1
+            return ids
 
     def rows(ids):
         ids = numpy.asarray(ids, dtype=numpy.intp)
         out = numpy.empty((len(ids), size), dtype=numpy.int32)
         block = max(1, TABLE_CHUNK // (size * width))
+        sequence = None if order is None else order(ids)
+        missing = False
         for lo in range(0, len(ids), block):
-            us = ids[lo:lo + block]
-            got = product_codes(us)
-            at = numpy.minimum(numpy.searchsorted(sorted_codes, got),
-                               size - 1)
-            missing = numpy.argwhere(sorted_codes[at] != got)
-            if len(missing):
-                i, j = missing[0]
-                raise MalformedInputError(
-                    "product leaves the element list: "
-                    f"{keys[us[i]]} * {keys[j]}")
-            out[lo:lo + block] = by_code[at]
+            at = slice(lo, lo + block) if sequence is None \
+                else sequence[lo:lo + block]
+            got = lookup(product_codes(ids[at]))
+            missing |= bool(got.min() < 0)
+            out[at] = got
+        if missing:
+            i, j = numpy.argwhere(out < 0)[0]
+            raise MalformedInputError(
+                "product leaves the element list: "
+                f"{keys[ids[i]]} * {keys[j]}")
         return out
 
     return rows
@@ -185,54 +218,177 @@ def _word_vector(word, n):
 def braid_rows(vectors, keys):
     """The product rows of a band of braid faces or words.
 
-    vectors: one block-index or position vector per element, in id
-    order, stored as base-(n+1) codes.  Entry x of a product u v is the
-    dense rank of the pair code p_x = u[x] (n+1) + v[x] among the codes
-    of its row, and n for the pair (n, n) of a letter absent from both
-    words.  The vectors are kept letter-major, so each letter's codes
-    over a block of rows form one contiguous array; the bits 1 << p_x of
-    every letter are OR-ed into a mask of ceil((n+1)^2 / 64) uint64
-    words, and the rank of p_x is the popcount of the mask bits under
-    it.  Word k holds the codes 64k .. 64k + 63: a code below the word
-    shifts in nothing, and the bits under a code above it are the whole
-    word.
+    vectors: one vector per element, in id order, with entries in 0..n:
+    a block-index vector, a position vector with absent letters at n,
+    or a mix of the two, stored as the base-(n+1) code sum_x v[x] P_x,
+    P_x = (n+1)^(n-1-x).  Entry x of a product u v is the dense rank of
+    the pair (u[x], v[x]) among the pairs of its row, and n for the
+    pair (n, n) of a letter absent from both.
+
+    Split the letters into u's blocks by value, ascending, with the
+    letters at n, u's absent set G, last.  Entry x of a letter in the
+    block B is the number of distinct values that v takes on the blocks
+    before B, plus the dense rank of v[x] among v's values on B.  So
+    each product code is a constant c_u, from u's singleton blocks,
+    plus rows of the restriction tables of u's other blocks and of G,
+    which hold, for a letter set B and every right factor v at once:
+    the local code L_B(v) = sum over x in B of that rank times P_x; the
+    distinct-value count N_B(v); and, for G, the place weight Q_G(v) of
+    the letters of G present in v, whose L_G ranks only the values
+    below n and puts n P_x for the others.  With T_B the place weight
+    of the letters after B outside G, the code of u v is
+
+        c_u + sum_B (L_B(v) + N_B(v) T_B)
+            + L_G(v) + Q_G(v) (m_u + sum_B N_B(v)),
+
+    the sums over u's blocks of two or more letters, where c_u sums T
+    over u's singleton blocks and m_u counts them.  Each table is built
+    over every element on the first rows call that needs its letter
+    set, in int32 while (n+1)^n < 2^31 (n <= 9), and the rows are
+    computed in descending number of blocks, absent letters breaking
+    ties, so that each step runs over a prefix of a block of rows.
+    `coded_products` reads the ids off the dense array over the
+    (n+1)^n codes where that is small enough.
     """
     vecs = numpy.asarray(vectors, dtype=numpy.int64)
     size, n = vecs.shape
     if (n + 1) ** n >= 2 ** 63:
         raise SizeGuardError(f"{n} letters in radix {n + 1} overflow int64")
+    space = (n + 1) ** n
+    dtype = numpy.int32 if space < 2 ** 31 else numpy.int64
     powers = (n + 1) ** numpy.arange(n - 1, -1, -1, dtype=numpy.int64)
-    letters = numpy.ascontiguousarray(vecs.T)
-    # highs[k]: each letter's u[x] (n+1), less the first code of word k
-    starts = numpy.arange(0, (n + 1) ** 2, 64)
-    highs = letters * (n + 1) - starts[:, None, None]
-    # the pair (n, n), less the first code of the last word
-    absent = n * (n + 1) + n - starts[-1]
-    one = numpy.uint64(1)
+    kernel = {}
+
+    def tables(sets, at):
+        # the letter sets met (bit x - 1 for letter x), each element's
+        # index into them, built flags, L, and N or Q; a set's rows are
+        # zero until it is built, as the empty absent set's stay
+        return (sets, at, numpy.zeros(len(sets), dtype=bool),
+                numpy.zeros((len(sets), size), dtype=dtype),
+                numpy.zeros((len(sets), size), dtype=dtype))
+
+    def distinct(sets):
+        # the letter sets met, ascending, and the index of each among them
+        met = numpy.zeros(1 << n, dtype=bool)
+        met[sets] = True
+        return numpy.flatnonzero(met), (numpy.cumsum(met) - 1)[sets]
+
+    def setup():
+        # each element's letter set, place weight and size per value 0..n
+        weigh = numpy.stack([1 << numpy.arange(n, dtype=numpy.int64),
+                             powers, numpy.ones(n, dtype=numpy.int64)])
+        per_value = numpy.zeros((3, size * (n + 1)), dtype=numpy.int64)
+        cells = vecs + numpy.arange(0, size * (n + 1), n + 1)[:, None]
+        for x in range(n):
+            # one cell of each row per letter, so no index repeats
+            per_value[:, cells[:, x]] += weigh[:, x, None]
+        sets, place, count = per_value.reshape(3, size, n + 1)
+        single, wide = count[:, :n] == 1, count[:, :n] > 1
+        # T: the place weight of the present letters after each block
+        after = place[:, :n].cumsum(axis=1)
+        after = after[:, -1:] - after
+        slots = wide.sum(axis=1)
+        has_absent = sets[:, n] != 0
+        kernel.update(const=(after * single).sum(axis=1).astype(dtype),
+                      singles=single.sum(axis=1).astype(dtype),
+                      slots=slots, has_absent=has_absent,
+                      shape=-(2 * slots + has_absent))
+        if slots.any():
+            # each element's wide blocks in order, by value: slot k holds
+            # the k-th of them
+            row, value = numpy.nonzero(wide)
+            k = numpy.cumsum(wide, axis=1)[row, value] - 1
+            wide_sets, at = distinct(sets[row, value])
+            slot = numpy.zeros((size, slots.max()), dtype=numpy.intp)
+            slot[row, k] = at
+            slot_after = numpy.zeros(slot.shape, dtype=dtype)
+            slot_after[row, k] = after[row, value]
+            kernel.update(held=numpy.arange(slot.shape[1]) < slots[:, None],
+                          after=slot_after,
+                          blocks=tables(wide_sets, slot))
+        if has_absent.any():
+            kernel["absent"] = tables(*distinct(sets[:, n]))
+
+    def restrict(kind, fresh):
+        # fill the rows at `fresh` of the blocks' or the absent sets'
+        # tables, a few letter sets at a time; a rank is the number of
+        # bits of the set's value mask below the value, read off a table
+        # of popcounts
+        sets, _, built, local, count = kernel[kind]
+        absent = vecs == n
+        bits = 1 << vecs
+        if kind == "absent":
+            bits[absent] = 0
+        below = bits - 1
+        ones = numpy.zeros(1, dtype=numpy.int64)
+        for _ in range(n + 1):
+            ones = numpy.concatenate([ones, ones + 1])
+        step = max(1, TABLE_CHUNK // size)
+        for lo in range(0, len(fresh), step):
+            at = fresh[lo:lo + step]
+            member = (sets[at, None] >> numpy.arange(n)) & 1
+            seen = numpy.zeros((len(at), size), dtype=numpy.int64)
+            for x in range(n):
+                seen |= member[:, x, None] * bits[:, x]
+            code = numpy.zeros((len(at), size), dtype=numpy.int64)
+            for x in range(n):
+                rank = ones.take(seen & below[:, x])
+                if kind == "absent":
+                    rank[:, absent[:, x]] = n
+                code += rank * (member[:, x, None] * powers[x])
+            local[at] = code
+            count[at] = member @ (~absent * powers).T if kind == "absent" \
+                else ones.take(seen)
+        built[fresh] = True
+
+    def order(ids):
+        if not kernel:
+            setup()
+        for kind, held in (("blocks", "held"), ("absent", "has_absent")):
+            if kind in kernel:
+                sets, at, built, _, _ = kernel[kind]
+                fresh = numpy.zeros(len(sets), dtype=bool)
+                fresh[at[ids][kernel[held][ids]]] = True
+                fresh = numpy.flatnonzero(fresh & ~built)
+                if fresh.size:
+                    restrict(kind, fresh)
+        return numpy.argsort(kernel["shape"][ids])
 
     def product_codes(us):
-        # codes[x][k]: p_x less the first code of word k, over the block
-        codes = [[high[x, us][:, None] + letters[x] for high in highs]
-                 for x in range(n)]
-        mask = numpy.zeros((len(starts), len(us), size), dtype=numpy.uint64)
-        for qs in codes:
-            for word, q in zip(mask, qs):
-                # numpy shifts past 63 give 0, so a q off this word, a
-                # negative one wrapped, sets nothing
-                word |= one << q.view(numpy.uint64)
-        out = numpy.zeros((len(us), size), dtype=numpy.int64)
-        for qs, power in zip(codes, powers):
-            rank = numpy.zeros((len(us), size), dtype=numpy.int64)
-            for word, q in zip(mask, qs):
-                # every bit for a q past the word (0 - 1), none below it
-                below = (one << numpy.maximum(q, 0).view(numpy.uint64)) - one
-                rank += numpy.bitwise_count(word & below)
-            rank[qs[-1] == absent] = n
-            out += rank * power
-        return out
+        # us come in descending shape: rows with a j-th block of two or
+        # more letters first, then among equals those with absent
+        # letters, so each step below runs over a prefix of the rows
+        k = kernel
+        code = numpy.empty((len(us), size), dtype=dtype)
+        code[:] = k["const"][us, None]
+        slots = k["slots"][us]
+        has_absent = k["has_absent"][us]
+        g = len(us) - int(numpy.argmax(has_absent[::-1])) \
+            if has_absent.any() else 0
+        total = numpy.zeros((g, size), dtype=dtype) \
+            if g and slots[0] else None
+        if slots[0]:
+            _, slot, _, local, count = k["blocks"]
+            for j in range(slots[0]):
+                r = int(numpy.count_nonzero(slots > j))
+                at = slot[us[:r], j]
+                wide = count.take(at, axis=0)
+                code[:r] += local.take(at, axis=0)
+                code[:r] += wide * k["after"][us[:r], j, None]
+                if total is not None:
+                    total[:r] += wide[:g]
+        if g:
+            _, at, _, local, weight = k["absent"]
+            at = at[us[:g]]
+            factor = k["singles"][us[:g], None]
+            if total is not None:
+                factor = factor + total
+            code[:g] += local.take(at, axis=0)
+            code[:g] += weight.take(at, axis=0) * factor
+        return code
 
-    # the one-point lattice's band has no letters; a pair still costs a cell
-    return coded_products(vecs @ powers, keys, max(n, 1), product_codes)
+    return coded_products(vecs @ powers, keys, 1, product_codes, space,
+                          order)
 
 
 def closure_rows(elements, keys, join, chains):

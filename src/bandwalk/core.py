@@ -27,6 +27,11 @@ source read over every id, built lazily by `tabulate` behind
 table_cap, which `verify_lrb` and `derive_support` call first; so
 table_cap is the one gate on the |S|^2 work of their laws, array
 expressions that report the first failing pair in row-major order.
+`Semigroup.table` is int32, but the laws read a copy of it in the
+narrowest unsigned dtype that holds its ids (`_narrow`: uint8 up to
+256 elements, uint16 up to 65,536), and the support laws the flat ids
+likewise; each law gathers with `take` and tests with `array_equal`,
+and locates its witness only when that fails.
 
 Associativity has one certificate, exhaustive: every one of the |S|^3
 triples is certified, by Light's test on the dense table.  It reads
@@ -35,6 +40,7 @@ generators, completed where they fall short), so the work scales with
 |A|, not |S|, and that count is what LIGHT_CELLS_CAP bounds.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +59,10 @@ from .guards import DEFAULT_GUARDS
 # most table cells Light's test may read, |A|*|S|^2; since |A| <= |S|,
 # no band with |S|^3 within it is refused
 LIGHT_CELLS_CAP = 200_000_000
+
+# table cells per block of the laws whose gathers take one index per
+# cell, so that their index temporaries stay small
+LAW_CELLS = 2 ** 15
 
 
 def spec_int(field, value):
@@ -128,6 +138,9 @@ class Semigroup:
                 raise SizeGuardError(
                     f"|S|={n} exceeds table cap {guards.table_cap}")
             self.table = self._source(np.arange(n))
+            # every row is read off the table from now on, so the
+            # kernel and what it keeps are let go
+            self._source = None
         return self.table
 
     def id_lists(self, cells):
@@ -190,9 +203,37 @@ class Semigroup:
 def _table_array(table, n):
     """An explicit table as an int32 array, after checking that it is n
     rows of n element ids (bools are not ids); names the first bad row
-    or cell."""
+    or cell in row-major order.  A table whose cells are all integers
+    is checked by its shape and its least and greatest cell; any other,
+    or one that fails, is read a cell at a time for the message."""
     if len(table) != n:
         raise MalformedInputError(f"table has {len(table)} rows for {n} ids")
+    ids = _integer_array(table)
+    if ids is None or ids.shape != (n, n) \
+            or (n and not 0 <= ids.min() <= ids.max() < n):
+        _check_cells(table, n)
+        return np.array(table, dtype=np.int32)
+    return ids.astype(np.int32)
+
+
+def _integer_array(table):
+    """The table as an int64 array when every cell is an integer and
+    no bool, else None."""
+    if isinstance(table, np.ndarray):
+        return table if table.dtype.kind in "iu" else None
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(table)))
+        if not all(issubclass(k, numbers.Integral)
+                   and not issubclass(k, bool) for k in kinds):
+            return None
+        return np.array(table, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _check_cells(table, n):
+    """Raise at the first short or long row, or the first cell that is
+    not an element id, in row-major order."""
     for i, row in enumerate(table):
         if len(row) != n:
             raise MalformedInputError(f"table row {i} has {len(row)} cells")
@@ -201,7 +242,13 @@ def _table_array(table, n):
                     or not 0 <= v < n:
                 raise MalformedInputError(
                     f"table entry ({i}, {j}) is {v!r}, not an element id")
-    return np.array(table, dtype=np.int32)
+
+
+def _narrow(ids, count):
+    """An id array in the narrowest unsigned dtype holding ids below
+    count: uint8 up to 256 ids, uint16 up to 65,536."""
+    return np.asarray(ids).astype(np.min_scalar_type(max(count - 1, 0)),
+                                  copy=False)
 
 
 @dataclass
@@ -228,25 +275,31 @@ def verify_lrb(sg, guards=DEFAULT_GUARDS):
     """
     n = sg.size
     e = sg.identity
-    t = sg.tabulate(guards)
-    ids = np.arange(n)
+    t = _narrow(sg.tabulate(guards), n)
+    ids = np.arange(n, dtype=t.dtype)
 
-    bad = np.flatnonzero((t[e] != ids) | (t[:, e] != ids))
-    if bad.size:
+    if not (np.array_equal(t[e], ids) and np.array_equal(t[:, e], ids)):
+        bad = np.flatnonzero((t[e] != ids) | (t[:, e] != ids))
         return AxiomReport(False, "none", 0,
                            witness=(e, int(bad[0])),
                            message="identity law fails")
-    bad = np.flatnonzero(t.diagonal() != ids)
-    if bad.size:
+    if not np.array_equal(t.diagonal(), ids):
+        bad = np.flatnonzero(t.diagonal() != ids)
         return AxiomReport(False, "none", 0,
                            witness=(int(bad[0]),),
                            message="idempotence fails")
-    # (xy)x against xy, over every pair (x, y)
-    bad = np.argwhere(t[t, ids[:, None]] != t)
-    if len(bad):
-        return AxiomReport(False, "none", 0,
-                           witness=tuple(map(int, bad[0])),
-                           message="deletion law xyx = xy fails")
+    # (xy)x against xy, over every pair (x, y), a block of rows x at a
+    # time: column x of t, as a row, read at the cells of row x
+    step = max(1, LAW_CELLS // n)
+    for lo in range(0, n, step):
+        xy = t[lo:lo + step]
+        columns = np.ascontiguousarray(t[:, lo:lo + step].T)
+        xyx = columns.ravel().take(xy + np.arange(0, xy.size, n)[:, None])
+        if not np.array_equal(xyx, xy):
+            x, y = np.argwhere(xyx != xy)[0]
+            return AxiomReport(False, "none", 0,
+                               witness=(lo + int(x), int(y)),
+                               message="deletion law xyx = xy fails")
 
     bad = _assoc_exhaustive(t, sg.generators, e)
     if bad is not None:
@@ -269,19 +322,23 @@ def _assoc_exhaustive(t, generators=(), identity=None):
     an id whose identity law the caller has checked, is in B already
     ((xe)y = xy = x(ey)), so it counts as reached and never joins A.  A
     table whose |A|*|S|^2 exceeds LIGHT_CELLS_CAP is refused before any
-    is read.  Per a, one comparison of two |S| x |S| gathers:
-    t[t[x, a], y] against t[x, t[a, y]].
+    is read.  Per a, one comparison of two |S| x |S| row gathers on the
+    narrow table and its transpose: the rows t[t[x, a]] against the
+    rows x of the columns t[:, t[a, y]].
     """
-    gens = _light_generators(t, generators, identity)
     n = len(t)
+    t = _narrow(t, n)
+    gens = _light_generators(t, generators, identity)
     cells = len(gens) * n * n
     if cells > LIGHT_CELLS_CAP:
         raise SizeGuardError(f"Light's test reads |A|*|S|^2 = {cells} "
                              f"cells, above the cap {LIGHT_CELLS_CAP}")
+    tt = np.ascontiguousarray(t.T)
     for a in gens:
-        bad = t[t[:, a]] != t[:, t[a]]
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
+        left = t.take(tt[a], axis=0)
+        right = tt.take(t[a], axis=0)
+        if not np.array_equal(left.T, right):
+            x, y = np.argwhere(left != right.T)[0]
             return (int(x), a, int(y))
     return None
 
@@ -382,47 +439,73 @@ def derive_support(sg, guards=DEFAULT_GUARDS, verify=True):
             raise AxiomViolationError(
                 f"not an LRB: {report.message}", witness=report.witness)
     n = sg.size
-    ids = np.arange(n)
-
-    # x ~ r  iff  each absorbs the other on the left; a class is named
-    # by its least id r, so the flats come ordered by it
-    supp = np.full(n, -1)
-    reps = []
-    for r in range(n):
-        if supp[r] < 0:
-            fibre = (supp < 0) & (t[:, r] == ids) & (t[r] == r)
-            fibre[r] = True
-            supp[fibre] = len(reps)
-            reps.append(r)
-    members = [np.flatnonzero(supp == c).tolist()
-               for c in range(len(reps))]
+    # absorbs[x, y]: xy = x
+    absorbs = t == np.arange(n, dtype=t.dtype)[:, None]
+    supp, reps = _classes(absorbs)
+    order = np.argsort(supp, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(supp)).tolist()
+    members = [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     # class order: A <= B  iff  rep(B) * rep(A) = rep(B)
-    reps = np.array(reps)
     leq = np.ascontiguousarray((t[np.ix_(reps, reps)] == reps[:, None]).T)
     posets.check_partial_order(leq)
 
-    # absorption law on every pair of elements
-    bad = np.argwhere((t == ids[:, None])
-                      != leq[supp[None, :], supp[:, None]])
-    if len(bad):
+    # absorption law on every pair of elements: xy = x against
+    # leq[supp(y), supp(x)], the rows supp(x) of leq^T read at supp(y)
+    flats = _narrow(supp, len(reps))
+    law = leq.T.take(flats, axis=1).take(flats, axis=0)
+    if not np.array_equal(absorbs, law):
         raise AxiomViolationError(
             "xy = x does not match supp(y) <= supp(x)",
-            witness=tuple(map(int, bad[0])))
+            witness=tuple(map(int, np.argwhere(absorbs != law)[0])))
+    del absorbs, law
 
     structure = SupportStructure(sg, leq, supp.tolist(), members, report)
 
-    # join law on every pair of elements
-    bad = np.argwhere(
-        supp[t] != structure.join[supp[:, None], supp[None, :]])
-    if len(bad):
-        raise AxiomViolationError(
-            "supp(xy) is not the join of supports",
-            witness=tuple(map(int, bad[0])))
+    # join law on every pair of elements, a block of rows x at a time:
+    # supp(xy) against the rows supp(x) of the join read at supp(y)
+    joins = _narrow(structure.join, len(reps)).take(flats, axis=1)
+    step = max(1, LAW_CELLS // n)
+    for lo in range(0, n, step):
+        got = flats.take(t[lo:lo + step])
+        law = joins.take(flats[lo:lo + step], axis=0)
+        if not np.array_equal(got, law):
+            x, y = np.argwhere(got != law)[0]
+            raise AxiomViolationError(
+                "supp(xy) is not the join of supports",
+                witness=(lo + int(x), int(y)))
 
     if supp[sg.identity] != structure.bottom:
         raise AxiomViolationError("identity support is not the bottom flat")
     return structure
+
+
+def _classes(absorbs):
+    """The classes of x ~ y iff xy = x and yx = y, from the absorption
+    matrix: each id's class index and each class's least id, classes
+    numbered by least id.  That is the greedy reading in which each id
+    r not yet placed opens a class of every unplaced x with x ~ r.  It
+    comes in one pass when the least id related to each id (or the id
+    itself) is its own least, which certifies the greedy reading (by
+    induction on x, every least is a class opener, and the least opener
+    related to x); a relation that is no equivalence, as on a corrupted
+    table, may fail that, and then the greedy loop runs."""
+    n = len(absorbs)
+    mutual = absorbs & absorbs.T
+    np.fill_diagonal(mutual, True)
+    least = mutual.argmax(axis=1)
+    if np.array_equal(least[least], least):
+        reps = np.flatnonzero(least == np.arange(n))
+        return np.searchsorted(reps, least), reps
+    supp = np.full(n, -1)
+    reps = []
+    for r in range(n):
+        if supp[r] < 0:
+            fibre = (supp < 0) & mutual[:, r]
+            fibre[r] = True
+            supp[fibre] = len(reps)
+            reps.append(r)
+    return supp, np.array(reps)
 
 
 def check_expected_lattice(structure):

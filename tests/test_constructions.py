@@ -810,21 +810,28 @@ def _braid_product(u, v):
     return numpy.where(pairs == n * (n + 1) + n, n, rank)
 
 
+def _dense(v, n):
+    """The values of v below n renumbered densely in order; n stays."""
+    present = sorted({x for x in v if x < n})
+    return [present.index(x) if x < n else n for x in v]
+
+
 @settings(max_examples=200, deadline=None)
-@given(hs.integers(1, 9), hs.booleans(), hs.data())
-def test_braid_rows_match_the_sorting_oracle(n, words, data):
-    # up to three random faces (block-index vectors) or injective words
-    # (position vectors, absent letters at n) and every product they
-    # reach; from n = 8 on the pair codes fill two mask words
-    if words:
+@given(hs.integers(1, 9), hs.sampled_from(["faces", "words", "mixed"]),
+       hs.data())
+def test_braid_rows_match_the_sorting_oracle(n, kind, data):
+    # up to three random faces (block-index vectors), injective words
+    # (position vectors, absent letters at n) or mixed vectors (block
+    # indices with some letters at n), and every product they reach
+    if kind == "words":
         vector = hs.permutations(range(n)).flatmap(
             lambda order: hs.integers(0, n).map(
                 lambda k: [order.index(x) if x in order[:k] else n
                            for x in range(n)]))
     else:
-        vector = hs.lists(hs.integers(0, n - 1), min_size=n,
-                          max_size=n).map(
-            lambda v: numpy.unique(v, return_inverse=True)[1].tolist())
+        top = n - 1 if kind == "faces" else n
+        vector = hs.lists(hs.integers(0, top), min_size=n,
+                          max_size=n).map(lambda v: _dense(v, n))
     vecs = {tuple(v) for v in data.draw(hs.lists(vector, min_size=1,
                                                   max_size=3))}
     while True:
@@ -836,28 +843,69 @@ def test_braid_rows_match_the_sorting_oracle(n, words, data):
         vecs = reached
     index = {v: i for i, v in enumerate(sorted(vecs))}
     rows = constructions.braid_rows(sorted(vecs), list(map(str, index)))
-    assert rows(range(len(vecs))).tolist() == [
-        [index[tuple(p)] for p in row] for row in table.tolist()]
+    want = [[index[tuple(p)] for p in row] for row in table.tolist()]
+    assert rows(range(len(vecs))).tolist() == want
+    # any ids, in any order, repeated, read the same rows
+    ids = data.draw(hs.lists(hs.integers(0, len(vecs) - 1), max_size=6))
+    assert rows(ids).tolist() == [want[i] for i in ids]
+
+
+def _braid_vectors(family, n):
+    build, encode, _ = BRAID[family]
+    sg = build(n)
+    return sg, [encode(o, n) for o in sg.objects]
 
 
 def test_braid_table_is_independent_of_the_chunk_size(monkeypatch):
-    sg = constructions.ordered_partitions(3)
-    want = sg.tabulate()
-    vectors = [constructions.face_vector(p, 3) for p in sg.objects]
     monkeypatch.setattr(constructions, "TABLE_CHUNK", 7)
-    rows = constructions.braid_rows(vectors, sg.keys)
-    assert numpy.array_equal(rows(range(sg.size)), want)
-    assert numpy.array_equal(rows([5, 0, 5]), want[[5, 0, 5]])
+    for family in sorted(BRAID):
+        sg, vectors = _braid_vectors(family, 3)
+        want = sg.tabulate()
+        rows = constructions.braid_rows(vectors, sg.keys)
+        # unsorted and repeated ids, before and after the full table
+        ids = [5, 0, 5, sg.size - 1, 2, 2, 1]
+        assert numpy.array_equal(rows(ids), want[ids])
+        assert numpy.array_equal(rows(range(sg.size)), want)
+        assert numpy.array_equal(rows(ids[::-1]), want[ids[::-1]])
 
 
-def test_braid_table_rejects_products_outside_the_list():
-    # the free band on two letters without its chamber 2,1
+@pytest.mark.parametrize("family", sorted(BRAID))
+def test_dense_and_sorted_code_lookups_agree(monkeypatch, family):
+    # (n+1)^n = 625 codes for four letters: at most 64 per element
+    # reads ids off the dense array, none per element searches
+    sg, vectors = _braid_vectors(family, 4)
+    assert 5 ** 4 <= constructions.DENSE_CODES_PER_ELEMENT * sg.size
+    dense = constructions.braid_rows(vectors, sg.keys)(range(sg.size))
+    monkeypatch.setattr(constructions, "DENSE_CODES_PER_ELEMENT", 0)
+    searched = constructions.braid_rows(vectors, sg.keys)(range(sg.size))
+    assert numpy.array_equal(dense, searched)
+    assert numpy.array_equal(dense, sg.tabulate())
+
+
+def _missing_product_error(vectors, keys, ids):
+    with pytest.raises(MalformedInputError,
+                       match="leaves the element") as caught:
+        constructions.braid_rows(vectors, keys)(ids)
+    return str(caught.value)
+
+
+def test_braid_table_rejects_products_outside_the_list(monkeypatch):
+    # the free band on two letters without its chamber 2,1; both code
+    # lookups name the first missing pair of the rows asked for
     sg = constructions.free_lrb(2)
     keep = [i for i, k in enumerate(sg.keys) if k != "2,1"]
     vectors = [constructions._word_vector(sg.objects[i], 2) for i in keep]
-    rows = constructions.braid_rows(vectors, [sg.keys[i] for i in keep])
-    with pytest.raises(MalformedInputError, match="leaves the element"):
-        rows(range(len(keep)))
+    keys = [sg.keys[i] for i in keep]
+    for ids in (range(len(keep)), [3, 2, 0], [0, 3, 1, 2]):
+        dense = _missing_product_error(vectors, keys, ids)
+        with monkeypatch.context() as patch:
+            patch.setattr(constructions, "DENSE_CODES_PER_ELEMENT", 0)
+            assert _missing_product_error(vectors, keys, ids) == dense
+        first = next(f"{keys[i]} * {keys[j]}" for i in ids
+                     for j in range(len(keep))
+                     if _free_mult(sg.objects[keep[i]],
+                                   sg.objects[keep[j]]) == (2, 1))
+        assert dense.endswith(first)
 
 
 # q_free(2,5) has 505 elements, so its oracle table takes seconds; the
